@@ -9,10 +9,8 @@
 use crate::mc::GaussianForecast;
 use crate::trainer::{train, LossKind};
 use crate::TrainConfig;
-use stuq_models::{Agcrn, AgcrnConfig, Forecaster, Prediction};
-use stuq_nn::layers::FwdCtx;
-use stuq_nn::loss::{LOGVAR_MAX, LOGVAR_MIN};
-use stuq_tensor::{StuqRng, Tape, Tensor};
+use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
+use stuq_tensor::{StuqRng, Tensor};
 use stuq_traffic::SplitDataset;
 
 /// An ensemble of independently initialised and trained base models.
@@ -73,17 +71,8 @@ impl DeepEnsemble {
         let shape = [first.n_nodes(), first.horizon()];
         let streams = crate::mc::fork_streams(rng, self.members.len());
         let samples = stuq_parallel::par_map(self.members.len(), |j| {
-            let mut r = streams[j].clone();
-            let mut tape = Tape::new();
-            let mut ctx = FwdCtx::eval(&mut r);
-            let pred = self.members[j].forward(&mut tape, x, &mut ctx);
-            let mu = tape.value(pred.point()).clone();
-            let var = if let Prediction::Gaussian { logvar, .. } = pred {
-                Some(tape.value(logvar).map(|lv| lv.clamp(LOGVAR_MIN, LOGVAR_MAX).exp()))
-            } else {
-                None
-            };
-            (mu, var)
+            let session = self.members[j].session();
+            crate::mc::run_pass(&*session, x, None, &streams[j], true)
         });
         crate::mc::reduce_samples(samples, shape)
     }

@@ -1,9 +1,9 @@
 //! Monte-Carlo dropout inference and uncertainty combination (Eq. 19).
 
-use stuq_models::{Forecaster, Prediction};
+use stuq_models::{Forecaster, InferenceSession, Prediction};
 use stuq_nn::layers::FwdCtx;
 use stuq_nn::loss::{LOGVAR_MAX, LOGVAR_MIN};
-use stuq_tensor::{StuqRng, Tape, Tensor};
+use stuq_tensor::{StuqRng, Tensor};
 
 /// The result of Monte-Carlo inference, in *normalised* units.
 ///
@@ -94,29 +94,30 @@ pub(crate) fn fork_streams(rng: &mut StuqRng, n: usize) -> Vec<StuqRng> {
     (0..n).map(|i| rng.fork(i as u64)).collect()
 }
 
-/// One forward pass on its own tape. `deterministic` selects the eval
-/// context (the single-sample `DeepSTUQ/S` mode); otherwise dropout stays
-/// live ([`FwdCtx::mc_sample`]). Every MC entry point funnels through here,
-/// which is what makes the solo, anytime, and batched paths bit-identical
-/// for the same stream.
-fn run_pass(
-    model: &dyn Forecaster,
+/// A pass's point forecast and, for Gaussian heads, its clamped variance.
+fn sample_pass(pred: Prediction<Tensor>) -> SamplePass {
+    match pred {
+        Prediction::Point(mu) | Prediction::Quantiles { mid: mu, .. } => (mu, None),
+        Prediction::Gaussian { mu, logvar } => (mu, Some(clamped_var(&logvar))),
+    }
+}
+
+/// One forward pass through the call's session. `deterministic` selects
+/// the eval context (the single-sample `DeepSTUQ/S` mode); otherwise
+/// dropout stays live ([`FwdCtx::mc_sample`]). Every MC entry point builds
+/// one session per call and funnels each pass through here, which is what
+/// makes the solo, anytime, and batched paths bit-identical for the same
+/// stream.
+pub(crate) fn run_pass(
+    session: &dyn InferenceSession,
     x: &Tensor,
     cov: Option<&Tensor>,
     stream: &StuqRng,
     deterministic: bool,
 ) -> SamplePass {
     let mut r = stream.clone();
-    let mut tape = Tape::new();
     let mut ctx = if deterministic { FwdCtx::eval(&mut r) } else { FwdCtx::mc_sample(&mut r) };
-    let pred = model.forward_with_cov(&mut tape, x, cov, &mut ctx);
-    let mu_j = tape.value(pred.point()).clone();
-    let var_j = if let Prediction::Gaussian { logvar, .. } = pred {
-        Some(clamped_var(tape.value(logvar)))
-    } else {
-        None
-    };
-    (mu_j, var_j)
+    sample_pass(session.forward(x, cov, &mut ctx))
 }
 
 /// Runs `n_samples` stochastic forward passes (`n_samples == 1` runs a single
@@ -152,8 +153,10 @@ pub fn mc_forecast_with_cov(
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
     let shape = [model.n_nodes(), model.horizon()];
     let streams = fork_streams(rng, n_samples);
-    let samples =
-        stuq_parallel::par_map(n_samples, |j| run_pass(model, x, cov, &streams[j], n_samples == 1));
+    let session = model.session();
+    let samples = stuq_parallel::par_map(n_samples, |j| {
+        run_pass(&*session, x, cov, &streams[j], n_samples == 1)
+    });
     if let Some(t0) = t0 {
         let secs = t0.elapsed().as_secs_f64();
         let m = stuq_obs::metrics();
@@ -242,12 +245,13 @@ pub fn mc_forecast_anytime(
     let shape = [model.n_nodes(), model.horizon()];
     let streams = fork_streams(rng, n_samples);
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
+    let session = model.session();
     let mut samples: Vec<SamplePass> = Vec::with_capacity(n_samples);
     for (j, stream) in streams.iter().enumerate() {
         if j >= floor && !budget.allow(j) {
             break;
         }
-        samples.push(run_pass(model, x, cov, stream, n_samples == 1));
+        samples.push(run_pass(&*session, x, cov, stream, n_samples == 1));
         if let Some(obs) = observer.as_deref_mut() {
             obs(&reduce_sample_slice(&samples, shape));
         }
@@ -332,10 +336,11 @@ pub fn mc_forecast_batch(
         stuq_obs::metrics().mc_samples.add(flat.len() as u64);
     }
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
+    let session = model.session();
     let items_ro: &[McBatchItem<'_>] = items;
     let passes = stuq_parallel::par_map(flat.len(), |k| {
         let (i, stream, single) = &flat[k];
-        run_pass(model, items_ro[*i].x, items_ro[*i].cov, stream, *single)
+        run_pass(&*session, items_ro[*i].x, items_ro[*i].cov, stream, *single)
     });
     if let Some(t0) = t0 {
         let secs = t0.elapsed().as_secs_f64();
@@ -383,6 +388,7 @@ pub fn mc_forecast_anytime_batch(
         })
         .collect();
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
+    let session = model.session();
     let mut samples: Vec<Vec<SamplePass>> = items.iter().map(|_| Vec::new()).collect();
     let mut active: Vec<bool> = vec![true; items.len()];
     let mut round = 0;
@@ -411,7 +417,7 @@ pub fn mc_forecast_anytime_batch(
         let passes = stuq_parallel::par_map(runners.len(), |k| {
             let i = runners[k];
             let item = &items_ro[i];
-            run_pass(model, item.x, item.cov, &streams[i][round], item.n_samples == 1)
+            run_pass(&*session, item.x, item.cov, &streams[i][round], item.n_samples == 1)
         });
         if let Some(rt0) = round_t0 {
             // One round = one MC sample batch (pass `round` for every still-
@@ -472,17 +478,8 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
     let samples = stuq_parallel::par_map(snapshots.len(), |j| {
         let mut member = proto.clone();
         member.params_mut().load_snapshot(&snapshots[j]);
-        let mut r = streams[j].clone();
-        let mut tape = Tape::new();
-        let mut ctx = FwdCtx::eval(&mut r);
-        let pred = member.forward(&mut tape, x, &mut ctx);
-        let mu_j = tape.value(pred.point()).clone();
-        let var_j = if let Prediction::Gaussian { logvar, .. } = pred {
-            Some(clamped_var(tape.value(logvar)))
-        } else {
-            None
-        };
-        (mu_j, var_j)
+        let session = member.session();
+        run_pass(&*session, x, None, &streams[j], true)
     });
     model.params_mut().load_snapshot(snapshots.last().expect("non-empty"));
     reduce_samples(samples, shape)
@@ -491,6 +488,7 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stuq_models::gru::{GruConfig, GruForecaster};
     use stuq_models::{Agcrn, AgcrnConfig, HeadKind};
 
     fn model_with_dropout(head: HeadKind, p: f32, rng: &mut StuqRng) -> Agcrn {
@@ -815,6 +813,154 @@ mod tests {
         let mut obs = |i: usize, g: &GaussianForecast| seen.push((i, g.n_samples));
         mc_forecast_anytime_batch(&model, &mut items, &mut UnlimitedBudget, Some(&mut obs));
         assert_eq!(seen, vec![(0, 1), (1, 1), (0, 2), (1, 2), (0, 3)]);
+    }
+
+    /// The tape oracle: the first `k` of the `n` streams an entry point
+    /// forks from `rng`, each run through `Forecaster::forward_with_cov` on
+    /// a fresh tape, reduced in sample order. Advances `rng` exactly as the
+    /// entry points do.
+    fn tape_oracle(
+        model: &dyn Forecaster,
+        x: &Tensor,
+        cov: Option<&Tensor>,
+        n: usize,
+        k: usize,
+        rng: &mut StuqRng,
+    ) -> GaussianForecast {
+        let streams = fork_streams(rng, n);
+        let passes = streams[..k]
+            .iter()
+            .map(|stream| {
+                let mut r = stream.clone();
+                let mut tape = stuq_tensor::Tape::new();
+                let mut ctx = if n == 1 { FwdCtx::eval(&mut r) } else { FwdCtx::mc_sample(&mut r) };
+                let pred = model.forward_with_cov(&mut tape, x, cov, &mut ctx);
+                let var = match pred {
+                    Prediction::Gaussian { logvar, .. } => Some(clamped_var(tape.value(logvar))),
+                    _ => None,
+                };
+                (tape.value(pred.point()).clone(), var)
+            })
+            .collect();
+        reduce_samples(passes, [model.n_nodes(), model.horizon()])
+    }
+
+    fn assert_bitwise(got: &GaussianForecast, want: &GaussianForecast, what: &str) {
+        assert_eq!(got.n_samples, want.n_samples, "{what}: sample count");
+        for (g, w, part) in [
+            (&got.mu, &want.mu, "mu"),
+            (&got.var_aleatoric, &want.var_aleatoric, "var_aleatoric"),
+            (&got.var_epistemic, &want.var_epistemic, "var_epistemic"),
+        ] {
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{what}: {part} differs from the tape");
+        }
+    }
+
+    /// Asserts two generators sit at the same position.
+    fn assert_same_rng(a: &mut StuqRng, b: &mut StuqRng, what: &str) {
+        assert_eq!(a.next_u64(), b.next_u64(), "{what}: caller RNG position");
+    }
+
+    /// Every MC entry point against the tape oracle for one model and input.
+    fn check_against_tape(
+        model: &dyn Forecaster,
+        x: &Tensor,
+        cov: Option<&Tensor>,
+        n: usize,
+        case: &str,
+    ) {
+        let at = |entry: &str| format!("{case}, n {n}: {entry}");
+        let oracle = |k: usize, seed: u64| {
+            let mut r = StuqRng::new(seed);
+            (tape_oracle(model, x, cov, n, k, &mut r), r)
+        };
+
+        let mut r = StuqRng::new(7);
+        let solo = mc_forecast_with_cov(model, x, cov, n, &mut r);
+        let (want, mut wr) = oracle(n, 7);
+        assert_bitwise(&solo, &want, &at("mc_forecast_with_cov"));
+        assert_same_rng(&mut r, &mut wr, &at("mc_forecast_with_cov"));
+
+        let mut prefixes = Vec::new();
+        let mut obs = |g: &GaussianForecast| prefixes.push(g.clone());
+        let mut r = StuqRng::new(8);
+        let budget = &mut UnlimitedBudget;
+        let any = mc_forecast_anytime(model, x, cov, n, 1, budget, &mut r, Some(&mut obs));
+        let (want, mut wr) = oracle(n, 8);
+        assert_bitwise(&any.forecast, &want, &at("mc_forecast_anytime"));
+        assert_same_rng(&mut r, &mut wr, &at("mc_forecast_anytime"));
+        for (k, prefix) in prefixes.iter().enumerate() {
+            assert_bitwise(prefix, &oracle(k + 1, 8).0, &at("mc_forecast_anytime prefix"));
+        }
+        let mut r = StuqRng::new(8);
+        let cut = mc_forecast_anytime(model, x, cov, n, 1, &mut CapBudget(2), &mut r, None);
+        assert_bitwise(&cut.forecast, &oracle(n.min(2), 8).0, &at("mc_forecast_anytime cut"));
+
+        let item = |seed| McBatchItem { x, cov, n_samples: n, floor: 1, rng: StuqRng::new(seed) };
+        let mut items = vec![item(9), item(10)];
+        let batched = mc_forecast_batch(model, &mut items);
+        for (i, seed) in [9u64, 10].into_iter().enumerate() {
+            let (want, mut wr) = oracle(n, seed);
+            assert_bitwise(&batched[i], &want, &at("mc_forecast_batch"));
+            assert_same_rng(&mut items[i].rng, &mut wr, &at("mc_forecast_batch"));
+        }
+
+        // Item 0 runs uncut, item 1 is cut after two passes.
+        let mut items = vec![item(11), item(12)];
+        let budget = &mut CapPerItem(vec![n, 2]);
+        let any_batched = mc_forecast_anytime_batch(model, &mut items, budget, None);
+        for (i, (seed, k)) in [(11u64, n), (12, n.min(2))].into_iter().enumerate() {
+            let (want, mut wr) = oracle(k, seed);
+            assert_bitwise(&any_batched[i].forecast, &want, &at("mc_forecast_anytime_batch"));
+            assert_same_rng(&mut items[i].rng, &mut wr, &at("mc_forecast_anytime_batch"));
+        }
+    }
+
+    #[test]
+    fn every_entry_point_matches_tape_passes_bitwise() {
+        // The per-call session runs no tape; its passes must reproduce the
+        // tape forward's bytes and RNG consumption across heads, covariates,
+        // the deterministic single-sample mode, a dropout-free encoder, and
+        // the serial / reference-kernel execution modes. A baseline model
+        // covers the default (tape-backed) session.
+        let mut rng = StuqRng::new(41);
+        let two_layer = |cfg: AgcrnConfig| cfg.with_capacity(8, 3, 2);
+        let mut models: Vec<(&str, Box<dyn Forecaster>, bool)> = vec![
+            ("gaussian", AgcrnConfig::new(5, 3).with_dropout(0.3, 0.2), false),
+            (
+                "point",
+                AgcrnConfig::new(5, 3).with_dropout(0.3, 0.2).with_head(HeadKind::Point),
+                false,
+            ),
+            (
+                "quantile",
+                AgcrnConfig::new(5, 3).with_dropout(0.3, 0.2).with_head(HeadKind::Quantile),
+                false,
+            ),
+            ("covariates", AgcrnConfig::new(5, 3).with_dropout(0.3, 0.2).with_covariates(1), true),
+            ("encoder dropout 0", AgcrnConfig::new(5, 3).with_dropout(0.0, 0.2), false),
+        ]
+        .into_iter()
+        .map(|(name, cfg, cov)| {
+            (name, Box::new(Agcrn::new(two_layer(cfg), &mut rng)) as Box<dyn Forecaster>, cov)
+        })
+        .collect();
+        let gru =
+            GruConfig { decoder_dropout: 0.2, head: HeadKind::Gaussian, ..GruConfig::new(5, 3) };
+        models.push(("gru baseline", Box::new(GruForecaster::new(gru, &mut rng)), false));
+        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
+        let cov = Tensor::randn(&[4, 1], 1.0, &mut rng);
+        let run_all = || {
+            for (name, model, with_cov) in &models {
+                for n in [1usize, 5] {
+                    check_against_tape(&**model, &x, with_cov.then_some(&cov), n, name);
+                }
+            }
+        };
+        run_all();
+        stuq_parallel::with_serial(run_all);
+        stuq_parallel::with_serial(|| stuq_tensor::kernels::with_reference_kernels(run_all));
     }
 
     #[test]

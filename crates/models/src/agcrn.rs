@@ -6,13 +6,19 @@
 //! adjacency is consumed, exactly as in the paper. Decoder: a dropout layer
 //! and head(s) mapping the last hidden state to all `horizon` steps at once
 //! (direct multi-step decoding, as AGCRN does).
+//!
+//! The forward pass is written once over [`Exec`]: on a tape for training,
+//! and eagerly for inference, where [`Agcrn`]'s [`InferenceSession`] builds
+//! the support and the NAPL gate weights once per call (DESIGN.md §17).
+
+use std::borrow::Borrow;
 
 use crate::heads::{Head, HeadKind};
-use crate::traits::{Forecaster, Prediction};
+use crate::traits::{Forecaster, InferenceSession, Prediction};
 use stuq_nn::init;
-use stuq_nn::layers::{AgcrnCell, FwdCtx};
+use stuq_nn::layers::{AgcrnCell, BoundAgcrnCell, Eager, Exec, FwdCtx};
 use stuq_nn::ParamSet;
-use stuq_tensor::{NodeId, StuqRng, Tape, Tensor};
+use stuq_tensor::{StuqRng, Tape, Tensor};
 
 /// Hyper-parameters of the base model.
 #[derive(Clone, Debug)]
@@ -130,14 +136,71 @@ impl Agcrn {
         &self.cfg
     }
 
-    /// Builds the adaptive support `I + softmax(ReLU(E Eᵀ))` on the tape
-    /// (paper Eq. 4). Exposed for diagnostics and tests.
-    pub fn support(&self, tape: &mut Tape, e: NodeId) -> NodeId {
-        let sim = tape.matmul_tb(e, e);
-        let rel = tape.relu(sim);
-        let a_hat = tape.softmax_rows(rel);
-        let eye = tape.constant(Tensor::eye(self.cfg.n_nodes));
-        tape.add(eye, a_hat)
+    /// Builds the adaptive support `I + softmax(ReLU(E Eᵀ))` (paper Eq. 4)
+    /// from the embedding `e`. Exposed for diagnostics and tests.
+    pub fn support<E: Exec>(&self, ex: &mut E, e: impl Borrow<E::Val>) -> E::Val {
+        let e = e.borrow();
+        let sim = ex.matmul_tb(e, e);
+        let rel = ex.relu(sim);
+        let a_hat = ex.softmax_rows(rel);
+        let eye = ex.constant(Tensor::eye(self.cfg.n_nodes));
+        ex.add(eye, &a_hat)
+    }
+
+    /// The recurrence over the window and the head, on bound `cells`.
+    fn run<E: Exec, V: Borrow<E::Val>>(
+        &self,
+        ex: &mut E,
+        cells: &[BoundAgcrnCell<V>],
+        x: &Tensor,
+        cov: Option<&Tensor>,
+        ctx: &mut FwdCtx<'_>,
+    ) -> Prediction<E::Val> {
+        let (t_h, n) = (x.rows(), x.cols());
+        assert_eq!(
+            n, self.cfg.n_nodes,
+            "window has {n} sensors, model expects {}",
+            self.cfg.n_nodes
+        );
+        let c = self.cfg.n_covariates;
+        // A covariate-unaware model (c == 0) simply ignores any covariates it
+        // is offered — mirroring the trait's default behaviour.
+        let cov = if c == 0 { None } else { cov };
+        if let Some(cv) = cov {
+            assert!(cv.rows() > 0, "empty covariate window");
+            assert_eq!(cv.cols(), c, "covariate channel count mismatch");
+        }
+        // Layer-stacked recurrence over the window.
+        let mut hidden: Vec<E::Val> =
+            cells.iter().map(|_| ex.constant(Tensor::zeros(&[n, self.cfg.hidden]))).collect();
+        for t in 0..t_h {
+            // Step input: flow column plus (broadcast) covariate channels.
+            // The covariate window (typically the forecast-period weather)
+            // may have a different length than the history; resample it
+            // linearly onto the encoder steps.
+            let mut step = x.row(t).transpose();
+            if c > 0 {
+                let mut with_cov = Tensor::zeros(&[n, 1 + c]);
+                for i in 0..n {
+                    with_cov.set(i, 0, step.get(i, 0));
+                    for k in 0..c {
+                        let v = cov.map_or(0.0, |cv| {
+                            let row = (t * cv.rows() / t_h).min(cv.rows() - 1);
+                            cv.get(row, k)
+                        });
+                        with_cov.set(i, 1 + k, v);
+                    }
+                }
+                step = with_cov;
+            }
+            let step = ex.constant(step);
+            for (l, cell) in cells.iter().enumerate() {
+                let input = if l == 0 { &step } else { &hidden[l - 1] };
+                hidden[l] = cell.step(ex, ctx, input, &hidden[l]);
+            }
+        }
+        let last = hidden.pop().expect("at least one layer");
+        self.head.forward(ex, &self.params, ctx, last)
     }
 
     /// The learned dense adjacency `Â` as a plain tensor (for inspection).
@@ -175,61 +238,44 @@ impl Forecaster for Agcrn {
         cov: Option<&Tensor>,
         ctx: &mut FwdCtx<'_>,
     ) -> Prediction {
-        let (t_h, n) = (x.rows(), x.cols());
-        assert_eq!(
-            n, self.cfg.n_nodes,
-            "window has {n} sensors, model expects {}",
-            self.cfg.n_nodes
-        );
-        let c = self.cfg.n_covariates;
-        // A covariate-unaware model (c == 0) simply ignores any covariates it
-        // is offered — mirroring the trait's default behaviour.
-        let cov = if c == 0 { None } else { cov };
-        if let Some(cv) = cov {
-            assert!(cv.rows() > 0, "empty covariate window");
-            assert_eq!(cv.cols(), c, "covariate channel count mismatch");
-        }
         let e = tape.param(self.e_slot, self.params.get(self.e_slot).clone());
         let support = self.support(tape, e);
         let bound: Vec<_> =
             self.cells.iter().map(|cell| cell.bind(tape, &self.params, e, support)).collect();
+        self.run(tape, &bound, x, cov, ctx)
+    }
 
-        // Layer-stacked recurrence over the window.
-        let mut hidden: Vec<NodeId> = (0..self.cells.len())
-            .map(|_| tape.constant(Tensor::zeros(&[n, self.cfg.hidden])))
-            .collect();
-        for t in 0..t_h {
-            // Step input: flow column plus (broadcast) covariate channels.
-            // The covariate window (typically the forecast-period weather)
-            // may have a different length than the history; resample it
-            // linearly onto the encoder steps.
-            let mut step = x.row(t).transpose();
-            if c > 0 {
-                let mut with_cov = Tensor::zeros(&[n, 1 + c]);
-                for i in 0..n {
-                    with_cov.set(i, 0, step.get(i, 0));
-                    for k in 0..c {
-                        let v = cov.map_or(0.0, |cv| {
-                            let row = (t * cv.rows() / t_h).min(cv.rows() - 1);
-                            cv.get(row, k)
-                        });
-                        with_cov.set(i, 1 + k, v);
-                    }
-                }
-                step = with_cov;
-            }
-            let mut input = tape.constant(step);
-            for (l, cell) in bound.iter().enumerate() {
-                hidden[l] = cell.step(tape, ctx, input, hidden[l]);
-                input = hidden[l];
-            }
-        }
-        let last = *hidden.last().expect("at least one layer");
-        self.head.forward(tape, &self.params, ctx, last)
+    /// Builds `I + Â` and every gate's `E·W_pool` / `E·b_pool` once, then
+    /// runs each pass eagerly on them and the borrowed head parameters.
+    fn session(&self) -> Box<dyn InferenceSession + '_> {
+        let ex = &mut Eager;
+        let e = self.params.get(self.e_slot);
+        let support = self.support(ex, e);
+        let cells =
+            self.cells.iter().map(|cell| cell.bind(ex, &self.params, e, support.clone())).collect();
+        Box::new(AgcrnSession { model: self, cells })
     }
 
     fn name(&self) -> &'static str {
         "AGCRN"
+    }
+}
+
+/// [`Agcrn`]'s inference session: the parameter-only work of a pass, done
+/// once per call.
+struct AgcrnSession<'m> {
+    model: &'m Agcrn,
+    cells: Vec<BoundAgcrnCell<Tensor>>,
+}
+
+impl InferenceSession for AgcrnSession<'_> {
+    fn forward(
+        &self,
+        x: &Tensor,
+        cov: Option<&Tensor>,
+        ctx: &mut FwdCtx<'_>,
+    ) -> Prediction<Tensor> {
+        self.model.run(&mut Eager, &self.cells, x, cov, ctx)
     }
 }
 

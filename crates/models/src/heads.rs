@@ -6,9 +6,9 @@
 //! baseline (three layers).
 
 use crate::traits::Prediction;
-use stuq_nn::layers::{FwdCtx, Linear};
+use stuq_nn::layers::{Exec, FwdCtx, Linear};
 use stuq_nn::ParamSet;
-use stuq_tensor::{NodeId, StuqRng, Tape};
+use stuq_tensor::StuqRng;
 
 /// Which output distribution the head parameterises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,28 +68,28 @@ impl Head {
     ///
     /// Each sub-head draws its own dropout mask — the μ and σ paths are
     /// independent networks in the paper.
-    pub fn forward(
+    pub fn forward<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         ps: &ParamSet,
         ctx: &mut FwdCtx<'_>,
-        h: NodeId,
-    ) -> Prediction {
-        let hd = ctx.dropout(tape, h, self.dropout_p);
-        let mu = self.mu.bind(tape, ps).forward(tape, hd);
+        h: E::Val,
+    ) -> Prediction<E::Val> {
+        let hd = ctx.dropout(ex, h.clone(), self.dropout_p);
+        let mu = self.mu.bind(ex, ps).forward(ex, &hd);
         match self.kind {
             HeadKind::Point => Prediction::Point(mu),
             HeadKind::Gaussian => {
-                let hd2 = ctx.dropout(tape, h, self.dropout_p);
+                let hd2 = ctx.dropout(ex, h, self.dropout_p);
                 let lv = self.logvar.as_ref().expect("gaussian head has logvar");
-                let logvar = lv.bind(tape, ps).forward(tape, hd2);
+                let logvar = lv.bind(ex, ps).forward(ex, &hd2);
                 Prediction::Gaussian { mu, logvar }
             }
             HeadKind::Quantile => {
                 let lo_lin = self.lo.as_ref().expect("quantile head has lo");
                 let hi_lin = self.hi.as_ref().expect("quantile head has hi");
-                let lo = lo_lin.bind(tape, ps).forward(tape, hd);
-                let hi = hi_lin.bind(tape, ps).forward(tape, hd);
+                let lo = lo_lin.bind(ex, ps).forward(ex, &hd);
+                let hi = hi_lin.bind(ex, ps).forward(ex, &hd);
                 Prediction::Quantiles { lo, mid: mu, hi }
             }
         }
@@ -99,7 +99,7 @@ impl Head {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stuq_tensor::Tensor;
+    use stuq_tensor::{Tape, Tensor};
 
     fn run(kind: HeadKind) -> Prediction {
         let mut rng = StuqRng::new(1);

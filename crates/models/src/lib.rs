@@ -19,7 +19,8 @@
 //!
 //! Every model implements [`Forecaster`]: a single `forward` that records the
 //! computation for one input window onto a [`stuq_tensor::Tape`] and returns
-//! a [`Prediction`] head output.
+//! a [`Prediction`] head output. Inference runs through
+//! [`Forecaster::session`]; [`Agcrn`]'s session runs without a tape.
 
 pub mod agcrn;
 pub mod astgcn;
@@ -35,4 +36,4 @@ pub mod traits;
 
 pub use agcrn::{Agcrn, AgcrnConfig};
 pub use heads::{Head, HeadKind};
-pub use traits::{Forecaster, Prediction};
+pub use traits::{Forecaster, InferenceSession, Prediction};

@@ -5,42 +5,88 @@ use stuq_tensor::{NodeId, Tape, Tensor};
 
 /// The output of a forecasting model for one input window.
 ///
-/// All node ids refer to `[N, horizon]` tensors on the tape that recorded the
-/// forward pass. Values are in *normalised* units; callers de-normalise with
-/// the dataset scaler.
+/// Each output is an `[N, horizon]` value: a node id on the tape that
+/// recorded the forward pass (the default), or an owned tensor from an
+/// [`InferenceSession`]. Values are in *normalised* units; callers
+/// de-normalise with the dataset scaler.
 #[derive(Clone, Copy, Debug)]
-pub enum Prediction {
+pub enum Prediction<V = NodeId> {
     /// Deterministic point forecast.
-    Point(NodeId),
+    Point(V),
     /// Heteroscedastic Gaussian forecast: mean and log-variance
     /// (the paper's two independent decoder heads, §IV, Fig. 2).
     Gaussian {
         /// Predicted mean `μ(x)`.
-        mu: NodeId,
+        mu: V,
         /// Predicted log-variance `log σ²(x)`.
-        logvar: NodeId,
+        logvar: V,
     },
     /// Three conditional quantiles (0.025 / 0.5 / 0.975) for the
     /// distribution-free quantile-regression baseline.
     Quantiles {
         /// 2.5 % quantile.
-        lo: NodeId,
+        lo: V,
         /// Median.
-        mid: NodeId,
+        mid: V,
         /// 97.5 % quantile.
-        hi: NodeId,
+        hi: V,
     },
 }
 
-impl Prediction {
-    /// The point forecast node: the mean for Gaussian heads, the median for
+impl<V: Copy> Prediction<V> {
+    /// The point forecast: the mean for Gaussian heads, the median for
     /// quantile heads.
-    pub fn point(&self) -> NodeId {
+    pub fn point(&self) -> V {
         match *self {
             Prediction::Point(p) => p,
             Prediction::Gaussian { mu, .. } => mu,
             Prediction::Quantiles { mid, .. } => mid,
         }
+    }
+}
+
+impl<V> Prediction<V> {
+    /// Applies `f` to every output, keeping the variant.
+    pub fn map<U>(self, mut f: impl FnMut(V) -> U) -> Prediction<U> {
+        match self {
+            Prediction::Point(p) => Prediction::Point(f(p)),
+            Prediction::Gaussian { mu, logvar } => {
+                Prediction::Gaussian { mu: f(mu), logvar: f(logvar) }
+            }
+            Prediction::Quantiles { lo, mid, hi } => {
+                Prediction::Quantiles { lo: f(lo), mid: f(mid), hi: f(hi) }
+            }
+        }
+    }
+}
+
+/// The forward passes of one inference call (DESIGN.md §17).
+///
+/// [`Forecaster::session`] builds one per call — an MC-dropout forecast,
+/// a batch of them — so work that depends only on the parameters is done
+/// once per call rather than once per sample. `Sync`, so the call's samples
+/// can run on the parallel pool against one shared session.
+pub trait InferenceSession: Sync {
+    /// One forward pass over the window `x` (`[t_h, N]`) with optional
+    /// covariates; dropout follows `ctx`.
+    fn forward(&self, x: &Tensor, cov: Option<&Tensor>, ctx: &mut FwdCtx<'_>)
+        -> Prediction<Tensor>;
+}
+
+/// The default session: each pass records [`Forecaster::forward_with_cov`]
+/// on a fresh tape and keeps the outputs' values.
+struct TapeSession<'m, F: ?Sized>(&'m F);
+
+impl<F: Forecaster + ?Sized> InferenceSession for TapeSession<'_, F> {
+    fn forward(
+        &self,
+        x: &Tensor,
+        cov: Option<&Tensor>,
+        ctx: &mut FwdCtx<'_>,
+    ) -> Prediction<Tensor> {
+        let mut tape = Tape::new();
+        let pred = self.0.forward_with_cov(&mut tape, x, cov, ctx);
+        pred.map(|id| tape.value(id).clone())
     }
 }
 
@@ -77,6 +123,15 @@ pub trait Forecaster: Send + Sync {
         ctx: &mut FwdCtx<'_>,
     ) -> Prediction {
         self.forward(tape, x, ctx)
+    }
+
+    /// An inference session for one call. The default runs every pass on a
+    /// tape; a model overrides it to hoist parameter-only work out of the
+    /// per-sample loop and to run without a tape. Either way a pass must
+    /// return the bytes `forward_with_cov` computes and leave `ctx.rng`
+    /// where it would.
+    fn session(&self) -> Box<dyn InferenceSession + '_> {
+        Box::new(TapeSession(self))
     }
 
     /// A short architecture name for reports.

@@ -1,16 +1,187 @@
 //! Layers: linear maps, GRU cells, and the NAPL adaptive-graph GRU cell.
 //!
 //! Layers follow a *bind-then-step* pattern: a layer owns parameter slots;
-//! [`Linear::bind`] (etc.) pushes the parameter nodes onto a tape **once**
-//! and returns a bound handle whose `forward`/`step` can be called many times
-//! (e.g. for each of the 12 time steps) without re-registering parameters.
-//! This keeps the tape small and is also how the NAPL weight pools of AGCRN
-//! are hoisted: the per-node weight matrices `E·W_pool` (paper Eq. 5) are
-//! computed once per tape, not once per step.
+//! [`Linear::bind`] (etc.) binds the parameters **once** and returns a bound
+//! handle whose `forward`/`step` can be called many times (e.g. for each of
+//! the 12 time steps) without re-binding them. This is also how the NAPL
+//! weight pools of AGCRN are hoisted: the per-node weight matrices
+//! `E·W_pool` (paper Eq. 5) are computed once per bind — once per tape when
+//! training, once per MC-dropout call at inference (DESIGN.md §17).
+//!
+//! The linear map, the AGCRN cell and the decoder heads are written once
+//! over an [`Exec`]utor: on a [`Tape`] they record nodes for the backward
+//! pass; on [`Eager`] they compute owned tensors straight from borrowed
+//! parameters and keep nothing they do not return.
+
+use std::borrow::Borrow;
 
 use crate::init;
 use crate::params::ParamSet;
-use stuq_tensor::{NodeId, StuqRng, Tape};
+use stuq_tensor::{NodeId, StuqRng, Tape, Tensor};
+
+/// The tensor operations a forward pass is written against, so one
+/// definition of each layer serves both training and inference.
+///
+/// [`Tape`] records every op (values are [`NodeId`]s; parameters are copied
+/// onto the tape) so gradients can flow. [`Eager`] computes owned
+/// [`Tensor`]s, borrows parameters, and drops each intermediate with its
+/// last reader. Both implementations call the same [`Tensor`] kernel per op
+/// and draw dropout masks from [`Tensor::dropout_mask`], so a pass written
+/// against `Exec` yields the same bits — and leaves the RNG at the same
+/// position — on either.
+///
+/// Operands that the layers never read again are taken by value, so the
+/// eager executor can free them as soon as the op has run.
+pub trait Exec {
+    /// A value: a tape node id, or an owned tensor.
+    type Val: Clone;
+    /// A bound parameter: a tape node id, or a borrow of the parameter.
+    type Param<'p>: Borrow<Self::Val>;
+
+    /// Binds parameter `slot` holding `value`.
+    fn param<'p>(&mut self, slot: usize, value: &'p Tensor) -> Self::Param<'p>;
+    /// A value that receives no gradient.
+    fn constant(&mut self, value: Tensor) -> Self::Val;
+    /// `a @ b`.
+    fn matmul(&mut self, a: &Self::Val, b: &Self::Val) -> Self::Val;
+    /// `a @ bᵀ`.
+    fn matmul_tb(&mut self, a: &Self::Val, b: &Self::Val) -> Self::Val;
+    /// NAPL row-wise matmul (see [`Tensor::rowwise_matmul`]).
+    fn rowwise_matmul(
+        &mut self,
+        z: &Self::Val,
+        w: &Self::Val,
+        c_in: usize,
+        c_out: usize,
+    ) -> Self::Val;
+    /// `[a | b]`.
+    fn concat_cols(&mut self, a: &Self::Val, b: &Self::Val) -> Self::Val;
+    /// Element-wise product.
+    fn mul(&mut self, a: &Self::Val, b: &Self::Val) -> Self::Val;
+    /// Element-wise sum.
+    fn add(&mut self, a: Self::Val, b: &Self::Val) -> Self::Val;
+    /// Adds the `1×n` row `bias` to every row of `x`.
+    fn add_row_broadcast(&mut self, x: Self::Val, bias: &Self::Val) -> Self::Val;
+    /// `1 − a` (paper Eq. 6d).
+    fn one_minus(&mut self, a: &Self::Val) -> Self::Val;
+    /// Rectified linear unit.
+    fn relu(&mut self, a: Self::Val) -> Self::Val;
+    /// Row-wise soft-max.
+    fn softmax_rows(&mut self, a: Self::Val) -> Self::Val;
+    /// Logistic sigmoid.
+    fn sigmoid(&mut self, a: Self::Val) -> Self::Val;
+    /// Hyperbolic tangent.
+    fn tanh(&mut self, a: Self::Val) -> Self::Val;
+    /// Inverted dropout at rate `p > 0`.
+    fn dropout(&mut self, a: Self::Val, p: f32, rng: &mut StuqRng) -> Self::Val;
+}
+
+impl Exec for Tape {
+    type Val = NodeId;
+    type Param<'p> = NodeId;
+
+    fn param(&mut self, slot: usize, value: &Tensor) -> NodeId {
+        Tape::param(self, slot, value.clone())
+    }
+    fn constant(&mut self, value: Tensor) -> NodeId {
+        Tape::constant(self, value)
+    }
+    fn matmul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        Tape::matmul(self, *a, *b)
+    }
+    fn matmul_tb(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        Tape::matmul_tb(self, *a, *b)
+    }
+    fn rowwise_matmul(&mut self, z: &NodeId, w: &NodeId, c_in: usize, c_out: usize) -> NodeId {
+        Tape::rowwise_matmul(self, *z, *w, c_in, c_out)
+    }
+    fn concat_cols(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        Tape::concat_cols(self, *a, *b)
+    }
+    fn mul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        Tape::mul(self, *a, *b)
+    }
+    fn add(&mut self, a: NodeId, b: &NodeId) -> NodeId {
+        Tape::add(self, a, *b)
+    }
+    fn add_row_broadcast(&mut self, x: NodeId, bias: &NodeId) -> NodeId {
+        Tape::add_row_broadcast(self, x, *bias)
+    }
+    fn one_minus(&mut self, a: &NodeId) -> NodeId {
+        Tape::one_minus(self, *a)
+    }
+    fn relu(&mut self, a: NodeId) -> NodeId {
+        Tape::relu(self, a)
+    }
+    fn softmax_rows(&mut self, a: NodeId) -> NodeId {
+        Tape::softmax_rows(self, a)
+    }
+    fn sigmoid(&mut self, a: NodeId) -> NodeId {
+        Tape::sigmoid(self, a)
+    }
+    fn tanh(&mut self, a: NodeId) -> NodeId {
+        Tape::tanh(self, a)
+    }
+    fn dropout(&mut self, a: NodeId, p: f32, rng: &mut StuqRng) -> NodeId {
+        Tape::dropout(self, a, p, rng)
+    }
+}
+
+/// Runs each op immediately on owned tensors: a forward pass without a
+/// tape, for inference.
+pub struct Eager;
+
+impl Exec for Eager {
+    type Val = Tensor;
+    type Param<'p> = &'p Tensor;
+
+    fn param<'p>(&mut self, _slot: usize, value: &'p Tensor) -> &'p Tensor {
+        value
+    }
+    fn constant(&mut self, value: Tensor) -> Tensor {
+        value
+    }
+    fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        a.matmul(b)
+    }
+    fn matmul_tb(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        a.matmul_tb(b)
+    }
+    fn rowwise_matmul(&mut self, z: &Tensor, w: &Tensor, c_in: usize, c_out: usize) -> Tensor {
+        z.rowwise_matmul(w, c_in, c_out)
+    }
+    fn concat_cols(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        a.concat_cols(b)
+    }
+    fn mul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        a.mul(b)
+    }
+    fn add(&mut self, a: Tensor, b: &Tensor) -> Tensor {
+        a.add(b)
+    }
+    fn add_row_broadcast(&mut self, x: Tensor, bias: &Tensor) -> Tensor {
+        x.add_row_broadcast(bias)
+    }
+    fn one_minus(&mut self, a: &Tensor) -> Tensor {
+        // The tape's `neg` then `add_scalar`, rounding for rounding.
+        a.scale(-1.0).map(|x| x + 1.0)
+    }
+    fn relu(&mut self, a: Tensor) -> Tensor {
+        a.relu()
+    }
+    fn softmax_rows(&mut self, a: Tensor) -> Tensor {
+        a.softmax_rows()
+    }
+    fn sigmoid(&mut self, a: Tensor) -> Tensor {
+        a.sigmoid()
+    }
+    fn tanh(&mut self, a: Tensor) -> Tensor {
+        a.tanh()
+    }
+    fn dropout(&mut self, a: Tensor, p: f32, rng: &mut StuqRng) -> Tensor {
+        a.mul(&Tensor::dropout_mask(a.shape(), p, rng))
+    }
+}
 
 /// Forward-pass context: controls dropout behaviour.
 ///
@@ -49,9 +220,9 @@ impl<'a> FwdCtx<'a> {
     }
 
     /// Applies dropout to `x` when active; identity otherwise.
-    pub fn dropout(&mut self, tape: &mut Tape, x: NodeId, p: f32) -> NodeId {
+    pub fn dropout<E: Exec>(&mut self, ex: &mut E, x: E::Val, p: f32) -> E::Val {
         if self.dropout_active() && p > 0.0 {
-            tape.dropout(x, p, self.rng)
+            ex.dropout(x, p, self.rng)
         } else {
             x
         }
@@ -94,27 +265,27 @@ impl Linear {
         self.out_dim
     }
 
-    /// Pushes parameter nodes onto the tape.
-    pub fn bind(&self, tape: &mut Tape, ps: &ParamSet) -> BoundLinear {
-        BoundLinear {
-            w: tape.param(self.w, ps.get(self.w).clone()),
-            b: tape.param(self.b, ps.get(self.b).clone()),
-        }
+    /// Binds the weight and bias on `ex`.
+    pub fn bind<'p, E: Exec>(&self, ex: &mut E, ps: &'p ParamSet) -> BoundLinear<E::Param<'p>> {
+        BoundLinear { w: ex.param(self.w, ps.get(self.w)), b: ex.param(self.b, ps.get(self.b)) }
     }
 }
 
-/// A [`Linear`] with parameters already on a tape.
+/// A [`Linear`] with bound parameters (tape nodes by default).
 #[derive(Clone, Copy, Debug)]
-pub struct BoundLinear {
-    w: NodeId,
-    b: NodeId,
+pub struct BoundLinear<P = NodeId> {
+    w: P,
+    b: P,
 }
 
-impl BoundLinear {
+impl<P> BoundLinear<P> {
     /// `x @ W + b` for `x` of shape `[m, in_dim]`.
-    pub fn forward(&self, tape: &mut Tape, x: NodeId) -> NodeId {
-        let xw = tape.matmul(x, self.w);
-        tape.add_row_broadcast(xw, self.b)
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: impl Borrow<E::Val>) -> E::Val
+    where
+        P: Borrow<E::Val>,
+    {
+        let xw = ex.matmul(x.borrow(), self.w.borrow());
+        ex.add_row_broadcast(xw, self.b.borrow())
     }
 }
 
@@ -257,23 +428,23 @@ impl AgcrnCell {
 
     /// Binds the cell: computes per-node gate weights `E·W_pool` once.
     ///
-    /// `e` must be the `[N, d]` embedding node, `support` the `[N, N]`
-    /// propagation matrix node (`I + Â`).
-    pub fn bind(
+    /// `e` must be the `[N, d]` embedding, `support` the `[N, N]`
+    /// propagation matrix (`I + Â`).
+    pub fn bind<E: Exec>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
         ps: &ParamSet,
-        e: NodeId,
-        support: NodeId,
-    ) -> BoundAgcrnCell {
-        let mut gates = Vec::with_capacity(3);
-        for pool in &self.pools {
-            let wp = tape.param(pool.w, ps.get(pool.w).clone());
-            let bp = tape.param(pool.b, ps.get(pool.b).clone());
-            gates.push(BoundGate { wn: tape.matmul(e, wp), bn: tape.matmul(e, bp) });
-        }
+        e: impl Borrow<E::Val>,
+        support: E::Val,
+    ) -> BoundAgcrnCell<E::Val> {
+        let e = e.borrow();
+        let gates = self.pools.each_ref().map(|pool| {
+            let wp = ex.param(pool.w, ps.get(pool.w));
+            let bp = ex.param(pool.b, ps.get(pool.b));
+            BoundGate { wn: ex.matmul(e, wp.borrow()), bn: ex.matmul(e, bp.borrow()) }
+        });
         BoundAgcrnCell {
-            gates: [gates[0], gates[1], gates[2]],
+            gates,
             support,
             c_in: self.in_dim,
             hidden: self.hidden,
@@ -283,50 +454,64 @@ impl AgcrnCell {
 }
 
 #[derive(Clone, Copy, Debug)]
-struct BoundGate {
+struct BoundGate<V> {
     /// `[N, (c_in+h)·h]` per-node weights.
-    wn: NodeId,
+    wn: V,
     /// `[N, h]` per-node bias.
-    bn: NodeId,
+    bn: V,
 }
 
-/// An [`AgcrnCell`] bound to a tape (weights hoisted).
+/// An [`AgcrnCell`] with its weights hoisted: tape nodes by default, owned
+/// tensors for tapeless inference.
 #[derive(Clone, Copy, Debug)]
-pub struct BoundAgcrnCell {
-    gates: [BoundGate; 3],
-    support: NodeId,
+pub struct BoundAgcrnCell<V = NodeId> {
+    gates: [BoundGate<V>; 3],
+    support: V,
     c_in: usize,
     hidden: usize,
     dropout_p: f32,
 }
 
-impl BoundAgcrnCell {
-    fn gate(&self, tape: &mut Tape, ctx: &mut FwdCtx<'_>, idx: usize, input: NodeId) -> NodeId {
+impl<V> BoundAgcrnCell<V> {
+    fn gate<E: Exec>(&self, ex: &mut E, ctx: &mut FwdCtx<'_>, idx: usize, input: &E::Val) -> E::Val
+    where
+        V: Borrow<E::Val>,
+    {
         let g = &self.gates[idx];
         // (I + Â) · [x, h]  — spatial mixing.
-        let mixed = tape.matmul(self.support, input);
+        let mixed = ex.matmul(self.support.borrow(), input);
         // Per-node NAPL weights (Eq. 5), then bias.
-        let pre = tape.rowwise_matmul(mixed, g.wn, self.c_in + self.hidden, self.hidden);
-        let pre = tape.add(pre, g.bn);
+        let pre = ex.rowwise_matmul(&mixed, g.wn.borrow(), self.c_in + self.hidden, self.hidden);
+        let pre = ex.add(pre, g.bn.borrow());
         // M ⊙ (·): dropout inside the graph convolution (Eq. 13).
-        ctx.dropout(tape, pre, self.dropout_p)
+        ctx.dropout(ex, pre, self.dropout_p)
     }
 
     /// One recurrence step (paper Eq. 6): `(x_t [N,c_in], h [N,h]) → h'`.
-    pub fn step(&self, tape: &mut Tape, ctx: &mut FwdCtx<'_>, x: NodeId, h: NodeId) -> NodeId {
-        let xh = tape.concat_cols(x, h);
-        let z = self.gate(tape, ctx, 0, xh);
-        let z = tape.sigmoid(z);
-        let r = self.gate(tape, ctx, 1, xh);
-        let r = tape.sigmoid(r);
-        let rh = tape.mul(r, h);
-        let xrh = tape.concat_cols(x, rh);
-        let c = self.gate(tape, ctx, 2, xrh);
-        let c = tape.tanh(c);
-        let zh = tape.mul(z, h);
-        let omz = tape.one_minus(z);
-        let oc = tape.mul(omz, c);
-        tape.add(zh, oc)
+    pub fn step<E: Exec>(
+        &self,
+        ex: &mut E,
+        ctx: &mut FwdCtx<'_>,
+        x: impl Borrow<E::Val>,
+        h: impl Borrow<E::Val>,
+    ) -> E::Val
+    where
+        V: Borrow<E::Val>,
+    {
+        let (x, h) = (x.borrow(), h.borrow());
+        let xh = ex.concat_cols(x, h);
+        let z = self.gate(ex, ctx, 0, &xh);
+        let z = ex.sigmoid(z);
+        let r = self.gate(ex, ctx, 1, &xh);
+        let r = ex.sigmoid(r);
+        let rh = ex.mul(&r, h);
+        let xrh = ex.concat_cols(x, &rh);
+        let c = self.gate(ex, ctx, 2, &xrh);
+        let c = ex.tanh(c);
+        let zh = ex.mul(&z, h);
+        let omz = ex.one_minus(&z);
+        let oc = ex.mul(&omz, &c);
+        ex.add(zh, &oc)
     }
 }
 

@@ -1481,7 +1481,20 @@ where
         let write_line = write_line.clone();
         std::thread::spawn(move || {
             for line in reader.lines() {
-                let Ok(line) = line else { break };
+                let line = match line {
+                    Ok(line) => line,
+                    // `lines()` consumed the bad line's bytes: answer it and
+                    // read on. Any other I/O error ends intake.
+                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                        write_line(&proto::resp_error(
+                            &None,
+                            "bad_request",
+                            "request line is not valid UTF-8",
+                        ));
+                        continue;
+                    }
+                    Err(_) => break,
+                };
                 if line.trim().is_empty() {
                     continue;
                 }

@@ -21,8 +21,9 @@ thread_local! {
 }
 
 /// Routes the matmul-family kernels on the *current thread* through the
-/// seed's scalar reference implementations — and the tape's tanh/sigmoid
-/// activations back to libm — for the duration of `f`.
+/// seed's scalar reference implementations — and the tanh/sigmoid
+/// activations ([`crate::Tensor::tanh`], [`crate::Tensor::sigmoid`]) back
+/// to libm — for the duration of `f`.
 ///
 /// This is a benchmark hook: `stuq-bench` uses it (combined with
 /// [`stuq_parallel::with_serial`]) to time a seed-equivalent baseline for

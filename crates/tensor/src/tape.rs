@@ -400,27 +400,19 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = if crate::kernels::reference_mode() {
-            self.nodes[a].value.map(|x| 1.0 / (1.0 + (-x).exp()))
-        } else {
-            self.nodes[a].value.map(crate::fastmath::sigmoid_f32)
-        };
+        let v = self.nodes[a].value.sigmoid();
         self.push(v, OpKind::Sigmoid, vec![a])
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = if crate::kernels::reference_mode() {
-            self.nodes[a].value.map(f32::tanh)
-        } else {
-            self.nodes[a].value.map(crate::fastmath::tanh_f32)
-        };
+        let v = self.nodes[a].value.tanh();
         self.push(v, OpKind::Tanh, vec![a])
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(|x| x.max(0.0));
+        let v = self.nodes[a].value.relu();
         self.push(v, OpKind::Relu, vec![a])
     }
 
@@ -527,51 +519,28 @@ impl Tape {
 
     /// Adds a `1×n` bias row to every row of an `m×n` matrix.
     pub fn add_row_broadcast(&mut self, x: NodeId, bias: NodeId) -> NodeId {
-        let xv = &self.nodes[x].value;
-        let bv = &self.nodes[bias].value;
-        assert_eq!(bv.rows(), 1, "bias must be a 1×n row");
-        assert_eq!(xv.cols(), bv.cols(), "bias width mismatch");
-        let (m, n) = (xv.rows(), xv.cols());
-        let mut out = xv.clone();
-        for i in 0..m {
-            for j in 0..n {
-                let v = out.get(i, j) + bv.get(0, j);
-                out.set(i, j, v);
-            }
-        }
-        self.push(out, OpKind::AddRowBroadcast, vec![x, bias])
+        let v = self.nodes[x].value.add_row_broadcast(&self.nodes[bias].value);
+        self.push(v, OpKind::AddRowBroadcast, vec![x, bias])
     }
 
     /// NAPL row-wise matmul (paper Eq. 5): row `n` of the output is
     /// `z[n, :] @ W_n` where `W_n` is `w[n, :]` reshaped to `c_in × c_out`.
     pub fn rowwise_matmul(&mut self, z: NodeId, w: NodeId, c_in: usize, c_out: usize) -> NodeId {
-        let zv = &self.nodes[z].value;
-        let wv = &self.nodes[w].value;
-        let n = zv.rows();
-        assert_eq!(zv.cols(), c_in, "rowwise_matmul: z cols != c_in");
-        assert_eq!(wv.rows(), n, "rowwise_matmul: row count mismatch");
-        assert_eq!(wv.cols(), c_in * c_out, "rowwise_matmul: w cols != c_in*c_out");
-        let data = crate::kernels::rowwise_matmul(zv.data(), wv.data(), n, c_in, c_out);
-        let out = Tensor::from_vec(data, &[n, c_out]);
-        self.push(out, OpKind::RowwiseMatmul { c_in, c_out }, vec![z, w])
+        let v = self.nodes[z].value.rowwise_matmul(&self.nodes[w].value, c_in, c_out);
+        self.push(v, OpKind::RowwiseMatmul { c_in, c_out }, vec![z, w])
     }
 
     /// Inverted dropout with keep-probability `1 - p`.
     ///
-    /// With `p == 0` this is the identity. At Monte-Carlo inference time the
-    /// same entry point is used — MC dropout (paper §IV-C2) is precisely
-    /// "dropout left on at test time".
+    /// With `p == 0` this is the identity. The mask comes from
+    /// [`Tensor::dropout_mask`], which tapeless MC-dropout inference (paper
+    /// §IV-C2: dropout left on at test time) draws from too.
     pub fn dropout(&mut self, a: NodeId, p: f32, rng: &mut StuqRng) -> NodeId {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
         if p == 0.0 {
             return self.scale(a, 1.0);
         }
-        let keep = 1.0 - p;
-        let shape = self.nodes[a].value.shape().to_vec();
-        let numel: usize = shape.iter().product();
-        let mask_data: Vec<f32> =
-            (0..numel).map(|_| if rng.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 }).collect();
-        let mask = Tensor::from_vec(mask_data, &shape);
+        let mask = Tensor::dropout_mask(self.nodes[a].value.shape(), p, rng);
         let v = self.nodes[a].value.mul(&mask);
         self.push(v, OpKind::Dropout(mask), vec![a])
     }

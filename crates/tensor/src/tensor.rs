@@ -352,6 +352,70 @@ impl Tensor {
         Self { data: kernels::softmax_rows(&self.data, m, n), shape: vec![m, n] }
     }
 
+    /// Rectified linear unit, element-wise.
+    pub fn relu(&self) -> Self {
+        self.map(|x| x.max(0.0))
+    }
+
+    /// Logistic sigmoid, element-wise: the vectorizable rational of
+    /// [`crate::fastmath`], or libm inside
+    /// [`kernels::with_reference_kernels`].
+    pub fn sigmoid(&self) -> Self {
+        if kernels::reference_mode() {
+            self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        } else {
+            self.map(crate::fastmath::sigmoid_f32)
+        }
+    }
+
+    /// Hyperbolic tangent, element-wise; same kernel choice as
+    /// [`Tensor::sigmoid`].
+    pub fn tanh(&self) -> Self {
+        if kernels::reference_mode() {
+            self.map(f32::tanh)
+        } else {
+            self.map(crate::fastmath::tanh_f32)
+        }
+    }
+
+    /// `self + bias` with the `1×n` row `bias` added to every row.
+    pub fn add_row_broadcast(&self, bias: &Self) -> Self {
+        assert_eq!(bias.rows(), 1, "bias must be a 1×n row");
+        assert_eq!(self.cols(), bias.cols(), "bias width mismatch");
+        let mut out = self.clone();
+        for row in out.data.chunks_exact_mut(bias.cols()) {
+            for (o, &b) in row.iter_mut().zip(&bias.data) {
+                *o += b;
+            }
+        }
+        out
+    }
+
+    /// NAPL row-wise matmul (paper Eq. 5): row `n` of the output is
+    /// `self[n, :] @ W_n` where `W_n` is `w[n, :]` reshaped to `c_in × c_out`.
+    pub fn rowwise_matmul(&self, w: &Self, c_in: usize, c_out: usize) -> Self {
+        let n = self.rows();
+        assert_eq!(self.cols(), c_in, "rowwise_matmul: z cols != c_in");
+        assert_eq!(w.rows(), n, "rowwise_matmul: row count mismatch");
+        assert_eq!(w.cols(), c_in * c_out, "rowwise_matmul: w cols != c_in*c_out");
+        let data = kernels::rowwise_matmul(&self.data, &w.data, n, c_in, c_out);
+        Self { data, shape: vec![n, c_out] }
+    }
+
+    /// An inverted-dropout mask of `shape` with drop rate `p ∈ (0, 1)`:
+    /// each entry is `1/keep` (`keep = 1 − p`) or `0`, from one
+    /// `bernoulli(keep)` draw per element in row-major order. Every dropout
+    /// in the workspace draws its mask here, so any two forward passes that
+    /// drop the same shapes in the same order consume `rng` identically.
+    pub fn dropout_mask(shape: &[usize], p: f32, rng: &mut StuqRng) -> Self {
+        assert!(p > 0.0 && p < 1.0, "dropout rate must be in (0, 1)");
+        let keep = 1.0 - p;
+        let numel: usize = shape.iter().product();
+        let data =
+            (0..numel).map(|_| if rng.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 }).collect();
+        Self::from_vec(data, shape)
+    }
+
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         kernels::blocked_sum(&self.data, |x| (x as f64) * (x as f64)).sqrt()

@@ -14,7 +14,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_serve::json::{self, Json};
 use stuq_serve::proto::{strip_batch_meta, strip_cluster_meta};
-use stuq_serve::router::{InProcWorker, Router, RouterConfig, ShardWorker, SupEvent, WorkerState};
+use stuq_serve::router::{
+    router_loop, InProcWorker, Router, RouterConfig, ShardWorker, SupEvent, WorkerState,
+};
 use stuq_serve::shard::ShardMap;
 use stuq_serve::{reload, ServeConfig, Server};
 use stuq_traffic::{Preset, Split};
@@ -829,7 +831,8 @@ fn healthz_reports_per_replica_state_and_shard_fidelity() {
     // response fidelity (partial flag) does not.
     *modes[1].lock().unwrap() = Mode::KillOnCall;
     for i in 0..8u64 {
-        let resp = router.handle_line(&forecast_line(f, &format!("hz{i}"), Some(80 + i), None, None));
+        let resp =
+            router.handle_line(&forecast_line(f, &format!("hz{i}"), Some(80 + i), None, None));
         assert!(resp.response.contains("\"partial\":false"), "{}", resp.response);
     }
     let v = hz(&mut router);
@@ -885,7 +888,8 @@ fn faultnet_injection_counts_match_the_scripted_plan_exactly() {
                 exp_fo += 1;
             }
         }
-        let resp = router.handle_line(&forecast_line(f, &format!("p{i}"), Some(200 + i), None, None));
+        let resp =
+            router.handle_line(&forecast_line(f, &format!("p{i}"), Some(200 + i), None, None));
         let v = parsed(&resp.response);
         assert_eq!(ty(&v), "forecast", "{}", resp.response);
         assert!(
@@ -972,8 +976,7 @@ fn hedged_requests_let_a_fast_sibling_win_over_a_stalled_primary() {
     rcfg.shards = 1;
     rcfg.replicas = 2;
     rcfg.hedge_ms = Some(20);
-    let stalls: Vec<Arc<Mutex<u64>>> =
-        (0..2).map(|_| Arc::new(Mutex::new(0u64))).collect();
+    let stalls: Vec<Arc<Mutex<u64>>> = (0..2).map(|_| Arc::new(Mutex::new(0u64))).collect();
     let workers: Vec<Box<dyn ShardWorker>> = stalls
         .iter()
         .map(|stall| {
@@ -1013,4 +1016,83 @@ fn hedged_requests_let_a_fast_sibling_win_over_a_stalled_primary() {
         "a won hedge is not a failover — no attempts annotation: {resp}"
     );
     assert_eq!(counter("stuq_cluster_hedge_won_total") - base, 1, "exactly one hedge win");
+}
+
+/// A response sink that wakes whoever waits for a number of lines.
+#[derive(Clone, Default)]
+struct Responses(Arc<(Mutex<Vec<u8>>, std::sync::Condvar)>);
+
+impl std::io::Write for Responses {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 .0.lock().unwrap().extend_from_slice(buf);
+        self.0 .1.notify_all();
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Responses {
+    /// Blocks until at least `n` lines are written (or a minute passes).
+    fn wait_for_lines(&self, n: usize) {
+        let (buf, cv) = &*self.0;
+        let lines = |b: &mut Vec<u8>| b.iter().filter(|&&c| c == b'\n').count();
+        let guard = buf.lock().unwrap();
+        let _ = cv
+            .wait_timeout_while(guard, std::time::Duration::from_secs(60), |b| lines(b) < n)
+            .unwrap();
+    }
+
+    fn text(&self) -> String {
+        String::from_utf8(self.0 .0.lock().unwrap().clone()).unwrap()
+    }
+}
+
+/// A request stream that hands out one chunk per read, each only once a
+/// response has been written for every chunk handed out before it — so
+/// the order of the responses is the order of the input.
+struct Lockstep {
+    chunks: std::collections::VecDeque<Vec<u8>>,
+    handed_out: usize,
+    responses: Responses,
+}
+
+impl std::io::Read for Lockstep {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(chunk) = self.chunks.pop_front() else { return Ok(0) };
+        self.responses.wait_for_lines(self.handed_out);
+        assert!(chunk.len() <= buf.len(), "chunk larger than the read buffer");
+        buf[..chunk.len()].copy_from_slice(&chunk);
+        self.handed_out += 1;
+        Ok(chunk.len())
+    }
+}
+
+#[test]
+fn router_loop_answers_a_non_utf8_line_and_keeps_reading() {
+    // Regression: the router's reader thread used to stop at the first line
+    // that was not UTF-8, so every later request went unanswered.
+    let f = fx();
+    let (mut router, _, _) = cluster(&f.model, f, 2);
+    let sink = Responses::default();
+    let chunks = [
+        format!("{}\n", forecast_line(f, "before", Some(1), None, None)).into_bytes(),
+        b"{\"type\":\"forecast\",\"id\":\"\xff\xfe\"}\n".to_vec(),
+        format!("{}\n", forecast_line(f, "after", Some(2), None, None)).into_bytes(),
+    ];
+    let input = Lockstep { chunks: chunks.into(), handed_out: 0, responses: sink.clone() };
+    let summary =
+        router_loop(&mut router, std::io::BufReader::with_capacity(1 << 16, input), sink.clone());
+    let out = sink.text();
+    let lines: Vec<Json> = out.lines().map(parsed).collect();
+    assert_eq!(lines.len(), 3, "three lines in, three responses out:\n{out}");
+    assert_eq!(summary.responses, 3);
+    assert_eq!(ty(&lines[0]), "forecast", "{out}");
+    assert_eq!(str_field(&lines[0], "id"), "before");
+    assert_eq!(ty(&lines[1]), "error", "{out}");
+    assert_eq!(str_field(&lines[1], "reason"), "bad_request");
+    assert!(lines[1].get("id").is_none(), "an unreadable line has no id:\n{out}");
+    assert_eq!(ty(&lines[2]), "forecast", "{out}");
+    assert_eq!(str_field(&lines[2], "id"), "after");
 }

@@ -595,3 +595,82 @@ fn serve_loop_rejects_forecasts_that_arrive_while_draining() {
         other => panic!("unexpected type {other}:\n{out}"),
     }
 }
+
+/// A response sink that wakes whoever waits for a number of lines.
+#[derive(Clone, Default)]
+struct Responses(Arc<(Mutex<Vec<u8>>, std::sync::Condvar)>);
+
+impl std::io::Write for Responses {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 .0.lock().unwrap().extend_from_slice(buf);
+        self.0 .1.notify_all();
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Responses {
+    /// Blocks until at least `n` lines are written (or a minute passes).
+    fn wait_for_lines(&self, n: usize) {
+        let (buf, cv) = &*self.0;
+        let lines = |b: &mut Vec<u8>| b.iter().filter(|&&c| c == b'\n').count();
+        let guard = buf.lock().unwrap();
+        let _ = cv
+            .wait_timeout_while(guard, std::time::Duration::from_secs(60), |b| lines(b) < n)
+            .unwrap();
+    }
+
+    fn text(&self) -> String {
+        String::from_utf8(self.0 .0.lock().unwrap().clone()).unwrap()
+    }
+}
+
+/// A request stream that hands out one chunk per read, each only once a
+/// response has been written for every chunk handed out before it — so
+/// the order of the responses is the order of the input.
+struct Lockstep {
+    chunks: std::collections::VecDeque<Vec<u8>>,
+    handed_out: usize,
+    responses: Responses,
+}
+
+impl std::io::Read for Lockstep {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(chunk) = self.chunks.pop_front() else { return Ok(0) };
+        self.responses.wait_for_lines(self.handed_out);
+        assert!(chunk.len() <= buf.len(), "chunk larger than the read buffer");
+        buf[..chunk.len()].copy_from_slice(&chunk);
+        self.handed_out += 1;
+        Ok(chunk.len())
+    }
+}
+
+#[test]
+fn serve_loop_answers_a_non_utf8_line_and_keeps_reading() {
+    // Regression: the reader thread used to stop at the first line that
+    // was not UTF-8, so every later request went unanswered.
+    let f = fx();
+    let sink = Responses::default();
+    let chunks = [
+        format!("{}\n", forecast_line(f, "before", None, Some(2), 1)).into_bytes(),
+        b"{\"type\":\"forecast\",\"id\":\"\xff\xfe\"}\n".to_vec(),
+        format!("{}\n", forecast_line(f, "after", None, Some(2), 2)).into_bytes(),
+    ];
+    let input = Lockstep { chunks: chunks.into(), handed_out: 0, responses: sink.clone() };
+    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
+    let summary =
+        serve_loop(&mut srv, std::io::BufReader::with_capacity(1 << 16, input), sink.clone());
+    let out = sink.text();
+    let lines: Vec<Json> = out.lines().map(parsed).collect();
+    assert_eq!(lines.len(), 3, "three lines in, three responses out:\n{out}");
+    assert_eq!(summary.responses, 3);
+    assert_eq!(ty(&lines[0]), "forecast", "{out}");
+    assert_eq!(lines[0].get("id").and_then(Json::as_str), Some("before"));
+    assert_eq!(ty(&lines[1]), "error", "{out}");
+    assert_eq!(lines[1].get("reason").and_then(Json::as_str), Some("bad_request"));
+    assert!(lines[1].get("id").is_none(), "an unreadable line has no id:\n{out}");
+    assert_eq!(ty(&lines[2]), "forecast", "{out}");
+    assert_eq!(lines[2].get("id").and_then(Json::as_str), Some("after"));
+}
