@@ -1,16 +1,16 @@
 #!/bin/sh
-# Chaos smoke for the sharded cluster runtime (DESIGN.md §13).
+# Chaos smoke for the sample-sharded cluster runtime (DESIGN.md §13).
 #
-# Phase 1 — determinism: a mixed request stream (full-window and
-# single-shard-skewed node subsets, some under deadline pressure), scattered
-# over a 3-worker cluster under the fake clock, must merge to byte-identical
-# responses at STUQ_THREADS=1/2/4.
+# Phase 1 — determinism: a mixed request stream (full-window and node-subset
+# requests, some under deadline pressure), its MC passes split over a
+# 3-worker cluster under the fake clock, must answer byte-identically at
+# STUQ_THREADS=1/2/4 — and byte-identically to a solo server.
 # Phase 2 — chaos: a long-lived router with 3 supervised worker processes is
 # warmed up, one worker is SIGKILLed mid-storm, and the cluster must (a) keep
-# answering with typed `partial:true` responses whose dead slices degrade to
-# widened-σ persistence, (b) restart the worker within the backoff budget and
-# return to `healthy`, and (c) answer post-recovery requests byte-identically
-# to a never-killed control run of the same stream.
+# answering with degraded forecasts that lost exactly the dead worker's
+# sample range, (b) restart the worker within the backoff budget and return
+# to `healthy`, and (c) answer post-recovery requests byte-identically to a
+# never-killed control run of the same stream.
 # Phase 3 — two-phase reload: a new artifact commits cluster-wide (unanimous
 # ack, every response on the new checksum, no version-skew slices); a corrupt
 # artifact aborts cluster-wide with the old version intact.
@@ -21,12 +21,12 @@
 # Prometheus dump covering every live worker.
 # Phase 5 — replicated shards (DESIGN.md §16): a 2-shard × 2-replica cluster
 # with a deterministic `--faultnet drop` plan spliced into one victim replica
-# per shard must (a) merge byte-identically across STUQ_THREADS=1/2/4 with
-# every failover annotated and zero partial responses, and (b) under the
-# fault plan *plus* a SIGKILLed victim, serve a forecast stream that — modulo
-# the cluster-meta annotation window — is byte-identical to a fault-free
-# control cluster, with every injected drop matched by a typed failover event
-# and a strict-clean trace join.
+# per shard must (a) answer byte-identically across STUQ_THREADS=1/2/4 and
+# to a solo server, with every drop a logged failover and zero degraded
+# responses, and (b) under the fault plan *plus* a SIGKILLed victim, serve a
+# forecast stream byte-identical to a fault-free control cluster, with every
+# injected drop matched by a typed failover event and a strict-clean trace
+# join.
 #
 # usage: cluster_chaos.sh [stuq-binary] [work-dir]
 set -eu
@@ -59,28 +59,32 @@ echo "=== cluster_chaos: fixtures ==="
   --batch 8 --mc 3 --seed 67 --out "$WORK/model-b.stuq"
 cp "$WORK/model.stuq" "$WORK/live.stuq"
 
-echo "=== cluster_chaos: phase 1 (scatter/gather determinism, threads 1/2/4) ==="
-# 18 full-window requests under a tight deadline plus 12 skewed onto shard
-# 2's node range: the merge order, the seed pinning, and each worker's
-# deadline degradation must all be pure functions of the stream.
+echo "=== cluster_chaos: phase 1 (sample-range determinism, threads 1/2/4) ==="
+# 18 full-window requests under a tight deadline plus 12 node-subset
+# requests: the range split, the seed derivation, and the router's deadline
+# degradation must all be pure functions of the stream.
 "$STUQ" gen-requests --data "$WORK/flow.stuqd" --count 18 --deadline-ms 4 \
   --mc 8 --seed 200 --out "$WORK/det-full.ndjson"
 "$STUQ" gen-requests --data "$WORK/flow.stuqd" --count 12 --mc 6 \
-  --shard-skew 2 --shards 3 --seed 230 --out "$WORK/det-skew.ndjson"
-cat "$WORK/det-full.ndjson" "$WORK/det-skew.ndjson" >"$WORK/det.ndjson"
+  --hot-nodes 4 --seed 230 --out "$WORK/det-nodes.ndjson"
+cat "$WORK/det-full.ndjson" "$WORK/det-nodes.ndjson" >"$WORK/det.ndjson"
 for t in 1 2 4; do
   STUQ_FAKE_CLOCK=1 STUQ_THREADS=$t "$STUQ" serve --role router --shards 3 \
     --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" \
     --worker-dir "$WORK/workers-t$t" --max-queue 1000 --floor 2 \
     <"$WORK/det.ndjson" >"$WORK/det-t$t.out" 2>/dev/null
 done
-cmp "$WORK/det-t1.out" "$WORK/det-t2.out" || fail "merged responses differ between 1 and 2 threads"
-cmp "$WORK/det-t1.out" "$WORK/det-t4.out" || fail "merged responses differ between 1 and 4 threads"
+STUQ_FAKE_CLOCK=1 "$STUQ" serve --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" \
+  --max-queue 1000 --floor 2 --reload-poll-ms 0 \
+  <"$WORK/det.ndjson" >"$WORK/det-solo.out" 2>/dev/null
+cmp "$WORK/det-t1.out" "$WORK/det-t2.out" || fail "cluster responses differ between 1 and 2 threads"
+cmp "$WORK/det-t1.out" "$WORK/det-t4.out" || fail "cluster responses differ between 1 and 4 threads"
+cmp "$WORK/det-t1.out" "$WORK/det-solo.out" || fail "cluster responses differ from a solo server"
 [ "$(grep -c '"type":"forecast"' "$WORK/det-t1.out")" -eq 30 ] \
-  || fail "expected 30 merged forecast responses"
-grep -q '"partial":false' "$WORK/det-t1.out" || fail "healthy cluster must merge partial:false"
-grep -q '"partial":true' "$WORK/det-t1.out" && fail "healthy cluster produced partial responses"
-echo "phase 1 OK: 30 merged responses byte-identical across thread counts"
+  || fail "expected 30 forecast responses"
+grep -q '"degraded":true' "$WORK/det-t1.out" || fail "the tight deadline degraded nothing"
+grep -q '"partial"' "$WORK/det-t1.out" && fail "a response carries the removed partial key"
+echo "phase 1 OK: 30 responses byte-identical across thread counts and to solo"
 
 echo "=== cluster_chaos: phase 2 (SIGKILL a worker mid-storm) ==="
 "$STUQ" gen-requests --data "$WORK/flow.stuqd" --count 12 --mc 6 \
@@ -137,8 +141,8 @@ kill -9 "$WPID"
 cat "$WORK/storm-b.ndjson" >&3
 await_lines 37 "storm second half"
 
-# The supervisor must notice, back off, respawn, reconnect, and replay the
-# shard assignment; the idle-tick health mirror flips back to healthy with
+# The supervisor must notice, back off, respawn and reconnect; the idle-tick
+# health mirror flips back to healthy with
 # shard 1's restart on record (so a stale pre-kill snapshot cannot pass).
 recovered() {
   grep -q '"status":"healthy"' "$WORK/health/health.json" 2>/dev/null \
@@ -209,14 +213,19 @@ exec 4>&-
 wait "$ROUTER2_PID" || fail "reload router exited nonzero"
 
 echo "=== cluster_chaos: contract checks ==="
-# Closed response set, typed partial degradation, typed recovery.
+# Closed response set; the kill costs exactly shard 1's sample range (2..4
+# of 6) and nothing else; recovery restores full sample counts.
 BAD=$(grep -cvE '^\{"type":"(forecast|rejected|fallback|error|health|ack)"' "$WORK/chaos.out" || true)
 [ "$BAD" -eq 0 ] || fail "$BAD response lines outside the closed type set"
-grep -q '"partial":true' "$WORK/chaos.out" || fail "the kill produced no partial responses"
-grep -q '"shards":\[{"shard":1,"status":"fallback","reason":"worker_down"}\]' "$WORK/chaos.out" \
-  || fail "dead shard 1 was not annotated with a typed worker_down reason"
-grep '"id":"post-r' "$WORK/chaos.out" | grep -q '"partial":true' \
-  && fail "post-recovery responses must not be partial"
+grep -q '"partial"' "$WORK/chaos.out" && fail "a response carries the removed partial key"
+grep -q '"degraded":true,"samples_used":4,"samples_requested":6' "$WORK/chaos.out" \
+  || fail "the kill produced no forecast degraded by shard 1's sample range"
+grep '"type":"forecast"' "$WORK/chaos.out" | grep -v '"samples_requested":6' | grep -q . \
+  && fail "a forecast answered a sample count other than the requested 6"
+grep '"type":"forecast"' "$WORK/chaos.out" | grep -Eq '"samples_used":[0-35]' \
+  && fail "a forecast lost passes other than shard 1's range"
+grep '"id":"post-r' "$WORK/chaos.out" | grep -q '"degraded":true' \
+  && fail "post-recovery responses must not be degraded"
 grep -q '"id":"bye"' "$WORK/chaos.out" || fail "shutdown was not acknowledged"
 
 # Post-recovery byte identity against a never-killed control cluster.
@@ -234,7 +243,7 @@ cmp "$WORK/post-recovered.out" "$WORK/post-control.out" \
 grep -q '"type":"worker_down"' "$WORK/telemetry/events.jsonl" || fail "no worker_down event"
 grep -q '"type":"worker_restart".*"shard":1' "$WORK/telemetry/events.jsonl" \
   || fail "no worker_restart event for shard 1"
-grep -q '"type":"serve_partial"' "$WORK/telemetry/events.jsonl" || fail "no serve_partial event"
+grep -q '"type":"serve_degraded"' "$WORK/telemetry/events.jsonl" || fail "no serve_degraded event"
 sh ci/validate_events.sh "$WORK/telemetry" "$STUQ"
 grep -q '"cluster":true' "$WORK/health/health.json" || fail "health.json is not cluster-shaped"
 
@@ -248,8 +257,8 @@ grep -q '"id":"rl1".*"ok":true' "$WORK/reload.out" || fail "reload did not commi
 grep -q '"id":"rl2".*"ok":false' "$WORK/reload.out" || fail "corrupt reload did not abort"
 [ "$(sed -n '5p' "$WORK/reload.out" | grep -c "\"model\":\"$COMMIT_CK\"")" -eq 1 ] \
   || fail "post-abort forecast left the committed checksum"
-sed -n '3p;5p' "$WORK/reload.out" | grep -q '"partial":true' \
-  && fail "reload cycle produced version-skew partial responses"
+sed -n '3p;5p' "$WORK/reload.out" | grep -q '"degraded":true' \
+  && fail "reload cycle lost passes to version skew"
 grep -q '"type":"cluster_reload_commit"' "$WORK/telemetry2/events.jsonl" \
   || fail "no cluster_reload_commit event"
 grep -q '"type":"cluster_reload_abort"' "$WORK/telemetry2/events.jsonl" \
@@ -284,8 +293,8 @@ printf '{"type":"healthz","id":"h4"}\n' >&5
 await_trace 1 "trace healthz"
 cat "$WORK/warm.ndjson" >&5
 await_trace 13 "trace warmup"
-# SIGKILL shard 2's worker, then storm: every full-window request in flight
-# before the supervisor restarts it degrades that slice to fallback.
+# SIGKILL shard 2's worker, then storm: every request in flight before the
+# supervisor restarts it loses shard 2's sample range.
 WPID4=$(pgrep -f "workers4/worker-2.sock" | head -n 1)
 [ -n "$WPID4" ] || fail "could not find shard 2's worker process"
 kill -9 "$WPID4"
@@ -333,11 +342,11 @@ grep -Eq '^stuq_serve_requests_total [1-9]' "$WORK/telemetry4/cluster_metrics.pr
   || fail "merged export carries no request count"
 
 # The joined timeline is strict-clean (no orphans, unclosed, or malformed
-# spans) and attributes the degraded slice to the dead shard, typed.
+# spans) and attributes the lost sample range to the dead shard, typed.
 "$STUQ" trace "$WORK/telemetry4" --tree --strict >"$WORK/timeline.txt" \
   || fail "stuq trace --strict rejected the traced session"
-grep -q 'shard=2 status=fallback reason=worker_down' "$WORK/timeline.txt" \
-  || fail "timeline does not attribute the dead slice to shard 2 with worker_down"
+grep -q 'shard=2 status=failed reason=worker_down' "$WORK/timeline.txt" \
+  || fail "timeline does not attribute the lost range to shard 2 with worker_down"
 grep -q 'p99_ms' "$WORK/timeline.txt" || fail "timeline has no phase latency table"
 
 echo "=== cluster_chaos: phase 5 (replicated shards + deterministic faultnet) ==="
@@ -345,24 +354,27 @@ echo "=== cluster_chaos: phase 5 (replicated shards + deterministic faultnet) ==
   --seed 500 --out "$WORK/rep.ndjson"
 
 # (a) The fault plan and the replica selection are pure functions of the
-# session seed: the same faulted stream merges byte-identically (annotations
-# included) at 1/2/4 threads, with zero partial responses.
+# session seed: the same faulted stream answers byte-identically at 1/2/4
+# threads and to a solo server, with zero degraded responses.
 for t in 1 2 4; do
   STUQ_FAKE_CLOCK=1 STUQ_THREADS=$t "$STUQ" serve --role router --shards 2 --replicas 2 \
     --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" --seed 71 \
     --worker-dir "$WORK/workers5-t$t" --max-queue 1000 --faultnet drop \
+    --telemetry-dir "$WORK/telemetry5-t$t" \
     <"$WORK/rep.ndjson" >"$WORK/rep-t$t.out" 2>/dev/null
 done
-cmp "$WORK/rep-t1.out" "$WORK/rep-t2.out" || fail "faulted merges differ between 1 and 2 threads"
-cmp "$WORK/rep-t1.out" "$WORK/rep-t4.out" || fail "faulted merges differ between 1 and 4 threads"
+STUQ_FAKE_CLOCK=1 "$STUQ" serve --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" \
+  --seed 71 --max-queue 1000 --reload-poll-ms 0 \
+  <"$WORK/rep.ndjson" >"$WORK/rep-solo.out" 2>/dev/null
+cmp "$WORK/rep-t1.out" "$WORK/rep-t2.out" || fail "faulted responses differ between 1 and 2 threads"
+cmp "$WORK/rep-t1.out" "$WORK/rep-t4.out" || fail "faulted responses differ between 1 and 4 threads"
+cmp "$WORK/rep-t1.out" "$WORK/rep-solo.out" || fail "faulted responses differ from a solo server"
 [ "$(grep -c '"type":"forecast"' "$WORK/rep-t1.out")" -eq 20 ] \
-  || fail "expected 20 merged forecast responses from the faulted cluster"
-grep -q '"partial":true' "$WORK/rep-t1.out" \
-  && fail "a dropped RPC degraded fidelity despite a live sibling"
-grep -q '"attempts":\[{"replica":' "$WORK/rep-t1.out" \
-  || fail "the drop plan produced no failover annotations"
-grep -q '"reason":"rpc_timeout"' "$WORK/rep-t1.out" \
-  || fail "failover annotations carry no typed rpc_timeout attempts"
+  || fail "expected 20 forecast responses from the faulted cluster"
+grep -q '"degraded":true' "$WORK/rep-t1.out" \
+  && fail "a dropped RPC lost passes despite a live sibling"
+grep -q '"type":"cluster_failover".*"reason":"rpc_timeout"' "$WORK/telemetry5-t1/events.jsonl" \
+  || fail "the drop plan produced no typed rpc_timeout failovers"
 
 # (b) Fault plan plus a SIGKILLed victim replica, against a live session
 # with tracing: the stream must stay full-fidelity throughout.
@@ -427,24 +439,23 @@ await_rep 32 "replicated shutdown ack"
 exec 6>&-
 wait "$ROUTER5_PID" || fail "replicated router exited nonzero"
 
-# Full fidelity throughout: no partial responses, ever — a dropped or dead
-# victim always fails over to its sibling.
-grep -q '"partial":true' "$WORK/chaos5.out" \
+# Full sample counts throughout: a dropped or dead victim always fails over
+# to its sibling.
+grep -q '"degraded":true' "$WORK/chaos5.out" \
   && fail "the replicated cluster degraded a response despite a live sibling"
 
-# Byte identity against a fault-free control cluster over the same stream:
-# identical outside the cluster-meta window (partial flag + shard/attempt
-# annotations — exactly what strip_cluster_meta removes on the client side).
+# Byte identity against a fault-free control cluster over the same stream,
+# modulo the batching annotations (what strip_cluster_meta removes on the
+# client side).
 cat "$WORK/warm.ndjson" "$WORK/storm-a.ndjson" "$WORK/post.ndjson" >"$WORK/rep5-input.ndjson"
 STUQ_FAKE_CLOCK=1 "$STUQ" serve --role router --shards 2 --replicas 2 \
   --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" --seed 71 \
   --worker-dir "$WORK/workers5-ctl" --max-queue 1000 \
   --telemetry-dir "$WORK/telemetry5-ctl" --telemetry-level trace \
   <"$WORK/rep5-input.ndjson" >"$WORK/rep5-control.out" 2>/dev/null
-grep '"type":"forecast"' "$WORK/chaos5.out" \
-  | sed 's/,"partial":.*,"mu":/,"mu":/' >"$WORK/rep5-faulted.stripped"
-grep '"type":"forecast"' "$WORK/rep5-control.out" \
-  | sed 's/,"partial":.*,"mu":/,"mu":/' >"$WORK/rep5-control.stripped"
+STRIP='s/,"batched":[a-z]*,"batch_size":[0-9]*,"cache_hit":[a-z]*//'
+grep '"type":"forecast"' "$WORK/chaos5.out" | sed "$STRIP" >"$WORK/rep5-faulted.stripped"
+grep '"type":"forecast"' "$WORK/rep5-control.out" | sed "$STRIP" >"$WORK/rep5-control.stripped"
 [ "$(wc -l <"$WORK/rep5-faulted.stripped")" -eq 30 ] \
   || fail "expected 30 forecast responses from the replicated chaos session"
 cmp "$WORK/rep5-faulted.stripped" "$WORK/rep5-control.stripped" \

@@ -62,10 +62,6 @@ if grep -q '"type":"faultnet_inject"' "$DIR/events.jsonl"; then
   grep '"type":"faultnet_inject"' "$DIR/events.jsonl" | grep -vq '"rpc":' \
     && fail "faultnet_inject missing its rpc index"
 fi
-if grep -q '"type":"cluster_hedge"' "$DIR/events.jsonl"; then
-  grep '"type":"cluster_hedge"' "$DIR/events.jsonl" | grep -vq '"winner":' \
-    && fail "cluster_hedge missing its winner"
-fi
 grep -q '"schema": "stuq-run-manifest-v1"' "$DIR/manifest.json" || fail "bad manifest schema"
 grep -q '^stuq_train_batches_total ' "$DIR/metrics.prom" || fail "metrics.prom missing counters"
 grep -q '^# TYPE stuq_train_epoch_seconds summary' "$DIR/metrics.prom" \

@@ -558,11 +558,11 @@ USAGE:
                     [--role router|worker] [--shards N] [--replicas N]
                     [--worker-dir DIR] [--rpc-timeout-ms N] [--ping-interval-ms N]
                     [--restart-backoff-ms N] [--restart-backoff-max-ms N]
-                    [--connect-timeout-ms N] [--hedge-ms N]
+                    [--connect-timeout-ms N]
                     [--faultnet off|drop|delay|flaky|blackhole]
   stuq gen-requests --data data.stuqd [--count N] [--deadline-ms N] [--mc N]
                     [--nan-frac F] [--seed N] [--out FILE]
-                    [--burst K] [--hot-nodes H] [--shard-skew S [--shards N]]
+                    [--burst K] [--hot-nodes H]
   stuq telemetry dump|validate --dir DIR
   stuq trace DIR... [--tree] [--no-times] [--strict]
 
@@ -578,7 +578,7 @@ any level produces bit-identical models.
 Tracing (DESIGN.md §15): at --telemetry-level trace every request carries a
 deterministic trace id; the router, its workers (one telemetry subdirectory
 worker-N each) and solo servers emit span events for admission, batching,
-cache, compute, scatter/gather and merge. `stuq trace DIR` joins the logs
+cache, compute, per-shard sample-range RPCs and merge. `stuq trace DIR` joins the logs
 into per-request timelines: --tree prints each request's span tree with
 per-shard status/reason attribution, --no-times strips wall-clock numbers
 (the remaining structure is byte-stable across reruns of a seeded workload)
@@ -602,26 +602,26 @@ single MC run (DESIGN.md §12); --cache-ttl-ms enables the per-tick forecast
 cache (TTL = the data cadence). `stuq gen-requests` emits a request stream
 from a dataset's test split for load tests; --burst K groups requests into
 same-tick storms of K (declaring `tick`, seedless, so they batch and cache),
---hot-nodes H adds overlapping node subsets drawn from the first H sensors,
-and --shard-skew S concentrates node subsets on shard S of the cluster map.
+and --hot-nodes H adds overlapping node subsets drawn from the first H
+sensors.
 
 Cluster serving (DESIGN.md §13): `stuq serve --role router --shards N` spawns
 N supervised worker processes (this binary with --role worker, one Unix
-socket each), partitions the sensors across them with a deterministic shard
-map, and scatter/gathers every forecast. Dead or refusing shards degrade to
-widened-σ persistence slices annotated `partial: true` with typed per-shard
-reasons; workers are restarted with exponential backoff (seed-jittered so
-replicas never restart in lock-step) and re-assigned their shard on rejoin;
-`reload` runs a two-phase commit across all workers (unanimous ack or
-cluster-wide abort — no mixed-version window).
+socket each) and answers every forecast with the solo serving pipeline,
+running each request's MC passes on the workers: shard s of N runs the
+sample range [s*mc/N, (s+1)*mc/N). Responses are byte-identical to a solo
+server's. A dead shard contributes no passes — the response is degraded
+(samples_used below samples_requested, widened intervals), and fewer passes
+than --floor serve the solo widened-persistence fallback. Workers are
+restarted with exponential backoff (seed-jittered so replicas never restart
+in lock-step); `reload` runs a two-phase commit across all workers
+(unanimous ack or cluster-wide abort — no mixed-version window).
 
 Replication (DESIGN.md §16): --replicas R runs R supervised workers per
-shard. Each request picks a seed-derived primary replica and fails over
-along the chain on transport faults (`rpc_timeout`, `version_skew`,
-`worker_error` — annotated per attempt on the wire inside the cluster
-meta); worker-typed refusals are forwarded verbatim and only an exhausted
-chain degrades the slice. --hedge-ms T fires the request at a sibling
-replica after T ms of silence (real clock only; first valid reply wins).
+shard. Each sample range goes to a seed-derived primary replica and fails
+over along the chain on any fault (`worker_down`, `rpc_timeout`,
+`version_skew`, `worker_error`; counted and logged as cluster_failover);
+only an exhausted chain loses the range's passes.
 --faultnet drop|delay|flaky|blackhole splices a deterministic, seeded fault
 plan into one victim replica per shard for chaos drills — every injected
 fault is counted (faultnet_injected_total) and logged (faultnet_inject).";
@@ -990,7 +990,9 @@ fn cmd_serve(args: &[String], _out: &mut impl Write) -> Result<(), CliError> {
             );
             Ok(())
         }
-        Some(path) => serve_socket(&mut server, &path),
+        Some(path) => serve_socket(&path, |reader, conn| {
+            (stuq_serve::serve_loop(&mut server, reader, conn), server.draining())
+        }),
     }
 }
 
@@ -1012,8 +1014,6 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
     if cfg.replicas == 0 {
         return Err("--replicas must be at least 1".into());
     }
-    let hedge_ms: u64 = a.parse_or("hedge-ms", 0u64)?;
-    cfg.hedge_ms = (hedge_ms > 0).then_some(hedge_ms);
     let fault_profile = match a.get("faultnet") {
         Some(p) => faultnet::Profile::parse(p).map_err(|e| format!("--faultnet: {e}"))?,
         None => faultnet::Profile::Off,
@@ -1030,13 +1030,7 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
     std::fs::create_dir_all(&worker_dir)
         .map_err(|e| format!("--worker-dir {}: {e}", worker_dir.display()))?;
 
-    // The shard map clamps to the sensor count; spawn exactly that many
-    // workers so shard indices and worker indices coincide.
-    let model = deepstuq::load_model(&cfg.serve.model_path).map_err(|e| e.to_string())?;
-    let n_nodes = model.model().n_nodes();
-    drop(model);
-    let shards = stuq_serve::shard::ShardMap::new(n_nodes, cfg.shards).n_shards();
-    cfg.shards = shards;
+    let shards = cfg.shards;
 
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     // Workers inherit the serving knobs but never the reload watcher (the
@@ -1106,7 +1100,6 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
             let proc = Box::new(ProcWorker::spawn(WorkerSpec {
                 shard: s,
                 replica: r,
-                shards,
                 exe: exe.clone(),
                 args,
                 socket,
@@ -1145,41 +1138,22 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
             );
             Ok(())
         }
-        Some(path) => router_socket(&mut router, &path),
+        Some(path) => serve_socket(&path, |reader, conn| {
+            (stuq_serve::router::router_loop(&mut router, reader, conn), router.draining())
+        }),
     }
-}
-
-/// Accept loop for the router's own Unix socket — one connection at a time,
-/// mirroring [`serve_socket`].
-fn router_socket(
-    router: &mut stuq_serve::router::Router,
-    path: &std::path::Path,
-) -> Result<(), CliError> {
-    use std::os::unix::net::UnixListener;
-    let _ = std::fs::remove_file(path);
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("--socket {}: {e}", path.display()))?;
-    eprintln!("serve: router listening on {}", path.display());
-    for conn in listener.incoming() {
-        let conn = conn.map_err(|e| format!("accept: {e}"))?;
-        let reader =
-            std::io::BufReader::new(conn.try_clone().map_err(|e| format!("socket clone: {e}"))?);
-        let summary = stuq_serve::router::router_loop(router, reader, conn);
-        eprintln!(
-            "serve: connection closed — {} request(s), {} shed",
-            summary.requests, summary.shed
-        );
-        if router.draining() {
-            break;
-        }
-    }
-    let _ = std::fs::remove_file(path);
-    Ok(())
 }
 
 /// Accept loop on a Unix socket: one connection at a time, each driven by
-/// [`stuq_serve::serve_loop`]; a `shutdown` request ends the process.
-fn serve_socket(server: &mut stuq_serve::Server, path: &std::path::Path) -> Result<(), CliError> {
+/// `serve` (the serve or router loop), which also reports whether the
+/// server is now draining — a `shutdown` request ends the process.
+fn serve_socket(
+    path: &std::path::Path,
+    mut serve: impl FnMut(
+        std::io::BufReader<std::os::unix::net::UnixStream>,
+        std::os::unix::net::UnixStream,
+    ) -> (stuq_serve::ServeSummary, bool),
+) -> Result<(), CliError> {
     use std::os::unix::net::UnixListener;
     // A stale socket file from a previous run would make bind fail.
     let _ = std::fs::remove_file(path);
@@ -1190,12 +1164,12 @@ fn serve_socket(server: &mut stuq_serve::Server, path: &std::path::Path) -> Resu
         let conn = conn.map_err(|e| format!("accept: {e}"))?;
         let reader =
             std::io::BufReader::new(conn.try_clone().map_err(|e| format!("socket clone: {e}"))?);
-        let summary = stuq_serve::serve_loop(server, reader, conn);
+        let (summary, draining) = serve(reader, conn);
         eprintln!(
             "serve: connection closed — {} request(s), {} shed",
             summary.requests, summary.shed
         );
-        if server.draining() {
+        if draining {
             break;
         }
     }
@@ -1245,28 +1219,6 @@ fn cmd_gen_requests(args: &[String], out: &mut impl Write) -> Result<(), CliErro
             ));
         }
     }
-    // --shard-skew S: node subsets drawn entirely from shard S's range of
-    // the deterministic node→shard map (--shards, default 3) — the load
-    // shape for single-shard imbalance and single-shard-outage scenarios.
-    let shard_skew: Option<usize> = match a.get("shard-skew") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| format!("bad value for --shard-skew: {v:?}"))?),
-    };
-    let skew_map = stuq_serve::shard::ShardMap::new(ds.n_nodes(), a.parse_or("shards", 3usize)?);
-    if let Some(s) = shard_skew {
-        if hot_nodes.is_some() {
-            return Err("--shard-skew and --hot-nodes are mutually exclusive".into());
-        }
-        if s >= skew_map.n_shards() {
-            return Err(format!(
-                "--shard-skew must be in 0..{} ({} shards over {} sensors)",
-                skew_map.n_shards(),
-                skew_map.n_shards(),
-                ds.n_nodes()
-            ));
-        }
-    }
-
     let starts = ds.window_starts(Split::Test);
     if starts.is_empty() {
         return Err("dataset has no test windows".into());
@@ -1289,10 +1241,6 @@ fn cmd_gen_requests(args: &[String], out: &mut impl Write) -> Result<(), CliErro
         let node_sel: Option<Vec<usize>> = if let Some(h) = hot_nodes {
             let width = (1 + i % 3).min(h);
             Some((0..width).map(|j| (i + j) % h).collect())
-        } else if let Some(s) = shard_skew {
-            let range = skew_map.range(s);
-            let width = (1 + i % 3).min(range.len());
-            Some((0..width).map(|j| range.start + (i + j) % range.len()).collect())
         } else {
             None
         };

@@ -46,8 +46,9 @@ fn clamped_var(logvar: &Tensor) -> Tensor {
     logvar.map(|lv| lv.clamp(LOGVAR_MIN, LOGVAR_MAX).exp())
 }
 
-/// One stochastic forward pass: `(μ_j, σ²_j?)` in normalised units.
-type SamplePass = (Tensor, Option<Tensor>);
+/// One stochastic forward pass: `(μ_j, σ²_j?)` in normalised units
+/// (`σ²_j` is `None` for point and quantile heads).
+pub type SamplePass = (Tensor, Option<Tensor>);
 
 /// Combines per-sample passes into the Eq. 19 decomposition.
 ///
@@ -238,33 +239,85 @@ pub fn mc_forecast_anytime(
     floor: usize,
     budget: &mut dyn SampleBudget,
     rng: &mut StuqRng,
-    mut observer: Option<&mut dyn FnMut(&GaussianForecast)>,
+    observer: Option<&mut dyn FnMut(&GaussianForecast)>,
 ) -> AnytimeForecast {
     assert!(n_samples >= 1, "need at least one sample");
-    let floor = floor.clamp(1, n_samples);
     let shape = [model.n_nodes(), model.horizon()];
     let streams = fork_streams(rng, n_samples);
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
     let session = model.session();
-    let mut samples: Vec<SamplePass> = Vec::with_capacity(n_samples);
-    for (j, stream) in streams.iter().enumerate() {
-        if j >= floor && !budget.allow(j) {
-            break;
-        }
-        samples.push(run_pass(&*session, x, cov, stream, n_samples == 1));
-        if let Some(obs) = observer.as_deref_mut() {
-            obs(&reduce_sample_slice(&samples, shape));
-        }
-    }
+    let any = reduce_anytime(shape, n_samples, floor, budget, observer, |j| {
+        Some(run_pass(&*session, x, cov, &streams[j], n_samples == 1))
+    });
+    let used = any.forecast.n_samples;
     if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(samples.len() as u64);
+        stuq_obs::metrics().mc_samples.add(used as u64);
     }
     if let Some(t0) = t0 {
         let secs = t0.elapsed().as_secs_f64();
         let m = stuq_obs::metrics();
         m.mc_forecast_seconds.record(secs);
         if secs > 0.0 {
-            m.mc_samples_per_sec.set(samples.len() as f64 / secs);
+            m.mc_samples_per_sec.set(used as f64 / secs);
+        }
+    }
+    any
+}
+
+/// The passes `range` of an `n_samples`-pass MC forecast, exactly as
+/// [`mc_forecast_anytime`] would run them: the streams are forked from
+/// `rng` for the full count (so `rng` advances identically whatever the
+/// range), and `n_samples == 1` selects the deterministic pass. A cluster
+/// worker answers one sample range with this; the router reduces the
+/// gathered passes with [`reduce_anytime`].
+pub fn mc_passes(
+    model: &dyn Forecaster,
+    x: &Tensor,
+    cov: Option<&Tensor>,
+    n_samples: usize,
+    range: std::ops::Range<usize>,
+    rng: &mut StuqRng,
+) -> Vec<SamplePass> {
+    assert!(n_samples >= 1, "need at least one sample");
+    assert!(range.end <= n_samples, "pass range {range:?} beyond {n_samples} samples");
+    let streams = fork_streams(rng, n_samples);
+    let session = model.session();
+    if stuq_obs::summary_enabled() {
+        stuq_obs::metrics().mc_samples.add(range.len() as u64);
+    }
+    stuq_parallel::par_map(range.len(), |k| {
+        run_pass(&*session, x, cov, &streams[range.start + k], n_samples == 1)
+    })
+}
+
+/// The anytime half of [`mc_forecast_anytime`]: folds passes `0..n_samples`
+/// in sample-index order, consulting `budget` before every pass beyond
+/// `floor` (clamped to `1..=n_samples`) and calling `observer` with the
+/// reduction over the passes so far after each one.
+///
+/// `pass(j)` yields pass `j`, or `None` when it is missing (a cluster
+/// shard that did not answer). Missing passes are skipped: the budget and
+/// the floor count the passes actually folded, so with every pass present
+/// the clock-read schedule is exactly the local one. A caller with missing
+/// passes must supply at least `floor` of them.
+pub fn reduce_anytime(
+    shape: [usize; 2],
+    n_samples: usize,
+    floor: usize,
+    budget: &mut dyn SampleBudget,
+    mut observer: Option<&mut dyn FnMut(&GaussianForecast)>,
+    mut pass: impl FnMut(usize) -> Option<SamplePass>,
+) -> AnytimeForecast {
+    let floor = floor.clamp(1, n_samples);
+    let mut samples: Vec<SamplePass> = Vec::with_capacity(n_samples);
+    for j in 0..n_samples {
+        if samples.len() >= floor && !budget.allow(samples.len()) {
+            break;
+        }
+        let Some(p) = pass(j) else { continue };
+        samples.push(p);
+        if let Some(obs) = observer.as_deref_mut() {
+            obs(&reduce_sample_slice(&samples, shape));
         }
     }
     AnytimeForecast { forecast: reduce_samples(samples, shape), samples_requested: n_samples }
@@ -680,6 +733,52 @@ mod tests {
         );
         assert_eq!(seen, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(any.forecast.n_samples, 6);
+    }
+
+    #[test]
+    fn range_passes_reduce_to_the_anytime_result_bitwise() {
+        // Passes produced range by range (the cluster split) and folded by
+        // `reduce_anytime` are the local anytime run, cut or uncut, and the
+        // caller's RNG advances identically for every range.
+        let mut rng = StuqRng::new(25);
+        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
+        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
+        let shape = [5, 3];
+        for n in [1usize, 2, 3, 7] {
+            let mut passes = Vec::new();
+            for (lo, hi) in [(0, n / 3), (n / 3, 2 * n / 3), (2 * n / 3, n)] {
+                let mut r = StuqRng::new(9);
+                passes.extend(mc_passes(&model, &x, None, n, lo..hi, &mut r));
+                let mut r_ref = StuqRng::new(9);
+                let _ = fork_streams(&mut r_ref, n);
+                assert_eq!(r.next_u64(), r_ref.next_u64(), "n={n} {lo}..{hi}: rng advance");
+            }
+            for cap in [1usize, 2, n] {
+                let mut slot: Vec<Option<SamplePass>> = passes.iter().cloned().map(Some).collect();
+                let got =
+                    reduce_anytime(shape, n, 1, &mut CapBudget(cap), None, |j| slot[j].take());
+                let want = mc_forecast_anytime(
+                    &model,
+                    &x,
+                    None,
+                    n,
+                    1,
+                    &mut CapBudget(cap),
+                    &mut StuqRng::new(9),
+                    None,
+                );
+                assert_bitwise(&got.forecast, &want.forecast, &format!("n={n} cap={cap}"));
+            }
+        }
+        // A missing pass is skipped: the fold is the reduction of the rest.
+        let passes = mc_passes(&model, &x, None, 4, 0..4, &mut StuqRng::new(9));
+        let got = reduce_anytime(shape, 4, 2, &mut UnlimitedBudget, None, |j| {
+            (j != 1).then(|| passes[j].clone())
+        });
+        let rest: Vec<SamplePass> = [0, 2, 3].iter().map(|&j| passes[j].clone()).collect();
+        assert_eq!(got.forecast.n_samples, 3);
+        assert!(got.degraded());
+        assert_bitwise(&got.forecast, &reduce_samples(rest, shape), "missing pass 1");
     }
 
     #[test]

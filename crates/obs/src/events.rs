@@ -331,24 +331,19 @@ pub const SCHEMA: &[(&str, &[&str])] = &[
     // Request coalescing + forecast cache (DESIGN.md §12).
     ("serve_batch", &["size", "groups", "cache_hits"]),
     ("cache_invalidate", &["reason", "entries"]),
-    // Sharded cluster (DESIGN.md §13). Breaker events gain an extra
-    // `shard` field when emitted by the router's per-shard breakers.
+    // Sample-sharded cluster (DESIGN.md §13). Breaker events gain extra
+    // `shard`/`replica` fields when emitted by the router's worker breakers.
     ("cluster_start", &["shards", "nodes"]),
-    ("shard_assign", &["shard", "shards"]),
     ("worker_spawn", &["shard"]),
     ("worker_down", &["shard", "reason"]),
     ("worker_restart", &["shard", "restarts"]),
     ("worker_restart_failed", &["shard", "backoff_ms", "reason"]),
-    ("serve_partial", &["shards_failed"]),
     // Replicated shards (DESIGN.md §16). `cluster_failover` marks one hop:
     // the attempt on `from_replica` failed with the typed `reason` and the
-    // router moved the request to `to_replica`. `cluster_hedge` records a
-    // hedged request (secondary fired after the hedge delay) with the
-    // replica whose response was used. `faultnet_inject` is the harness
-    // trail: `rpc` is the per-channel forecast-RPC index the seeded plan
-    // keyed the fault on, `reason` the fault kind (drop/delay/…).
+    // router moved the sample range to `to_replica`. `faultnet_inject` is
+    // the harness trail: `rpc` is the per-channel pass-RPC index the seeded
+    // plan keyed the fault on, `reason` the fault kind (drop/delay/…).
     ("cluster_failover", &["shard", "from_replica", "to_replica", "reason"]),
-    ("cluster_hedge", &["shard", "primary", "secondary", "winner"]),
     ("faultnet_inject", &["shard", "replica", "rpc", "reason"]),
     ("reload_stage", &["path", "checksum"]),
     ("reload_abort", &["reason", "staged"]),

@@ -430,8 +430,6 @@ pub struct Metrics {
     pub cluster_restarts: Counter,
     /// Worker RPCs that failed at the transport (timeout, EOF, I/O error).
     pub cluster_rpc_failures: Counter,
-    /// Merged responses with at least one non-ok shard (`partial: true`).
-    pub serve_partial: Counter,
     /// Two-phase cluster reloads committed.
     pub cluster_reload_commits: Counter,
     /// Two-phase cluster reloads aborted (validation, skew, or worker nack).
@@ -439,8 +437,6 @@ pub struct Metrics {
     /// Failover hops: a shard attempt failed and the router moved on to
     /// another replica of the same shard.
     pub cluster_failover: Counter,
-    /// Hedged requests where the secondary replica's response was used.
-    pub cluster_hedge_won: Counter,
     /// Faults injected by the deterministic fault-injection harness
     /// (`faultnet`). Exposed without the `stuq_` prefix on purpose: it is
     /// a test-harness counter, not a serving-subsystem one, and the bare
@@ -464,9 +460,9 @@ pub struct Metrics {
     pub serve_compute_seconds: Histogram,
     /// Seconds spent rendering responses per batch.
     pub serve_render_seconds: Histogram,
-    /// Seconds per scatter RPC to one shard (router side).
+    /// Seconds per sample-range RPC to one shard (router side).
     pub cluster_shard_rpc_seconds: Histogram,
-    /// Seconds merging shard responses per request (router side).
+    /// Seconds reducing a group's gathered passes (router side).
     pub cluster_merge_seconds: Histogram,
     /// Seconds per Monte-Carlo sample batch inside a forecast.
     pub mc_sample_seconds: Histogram,
@@ -535,11 +531,9 @@ impl Metrics {
             cluster_workers_up: Gauge::new(),
             cluster_restarts: Counter::new(),
             cluster_rpc_failures: Counter::new(),
-            serve_partial: Counter::new(),
             cluster_reload_commits: Counter::new(),
             cluster_reload_aborts: Counter::new(),
             cluster_failover: Counter::new(),
-            cluster_hedge_won: Counter::new(),
             faultnet_injected: Counter::new(),
             trace_spans: Counter::new(),
             trace_exemplars: Counter::new(),
@@ -925,12 +919,6 @@ impl Metrics {
         );
         c(
             &mut out,
-            "stuq_serve_partial_total",
-            "merged responses with a degraded shard",
-            self.serve_partial.get(),
-        );
-        c(
-            &mut out,
             "stuq_cluster_reload_commits_total",
             "two-phase cluster reloads committed",
             self.cluster_reload_commits.get(),
@@ -946,12 +934,6 @@ impl Metrics {
             "stuq_cluster_failover_total",
             "failover hops to a sibling replica",
             self.cluster_failover.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_hedge_won_total",
-            "hedged requests won by the secondary replica",
-            self.cluster_hedge_won.get(),
         );
         c(
             &mut out,
@@ -1005,13 +987,13 @@ impl Metrics {
         h(
             &mut out,
             "stuq_cluster_shard_rpc_seconds",
-            "seconds per scatter RPC to one shard (trace)",
+            "seconds per sample-range RPC to one shard (trace)",
             &self.cluster_shard_rpc_seconds,
         );
         h(
             &mut out,
             "stuq_cluster_merge_seconds",
-            "seconds merging shard responses (trace)",
+            "seconds reducing gathered passes (trace)",
             &self.cluster_merge_seconds,
         );
         h(
@@ -1065,11 +1047,9 @@ impl Metrics {
             ("stuq_serve_cache_invalidations_total", self.serve_cache_invalidations.get()),
             ("stuq_cluster_restarts_total", self.cluster_restarts.get()),
             ("stuq_cluster_rpc_failures_total", self.cluster_rpc_failures.get()),
-            ("stuq_serve_partial_total", self.serve_partial.get()),
             ("stuq_cluster_reload_commits_total", self.cluster_reload_commits.get()),
             ("stuq_cluster_reload_aborts_total", self.cluster_reload_aborts.get()),
             ("stuq_cluster_failover_total", self.cluster_failover.get()),
-            ("stuq_cluster_hedge_won_total", self.cluster_hedge_won.get()),
             ("faultnet_injected_total", self.faultnet_injected.get()),
             ("stuq_trace_spans_total", self.trace_spans.get()),
             ("stuq_trace_exemplars_total", self.trace_exemplars.get()),
@@ -1138,11 +1118,9 @@ impl Metrics {
         self.cluster_workers_up.reset();
         self.cluster_restarts.reset();
         self.cluster_rpc_failures.reset();
-        self.serve_partial.reset();
         self.cluster_reload_commits.reset();
         self.cluster_reload_aborts.reset();
         self.cluster_failover.reset();
-        self.cluster_hedge_won.reset();
         self.faultnet_injected.reset();
         self.trace_spans.reset();
         self.trace_exemplars.reset();

@@ -3,24 +3,24 @@
 //!
 //! `FaultNet` wraps one replica's [`ShardWorker`] transport and injects
 //! faults from a **seeded plan**: a pure function of `(session seed, shard,
-//! replica, forecast-RPC index)`. Nothing here rolls real dice — the same
+//! replica, pass-RPC index)`. Nothing here rolls real dice — the same
 //! seed replays the same drops, delays, truncations, and bit-flips on every
 //! rerun, which is what lets tests assert `faultnet_injected_total` exactly
 //! and lets CI byte-compare a faulted run against a fault-free control.
 //!
 //! Scope rules that keep the harness honest:
 //!
-//! * **Only forecast RPCs are faulted.** Supervision traffic (pings,
-//!   assigns, reload phases, metrics scrapes) happens on wall-clock
-//!   schedules, so keying faults on it would make the plan depend on
-//!   timing. The wrapper keeps its own forecast counter per channel.
+//! * **Only `passes` RPCs are faulted.** Supervision traffic (pings,
+//!   reload phases, metrics scrapes) happens on wall-clock schedules, so
+//!   keying faults on it would make the plan depend on timing. The wrapper
+//!   keeps its own pass-RPC counter per channel.
 //! * **Corruption is guaranteed detectable.** There is no wire checksum, so
-//!   a bit-flip in the middle of an interval matrix would merge silently
+//!   a bit-flip in the middle of a pass matrix would be reduced silently
 //!   and poison the byte-determinism contract. Truncation cuts the line in
 //!   half (losing the closing brace) and bit-flips land in the first 16
-//!   bytes (the `{"type":…` envelope) — both make `parse_worker_resp` fail,
-//!   so the router classifies the response as `worker_error` and fails
-//!   over.
+//!   bytes (the `{"type":"passes"` envelope) — both make
+//!   `parse_worker_resp` fail or change the type, so the router classifies
+//!   the response as `worker_error` and fails over.
 //! * **Injected failures don't tear down the healthy transport.** When the
 //!   router calls [`ShardWorker::fail`] for a fault *we* synthesized, the
 //!   wrapper swallows it — the victim replica's process stays up and keeps
@@ -44,14 +44,14 @@ const FAULT_SALT: u64 = 0xFA17_1E55_C0DE;
 pub enum Profile {
     /// No faults — the wrapper is a transparent pass-through.
     Off,
-    /// ~50% of forecast RPCs are swallowed (`rpc_timeout` to the router).
+    /// ~50% of pass RPCs are swallowed (`rpc_timeout` to the router).
     Drop,
-    /// ~50% of forecast RPCs are delayed 20–79 ms before forwarding —
-    /// slow-replica behaviour, the profile hedging exists for.
+    /// ~50% of pass RPCs are delayed 20–79 ms before forwarding —
+    /// slow-replica behaviour.
     Delay,
     /// A mix: ~20% dropped, ~15% truncated, ~15% bit-flipped.
     Flaky,
-    /// A contiguous outage: forecast RPCs 4..12 on the channel vanish.
+    /// A contiguous outage: pass RPCs 4..12 on the channel vanish.
     Blackhole,
 }
 
@@ -123,7 +123,7 @@ pub fn victim_replica(seed: u64, shard: usize, replicas: usize) -> usize {
     (rng.next_u64() % replicas as u64) as usize
 }
 
-/// The fault (if any) the plan injects on forecast RPC `idx` of channel
+/// The fault (if any) the plan injects on pass RPC `idx` of channel
 /// `(seed, shard, replica)`. Pure: tests recompute expected injection
 /// counts with it instead of trusting the wrapper's bookkeeping.
 pub fn fault_at(
@@ -157,8 +157,8 @@ pub struct FaultNet {
     seed: u64,
     shard: usize,
     replica: usize,
-    /// Forecast RPCs seen on this channel — the plan key's last component.
-    forecasts: u64,
+    /// Pass RPCs seen on this channel — the plan key's last component.
+    rpcs: u64,
     /// Set when the last returned failure (or garbage line) was synthetic:
     /// the router's follow-up `fail()` must not reach the healthy inner
     /// transport.
@@ -174,7 +174,7 @@ impl FaultNet {
         shard: usize,
         replica: usize,
     ) -> FaultNet {
-        FaultNet { inner, profile, seed, shard, replica, forecasts: 0, injected_last: false }
+        FaultNet { inner, profile, seed, shard, replica, rpcs: 0, injected_last: false }
     }
 
     fn record(&self, fault: &Fault, idx: u64) {
@@ -216,11 +216,11 @@ fn truncate_half(resp: String) -> String {
 impl ShardWorker for FaultNet {
     fn call(&mut self, line: &str, timeout_ms: u64) -> Result<String, String> {
         // Supervision traffic passes through untouched and uncounted.
-        if !line.contains("\"type\":\"forecast\"") {
+        if !line.starts_with("{\"type\":\"passes\"") {
             return self.inner.call(line, timeout_ms);
         }
-        let idx = self.forecasts;
-        self.forecasts += 1;
+        let idx = self.rpcs;
+        self.rpcs += 1;
         self.injected_last = false;
         match fault_at(self.profile, self.seed, self.shard, self.replica, idx) {
             None => self.inner.call(line, timeout_ms),
@@ -276,21 +276,18 @@ impl ShardWorker for FaultNet {
     fn settle(&mut self, grace_ms: u64) {
         self.inner.settle(grace_ms)
     }
-
-    // supports_hedge stays false (the trait default): the split send/recv
-    // path would bypass injection, letting a hedge dodge the plan.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimal always-up transport answering a fixed forecast line.
+    /// Minimal always-up transport answering a fixed `passes` line.
     struct Echo {
         calls: u64,
     }
 
-    const RESP: &str = "{\"type\":\"rejected\",\"reason\":\"draining\"}";
+    const RESP: &str = "{\"type\":\"passes\",\"model\":\"ck\",\"mu\":[[[0.5]]]}";
 
     impl ShardWorker for Echo {
         fn call(&mut self, _line: &str, _timeout_ms: u64) -> Result<String, String> {
@@ -356,6 +353,7 @@ mod tests {
 
     #[test]
     fn corruption_is_guaranteed_unparseable() {
+        assert!(crate::proto::parse_worker_resp(RESP).is_ok(), "the clean line parses");
         for entropy in 0..256u64 {
             let flipped = bit_flip(RESP.to_string(), entropy);
             assert!(
@@ -373,10 +371,10 @@ mod tests {
         let mut w = FaultNet::wrap(Box::new(Echo { calls: 0 }), Profile::Drop, seed, shard, replica);
         // Supervision traffic is never faulted or counted.
         assert!(w.call("{\"type\":\"ping\"}", 100).is_ok());
-        assert_eq!(w.forecasts, 0);
+        assert_eq!(w.rpcs, 0);
         let mut dropped = 0;
         for idx in 0..32 {
-            let out = w.call("{\"type\":\"forecast\",\"x\":[[0.0]]}", 100);
+            let out = w.call("{\"type\":\"passes\",\"x\":[[0.0]]}", 100);
             match fault_at(Profile::Drop, seed, shard, replica, idx) {
                 Some(Fault::Drop) => {
                     assert_eq!(out, Err("rpc_timeout".to_string()), "idx={idx}");

@@ -9,7 +9,8 @@
 //!
 //! JSON cannot represent non-finite floats; the protocol uses the marker
 //! strings `"NaN"`, `"inf"`, `"-inf"` (same convention as the event log).
-//! [`Json::as_f64`] resolves the markers so callers see the actual values.
+//! [`Json::as_f64`] and [`Json::as_f32`] resolve the markers so callers see
+//! the actual values.
 
 /// Maximum nesting depth accepted from the wire. Forecast requests need 3
 /// (object → matrix → row); anything deeper is hostile or corrupt.
@@ -22,8 +23,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always parsed as f64).
-    Num(f64),
+    /// Any JSON number: its value parsed as f64 and, separately from the
+    /// same text, as f32. Rounding the f64 to f32 would round twice and
+    /// can miss the nearest f32, so f32 payloads read the second field.
+    Num(f64, f32),
     /// A string.
     Str(String),
     /// An array.
@@ -52,7 +55,7 @@ impl Json {
     /// The numeric value; resolves the `"NaN"`/`"inf"`/`"-inf"` markers.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(n, _) => Some(*n),
             Json::Str(s) => match s.as_str() {
                 "NaN" => Some(f64::NAN),
                 "inf" => Some(f64::INFINITY),
@@ -63,10 +66,20 @@ impl Json {
         }
     }
 
+    /// The nearest f32 to the number's text (exact for any f32 rendered in
+    /// shortest round-trip form); resolves the markers like
+    /// [`Json::as_f64`].
+    pub fn as_f32(&self) -> Option<f32> {
+        match self {
+            Json::Num(_, f) => Some(*f),
+            _ => self.as_f64().map(|v| v as f32),
+        }
+    }
+
     /// The value as a non-negative integer (rejects fractions and negatives).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n, _) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -136,7 +149,26 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     if !n.is_finite() {
         return Err(format!("number {text:?} overflows f64"));
     }
-    Ok(Json::Num(n))
+    Ok(Json::Num(n, nearest_f32(n, text)))
+}
+
+/// The f32 nearest to the number `text`, given its nearest f64 `n`.
+/// Rounding is monotone and every midpoint between adjacent f32 values is
+/// an f64, so `n as f32` is the text's own rounding unless `n` landed
+/// exactly on such a midpoint. In the normal f32 range that shows in the
+/// bits: an f32 keeps the top 24 of the f64's 53 significand bits, and a
+/// midpoint leaves exactly the half-ulp bit set below them. Midpoints and
+/// the rare subnormal-range values are parsed again, as f32.
+fn nearest_f32(n: f64, text: &str) -> f32 {
+    const BELOW_F32: u64 = (1 << 29) - 1;
+    const HALF_ULP: u64 = 1 << 28;
+    let normal = n.abs() >= f64::from(f32::MIN_POSITIVE);
+    if n == 0.0 || (normal && n.to_bits() & BELOW_F32 != HALF_ULP) {
+        n as f32
+    } else {
+        // The text was accepted as an f64 above, so it parses as f32 too.
+        text.parse().unwrap_or(n as f32)
+    }
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -265,6 +297,25 @@ pub fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn f32_cells_round_from_their_text() {
+        let f32_of = |text: &str| parse(text).unwrap().as_f32().unwrap();
+        // Just above / below the midpoint between 1 and its successor: both
+        // round to that midpoint as f64, whose f32 cast is a tie.
+        assert_eq!(f32_of("1.0000000596046447753906251"), 1.0f32.next_up());
+        assert_eq!(f32_of("1.0000000596046447753906249"), 1.0);
+        assert_eq!(f32_of("3.4028235677973366e38"), f32::MAX, "below the overflow tie");
+        assert_eq!(f32_of("1e39"), f32::INFINITY);
+        // Shortest round-trip renderings come back bit-exact.
+        let mut rng = stuq_tensor::StuqRng::new(5);
+        for _ in 0..100_000 {
+            let v = f32::from_bits(rng.next_u64() as u32);
+            if v.is_finite() {
+                assert_eq!(f32_of(&format!("{v}")).to_bits(), v.to_bits(), "{v:e}");
+            }
+        }
+    }
 
     #[test]
     fn parses_forecast_shaped_payloads() {

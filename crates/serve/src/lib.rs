@@ -45,15 +45,15 @@
 //!
 //! And one scale-out mechanism on top (DESIGN.md §13):
 //!
-//! 7. **Sharded cluster** ([`shard`], [`router`], [`supervisor`]) — a
-//!    router process partitions the sensor set across N worker processes
-//!    (each one an ordinary [`Server`] behind a socket), scatters every
-//!    forecast's node set to the owning shards, and gathers the slices
-//!    back into one response. Workers additionally answer `ping`,
-//!    `assign`, and the two-phase `prepare_reload`/`commit_reload`/
-//!    `abort_reload` requests the router drives; a dead or refusing shard
-//!    degrades into a persistence slice with a typed per-shard reason
-//!    instead of failing the whole request.
+//! 7. **Sample-sharded cluster** ([`shard`], [`router`], [`supervisor`]) —
+//!    a router is this same [`Server`] whose MC passes run on N worker
+//!    processes (each one an ordinary [`Server`] behind a socket): every
+//!    group's `n` passes are split into one contiguous sample range per
+//!    shard, and the gathered passes go through the solo reduction,
+//!    envelope, breaker and render. Workers additionally answer `ping`,
+//!    `passes`, and the two-phase `prepare_reload`/`commit_reload`/
+//!    `abort_reload` requests the router drives; a shard that does not
+//!    answer simply contributes no passes.
 //!
 //! All time flows through the injectable [`clock::Clock`]; with
 //! `STUQ_FAKE_CLOCK` set, degradation trajectories *and batch composition*
@@ -83,7 +83,7 @@ use breaker::Breaker;
 use cache::{CacheEntry, CacheKey, ForecastCache};
 use clock::Clock;
 use deepstuq::{DeepStuq, GaussianForecast, SampleBudget, UnlimitedBudget};
-use proto::{ForecastMeta, ForecastReq, Request};
+use proto::{ForecastMeta, ForecastReq, PassReq, Request};
 use stuq_models::Forecaster;
 use stuq_obs::{trace, Event};
 use stuq_tensor::{StuqRng, Tensor};
@@ -222,9 +222,9 @@ pub struct Server {
     /// Two-phase reload: a validated candidate staged by `prepare_reload`,
     /// swapped in only by `commit_reload` (dropped by `abort_reload`).
     staged: Option<(DeepStuq, String)>,
-    /// Cluster shard assignment `(shard, shards)`, set by an `assign`
-    /// request; assigned workers refuse nodes outside their range.
-    assignment: Option<(usize, usize)>,
+    /// Set on a cluster router: the workers that run this server's MC
+    /// passes, one sample range per shard (DESIGN.md §13).
+    cluster: Option<router::Cluster>,
 }
 
 /// A validated forecast request, ready for cache lookup and share-key
@@ -247,6 +247,8 @@ struct Valid {
     seed: SeedSpec,
     /// Declared data tick, if any (cache key component).
     tick: Option<u64>,
+    /// Arrival index (a router picks each range's replica from it).
+    arrival: u64,
     /// Node subset to answer with (`None` = all nodes).
     nodes: Option<Vec<usize>>,
     /// Horizon prefix to answer with (`None` = full horizon).
@@ -332,7 +334,7 @@ impl Server {
             generation: 0,
             samples_used_total: 0,
             staged: None,
-            assignment: None,
+            cluster: None,
         })
     }
 
@@ -413,7 +415,11 @@ impl Server {
             }
             Ok(Request::Healthz { id }) => LineOutcome { response: self.healthz(&id), done: false },
             Ok(Request::Reload { id }) => {
-                LineOutcome { response: self.handle_reload(&id), done: false }
+                let response = match self.cluster {
+                    Some(_) => self.cluster_reload(&id),
+                    None => self.handle_reload(&id),
+                };
+                LineOutcome { response, done: false }
             }
             Ok(Request::Drain { id }) => {
                 self.draining = true;
@@ -421,14 +427,32 @@ impl Server {
             }
             Ok(Request::Shutdown { id }) => {
                 self.draining = true;
+                if let Some(c) = &mut self.cluster {
+                    c.shutdown_workers();
+                }
                 LineOutcome { response: proto::resp_ack(&id, "shutdown", &[]), done: true }
             }
             Ok(Request::Ping { id }) => LineOutcome {
                 response: proto::resp_ack(&id, "ping", &[("ok", "true".into())]),
                 done: false,
             },
-            Ok(Request::Assign { id, shard, shards }) => {
-                LineOutcome { response: self.handle_assign(&id, shard, shards), done: false }
+            // The internal worker requests stop at a router: clients talk to
+            // the cluster through `reload` and `forecast`, never to a shard.
+            Ok(
+                Request::PrepareReload { id }
+                | Request::CommitReload { id }
+                | Request::AbortReload { id }
+                | Request::Passes(PassReq { id, .. }),
+            ) if self.cluster.is_some() => LineOutcome {
+                response: proto::resp_error(
+                    &id,
+                    "bad_request",
+                    "cluster-internal request; send \"reload\" to the router",
+                ),
+                done: false,
+            },
+            Ok(Request::Passes(req)) => {
+                LineOutcome { response: self.handle_passes(&req), done: false }
             }
             Ok(Request::PrepareReload { id }) => {
                 LineOutcome { response: self.handle_prepare_reload(&id), done: false }
@@ -442,10 +466,14 @@ impl Server {
             Ok(Request::Metrics { id }) => {
                 LineOutcome { response: self.handle_metrics(&id), done: false }
             }
-            // A solo worker is its own whole cluster, so the cluster scrape
-            // degrades to the local dump (the router overrides with a merge).
+            // A solo server is its own whole cluster, so the cluster scrape
+            // degrades to the local dump; a router merges its workers'.
             Ok(Request::ClusterMetrics { id }) => {
-                LineOutcome { response: self.handle_metrics(&id), done: false }
+                let response = match &mut self.cluster {
+                    Some(c) => c.merged_metrics(&id),
+                    None => self.handle_metrics(&id),
+                };
+                LineOutcome { response, done: false }
             }
         }
     }
@@ -496,22 +524,6 @@ impl Server {
                     &format!("node {bad} out of range (model has {n_nodes} sensors)"),
                 ));
             }
-            // An assigned cluster worker answers only its own slice; a node
-            // outside the range means the router's shard map and ours
-            // disagree — refuse loudly rather than serve the wrong rows.
-            if let Some((s, total)) = self.assignment {
-                let range = shard::ShardMap::new(n_nodes, total).range(s);
-                if let Some(&bad) = nodes.iter().find(|&&i| !range.contains(&i)) {
-                    return Err(proto::resp_error(
-                        &req.id,
-                        "shape_mismatch",
-                        &format!(
-                            "node {bad} not owned by shard {s} (owns {}..{})",
-                            range.start, range.end
-                        ),
-                    ));
-                }
-            }
         }
         if let Some(h) = req.horizon {
             if h > model_tau {
@@ -559,6 +571,7 @@ impl Server {
             deadline,
             seed,
             tick: req.tick,
+            arrival: req_index,
             nodes: req.nodes.clone(),
             horizon: req.horizon,
         })
@@ -631,8 +644,8 @@ impl Server {
         let meta_miss = ForecastMeta { batched: n > 1, batch_size: n, cache_hit: false };
         let meta_hit = ForecastMeta { batched: n > 1, batch_size: n, cache_hit: true };
 
-        // Trace context per member (DESIGN.md §15): the wire context when a
-        // router scattered to us, else derived from (seed, arrival index) —
+        // Trace context per member (DESIGN.md §15): the wire context when
+        // the caller sent one, else derived from (seed, arrival index) —
         // the same pair seedless RNG forks use — so a seeded rerun rebuilds
         // the identical span tree.
         struct MemberTrace {
@@ -642,7 +655,13 @@ impl Server {
             arrival: u64,
         }
         let traced = stuq_obs::trace_enabled();
+        // A router's root span is `request`, so a joined timeline tells the
+        // router hop from the worker hops nested under it.
+        let root = if self.cluster.is_some() { "request" } else { "serve" };
         let mut spans: Vec<MemberTrace> = Vec::new();
+        // A router group's per-range RPCs and reduction time, on its lead.
+        let mut range_obs: Vec<Option<(Vec<router::RangeSpan>, Option<f64>)>> =
+            (0..n).map(|_| None).collect();
         let mut status: Vec<&'static str> = vec!["ok"; n];
         let mut probed: Vec<bool> = vec![false; n];
         let mut compute: Vec<Option<(usize, f64, &'static str)>> = vec![None; n];
@@ -668,7 +687,7 @@ impl Server {
                 let parent = req.span.unwrap_or(trace);
                 spans.push(MemberTrace {
                     trace,
-                    span: trace::derive_span_id(parent, "serve", req_index),
+                    span: trace::derive_span_id(parent, root, req_index),
                     parent,
                     arrival: req_index,
                 });
@@ -754,6 +773,7 @@ impl Server {
             let floor = lead.floor;
             let seed = lead.seed;
             let tick = lead.tick;
+            let arrival = lead.arrival;
             let x_hash = lead.x_hash;
             let x_raw = lead.x_raw.clone();
             let x_bits = lead.x_bits.clone();
@@ -790,10 +810,53 @@ impl Server {
                 Some(s) => x_raw.map(move |v| s.transform(v)),
                 None => x_raw.clone(),
             };
+            let shape = [self.model.model().n_nodes(), self.model.model().horizon()];
+            // On a router the passes run on the workers, one sample range
+            // per shard; fewer than the floor is the fallback ladder.
+            let mut gathered = self.cluster.as_mut().map(|c| {
+                let ctx = spans
+                    .get(g[0])
+                    .map(|mt| (mt.trace, trace::derive_span_id(mt.span, "compute", gi as u64)));
+                c.gather(&router::PassJob {
+                    x: &xn,
+                    n: n_req,
+                    rng: rng.export_state().s,
+                    now: t_start,
+                    arrival,
+                    deadline,
+                    model: &self.model_checksum,
+                    shape,
+                    ctx,
+                })
+            });
+            if let Some(gt) = gathered.as_mut() {
+                if gt.passes.iter().flatten().count() < floor {
+                    let reason = gt.lost.expect("a pass short of the floor means a lost range");
+                    let compute_secs = compute_t0.elapsed().as_secs_f64();
+                    range_obs[g[0]] = Some((std::mem::take(&mut gt.spans), None));
+                    for &i in g {
+                        status[i] = "fallback";
+                        compute[i] = Some((gi, compute_secs, "fallback"));
+                        let (nodes, horizon) = {
+                            let v = valids[i].as_ref().unwrap();
+                            (v.nodes.clone(), v.horizon)
+                        };
+                        responses[i] = Some(self.fallback_or_reject(
+                            &reqs[i].id,
+                            &x_raw,
+                            reason,
+                            nodes.as_deref(),
+                            horizon,
+                        ));
+                    }
+                    continue;
+                }
+            }
             let temp = self.model.temperature();
             let inv_t2 = 1.0 / (temp * temp);
             let n_req_f = n_req as f32;
             let mut envelope: Option<Vec<f32>> = None;
+            let mut merge_s: Option<f64> = None;
             let any = {
                 // Monotone variance envelope: running elementwise min over
                 // prefix totals with the epistemic part inflated by n_req/k.
@@ -835,17 +898,37 @@ impl Server {
                     }
                     None => &mut unlimited,
                 };
-                deepstuq::mc_forecast_anytime(
-                    self.model.model(),
-                    &xn,
-                    None,
-                    n_req,
-                    floor,
-                    budget,
-                    &mut rng,
-                    Some(&mut observe),
-                )
+                match gathered.as_mut() {
+                    None => deepstuq::mc_forecast_anytime(
+                        self.model.model(),
+                        &xn,
+                        None,
+                        n_req,
+                        floor,
+                        budget,
+                        &mut rng,
+                        Some(&mut observe),
+                    ),
+                    Some(gt) => {
+                        let merge_t0 = std::time::Instant::now();
+                        let any = deepstuq::reduce_anytime(
+                            shape,
+                            n_req,
+                            floor,
+                            budget,
+                            Some(&mut observe),
+                            |j| gt.passes[j].take(),
+                        );
+                        let secs = merge_t0.elapsed().as_secs_f64();
+                        m.cluster_merge_seconds.record(secs);
+                        merge_s = Some(secs);
+                        any
+                    }
+                }
             };
+            if let Some(gt) = gathered {
+                range_obs[g[0]] = Some((gt.spans, merge_s));
+            }
             let compute_secs = compute_t0.elapsed().as_secs_f64();
             m.serve_compute_seconds.record(compute_secs);
             let f = &any.forecast;
@@ -1015,7 +1098,7 @@ impl Server {
             // point is a pure function of the batch contents, so seeded
             // reruns keep identical event sequence numbers.
             for (i, mt) in spans.iter().enumerate() {
-                trace::emit_span(trace::start_event(mt.trace, mt.span, mt.parent, "serve"));
+                trace::emit_span(trace::start_event(mt.trace, mt.span, mt.parent, root));
                 if let Some(t) = timing {
                     trace::emit_phase(mt.trace, mt.span, "admission", mt.arrival, t.waits[i]);
                     trace::emit_phase(mt.trace, mt.span, "dwell", mt.arrival, t.dwell_s);
@@ -1032,6 +1115,12 @@ impl Server {
                 if let Some((gi, cs, cstat)) = compute[i] {
                     let cspan = trace::derive_span_id(mt.span, "compute", gi as u64);
                     trace::emit_span(trace::start_event(mt.trace, cspan, mt.span, "compute"));
+                    if let Some((ranges, merge_s)) = &range_obs[i] {
+                        router::emit_range_spans(mt.trace, cspan, ranges);
+                        if let Some(ms) = merge_s {
+                            trace::emit_phase(mt.trace, cspan, "merge", mt.arrival, *ms);
+                        }
+                    }
                     trace::emit_span(
                         trace::end_event(mt.trace, cspan, cs).str("status", cstat.to_string()),
                     );
@@ -1060,7 +1149,8 @@ impl Server {
     /// response. With no healthy response yet there is nothing honest to
     /// serve, so the request is rejected with the caller's reason
     /// (`model_fault` on the faulting request itself, `breaker_open` while
-    /// the breaker is open).
+    /// the breaker is open, a lost range's reason on a router whose shards
+    /// returned fewer passes than the floor).
     fn fallback_or_reject(
         &mut self,
         id: &Option<String>,
@@ -1146,19 +1236,28 @@ impl Server {
         }
     }
 
-    /// Idle-tick breaker poll: advances Open → HalfOpen on the real clock so
-    /// readiness surfaces (healthz, health.json) recover without traffic.
-    /// Skipped under the fake clock — idle ticks are wall-time driven, and a
-    /// logical-clock read outside the request pipeline would break the
-    /// "time is a pure function of the request stream" determinism contract
-    /// (the worker still probes on the next forecast either way).
-    fn poll_breaker_idle(&mut self) {
+    /// Idle tick: applies a validated reload candidate, drives a router's
+    /// worker supervision, and advances Open → HalfOpen breakers on the real
+    /// clock so readiness surfaces (healthz, health.json) recover without
+    /// traffic. The breaker polls are skipped under the fake clock — idle
+    /// ticks are wall-time driven, and a logical-clock read outside the
+    /// request pipeline would break the "time is a pure function of the
+    /// request stream" determinism contract (the next forecast still
+    /// probes either way).
+    pub fn idle_tick(&mut self) {
+        self.poll_watcher();
+        if let Some(c) = &mut self.cluster {
+            c.supervise();
+        }
         if self.clock.is_fake() {
             return;
         }
         let now = self.clock.now_ms();
         if let Some(t) = self.breaker.poll(now) {
             self.note_transition(t);
+        }
+        if let Some(c) = &mut self.cluster {
+            c.poll_breakers(now);
         }
     }
 
@@ -1227,41 +1326,33 @@ impl Server {
         outcome
     }
 
-    /// `assign`: adopt a shard of the (deterministic) node→shard map. The
-    /// router replays this on every spawn and rejoin; re-assignment with
-    /// the same parameters is idempotent.
-    fn handle_assign(&mut self, id: &Option<String>, shard: usize, shards: usize) -> String {
-        let map = shard::ShardMap::new(self.model.model().n_nodes(), shards);
-        if shard >= map.n_shards() {
-            let reason = format!(
-                "shard {shard} out of range ({} shards for {} nodes)",
-                map.n_shards(),
-                map.n_nodes()
-            );
-            return proto::resp_ack(
-                id,
-                "assign",
-                &[("ok", "false".into()), ("reason", json::escape(&reason))],
+    /// `passes`: run one sample range of a router's forecast and answer
+    /// the normalised per-pass `(μ_j, σ²_j)` with this worker's model
+    /// checksum (DESIGN.md §13). The streams are rebuilt from the router's
+    /// RNG state words; [`StuqRng::fork`] draws only raw outputs, so the
+    /// cached normal spare the words leave out cannot matter.
+    fn handle_passes(&mut self, req: &PassReq) -> String {
+        let t0 = std::time::Instant::now();
+        let (n_nodes, t_rows) = (self.model.model().n_nodes(), req.x.shape()[0]);
+        if req.x.shape()[1] != n_nodes || self.expected_t_h.is_some_and(|t| t != t_rows) {
+            return proto::resp_error(
+                &req.id,
+                "shape_mismatch",
+                &format!("window {:?} does not fit this model", req.x.shape()),
             );
         }
-        let range = map.range(shard);
-        self.assignment = Some((shard, map.n_shards()));
-        stuq_obs::emit(
-            Event::new("shard_assign")
-                .uint("shard", shard as u64)
-                .uint("shards", map.n_shards() as u64),
-        );
-        proto::resp_ack(
-            id,
-            "assign",
-            &[
-                ("ok", "true".into()),
-                ("shard", shard.to_string()),
-                ("shards", map.n_shards().to_string()),
-                ("node_lo", range.start.to_string()),
-                ("node_hi", range.end.to_string()),
-            ],
-        )
+        let mut rng =
+            StuqRng::from_state(stuq_tensor::RngState { s: req.rng, spare_normal_bits: None });
+        let passes =
+            deepstuq::mc_passes(self.model.model(), &req.x, None, req.n, req.lo..req.hi, &mut rng);
+        if let (true, Some(trace), Some(parent)) = (stuq_obs::trace_enabled(), req.trace, req.span)
+        {
+            let span = trace::derive_span_id(parent, "serve", 0);
+            trace::emit_span(trace::start_event(trace, span, parent, "serve"));
+            trace::emit_phase(trace, span, "compute", 0, t0.elapsed().as_secs_f64());
+            trace::emit_span(trace::end_event(trace, span, t0.elapsed().as_secs_f64()));
+        }
+        proto::resp_passes(&self.model_checksum, &passes)
     }
 
     /// Phase one of the cluster-wide reload: validate + shape-check the
@@ -1363,8 +1454,12 @@ impl Server {
 
     /// The `health` response (also the body of `health.json`). Queue depth
     /// and reader-side sheds come from the loop-maintained mirrors, so loop
-    /// mode reports the real forecast-lane depth, not a constant 0.
+    /// mode reports the real forecast-lane depth, not a constant 0. A
+    /// router reports the cluster's health instead.
     fn healthz(&self, id: &Option<String>) -> String {
+        if self.cluster.is_some() {
+            return self.cluster_healthz(id);
+        }
         let status = if self.draining { "draining" } else { "ok" };
         let ready = !self.draining && !self.breaker_is_open();
         let shed = self.shed + self.shed_reader;
@@ -1391,9 +1486,6 @@ impl Server {
             self.generation,
             self.staged.is_some(),
         ));
-        if let Some((shard, shards)) = self.assignment {
-            out.push_str(&format!(",\"shard\":{shard},\"shards\":{shards}"));
-        }
         out.push('}');
         out
     }
@@ -1588,8 +1680,7 @@ where
                 }
             }
             Popped::TimedOut => {
-                server.poll_watcher();
-                server.poll_breaker_idle();
+                server.idle_tick();
                 mirror(server, &flags, &lanes);
                 server.write_health();
             }

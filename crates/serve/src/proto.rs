@@ -14,33 +14,29 @@
 //!
 //! ## Cluster additions (DESIGN.md §13)
 //!
-//! The sharded cluster speaks the *same* protocol — a router looks like a
-//! server to clients and like a client to its workers — plus a handful of
-//! internal control requests and response annotations:
+//! The cluster speaks the *same* protocol to clients — a router answers
+//! with exactly the responses a solo server would — plus a handful of
+//! internal requests between the router and its workers:
 //!
-//! * requests `ping` (liveness), `assign {shard, shards}` (shard-map
-//!   replay on spawn/rejoin), and the two-phase reload trio
-//!   `prepare_reload` / `commit_reload` / `abort_reload`, each answered
-//!   with an `ack`;
+//! * `ping` (liveness) and the two-phase reload trio `prepare_reload` /
+//!   `commit_reload` / `abort_reload`, each answered with an `ack`;
+//! * `passes` ([`render_passes_req`]): the normalised input window, the
+//!   requested sample count `n`, a sample range `lo..hi`, and the four
+//!   state words of the router's per-request RNG, from which the worker
+//!   rebuilds streams `lo..hi` of the router's fork. The worker answers
+//!   with those passes' normalised `(μ_j, σ²_j)` and its `model` checksum
+//!   ([`resp_passes`]), which the router compares with its own so a
+//!   mixed-version window can never be reduced;
 //! * every `forecast` response carries `"model"`: the checksum of the
-//!   artifact that produced it, so a mixed-version window is visible as a
-//!   non-uniform `model` field (the router turns any skewed shard slice
-//!   into a typed fallback rather than merging it);
-//! * router-merged forecasts carry `"partial"` (plus a `"shards"` detail
-//!   array with one `{shard, status, reason}` entry per non-ok shard), and
-//!   router-side rejections carry the failing `"shard"` — worker-typed
-//!   reasons (`queue_full`, `breaker_open`, …) are forwarded verbatim,
-//!   never flattened into a generic error. [`strip_cluster_meta`] removes
-//!   the annotation block for byte-identity comparisons, exactly as
-//!   [`strip_batch_meta`] does for the batching annotations.
+//!   artifact that produced it.
 //!
 //! ## Trace context (DESIGN.md §15)
 //!
-//! When tracing is on, requests and scatter RPCs may carry two optional
-//! string fields, `"trace"` and `"span"` — each a 16-hex-digit id
-//! ([`stuq_obs::trace::fmt_id`]). On a scatter sub-request `trace` is the
-//! request's trace id and `span` the router's per-shard span, which becomes
-//! the parent of the worker's own spans. Forecast/fallback responses from a
+//! When tracing is on, forecast requests and `passes` RPCs may carry two
+//! optional string fields, `"trace"` and `"span"` — each a 16-hex-digit id
+//! ([`stuq_obs::trace::fmt_id`]). On a `passes` RPC `trace` is the
+//! request's trace id and `span` the router's per-range shard span, which
+//! becomes the parent of the worker's own spans. Forecast/fallback responses from a
 //! tracing server are annotated with the same two fields so a client can
 //! join its response to the reconstructed timeline; [`strip_trace_meta`]
 //! removes that fixed-width block, and traced vs untraced responses are
@@ -52,6 +48,7 @@
 //! Prometheus export (counters summed across itself and every live worker).
 
 use crate::json::{escape, parse, Json};
+use deepstuq::SamplePass;
 use stuq_tensor::Tensor;
 
 /// A parsed client request.
@@ -84,15 +81,8 @@ pub enum Request {
         /// Echoed request id.
         id: Option<String>,
     },
-    /// Shard-map assignment, replayed to a worker on spawn and rejoin.
-    Assign {
-        /// Echoed request id.
-        id: Option<String>,
-        /// This worker's shard index.
-        shard: usize,
-        /// Total shard count in the cluster.
-        shards: usize,
-    },
+    /// Run one sample range of a forecast's MC passes (router → worker).
+    Passes(PassReq),
     /// Phase one of the cluster-wide reload: validate + stage the artifact,
     /// swap nothing yet.
     PrepareReload {
@@ -145,12 +135,33 @@ pub struct ForecastReq {
     pub nodes: Option<Vec<usize>>,
     /// Horizon prefix to answer (1..=model horizon); response-slicing only.
     pub horizon: Option<usize>,
-    /// Trace context: the request's trace id, carried on scatter RPCs so a
-    /// worker's spans join the router's timeline. Purely observational —
-    /// never touches the forecast.
+    /// Trace context: a trace id chosen upstream, so this server's spans
+    /// join the caller's timeline. Purely observational — never touches
+    /// the forecast.
     pub trace: Option<u64>,
-    /// Trace context: the parent span for this hop (the router's per-shard
-    /// span on a scatter RPC).
+    /// Trace context: the caller's span, parent of this server's root.
+    pub span: Option<u64>,
+}
+
+/// A `passes` request: MC passes `lo..hi` of an `n`-pass forecast.
+#[derive(Debug)]
+pub struct PassReq {
+    /// Echoed request id.
+    pub id: Option<String>,
+    /// Input window `[t_h, n_nodes]`, already normalised by the router.
+    pub x: Tensor,
+    /// Requested sample count of the whole forecast (`1` selects the
+    /// deterministic pass).
+    pub n: usize,
+    /// First pass of the range.
+    pub lo: usize,
+    /// One past the last pass of the range.
+    pub hi: usize,
+    /// State words of the router's per-request RNG before its fork.
+    pub rng: [u64; 4],
+    /// Trace context, as on a forecast request.
+    pub trace: Option<u64>,
+    /// Parent span (the router's per-range `shard` span).
     pub span: Option<u64>,
 }
 
@@ -183,24 +194,32 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
         "abort_reload" => Ok(Request::AbortReload { id }),
         "metrics" => Ok(Request::Metrics { id }),
         "cluster-metrics" => Ok(Request::ClusterMetrics { id }),
-        "assign" => {
-            let shard = v
-                .get("shard")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err("\"assign\" needs a \"shard\" index".into()))?
-                as usize;
-            let shards = v
-                .get("shards")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err("\"assign\" needs a \"shards\" count".into()))?
-                as usize;
-            if shards == 0 {
-                return Err(err("\"shards\" must be at least 1".into()));
+        "passes" => {
+            let count = |key: &str| {
+                v.get(key)
+                    .and_then(Json::as_u64)
+                    .map(|n| n as usize)
+                    .ok_or_else(|| err(format!("\"passes\" needs a count {key:?}")))
+            };
+            let (n, lo, hi) = (count("n")?, count("lo")?, count("hi")?);
+            if n == 0 || lo >= hi || hi > n {
+                return Err(err(format!("pass range {lo}..{hi} is not inside 1..={n}")));
             }
-            if shard >= shards {
-                return Err(err(format!("\"shard\" {shard} out of range ({shards} shards)")));
+            let words = v.get("rng").and_then(Json::as_arr).unwrap_or(&[]);
+            let mut rng = [0u64; 4];
+            if words.len() != 4 {
+                return Err(err("\"rng\" must hold four state words".into()));
             }
-            Ok(Request::Assign { id, shard, shards })
+            for (slot, w) in rng.iter_mut().zip(words) {
+                *slot = w
+                    .as_str()
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| err("\"rng\" words must be hex strings".into()))?;
+            }
+            let x = parse_matrix(&v, "x").map_err(err)?;
+            let trace = trace_ctx(&v, "trace").map_err(err)?;
+            let span = trace_ctx(&v, "span").map_err(err)?;
+            Ok(Request::Passes(PassReq { id, x, n, lo, hi, rng, trace, span }))
         }
         "forecast" => {
             let rows = v
@@ -228,9 +247,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                 let mut out = Vec::with_capacity(cells.len());
                 for (j, c) in cells.iter().enumerate() {
                     let f = c
-                        .as_f64()
+                        .as_f32()
                         .ok_or_else(|| err(format!("\"x\"[{i}][{j}] is not a number")))?;
-                    out.push(f as f32);
+                    out.push(f);
                 }
                 x.push(out);
             }
@@ -301,16 +320,8 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     Some(h as usize)
                 }
             };
-            let trace_ctx = |key: &str| match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(t) => t
-                    .as_str()
-                    .and_then(stuq_obs::trace::parse_id)
-                    .map(Some)
-                    .ok_or_else(|| err(format!("{key:?} must be a 16-hex-digit id"))),
-            };
-            let trace = trace_ctx("trace")?;
-            let span = trace_ctx("span")?;
+            let trace = trace_ctx(&v, "trace").map_err(err)?;
+            let span = trace_ctx(&v, "span").map_err(err)?;
             Ok(Request::Forecast(ForecastReq {
                 id,
                 x,
@@ -328,16 +339,37 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
     }
 }
 
+/// An optional trace-context id field (`trace`/`span`).
+fn trace_ctx(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(t) => t
+            .as_str()
+            .and_then(stuq_obs::trace::parse_id)
+            .map(Some)
+            .ok_or_else(|| format!("{key:?} must be a 16-hex-digit id")),
+    }
+}
+
 /// Formats one f32 for the wire (non-finite values become markers).
 pub fn fmt_f32(v: f32) -> String {
+    let mut out = String::new();
+    push_f32(&mut out, v);
+    out
+}
+
+/// Appends [`fmt_f32`]'s form of `v` to `out` without a per-value
+/// allocation (a cluster worker renders every cell of every pass).
+fn push_f32(out: &mut String, v: f32) {
+    use std::fmt::Write as _;
     if v.is_nan() {
-        "\"NaN\"".into()
+        out.push_str("\"NaN\"");
     } else if v == f32::INFINITY {
-        "\"inf\"".into()
+        out.push_str("\"inf\"");
     } else if v == f32::NEG_INFINITY {
-        "\"-inf\"".into()
+        out.push_str("\"-inf\"");
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -355,7 +387,7 @@ pub fn render_matrix(t: &Tensor) -> String {
             if c > 0 {
                 out.push(',');
             }
-            out.push_str(&fmt_f32(t.get(r, c)));
+            push_f32(&mut out, t.get(r, c));
         }
         out.push(']');
     }
@@ -515,169 +547,71 @@ pub fn strip_trace_meta(line: &str) -> String {
     format!("{}{}", &line[..start], &line[start + TRACE_META_LEN..])
 }
 
-/// Removes the router's `"partial"`/`"shards"` annotation block (and, via
-/// [`strip_batch_meta`], the worker batching block), leaving the semantic
-/// payload. A router-merged full response and a solo server's response to
-/// the same request compare byte-equal through this. Lines without the
-/// blocks pass through unchanged.
+/// The cluster-vs-solo comparison: a router renders its forecasts with the
+/// solo pipeline, so the only annotations that can differ are the batching
+/// ones (a router may coalesce when the solo server does not). Lines
+/// without them pass through unchanged.
 pub fn strip_cluster_meta(line: &str) -> String {
-    let line = strip_batch_meta(line);
-    let Some(start) = line.find(",\"partial\":") else {
-        return line;
-    };
-    // The block ends where the interval payload begins.
-    let Some(rel_end) = line[start..].find(",\"mu\":") else {
-        return line;
-    };
-    format!("{}{}", &line[..start], &line[start + rel_end..])
+    strip_batch_meta(line)
 }
 
-/// Per-shard annotation on a router-merged response: how one shard's slice
-/// was produced. `status` is `"ok"` (live forecast) or `"fallback"`
-/// (persistence slice); non-ok entries carry the *worker's* typed reason
-/// (`queue_full`, `breaker_open`, `model_fault`, `draining`) or a
-/// router-observed one (`worker_down`, `rpc_timeout`, `version_skew`,
-/// `worker_error`).
-///
-/// Replicated clusters (DESIGN.md §16) add two optional wire fields, both
-/// inside the [`strip_cluster_meta`] window:
-///
-/// * `"replica"` — which replica produced the slice. Present only on
-///   multi-replica clusters; single-replica responses render byte-identical
-///   to pre-replica builds.
-/// * `"attempts"` — the failover chain: each replica the router tried and
-///   gave up on *before* this outcome, as `{"replica":R,"reason":"…"}` with
-///   the same typed reason vocabulary as above (per-attempt reasons are
-///   always router-observed transport classifications — a worker-typed
-///   refusal ends the chain instead of advancing it, so it appears as the
-///   note's own `reason`, never inside `attempts`).
-///
-/// A note is rendered when it is *noteworthy*: degraded (`status != "ok"`)
-/// or annotated (non-empty `attempts`). A slice served live by a backup
-/// replica after a failover is therefore recorded in `shards` while the
-/// response stays `partial: false` — full fidelity, with the failover
-/// attributed.
-#[derive(Clone, Debug)]
-pub struct ShardNote {
-    /// Shard index.
-    pub shard: usize,
-    /// `"ok"` or `"fallback"`.
-    pub status: &'static str,
-    /// Typed reason when status is not `"ok"`.
-    pub reason: Option<String>,
-    /// Replica that produced the slice (multi-replica clusters only).
-    pub replica: Option<usize>,
-    /// Failed attempts the router advanced past: `(replica, typed reason)`.
-    pub attempts: Vec<(usize, String)>,
+/// Renders a `passes` request (DESIGN.md §13): run passes `lo..hi` of an
+/// `n`-pass forecast over the normalised window `x`, with streams forked
+/// from the RNG whose state words are `rng`. `ctx` is the trace context —
+/// `(trace id, the router's shard span)`.
+pub fn render_passes_req(
+    x: &Tensor,
+    n: usize,
+    range: std::ops::Range<usize>,
+    rng: &[u64; 4],
+    ctx: Option<(u64, u64)>,
+) -> String {
+    let mut s = String::with_capacity(x.len() * 10 + 160);
+    s.push_str(&format!(
+        "{{\"type\":\"passes\",\"n\":{n},\"lo\":{},\"hi\":{},\"rng\":[\"{:016x}\",\"{:016x}\",\"{:016x}\",\"{:016x}\"]",
+        range.start, range.end, rng[0], rng[1], rng[2], rng[3]
+    ));
+    if let Some((trace, span)) = ctx {
+        s.push_str(&format!(
+            ",\"trace\":\"{}\",\"span\":\"{}\"",
+            stuq_obs::trace::fmt_id(trace),
+            stuq_obs::trace::fmt_id(span)
+        ));
+    }
+    s.push_str(",\"x\":");
+    s.push_str(&render_matrix(x));
+    s.push('}');
+    s
 }
 
-impl ShardNote {
-    /// A live slice with no annotations.
-    pub fn ok(shard: usize) -> ShardNote {
-        ShardNote { shard, status: "ok", reason: None, replica: None, attempts: Vec::new() }
-    }
-
-    /// A degraded slice with its typed reason.
-    pub fn fallback(shard: usize, reason: &str) -> ShardNote {
-        ShardNote { reason: Some(reason.to_string()), status: "fallback", ..ShardNote::ok(shard) }
-    }
-
-    /// True when the note must surface on the wire: the slice degraded, or
-    /// a failover chain produced it.
-    pub fn noteworthy(&self) -> bool {
-        self.status != "ok" || !self.attempts.is_empty()
-    }
-}
-
-fn push_shard_notes(out: &mut String, notes: &[ShardNote]) {
-    out.push_str(",\"shards\":[");
-    let mut first = true;
-    for nt in notes.iter().filter(|n| n.noteworthy()) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("{{\"shard\":{},\"status\":{}", nt.shard, escape(nt.status)));
-        if let Some(r) = &nt.reason {
-            out.push_str(&format!(",\"reason\":{}", escape(r)));
-        }
-        if let Some(r) = nt.replica {
-            out.push_str(&format!(",\"replica\":{r}"));
-        }
-        if !nt.attempts.is_empty() {
-            out.push_str(",\"attempts\":[");
-            for (i, (replica, reason)) in nt.attempts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{{\"replica\":{replica},\"reason\":{}}}", escape(reason)));
+/// A worker's answer to `passes`: each pass's normalised mean and, for
+/// Gaussian heads, its clamped variance, in sample order, plus the checksum
+/// of the model that ran them.
+pub fn resp_passes(model: &str, passes: &[SamplePass]) -> String {
+    let cells: usize = passes.iter().map(|(mu, _)| mu.len()).sum();
+    let mut out = String::with_capacity(cells * 20 + 64);
+    out.push_str(&format!("{{\"type\":\"passes\",\"model\":{}", escape(model)));
+    let mut push_list = |key: &str, pick: &dyn Fn(&SamplePass) -> &Tensor| {
+        out.push_str(&format!(",\"{key}\":["));
+        for (i, p) in passes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push(']');
+            out.push_str(&render_matrix(pick(p)));
         }
-        out.push('}');
+        out.push(']');
+    };
+    push_list("mu", &|p| &p.0);
+    if passes.iter().all(|p| p.1.is_some()) && !passes.is_empty() {
+        push_list("var", &|p| p.1.as_ref().expect("checked"));
     }
-    out.push(']');
-}
-
-/// A router-merged forecast. `partial` is true iff any shard's slice is a
-/// fallback; the `shards` array lists every noteworthy shard — degraded
-/// slices with their typed reasons, plus full-fidelity slices that went
-/// through a replica failover (annotated but `partial: false`).
-/// `samples_used` is the minimum over the live shards — the honest number,
-/// since the weakest slice bounds the whole answer.
-pub fn resp_cluster_forecast(
-    id: &Option<String>,
-    samples_used: usize,
-    samples_requested: usize,
-    model: &str,
-    notes: &[ShardNote],
-    iv: &Intervals<'_>,
-) -> String {
-    let partial = notes.iter().any(|n| n.status != "ok");
-    let mut out = String::with_capacity(256);
-    push_forecast_head(&mut out, id, samples_used, samples_requested, model);
-    out.push_str(&format!(",\"partial\":{partial}"));
-    if notes.iter().any(|n| n.noteworthy()) {
-        push_shard_notes(&mut out, notes);
-    }
-    push_intervals(&mut out, iv);
     out.push('}');
     out
 }
 
-/// The cluster-wide fallback: *no* shard produced a live forecast, but every
-/// shard could still be answered from persistence history. `reason` is the
-/// first failing shard's reason; the `shards` array has the rest.
-pub fn resp_cluster_fallback(
-    id: &Option<String>,
-    reason: &str,
-    notes: &[ShardNote],
-    iv: &Intervals<'_>,
-) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"type\":\"fallback\"");
-    push_id(&mut out, id);
-    out.push_str(&format!(",\"reason\":{}", escape(reason)));
-    push_shard_notes(&mut out, notes);
-    push_intervals(&mut out, iv);
-    out.push('}');
-    out
-}
-
-/// A router-side rejection that names the shard whose typed refusal (or
-/// outage, before any fallback history exists) killed the whole request.
-pub fn resp_rejected_shard(id: &Option<String>, reason: &str, shard: usize) -> String {
-    let mut out = String::with_capacity(80);
-    out.push_str("{\"type\":\"rejected\"");
-    push_id(&mut out, id);
-    out.push_str(&format!(",\"reason\":{},\"shard\":{shard}}}", escape(reason)));
-    out
-}
-
-/// The sliced interval payload a worker answered with, parsed back into
-/// tensors. f32 values survive the wire exactly: they are rendered with the
-/// shortest round-trip form, parsed as f64, and cast back — so a router can
-/// re-render a merged matrix byte-for-byte.
+/// A forecast's interval payload, parsed back into tensors. f32 values
+/// survive the wire exactly: they are rendered in shortest round-trip form
+/// and parsed back from that text as f32 ([`Json::as_f32`]).
 pub struct OwnedIntervals {
     /// Predictive mean `[nodes][horizon]`.
     pub mu: Tensor,
@@ -691,19 +625,26 @@ pub struct OwnedIntervals {
 
 /// A worker's response line, as the router sees it.
 pub enum WorkerResp {
-    /// A live (possibly degraded) forecast slice.
+    /// A live (possibly degraded) forecast.
     Forecast {
-        /// MC samples the worker actually drew.
+        /// MC samples actually drawn.
         samples_used: usize,
-        /// MC samples the sub-request asked for.
+        /// MC samples the request asked for.
         samples_requested: usize,
-        /// Checksum of the model that produced the slice.
+        /// Checksum of the model that produced the forecast.
         model: String,
-        /// The sliced intervals.
+        /// The intervals.
         iv: OwnedIntervals,
     },
-    /// The worker's own persistence fallback (its breaker is open or the
-    /// run faulted); carries the worker's typed reason.
+    /// One sample range of MC passes, answering a `passes` request.
+    Passes {
+        /// Checksum of the model that ran the passes.
+        model: String,
+        /// Normalised `(μ_j, σ²_j?)` per pass, in sample order.
+        passes: Vec<SamplePass>,
+    },
+    /// A persistence fallback (breaker open, model fault, or too few
+    /// passes); carries the typed reason.
     Fallback {
         /// Worker-typed reason (`breaker_open`, `model_fault`).
         reason: String,
@@ -747,8 +688,12 @@ pub enum WorkerResp {
 }
 
 fn parse_matrix(v: &Json, key: &str) -> Result<Tensor, String> {
-    let rows =
-        v.get(key).and_then(Json::as_arr).ok_or_else(|| format!("missing matrix {key:?}"))?;
+    parse_matrix_value(v.get(key).ok_or_else(|| format!("missing matrix {key:?}"))?, key)
+}
+
+/// A `[rows][cols]` matrix of f32 cells, each parsed from its own text.
+fn parse_matrix_value(v: &Json, key: &str) -> Result<Tensor, String> {
+    let rows = v.as_arr().ok_or_else(|| format!("{key:?} is not a matrix"))?;
     if rows.is_empty() {
         return Err(format!("{key:?} is empty"));
     }
@@ -762,8 +707,7 @@ fn parse_matrix(v: &Json, key: &str) -> Result<Tensor, String> {
             _ => {}
         }
         for (j, c) in cells.iter().enumerate() {
-            let f = c.as_f64().ok_or_else(|| format!("{key:?}[{i}][{j}] is not a number"))?;
-            data.push(f as f32);
+            data.push(c.as_f32().ok_or_else(|| format!("{key:?}[{i}][{j}] is not a number"))?);
         }
     }
     let c = cols.unwrap_or(0);
@@ -801,6 +745,25 @@ pub fn parse_worker_resp(line: &str) -> Result<WorkerResp, String> {
             model: str_field("model").ok_or("forecast without \"model\"")?,
             iv: parse_intervals(&v)?,
         }),
+        "passes" => {
+            let list = |key: &str| -> Result<Option<Vec<Tensor>>, String> {
+                let Some(items) = v.get(key) else { return Ok(None) };
+                let items = items.as_arr().ok_or_else(|| format!("{key:?} is not a list"))?;
+                items.iter().map(|m| parse_matrix_value(m, key)).collect::<Result<_, _>>().map(Some)
+            };
+            let mu = list("mu")?.ok_or("passes without \"mu\"")?;
+            let passes = match list("var")? {
+                None => mu.into_iter().map(|m| (m, None)).collect(),
+                Some(var) if var.len() == mu.len() => {
+                    mu.into_iter().zip(var).map(|(m, v)| (m, Some(v))).collect()
+                }
+                Some(_) => return Err("\"var\" and \"mu\" differ in length".into()),
+            };
+            Ok(WorkerResp::Passes {
+                model: str_field("model").ok_or("passes without \"model\"")?,
+                passes,
+            })
+        }
         "fallback" => Ok(WorkerResp::Fallback {
             reason: str_field("reason").ok_or("fallback without \"reason\"")?,
             iv: parse_intervals(&v)?,
@@ -839,8 +802,10 @@ pub fn parse_worker_resp(line: &str) -> Result<WorkerResp, String> {
 }
 
 /// A shed/refused request. `reason` ∈ {queue_full, draining, breaker_open,
-/// model_fault} — the last two only before any healthy response exists (with
-/// healthy history the same conditions serve a `fallback` instead).
+/// model_fault, worker_down, rpc_timeout, version_skew, worker_error} — all
+/// but the first two only before any healthy response exists (with healthy
+/// history the same conditions serve a `fallback` instead). The last four
+/// come from a router whose shards returned fewer passes than the floor.
 pub fn resp_rejected(id: &Option<String>, reason: &str) -> String {
     let mut out = String::with_capacity(64);
     out.push_str("{\"type\":\"rejected\"");
@@ -849,8 +814,9 @@ pub fn resp_rejected(id: &Option<String>, reason: &str) -> String {
     out
 }
 
-/// The documented breaker fallback: a persistence forecast with widened
-/// intervals. `reason` ∈ {breaker_open, model_fault}.
+/// The documented fallback: a persistence forecast with widened intervals.
+/// `reason` is a [`resp_rejected`] reason other than `queue_full` and
+/// `draining`.
 pub fn resp_fallback(id: &Option<String>, reason: &str, iv: &Intervals<'_>) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"type\":\"fallback\"");
@@ -990,12 +956,22 @@ mod tests {
             parse_request(r#"{"type":"abort_reload"}"#),
             Ok(Request::AbortReload { .. })
         ));
-        let r = parse_request(r#"{"type":"assign","shard":2,"shards":3}"#).unwrap();
-        assert!(matches!(r, Request::Assign { shard: 2, shards: 3, .. }));
-        let e = parse_request(r#"{"type":"assign","shard":3,"shards":3}"#).unwrap_err();
-        assert!(e.detail.contains("out of range"));
-        let e = parse_request(r#"{"type":"assign","shards":3}"#).unwrap_err();
-        assert!(e.detail.contains("\"shard\""));
+        let x = Tensor::from_vec(vec![0.5, -1.25, 7.0, 0.1], &[2, 2]);
+        let rng = [0, u64::MAX, 0x0123_4567_89ab_cdef, 42];
+        let line = render_passes_req(&x, 10, 3..7, &rng, Some((0xdead_beef, 5)));
+        let Ok(Request::Passes(p)) = parse_request(&line) else { panic!("{line}") };
+        assert_eq!((p.n, p.lo, p.hi, p.rng), (10, 3, 7, rng));
+        assert_eq!(p.x.data(), x.data());
+        assert_eq!((p.trace, p.span), (Some(0xdead_beef), Some(5)));
+        for bad in [
+            r#"{"type":"passes","n":4,"lo":3,"hi":3,"rng":["0","0","0","0"],"x":[[1]]}"#,
+            r#"{"type":"passes","n":4,"lo":0,"hi":5,"rng":["0","0","0","0"],"x":[[1]]}"#,
+            r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":["0","0","0"],"x":[[1]]}"#,
+            r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":[0,0,0,0],"x":[[1]]}"#,
+            r#"{"type":"passes","lo":0,"hi":2,"rng":["0","0","0","0"],"x":[[1]]}"#,
+        ] {
+            assert!(parse_request(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1016,16 +992,13 @@ mod tests {
         let id = Some("q".to_string());
         let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
-        let note = ShardNote::fallback(1, "worker_down");
         for (line, ty) in [
             (resp_forecast(&id, 3, 8, "ck", &ForecastMeta::solo(), &iv), "forecast"),
             (resp_rejected(&id, "queue_full"), "rejected"),
             (resp_fallback(&id, "breaker_open", &iv), "fallback"),
             (resp_error(&None, "bad_request", "nope"), "error"),
             (resp_ack(&id, "drain", &[]), "ack"),
-            (resp_cluster_forecast(&id, 3, 8, "ck", std::slice::from_ref(&note), &iv), "forecast"),
-            (resp_cluster_fallback(&id, "worker_down", &[note], &iv), "fallback"),
-            (resp_rejected_shard(&id, "queue_full", 2), "rejected"),
+            (resp_passes("ck", &[(m.clone(), None)]), "passes"),
         ] {
             let v = crate::json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(v.get("type").and_then(Json::as_str), Some(ty));
@@ -1046,56 +1019,32 @@ mod tests {
         let m = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[2, 2]);
         let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
         let solo = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
-        let full = resp_cluster_forecast(&id, 8, 8, "ck", &[], &iv);
-        assert!(full.contains("\"partial\":false"));
-        assert!(!full.contains("\"shards\""));
-        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&full));
-        let note = ShardNote::fallback(0, "queue_full");
-        let partial = resp_cluster_forecast(&id, 8, 8, "ck", &[note], &iv);
-        assert!(partial.contains("\"partial\":true"));
-        assert!(partial.contains(r#"{"shard":0,"status":"fallback","reason":"queue_full"}"#));
-        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&partial));
-        let rej = resp_rejected_shard(&id, "draining", 1);
-        assert!(rej.contains("\"shard\":1"));
+        // A coalescing router annotates its batch; nothing else differs.
+        let meta = ForecastMeta { batched: true, batch_size: 3, cache_hit: true };
+        let routed = resp_forecast(&id, 8, 8, "ck", &meta, &iv);
+        assert_ne!(solo, routed);
+        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&routed));
+        let rej = resp_rejected(&id, "worker_down");
         assert_eq!(strip_cluster_meta(&rej), rej);
-    }
-
-    #[test]
-    fn failover_annotations_stay_inside_the_cluster_meta_window() {
-        let id = Some("f".to_string());
-        let m = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[2, 2]);
-        let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
-        let solo = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
-        // A slice served live by a backup after a failover: annotated in
-        // `shards`, yet the response stays full fidelity.
-        let mut note = ShardNote::ok(1);
-        note.replica = Some(1);
-        note.attempts = vec![(0, "rpc_timeout".to_string())];
-        assert!(note.noteworthy(), "a failover chain must surface on the wire");
-        let hed = resp_cluster_forecast(&id, 8, 8, "ck", &[note], &iv);
-        assert!(hed.contains("\"partial\":false"), "failover is not degradation");
-        assert!(hed.contains(
-            r#"{"shard":1,"status":"ok","replica":1,"attempts":[{"replica":0,"reason":"rpc_timeout"}]}"#
-        ));
-        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&hed));
-        // An exhausted chain: degraded note carrying both the terminal
-        // reason and the prior attempts.
-        let mut dead = ShardNote::fallback(0, "worker_down");
-        dead.attempts = vec![(1, "rpc_timeout".to_string())];
-        let part = resp_cluster_forecast(&id, 8, 8, "ck", &[dead], &iv);
-        assert!(part.contains("\"partial\":true"));
-        assert!(part.contains(
-            r#"{"shard":0,"status":"fallback","reason":"worker_down","attempts":[{"replica":1,"reason":"rpc_timeout"}]}"#
-        ));
-        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&part));
     }
 
     #[test]
     fn worker_responses_roundtrip_bit_exactly() {
         let id = None;
-        // Awkward floats: shortest-roundtrip f32 rendering survives an
-        // f64 parse + f32 cast exactly.
-        let m = Tensor::from_vec(vec![0.1, 1.0 / 3.0, -2.7182817, 1e-7], &[2, 2]);
+        // Awkward floats: shortest-roundtrip f32 rendering parsed back as
+        // f32 is exact. Parsing as f64 and casting is not: ±7.038531e-26
+        // (bits 0x15ae43fd/0x95ae43fd) rounds twice and lands one ulp off.
+        let m = Tensor::from_vec(
+            vec![
+                0.1,
+                1.0 / 3.0,
+                -2.7182817,
+                1e-7,
+                f32::from_bits(0x15ae43fd),
+                f32::from_bits(0x95ae43fd),
+            ],
+            &[3, 2],
+        );
         let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
         let line = resp_forecast(&id, 5, 8, "ck9", &ForecastMeta::solo(), &iv);
         let Ok(WorkerResp::Forecast { samples_used, samples_requested, model, iv: own }) =
@@ -1106,7 +1055,23 @@ mod tests {
         assert_eq!((samples_used, samples_requested), (5, 8));
         assert_eq!(model, "ck9");
         assert_eq!(render_matrix(&own.mu), render_matrix(&m), "f32 wire roundtrip is exact");
-        assert_eq!(own.mu.data(), m.data());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&own.mu), bits(&m));
+
+        let passes = vec![(m.clone(), Some(m.scale(2.0))), (m.scale(-1.0), Some(m.clone()))];
+        let Ok(WorkerResp::Passes { model, passes: got }) =
+            parse_worker_resp(&resp_passes("ck9", &passes))
+        else {
+            panic!("wrong variant for passes");
+        };
+        assert_eq!(model, "ck9");
+        assert_eq!(got.len(), 2);
+        for ((gm, gv), (wm, wv)) in got.iter().zip(&passes) {
+            assert_eq!(bits(gm), bits(wm));
+            assert_eq!(bits(gv.as_ref().unwrap()), bits(wv.as_ref().unwrap()));
+        }
+        let point = parse_worker_resp(&resp_passes("ck9", &[(m.clone(), None)]));
+        assert!(matches!(point, Ok(WorkerResp::Passes { passes, .. }) if passes[0].1.is_none()));
 
         let fb = resp_fallback(&id, "model_fault", &iv);
         assert!(matches!(
@@ -1160,9 +1125,10 @@ mod tests {
         // Untraced lines pass through untouched, and stripping composes with
         // the other annotation strippers.
         assert_eq!(strip_trace_meta(&plain), plain);
-        let mut cluster = resp_cluster_forecast(&id, 8, 8, "ck", &[], &iv);
-        push_trace_meta(&mut cluster, 7, 9);
-        assert_eq!(strip_cluster_meta(&strip_trace_meta(&cluster)), strip_cluster_meta(&plain));
+        let meta = ForecastMeta { batched: true, batch_size: 2, cache_hit: false };
+        let mut routed = resp_forecast(&id, 8, 8, "ck", &meta, &iv);
+        push_trace_meta(&mut routed, 7, 9);
+        assert_eq!(strip_cluster_meta(&strip_trace_meta(&routed)), strip_cluster_meta(&plain));
     }
 
     #[test]

@@ -1,73 +1,45 @@
-//! Deterministic node→shard partition of the road network (DESIGN.md §13).
+//! Deterministic sample-range sharding of a forecast's MC passes
+//! (DESIGN.md §13).
 //!
-//! The cluster router splits the sensor set across N workers. The map is a
-//! pure function of `(n_nodes, n_shards)` — contiguous ranges, with the
-//! first `n_nodes % n_shards` shards one node wider — so every router
-//! instance, every restarted worker, and every test derives the *same*
-//! partition without any coordination or persisted state. That is what lets
-//! a supervisor replay the assignment to a rejoining worker and what keeps
-//! scatter/gather composition byte-deterministic across reruns.
+//! DeepSTUQ's served forecast reduces independent MC-dropout passes
+//! (Eq. 19), so the cluster splits the *passes*, not the sensors: for an
+//! `n`-pass forecast, shard `s` of `S` runs the contiguous range
+//! `[s·n/S, (s+1)·n/S)`. The ranges are a pure function of `(n, S)` —
+//! derived, never stored — so the router, every restarted worker, and every
+//! test agree on them without coordination. When `n < S` some ranges are
+//! empty; [`ShardMap::scatter`] omits them, so they cost no RPC.
 //!
 //! The map also carries a **replica dimension** (DESIGN.md §16): every
-//! shard is served by `n_replicas` interchangeable workers. The
-//! shard×replica → worker assignment is derived, never stored — workers
-//! are laid out shard-major (`worker = shard · R + replica`), so the
-//! router, the supervisor, and every test agree on which flat worker index
-//! backs which (shard, replica) pair without any coordination. Replicas
-//! share the shard's node range; they differ only in which process
-//! answers, which is why a replica failover never changes response bytes.
+//! shard is served by `n_replicas` interchangeable workers, laid out
+//! shard-major (`worker = shard · R + replica`). Replicas of a shard run the
+//! same range from the same streams, which is why a replica failover never
+//! changes response bytes.
 
 use std::ops::Range;
 
-/// A sub-request destined for one shard: which of the request's node
-/// positions that shard owns.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSlice {
-    /// Owning shard index.
-    pub shard: usize,
-    /// Node indices (model sensor ids) this shard answers, in request order.
-    pub nodes: Vec<usize>,
-    /// For each entry of `nodes`, its row position in the merged response.
-    pub positions: Vec<usize>,
-}
-
-/// Contiguous partition of `n_nodes` sensors across `n_shards` shards,
-/// each served by `n_replicas` interchangeable workers.
+/// `n_shards` sample-range shards, each served by `n_replicas`
+/// interchangeable workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardMap {
-    n_nodes: usize,
     n_shards: usize,
     n_replicas: usize,
 }
 
 impl ShardMap {
-    /// A map over `n_nodes` sensors and `n_shards` single-replica shards.
-    /// Shard count is clamped to `1..=n_nodes` — more workers than sensors
-    /// would leave empty shards with nothing to answer.
-    pub fn new(n_nodes: usize, n_shards: usize) -> Self {
-        Self::replicated(n_nodes, n_shards, 1)
+    /// A map over `n_shards` single-replica shards (clamped ≥ 1).
+    pub fn new(n_shards: usize) -> Self {
+        Self::replicated(n_shards, 1)
     }
 
-    /// A map with `n_replicas` workers per shard (clamped ≥ 1). The node
-    /// partition is independent of the replica count: adding replicas
-    /// never moves a sensor.
-    pub fn replicated(n_nodes: usize, n_shards: usize, n_replicas: usize) -> Self {
-        let n_nodes = n_nodes.max(1);
-        ShardMap {
-            n_nodes,
-            n_shards: n_shards.clamp(1, n_nodes),
-            n_replicas: n_replicas.max(1),
-        }
+    /// A map with `n_replicas` workers per shard (both clamped ≥ 1). The
+    /// sample ranges are independent of the replica count.
+    pub fn replicated(n_shards: usize, n_replicas: usize) -> Self {
+        ShardMap { n_shards: n_shards.max(1), n_replicas: n_replicas.max(1) }
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.n_shards
-    }
-
-    /// Number of sensors partitioned.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
     }
 
     /// Replicas per shard.
@@ -94,55 +66,17 @@ impl ShardMap {
         (worker / self.n_replicas, worker % self.n_replicas)
     }
 
-    /// The contiguous node range shard `s` owns.
-    pub fn range(&self, s: usize) -> Range<usize> {
+    /// The passes shard `s` runs of an `n`-pass forecast:
+    /// `[s·n/S, (s+1)·n/S)`.
+    pub fn range(&self, s: usize, n: usize) -> Range<usize> {
         assert!(s < self.n_shards, "shard {s} out of range (cluster has {})", self.n_shards);
-        let base = self.n_nodes / self.n_shards;
-        let extra = self.n_nodes % self.n_shards;
-        // Shards [0, extra) are one node wider.
-        let lo = s * base + s.min(extra);
-        let width = base + usize::from(s < extra);
-        lo..lo + width
+        s * n / self.n_shards..(s + 1) * n / self.n_shards
     }
 
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: usize) -> usize {
-        assert!(node < self.n_nodes, "node {node} out of range (map has {})", self.n_nodes);
-        let base = self.n_nodes / self.n_shards;
-        let extra = self.n_nodes % self.n_shards;
-        let wide_span = extra * (base + 1);
-        if node < wide_span {
-            node / (base + 1)
-        } else {
-            extra + (node - wide_span) / base
-        }
-    }
-
-    /// Splits a request's node selection (`None` = the full grid, in natural
-    /// order) into per-shard slices, shard-ordered. Empty slices are
-    /// omitted: a request touching one shard costs one RPC, not N.
-    pub fn scatter(&self, nodes: Option<&[usize]>) -> Vec<ShardSlice> {
-        let mut slices: Vec<ShardSlice> = (0..self.n_shards)
-            .map(|shard| ShardSlice { shard, nodes: Vec::new(), positions: Vec::new() })
-            .collect();
-        match nodes {
-            None => {
-                for node in 0..self.n_nodes {
-                    let s = self.shard_of(node);
-                    slices[s].nodes.push(node);
-                    slices[s].positions.push(node);
-                }
-            }
-            Some(sel) => {
-                for (pos, &node) in sel.iter().enumerate() {
-                    let s = self.shard_of(node);
-                    slices[s].nodes.push(node);
-                    slices[s].positions.push(pos);
-                }
-            }
-        }
-        slices.retain(|s| !s.nodes.is_empty());
-        slices
+    /// The non-empty `(shard, range)` pairs of an `n`-pass forecast, in
+    /// shard (and therefore sample) order.
+    pub fn scatter(&self, n: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        (0..self.n_shards).map(move |s| (s, self.range(s, n))).filter(|(_, r)| !r.is_empty())
     }
 }
 
@@ -152,60 +86,41 @@ mod tests {
 
     #[test]
     fn partition_is_disjoint_and_total() {
-        for (n, s) in [(10, 3), (621, 4), (7, 7), (5, 1), (3, 8)] {
-            let map = ShardMap::new(n, s);
-            let mut seen = vec![0usize; n];
-            for shard in 0..map.n_shards() {
-                for node in map.range(shard) {
-                    seen[node] += 1;
-                    assert_eq!(map.shard_of(node), shard, "n={n} s={s} node={node}");
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "n={n} s={s}: every node exactly once");
+        for (n, s) in [(10, 3), (621, 4), (7, 7), (5, 1), (3, 8), (1, 3), (0, 2)] {
+            let map = ShardMap::new(s);
+            let covered: Vec<usize> = map.scatter(n).flat_map(|(_, r)| r).collect();
+            assert_eq!(
+                covered,
+                (0..n).collect::<Vec<_>>(),
+                "n={n} s={s}: every pass once, in order"
+            );
+            let widths: Vec<usize> = (0..s).map(|sh| map.range(sh, n).len()).collect();
+            let (lo, hi) = (widths.iter().min().unwrap(), widths.iter().max().unwrap());
+            assert!(hi - lo <= 1, "n={n} s={s}: ranges balanced within one pass: {widths:?}");
         }
     }
 
     #[test]
-    fn shard_count_clamps_to_node_count() {
-        let map = ShardMap::new(3, 8);
-        assert_eq!(map.n_shards(), 3, "no empty shards");
-        assert_eq!(ShardMap::new(10, 0).n_shards(), 1);
+    fn ranges_follow_the_floor_formula() {
+        let map = ShardMap::new(3);
+        assert_eq!(map.range(0, 10), 0..3);
+        assert_eq!(map.range(1, 10), 3..6);
+        assert_eq!(map.range(2, 10), 6..10);
+        assert_eq!(ShardMap::new(0).n_shards(), 1, "shard count clamps to 1");
     }
 
     #[test]
-    fn wide_shards_come_first() {
-        let map = ShardMap::new(10, 3); // 4 + 3 + 3
-        assert_eq!(map.range(0), 0..4);
-        assert_eq!(map.range(1), 4..7);
-        assert_eq!(map.range(2), 7..10);
-    }
-
-    #[test]
-    fn scatter_full_grid_covers_every_position() {
-        let map = ShardMap::new(10, 3);
-        let slices = map.scatter(None);
-        assert_eq!(slices.len(), 3);
-        let mut all: Vec<(usize, usize)> = Vec::new();
-        for sl in &slices {
-            assert_eq!(sl.nodes, sl.positions, "full grid: position == node id");
-            all.extend(sl.nodes.iter().zip(&sl.positions).map(|(&n, &p)| (n, p)));
-        }
-        assert_eq!(all, (0..10).map(|i| (i, i)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scatter_subset_preserves_request_positions() {
-        let map = ShardMap::new(10, 3); // 0..4 | 4..7 | 7..10
-        let slices = map.scatter(Some(&[9, 0, 5, 1]));
-        assert_eq!(slices.len(), 3);
-        assert_eq!(slices[0], ShardSlice { shard: 0, nodes: vec![0, 1], positions: vec![1, 3] });
-        assert_eq!(slices[1], ShardSlice { shard: 1, nodes: vec![5], positions: vec![2] });
-        assert_eq!(slices[2], ShardSlice { shard: 2, nodes: vec![9], positions: vec![0] });
+    fn scatter_omits_untouched_shards() {
+        // Fewer passes than shards: the empty ranges cost no RPC.
+        let map = ShardMap::new(3);
+        assert_eq!(map.scatter(1).collect::<Vec<_>>(), vec![(2, 0..1)]);
+        assert_eq!(map.scatter(2).collect::<Vec<_>>(), vec![(1, 0..1), (2, 1..2)]);
+        assert_eq!(map.scatter(0).count(), 0);
     }
 
     #[test]
     fn replica_dimension_is_shard_major_and_round_trips() {
-        let map = ShardMap::replicated(10, 3, 2);
+        let map = ShardMap::replicated(3, 2);
         assert_eq!(map.n_replicas(), 2);
         assert_eq!(map.n_workers(), 6);
         for s in 0..3 {
@@ -219,29 +134,21 @@ mod tests {
 
     #[test]
     fn single_replica_map_matches_the_legacy_constructor() {
-        let map = ShardMap::new(10, 3);
-        assert_eq!(map, ShardMap::replicated(10, 3, 1));
+        let map = ShardMap::new(3);
+        assert_eq!(map, ShardMap::replicated(3, 1));
         assert_eq!(map.n_workers(), map.n_shards());
         assert_eq!(map.worker_index(2, 0), 2, "R=1: worker index == shard index");
-        assert_eq!(ShardMap::replicated(10, 3, 0).n_replicas(), 1, "replicas clamp to 1");
+        assert_eq!(ShardMap::replicated(3, 0).n_replicas(), 1, "replicas clamp to 1");
     }
 
     #[test]
-    fn replicas_never_move_the_node_partition() {
+    fn replicas_never_move_the_sample_ranges() {
         for r in 1..=4 {
-            let map = ShardMap::replicated(621, 4, r);
-            let solo = ShardMap::new(621, 4);
+            let map = ShardMap::replicated(4, r);
+            let solo = ShardMap::new(4);
             for s in 0..4 {
-                assert_eq!(map.range(s), solo.range(s), "replicas={r} shard={s}");
+                assert_eq!(map.range(s, 10), solo.range(s, 10), "replicas={r} shard={s}");
             }
         }
-    }
-
-    #[test]
-    fn scatter_omits_untouched_shards() {
-        let map = ShardMap::new(10, 3);
-        let slices = map.scatter(Some(&[4, 5, 6]));
-        assert_eq!(slices.len(), 1, "single-shard request costs one RPC");
-        assert_eq!(slices[0].shard, 1);
     }
 }

@@ -1,8 +1,8 @@
 //! Worker-process supervision for the cluster router (DESIGN.md §13).
 //!
-//! [`ProcWorker`] owns one shard's worker end to end: it spawns the `stuq
-//! serve --role worker` child, connects to its Unix socket, replays the
-//! shard assignment, and implements the [`ShardWorker`] transport the
+//! [`ProcWorker`] owns one worker end to end: it spawns the `stuq serve
+//! --role worker` child, connects to its Unix socket, and implements the
+//! [`ShardWorker`] transport the
 //! [`Router`](crate::router::Router) drives. Supervision is deliberately
 //! *wall-clock*: crash detection (EOF/timeout on an RPC, failed liveness
 //! ping) and exponentially backed-off restarts are real-time concerns, and
@@ -11,19 +11,15 @@
 //!
 //! Restart protocol: kill → back off ([`Backoff`], doubling to a cap, with
 //! seeded bounded jitter so R replicas killed together don't restart in
-//! lock-step) → respawn → reconnect → replay `assign` — so a rejoining
-//! worker always knows its slice of the deterministic shard map before the
-//! first forecast reaches it. A worker that was mid-`prepare_reload` when
+//! lock-step) → respawn → reconnect. Workers hold no shard state — every
+//! `passes` request names its sample range — so a rejoining worker serves
+//! the next range it is sent. A worker that was mid-`prepare_reload` when
 //! it died simply rejoins unstaged; the router's two-phase commit already
-//! treats any non-acking shard as an abort.
+//! treats any non-acking worker as an abort.
 //!
 //! With replicated shards (DESIGN.md §16) one `ProcWorker` supervises one
 //! *(shard, replica)* pair; replicas are identical except for their socket
-//! and telemetry paths, and the worker process itself is replica-oblivious
-//! (the `assign` replay carries only the shard's node range). `ProcWorker`
-//! also implements the split `send`/`recv` half of [`ShardWorker`] used by
-//! hedged requests: a hedge loser's in-flight reply is marked stale and
-//! skipped on the next receive, so the connection never desynchronizes.
+//! and telemetry paths.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -31,8 +27,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use crate::proto::{self, WorkerResp};
-use crate::router::{assign_line, ShardWorker, SupEvent, WorkerState};
+use crate::router::{ShardWorker, SupEvent, WorkerState};
 use stuq_obs::Event;
 use stuq_tensor::StuqRng;
 
@@ -84,12 +79,10 @@ impl Backoff {
 /// Everything needed to (re)spawn one worker process.
 #[derive(Clone, Debug)]
 pub struct WorkerSpec {
-    /// Shard index this worker owns.
+    /// Shard index this worker serves.
     pub shard: usize,
     /// Replica index within the shard (0 for single-replica clusters).
     pub replica: usize,
-    /// Total shard count (for the `assign` replay).
-    pub shards: usize,
     /// Seed for restart-backoff jitter — derived per worker so replicas
     /// killed together back off on distinct schedules.
     pub jitter_seed: u64,
@@ -119,10 +112,6 @@ pub(crate) struct Conn {
     /// Bytes of the current response line read so far, not yet
     /// newline-terminated.
     partial: Vec<u8>,
-    /// Responses still in flight for requests the router abandoned (hedge
-    /// losers). The next `stale` complete lines are skipped, keeping the
-    /// request/response pairing intact.
-    stale: usize,
 }
 
 /// Per-poll read-timeout slice. Short enough that `recv_line` re-checks its
@@ -133,7 +122,7 @@ const POLL_SLICE_MS: u64 = 50;
 impl Conn {
     fn new(stream: UnixStream) -> Result<Conn, String> {
         let reader = BufReader::new(stream.try_clone().map_err(|e| format!("socket clone: {e}"))?);
-        Ok(Conn { stream, reader, partial: Vec::new(), stale: 0 })
+        Ok(Conn { stream, reader, partial: Vec::new() })
     }
 
     fn send_line(&mut self, line: &str) -> Result<(), String> {
@@ -170,8 +159,8 @@ impl Conn {
         }
     }
 
-    /// Blocks until a complete (non-stale) line or the deadline. A timeout
-    /// mid-line leaves the partial bytes buffered for a later attempt.
+    /// Blocks until a complete line or the deadline. A timeout mid-line
+    /// leaves the partial bytes buffered for a later attempt.
     fn recv_line(&mut self, timeout_ms: u64) -> Result<String, String> {
         let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
         loop {
@@ -180,10 +169,8 @@ impl Conn {
                 return Err("rpc_timeout".into());
             }
             let slice = (left.as_millis() as u64).clamp(1, POLL_SLICE_MS);
-            match self.poll_line(slice)? {
-                Some(_) if self.stale > 0 => self.stale -= 1,
-                Some(line) => return Ok(line),
-                None => {}
+            if let Some(line) = self.poll_line(slice)? {
+                return Ok(line);
             }
         }
     }
@@ -233,8 +220,9 @@ impl ProcWorker {
         w
     }
 
-    /// Kill (if needed), spawn, wait for the socket, connect, replay the
-    /// shard assignment. On success the worker is `Up` with backoff reset.
+    /// Kill (if needed), spawn, wait for the socket, connect. The worker
+    /// binds its socket only once its model is loaded, so a connection
+    /// means it is ready: the worker is `Up` with backoff reset.
     fn start_process(&mut self) -> Result<(), String> {
         self.kill_child();
         // A stale socket from the previous incarnation must not satisfy the
@@ -278,24 +266,8 @@ impl ProcWorker {
         self.state = WorkerState::Up;
         self.last_ok = Instant::now();
         self.next_restart_at = None;
-        // Replay the shard assignment before any forecast can arrive.
-        let line = assign_line(self.spec.shard, self.spec.shards);
-        match self.rpc(&line, self.spec.connect_timeout_ms.max(1)) {
-            Ok(resp) => match proto::parse_worker_resp(&resp) {
-                Ok(WorkerResp::Ack { ok: true, .. }) => {
-                    self.backoff.reset();
-                    Ok(())
-                }
-                _ => {
-                    self.mark_down();
-                    Err("assign refused".into())
-                }
-            },
-            Err(e) => {
-                self.mark_down();
-                Err(format!("assign: {e}"))
-            }
-        }
+        self.backoff.reset();
+        Ok(())
     }
 
     /// One raw round-trip on the socket with a real-time read deadline.
@@ -398,51 +370,6 @@ impl ShardWorker for ProcWorker {
 
     fn last_restart_ms(&self) -> Option<u64> {
         self.last_restart.map(|t| t.elapsed().as_millis() as u64)
-    }
-
-    fn supports_hedge(&self) -> bool {
-        true
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        if self.state == WorkerState::Down {
-            return Err("worker_down".into());
-        }
-        let Some(conn) = &mut self.conn else {
-            return Err("worker_down".into());
-        };
-        match conn.send_line(line) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.mark_down();
-                Err(e)
-            }
-        }
-    }
-
-    fn recv(&mut self, timeout_ms: u64) -> Result<String, String> {
-        let Some(conn) = &mut self.conn else {
-            return Err("worker_down".into());
-        };
-        match conn.recv_line(timeout_ms) {
-            Ok(resp) => {
-                self.last_ok = Instant::now();
-                Ok(resp)
-            }
-            // A soft miss keeps the connection (and any partial bytes) —
-            // the router polls again; hard errors tear it down.
-            Err(e) if e == "rpc_timeout" => Err(e),
-            Err(e) => {
-                self.mark_down();
-                Err(e)
-            }
-        }
-    }
-
-    fn abandon(&mut self) {
-        if let Some(conn) = &mut self.conn {
-            conn.stale += 1;
-        }
     }
 
     fn settle(&mut self, grace_ms: u64) {
@@ -580,17 +507,5 @@ mod tests {
         b.write_all(b"\"ok\":true}\n").unwrap();
         let line = conn.recv_line(5_000).unwrap();
         assert_eq!(line, "{\"type\":\"ack\",\"ok\":true}", "partial bytes were dropped");
-    }
-
-    #[test]
-    fn stale_responses_are_skipped_after_an_abandon() {
-        use std::io::Write as _;
-        let (a, mut b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a).unwrap();
-        // Two responses in flight; the first request was abandoned.
-        conn.stale = 1;
-        b.write_all(b"{\"stale\":true}\n{\"fresh\":true}\n").unwrap();
-        let line = conn.recv_line(5_000).unwrap();
-        assert_eq!(line, "{\"fresh\":true}", "the abandoned reply must be skipped");
     }
 }

@@ -1,8 +1,8 @@
-//! End-to-end tests for the sharded cluster runtime (DESIGN.md §13):
-//! scatter/gather byte-identity against a solo server, partial degradation
-//! with widened-σ persistence slices, typed worker-refusal propagation,
-//! two-phase cluster reload (commit bumps every worker's cache generation,
-//! abort bumps none), aggregate health, and the worker-side protocol.
+//! End-to-end tests for the sample-sharded cluster runtime (DESIGN.md §13):
+//! byte-identity against a solo server, a lost shard as fewer samples, the
+//! solo fallback ladder when too few passes come back, two-phase cluster
+//! reload (commit bumps every worker's cache generation, abort bumps none),
+//! aggregate health, replica failover and fault injection.
 //!
 //! Everything runs on the fake clock, with in-process workers (the router's
 //! [`InProcWorker`] plus scripted fakes), so every byte here is a pure
@@ -13,12 +13,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_serve::json::{self, Json};
-use stuq_serve::proto::{strip_batch_meta, strip_cluster_meta};
+use stuq_serve::proto::strip_cluster_meta;
 use stuq_serve::router::{
     router_loop, InProcWorker, Router, RouterConfig, ShardWorker, SupEvent, WorkerState,
 };
 use stuq_serve::shard::ShardMap;
-use stuq_serve::{reload, ServeConfig, Server};
+use stuq_serve::{reload, serve_loop, ServeConfig, Server};
 use stuq_traffic::{Preset, Split};
 
 struct Fx {
@@ -78,15 +78,17 @@ enum Mode {
     Live,
     /// Fail the next call at the transport layer (then stay down).
     KillOnCall,
-    /// Answer every forecast with a typed `queue_full` refusal.
-    RejectForecasts,
+    /// Answer every `passes` request with a typed refusal instead.
+    RefusePasses,
+    /// Answer every `passes` request as if from another model version.
+    Skew,
     /// Refuse `prepare_reload` (disk full), pass everything else through.
     NackPrepare,
 }
 
 /// An [`InProcWorker`] with a test-controlled failure mode. Control
-/// requests (`assign`, reload phases) stay live unless the mode says
-/// otherwise, so the topology always assembles cleanly.
+/// requests (pings, reload phases) stay live unless the mode says
+/// otherwise.
 struct ScriptedWorker {
     inner: InProcWorker,
     mode: Arc<Mutex<Mode>>,
@@ -110,8 +112,13 @@ impl ShardWorker for ScriptedWorker {
                 self.down = true;
                 Err("rpc_timeout".into())
             }
-            Mode::RejectForecasts if line.contains("\"type\":\"forecast\"") => {
+            Mode::RefusePasses if line.contains("\"type\":\"passes\"") => {
                 Ok("{\"type\":\"rejected\",\"reason\":\"queue_full\"}".into())
+            }
+            Mode::Skew if line.contains("\"type\":\"passes\"") => {
+                let resp = self.inner.call(line, timeout_ms)?;
+                let at = resp.find("\"model\":\"").expect("passes carry the model") + 9;
+                Ok(format!("{}x{}", &resp[..at], &resp[at..]))
             }
             Mode::NackPrepare if line.contains("\"type\":\"prepare_reload\"") => {
                 Ok("{\"type\":\"ack\",\"action\":\"prepare_reload\",\"ok\":false,\
@@ -147,14 +154,26 @@ fn cluster(
     f: &Fx,
     shards: usize,
 ) -> (Router, Vec<Arc<Mutex<Mode>>>, Vec<Arc<Mutex<Server>>>) {
-    let mut rcfg = RouterConfig::new(cfg_for(model, f));
+    cluster_with(cfg_for(model, f), shards, 1)
+}
+
+/// [`cluster`] over `shards × replicas` workers (shard-major), the router
+/// and every worker configured by `cfg`.
+#[allow(clippy::type_complexity)]
+fn cluster_with(
+    cfg: ServeConfig,
+    shards: usize,
+    replicas: usize,
+) -> (Router, Vec<Arc<Mutex<Mode>>>, Vec<Arc<Mutex<Server>>>) {
+    let mut rcfg = RouterConfig::new(cfg.clone());
     rcfg.shards = shards;
+    rcfg.replicas = replicas;
     let mut modes = Vec::new();
     let mut handles = Vec::new();
-    let workers: Vec<Box<dyn ShardWorker>> = (0..shards)
+    let workers: Vec<Box<dyn ShardWorker>> = (0..shards * replicas)
         .map(|_| {
             let mode = Arc::new(Mutex::new(Mode::Live));
-            let w = ScriptedWorker::new(Server::new(cfg_for(model, f)).unwrap(), Arc::clone(&mode));
+            let w = ScriptedWorker::new(Server::new(cfg.clone()).unwrap(), Arc::clone(&mode));
             modes.push(mode);
             handles.push(w.inner.shared());
             Box::new(w) as Box<dyn ShardWorker>
@@ -175,9 +194,20 @@ fn forecast_line(
     nodes: Option<&[usize]>,
     horizon: Option<usize>,
 ) -> String {
+    forecast_line_with(f, id, seed.map(|s| format!(",\"seed\":{s}")), nodes, horizon)
+}
+
+/// [`forecast_line`] with any extra fields (`,"tick":3`, `,"seed":9`…).
+fn forecast_line_with(
+    f: &Fx,
+    id: &str,
+    extra: Option<String>,
+    nodes: Option<&[usize]>,
+    horizon: Option<usize>,
+) -> String {
     let mut s = format!("{{\"type\":\"forecast\",\"id\":\"{id}\"");
-    if let Some(seed) = seed {
-        s.push_str(&format!(",\"seed\":{seed}"));
+    if let Some(extra) = extra {
+        s.push_str(&extra);
     }
     if let Some(h) = horizon {
         s.push_str(&format!(",\"horizon\":{h}"));
@@ -230,61 +260,93 @@ fn matrix(v: &Json, key: &str) -> Vec<f64> {
         .collect()
 }
 
-/// The `shards` annotation array as `(shard, status, reason)` triples.
-fn shard_notes(v: &Json) -> Vec<(u64, String, String)> {
-    let arr = v.get("shards").and_then(Json::as_arr).expect("shards array");
-    arr.iter()
-        .map(|n| {
-            (
-                n.get("shard").and_then(Json::as_u64).expect("shard id"),
-                str_field(n, "status"),
-                str_field(n, "reason"),
-            )
-        })
-        .collect()
+fn uint(v: &Json, key: &str) -> u64 {
+    v.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("missing uint {key}"))
 }
 
 // ---------------------------------------------------------------------------
-// Scatter/gather byte identity
+// Byte identity with a solo server
 // ---------------------------------------------------------------------------
 
 #[test]
 fn merged_responses_match_a_solo_server_byte_for_byte() {
     let f = fx();
-    let (mut router, _, _) = cluster(&f.model, f, 3);
-    let mut solo = Server::new(cfg_for(&f.model, f)).unwrap();
     let n = f.n_nodes;
-    let cross_shard = [0usize, n / 2, n - 1];
-    let one_shard = [0usize, 1];
-    let cases: Vec<String> = vec![
+    let cross = [n - 1, 0, n / 2];
+    let head = [0usize, 1];
+    let lines: Vec<String> = vec![
         forecast_line(f, "full", Some(42), None, None),
-        forecast_line(f, "cross", Some(43), Some(&cross_shard), None),
-        forecast_line(f, "one", Some(44), Some(&one_shard), None),
-        forecast_line(f, "short", Some(45), None, Some(f.horizon - 1)),
+        forecast_line(f, "nodes", Some(43), Some(&cross), None),
+        forecast_line(f, "short", Some(44), None, Some(f.horizon - 1)),
+        forecast_line(f, "both", Some(45), Some(&head), Some(2)),
+        forecast_line(f, "seedless-a", None, None, None),
+        forecast_line(f, "seedless-b", None, Some(&cross), None),
+        forecast_line_with(f, "tick", Some(",\"tick\":7".into()), None, None),
     ];
-    for line in &cases {
-        let merged = router.handle_line(line).response;
-        let solo_resp = solo.handle_line(line).response;
-        let v = parsed(&merged);
-        assert_eq!(ty(&v), "forecast", "{merged}");
-        assert!(
-            matches!(v.get("partial"), Some(Json::Bool(false))),
-            "healthy cluster must not be partial: {merged}"
-        );
-        assert!(v.get("shards").is_none(), "no shards array on a clean merge");
-        assert_eq!(
-            strip_cluster_meta(&merged),
-            strip_batch_meta(&solo_resp),
-            "router merge diverged from the solo server"
-        );
+    // Every shard count against every sample count — mc < S included, where
+    // some shards own an empty range and get no RPC.
+    for shards in 1..=3 {
+        for replicas in 1..=2 {
+            for mc in [1usize, 2, 3, 10] {
+                let mut cfg = cfg_for(&f.model, f);
+                cfg.mc_samples = Some(mc);
+                let (mut router, _, _) = cluster_with(cfg.clone(), shards, replicas);
+                let mut solo = Server::new(cfg).unwrap();
+                for line in &lines {
+                    let merged = router.handle_line(line).response;
+                    let want = solo.handle_line(line).response;
+                    let v = parsed(&merged);
+                    let tag = format!("S={shards} R={replicas} mc={mc}");
+                    assert_eq!(ty(&v), "forecast", "{tag}: {merged}");
+                    assert_eq!(uint(&v, "samples_used"), mc as u64, "{tag}: {merged}");
+                    assert_eq!(
+                        strip_cluster_meta(&merged),
+                        strip_cluster_meta(&want),
+                        "{tag}: router diverged from the solo server"
+                    );
+                }
+            }
+        }
+    }
+
+    // A coalescing, caching router against a solo server with the same
+    // configuration, both driven through their loops on the fake clock:
+    // same-tick bursts coalesce, and repeats are answered from the cache.
+    let mut cfg = cfg_for(&f.model, f);
+    cfg.batch_max = 3;
+    cfg.cache_ttl_ms = 100_000;
+    cfg.max_queue = 100;
+    let mut input = String::new();
+    for i in 0..9 {
+        let extra = format!(",\"tick\":{}", i / 3 % 2);
+        input.push_str(&forecast_line_with(f, &format!("b{i}"), Some(extra), None, None));
+        input.push('\n');
+    }
+    let run = |cluster: bool| {
+        let sink = Responses::default();
+        let reader = std::io::Cursor::new(input.clone().into_bytes());
+        if cluster {
+            let (mut router, _, _) = cluster_with(cfg.clone(), 2, 1);
+            router_loop(&mut router, reader, sink.clone());
+        } else {
+            serve_loop(&mut Server::new(cfg.clone()).unwrap(), reader, sink.clone());
+        }
+        sink.text()
+    };
+    let (routed, solo) = (run(true), run(false));
+    assert!(routed.contains("\"batched\":true,\"batch_size\":3"), "{routed}");
+    assert!(routed.contains("\"cache_hit\":true"), "{routed}");
+    assert_eq!(routed.lines().count(), 9);
+    for (a, b) in routed.lines().zip(solo.lines()) {
+        assert_eq!(strip_cluster_meta(a), strip_cluster_meta(b), "batched router diverged");
     }
 }
 
 #[test]
 fn seedless_requests_are_pinned_deterministically_at_the_router() {
-    // A seedless, tickless request gets an explicit seed derived from the
-    // router seed and arrival index — so a rerun reproduces it exactly,
-    // and consecutive arrivals still differ.
+    // A seedless, tickless request forks its RNG from the router seed and
+    // arrival index — so a rerun reproduces it exactly, and consecutive
+    // arrivals still differ.
     let f = fx();
     let line = forecast_line(f, "s", None, None, None);
     let run = |_: usize| {
@@ -303,101 +365,103 @@ fn seedless_requests_are_pinned_deterministically_at_the_router() {
 }
 
 // ---------------------------------------------------------------------------
-// Partial degradation
+// Lost shards: fewer samples, then the solo ladder
 // ---------------------------------------------------------------------------
 
 #[test]
-fn dead_shard_degrades_to_widened_persistence_and_partial_flag() {
+fn dead_shard_costs_its_sample_range_and_replays_byte_identically() {
     let f = fx();
-    let (mut router, modes, _) = cluster(&f.model, f, 3);
-    let cfg = cfg_for(&f.model, f);
-    let range = ShardMap::new(f.n_nodes, 3).range(1);
-    let h = f.horizon;
-
-    // Warmup: all shards live; remember shard 1's slice σ.
-    let warm = router.handle_line(&forecast_line(f, "w", Some(9), None, None)).response;
-    let vw = parsed(&warm);
-    assert!(matches!(vw.get("partial"), Some(Json::Bool(false))));
-    let sig_w = matrix(&vw, "sigma");
-    let mut mean = 0.0f32;
-    for node in range.clone() {
-        for t in 0..h {
-            mean += sig_w[node * h + t] as f32;
-        }
-    }
-    mean /= (range.len() * h) as f32;
-
-    // Kill shard 1 at the transport layer; same request again.
-    *modes[1].lock().unwrap() = Mode::KillOnCall;
-    let resp = router.handle_line(&forecast_line(f, "p", Some(9), None, None)).response;
-    let v = parsed(&resp);
-    assert_eq!(ty(&v), "forecast");
-    assert!(matches!(v.get("partial"), Some(Json::Bool(true))), "{resp}");
-    let notes = shard_notes(&v);
-    assert_eq!(notes, vec![(1, "fallback".into(), "worker_down".into())]);
-
-    // Dead slice: persistence μ (last input row) with widened σ; live
-    // slices are byte-for-byte what the warmup produced.
-    let mu = matrix(&v, "mu");
-    let sigma = matrix(&v, "sigma");
-    let widened = cfg.widen_factor * mean;
-    let last = &f.x_rows[f.x_rows.len() - 1];
-    for node in 0..f.n_nodes {
-        for t in 0..h {
-            if range.contains(&node) {
-                assert_eq!(mu[node * h + t] as f32, last[node], "persistence μ at node {node}");
-                assert_eq!(sigma[node * h + t] as f32, widened, "widened σ at node {node}");
-            } else {
-                assert_eq!(mu[node * h + t], matrix(&vw, "mu")[node * h + t]);
-                assert_eq!(sigma[node * h + t], sig_w[node * h + t]);
+    let mc = 6usize; // cfg_for's sample count: ranges 0..2 | 2..4 | 4..6
+    let healthy = {
+        let (mut router, _, _) = cluster(&f.model, f, 3);
+        router.handle_line(&forecast_line(f, "h", Some(9), None, None)).response
+    };
+    let sig_h = matrix(&parsed(&healthy), "sigma");
+    for dead in 0..3 {
+        let run = || {
+            let (mut router, modes, _) = cluster(&f.model, f, 3);
+            *modes[dead].lock().unwrap() = Mode::KillOnCall;
+            let out: Vec<String> = (0..2)
+                .map(|i| router.handle_line(&forecast_line(f, "d", Some(9 + i), None, None)))
+                .map(|o| o.response)
+                .collect();
+            out
+        };
+        let first = run();
+        assert_eq!(first, run(), "shard {dead} down: degraded bytes must replay identically");
+        let v = parsed(&first[0]);
+        assert_eq!(ty(&v), "forecast", "{}", first[0]);
+        assert!(matches!(v.get("degraded"), Some(Json::Bool(true))), "{}", first[0]);
+        let lost = ShardMap::new(3).range(dead, mc).len() as u64;
+        assert_eq!(uint(&v, "samples_used"), mc as u64 - lost, "shard {dead} down");
+        assert_eq!(uint(&v, "samples_requested"), mc as u64);
+        let infl = v.get("variance_inflation").and_then(Json::as_f64).unwrap();
+        assert!((infl - mc as f64 / (mc as u64 - lost) as f64).abs() < 1e-6);
+        // With the last shard lost the survivors are a prefix of the healthy
+        // run's passes — exactly a deadline cut — so the monotone envelope
+        // guarantees σ never narrows. A lost earlier range leaves a
+        // different pass set, whose σ no survivor-only rule can bound: every
+        // prefix of the healthy run contains the lost passes.
+        if dead == 2 {
+            let sig = matrix(&v, "sigma");
+            for (k, (d, h)) in sig.iter().zip(&sig_h).enumerate() {
+                assert!(d >= h, "losing the last range narrowed σ at cell {k}: {d} < {h}");
             }
         }
     }
 }
 
 #[test]
-fn partial_responses_replay_byte_identically() {
+fn all_shards_down_is_the_solo_fallback_ladder() {
     let f = fx();
-    let run = || {
-        let (mut router, modes, _) = cluster(&f.model, f, 3);
-        let mut out = Vec::new();
-        out.push(router.handle_line(&forecast_line(f, "a", Some(3), None, None)).response);
-        *modes[2].lock().unwrap() = Mode::KillOnCall;
-        out.push(router.handle_line(&forecast_line(f, "b", Some(4), None, None)).response);
-        out.push(router.handle_line(&forecast_line(f, "c", Some(5), None, None)).response);
-        out.push(router.handle_line("{\"type\":\"healthz\",\"id\":\"h\"}").response);
-        out
+    let cfg = cfg_for(&f.model, f);
+    let probe = |id: &str| forecast_line(f, id, Some(5), None, None);
+    // Dead, refusing and version-skewed shards all contribute nothing.
+    let break_all = |modes: &[Arc<Mutex<Mode>>]| {
+        for (m, mode) in modes.iter().zip([Mode::KillOnCall, Mode::RefusePasses, Mode::Skew]) {
+            *m.lock().unwrap() = mode;
+        }
     };
-    let first = run();
-    let second = run();
-    assert_eq!(first, second, "degraded byte stream must be a pure function of the inputs");
-    assert!(first[1].contains("\"partial\":true"), "{}", first[1]);
-    assert!(first[1].contains("\"worker_down\""), "{}", first[1]);
-}
 
-#[test]
-fn worker_refusals_surface_typed_with_the_shard_id() {
-    let f = fx();
-    // No fallback history yet: a refusing shard kills the whole request
-    // with its typed reason and shard id — never silent zeros.
+    // No healthy history yet: a typed rejection, never silent zeros. The
+    // reason is the first lost range's.
     let (mut router, modes, _) = cluster(&f.model, f, 3);
-    *modes[2].lock().unwrap() = Mode::RejectForecasts;
-    let resp = router.handle_line(&forecast_line(f, "r0", Some(6), None, None)).response;
-    let v = parsed(&resp);
+    break_all(&modes);
+    let v = parsed(&router.handle_line(&probe("r0")).response);
     assert_eq!(ty(&v), "rejected");
-    assert_eq!(str_field(&v, "reason"), "queue_full", "worker reason must not be flattened");
-    assert_eq!(v.get("shard").and_then(Json::as_u64), Some(2));
+    assert_eq!(str_field(&v, "reason"), "rpc_timeout");
 
-    // With history the refusal degrades that slice only, reason intact.
+    // With history: the solo persistence fallback, σ widened from the last
+    // healthy response's mean.
     let (mut router, modes, _) = cluster(&f.model, f, 3);
-    let warm = router.handle_line(&forecast_line(f, "r1", Some(6), None, None)).response;
-    assert_eq!(ty(&parsed(&warm)), "forecast");
-    *modes[2].lock().unwrap() = Mode::RejectForecasts;
-    let resp = router.handle_line(&forecast_line(f, "r2", Some(7), None, None)).response;
+    let warm = parsed(&router.handle_line(&probe("w")).response);
+    assert_eq!(ty(&warm), "forecast");
+    let sig_w = matrix(&warm, "sigma");
+    let mean = sig_w.iter().map(|&s| s as f32).sum::<f32>() / sig_w.len() as f32;
+    break_all(&modes);
+    let resp = router.handle_line(&probe("f")).response;
     let v = parsed(&resp);
-    assert_eq!(ty(&v), "forecast");
-    assert!(matches!(v.get("partial"), Some(Json::Bool(true))));
-    assert_eq!(shard_notes(&v), vec![(2, "fallback".into(), "queue_full".into())]);
+    assert_eq!(ty(&v), "fallback", "{resp}");
+    assert_eq!(str_field(&v, "reason"), "rpc_timeout");
+    let (mu, sigma) = (matrix(&v, "mu"), matrix(&v, "sigma"));
+    let last = &f.x_rows[f.x_rows.len() - 1];
+    for (node, &x_last) in last.iter().enumerate() {
+        for t in 0..f.horizon {
+            let k = node * f.horizon + t;
+            assert_eq!(mu[k] as f32, x_last, "persistence μ at node {node}");
+            assert_eq!(sigma[k] as f32, cfg.widen_factor * mean, "widened σ at node {node}");
+        }
+    }
+    // Fewer passes than the floor is the same ladder: with two of three
+    // shards gone only 2 of 6 passes remain, under a floor of 3.
+    let mut cfg3 = cfg.clone();
+    cfg3.floor = 3;
+    let (mut router, modes, _) = cluster_with(cfg3, 3, 1);
+    let _ = router.handle_line(&probe("w"));
+    *modes[0].lock().unwrap() = Mode::KillOnCall;
+    *modes[2].lock().unwrap() = Mode::Skew;
+    let v = parsed(&router.handle_line(&probe("f")).response);
+    assert_eq!(ty(&v), "fallback");
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +512,7 @@ fn committed_reload_bumps_every_worker_cache_generation() {
     let v = parsed(&resp);
     assert_eq!(ty(&v), "forecast");
     assert_eq!(str_field(&v, "model"), new_ck);
-    assert!(matches!(v.get("partial"), Some(Json::Bool(false))), "{resp}");
+    assert!(matches!(v.get("degraded"), Some(Json::Bool(false))), "{resp}");
 }
 
 #[test]
@@ -578,8 +642,6 @@ impl ShardWorker for FixedMetricsWorker {
             }
             out.push_str("}}");
             Ok(out)
-        } else if line.contains("\"type\":\"assign\"") {
-            Ok("{\"type\":\"ack\",\"action\":\"assign\",\"ok\":true}".into())
         } else {
             Ok("{\"type\":\"ack\",\"action\":\"noop\",\"ok\":true}".into())
         }
@@ -652,47 +714,12 @@ fn cluster_metrics_merge_sums_worker_counters_exactly() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn worker_assignment_guards_its_node_range() {
-    let f = fx();
-    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
-    let range = ShardMap::new(f.n_nodes, 3).range(1);
-
-    let ack = parsed(&srv.handle_line("{\"type\":\"assign\",\"shard\":1,\"shards\":3}").response);
-    assert_eq!(ty(&ack), "ack");
-    assert!(matches!(ack.get("ok"), Some(Json::Bool(true))));
-    assert_eq!(ack.get("node_lo").and_then(Json::as_u64), Some(range.start as u64));
-    assert_eq!(ack.get("node_hi").and_then(Json::as_u64), Some(range.end as u64));
-
-    // A node the shard does not own is a loud shape_mismatch, not a wrong
-    // answer (the out-of-shard node 0 belongs to shard 0).
-    let resp = srv.handle_line(&forecast_line(f, "guard", Some(30), Some(&[0]), None)).response;
-    let v = parsed(&resp);
-    assert_eq!(ty(&v), "error");
-    assert_eq!(str_field(&v, "reason"), "shape_mismatch");
-    assert!(str_field(&v, "detail").contains("not owned by shard 1"), "{resp}");
-
-    // Owned nodes still serve.
-    let owned = [range.start];
-    let resp = srv.handle_line(&forecast_line(f, "ok", Some(31), Some(&owned), None)).response;
-    assert_eq!(ty(&parsed(&resp)), "forecast");
-
-    // A shard index beyond the declared count dies at the parser.
-    let v = parsed(&srv.handle_line("{\"type\":\"assign\",\"shard\":9,\"shards\":3}").response);
-    assert_eq!(ty(&v), "error");
-    // One that only the clamped map (shards > nodes) invalidates is a
-    // typed nack from the handler.
-    let line = "{\"type\":\"assign\",\"shard\":999,\"shards\":1000}";
-    let ack = parsed(&srv.handle_line(line).response);
-    assert_eq!(ty(&ack), "ack");
-    assert!(matches!(ack.get("ok"), Some(Json::Bool(false))));
-}
-
-#[test]
 fn router_refuses_cluster_internal_requests_from_clients() {
     let f = fx();
     let (mut router, _, _) = cluster(&f.model, f, 3);
     for line in [
-        "{\"type\":\"assign\",\"id\":\"x\",\"shard\":0,\"shards\":3}",
+        "{\"type\":\"passes\",\"id\":\"x\",\"n\":2,\"lo\":0,\"hi\":1,\
+         \"rng\":[\"0\",\"0\",\"0\",\"0\"],\"x\":[[1]]}",
         "{\"type\":\"prepare_reload\",\"id\":\"x\"}",
         "{\"type\":\"commit_reload\",\"id\":\"x\"}",
         "{\"type\":\"abort_reload\",\"id\":\"x\"}",
@@ -705,15 +732,13 @@ fn router_refuses_cluster_internal_requests_from_clients() {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated shards: failover, hedging, fault injection (DESIGN.md §16)
+// Replicated shards: failover, fault injection (DESIGN.md §16)
 // ---------------------------------------------------------------------------
-
-use std::time::Duration;
 
 use stuq_serve::faultnet::{self, FaultNet, Profile};
 
 /// Serializes the tests below: they are the only ones incrementing the
-/// failover/hedge/faultnet counters, but those counters are process-global,
+/// failover/faultnet counters, but those counters are process-global,
 /// so exact-delta assertions must not overlap.
 fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -773,33 +798,37 @@ fn replica_failover_keeps_full_fidelity_and_replays_byte_identically() {
     let run = || {
         let (mut router, modes) = replicated(&f.model, f, 3, 2, 100, None);
         // Kill shard 1's replica 0 at the transport layer; replica 1 keeps
-        // serving the slice whenever the chain reaches it.
-        let dead = ShardMap::replicated(f.n_nodes, 3, 2).worker_index(1, 0);
+        // serving the range whenever the chain reaches it.
+        let dead = ShardMap::replicated(3, 2).worker_index(1, 0);
         *modes[dead].lock().unwrap() = Mode::KillOnCall;
-        lines.iter().map(|l| router.handle_line(l).response).collect::<Vec<_>>()
+        lines
+            .iter()
+            .map(|l| {
+                let before = counter("stuq_cluster_failover_total");
+                let resp = router.handle_line(l).response;
+                (resp, counter("stuq_cluster_failover_total") - before)
+            })
+            .collect::<Vec<_>>()
     };
     let first = run();
     let second = run();
     assert_eq!(first, second, "failover routing must be a pure function of the session seed");
-    for (merged, solo_resp) in first.iter().zip(&solo_resps) {
+    for ((merged, _), solo_resp) in first.iter().zip(&solo_resps) {
         let v = parsed(merged);
         assert_eq!(ty(&v), "forecast", "{merged}");
-        assert!(
-            matches!(v.get("partial"), Some(Json::Bool(false))),
-            "one dead replica must never degrade fidelity: {merged}"
-        );
         assert_eq!(
             strip_cluster_meta(merged),
-            strip_batch_meta(solo_resp),
-            "failover merge diverged from the solo server"
+            strip_cluster_meta(solo_resp),
+            "one dead replica must never change the response"
         );
     }
     // The seeded primary selection must route some (not all) arrivals to
-    // the dead replica first — those carry the failover annotation.
-    let annotated = first.iter().filter(|m| m.contains("\"attempts\":[")).count();
+    // the dead replica first — each of those fails over exactly once.
+    let failed_over = first.iter().filter(|(_, hops)| *hops == 1).count();
+    assert!(first.iter().all(|(_, hops)| *hops <= 1));
     assert!(
-        annotated >= 1 && annotated < first.len(),
-        "expected a mix of clean and failed-over arrivals, got {annotated}/{}",
+        failed_over >= 1 && failed_over < first.len(),
+        "expected a mix of clean and failed-over arrivals, got {failed_over}/{}",
         first.len()
     );
 }
@@ -828,12 +857,12 @@ fn healthz_reports_per_replica_state_and_shard_fidelity() {
 
     // Kill shard 0 / replica 1. The shard stays up and serviceable on its
     // sibling, but its redundancy is gone: fidelity degrades while the
-    // response fidelity (partial flag) does not.
+    // responses do not.
     *modes[1].lock().unwrap() = Mode::KillOnCall;
     for i in 0..8u64 {
         let resp =
             router.handle_line(&forecast_line(f, &format!("hz{i}"), Some(80 + i), None, None));
-        assert!(resp.response.contains("\"partial\":false"), "{}", resp.response);
+        assert!(resp.response.contains("\"degraded\":false"), "{}", resp.response);
     }
     let v = hz(&mut router);
     assert_eq!(str_field(&v, "status"), "degraded");
@@ -868,7 +897,9 @@ fn faultnet_injection_counts_match_the_scripted_plan_exactly() {
     // Walk arrivals, reading the next primary from healthz (which does not
     // consume an arrival) and replaying the published fault plan alongside:
     // the victim's RPC index advances only when the chain actually reaches
-    // it, and every injected drop is exactly one failover.
+    // it, and every injected drop is exactly one failover. One shard owns
+    // every pass, so each arrival is one range RPC.
+    let mut solo = Server::new(cfg_for(&f.model, f)).unwrap();
     let (mut exp_inj, mut exp_fo, mut rpc_idx) = (0u64, 0u64, 0u64);
     for i in 0..10u64 {
         let hz = parsed(&router.handle_line("{\"type\":\"healthz\"}").response);
@@ -888,134 +919,23 @@ fn faultnet_injection_counts_match_the_scripted_plan_exactly() {
                 exp_fo += 1;
             }
         }
-        let resp =
-            router.handle_line(&forecast_line(f, &format!("p{i}"), Some(200 + i), None, None));
-        let v = parsed(&resp.response);
-        assert_eq!(ty(&v), "forecast", "{}", resp.response);
-        assert!(
-            matches!(v.get("partial"), Some(Json::Bool(false))),
-            "an injected drop must fail over, not degrade: {}",
-            resp.response
+        let line = forecast_line(f, &format!("p{i}"), Some(200 + i), None, None);
+        let before = counter("stuq_cluster_failover_total");
+        let resp = router.handle_line(&line).response;
+        assert_eq!(
+            strip_cluster_meta(&resp),
+            strip_cluster_meta(&solo.handle_line(&line).response),
+            "an injected drop must fail over, not degrade"
         );
         assert_eq!(
-            resp.response.contains("\"attempts\":["),
-            dropped,
-            "failover annotation must track the plan at arrival {i}: {}",
-            resp.response
+            counter("stuq_cluster_failover_total") - before,
+            u64::from(dropped),
+            "failovers must track the plan at arrival {i}"
         );
     }
     assert!(exp_inj > 0, "the plan never fired over 10 arrivals — wrong key?");
     assert_eq!(counter("faultnet_injected_total") - base_inj, exp_inj, "injection counter");
     assert_eq!(counter("stuq_cluster_failover_total") - base_fo, exp_fo, "failover counter");
-}
-
-/// A hedge-capable transport whose replies are computed immediately but
-/// withheld for a scripted stall — the slow-replica shape hedging exists
-/// for, on the real clock.
-struct SlowWorker {
-    inner: InProcWorker,
-    stall_ms: Arc<Mutex<u64>>,
-    pending: Option<(std::time::Instant, String)>,
-}
-
-impl ShardWorker for SlowWorker {
-    fn call(&mut self, line: &str, timeout_ms: u64) -> Result<String, String> {
-        self.inner.call(line, timeout_ms)
-    }
-
-    fn state(&self) -> WorkerState {
-        WorkerState::Up
-    }
-
-    fn fail(&mut self, _reason: &str) {}
-
-    fn tick(&mut self) -> Vec<SupEvent> {
-        Vec::new()
-    }
-
-    fn supports_hedge(&self) -> bool {
-        true
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        let resp = self.inner.call(line, 10_000)?;
-        let stall = Duration::from_millis(*self.stall_ms.lock().unwrap());
-        self.pending = Some((std::time::Instant::now() + stall, resp));
-        Ok(())
-    }
-
-    fn recv(&mut self, timeout_ms: u64) -> Result<String, String> {
-        let deadline = std::time::Instant::now() + Duration::from_millis(timeout_ms);
-        let Some((ready, _)) = &self.pending else {
-            return Err("eof".into());
-        };
-        if *ready <= deadline {
-            let wait = ready.saturating_duration_since(std::time::Instant::now());
-            std::thread::sleep(wait);
-            Ok(self.pending.take().expect("pending reply").1)
-        } else {
-            std::thread::sleep(deadline.saturating_duration_since(std::time::Instant::now()));
-            Err("rpc_timeout".into())
-        }
-    }
-
-    fn abandon(&mut self) {
-        self.pending = None;
-    }
-}
-
-#[test]
-fn hedged_requests_let_a_fast_sibling_win_over_a_stalled_primary() {
-    let f = fx();
-    let _g = counter_lock();
-    // Hedging is real-clock only — a fake clock would make the race a
-    // nondeterminism hazard, so the router refuses to hedge under one.
-    let mut cfg = cfg_for(&f.model, f);
-    cfg.fake_clock_step_ms = None;
-    let mut rcfg = RouterConfig::new(cfg);
-    rcfg.shards = 1;
-    rcfg.replicas = 2;
-    rcfg.hedge_ms = Some(20);
-    let stalls: Vec<Arc<Mutex<u64>>> = (0..2).map(|_| Arc::new(Mutex::new(0u64))).collect();
-    let workers: Vec<Box<dyn ShardWorker>> = stalls
-        .iter()
-        .map(|stall| {
-            let mut c = cfg_for(&f.model, f);
-            c.fake_clock_step_ms = None;
-            Box::new(SlowWorker {
-                inner: InProcWorker::new(Server::new(c).unwrap()),
-                stall_ms: Arc::clone(stall),
-                pending: None,
-            }) as Box<dyn ShardWorker>
-        })
-        .collect();
-    let mut router = Router::new(rcfg, workers).unwrap();
-
-    // Learn which replica the first arrival will pick, then stall exactly
-    // that one far past the hedge delay.
-    let hz = parsed(&router.handle_line("{\"type\":\"healthz\"}").response);
-    let detail = hz.get("detail").and_then(Json::as_arr).expect("detail");
-    let reps = detail[0].get("replicas").and_then(Json::as_arr).expect("replicas");
-    let primary = reps
-        .iter()
-        .find(|r| str_field(r, "role") == "primary")
-        .and_then(|r| r.get("replica").and_then(Json::as_u64))
-        .expect("primary replica") as usize;
-    *stalls[primary].lock().unwrap() = 5_000;
-
-    let base = counter("stuq_cluster_hedge_won_total");
-    let resp = router.handle_line(&forecast_line(f, "hedge", Some(5), None, None)).response;
-    let v = parsed(&resp);
-    assert_eq!(ty(&v), "forecast", "{resp}");
-    assert!(
-        matches!(v.get("partial"), Some(Json::Bool(false))),
-        "a hedge win is full fidelity: {resp}"
-    );
-    assert!(
-        !resp.contains("\"attempts\":["),
-        "a won hedge is not a failover — no attempts annotation: {resp}"
-    );
-    assert_eq!(counter("stuq_cluster_hedge_won_total") - base, 1, "exactly one hedge win");
 }
 
 /// A response sink that wakes whoever waits for a number of lines.
