@@ -110,6 +110,43 @@ mod tests {
     }
 
     #[test]
+    fn scatter_full_grid_covers_every_position() {
+        // Every pass of every (n, S, R) on a small grid is scattered to
+        // exactly the shard whose range holds it, in pass order.
+        for shards in 1..=8 {
+            for replicas in 1..=3 {
+                let map = ShardMap::replicated(shards, replicas);
+                for n in 0..=40 {
+                    let mut next = 0;
+                    for (s, r) in map.scatter(n) {
+                        assert_eq!(r.start, next, "n={n} S={shards}: gap or overlap at shard {s}");
+                        for j in r.clone() {
+                            let owner = (0..shards).find(|&t| map.range(t, n).contains(&j));
+                            assert_eq!(owner, Some(s), "n={n} S={shards}: pass {j}");
+                        }
+                        next = r.end;
+                    }
+                    assert_eq!(next, n, "n={n} S={shards}: every pass scattered");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_count_clamps_to_node_count() {
+        // A forecast touches at most one shard per pass: with fewer passes
+        // than shards the empty ranges drop out, so the RPC count clamps to
+        // min(n, S). The shard count itself clamps to at least one.
+        for shards in 0..=6 {
+            let map = ShardMap::new(shards);
+            assert_eq!(map.n_shards(), shards.max(1));
+            for n in 0..=12 {
+                assert_eq!(map.scatter(n).count(), n.min(map.n_shards()), "n={n} S={shards}");
+            }
+        }
+    }
+
+    #[test]
     fn scatter_omits_untouched_shards() {
         // Fewer passes than shards: the empty ranges cost no RPC.
         let map = ShardMap::new(3);

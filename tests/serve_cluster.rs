@@ -412,6 +412,78 @@ fn dead_shard_costs_its_sample_range_and_replays_byte_identically() {
 }
 
 #[test]
+fn dead_shard_degrades_to_widened_persistence_and_partial_flag() {
+    // One dead shard whose range takes the survivors below the floor is the
+    // solo persistence fallback: the response says so by its type, and
+    // carries no cluster-only `partial` flag or per-shard block.
+    let f = fx();
+    let mut cfg = cfg_for(&f.model, f);
+    cfg.floor = 4; // two shards over 6 passes: losing either leaves 3
+    for dead in 0..2 {
+        let (mut router, modes, _) = cluster_with(cfg.clone(), 2, 1);
+        let warm = router.handle_line(&forecast_line(f, "w", Some(5), None, None)).response;
+        let sig_w = matrix(&parsed(&warm), "sigma");
+        let mean = sig_w.iter().map(|&s| s as f32).sum::<f32>() / sig_w.len() as f32;
+        *modes[dead].lock().unwrap() = Mode::KillOnCall;
+        let resp = router.handle_line(&forecast_line(f, "d", Some(5), None, None)).response;
+        let v = parsed(&resp);
+        assert_eq!(ty(&v), "fallback", "shard {dead} down: {resp}");
+        assert_eq!(str_field(&v, "reason"), "rpc_timeout");
+        for out in [&warm, &resp] {
+            assert!(!out.contains("\"partial\""), "no partial flag on the wire: {out}");
+            assert!(!out.contains("\"shards\""), "no per-shard block on the wire: {out}");
+        }
+        let (mu, sigma) = (matrix(&v, "mu"), matrix(&v, "sigma"));
+        let last = &f.x_rows[f.x_rows.len() - 1];
+        for (node, &x_last) in last.iter().enumerate() {
+            for t in 0..f.horizon {
+                let k = node * f.horizon + t;
+                assert_eq!(mu[k] as f32, x_last, "persistence μ at node {node}");
+                assert_eq!(sigma[k] as f32, cfg.widen_factor * mean, "widened σ at node {node}");
+            }
+        }
+    }
+}
+
+#[test]
+fn partial_responses_replay_byte_identically() {
+    // A request stream served through the router loop while one shard is
+    // dead: every forecast is short that shard's range (full grid, node
+    // subsets, horizon prefixes, seedless), and a rerun replays every byte.
+    let f = fx();
+    let n = f.n_nodes;
+    let cross = [n - 1, 0, n / 2];
+    let mut input = String::new();
+    for line in [
+        forecast_line(f, "full", Some(21), None, None),
+        forecast_line(f, "nodes", Some(22), Some(&cross), None),
+        forecast_line(f, "short", Some(23), None, Some(f.horizon - 1)),
+        forecast_line(f, "seedless", None, None, None),
+    ] {
+        input.push_str(&line);
+        input.push('\n');
+    }
+    let run = || {
+        let (mut router, modes, _) = cluster(&f.model, f, 3);
+        *modes[1].lock().unwrap() = Mode::KillOnCall;
+        let sink = Responses::default();
+        router_loop(&mut router, std::io::Cursor::new(input.clone().into_bytes()), sink.clone());
+        sink.text()
+    };
+    let first = run();
+    assert_eq!(first, run(), "sample-short responses must replay byte-identically");
+    assert_eq!(first.lines().count(), 4);
+    let lost = ShardMap::new(3).range(1, 6).len() as u64;
+    for line in first.lines() {
+        let v = parsed(line);
+        assert_eq!(ty(&v), "forecast", "{line}");
+        assert!(matches!(v.get("degraded"), Some(Json::Bool(true))), "{line}");
+        assert_eq!(uint(&v, "samples_used"), 6 - lost, "{line}");
+        assert!(!line.contains("\"partial\""), "no partial flag on the wire: {line}");
+    }
+}
+
+#[test]
 fn all_shards_down_is_the_solo_fallback_ladder() {
     let f = fx();
     let cfg = cfg_for(&f.model, f);
