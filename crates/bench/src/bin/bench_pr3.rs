@@ -1,31 +1,28 @@
 //! Machine-readable speedup record for the parallel training engine PR.
 //!
-//! Three workloads, each timed against the seed's serial baseline (still
-//! compiled in as the `*_reference` kernels and [`Tape::backward_serial`]):
+//! Two workloads, each timed against the seed's serial baseline (still
+//! compiled in as the `*_reference` kernels and `Tape::backward_serial`):
 //!
 //! - `matmul_tb`: the transposed-B product — now on the register-tiled
 //!   4×32 FMA path — vs the seed's one-dot-per-output reference;
-//! - `backward`: the reverse sweep over a real AGCRN training tape —
-//!   [`Tape::backward_levels`] (level-scheduled, pooled) vs
-//!   [`Tape::backward_serial`] (the seed walk);
 //! - `epoch`: one end-to-end training epoch (forward + backward + Adam step)
 //!   in seed / engine-serial / parallel configurations.
 //!
-//! Results go to `BENCH_PR3.json` in the current directory. The binary
-//! *asserts* the determinism contract — parallel gradients and epoch
-//! parameters bit-identical to serial, tiled `matmul_tb` within tolerance of
-//! its reference — and exits nonzero on divergence, which is what the CI
+//! The backward sweep on its own is timed by `bench_pr8` (replay vs the
+//! seed walk). Results go to `BENCH_PR3.json` in the current directory. The
+//! binary *asserts* the determinism contract — epoch parameters
+//! bit-identical to serial, tiled `matmul_tb` within tolerance of its
+//! reference — and exits nonzero on divergence, which is what the CI
 //! bench-smoke step relies on (`--quick` shortens the timing loops without
 //! weakening the checks).
 
 use std::fmt::Write as _;
 
-use deepstuq::trainer::{loss_node, train_epoch, LossKind};
+use deepstuq::trainer::{train_epoch, LossKind};
 use stuq_bench::timing::{bench_with, Sample};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster, HeadKind};
-use stuq_nn::layers::FwdCtx;
 use stuq_nn::opt::Adam;
-use stuq_tensor::{kernels, GradStore, StuqRng, Tape, Tensor};
+use stuq_tensor::{kernels, StuqRng, Tensor};
 use stuq_traffic::{Preset, SplitDataset};
 
 /// The three execution modes of one workload, plus derived ratios.
@@ -78,49 +75,6 @@ fn check_matmul_tb(m: usize, k: usize, n: usize) -> bool {
         let denom = x.abs().max(y.abs()).max(1.0);
         (x - y).abs() / denom <= 1e-4
     })
-}
-
-/// Records one full AGCRN training-loss tape (forward + combined loss) at
-/// Pems04Like scale, exactly the graph `sample_grad` walks every iteration.
-fn training_tape() -> (Tape, usize) {
-    let mut rng = StuqRng::new(0x404);
-    let cfg = AgcrnConfig::new(307, 12)
-        .with_capacity(32, 8, 2)
-        .with_dropout(0.1, 0.2)
-        .with_head(HeadKind::Gaussian);
-    let model = Agcrn::new(cfg, &mut rng);
-    let x = Tensor::randn(&[12, 307], 1.0, &mut rng);
-    let y = Tensor::randn(&[307, 12], 1.0, &mut rng);
-    let mut tape = Tape::new();
-    let mut ctx = FwdCtx::train(&mut rng);
-    let pred = model.forward(&mut tape, &x, &mut ctx);
-    let target = tape.constant(y);
-    let l = loss_node(&mut tape, &pred, target, LossKind::Combined { lambda: 0.1 })
-        .expect("gaussian head takes the combined loss");
-    (tape, l)
-}
-
-fn time_backward(tape: &Tape, l: usize, secs: f64, reps: usize) -> Triple {
-    Triple {
-        seed: bench_with("backward serial", secs, reps, || {
-            std::hint::black_box(tape.backward_serial(l))
-        }),
-        engine_serial: bench_with("backward levels-serial", secs, reps, || {
-            stuq_parallel::with_serial(|| std::hint::black_box(tape.backward_levels(l)))
-        }),
-        parallel: bench_with("backward levels-parallel", secs, reps, || {
-            std::hint::black_box(tape.backward_levels(l))
-        }),
-    }
-}
-
-fn grads_bit_identical(a: &GradStore, b: &GradStore) -> bool {
-    a.len() == b.len()
-        && a.iter().all(|(slot, ga)| {
-            b.get(slot).is_some_and(|gb| {
-                ga.data().iter().zip(gb.data()).all(|(x, y)| x.to_bits() == y.to_bits())
-            })
-        })
 }
 
 fn epoch_fixture() -> SplitDataset {
@@ -206,17 +160,6 @@ fn main() {
     let tb_ok = check_matmul_tb(307, 64, 307) && check_matmul_tb(307, 307, 307);
     println!("tiled matmul_tb within tolerance of *_reference: {tb_ok}");
 
-    let (tape, l) = training_tape();
-    let n_nodes = l + 1;
-    let bwd = time_backward(&tape, l, secs, reps);
-    print_triple(&format!("backward ({n_nodes} tape nodes)"), &bwd);
-    let bwd_ok = {
-        let serial = tape.backward_serial(l);
-        grads_bit_identical(&serial, &tape.backward_levels(l))
-            && grads_bit_identical(&serial, &tape.backward(l))
-    };
-    println!("level-scheduled backward bit-identical to serial walk: {bwd_ok}");
-
     let ds = epoch_fixture();
     let (esecs, ereps) = if quick { (0.0, 1) } else { (2.0, 5) };
     let epoch = time_epoch(&ds, esecs, ereps);
@@ -234,7 +177,7 @@ fn main() {
     let mut out = String::from("{\n");
     let _ = write!(
         out,
-        "  \"workload_scale\": \"Pems04Like tape (307 nodes), Pems08Like epoch (0.08 scale)\",\n  \
+        "  \"workload_scale\": \"Pems08Like epoch (0.08 scale)\",\n  \
          \"threads\": {threads},\n  \"quick\": {quick},\n  \
          \"baseline\": \"seed scalar matmul_tb_reference + Tape::backward_serial + with_reference_kernels epoch\",\n"
     );
@@ -246,12 +189,10 @@ fn main() {
         &tb_square,
         true,
     );
-    triple_json(&mut out, "backward", &format!("    \"tape_nodes\": {n_nodes},\n"), &bwd, true);
     triple_json(&mut out, "epoch", "    \"batch_size\": 8,\n", &epoch, true);
     let _ = write!(
         out,
         "  \"determinism\": {{\n    \"tiled_matmul_tb_within_tolerance_of_reference\": {tb_ok},\n    \
-         \"parallel_backward_bit_identical_to_serial\": {bwd_ok},\n    \
          \"epoch_params_bit_identical_across_thread_counts\": {epoch_ok}\n  }},\n  \
          \"notes\": [\n    \"speedup_parallel_vs_seed is the wall-clock win of the new training engine over the seed code path\",\n    \
          \"thread_scaling isolates pool fan-out (new code, 1 thread vs N); it is ~1.0 on single-core hosts\",\n    \
@@ -262,6 +203,5 @@ fn main() {
     println!("wrote BENCH_PR3.json");
 
     assert!(tb_ok, "tiled matmul_tb diverged from matmul_tb_reference");
-    assert!(bwd_ok, "parallel backward diverged from the serial walk");
     assert!(epoch_ok, "epoch parameters depend on the thread count");
 }

@@ -12,9 +12,11 @@
 //!
 //! [`Metrics`] is the fixed catalog every crate in the workspace records
 //! into, reachable via [`crate::metrics`]. The catalog is deliberately
-//! closed: adding a metric means adding a field here plus a line in
-//! [`Metrics::expose`], which keeps the Prometheus exposition and the
-//! recorded set in lock-step (no metric can exist without being exported).
+//! closed and declared once: one table at the bottom of this file names
+//! each metric's doc, field, kind, exposition name and help text, and a
+//! macro generates the struct, `new`, [`Metrics::expose`],
+//! [`Metrics::counters`] and [`Metrics::reset`] from it. Adding a metric is
+//! one table line, and no metric can exist without being exported.
 //!
 //! Determinism contract: nothing in this module reads the RNG, the model,
 //! or anything a training run consumes — metrics are written, never read,
@@ -288,852 +290,301 @@ impl Default for Histogram {
     }
 }
 
-/// The fixed metric catalog for the whole workspace.
-///
-/// Field names mirror the exposition names minus the `stuq_` prefix; see
-/// [`Metrics::expose`] for the authoritative list with types and help text.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// How one catalog family renders into the exposition. The three
+/// primitives implement it, so the `catalog!` table needs no per-kind code.
+trait Family {
+    /// Appends the family's `# HELP`/`# TYPE` header and samples to `out`.
+    fn expose_into(&self, out: &mut String, name: &str, help: &str);
+
+    /// The value [`Metrics::counters`] ships — counters only.
+    fn counter_value(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl Family for Counter {
+    fn expose_into(&self, out: &mut String, name: &str, help: &str) {
+        let v = self.get();
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"));
+    }
+
+    fn counter_value(&self) -> Option<u64> {
+        Some(self.get())
+    }
+}
+
+impl Family for Gauge {
+    fn expose_into(&self, out: &mut String, name: &str, help: &str) {
+        let v = self.get();
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"));
+    }
+}
+
+impl Family for Histogram {
+    fn expose_into(&self, out: &mut String, name: &str, help: &str) {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
+        if self.count() > 0 {
+            out.push_str(&format!(
+                "{name}{{quantile=\"0.5\"}} {}\n{name}{{quantile=\"0.95\"}} \
+                 {}\n{name}{{quantile=\"0.99\"}} {}\n",
+                self.quantile(0.5),
+                self.quantile(0.95),
+                self.quantile(0.99)
+            ));
+            out.push_str(&format!("{name}_min {}\n{name}_max {}\n", self.min(), self.max()));
+        }
+        out.push_str(&format!(
+            "{name}_sum {}\n{name}_count {}\n{name}_rejected {}\n",
+            self.sum(),
+            self.count(),
+            self.rejected()
+        ));
+    }
+}
+
+/// Expands the metric table into [`Metrics`]: the struct, `new`, `expose`,
+/// `counters` and `reset`, all in table order. Each entry reads
+/// `/// doc` `field: Kind = "exposition_name", "help text";`.
+macro_rules! catalog {
+    ($($(#[$doc:meta])* $field:ident: $kind:ident = $name:literal, $help:literal;)*) => {
+        /// The fixed metric catalog for the whole workspace, generated from
+        /// the one table below.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $field: $kind,)*
+        }
+
+        impl Metrics {
+            /// A fresh catalog (const, backing the global in [`crate::metrics`]).
+            pub const fn new() -> Self {
+                Self { $($field: $kind::new(),)* }
+            }
+
+            /// Renders the catalog in the Prometheus text exposition format.
+            ///
+            /// Counters and gauges export their value; histograms export as
+            /// Prometheus *summaries* (`_count`, `_sum`, `{quantile=…}` for
+            /// p50/p95/p99 plus exact min/max) — compact, and exactly the
+            /// statistics the bench harness and the end-of-run table consume.
+            pub fn expose(&self) -> String {
+                let mut out = String::with_capacity(4096);
+                $(self.$field.expose_into(&mut out, $name, $help);)*
+                out
+            }
+
+            /// Every counter in the catalog as `(exposition name, value)`
+            /// pairs, in exposition order. This is what the router's
+            /// `cluster-metrics` scrape ships and sums across workers.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                let mut out = Vec::new();
+                $(if let Some(v) = self.$field.counter_value() {
+                    out.push(($name, v));
+                })*
+                out
+            }
+
+            /// Resets every metric (tests and per-run isolation).
+            pub fn reset(&self) {
+                $(self.$field.reset();)*
+            }
+        }
+    };
+}
+
+catalog! {
     // --- stuq-parallel: pool behaviour -----------------------------------
     /// Fan-outs submitted to the worker pool.
-    pub pool_fanouts: Counter,
+    pool_fanouts: Counter = "stuq_pool_fanouts_total", "fan-outs submitted to the worker pool";
     /// Chunks executed across all fan-outs (pooled or inline).
-    pub pool_chunks: Counter,
+    pool_chunks: Counter = "stuq_pool_chunks_total", "chunks executed across all fan-outs";
     /// Fan-outs that degraded to inline execution (serial scope, nesting,
     /// single chunk or single-thread pool).
-    pub pool_inline: Counter,
+    pool_inline: Counter = "stuq_pool_inline_total", "fan-outs degraded to inline execution";
     /// Wall-clock seconds per pooled fan-out (trace level only).
-    pub pool_run_seconds: Histogram,
+    pool_run_seconds: Histogram = "stuq_pool_run_seconds", "seconds per pooled fan-out (trace)";
 
     // --- stuq-tensor: autodiff + kernels ---------------------------------
-    /// Reverse sweeps executed (serial or level-scheduled).
-    pub backward_runs: Counter,
-    /// Topological levels scheduled by `backward_levels`.
-    pub backward_levels: Counter,
-    /// Tape nodes visited by `backward_levels`.
-    pub backward_nodes: Counter,
-    /// Edge-delta arena slots allocated by `backward_levels`.
-    pub backward_edge_slots: Counter,
+    /// Reverse sweeps executed (serial walk or replay).
+    backward_runs: Counter = "stuq_backward_runs_total", "reverse sweeps executed";
     /// Backward sweeps served by a cached replay plan.
-    pub replay_hits: Counter,
+    replay_hits: Counter =
+        "stuq_backward_replay_hits_total", "backward sweeps served by a cached replay plan";
     /// Replay plans compiled (one per new tape structure).
-    pub replay_compiles: Counter,
+    replay_compiles: Counter = "stuq_backward_replay_compiles_total", "replay plans compiled";
     /// Fused adjoint chains across all compiled plans.
-    pub replay_fused_chains: Counter,
+    replay_fused_chains: Counter =
+        "stuq_backward_replay_fused_chains_total", "fused adjoint chains across compiled plans";
     /// Tape nodes absorbed into fused chains across all compiled plans.
-    pub replay_fused_nodes: Counter,
+    replay_fused_nodes: Counter =
+        "stuq_backward_replay_fused_nodes_total", "tape nodes absorbed into fused chains";
     /// `matmul` kernel dispatches.
-    pub kernel_matmul: Counter,
+    kernel_matmul: Counter = "stuq_kernel_matmul_total", "matmul kernel dispatches";
     /// `matmul_tb` kernel dispatches.
-    pub kernel_matmul_tb: Counter,
+    kernel_matmul_tb: Counter = "stuq_kernel_matmul_tb_total", "matmul_tb kernel dispatches";
     /// `matmul_ta` (transposed-A adjoint product) kernel dispatches.
-    pub kernel_matmul_ta: Counter,
+    kernel_matmul_ta: Counter = "stuq_kernel_matmul_ta_total", "matmul_ta kernel dispatches";
     /// `rowwise_matmul` kernel dispatches.
-    pub kernel_rowwise: Counter,
+    kernel_rowwise: Counter = "stuq_kernel_rowwise_total", "rowwise_matmul kernel dispatches";
     /// GFLOP/s of the most recent traced `matmul`/`matmul_tb` dispatch.
-    pub kernel_gflops: Gauge,
+    kernel_gflops: Gauge = "stuq_kernel_gflops", "GFLOP/s of the last traced matmul dispatch";
 
     // --- stuq-nn: optimisers ----------------------------------------------
     /// Optimiser steps applied.
-    pub opt_steps: Counter,
+    opt_steps: Counter = "stuq_opt_steps_total", "optimiser steps applied";
     /// Learning rate of the most recent step.
-    pub opt_lr: Gauge,
+    opt_lr: Gauge = "stuq_opt_lr", "learning rate of the most recent step";
     /// Global L2 norm of applied parameter updates (trace level only).
-    pub opt_step_norm: Histogram,
+    opt_step_norm: Histogram = "stuq_opt_step_norm", "global L2 norm of applied updates (trace)";
 
     // --- deepstuq: training loop ------------------------------------------
     /// Batches processed (healthy, i.e. the optimiser stepped).
-    pub train_batches: Counter,
+    train_batches: Counter = "stuq_train_batches_total", "healthy batches stepped";
     /// Batches whose loss or gradient norm was NaN/inf.
-    pub train_nonfinite_batches: Counter,
+    train_nonfinite_batches: Counter =
+        "stuq_train_nonfinite_batches_total", "batches with NaN/inf loss or gradient";
     /// Mean loss of the most recent healthy batch.
-    pub train_loss: Gauge,
+    train_loss: Gauge = "stuq_train_loss", "mean loss of the most recent healthy batch";
     /// Global gradient norm of the most recent healthy batch.
-    pub train_grad_norm: Gauge,
+    train_grad_norm: Gauge =
+        "stuq_train_grad_norm", "gradient norm of the most recent healthy batch";
     /// Gradient norms across healthy batches.
-    pub train_grad_norm_hist: Histogram,
+    train_grad_norm_hist: Histogram =
+        "stuq_train_grad_norm_hist", "gradient norms across healthy batches";
     /// Current epoch index (set by the pipeline).
-    pub train_epoch: Gauge,
+    train_epoch: Gauge = "stuq_train_epoch", "current epoch index";
     /// Wall-clock seconds per training epoch.
-    pub train_epoch_seconds: Histogram,
+    train_epoch_seconds: Histogram = "stuq_train_epoch_seconds", "seconds per training epoch";
     /// Wall-clock seconds per batch (trace level only).
-    pub train_batch_seconds: Histogram,
+    train_batch_seconds: Histogram = "stuq_train_batch_seconds", "seconds per batch (trace)";
 
     // --- deepstuq: divergence guard ----------------------------------------
     /// Guard trips (unhealthy batches observed).
-    pub guard_trips: Counter,
+    guard_trips: Counter = "stuq_guard_trips_total", "divergence-guard trips";
     /// Batches skipped without an update.
-    pub guard_skips: Counter,
+    guard_skips: Counter = "stuq_guard_skips_total", "batches skipped by the guard";
     /// Rewinds to the last-good snapshot.
-    pub guard_rewinds: Counter,
+    guard_rewinds: Counter = "stuq_guard_rewinds_total", "guard rewinds to last-good snapshot";
     /// Current learning-rate back-off scale (1.0 when undisturbed).
-    pub guard_lr_scale: Gauge,
+    guard_lr_scale: Gauge = "stuq_guard_lr_scale", "current guard learning-rate back-off scale";
 
     // --- deepstuq: inference + calibration ---------------------------------
     /// Monte-Carlo forward passes executed.
-    pub mc_samples: Counter,
+    mc_samples: Counter = "stuq_mc_samples_total", "Monte-Carlo forward passes executed";
     /// Wall-clock seconds per MC forecast call (trace level only).
-    pub mc_forecast_seconds: Histogram,
+    mc_forecast_seconds: Histogram =
+        "stuq_mc_forecast_seconds", "seconds per MC forecast call (trace)";
     /// MC samples per second of the most recent traced forecast.
-    pub mc_samples_per_sec: Gauge,
+    mc_samples_per_sec: Gauge =
+        "stuq_mc_samples_per_sec", "MC samples/s of the last traced forecast";
     /// Fitted calibration temperature.
-    pub calib_temperature: Gauge,
+    calib_temperature: Gauge = "stuq_calib_temperature", "fitted calibration temperature";
     /// Evaluation windows scored.
-    pub eval_windows: Counter,
+    eval_windows: Counter = "stuq_eval_windows_total", "evaluation windows scored";
 
     // --- stuq-serve: serving runtime ---------------------------------------
     /// Forecast requests admitted (processed to any terminal response).
-    pub serve_requests: Counter,
+    serve_requests: Counter = "stuq_serve_requests_total", "forecast requests admitted";
     /// Requests shed by admission control (queue full / draining / breaker).
-    pub serve_shed: Counter,
+    serve_shed: Counter = "stuq_serve_shed_total", "requests shed by admission control";
     /// Responses degraded by the deadline budget (fewer samples than asked).
-    pub serve_degraded: Counter,
+    serve_degraded: Counter = "stuq_serve_degraded_total", "deadline-degraded responses";
     /// Fallback (persistence) responses served while the breaker was open.
-    pub serve_fallback: Counter,
+    serve_fallback: Counter = "stuq_serve_fallback_total", "breaker fallback responses";
     /// Hot model reloads applied.
-    pub serve_reloads: Counter,
+    serve_reloads: Counter = "stuq_serve_reloads_total", "hot model reloads applied";
     /// Reload attempts rolled back (corrupt or incompatible artifact).
-    pub serve_reload_rollbacks: Counter,
+    serve_reload_rollbacks: Counter =
+        "stuq_serve_reload_rollbacks_total", "reload attempts rolled back";
     /// Current depth of the admission queue.
-    pub serve_queue_depth: Gauge,
+    serve_queue_depth: Gauge = "stuq_serve_queue_depth", "current admission-queue depth";
     /// Breaker state: 0 closed, 1 open, 2 half-open.
-    pub serve_breaker_state: Gauge,
+    serve_breaker_state: Gauge =
+        "stuq_serve_breaker_state", "breaker state (0 closed, 1 open, 2 half-open)";
     /// MC samples used per forecast response.
-    pub serve_samples_used: Histogram,
+    serve_samples_used: Histogram =
+        "stuq_serve_samples_used", "MC samples used per forecast response";
     /// Milliseconds of deadline left when the response was finished
     /// (the deadline-hit histogram; rejected samples are deadline misses).
-    pub serve_deadline_slack_ms: Histogram,
+    serve_deadline_slack_ms: Histogram =
+        "stuq_serve_deadline_slack_ms", "deadline slack (ms) at response time";
     /// Wall-clock seconds per served forecast.
-    pub serve_request_seconds: Histogram,
+    serve_request_seconds: Histogram = "stuq_serve_request_seconds", "seconds per served forecast";
     /// Forecast batches processed by the worker (size 1 when batching is
     /// off).
-    pub serve_batches: Counter,
+    serve_batches: Counter = "stuq_serve_batches_total", "forecast batches processed";
     /// Requests per processed batch.
-    pub serve_batch_size: Histogram,
+    serve_batch_size: Histogram = "stuq_serve_batch_size", "requests per processed batch";
     /// Shared-MC groups per processed batch.
-    pub serve_batch_groups: Histogram,
+    serve_batch_groups: Histogram =
+        "stuq_serve_batch_groups", "shared-MC groups per processed batch";
     /// Forecasts answered from the per-tick cache (no forward pass).
-    pub serve_cache_hits: Counter,
+    serve_cache_hits: Counter = "stuq_serve_cache_hits_total", "forecasts answered from the cache";
     /// Cacheable lookups that missed.
-    pub serve_cache_misses: Counter,
+    serve_cache_misses: Counter = "stuq_serve_cache_misses_total", "cacheable lookups that missed";
     /// Cache entries dropped by the capacity bound.
-    pub serve_cache_evictions: Counter,
+    serve_cache_evictions: Counter =
+        "stuq_serve_cache_evictions_total", "cache entries evicted by capacity";
     /// Whole-cache invalidations (hot-reload swap, breaker open).
-    pub serve_cache_invalidations: Counter,
+    serve_cache_invalidations: Counter =
+        "stuq_serve_cache_invalidations_total", "whole-cache invalidations";
     /// Live forecast-cache entries.
-    pub serve_cache_entries: Gauge,
+    serve_cache_entries: Gauge = "stuq_serve_cache_entries", "live forecast-cache entries";
 
     // --- stuq-serve: sharded cluster (router side) -------------------------
     /// Workers currently up, as of the last supervision tick.
-    pub cluster_workers_up: Gauge,
+    cluster_workers_up: Gauge =
+        "stuq_cluster_workers_up", "workers up at the last supervision tick";
     /// Worker processes restarted by the supervisor.
-    pub cluster_restarts: Counter,
+    cluster_restarts: Counter = "stuq_cluster_restarts_total", "worker processes restarted";
     /// Worker RPCs that failed at the transport (timeout, EOF, I/O error).
-    pub cluster_rpc_failures: Counter,
+    cluster_rpc_failures: Counter =
+        "stuq_cluster_rpc_failures_total", "worker RPC transport failures";
     /// Two-phase cluster reloads committed.
-    pub cluster_reload_commits: Counter,
+    cluster_reload_commits: Counter =
+        "stuq_cluster_reload_commits_total", "two-phase cluster reloads committed";
     /// Two-phase cluster reloads aborted (validation, skew, or worker nack).
-    pub cluster_reload_aborts: Counter,
+    cluster_reload_aborts: Counter =
+        "stuq_cluster_reload_aborts_total", "two-phase cluster reloads aborted";
     /// Failover hops: a shard attempt failed and the router moved on to
     /// another replica of the same shard.
-    pub cluster_failover: Counter,
+    cluster_failover: Counter = "stuq_cluster_failover_total", "failover hops to a sibling replica";
     /// Faults injected by the deterministic fault-injection harness
     /// (`faultnet`). Exposed without the `stuq_` prefix on purpose: it is
     /// a test-harness counter, not a serving-subsystem one, and the bare
     /// name keeps harness traffic trivially greppable in merged dumps.
-    pub faultnet_injected: Counter,
+    faultnet_injected: Counter =
+        "faultnet_injected_total", "faults injected by the faultnet harness";
 
     // --- stuq-serve: request tracing (trace level only) ---------------------
     /// Spans opened (`span_start` events emitted).
-    pub trace_spans: Counter,
+    trace_spans: Counter = "stuq_trace_spans_total", "spans opened";
     /// Slow-request exemplar events emitted (worst-N per window).
-    pub trace_exemplars: Counter,
+    trace_exemplars: Counter = "stuq_trace_exemplars_total", "slow-request exemplar events emitted";
     /// `cluster-metrics` scrapes served by the router.
-    pub cluster_scrapes: Counter,
+    cluster_scrapes: Counter = "stuq_cluster_scrapes_total", "cluster-metrics scrapes served";
     /// Seconds a forecast line waited between arrival and pickup.
-    pub serve_admission_seconds: Histogram,
+    serve_admission_seconds: Histogram =
+        "stuq_serve_admission_seconds", "seconds a forecast waited before pickup (trace)";
     /// Seconds a forecast line dwelled in the batcher window.
-    pub serve_batch_dwell_seconds: Histogram,
+    serve_batch_dwell_seconds: Histogram =
+        "stuq_serve_batch_dwell_seconds", "seconds a forecast dwelled in the batcher (trace)";
     /// Seconds per forecast-cache probe.
-    pub serve_cache_probe_seconds: Histogram,
+    serve_cache_probe_seconds: Histogram =
+        "stuq_serve_cache_probe_seconds", "seconds per forecast-cache probe (trace)";
     /// Seconds per shared-MC group compute.
-    pub serve_compute_seconds: Histogram,
+    serve_compute_seconds: Histogram =
+        "stuq_serve_compute_seconds", "seconds per shared-MC group compute (trace)";
     /// Seconds spent rendering responses per batch.
-    pub serve_render_seconds: Histogram,
+    serve_render_seconds: Histogram =
+        "stuq_serve_render_seconds", "seconds rendering responses per batch (trace)";
     /// Seconds per sample-range RPC to one shard (router side).
-    pub cluster_shard_rpc_seconds: Histogram,
+    cluster_shard_rpc_seconds: Histogram =
+        "stuq_cluster_shard_rpc_seconds", "seconds per sample-range RPC to one shard (trace)";
     /// Seconds reducing a group's gathered passes (router side).
-    pub cluster_merge_seconds: Histogram,
+    cluster_merge_seconds: Histogram =
+        "stuq_cluster_merge_seconds", "seconds reducing gathered passes (trace)";
     /// Seconds per Monte-Carlo sample batch inside a forecast.
-    pub mc_sample_seconds: Histogram,
-}
-
-impl Metrics {
-    /// A fresh catalog (const, backing the global in [`crate::metrics`]).
-    pub const fn new() -> Self {
-        Self {
-            pool_fanouts: Counter::new(),
-            pool_chunks: Counter::new(),
-            pool_inline: Counter::new(),
-            pool_run_seconds: Histogram::new(),
-            backward_runs: Counter::new(),
-            backward_levels: Counter::new(),
-            backward_nodes: Counter::new(),
-            backward_edge_slots: Counter::new(),
-            replay_hits: Counter::new(),
-            replay_compiles: Counter::new(),
-            replay_fused_chains: Counter::new(),
-            replay_fused_nodes: Counter::new(),
-            kernel_matmul: Counter::new(),
-            kernel_matmul_tb: Counter::new(),
-            kernel_matmul_ta: Counter::new(),
-            kernel_rowwise: Counter::new(),
-            kernel_gflops: Gauge::new(),
-            opt_steps: Counter::new(),
-            opt_lr: Gauge::new(),
-            opt_step_norm: Histogram::new(),
-            train_batches: Counter::new(),
-            train_nonfinite_batches: Counter::new(),
-            train_loss: Gauge::new(),
-            train_grad_norm: Gauge::new(),
-            train_grad_norm_hist: Histogram::new(),
-            train_epoch: Gauge::new(),
-            train_epoch_seconds: Histogram::new(),
-            train_batch_seconds: Histogram::new(),
-            guard_trips: Counter::new(),
-            guard_skips: Counter::new(),
-            guard_rewinds: Counter::new(),
-            guard_lr_scale: Gauge::new(),
-            mc_samples: Counter::new(),
-            mc_forecast_seconds: Histogram::new(),
-            mc_samples_per_sec: Gauge::new(),
-            calib_temperature: Gauge::new(),
-            eval_windows: Counter::new(),
-            serve_requests: Counter::new(),
-            serve_shed: Counter::new(),
-            serve_degraded: Counter::new(),
-            serve_fallback: Counter::new(),
-            serve_reloads: Counter::new(),
-            serve_reload_rollbacks: Counter::new(),
-            serve_queue_depth: Gauge::new(),
-            serve_breaker_state: Gauge::new(),
-            serve_samples_used: Histogram::new(),
-            serve_deadline_slack_ms: Histogram::new(),
-            serve_request_seconds: Histogram::new(),
-            serve_batches: Counter::new(),
-            serve_batch_size: Histogram::new(),
-            serve_batch_groups: Histogram::new(),
-            serve_cache_hits: Counter::new(),
-            serve_cache_misses: Counter::new(),
-            serve_cache_evictions: Counter::new(),
-            serve_cache_invalidations: Counter::new(),
-            serve_cache_entries: Gauge::new(),
-            cluster_workers_up: Gauge::new(),
-            cluster_restarts: Counter::new(),
-            cluster_rpc_failures: Counter::new(),
-            cluster_reload_commits: Counter::new(),
-            cluster_reload_aborts: Counter::new(),
-            cluster_failover: Counter::new(),
-            faultnet_injected: Counter::new(),
-            trace_spans: Counter::new(),
-            trace_exemplars: Counter::new(),
-            cluster_scrapes: Counter::new(),
-            serve_admission_seconds: Histogram::new(),
-            serve_batch_dwell_seconds: Histogram::new(),
-            serve_cache_probe_seconds: Histogram::new(),
-            serve_compute_seconds: Histogram::new(),
-            serve_render_seconds: Histogram::new(),
-            cluster_shard_rpc_seconds: Histogram::new(),
-            cluster_merge_seconds: Histogram::new(),
-            mc_sample_seconds: Histogram::new(),
-        }
-    }
-
-    /// Renders the catalog in the Prometheus text exposition format.
-    ///
-    /// Counters and gauges export their value; histograms export as
-    /// Prometheus *summaries* (`_count`, `_sum`, `{quantile=…}` for p50/p95
-    /// plus exact min/max) — compact, and exactly the statistics the bench
-    /// harness and the end-of-run table consume.
-    pub fn expose(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let c = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"));
-        };
-        let g = |out: &mut String, name: &str, help: &str, v: f64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"));
-        };
-        let h = |out: &mut String, name: &str, help: &str, hist: &Histogram| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
-            if hist.count() > 0 {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"0.5\"}} {}\n{name}{{quantile=\"0.95\"}} \
-                     {}\n{name}{{quantile=\"0.99\"}} {}\n",
-                    hist.quantile(0.5),
-                    hist.quantile(0.95),
-                    hist.quantile(0.99)
-                ));
-                out.push_str(&format!("{name}_min {}\n{name}_max {}\n", hist.min(), hist.max()));
-            }
-            out.push_str(&format!(
-                "{name}_sum {}\n{name}_count {}\n{name}_rejected {}\n",
-                hist.sum(),
-                hist.count(),
-                hist.rejected()
-            ));
-        };
-
-        c(
-            &mut out,
-            "stuq_pool_fanouts_total",
-            "fan-outs submitted to the worker pool",
-            self.pool_fanouts.get(),
-        );
-        c(
-            &mut out,
-            "stuq_pool_chunks_total",
-            "chunks executed across all fan-outs",
-            self.pool_chunks.get(),
-        );
-        c(
-            &mut out,
-            "stuq_pool_inline_total",
-            "fan-outs degraded to inline execution",
-            self.pool_inline.get(),
-        );
-        h(
-            &mut out,
-            "stuq_pool_run_seconds",
-            "seconds per pooled fan-out (trace)",
-            &self.pool_run_seconds,
-        );
-        c(
-            &mut out,
-            "stuq_backward_runs_total",
-            "reverse sweeps executed",
-            self.backward_runs.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_levels_total",
-            "topological levels scheduled",
-            self.backward_levels.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_nodes_total",
-            "tape nodes visited by backward_levels",
-            self.backward_nodes.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_edge_slots_total",
-            "edge-delta arena slots allocated",
-            self.backward_edge_slots.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_replay_hits_total",
-            "backward sweeps served by a cached replay plan",
-            self.replay_hits.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_replay_compiles_total",
-            "replay plans compiled",
-            self.replay_compiles.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_replay_fused_chains_total",
-            "fused adjoint chains across compiled plans",
-            self.replay_fused_chains.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_replay_fused_nodes_total",
-            "tape nodes absorbed into fused chains",
-            self.replay_fused_nodes.get(),
-        );
-        c(
-            &mut out,
-            "stuq_kernel_matmul_total",
-            "matmul kernel dispatches",
-            self.kernel_matmul.get(),
-        );
-        c(
-            &mut out,
-            "stuq_kernel_matmul_tb_total",
-            "matmul_tb kernel dispatches",
-            self.kernel_matmul_tb.get(),
-        );
-        c(
-            &mut out,
-            "stuq_kernel_matmul_ta_total",
-            "matmul_ta kernel dispatches",
-            self.kernel_matmul_ta.get(),
-        );
-        c(
-            &mut out,
-            "stuq_kernel_rowwise_total",
-            "rowwise_matmul kernel dispatches",
-            self.kernel_rowwise.get(),
-        );
-        g(
-            &mut out,
-            "stuq_kernel_gflops",
-            "GFLOP/s of the last traced matmul dispatch",
-            self.kernel_gflops.get(),
-        );
-        c(&mut out, "stuq_opt_steps_total", "optimiser steps applied", self.opt_steps.get());
-        g(&mut out, "stuq_opt_lr", "learning rate of the most recent step", self.opt_lr.get());
-        h(
-            &mut out,
-            "stuq_opt_step_norm",
-            "global L2 norm of applied updates (trace)",
-            &self.opt_step_norm,
-        );
-        c(
-            &mut out,
-            "stuq_train_batches_total",
-            "healthy batches stepped",
-            self.train_batches.get(),
-        );
-        c(
-            &mut out,
-            "stuq_train_nonfinite_batches_total",
-            "batches with NaN/inf loss or gradient",
-            self.train_nonfinite_batches.get(),
-        );
-        g(
-            &mut out,
-            "stuq_train_loss",
-            "mean loss of the most recent healthy batch",
-            self.train_loss.get(),
-        );
-        g(
-            &mut out,
-            "stuq_train_grad_norm",
-            "gradient norm of the most recent healthy batch",
-            self.train_grad_norm.get(),
-        );
-        h(
-            &mut out,
-            "stuq_train_grad_norm_hist",
-            "gradient norms across healthy batches",
-            &self.train_grad_norm_hist,
-        );
-        g(&mut out, "stuq_train_epoch", "current epoch index", self.train_epoch.get());
-        h(
-            &mut out,
-            "stuq_train_epoch_seconds",
-            "seconds per training epoch",
-            &self.train_epoch_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_train_batch_seconds",
-            "seconds per batch (trace)",
-            &self.train_batch_seconds,
-        );
-        c(&mut out, "stuq_guard_trips_total", "divergence-guard trips", self.guard_trips.get());
-        c(
-            &mut out,
-            "stuq_guard_skips_total",
-            "batches skipped by the guard",
-            self.guard_skips.get(),
-        );
-        c(
-            &mut out,
-            "stuq_guard_rewinds_total",
-            "guard rewinds to last-good snapshot",
-            self.guard_rewinds.get(),
-        );
-        g(
-            &mut out,
-            "stuq_guard_lr_scale",
-            "current guard learning-rate back-off scale",
-            self.guard_lr_scale.get(),
-        );
-        c(
-            &mut out,
-            "stuq_mc_samples_total",
-            "Monte-Carlo forward passes executed",
-            self.mc_samples.get(),
-        );
-        h(
-            &mut out,
-            "stuq_mc_forecast_seconds",
-            "seconds per MC forecast call (trace)",
-            &self.mc_forecast_seconds,
-        );
-        g(
-            &mut out,
-            "stuq_mc_samples_per_sec",
-            "MC samples/s of the last traced forecast",
-            self.mc_samples_per_sec.get(),
-        );
-        g(
-            &mut out,
-            "stuq_calib_temperature",
-            "fitted calibration temperature",
-            self.calib_temperature.get(),
-        );
-        c(
-            &mut out,
-            "stuq_eval_windows_total",
-            "evaluation windows scored",
-            self.eval_windows.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_requests_total",
-            "forecast requests admitted",
-            self.serve_requests.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_shed_total",
-            "requests shed by admission control",
-            self.serve_shed.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_degraded_total",
-            "deadline-degraded responses",
-            self.serve_degraded.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_fallback_total",
-            "breaker fallback responses",
-            self.serve_fallback.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_reloads_total",
-            "hot model reloads applied",
-            self.serve_reloads.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_reload_rollbacks_total",
-            "reload attempts rolled back",
-            self.serve_reload_rollbacks.get(),
-        );
-        g(
-            &mut out,
-            "stuq_serve_queue_depth",
-            "current admission-queue depth",
-            self.serve_queue_depth.get(),
-        );
-        g(
-            &mut out,
-            "stuq_serve_breaker_state",
-            "breaker state (0 closed, 1 open, 2 half-open)",
-            self.serve_breaker_state.get(),
-        );
-        h(
-            &mut out,
-            "stuq_serve_samples_used",
-            "MC samples used per forecast response",
-            &self.serve_samples_used,
-        );
-        h(
-            &mut out,
-            "stuq_serve_deadline_slack_ms",
-            "deadline slack (ms) at response time",
-            &self.serve_deadline_slack_ms,
-        );
-        h(
-            &mut out,
-            "stuq_serve_request_seconds",
-            "seconds per served forecast",
-            &self.serve_request_seconds,
-        );
-        c(
-            &mut out,
-            "stuq_serve_batches_total",
-            "forecast batches processed",
-            self.serve_batches.get(),
-        );
-        h(
-            &mut out,
-            "stuq_serve_batch_size",
-            "requests per processed batch",
-            &self.serve_batch_size,
-        );
-        h(
-            &mut out,
-            "stuq_serve_batch_groups",
-            "shared-MC groups per processed batch",
-            &self.serve_batch_groups,
-        );
-        c(
-            &mut out,
-            "stuq_serve_cache_hits_total",
-            "forecasts answered from the cache",
-            self.serve_cache_hits.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_cache_misses_total",
-            "cacheable lookups that missed",
-            self.serve_cache_misses.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_cache_evictions_total",
-            "cache entries evicted by capacity",
-            self.serve_cache_evictions.get(),
-        );
-        c(
-            &mut out,
-            "stuq_serve_cache_invalidations_total",
-            "whole-cache invalidations",
-            self.serve_cache_invalidations.get(),
-        );
-        g(
-            &mut out,
-            "stuq_serve_cache_entries",
-            "live forecast-cache entries",
-            self.serve_cache_entries.get(),
-        );
-        g(
-            &mut out,
-            "stuq_cluster_workers_up",
-            "workers up at the last supervision tick",
-            self.cluster_workers_up.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_restarts_total",
-            "worker processes restarted",
-            self.cluster_restarts.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_rpc_failures_total",
-            "worker RPC transport failures",
-            self.cluster_rpc_failures.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_reload_commits_total",
-            "two-phase cluster reloads committed",
-            self.cluster_reload_commits.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_reload_aborts_total",
-            "two-phase cluster reloads aborted",
-            self.cluster_reload_aborts.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_failover_total",
-            "failover hops to a sibling replica",
-            self.cluster_failover.get(),
-        );
-        c(
-            &mut out,
-            "faultnet_injected_total",
-            "faults injected by the faultnet harness",
-            self.faultnet_injected.get(),
-        );
-        c(&mut out, "stuq_trace_spans_total", "spans opened", self.trace_spans.get());
-        c(
-            &mut out,
-            "stuq_trace_exemplars_total",
-            "slow-request exemplar events emitted",
-            self.trace_exemplars.get(),
-        );
-        c(
-            &mut out,
-            "stuq_cluster_scrapes_total",
-            "cluster-metrics scrapes served",
-            self.cluster_scrapes.get(),
-        );
-        h(
-            &mut out,
-            "stuq_serve_admission_seconds",
-            "seconds a forecast waited before pickup (trace)",
-            &self.serve_admission_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_serve_batch_dwell_seconds",
-            "seconds a forecast dwelled in the batcher (trace)",
-            &self.serve_batch_dwell_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_serve_cache_probe_seconds",
-            "seconds per forecast-cache probe (trace)",
-            &self.serve_cache_probe_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_serve_compute_seconds",
-            "seconds per shared-MC group compute (trace)",
-            &self.serve_compute_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_serve_render_seconds",
-            "seconds rendering responses per batch (trace)",
-            &self.serve_render_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_cluster_shard_rpc_seconds",
-            "seconds per sample-range RPC to one shard (trace)",
-            &self.cluster_shard_rpc_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_cluster_merge_seconds",
-            "seconds reducing gathered passes (trace)",
-            &self.cluster_merge_seconds,
-        );
-        h(
-            &mut out,
-            "stuq_mc_sample_seconds",
-            "seconds per MC sample batch (trace)",
-            &self.mc_sample_seconds,
-        );
-        out
-    }
-
-    /// Every counter in the catalog as `(exposition name, value)` pairs, in
-    /// exposition order. This is what the router's `cluster-metrics` scrape
-    /// ships and sums across workers; the
-    /// `counters_stay_in_lock_step_with_exposition` test keeps it complete.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("stuq_pool_fanouts_total", self.pool_fanouts.get()),
-            ("stuq_pool_chunks_total", self.pool_chunks.get()),
-            ("stuq_pool_inline_total", self.pool_inline.get()),
-            ("stuq_backward_runs_total", self.backward_runs.get()),
-            ("stuq_backward_levels_total", self.backward_levels.get()),
-            ("stuq_backward_nodes_total", self.backward_nodes.get()),
-            ("stuq_backward_edge_slots_total", self.backward_edge_slots.get()),
-            ("stuq_backward_replay_hits_total", self.replay_hits.get()),
-            ("stuq_backward_replay_compiles_total", self.replay_compiles.get()),
-            ("stuq_backward_replay_fused_chains_total", self.replay_fused_chains.get()),
-            ("stuq_backward_replay_fused_nodes_total", self.replay_fused_nodes.get()),
-            ("stuq_kernel_matmul_total", self.kernel_matmul.get()),
-            ("stuq_kernel_matmul_tb_total", self.kernel_matmul_tb.get()),
-            ("stuq_kernel_matmul_ta_total", self.kernel_matmul_ta.get()),
-            ("stuq_kernel_rowwise_total", self.kernel_rowwise.get()),
-            ("stuq_opt_steps_total", self.opt_steps.get()),
-            ("stuq_train_batches_total", self.train_batches.get()),
-            ("stuq_train_nonfinite_batches_total", self.train_nonfinite_batches.get()),
-            ("stuq_guard_trips_total", self.guard_trips.get()),
-            ("stuq_guard_skips_total", self.guard_skips.get()),
-            ("stuq_guard_rewinds_total", self.guard_rewinds.get()),
-            ("stuq_mc_samples_total", self.mc_samples.get()),
-            ("stuq_eval_windows_total", self.eval_windows.get()),
-            ("stuq_serve_requests_total", self.serve_requests.get()),
-            ("stuq_serve_shed_total", self.serve_shed.get()),
-            ("stuq_serve_degraded_total", self.serve_degraded.get()),
-            ("stuq_serve_fallback_total", self.serve_fallback.get()),
-            ("stuq_serve_reloads_total", self.serve_reloads.get()),
-            ("stuq_serve_reload_rollbacks_total", self.serve_reload_rollbacks.get()),
-            ("stuq_serve_batches_total", self.serve_batches.get()),
-            ("stuq_serve_cache_hits_total", self.serve_cache_hits.get()),
-            ("stuq_serve_cache_misses_total", self.serve_cache_misses.get()),
-            ("stuq_serve_cache_evictions_total", self.serve_cache_evictions.get()),
-            ("stuq_serve_cache_invalidations_total", self.serve_cache_invalidations.get()),
-            ("stuq_cluster_restarts_total", self.cluster_restarts.get()),
-            ("stuq_cluster_rpc_failures_total", self.cluster_rpc_failures.get()),
-            ("stuq_cluster_reload_commits_total", self.cluster_reload_commits.get()),
-            ("stuq_cluster_reload_aborts_total", self.cluster_reload_aborts.get()),
-            ("stuq_cluster_failover_total", self.cluster_failover.get()),
-            ("faultnet_injected_total", self.faultnet_injected.get()),
-            ("stuq_trace_spans_total", self.trace_spans.get()),
-            ("stuq_trace_exemplars_total", self.trace_exemplars.get()),
-            ("stuq_cluster_scrapes_total", self.cluster_scrapes.get()),
-        ]
-    }
-
-    /// Resets every metric (tests and per-run isolation).
-    pub fn reset(&self) {
-        self.pool_fanouts.reset();
-        self.pool_chunks.reset();
-        self.pool_inline.reset();
-        self.pool_run_seconds.reset();
-        self.backward_runs.reset();
-        self.backward_levels.reset();
-        self.backward_nodes.reset();
-        self.backward_edge_slots.reset();
-        self.replay_hits.reset();
-        self.replay_compiles.reset();
-        self.replay_fused_chains.reset();
-        self.replay_fused_nodes.reset();
-        self.kernel_matmul.reset();
-        self.kernel_matmul_tb.reset();
-        self.kernel_matmul_ta.reset();
-        self.kernel_rowwise.reset();
-        self.kernel_gflops.reset();
-        self.opt_steps.reset();
-        self.opt_lr.reset();
-        self.opt_step_norm.reset();
-        self.train_batches.reset();
-        self.train_nonfinite_batches.reset();
-        self.train_loss.reset();
-        self.train_grad_norm.reset();
-        self.train_grad_norm_hist.reset();
-        self.train_epoch.reset();
-        self.train_epoch_seconds.reset();
-        self.train_batch_seconds.reset();
-        self.guard_trips.reset();
-        self.guard_skips.reset();
-        self.guard_rewinds.reset();
-        self.guard_lr_scale.reset();
-        self.mc_samples.reset();
-        self.mc_forecast_seconds.reset();
-        self.mc_samples_per_sec.reset();
-        self.calib_temperature.reset();
-        self.eval_windows.reset();
-        self.serve_requests.reset();
-        self.serve_shed.reset();
-        self.serve_degraded.reset();
-        self.serve_fallback.reset();
-        self.serve_reloads.reset();
-        self.serve_reload_rollbacks.reset();
-        self.serve_queue_depth.reset();
-        self.serve_breaker_state.reset();
-        self.serve_samples_used.reset();
-        self.serve_deadline_slack_ms.reset();
-        self.serve_request_seconds.reset();
-        self.serve_batches.reset();
-        self.serve_batch_size.reset();
-        self.serve_batch_groups.reset();
-        self.serve_cache_hits.reset();
-        self.serve_cache_misses.reset();
-        self.serve_cache_evictions.reset();
-        self.serve_cache_invalidations.reset();
-        self.serve_cache_entries.reset();
-        self.cluster_workers_up.reset();
-        self.cluster_restarts.reset();
-        self.cluster_rpc_failures.reset();
-        self.cluster_reload_commits.reset();
-        self.cluster_reload_aborts.reset();
-        self.cluster_failover.reset();
-        self.faultnet_injected.reset();
-        self.trace_spans.reset();
-        self.trace_exemplars.reset();
-        self.cluster_scrapes.reset();
-        self.serve_admission_seconds.reset();
-        self.serve_batch_dwell_seconds.reset();
-        self.serve_cache_probe_seconds.reset();
-        self.serve_compute_seconds.reset();
-        self.serve_render_seconds.reset();
-        self.cluster_shard_rpc_seconds.reset();
-        self.cluster_merge_seconds.reset();
-        self.mc_sample_seconds.reset();
-    }
+    mc_sample_seconds: Histogram = "stuq_mc_sample_seconds", "seconds per MC sample batch (trace)";
 }
 
 #[cfg(test)]
@@ -1222,6 +673,18 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in exposition:\n{text}");
         }
+        // Every family has exactly one header pair: a name declared twice in
+        // the table shows up as a second `# HELP`/`# TYPE` line.
+        let family = |line: &str, tag: &str| {
+            line.strip_prefix(tag).and_then(|r| r.split(' ').next()).map(str::to_owned)
+        };
+        let helps: Vec<String> = text.lines().filter_map(|l| family(l, "# HELP ")).collect();
+        let types: Vec<String> = text.lines().filter_map(|l| family(l, "# TYPE ")).collect();
+        assert_eq!(helps, types, "HELP and TYPE lines must pair up family by family");
+        for name in &helps {
+            let n = helps.iter().filter(|h| *h == name).count();
+            assert_eq!(n, 1, "family {name} has {n} # HELP lines");
+        }
     }
 
     #[test]
@@ -1279,5 +742,8 @@ mod tests {
         assert_eq!(m.guard_trips.get(), 0);
         assert_eq!(m.calib_temperature.get(), 0.0);
         assert_eq!(m.train_epoch_seconds.count(), 0);
+        // Byte-identical to a fresh catalog covers every entry, not just the
+        // three touched above.
+        assert_eq!(m.expose(), Metrics::new().expose());
     }
 }

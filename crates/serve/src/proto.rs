@@ -120,7 +120,7 @@ pub struct ForecastReq {
     pub x: Vec<Vec<f32>>,
     /// Per-request deadline in (logical) milliseconds.
     pub deadline_ms: Option<u64>,
-    /// MC sample-count override.
+    /// MC sample-count override, `1..=`[`MAX_MC_SAMPLES`].
     pub mc: Option<usize>,
     /// Per-request RNG seed (makes the response independent of arrival
     /// order; defaults to the server seed forked by the request counter).
@@ -150,8 +150,8 @@ pub struct PassReq {
     pub id: Option<String>,
     /// Input window `[t_h, n_nodes]`, already normalised by the router.
     pub x: Tensor,
-    /// Requested sample count of the whole forecast (`1` selects the
-    /// deterministic pass).
+    /// Requested sample count of the whole forecast, at most
+    /// [`MAX_MC_SAMPLES`] (`1` selects the deterministic pass).
     pub n: usize,
     /// First pass of the range.
     pub lo: usize,
@@ -164,6 +164,12 @@ pub struct PassReq {
     /// Parent span (the router's per-range `shard` span).
     pub span: Option<u64>,
 }
+
+/// Largest MC sample count a request may ask for, as a forecast's `mc` or a
+/// `passes` RPC's `n`. Far above any configured count; it exists because
+/// the sample streams are allocated up front, before any work, so an
+/// unbounded count from the wire could exhaust memory.
+pub const MAX_MC_SAMPLES: usize = 1024;
 
 /// Why a request could not be parsed.
 #[derive(Debug)]
@@ -202,6 +208,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     .ok_or_else(|| err(format!("\"passes\" needs a count {key:?}")))
             };
             let (n, lo, hi) = (count("n")?, count("lo")?, count("hi")?);
+            if n > MAX_MC_SAMPLES {
+                return Err(err(format!("\"n\" must be at most {MAX_MC_SAMPLES}")));
+            }
             if n == 0 || lo >= hi || hi > n {
                 return Err(err(format!("pass range {lo}..{hi} is not inside 1..={n}")));
             }
@@ -271,6 +280,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                         .ok_or_else(|| err("\"mc\" must be a positive integer".into()))?;
                     if m == 0 {
                         return Err(err("\"mc\" must be at least 1".into()));
+                    }
+                    if m > MAX_MC_SAMPLES as u64 {
+                        return Err(err(format!("\"mc\" must be at most {MAX_MC_SAMPLES}")));
                     }
                     Some(m as usize)
                 }
@@ -914,6 +926,13 @@ mod tests {
         assert!(e.detail.contains("\"horizon\""));
         let e = parse_request(r#"{"type":"forecast","x":[[1]],"tick":"soon"}"#).unwrap_err();
         assert!(e.detail.contains("\"tick\""));
+        let mc = |m: usize| parse_request(&format!(r#"{{"type":"forecast","x":[[1]],"mc":{m}}}"#));
+        assert!(
+            matches!(mc(MAX_MC_SAMPLES), Ok(Request::Forecast(f)) if f.mc == Some(MAX_MC_SAMPLES))
+        );
+        for m in [MAX_MC_SAMPLES + 1, 1_000_000_000_000] {
+            assert!(mc(m).unwrap_err().detail.contains("\"mc\" must be at most"), "{m}");
+        }
     }
 
     #[test]
@@ -963,12 +982,15 @@ mod tests {
         assert_eq!((p.n, p.lo, p.hi, p.rng), (10, 3, 7, rng));
         assert_eq!(p.x.data(), x.data());
         assert_eq!((p.trace, p.span), (Some(0xdead_beef), Some(5)));
+        let line = render_passes_req(&x, MAX_MC_SAMPLES, 0..MAX_MC_SAMPLES, &rng, None);
+        assert!(matches!(parse_request(&line), Ok(Request::Passes(p)) if p.n == MAX_MC_SAMPLES));
         for bad in [
             r#"{"type":"passes","n":4,"lo":3,"hi":3,"rng":["0","0","0","0"],"x":[[1]]}"#,
             r#"{"type":"passes","n":4,"lo":0,"hi":5,"rng":["0","0","0","0"],"x":[[1]]}"#,
             r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":["0","0","0"],"x":[[1]]}"#,
             r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":[0,0,0,0],"x":[[1]]}"#,
             r#"{"type":"passes","lo":0,"hi":2,"rng":["0","0","0","0"],"x":[[1]]}"#,
+            r#"{"type":"passes","n":1025,"lo":0,"hi":1,"rng":["0","0","0","0"],"x":[[1]]}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }

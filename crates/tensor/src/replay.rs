@@ -1,14 +1,13 @@
 //! Static-schedule replay of the backward pass (DESIGN.md §14).
 //!
 //! Training re-traces a structurally identical tape every batch: same ops,
-//! same parents, same shapes — only the floats change. The level-scheduled
-//! engine ([`Tape::backward_levels`]) nevertheless re-derives the whole
-//! schedule (levels, consumer lists, edge arena, buckets) on every call,
-//! which is exactly the constant factor BENCH_PR3 measured losing to the
-//! seed's serial walk. This module compiles that schedule **once** into a
-//! [`ReplayPlan`] keyed on [`Tape::structural_sig`] and replays it on every
-//! later batch with preallocated scratch, frozen per-level chunk assignments
-//! and zero graph analysis.
+//! same parents, same shapes — only the floats change. Re-deriving the
+//! schedule (levels, consumer lists, edge arena, buckets) on every call is
+//! the constant factor BENCH_PR3 measured losing to the seed's serial walk,
+//! so this module compiles that schedule **once** into a [`ReplayPlan`]
+//! keyed on [`Tape::structural_sig`] and replays it on every later batch
+//! with preallocated scratch, frozen per-level chunk assignments and zero
+//! graph analysis.
 //!
 //! On top of the frozen schedule, the compiler fuses chains of adjacent
 //! unary element-wise adjoints (negate/scale/σ′/tanh′/ReLU′/dropout-mask …)
@@ -233,8 +232,7 @@ pub struct ReplayPlan {
     loss: NodeId,
     n_nodes: usize,
     /// CSR offsets into the edge-delta arena: node `id`'s slots are
-    /// `edge_off[id]..edge_off[id + 1]`, one per parent (same layout as
-    /// `backward_levels`).
+    /// `edge_off[id]..edge_off[id + 1]`, one per parent.
     edge_off: Vec<usize>,
     /// Arena slots whose parent is a `Constant` — never written, keeping the
     /// scratch all-`None` between runs without a sweep.
@@ -279,7 +277,9 @@ impl ReplayPlan {
         const UNREACHED: usize = usize::MAX;
         let n = loss + 1;
 
-        // Longest-path levels over the reverse graph (cf. backward_levels).
+        // Longest-path levels over the reverse graph: no node shares a level
+        // with any of its consumers. Consumers have higher ids than their
+        // inputs, so one descending pass finalises each node's level.
         let mut level = vec![UNREACHED; n];
         level[loss] = 0;
         let mut n_levels = 0usize;
@@ -717,7 +717,7 @@ pub fn replay_enabled() -> bool {
 }
 
 /// Runs `f` with replay disabled on the current thread; [`Tape::backward`]
-/// falls back to the pre-replay engine dispatch inside the scope. Nests.
+/// falls back to the serial walk inside the scope. Nests.
 pub fn with_replay_disabled<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {
@@ -756,7 +756,7 @@ pub fn clear_replay_cache() {
 ///
 /// Returns `None` when the cache is unavailable — a `Custom` op's backward
 /// is re-entering `Tape::backward` while a replay holds the cache — in which
-/// case the caller falls back to the classic engines.
+/// case the caller falls back to the serial walk.
 pub(crate) fn cached_backward(tape: &Tape, loss: NodeId) -> Option<GradStore> {
     let slot = PLAN_CACHE.with(|c| {
         let mut cache = c.try_borrow_mut().ok()?;

@@ -13,14 +13,15 @@
 //! of AGCRN, Eq. 5 of the paper) are first-class ops so that a GRU step stays
 //! a handful of tape nodes instead of dozens.
 //!
-//! The reverse sweep has two interchangeable engines (DESIGN.md §9):
-//! [`Tape::backward_serial`], the plain descending-id walk, and
-//! [`Tape::backward_levels`], which extracts topological levels from the
-//! reverse graph and dispatches each level's independent adjoints onto the
-//! `stuq-parallel` pool. Both accumulate every gradient in the *same* fixed
-//! order (children by descending id, inputs in declaration order, parameter
-//! slots by descending node id), so their results are bit-identical for any
-//! thread count; [`Tape::backward`] picks between them automatically.
+//! The reverse sweep has two interchangeable engines (DESIGN.md §9, §14):
+//! [`Tape::backward_serial`], the plain descending-id walk and the oracle,
+//! and the compiled [`crate::replay::ReplayPlan`], which freezes the
+//! reverse graph's topological levels once per tape structure and replays
+//! them on the `stuq-parallel` pool. Both accumulate every gradient in the
+//! *same* fixed order (children by descending id, inputs in declaration
+//! order, parameter slots by descending node id), so their results are
+//! bit-identical for any thread count; [`Tape::backward`] picks between them
+//! automatically.
 
 use crate::rng::StuqRng;
 use crate::tensor::Tensor;
@@ -101,8 +102,8 @@ pub(crate) struct Node {
     pub(crate) parents: Vec<NodeId>,
 }
 
-/// Below this many tape nodes the level scheduler's bookkeeping costs more
-/// than the fan-out buys; [`Tape::backward`] stays on the serial walk.
+/// Below this many tape nodes a replay plan's bookkeeping costs more than
+/// it buys; [`Tape::backward`] stays on the serial walk.
 const PAR_BACKWARD_MIN_NODES: usize = 48;
 
 /// Gradients produced by [`Tape::backward`], keyed by parameter slot.
@@ -552,18 +553,17 @@ impl Tape {
 
     /// Runs the reverse sweep from the scalar node `loss`.
     ///
-    /// Dispatch (DESIGN.md §14): tapes large enough to amortise scheduling
-    /// go through the thread-local replay cache — a compiled
+    /// Two engines (DESIGN.md §14): tapes large enough to amortise
+    /// scheduling go through the thread-local replay cache — a compiled
     /// [`crate::replay::ReplayPlan`] keyed on [`Tape::structural_sig`], so
     /// the static schedule is derived once per graph shape and replayed with
-    /// preallocated buffers on every later batch. With replay disabled
-    /// (`STUQ_REPLAY=0` or [`crate::replay::with_replay_disabled`]) the
-    /// pre-replay dispatch applies: [`Tape::backward_levels`] on a
-    /// multi-thread pool, [`Tape::backward_serial`] otherwise. Inside
-    /// [`crate::kernels::with_reference_kernels`] the seed's serial walk
-    /// always runs, so benchmark baselines time the genuine pre-engine code
-    /// path. Every engine is bit-identical to [`Tape::backward_serial`], so
-    /// the choice never changes a result.
+    /// preallocated buffers on every later batch. Everything else falls back
+    /// to the serial walk, [`Tape::backward_serial`]: small tapes, replay
+    /// disabled (`STUQ_REPLAY=0` or [`crate::replay::with_replay_disabled`]),
+    /// a re-entrant backward from inside a `Custom` op, and anything inside
+    /// [`crate::kernels::with_reference_kernels`], so benchmark baselines
+    /// time the genuine seed code path. Replay is bit-identical to the
+    /// serial walk, so the choice never changes a result.
     ///
     /// Panics if `loss` is not a `1×1` tensor.
     pub fn backward(&self, loss: NodeId) -> GradStore {
@@ -578,11 +578,7 @@ impl Tape {
                 return store;
             }
         }
-        if stuq_parallel::num_threads() == 1 || stuq_parallel::serial_forced() {
-            self.backward_serial(loss)
-        } else {
-            self.backward_levels(loss)
-        }
+        self.backward_serial(loss)
     }
 
     /// The seed's reverse sweep: one descending-id pass, accumulating each
@@ -611,140 +607,6 @@ impl Tape {
         store
     }
 
-    /// Branch-parallel reverse sweep: walks the reverse graph in topological
-    /// levels and fans each level's independent adjoints out onto the
-    /// `stuq-parallel` pool.
-    ///
-    /// Level extraction: `level(loss) = 0` and `level(n)` is the longest
-    /// reverse-path distance from the loss, so no node shares a level with
-    /// any of its consumers — by the time a level runs, every consumer's
-    /// delta is final. Each node's task (a) assembles its upstream gradient
-    /// by summing the per-edge deltas of its consumers in the *serial walk's
-    /// order* (descending consumer id, inputs in declaration order) and (b)
-    /// computes its own parent deltas into private slots. Parameter
-    /// gradients are reduced into the [`GradStore`] afterwards in descending
-    /// node-id order per slot — again the serial order. Every float is
-    /// therefore added in exactly the sequence the serial walk uses, which
-    /// makes the result bit-identical to [`Tape::backward_serial`] for any
-    /// thread count (property-tested in `tests/backward_determinism.rs`).
-    ///
-    /// Panics if `loss` is not a `1×1` tensor.
-    #[allow(clippy::too_many_lines)]
-    pub fn backward_levels(&self, loss: NodeId) -> GradStore {
-        assert_eq!(self.nodes[loss].value.len(), 1, "backward() needs a scalar loss node");
-        const UNREACHED: usize = usize::MAX;
-        let n = loss + 1;
-
-        // Longest-path levels over the reverse graph. Consumers have higher
-        // ids than their inputs, so one descending pass finalises each
-        // node's level before its inputs are bumped.
-        let mut level = vec![UNREACHED; n];
-        level[loss] = 0;
-        let mut n_levels = 0usize;
-        for id in (0..=loss).rev() {
-            if level[id] == UNREACHED {
-                continue;
-            }
-            n_levels = n_levels.max(level[id] + 1);
-            let l1 = level[id] + 1;
-            for &p in &self.nodes[id].parents {
-                level[p] = if level[p] == UNREACHED { l1 } else { level[p].max(l1) };
-            }
-        }
-
-        // One delta slot per (op node, input) edge, in a flat arena so tasks
-        // can address disjoint slots through a single base pointer.
-        let mut edge_off = vec![0usize; n + 1];
-        for id in 0..=loss {
-            let slots = match self.nodes[id].op {
-                OpKind::Constant | OpKind::Param(_) => 0,
-                _ if level[id] == UNREACHED => 0,
-                _ => self.nodes[id].parents.len(),
-            };
-            edge_off[id + 1] = edge_off[id] + slots;
-        }
-        let mut edge_deltas: Vec<Option<Tensor>> = (0..edge_off[n]).map(|_| None).collect();
-
-        // Consumer edges per node, recorded in the serial accumulation
-        // order: descending consumer id, then input declaration order.
-        let mut consumers: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); n];
-        for id in (0..=loss).rev() {
-            if edge_off[id + 1] > edge_off[id] {
-                for (k, &p) in self.nodes[id].parents.iter().enumerate() {
-                    consumers[p].push((id, k));
-                }
-            }
-        }
-
-        let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); n_levels];
-        for id in 0..=loss {
-            if level[id] != UNREACHED && !matches!(self.nodes[id].op, OpKind::Constant) {
-                buckets[level[id]].push(id);
-            }
-        }
-
-        if stuq_obs::summary_enabled() {
-            let m = stuq_obs::metrics();
-            m.backward_levels.add(n_levels as u64);
-            m.backward_nodes.add(buckets.iter().map(|b| b.len() as u64).sum());
-            m.backward_edge_slots.add(edge_off[n] as u64);
-        }
-
-        let mut param_grads: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-        let eptr = stuq_parallel::SendPtr::new(edge_deltas.as_mut_ptr());
-        let pptr = stuq_parallel::SendPtr::new(param_grads.as_mut_ptr());
-        for bucket in &buckets {
-            // Single-node levels run inline inside the pool's fast path;
-            // wider levels are where the branch parallelism lives.
-            stuq_parallel::par_for(bucket.len(), |bi| {
-                let id = bucket[bi];
-                let grad = if id == loss {
-                    Tensor::scalar(1.0)
-                } else {
-                    let mut acc: Option<Tensor> = None;
-                    for &(c, k) in &consumers[id] {
-                        // SAFETY: slot (c, k) was written when consumer `c`
-                        // ran in an earlier level, and `id` is the only node
-                        // that reads it (it is input `k` of `c`).
-                        let slot = unsafe { &mut *eptr.get().add(edge_off[c] + k) };
-                        let delta = slot.take().expect("consumer delta missing");
-                        match &mut acc {
-                            Some(g) => g.add_assign(&delta),
-                            empty @ None => *empty = Some(delta),
-                        }
-                    }
-                    acc.expect("reachable node received no deltas")
-                };
-                match &self.nodes[id].op {
-                    OpKind::Constant => unreachable!("constants are never scheduled"),
-                    OpKind::Param(_) => {
-                        // SAFETY: each node id is processed by exactly one task.
-                        unsafe { *pptr.get().add(id) = Some(grad) };
-                    }
-                    _ => {
-                        for (k, delta) in self.node_adjoints(id, &grad).into_iter().enumerate() {
-                            // SAFETY: this node's slots are written only here.
-                            unsafe { *eptr.get().add(edge_off[id] + k) = Some(delta) };
-                        }
-                    }
-                }
-            });
-        }
-
-        // Slot-ordered reduction: per parameter slot, contributions combine
-        // in descending node-id order — the serial walk's order exactly.
-        let mut store = GradStore::default();
-        for id in (0..=loss).rev() {
-            if let Some(g) = param_grads[id].take() {
-                let OpKind::Param(slot) = self.nodes[id].op else {
-                    unreachable!("only Param nodes store gradients")
-                };
-                store.accumulate_slot(slot, g);
-            }
-        }
-        store
-    }
-
     fn accumulate(grads: &mut [Option<Tensor>], id: NodeId, delta: Tensor) {
         match &mut grads[id] {
             Some(g) => g.add_assign(&delta),
@@ -754,8 +616,8 @@ impl Tape {
 
     /// Computes `d loss / d input_k` for every input of node `id`, in input
     /// declaration order, given the node's fully-accumulated upstream
-    /// gradient. Pure with respect to the tape — all three backward engines
-    /// (serial, levels, replay) call this, which is what keeps them
+    /// gradient. Pure with respect to the tape — both backward engines
+    /// (serial and replay) call this, which is what keeps them
     /// numerically interchangeable.
     #[allow(clippy::too_many_lines)]
     pub(crate) fn node_adjoints(&self, id: NodeId, grad: &Tensor) -> Vec<Tensor> {

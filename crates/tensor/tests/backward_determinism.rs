@@ -1,9 +1,9 @@
-//! Property tests for the branch-parallel backward pass (DESIGN.md §9) and
-//! the static-schedule replay engine (DESIGN.md §14).
+//! Property tests for the backward pass's accumulation-order contract
+//! (DESIGN.md §9) and the static-schedule replay engine (DESIGN.md §14).
 //!
-//! The level scheduler ([`Tape::backward_levels`]) and the compiled
-//! [`ReplayPlan`] must be *bit-identical* to the serial descending-id walk
-//! ([`Tape::backward_serial`]) on any tape and any thread count — that is
+//! The compiled [`ReplayPlan`] must be *bit-identical* to the serial
+//! descending-id walk ([`Tape::backward_serial`]) on any tape and any
+//! thread count — that is
 //! the contract the CI determinism gate enforces by re-running this suite at
 //! `STUQ_THREADS=1,2,4`. The tests here are hand-rolled proptest loops in
 //! the style of the kernel suite: a seeded generator builds randomized DAG
@@ -84,10 +84,10 @@ fn random_dag(
     (tape, loss)
 }
 
-/// Property: the level scheduler matches the serial walk bit-for-bit on
-/// randomized elementwise DAGs of many shapes and sizes (including tapes
-/// below the dispatcher's size threshold, where `backward_levels` is called
-/// directly).
+/// Property: a replay plan's level schedule matches the serial walk
+/// bit-for-bit on randomized elementwise DAGs of many shapes and sizes
+/// (including tapes below the dispatcher's size threshold, where the plan
+/// is compiled directly).
 #[test]
 fn random_dags_levels_match_serial_bitwise() {
     let mut rng = StuqRng::new(0x9E7E1);
@@ -98,8 +98,8 @@ fn random_dags_levels_match_serial_bitwise() {
         let n_ops = 4 + rng.uniform_usize(60);
         let (tape, loss) = random_dag(&mut rng, &mut vrng, n_ops, r, c);
         let serial = tape.backward_serial(loss);
-        let levels = tape.backward_levels(loss);
-        assert_bit_identical(&serial, &levels, &format!("case {case}"));
+        let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
+        assert_bit_identical(&serial, &replayed, &format!("case {case}"));
         // The public entry point must agree with both, whichever engine it
         // picked for this tape size and pool configuration.
         let auto = tape.backward(loss);
@@ -128,14 +128,14 @@ fn diamond_fanout_shared_params_bitwise() {
     let top = tape.mul(m1, m2);
     let loss = tape.sum_all(top);
     let serial = tape.backward_serial(loss);
-    let levels = tape.backward_levels(loss);
-    assert_bit_identical(&serial, &levels, "diamond");
+    let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
+    assert_bit_identical(&serial, &replayed, "diamond");
     assert_eq!(serial.len(), 2, "two parameter slots");
 }
 
 /// Property: matmul / matmul_tb adjoints (which themselves run the tiled,
 /// row-parallel kernels) are bit-identical between the two engines, on tapes
-/// large enough that [`Tape::backward`] really picks the level scheduler.
+/// large enough that [`Tape::backward`] really picks replay.
 #[test]
 fn matmul_grads_match_across_engines_bitwise() {
     let mut rng = StuqRng::new(0x3A7B);
@@ -159,8 +159,8 @@ fn matmul_grads_match_across_engines_bitwise() {
         let top = tape.add(pq, s);
         let loss = tape.mean_all(top);
         let serial = tape.backward_serial(loss);
-        let levels = tape.backward_levels(loss);
-        assert_bit_identical(&serial, &levels, &format!("matmul case {case}"));
+        let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
+        assert_bit_identical(&serial, &replayed, &format!("matmul case {case}"));
         let auto = tape.backward(loss);
         assert_bit_identical(&serial, &auto, &format!("matmul case {case} (auto)"));
         // And the whole thing must be invariant under a forced-serial pool.
@@ -305,7 +305,7 @@ fn fused_chain_gradients_match_serial_bitwise() {
     assert!(plan.n_tasks() < tape.len(), "fusion must shrink the schedule");
     let serial = tape.backward_serial(loss);
     assert_bit_identical(&serial, &plan.run(&tape), "fused plan");
-    // And through the public dispatcher (replay or classic, must agree).
+    // And through the public dispatcher (replay or serial, must agree).
     assert_bit_identical(&serial, &tape.backward(loss), "dispatcher");
 }
 

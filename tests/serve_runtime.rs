@@ -674,3 +674,29 @@ fn serve_loop_answers_a_non_utf8_line_and_keeps_reading() {
     assert_eq!(ty(&lines[2]), "forecast", "{out}");
     assert_eq!(lines[2].get("id").and_then(Json::as_str), Some("after"));
 }
+
+#[test]
+fn serve_loop_rejects_a_hostile_mc_and_keeps_serving() {
+    // An `mc` far past the bound must be refused at parse time — the sample
+    // streams are allocated up front — without disturbing later requests.
+    let f = fx();
+    let hostile = forecast_line(f, "hostile", None, Some(1_000_000_000_000), 1);
+    let input = format!("{hostile}\n{}\n", forecast_line(f, "after", None, Some(2), 2));
+    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
+    let sink = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let summary = serve_loop(&mut srv, std::io::Cursor::new(input), sink.clone());
+    let out = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<Json> = out.lines().map(parsed).collect();
+    assert_eq!(lines.len(), 2, "two lines in, two responses out:\n{out}");
+    assert_eq!(summary.responses, 2);
+    let by_id = |id: &str| {
+        let hits: Vec<&Json> =
+            lines.iter().filter(|v| v.get("id").and_then(Json::as_str) == Some(id)).collect();
+        assert_eq!(hits.len(), 1, "exactly one response for {id}:\n{out}");
+        hits[0]
+    };
+    let bad = by_id("hostile");
+    assert_eq!(ty(bad), "error", "{out}");
+    assert_eq!(bad.get("reason").and_then(Json::as_str), Some("bad_request"));
+    assert_eq!(ty(by_id("after")), "forecast", "{out}");
+}
