@@ -66,8 +66,7 @@ pub use error::{Stage, TrainError};
 pub use guard::{GuardConfig, GuardState};
 pub use io::{load_model, load_model_bytes, save_model};
 pub use mc::{
-    mc_forecast, mc_forecast_anytime, mc_forecast_anytime_batch, mc_forecast_batch, mc_passes,
-    reduce_anytime, AnytimeForecast, BatchObserver, BatchSampleBudget, GaussianForecast,
-    McBatchItem, SampleBudget, SamplePass, UnlimitedBudget,
+    mc_forecast, mc_forecast_anytime, mc_passes, reduce_anytime, AnytimeForecast, GaussianForecast,
+    SampleBudget, SamplePass, UnlimitedBudget,
 };
 pub use pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome, Forecast};

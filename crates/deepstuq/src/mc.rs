@@ -107,8 +107,8 @@ fn sample_pass(pred: Prediction<Tensor>) -> SamplePass {
 /// the eval context (the single-sample `DeepSTUQ/S` mode); otherwise
 /// dropout stays live ([`FwdCtx::mc_sample`]). Every MC entry point builds
 /// one session per call and funnels each pass through here, which is what
-/// makes the solo, anytime, and batched paths bit-identical for the same
-/// stream.
+/// makes the solo, anytime, and sample-range paths bit-identical for the
+/// same stream.
 pub(crate) fn run_pass(
     session: &dyn InferenceSession,
     x: &Tensor,
@@ -321,192 +321,6 @@ pub fn reduce_anytime(
         }
     }
     AnytimeForecast { forecast: reduce_samples(samples, shape), samples_requested: n_samples }
-}
-
-/// One request's slot in a batched MC call: its input window, covariates,
-/// and per-item sampling knobs. The item *owns* its RNG — the batch entry
-/// points fork per-sample streams from it exactly as the solo paths do, so
-/// an item's result is bit-identical to calling [`mc_forecast_with_cov`] /
-/// [`mc_forecast_anytime`] alone with the same generator.
-pub struct McBatchItem<'a> {
-    /// Input window `[t_h, N]`, normalised units.
-    pub x: &'a Tensor,
-    /// Optional exogenous covariates `[t_h, c]`.
-    pub cov: Option<&'a Tensor>,
-    /// Requested MC samples (also keys the pass mode: 1 → deterministic).
-    pub n_samples: usize,
-    /// Degradation floor (clamped to `1..=n_samples`).
-    pub floor: usize,
-    /// Per-item generator; streams are forked from it up front for the full
-    /// requested count, so it advances identically cut or uncut.
-    pub rng: StuqRng,
-}
-
-/// Per-item form of [`SampleBudget`] for batched anytime runs: may item
-/// `item` run one more pass, given `completed` finished passes?
-///
-/// [`mc_forecast_anytime_batch`] consults the budget in *item order* within
-/// each round, once per decision — with a clock-backed budget and a logical
-/// clock, the read sequence (and therefore every cut point) is a pure
-/// function of the batch composition.
-pub trait BatchSampleBudget {
-    /// May one more pass run for `item`?
-    fn allow(&mut self, item: usize, completed: usize) -> bool;
-}
-
-impl BatchSampleBudget for UnlimitedBudget {
-    fn allow(&mut self, _item: usize, _completed: usize) -> bool {
-        true
-    }
-}
-
-/// Per-item prefix observer for [`mc_forecast_anytime_batch`]: fires with
-/// `(item index, reduction over that item's completed passes so far)`.
-pub type BatchObserver<'a> = &'a mut dyn FnMut(usize, &GaussianForecast);
-
-/// Batched [`mc_forecast_with_cov`]: runs every item's full sample fan-out
-/// as one flattened `(item × sample)` parallel map.
-///
-/// Each item's streams are forked from its own RNG before the fan-out and
-/// its passes are reduced in sample-index order, so item `i`'s result is
-/// bit-identical to a solo [`mc_forecast_with_cov`] call — batching changes
-/// wall-clock parallelism, never bytes.
-pub fn mc_forecast_batch(
-    model: &dyn Forecaster,
-    items: &mut [McBatchItem<'_>],
-) -> Vec<GaussianForecast> {
-    let shape = [model.n_nodes(), model.horizon()];
-    // (item index, stream, deterministic?) per flattened pass, item-major.
-    let mut flat: Vec<(usize, StuqRng, bool)> = Vec::new();
-    for (i, item) in items.iter_mut().enumerate() {
-        assert!(item.n_samples >= 1, "need at least one sample per item");
-        let single = item.n_samples == 1;
-        for stream in fork_streams(&mut item.rng, item.n_samples) {
-            flat.push((i, stream, single));
-        }
-    }
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(flat.len() as u64);
-    }
-    let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let session = model.session();
-    let items_ro: &[McBatchItem<'_>] = items;
-    let passes = stuq_parallel::par_map(flat.len(), |k| {
-        let (i, stream, single) = &flat[k];
-        run_pass(&*session, items_ro[*i].x, items_ro[*i].cov, stream, *single)
-    });
-    if let Some(t0) = t0 {
-        let secs = t0.elapsed().as_secs_f64();
-        let m = stuq_obs::metrics();
-        m.mc_forecast_seconds.record(secs);
-        m.mc_sample_seconds.record(secs);
-        if secs > 0.0 {
-            m.mc_samples_per_sec.set(flat.len() as f64 / secs);
-        }
-    }
-    // Un-flatten: passes come back in item-major order.
-    let mut out = Vec::with_capacity(items.len());
-    let mut it = passes.into_iter();
-    for item in items.iter() {
-        let samples: Vec<SamplePass> = it.by_ref().take(item.n_samples).collect();
-        out.push(reduce_samples(samples, shape));
-    }
-    out
-}
-
-/// Batched [`mc_forecast_anytime`]: round `j` runs pass `j` for every item
-/// still admitted, as one parallel map per round.
-///
-/// Per-item semantics match the solo path exactly: pass `j` runs iff
-/// `j < n_samples` and (`j < floor` or the budget allows it); a single
-/// denial retires the item for good; `observer` fires after each of an
-/// item's completed passes with the reduction over its prefix so far.
-/// Budget decisions are made in item order within a round, so with a
-/// logical clock the cut points are deterministic — though *different*
-/// from the solo path's, whose clock reads are not interleaved across
-/// items. Uncut items are bit-identical to solo runs; that is the
-/// serving runtime's batched-vs-unbatched byte-identity guarantee.
-pub fn mc_forecast_anytime_batch(
-    model: &dyn Forecaster,
-    items: &mut [McBatchItem<'_>],
-    budget: &mut dyn BatchSampleBudget,
-    mut observer: Option<BatchObserver<'_>>,
-) -> Vec<AnytimeForecast> {
-    let shape = [model.n_nodes(), model.horizon()];
-    let streams: Vec<Vec<StuqRng>> = items
-        .iter_mut()
-        .map(|item| {
-            assert!(item.n_samples >= 1, "need at least one sample per item");
-            fork_streams(&mut item.rng, item.n_samples)
-        })
-        .collect();
-    let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let session = model.session();
-    let mut samples: Vec<Vec<SamplePass>> = items.iter().map(|_| Vec::new()).collect();
-    let mut active: Vec<bool> = vec![true; items.len()];
-    let mut round = 0;
-    loop {
-        let mut runners: Vec<usize> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            if round >= item.n_samples {
-                active[i] = false;
-                continue;
-            }
-            let floor = item.floor.clamp(1, item.n_samples);
-            if round >= floor && !budget.allow(i, round) {
-                active[i] = false;
-                continue;
-            }
-            runners.push(i);
-        }
-        if runners.is_empty() {
-            break;
-        }
-        let items_ro: &[McBatchItem<'_>] = items;
-        let round_t0 = t0.is_some().then(std::time::Instant::now);
-        let passes = stuq_parallel::par_map(runners.len(), |k| {
-            let i = runners[k];
-            let item = &items_ro[i];
-            run_pass(&*session, item.x, item.cov, &streams[i][round], item.n_samples == 1)
-        });
-        if let Some(rt0) = round_t0 {
-            // One round = one MC sample batch (pass `round` for every still-
-            // admitted item): the per-batch distribution `stuq trace` and the
-            // serving timeline attribute group compute to.
-            stuq_obs::metrics().mc_sample_seconds.record(rt0.elapsed().as_secs_f64());
-        }
-        for (k, pass) in passes.into_iter().enumerate() {
-            let i = runners[k];
-            samples[i].push(pass);
-            if let Some(obs) = observer.as_deref_mut() {
-                obs(i, &reduce_sample_slice(&samples[i], shape));
-            }
-        }
-        round += 1;
-    }
-    let total: usize = samples.iter().map(Vec::len).sum();
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(total as u64);
-    }
-    if let Some(t0) = t0 {
-        let secs = t0.elapsed().as_secs_f64();
-        let m = stuq_obs::metrics();
-        m.mc_forecast_seconds.record(secs);
-        if secs > 0.0 {
-            m.mc_samples_per_sec.set(total as f64 / secs);
-        }
-    }
-    samples
-        .into_iter()
-        .zip(items.iter())
-        .map(|(s, item)| AnytimeForecast {
-            forecast: reduce_samples(s, shape),
-            samples_requested: item.n_samples,
-        })
-        .collect()
 }
 
 /// Ensemble combination for snapshot ensembles (FGE): runs one deterministic
@@ -781,139 +595,6 @@ mod tests {
         assert_bitwise(&got.forecast, &reduce_samples(rest, shape), "missing pass 1");
     }
 
-    #[test]
-    fn batch_items_match_solo_runs_bitwise() {
-        // Co-batching must never change bytes: each item of a mixed batch
-        // (different seeds, sample counts, inputs) reduces to exactly the
-        // solo-path result for the same generator.
-        let mut rng = StuqRng::new(31);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let xa = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let xb = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &xa, cov: None, n_samples: 8, floor: 1, rng: StuqRng::new(7) },
-            McBatchItem { x: &xb, cov: None, n_samples: 3, floor: 1, rng: StuqRng::new(9) },
-            McBatchItem { x: &xa, cov: None, n_samples: 1, floor: 1, rng: StuqRng::new(7) },
-        ];
-        let batched = mc_forecast_batch(&model, &mut items);
-        let solo = [
-            mc_forecast_with_cov(&model, &xa, None, 8, &mut StuqRng::new(7)),
-            mc_forecast_with_cov(&model, &xb, None, 3, &mut StuqRng::new(9)),
-            mc_forecast_with_cov(&model, &xa, None, 1, &mut StuqRng::new(7)),
-        ];
-        for (b, s) in batched.iter().zip(&solo) {
-            assert_eq!(b.mu.data(), s.mu.data());
-            assert_eq!(b.var_aleatoric.data(), s.var_aleatoric.data());
-            assert_eq!(b.var_epistemic.data(), s.var_epistemic.data());
-            assert_eq!(b.n_samples, s.n_samples);
-        }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_across_thread_counts() {
-        let mut rng = StuqRng::new(32);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let run = || {
-            let mut items = vec![
-                McBatchItem { x: &x, cov: None, n_samples: 6, floor: 1, rng: StuqRng::new(1) },
-                McBatchItem { x: &x, cov: None, n_samples: 4, floor: 1, rng: StuqRng::new(2) },
-            ];
-            mc_forecast_batch(&model, &mut items)
-        };
-        let par = run();
-        let ser = stuq_parallel::with_serial(run);
-        for (a, b) in par.iter().zip(&ser) {
-            assert_eq!(a.mu.data(), b.mu.data());
-            assert_eq!(a.var_epistemic.data(), b.var_epistemic.data());
-        }
-    }
-
-    /// Per-item caps for the batched budget.
-    struct CapPerItem(Vec<usize>);
-    impl BatchSampleBudget for CapPerItem {
-        fn allow(&mut self, item: usize, completed: usize) -> bool {
-            completed < self.0[item]
-        }
-    }
-
-    #[test]
-    fn anytime_batch_uncut_matches_solo_anytime_bitwise() {
-        let mut rng = StuqRng::new(33);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &x, cov: None, n_samples: 6, floor: 2, rng: StuqRng::new(7) },
-            McBatchItem { x: &x, cov: None, n_samples: 6, floor: 2, rng: StuqRng::new(8) },
-        ];
-        let batched = mc_forecast_anytime_batch(&model, &mut items, &mut UnlimitedBudget, None);
-        for (i, seed) in [7u64, 8].iter().enumerate() {
-            let solo = mc_forecast_anytime(
-                &model,
-                &x,
-                None,
-                6,
-                2,
-                &mut UnlimitedBudget,
-                &mut StuqRng::new(*seed),
-                None,
-            );
-            assert!(!batched[i].degraded());
-            assert_eq!(batched[i].forecast.mu.data(), solo.forecast.mu.data());
-            assert_eq!(
-                batched[i].forecast.var_epistemic.data(),
-                solo.forecast.var_epistemic.data()
-            );
-        }
-    }
-
-    #[test]
-    fn anytime_batch_honours_per_item_floors_and_cuts() {
-        let mut rng = StuqRng::new(34);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &x, cov: None, n_samples: 8, floor: 2, rng: StuqRng::new(1) },
-            McBatchItem { x: &x, cov: None, n_samples: 8, floor: 4, rng: StuqRng::new(2) },
-            McBatchItem { x: &x, cov: None, n_samples: 8, floor: 2, rng: StuqRng::new(3) },
-        ];
-        // Item 0 cut at 5, item 1 denied everywhere (floor 4 holds), item 2 uncut.
-        let out =
-            mc_forecast_anytime_batch(&model, &mut items, &mut CapPerItem(vec![5, 0, 8]), None);
-        assert_eq!(out[0].forecast.n_samples, 5);
-        assert!(out[0].degraded());
-        assert_eq!(out[1].forecast.n_samples, 4, "denied items stop exactly at their floor");
-        assert_eq!(out[2].forecast.n_samples, 8);
-        assert!(!out[2].degraded());
-        // A cut item reduces exactly the first k solo streams.
-        let solo = mc_forecast_anytime(
-            &model,
-            &x,
-            None,
-            8,
-            1,
-            &mut CapBudget(5),
-            &mut StuqRng::new(1),
-            None,
-        );
-        assert_eq!(out[0].forecast.mu.data(), solo.forecast.mu.data());
-    }
-
-    #[test]
-    fn anytime_batch_observer_sees_per_item_prefixes() {
-        let mut rng = StuqRng::new(35);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &x, cov: None, n_samples: 3, floor: 1, rng: StuqRng::new(1) },
-            McBatchItem { x: &x, cov: None, n_samples: 2, floor: 1, rng: StuqRng::new(2) },
-        ];
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        let mut obs = |i: usize, g: &GaussianForecast| seen.push((i, g.n_samples));
-        mc_forecast_anytime_batch(&model, &mut items, &mut UnlimitedBudget, Some(&mut obs));
-        assert_eq!(seen, vec![(0, 1), (1, 1), (0, 2), (1, 2), (0, 3)]);
-    }
-
     /// The tape oracle: the first `k` of the `n` streams an entry point
     /// forks from `rng`, each run through `Forecaster::forward_with_cov` on
     /// a fresh tape, reduced in sample order. Advances `rng` exactly as the
@@ -996,24 +677,16 @@ mod tests {
         let cut = mc_forecast_anytime(model, x, cov, n, 1, &mut CapBudget(2), &mut r, None);
         assert_bitwise(&cut.forecast, &oracle(n.min(2), 8).0, &at("mc_forecast_anytime cut"));
 
-        let item = |seed| McBatchItem { x, cov, n_samples: n, floor: 1, rng: StuqRng::new(seed) };
-        let mut items = vec![item(9), item(10)];
-        let batched = mc_forecast_batch(model, &mut items);
-        for (i, seed) in [9u64, 10].into_iter().enumerate() {
-            let (want, mut wr) = oracle(n, seed);
-            assert_bitwise(&batched[i], &want, &at("mc_forecast_batch"));
-            assert_same_rng(&mut items[i].rng, &mut wr, &at("mc_forecast_batch"));
+        // A cluster's sample ranges, concatenated, are the whole run.
+        let (want, wr) = oracle(n, 9);
+        let mut passes = Vec::new();
+        for range in [0..n / 2, n / 2..n] {
+            let mut r = StuqRng::new(9);
+            passes.extend(mc_passes(model, x, cov, n, range, &mut r));
+            assert_same_rng(&mut r, &mut wr.clone(), &at("mc_passes"));
         }
-
-        // Item 0 runs uncut, item 1 is cut after two passes.
-        let mut items = vec![item(11), item(12)];
-        let budget = &mut CapPerItem(vec![n, 2]);
-        let any_batched = mc_forecast_anytime_batch(model, &mut items, budget, None);
-        for (i, (seed, k)) in [(11u64, n), (12, n.min(2))].into_iter().enumerate() {
-            let (want, mut wr) = oracle(k, seed);
-            assert_bitwise(&any_batched[i].forecast, &want, &at("mc_forecast_anytime_batch"));
-            assert_same_rng(&mut items[i].rng, &mut wr, &at("mc_forecast_anytime_batch"));
-        }
+        let shape = [model.n_nodes(), model.horizon()];
+        assert_bitwise(&reduce_samples(passes, shape), &want, &at("mc_passes"));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Request coalescing between admission and the worker (DESIGN.md §12).
 //!
-//! Three pieces live here:
+//! The serve loop's reader parses each line once; everything here carries
+//! the parsed value. Three pieces live here:
 //!
-//! * [`Lanes`] — the two-lane admission queue (moved from the loop module):
-//!   a bounded forecast lane and an unbounded control lane with pop
-//!   priority.
+//! * [`Lanes`] — the two-lane admission queue: a bounded forecast lane of
+//!   parsed [`ForecastReq`]s and an unbounded control lane of parsed
+//!   [`Request`]s with pop priority.
 //! * [`gather`] — the batcher stage: starting from one admitted forecast,
 //!   collect co-arriving forecasts into a batch. Under the **fake clock**
 //!   a batch closes only on `--batch-max`, end of input, or (empty-lane)
@@ -12,9 +13,9 @@
 //!   arrived — so batch composition is a pure function of request arrival
 //!   order, which is what keeps annotated response streams byte-identical
 //!   across `STUQ_THREADS` and across replays. On the **real clock** the
-//!   window is bounded by `--batch-wait-ms` *and* by the tightest deadline
-//!   of any gathered member (a 3 ms request never waits 50 ms for
-//!   company), and a control pop closes the batch early so operator
+//!   window is bounded by `--batch-wait-ms` *and* by the tightest
+//!   `deadline_ms` of any gathered member (a 3 ms request never waits 50 ms
+//!   for company), and a control pop closes the batch early so operator
 //!   commands keep their latency.
 //! * [`SeedSpec`] / [`group_requests`] — the share-key machinery: requests
 //!   whose RNG derivation, sample count, and exact window bits coincide
@@ -27,34 +28,25 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::SeedDerivation;
+use crate::proto::{ForecastReq, Request};
 
 /// What the worker popped from the lanes.
 pub(crate) enum Popped {
     /// A control request (healthz/reload/drain/shutdown) — never shed.
-    Control(String),
-    /// An admitted forecast line, stamped with its admission instant so the
+    Control(Request),
+    /// An admitted forecast, stamped with its admission instant so the
     /// tracer can attribute queue wait (DESIGN.md §15). The stamp feeds
     /// telemetry only — never the logical clock or the response bytes.
-    Forecast(String, Instant),
+    Forecast(ForecastReq, Instant),
     /// Nothing arrived within the timeout (idle tick).
     TimedOut,
-    /// Reader hit end of input and both lanes are empty.
-    Closed,
-}
-
-/// A forecast-lane-only pop (fake-clock gathering ignores control).
-pub(crate) enum ForecastPop {
-    /// The next admitted forecast line and its admission instant.
-    Line(String, Instant),
-    /// Nothing on the forecast lane within the timeout.
-    TimedOut,
-    /// Input closed and the forecast lane is empty.
+    /// Reader hit end of input and the lanes popped from are empty.
     Closed,
 }
 
 struct LaneState {
-    forecasts: VecDeque<(String, Instant)>,
-    control: VecDeque<String>,
+    forecasts: VecDeque<(ForecastReq, Instant)>,
+    control: VecDeque<Request>,
     closed: bool,
 }
 
@@ -80,20 +72,20 @@ impl Lanes {
     }
 
     /// Admission: false means the bounded lane is full (shed the request).
-    pub(crate) fn try_push_forecast(&self, line: String) -> bool {
+    pub(crate) fn try_push_forecast(&self, req: ForecastReq) -> bool {
         let mut s = self.m.lock().unwrap();
         if s.closed || s.forecasts.len() >= self.cap {
             return false;
         }
-        s.forecasts.push_back((line, Instant::now()));
+        s.forecasts.push_back((req, Instant::now()));
         stuq_obs::metrics().serve_queue_depth.set(s.forecasts.len() as f64);
         self.cv.notify_all();
         true
     }
 
-    pub(crate) fn push_control(&self, line: String) {
+    pub(crate) fn push_control(&self, req: Request) {
         let mut s = self.m.lock().unwrap();
-        s.control.push_back(line);
+        s.control.push_back(req);
         self.cv.notify_all();
     }
 
@@ -105,12 +97,12 @@ impl Lanes {
     pub(crate) fn pop(&self, timeout: Duration) -> Popped {
         let mut s = self.m.lock().unwrap();
         loop {
-            if let Some(line) = s.control.pop_front() {
-                return Popped::Control(line);
+            if let Some(req) = s.control.pop_front() {
+                return Popped::Control(req);
             }
-            if let Some((line, at)) = s.forecasts.pop_front() {
+            if let Some((req, at)) = s.forecasts.pop_front() {
                 stuq_obs::metrics().serve_queue_depth.set(s.forecasts.len() as f64);
-                return Popped::Forecast(line, at);
+                return Popped::Forecast(req, at);
             }
             if s.closed {
                 return Popped::Closed;
@@ -126,23 +118,24 @@ impl Lanes {
         }
     }
 
-    /// Pops from the forecast lane only, leaving control lines queued. The
-    /// fake-clock gather path uses this so a racing control line cannot
-    /// change where a batch boundary falls.
-    pub(crate) fn pop_forecast(&self, timeout: Duration) -> ForecastPop {
+    /// Pops from the forecast lane only, leaving control requests queued
+    /// (never returns [`Popped::Control`]). The fake-clock gather path uses
+    /// this so a racing control line cannot change where a batch boundary
+    /// falls.
+    pub(crate) fn pop_forecast(&self, timeout: Duration) -> Popped {
         let mut s = self.m.lock().unwrap();
         loop {
-            if let Some((line, at)) = s.forecasts.pop_front() {
+            if let Some((req, at)) = s.forecasts.pop_front() {
                 stuq_obs::metrics().serve_queue_depth.set(s.forecasts.len() as f64);
-                return ForecastPop::Line(line, at);
+                return Popped::Forecast(req, at);
             }
             if s.closed {
-                return ForecastPop::Closed;
+                return Popped::Closed;
             }
             let (next, res) = self.cv.wait_timeout(s, timeout).unwrap();
             s = next;
             if res.timed_out() && s.forecasts.is_empty() {
-                return if s.closed { ForecastPop::Closed } else { ForecastPop::TimedOut };
+                return if s.closed { Popped::Closed } else { Popped::TimedOut };
             }
         }
     }
@@ -153,16 +146,12 @@ impl Lanes {
         self.m.lock().unwrap().forecasts.len()
     }
 
-    /// Drain whatever is left without waiting (shutdown path).
-    pub(crate) fn drain_now(&self) -> Vec<Popped> {
+    /// Drains whatever is left without waiting (shutdown path): control
+    /// requests first, then forecasts, each lane in arrival order.
+    pub(crate) fn drain_now(&self) -> Vec<Request> {
         let mut s = self.m.lock().unwrap();
-        let mut out = Vec::new();
-        while let Some(line) = s.control.pop_front() {
-            out.push(Popped::Control(line));
-        }
-        while let Some((line, at)) = s.forecasts.pop_front() {
-            out.push(Popped::Forecast(line, at));
-        }
+        let mut out: Vec<Request> = s.control.drain(..).collect();
+        out.extend(s.forecasts.drain(..).map(|(req, _)| Request::Forecast(req)));
         stuq_obs::metrics().serve_queue_depth.set(0.0);
         out
     }
@@ -174,25 +163,25 @@ impl Lanes {
 
 /// Why a gather window closed with work left to hand back to the loop.
 pub(crate) enum GatherEnd {
-    /// A control line was popped mid-gather (real clock only) — process it
-    /// after the batch it interrupted.
-    Control(String),
+    /// A control request was popped mid-gather (real clock only) — process
+    /// it after the batch it interrupted.
+    Control(Request),
     /// Input closed; the loop should drain and exit after this batch.
     Closed,
 }
 
-/// Collects a batch starting from one already-popped forecast line.
+/// Collects a batch starting from one already-popped forecast.
 ///
 /// `fake_clock` selects the deterministic policy (see module docs). The
-/// returned lines are in admission order with their admission instants;
+/// returned requests are in admission order with their admission instants;
 /// `first` is always element 0.
 pub(crate) fn gather(
     lanes: &Lanes,
-    first: (String, Instant),
+    first: (ForecastReq, Instant),
     batch_max: usize,
     batch_wait_ms: u64,
     fake_clock: bool,
-) -> (Vec<(String, Instant)>, Option<GatherEnd>) {
+) -> (Vec<(ForecastReq, Instant)>, Option<GatherEnd>) {
     let mut batch = vec![first];
     if batch_max <= 1 {
         return (batch, None);
@@ -200,30 +189,31 @@ pub(crate) fn gather(
     if fake_clock {
         while batch.len() < batch_max {
             match lanes.pop_forecast(Duration::from_millis(25)) {
-                ForecastPop::Line(line, at) => batch.push((line, at)),
+                Popped::Forecast(req, at) => batch.push((req, at)),
                 // Keep waiting: composition must not depend on wall time.
-                ForecastPop::TimedOut => continue,
-                ForecastPop::Closed => return (batch, Some(GatherEnd::Closed)),
+                Popped::TimedOut => continue,
+                Popped::Control(_) => unreachable!("pop_forecast leaves control queued"),
+                Popped::Closed => return (batch, Some(GatherEnd::Closed)),
             }
         }
         (batch, None)
     } else {
         let start = std::time::Instant::now();
-        let mut window_ms = batch_wait_ms.min(deadline_of(&batch[0].0).unwrap_or(u64::MAX));
+        let mut window_ms = batch_wait_ms.min(batch[0].0.deadline_ms.unwrap_or(u64::MAX));
         while batch.len() < batch_max {
             let elapsed = start.elapsed().as_millis() as u64;
             if elapsed >= window_ms {
                 break;
             }
             match lanes.pop(Duration::from_millis(window_ms - elapsed)) {
-                Popped::Forecast(line, at) => {
+                Popped::Forecast(req, at) => {
                     // The tightest member bounds the window for everyone.
-                    if let Some(d) = deadline_of(&line) {
+                    if let Some(d) = req.deadline_ms {
                         window_ms = window_ms.min(d);
                     }
-                    batch.push((line, at));
+                    batch.push((req, at));
                 }
-                Popped::Control(line) => return (batch, Some(GatherEnd::Control(line))),
+                Popped::Control(req) => return (batch, Some(GatherEnd::Control(req))),
                 Popped::TimedOut => break,
                 Popped::Closed => return (batch, Some(GatherEnd::Closed)),
             }
@@ -241,15 +231,6 @@ pub(crate) struct BatchTiming {
     pub waits: Vec<f64>,
     /// Gather-window duration shared by the whole batch, in seconds.
     pub dwell_s: f64,
-}
-
-/// The deadline a forecast line carries, if any (window bounding only; the
-/// batch handler re-parses requests properly).
-fn deadline_of(line: &str) -> Option<u64> {
-    match crate::proto::parse_request(line) {
-        Ok(crate::proto::Request::Forecast(req)) => req.deadline_ms,
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +301,7 @@ pub(crate) fn group_requests(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -355,20 +336,41 @@ mod tests {
         assert_eq!(g, vec![vec![0], vec![1]], "same hash, different bits: no sharing");
     }
 
-    fn stamped(line: &str) -> (String, Instant) {
-        (line.to_string(), Instant::now())
+    /// A forecast carrying only an id and an optional deadline.
+    pub(crate) fn forecast(id: &str, deadline_ms: Option<u64>) -> ForecastReq {
+        ForecastReq {
+            id: Some(id.into()),
+            x: vec![vec![0.0]],
+            deadline_ms,
+            mc: None,
+            seed: None,
+            tick: None,
+            nodes: None,
+            horizon: None,
+            trace: None,
+            span: None,
+        }
     }
 
-    fn lines(batch: &[(String, Instant)]) -> Vec<&str> {
-        batch.iter().map(|(l, _)| l.as_str()).collect()
+    /// A control request identified by its id.
+    pub(crate) fn control(id: &str) -> Request {
+        Request::Healthz { id: Some(id.into()) }
+    }
+
+    fn stamped(id: &str, deadline_ms: Option<u64>) -> (ForecastReq, Instant) {
+        (forecast(id, deadline_ms), Instant::now())
+    }
+
+    fn ids(batch: &[(ForecastReq, Instant)]) -> Vec<&str> {
+        batch.iter().map(|(r, _)| r.id.as_deref().unwrap()).collect()
     }
 
     #[test]
     fn gather_returns_singleton_when_batching_disabled() {
         let lanes = Lanes::new(4);
-        lanes.try_push_forecast("f2".into());
-        let (batch, end) = gather(&lanes, stamped("f1"), 1, 5, true);
-        assert_eq!(lines(&batch), vec!["f1"]);
+        assert!(lanes.try_push_forecast(forecast("f2", None)));
+        let (batch, end) = gather(&lanes, stamped("f1", None), 1, 5, true);
+        assert_eq!(ids(&batch), vec!["f1"]);
         assert!(end.is_none());
         assert_eq!(lanes.depth(), 1, "nothing else consumed");
     }
@@ -376,24 +378,30 @@ mod tests {
     #[test]
     fn fake_clock_gather_fills_to_max_and_ignores_control() {
         let lanes = Lanes::new(8);
-        lanes.push_control("c".into());
+        lanes.push_control(control("c"));
         for i in 2..=4 {
-            lanes.try_push_forecast(format!("f{i}"));
+            assert!(lanes.try_push_forecast(forecast(&format!("f{i}"), None)));
         }
-        let (batch, end) = gather(&lanes, stamped("f1"), 3, 5, true);
-        assert_eq!(lines(&batch), vec!["f1", "f2", "f3"]);
+        let (batch, end) = gather(&lanes, stamped("f1", None), 3, 5, true);
+        assert_eq!(ids(&batch), vec!["f1", "f2", "f3"]);
         assert!(end.is_none());
         // Control is still queued and pops first afterwards.
-        assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::Control(c) if c == "c"));
-        assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::Forecast(f, _) if f == "f4"));
+        assert!(matches!(
+            lanes.pop(Duration::from_millis(1)),
+            Popped::Control(Request::Healthz { id: Some(c) }) if c == "c"
+        ));
+        assert!(matches!(
+            lanes.pop(Duration::from_millis(1)),
+            Popped::Forecast(f, _) if f.id.as_deref() == Some("f4")
+        ));
     }
 
     #[test]
     fn fake_clock_gather_flushes_partial_batch_on_close() {
         let lanes = Lanes::new(8);
-        lanes.try_push_forecast("f2".into());
+        assert!(lanes.try_push_forecast(forecast("f2", None)));
         lanes.close();
-        let (batch, end) = gather(&lanes, stamped("f1"), 8, 5, true);
+        let (batch, end) = gather(&lanes, stamped("f1", None), 8, 5, true);
         assert_eq!(batch.len(), 2);
         assert!(matches!(end, Some(GatherEnd::Closed)));
     }
@@ -402,13 +410,28 @@ mod tests {
     fn real_clock_gather_closes_on_window_and_control() {
         let lanes = Lanes::new(8);
         // Empty lane: the window expires and the singleton flushes.
-        let (batch, end) = gather(&lanes, stamped("f1"), 8, 1, false);
+        let (batch, end) = gather(&lanes, stamped("f1", None), 8, 1, false);
         assert_eq!(batch.len(), 1);
         assert!(end.is_none());
         // A control line ends the window early.
-        lanes.push_control("c".into());
-        let (batch, end) = gather(&lanes, stamped("f1"), 8, 50, false);
+        lanes.push_control(control("c"));
+        let (batch, end) = gather(&lanes, stamped("f1", None), 8, 50, false);
         assert_eq!(batch.len(), 1);
-        assert!(matches!(end, Some(GatherEnd::Control(c)) if c == "c"));
+        assert!(
+            matches!(end, Some(GatherEnd::Control(Request::Healthz { id: Some(c) })) if c == "c")
+        );
+    }
+
+    #[test]
+    fn real_clock_gather_closes_at_the_tightest_member_deadline() {
+        // A 60 s window would hold the batch open for a minute; the
+        // gathered member's 5 ms deadline closes it instead.
+        let lanes = Lanes::new(8);
+        assert!(lanes.try_push_forecast(forecast("tight", Some(5))));
+        let t0 = Instant::now();
+        let (batch, end) = gather(&lanes, stamped("f1", None), 8, 60_000, false);
+        assert_eq!(ids(&batch), vec!["f1", "tight"]);
+        assert!(end.is_none());
+        assert!(t0.elapsed() < Duration::from_secs(30), "window ignored the member deadline");
     }
 }

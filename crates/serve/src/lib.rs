@@ -4,9 +4,11 @@
 //! newline-delimited JSON protocol ([`proto`]) and keeps four robustness
 //! mechanisms between the client and the model:
 //!
-//! 1. **Admission control** — a bounded queue in front of the worker; when
-//!    it is full (or the server is draining) new forecasts are *shed* with
-//!    a typed `rejected` response instead of growing latency without bound.
+//! 1. **Admission control** — the reader parses each line once and queues
+//!    the parsed request (the two lanes in `batcher`), so the worker never
+//!    parses again; the forecast lane is bounded, and when it is full (or
+//!    the server is draining) new forecasts are *shed* with a typed
+//!    `rejected` response instead of growing latency without bound.
 //!    Breaker state is *not* an admission concern: open-breaker forecasts
 //!    still reach the worker, which serves the documented fallback (or a
 //!    typed rejection) and — crucially — runs the half-open probe that lets
@@ -282,13 +284,24 @@ fn slice_grid(full: &Tensor, nodes: Option<&[usize]>, horizon: Option<usize>) ->
 
 impl Server {
     /// Loads the model (and dataset scaler, when given) and starts the
-    /// reload watcher.
+    /// reload watcher. Fails on an unreadable artifact and on a default
+    /// sample count (`cfg.mc_samples`, else the model's own) above
+    /// [`proto::MAX_MC_SAMPLES`].
     pub fn new(cfg: ServeConfig) -> Result<Server, String> {
         let bytes = std::fs::read(&cfg.model_path)
             .map_err(|e| format!("{}: {e}", cfg.model_path.display()))?;
         let model = deepstuq::load_model_bytes(&bytes)
             .map_err(|e| format!("{}: {e}", cfg.model_path.display()))?;
         let model_checksum = reload::file_checksum(&bytes);
+        // A count above the wire bound would have every cluster worker
+        // refuse every `passes` RPC, so refuse it here instead.
+        let mc = cfg.mc_samples.unwrap_or_else(|| model.mc_samples());
+        if mc > proto::MAX_MC_SAMPLES {
+            return Err(format!(
+                "{mc} MC samples per request is above the bound of {} (proto::MAX_MC_SAMPLES)",
+                proto::MAX_MC_SAMPLES
+            ));
+        }
         let (scaler, expected_t_h) = match &cfg.data_path {
             Some(p) => {
                 let ds = stuq_traffic::load_split_dataset(p)
@@ -386,26 +399,26 @@ impl Server {
         self.shed
     }
 
-    /// Sync entry point: admission (draining check) plus dispatch. The
-    /// serve loop does admission in its reader and calls
-    /// [`Server::process_line`] directly.
+    /// Sync entry point: parse, admission (draining check), dispatch. The
+    /// serve loop parses and admits in its reader and dispatches the parsed
+    /// request directly.
     pub fn handle_line(&mut self, line: &str) -> LineOutcome {
-        if self.draining {
-            if let Ok(Request::Forecast(req)) = proto::parse_request(line) {
-                return LineOutcome { response: self.reject(&req.id, "draining"), done: false };
-            }
-        }
-        self.process_line(line)
-    }
-
-    /// Dispatches one already-admitted request line.
-    pub fn process_line(&mut self, line: &str) -> LineOutcome {
         match proto::parse_request(line) {
             Err(e) => LineOutcome {
                 response: proto::resp_error(&e.id, "bad_request", &e.detail),
                 done: false,
             },
-            Ok(Request::Forecast(req)) => {
+            Ok(Request::Forecast(req)) if self.draining => {
+                LineOutcome { response: self.reject(&req.id, "draining"), done: false }
+            }
+            Ok(req) => self.dispatch(req),
+        }
+    }
+
+    /// Answers one parsed, already-admitted request.
+    fn dispatch(&mut self, req: Request) -> LineOutcome {
+        match req {
+            Request::Forecast(req) => {
                 self.poll_watcher();
                 let response = self
                     .handle_forecast_batch(std::slice::from_ref(&req))
@@ -413,62 +426,62 @@ impl Server {
                     .expect("one request, one response");
                 LineOutcome { response, done: false }
             }
-            Ok(Request::Healthz { id }) => LineOutcome { response: self.healthz(&id), done: false },
-            Ok(Request::Reload { id }) => {
+            Request::Healthz { id } => LineOutcome { response: self.healthz(&id), done: false },
+            Request::Reload { id } => {
                 let response = match self.cluster {
                     Some(_) => self.cluster_reload(&id),
                     None => self.handle_reload(&id),
                 };
                 LineOutcome { response, done: false }
             }
-            Ok(Request::Drain { id }) => {
+            Request::Drain { id } => {
                 self.draining = true;
                 LineOutcome { response: proto::resp_ack(&id, "drain", &[]), done: false }
             }
-            Ok(Request::Shutdown { id }) => {
+            Request::Shutdown { id } => {
                 self.draining = true;
                 if let Some(c) = &mut self.cluster {
                     c.shutdown_workers();
                 }
                 LineOutcome { response: proto::resp_ack(&id, "shutdown", &[]), done: true }
             }
-            Ok(Request::Ping { id }) => LineOutcome {
+            Request::Ping { id } => LineOutcome {
                 response: proto::resp_ack(&id, "ping", &[("ok", "true".into())]),
                 done: false,
             },
             // The internal worker requests stop at a router: clients talk to
             // the cluster through `reload` and `forecast`, never to a shard.
-            Ok(
-                Request::PrepareReload { id }
-                | Request::CommitReload { id }
-                | Request::AbortReload { id }
-                | Request::Passes(PassReq { id, .. }),
-            ) if self.cluster.is_some() => LineOutcome {
-                response: proto::resp_error(
-                    &id,
-                    "bad_request",
-                    "cluster-internal request; send \"reload\" to the router",
-                ),
-                done: false,
-            },
-            Ok(Request::Passes(req)) => {
-                LineOutcome { response: self.handle_passes(&req), done: false }
+            Request::PrepareReload { id }
+            | Request::CommitReload { id }
+            | Request::AbortReload { id }
+            | Request::Passes(PassReq { id, .. })
+                if self.cluster.is_some() =>
+            {
+                LineOutcome {
+                    response: proto::resp_error(
+                        &id,
+                        "bad_request",
+                        "cluster-internal request; send \"reload\" to the router",
+                    ),
+                    done: false,
+                }
             }
-            Ok(Request::PrepareReload { id }) => {
+            Request::Passes(req) => LineOutcome { response: self.handle_passes(&req), done: false },
+            Request::PrepareReload { id } => {
                 LineOutcome { response: self.handle_prepare_reload(&id), done: false }
             }
-            Ok(Request::CommitReload { id }) => {
+            Request::CommitReload { id } => {
                 LineOutcome { response: self.handle_commit_reload(&id), done: false }
             }
-            Ok(Request::AbortReload { id }) => {
+            Request::AbortReload { id } => {
                 LineOutcome { response: self.handle_abort_reload(&id), done: false }
             }
-            Ok(Request::Metrics { id }) => {
+            Request::Metrics { id } => {
                 LineOutcome { response: self.handle_metrics(&id), done: false }
             }
             // A solo server is its own whole cluster, so the cluster scrape
             // degrades to the local dump; a router merges its workers'.
-            Ok(Request::ClusterMetrics { id }) => {
+            Request::ClusterMetrics { id } => {
                 let response = match &mut self.cluster {
                     Some(c) => c.merged_metrics(&id),
                     None => self.handle_metrics(&id),
@@ -609,7 +622,7 @@ impl Server {
     /// One admitted batch, end to end: per-request validation → cache
     /// lookups → share-key grouping → one anytime-MC run per group → per-
     /// member slicing and rendering. A singleton slice is the ordinary
-    /// unbatched path (the sync [`Server::process_line`] route always lands
+    /// unbatched path (the sync [`Server::handle_line`] route always lands
     /// here with one request), so there is exactly one forecast pipeline to
     /// reason about.
     ///
@@ -1284,31 +1297,10 @@ impl Server {
     fn apply_reload(&mut self, v: reload::Validated) -> Result<String, String> {
         let m = stuq_obs::metrics();
         let path_s = v.path.display().to_string();
-        let outcome = match v.result {
-            Err(e) => Err(e),
-            Ok(candidate) => {
-                let (n0, h0) = (self.model.model().n_nodes(), self.model.model().horizon());
-                let (n1, h1) = (candidate.model().n_nodes(), candidate.model().horizon());
-                if (n0, h0) != (n1, h1) {
-                    Err(format!(
-                        "shape mismatch: serving [{n0} nodes, horizon {h0}], \
-                         candidate [{n1} nodes, horizon {h1}]"
-                    ))
-                } else {
-                    self.model = candidate;
-                    self.model_checksum = v.checksum.clone();
-                    // A direct swap supersedes any staged two-phase
-                    // candidate (cluster workers disable the watcher, so
-                    // this only matters for solo servers poked both ways).
-                    self.staged = None;
-                    self.breaker.reset();
-                    m.serve_breaker_state.set(self.breaker.state().gauge());
-                    // Cached forecasts belong to the old weights.
-                    self.invalidate_cache("reload");
-                    Ok(v.checksum)
-                }
-            }
-        };
+        let outcome = v.result.and_then(|c| self.check_shape(c)).map(|candidate| {
+            self.swap_model(candidate, v.checksum.clone());
+            v.checksum
+        });
         match &outcome {
             Ok(ck) => {
                 m.serve_reloads.inc();
@@ -1324,6 +1316,33 @@ impl Server {
             }
         }
         outcome
+    }
+
+    /// Passes a reload candidate through only if it answers on the serving
+    /// model's grid: a swap must never change a response's shape.
+    fn check_shape(&self, candidate: DeepStuq) -> Result<DeepStuq, String> {
+        let (n0, h0) = (self.model.model().n_nodes(), self.model.model().horizon());
+        let (n1, h1) = (candidate.model().n_nodes(), candidate.model().horizon());
+        if (n0, h0) != (n1, h1) {
+            return Err(format!(
+                "shape mismatch: serving [{n0} nodes, horizon {h0}], \
+                 candidate [{n1} nodes, horizon {h1}]"
+            ));
+        }
+        Ok(candidate)
+    }
+
+    /// Swaps a shape-checked candidate in, the one swap every reload path
+    /// shares. It supersedes any staged two-phase candidate, resets the
+    /// breaker (the old model's faults no longer apply) and invalidates the
+    /// cache (its entries belong to the old weights).
+    fn swap_model(&mut self, candidate: DeepStuq, checksum: String) {
+        self.model = candidate;
+        self.model_checksum = checksum;
+        self.staged = None;
+        self.breaker.reset();
+        stuq_obs::metrics().serve_breaker_state.set(self.breaker.state().gauge());
+        self.invalidate_cache("reload");
     }
 
     /// `passes`: run one sample range of a router's forecast and answer
@@ -1361,23 +1380,8 @@ impl Server {
     fn handle_prepare_reload(&mut self, id: &Option<String>) -> String {
         let v = reload::validate(&self.cfg.model_path);
         let path_s = v.path.display().to_string();
-        let checksum = v.checksum.clone();
-        let outcome = match v.result {
-            Err(e) => Err(e),
-            Ok(candidate) => {
-                let (n0, h0) = (self.model.model().n_nodes(), self.model.model().horizon());
-                let (n1, h1) = (candidate.model().n_nodes(), candidate.model().horizon());
-                if (n0, h0) != (n1, h1) {
-                    Err(format!(
-                        "shape mismatch: serving [{n0} nodes, horizon {h0}], \
-                         candidate [{n1} nodes, horizon {h1}]"
-                    ))
-                } else {
-                    Ok(candidate)
-                }
-            }
-        };
-        match outcome {
+        let checksum = v.checksum;
+        match v.result.and_then(|c| self.check_shape(c)) {
             Ok(candidate) => {
                 self.staged = Some((candidate, checksum.clone()));
                 stuq_obs::emit(
@@ -1416,13 +1420,8 @@ impl Server {
                 &[("ok", "false".into()), ("reason", json::escape("nothing_staged"))],
             ),
             Some((candidate, checksum)) => {
-                let m = stuq_obs::metrics();
-                self.model = candidate;
-                self.model_checksum = checksum.clone();
-                self.breaker.reset();
-                m.serve_breaker_state.set(self.breaker.state().gauge());
-                self.invalidate_cache("reload");
-                m.serve_reloads.inc();
+                self.swap_model(candidate, checksum.clone());
+                stuq_obs::metrics().serve_reloads.inc();
                 stuq_obs::emit(
                     Event::new("reload_ok")
                         .str("path", self.cfg.model_path.display().to_string())
@@ -1590,12 +1589,15 @@ where
                 if line.trim().is_empty() {
                     continue;
                 }
+                // The only parse a served line gets: the lanes carry the
+                // typed request from here on.
                 match proto::parse_request(&line) {
                     Err(e) => write_line(&proto::resp_error(&e.id, "bad_request", &e.detail)),
                     Ok(Request::Forecast(req)) => {
+                        let id = req.id.clone();
                         let reason = if flags.draining.load(Ordering::Relaxed) {
                             Some("draining")
-                        } else if !lanes.try_push_forecast(line.clone()) {
+                        } else if !lanes.try_push_forecast(req) {
                             Some("queue_full")
                         } else {
                             None
@@ -1604,10 +1606,10 @@ where
                             flags.shed.fetch_add(1, Ordering::Relaxed);
                             stuq_obs::metrics().serve_shed.inc();
                             stuq_obs::emit(Event::new("serve_rejected").str("reason", reason));
-                            write_line(&proto::resp_rejected(&req.id, reason));
+                            write_line(&proto::resp_rejected(&id, reason));
                         }
                     }
-                    Ok(_) => lanes.push_control(line),
+                    Ok(req) => lanes.push_control(req),
                 }
             }
             lanes.close();
@@ -1624,9 +1626,9 @@ where
 
     while !done {
         match lanes.pop(Duration::from_millis(50)) {
-            Popped::Control(line) => {
+            Popped::Control(req) => {
                 mirror(server, &flags, &lanes);
-                let r = server.process_line(&line);
+                let r = server.dispatch(req);
                 write_line(&r.response);
                 done = r.done;
                 mirror(server, &flags, &lanes);
@@ -1644,21 +1646,11 @@ where
                 );
                 let dwell_s = gather_t0.elapsed().as_secs_f64();
                 requests += batch.len() as u64;
-                // Admitted lines were already classified as forecasts by
-                // the reader; re-parse defensively all the same.
                 let picked_up = std::time::Instant::now();
-                let mut reqs: Vec<ForecastReq> = Vec::with_capacity(batch.len());
-                let mut waits: Vec<f64> = Vec::with_capacity(batch.len());
-                for (line, admitted) in &batch {
-                    match proto::parse_request(line) {
-                        Ok(Request::Forecast(req)) => {
-                            reqs.push(req);
-                            waits.push(picked_up.duration_since(*admitted).as_secs_f64());
-                        }
-                        Ok(_) => {}
-                        Err(e) => write_line(&proto::resp_error(&e.id, "bad_request", &e.detail)),
-                    }
-                }
+                let (reqs, waits): (Vec<ForecastReq>, Vec<f64>) = batch
+                    .into_iter()
+                    .map(|(req, admitted)| (req, picked_up.duration_since(admitted).as_secs_f64()))
+                    .unzip();
                 server.poll_watcher();
                 let timing = batcher::BatchTiming { waits, dwell_s };
                 for resp in server.handle_forecast_batch_timed(&reqs, Some(&timing)) {
@@ -1668,8 +1660,8 @@ where
                 match end {
                     // A control line closed the gather window (real clock):
                     // it was admitted before the batch flushed, answer now.
-                    Some(GatherEnd::Control(line)) => {
-                        let r = server.process_line(&line);
+                    Some(GatherEnd::Control(req)) => {
+                        let r = server.dispatch(req);
                         write_line(&r.response);
                         done = r.done;
                         mirror(server, &flags, &lanes);
@@ -1688,19 +1680,9 @@ where
         }
     }
     let drain_and_answer = |server: &mut Server, requests: &mut u64| {
-        for item in lanes.drain_now() {
-            match item {
-                Popped::Control(line) => {
-                    let r = server.process_line(&line);
-                    write_line(&r.response);
-                }
-                Popped::Forecast(line, _) => {
-                    *requests += 1;
-                    let r = server.process_line(&line);
-                    write_line(&r.response);
-                }
-                Popped::TimedOut | Popped::Closed => {}
-            }
+        for req in lanes.drain_now() {
+            *requests += matches!(req, Request::Forecast(_)) as u64;
+            write_line(&server.dispatch(req).response);
         }
     };
     if done {
@@ -1753,22 +1735,27 @@ mod tests {
 
     #[test]
     fn lanes_shed_when_full_and_prioritise_control() {
+        use batcher::tests::{control, forecast};
+        let is_forecast = |p: Popped, want: &str| matches!(p, Popped::Forecast(f, _) if f.id.as_deref() == Some(want));
         let lanes = Lanes::new(2);
         assert_eq!(lanes.depth(), 0);
-        assert!(lanes.try_push_forecast("f1".into()));
-        assert!(lanes.try_push_forecast("f2".into()));
-        assert!(!lanes.try_push_forecast("f3".into()), "third push must report full");
+        assert!(lanes.try_push_forecast(forecast("f1", None)));
+        assert!(lanes.try_push_forecast(forecast("f2", None)));
+        assert!(!lanes.try_push_forecast(forecast("f3", None)), "third push must report full");
         assert_eq!(lanes.depth(), 2, "depth tracks the bounded forecast lane");
-        lanes.push_control("c1".into());
+        lanes.push_control(control("c1"));
         assert_eq!(lanes.depth(), 2, "control lines do not count toward depth");
-        assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::Control(l) if l == "c1"));
-        assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::Forecast(l, _) if l == "f1"));
+        assert!(matches!(
+            lanes.pop(Duration::from_millis(1)),
+            Popped::Control(Request::Healthz { id: Some(c) }) if c == "c1"
+        ));
+        assert!(is_forecast(lanes.pop(Duration::from_millis(1)), "f1"));
         assert_eq!(lanes.depth(), 1);
-        assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::Forecast(l, _) if l == "f2"));
+        assert!(is_forecast(lanes.pop(Duration::from_millis(1)), "f2"));
         assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::TimedOut));
         lanes.close();
         assert!(matches!(lanes.pop(Duration::from_millis(1)), Popped::Closed));
-        assert!(!lanes.try_push_forecast("f4".into()), "closed lanes admit nothing");
+        assert!(!lanes.try_push_forecast(forecast("f4", None)), "closed lanes admit nothing");
     }
 
     #[test]

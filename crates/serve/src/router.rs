@@ -539,17 +539,8 @@ impl Server {
                 &[("ok", "false".into()), ("reason", json::escape(&reason))],
             )
         };
-        let (n0, h0) = (self.model.model().n_nodes(), self.model.model().horizon());
-        let candidate = match v.result {
+        let candidate = match v.result.and_then(|c| self.check_shape(c)) {
             Err(e) => return abort(e),
-            Ok(c) if (c.model().n_nodes(), c.model().horizon()) != (n0, h0) => {
-                return abort(format!(
-                    "shape mismatch: serving [{n0} nodes, horizon {h0}], candidate [{} nodes, \
-                     horizon {}]",
-                    c.model().n_nodes(),
-                    c.model().horizon()
-                ));
-            }
             Ok(c) => c,
         };
         let c = self.cluster.as_mut().expect("router-only path");
@@ -625,12 +616,7 @@ impl Server {
         }
         c.generation += 1;
         let generation = c.generation;
-        self.model = candidate;
-        self.model_checksum = checksum.clone();
-        self.staged = None;
-        self.breaker.reset();
-        m.serve_breaker_state.set(self.breaker.state().gauge());
-        self.invalidate_cache("reload");
+        self.swap_model(candidate, checksum.clone());
         m.cluster_reload_commits.inc();
         stuq_obs::emit(Event::new("cluster_reload_commit").str("checksum", checksum.as_str()));
         proto::resp_ack(

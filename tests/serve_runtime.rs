@@ -394,10 +394,35 @@ fn reload_rolls_back_on_corrupt_bytes_and_shape_mismatch() {
     assert!(ack.contains("shape mismatch"), "{ack}");
     assert_eq!(srv.model_checksum(), checksum0);
 
+    // The two-phase prepare runs the same shape check, and a refused
+    // candidate leaves nothing staged, not even an earlier prepare's.
+    let prepare = r#"{"type":"prepare_reload","id":"p"}"#;
+    std::fs::copy(&f.model, &live).unwrap();
+    let ack = srv.handle_line(prepare).response;
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    std::fs::copy(&f.mismatch, &live).unwrap();
+    let ack = srv.handle_line(prepare).response;
+    assert!(ack.contains("\"ok\":false"), "{ack}");
+    assert!(ack.contains("shape mismatch"), "{ack}");
+    let health = srv.handle_line(r#"{"type":"healthz"}"#).response;
+    assert!(health.contains("\"staged\":false"), "{health}");
+    assert_eq!(srv.model_checksum(), checksum0);
+
     // The server still answers forecasts throughout.
     let resp = srv.handle_line(&forecast_line(f, "still", None, Some(2), 3)).response;
     assert_eq!(ty(&parsed(&resp)), "forecast", "{resp}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn server_refuses_a_default_sample_count_above_the_wire_bound() {
+    let f = fx();
+    let mut cfg = cfg_for(&f.model, f);
+    cfg.mc_samples = Some(stuq_serve::proto::MAX_MC_SAMPLES);
+    assert!(Server::new(cfg.clone()).is_ok(), "the bound itself is accepted");
+    cfg.mc_samples = Some(stuq_serve::proto::MAX_MC_SAMPLES + 1);
+    let err = Server::new(cfg).err().expect("1025 MC samples must be refused");
+    assert!(err.contains("1025") && err.contains("bound of 1024"), "{err}");
 }
 
 #[test]
