@@ -266,3 +266,200 @@ fn corrupted_artifacts_fail_typed_and_never_panic() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+// --- golden bytes -----------------------------------------------------------
+//
+// Every on-disk and on-wire text format, pinned byte for byte. All values
+// are integer-derived f32 bit patterns (normals, subnormals, ±0, ±inf and
+// NaN payloads), never RNG-normal draws or simulator output, so no libm
+// call can move a digest. The digests were recorded from the writers as
+// they stood before the format codecs were shared; any change to a writer
+// that moves a byte fails here.
+
+/// The `i`-th golden word under `salt`: a multiplicative hash of `i`, so
+/// consecutive words land in unrelated exponent classes.
+fn golden_word(i: usize, salt: u32) -> f32 {
+    f32::from_bits((i as u32).wrapping_add(1).wrapping_mul(0x9e37_79b9) ^ salt)
+}
+
+fn golden_words(n: usize, salt: u32) -> Vec<f32> {
+    (0..n).map(|i| golden_word(i, salt)).collect()
+}
+
+/// Positive, finite golden values (edge lengths must be > 0).
+fn golden_lengths(n: usize) -> Vec<f32> {
+    (0..n).map(|i| f32::from_bits(0x3f80_0000 + (i as u32).wrapping_mul(0x0001_2345))).collect()
+}
+
+fn golden_tensor(shape: &[usize], salt: u32) -> stuq_tensor::Tensor {
+    stuq_tensor::Tensor::from_vec(golden_words(shape.iter().product(), salt), shape)
+}
+
+fn golden_params() -> stuq_nn::ParamSet {
+    let mut ps = stuq_nn::ParamSet::new();
+    ps.add("layer.w", golden_tensor(&[3, 7], 0x0000_0000));
+    ps.add("layer.b", golden_tensor(&[7], 0x8000_0000));
+    ps.add("embed", golden_tensor(&[5, 4], 0x7f80_0001));
+    ps
+}
+
+/// A tiny AGCRN whose every parameter is overwritten with golden words
+/// (the random init only supplies the shapes).
+fn golden_model() -> DeepStuq {
+    use stuq_models::Forecaster;
+    let arch = stuq_models::AgcrnConfig::new(4, 3).with_capacity(4, 2, 1).with_dropout(0.1, 0.2);
+    let mut model = stuq_models::Agcrn::new(arch, &mut StuqRng::new(0));
+    let ps = model.params_mut();
+    for slot in 0..ps.len() {
+        let shape = ps.get(slot).shape().to_vec();
+        *ps.get_mut(slot) = golden_tensor(&shape, slot as u32);
+    }
+    DeepStuq::from_parts(model, 1.375, 12)
+}
+
+fn file_digest(path: &std::path::Path) -> u64 {
+    stuq_artifact::fnv1a64(&std::fs::read(path).unwrap())
+}
+
+#[test]
+fn golden_artifact_bytes_are_pinned() {
+    use stuq_models::Forecaster;
+    let dir = tmp_dir("golden");
+
+    // Params blob.
+    let ps = golden_params();
+    let mut blob = Vec::new();
+    stuq_nn::serialize::write_params(&ps, &mut blob).unwrap();
+    let back = stuq_nn::serialize::read_params(&mut blob.as_slice()).unwrap();
+    for (slot, (_, t)) in back.iter().enumerate() {
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.data()), bits(ps.get(slot).data()), "params slot {slot}");
+    }
+
+    // Model.
+    let model_path = dir.join("golden.stuq");
+    deepstuq::save_model(&golden_model(), &model_path).unwrap();
+
+    // Checkpoint with optimizer slots and an AWA running average.
+    let model = golden_model();
+    let arch = model.model().config().clone();
+    let snap = deepstuq::checkpoint::StageSnapshot {
+        arch: &arch,
+        stage: deepstuq::Stage::Awa,
+        epochs_done: 2,
+        guard: deepstuq::GuardState {
+            lr_scale: golden_word(3, 0),
+            rewinds_used: 1,
+            trips: 4,
+            skipped: 3,
+        },
+        rng: stuq_tensor::RngState {
+            s: [0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 7, u64::MAX],
+            spare_normal_bits: Some(0x3ff8_0000_0000_0001),
+        },
+        opt: stuq_nn::opt::OptimizerState {
+            algorithm: "adam".into(),
+            counter: 41,
+            buffers: vec![
+                ("m".into(), vec![Some(golden_tensor(&[2, 9], 0x11)), None]),
+                ("v".into(), vec![None, Some(golden_tensor(&[17], 0x22))]),
+            ],
+        },
+        averager: Some((3, vec![golden_tensor(&[33], 0x33), golden_tensor(&[1, 1], 0x44)])),
+        params: model.model().params(),
+    };
+    let ckpt_path = dir.join("golden.ckpt");
+    deepstuq::checkpoint::save_checkpoint(&snap, &ckpt_path).unwrap();
+
+    // Dataset with covariates: 5 nodes, 19 steps, 2 covariate channels.
+    let (n, t, c) = (5usize, 19usize, 2usize);
+    let lengths = golden_lengths(4);
+    let edges =
+        vec![(0, 1, lengths[0]), (1, 2, lengths[1]), (2, 3, lengths[2]), (3, 4, lengths[3])];
+    let positions = (0..n).map(|i| (golden_word(i, 0x55), golden_word(i, 0x66))).collect();
+    let net = stuq_graph::RoadNetwork::new(n, edges, positions);
+    let data = stuq_traffic::TrafficData::with_covariates(
+        "golden set",
+        golden_words(t * n, 0x77),
+        t,
+        net,
+        golden_words(t * c, 0x88),
+        c,
+    );
+    let data_path = dir.join("golden.stuqd");
+    stuq_traffic::save_dataset(&data, &data_path).unwrap();
+    // A reload re-saves to the identical bytes.
+    let again = dir.join("golden-again.stuqd");
+    stuq_traffic::save_dataset(&stuq_traffic::load_dataset(&data_path).unwrap(), &again).unwrap();
+    assert_eq!(std::fs::read(&again).unwrap(), std::fs::read(&data_path).unwrap());
+
+    let digests = [
+        ("params", stuq_artifact::fnv1a64(&blob)),
+        ("model", file_digest(&model_path)),
+        ("checkpoint", file_digest(&ckpt_path)),
+        ("dataset", file_digest(&data_path)),
+    ];
+    let want: [(&str, u64); 4] = [
+        ("params", 0x9260_5118_31ff_7ed9),
+        ("model", 0x5039_8725_04aa_17c8),
+        ("checkpoint", 0xf621_fa70_43e6_d4ec),
+        ("dataset", 0x292c_8ca4_6c58_af46),
+    ];
+    assert_eq!(digests, want);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn golden_manifest_and_wire_lines_are_pinned() {
+    let manifest = stuq_obs::RunManifest {
+        cmd: "train".into(),
+        seed: 17,
+        config_hash: format!("{:016x}", stuq_artifact::fnv1a64(b"epochs=1")),
+        threads: 4,
+        git: "v0.1-\"dirty\"".into(),
+        telemetry_level: "summary".into(),
+        started_unix_ms: 1_700_000_000_123,
+        wall_seconds: 1.25,
+        phases: vec![stuq_obs::PhaseTiming {
+            path: "train/pre\\train\t1".into(),
+            count: 2,
+            total_s: 0.1,
+            max_s: f64::INFINITY,
+        }],
+        final_metrics: vec![
+            ("loss".into(), 0.5),
+            ("temperature".into(), f64::NAN),
+            ("floor".into(), f64::NEG_INFINITY),
+        ],
+    };
+    assert_eq!(
+        manifest.to_json(),
+        "{\n  \"schema\": \"stuq-run-manifest-v1\",\n  \"cmd\": \"train\",\n  \"seed\": 17,\n  \"config_hash\": \"4a56663a2c9ebe85\",\n  \"threads\": 4,\n  \"git\": \"v0.1-\\\"dirty\\\"\",\n  \"telemetry_level\": \"summary\",\n  \"started_unix_ms\": 1700000000123,\n  \"wall_seconds\": 1.25,\n  \"phases\": [\n    {\"path\": \"train/pre\\\\train\\t1\", \"count\": 2, \"total_s\": 0.1, \"max_s\": \"inf\"}\n  ],\n  \"final_metrics\": {\n    \"loss\": 0.5,\n    \"temperature\": \"NaN\",\n    \"floor\": \"-inf\"\n  }\n}\n"
+    );
+
+    let id = Some("q\"b\\s\u{1}c\u{1f}é".to_string());
+    let mu = stuq_tensor::Tensor::from_vec(vec![1.5, f32::NAN, -0.0, 3.0e-39], &[2, 2]);
+    let sigma = stuq_tensor::Tensor::from_vec(vec![0.25, f32::INFINITY, 1e7, 2.0], &[2, 2]);
+    let lower = stuq_tensor::Tensor::from_vec(vec![-1.0, f32::NEG_INFINITY, 0.1, 7.0], &[2, 2]);
+    let upper = stuq_tensor::Tensor::from_vec(vec![f32::MAX, f32::MIN_POSITIVE, 1.0, 9.5], &[2, 2]);
+    let forecast = stuq_serve::proto::resp_forecast(
+        &id,
+        7,
+        8,
+        "00000000deadbeef",
+        &stuq_serve::proto::ForecastMeta::solo(),
+        &stuq_serve::proto::Intervals { mu: &mu, sigma: &sigma, lower: &lower, upper: &upper },
+    );
+    assert_eq!(
+        forecast,
+        "{\"type\":\"forecast\",\"id\":\"q\\\"b\\\\s\\u0001c\\u001fé\",\"degraded\":true,\"samples_used\":7,\"samples_requested\":8,\"variance_inflation\":1.1428572,\"model\":\"00000000deadbeef\",\"batched\":false,\"batch_size\":1,\"cache_hit\":false,\"mu\":[[1.5,\"NaN\"],[-0,0.000000000000000000000000000000000000003]],\"sigma\":[[0.25,\"inf\"],[10000000,2]],\"lower\":[[-1,\"-inf\"],[0.1,7]],\"upper\":[[340282350000000000000000000000000000000,0.000000000000000000000000000000000000011754944],[1,9.5]]}"
+    );
+    let passes = stuq_serve::proto::resp_passes(
+        "m\"\\\n\u{7}",
+        &[(mu.clone(), Some(sigma.clone())), (lower, Some(upper))],
+    );
+    assert_eq!(
+        passes,
+        "{\"type\":\"passes\",\"model\":\"m\\\"\\\\\\n\\u0007\",\"mu\":[[[1.5,\"NaN\"],[-0,0.000000000000000000000000000000000000003]],[[-1,\"-inf\"],[0.1,7]]],\"var\":[[[0.25,\"inf\"],[10000000,2]],[[340282350000000000000000000000000000000,0.000000000000000000000000000000000000011754944],[1,9.5]]]}"
+    );
+}
