@@ -1,16 +1,21 @@
-//! A minimal JSON value parser for request payloads.
+//! The workspace's one JSON reader and writer.
 //!
-//! `stuq-obs` ships a flat-object parser (events never nest), but forecast
-//! requests carry nested arrays (`x` is a `[t_h][N]` matrix), so the serving
-//! crate needs a real recursive parser. Std-only, hardened for untrusted
-//! input: depth-limited recursion, hard errors on trailing garbage,
-//! duplicate-tolerant object access (first key wins, matching the obs
-//! validator's duplicate-key rejection happening at a different layer).
+//! Three text surfaces speak JSON: the serving wire protocol (forecast
+//! requests carry a nested `[t_h][N]` matrix), the event log (one flat
+//! object per line) and the run manifest. All of them parse with [`parse`]
+//! and escape strings with [`push_str`]/[`escape`], so a string written by
+//! any of them reads back the same everywhere. Std-only, hardened for
+//! untrusted input: depth-limited recursion, hard errors on trailing
+//! garbage, raw control characters, lone UTF-16 surrogates and numbers
+//! that overflow f64; duplicate-tolerant object access (first key wins —
+//! the event validator rejects duplicates at its own layer).
 //!
-//! JSON cannot represent non-finite floats; the protocol uses the marker
-//! strings `"NaN"`, `"inf"`, `"-inf"` (same convention as the event log).
-//! [`Json::as_f64`] and [`Json::as_f32`] resolve the markers so callers see
-//! the actual values.
+//! JSON cannot represent non-finite floats; every writer uses the marker
+//! strings `"NaN"`, `"inf"`, `"-inf"` ([`push_f32`]/[`push_f64`]), and
+//! [`Json::as_f64`]/[`Json::as_f32`] resolve them so callers see the actual
+//! values.
+
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted from the wire. Forecast requests need 3
 /// (object → matrix → row); anything deeper is hostile or corrupt.
@@ -37,6 +42,7 @@ pub enum Json {
 
 impl Json {
     /// First value under `key` (objects only).
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -45,6 +51,7 @@ impl Json {
     }
 
     /// The string payload, if this is a string.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -53,6 +60,7 @@ impl Json {
     }
 
     /// The numeric value; resolves the `"NaN"`/`"inf"`/`"-inf"` markers.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n, _) => Some(*n),
@@ -69,6 +77,7 @@ impl Json {
     /// The nearest f32 to the number's text (exact for any f32 rendered in
     /// shortest round-trip form); resolves the markers like
     /// [`Json::as_f64`].
+    #[inline]
     pub fn as_f32(&self) -> Option<f32> {
         match self {
             Json::Num(_, f) => Some(*f),
@@ -77,6 +86,7 @@ impl Json {
     }
 
     /// The value as a non-negative integer (rejects fractions and negatives).
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n, _) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
@@ -87,6 +97,7 @@ impl Json {
     }
 
     /// The array elements, if this is an array.
+    #[inline]
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
@@ -176,6 +187,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, escape or control byte whole:
+        // it ends on an ASCII byte, so on a char boundary.
+        let start = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "non-utf8 string content")?);
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
@@ -184,40 +202,58 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(b'\\') => {
                 *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "invalid \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
+                out.push(match b.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{0008}',
+                    Some(b'f') => '\u{000C}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'u') => unicode_escape(b, pos)?,
                     _ => return Err("invalid escape".into()),
-                }
+                });
                 *pos += 1;
             }
-            Some(&c) if c < 0x20 => return Err("raw control character in string".into()),
-            Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte sequences pass through).
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| "non-utf8 string content".to_string())?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            Some(_) => return Err("raw control character in string".into()),
         }
     }
+}
+
+/// The scalar value of the `\uXXXX` escape whose `u` is at `b[*pos]`. A
+/// UTF-16 high surrogate must be followed by an escaped low surrogate and
+/// the pair decodes to one scalar (`😀` is U+1F600, as Python's
+/// `json.dumps` writes it); a lone surrogate is an error. Leaves `pos` on
+/// the escape's last hex digit.
+fn unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    const LONE: &str = "lone UTF-16 surrogate in \\u escape";
+    let hi = hex4(b, *pos + 1)?;
+    *pos += 4;
+    let code = match hi {
+        0xD800..=0xDBFF => {
+            if b.get(*pos + 1..*pos + 3) != Some(b"\\u") {
+                return Err(LONE.into());
+            }
+            let lo = hex4(b, *pos + 3)?;
+            if !(0xDC00..=0xDFFF).contains(&lo) {
+                return Err(LONE.into());
+            }
+            *pos += 6;
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(LONE.into()),
+        c => c,
+    };
+    Ok(char::from_u32(code).expect("surrogates were paired above"))
+}
+
+/// The four hex digits at `b[at..at + 4]`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |acc, &d| {
+        Ok(acc * 16 + char::from(d).to_digit(16).ok_or("invalid \\u escape")?)
+    })
 }
 
 fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -275,23 +311,76 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     }
 }
 
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
+/// Appends `s` to `out` as a JSON string literal (with surrounding
+/// quotes): `"`, `\` and control characters are escaped, everything else
+/// is copied as UTF-8.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let esc = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `byte` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// `s` as a JSON string literal (with surrounding quotes); see
+/// [`push_string`].
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    push_string(&mut out, s);
+    out
+}
+
+/// The marker string standing in for a non-finite `v`, or `None` when `v`
+/// is finite.
+fn marker(v: f64) -> Option<&'static str> {
+    if v.is_nan() {
+        Some("\"NaN\"")
+    } else if v == f64::INFINITY {
+        Some("\"inf\"")
+    } else if v == f64::NEG_INFINITY {
+        Some("\"-inf\"")
+    } else {
+        None
+    }
+}
+
+/// Appends `v` as a JSON number in shortest round-trip form, or as its
+/// marker string when non-finite.
+pub fn push_f32(out: &mut String, v: f32) {
+    match marker(f64::from(v)) {
+        Some(m) => out.push_str(m),
+        None => {
+            let _ = write!(out, "{v}");
         }
     }
-    out.push('"');
-    out
+}
+
+/// [`push_f32`] for an f64.
+pub fn push_f64(out: &mut String, v: f64) {
+    match marker(v) {
+        Some(m) => out.push_str(m),
+        None => {
+            let _ = write!(out, "{v}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -308,9 +397,8 @@ mod tests {
         assert_eq!(f32_of("3.4028235677973366e38"), f32::MAX, "below the overflow tie");
         assert_eq!(f32_of("1e39"), f32::INFINITY);
         // Shortest round-trip renderings come back bit-exact.
-        let mut rng = stuq_tensor::StuqRng::new(5);
-        for _ in 0..100_000 {
-            let v = f32::from_bits(rng.next_u64() as u32);
+        for i in 0..100_000u32 {
+            let v = f32::from_bits(i.wrapping_mul(0x9e37_79b9).rotate_left(i % 32));
             if v.is_finite() {
                 assert_eq!(f32_of(&format!("{v}")).to_bits(), v.to_bits(), "{v:e}");
             }
@@ -359,6 +447,39 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(parse(&escape("x\"y\nz")).unwrap().as_str(), Some("x\"y\nz"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        let v = parse(r#""\ud83d\ude00 \uD834\uDD1E""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1F600} \u{1D11E}"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83d x""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\u""#,
+        ] {
+            assert!(parse(lone).is_err(), "must reject {lone}");
+        }
+        assert!(parse(r#""\u+041""#).is_err(), "hex digits only");
+        assert_eq!(escape("\u{1F600}"), "\"\u{1F600}\"");
+    }
+
+    #[test]
+    fn nonfinite_values_render_as_markers() {
+        let mut out = String::new();
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.5] {
+            push_f32(&mut out, v);
+            out.push(' ');
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.1] {
+            push_f64(&mut out, v);
+            out.push(' ');
+        }
+        assert_eq!(out, r#""NaN" "inf" "-inf" -0 1.5 "NaN" "inf" "-inf" 0.1 "#);
     }
 
     #[test]

@@ -1,4 +1,11 @@
-//! Crash-safe artifact I/O shared by every on-disk format in the workspace.
+//! Crash-safe artifact I/O and the text codecs shared by every on-disk and
+//! on-wire format in the workspace.
+//!
+//! * [`json`] is the one JSON reader and writer: the serving protocol, the
+//!   event log and the run manifest all go through it.
+//! * [`text`] is the one line-oriented hex codec: the params, model,
+//!   checkpoint and dataset formats all store their f32 values through it.
+//! * This module writes any payload crash-safely and seals it.
 //!
 //! Two failure modes threaten a long training run's artifacts:
 //!
@@ -23,27 +30,36 @@
 //! with no dependencies (the build environment is offline; DESIGN.md §5) and
 //! more than strong enough to catch truncation, bit flips and editor mangling.
 
+pub mod json;
+pub mod text;
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use text::invalid;
 
 /// The trailer-line prefix appended by [`write_atomic_checksummed`].
 pub const CHECKSUM_PREFIX: &str = "checksum fnv1a64 ";
 
-/// FNV-1a 64-bit digest of `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the digest of no bytes, and the state every
+/// [`fnv1a64_fold`] chain starts from.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a 64 fold: continues the digest `h` over `bytes`, so
+/// `fnv1a64_fold(fnv1a64_fold(FNV1A64_OFFSET, a), b)` is the digest of
+/// `a` followed by `b`.
+#[inline]
+pub fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+        h = (h ^ b as u64).wrapping_mul(PRIME);
     }
     h
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+/// FNV-1a 64-bit digest of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_fold(FNV1A64_OFFSET, bytes)
 }
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
@@ -89,10 +105,7 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 /// Atomically writes `payload` followed by a checksum trailer line covering
 /// every payload byte. Read it back with [`read_verified`].
 pub fn write_atomic_checksummed(path: impl AsRef<Path>, payload: &[u8]) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(payload.len() + CHECKSUM_PREFIX.len() + 17);
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(format!("{CHECKSUM_PREFIX}{:016x}\n", fnv1a64(payload)).as_bytes());
-    write_atomic(path, &bytes)
+    write_atomic(path, &seal(payload))
 }
 
 /// Appends a checksum trailer to an in-memory payload (for callers that need
@@ -156,6 +169,8 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Folding in pieces equals folding the concatenation.
+        assert_eq!(fnv1a64_fold(fnv1a64_fold(FNV1A64_OFFSET, b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

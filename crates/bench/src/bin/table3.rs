@@ -30,7 +30,9 @@ fn main() {
 
         for name in BASELINE_NAMES {
             eprintln!("[table3]   training {name}");
-            let mut rng = StuqRng::new(opts.seed ^ preset.seed_offset() ^ hash(name));
+            let mut rng = StuqRng::new(
+                opts.seed ^ preset.seed_offset() ^ stuq_artifact::fnv1a64(name.as_bytes()),
+            );
             let mut model = build_baseline(name, &ds, &mut rng);
             let r = train_and_eval_baseline(&mut model, &ds, &mcfg.train, stride, &mut rng);
             maes.push(r.point.mae);
@@ -58,8 +60,4 @@ fn main() {
     header.extend(columns.iter().map(String::as_str));
     print_table("Table III: point prediction", &header, &rows);
     write_csv(&opts.out_dir, "table3.csv", &header, &rows);
-}
-
-fn hash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }

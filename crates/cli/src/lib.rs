@@ -19,6 +19,7 @@ use std::path::PathBuf;
 use deepstuq::eval::{evaluate, evaluate_faulted, RawForecast};
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome};
 use deepstuq::{AwaConfig, CalibConfig, TrainConfig};
+use stuq_artifact::json::Json;
 use stuq_metrics::{ProperScoreAccumulator, ReliabilityDiagram};
 use stuq_models::{AgcrnConfig, Forecaster};
 use stuq_tensor::StuqRng;
@@ -325,17 +326,11 @@ fn cmd_trace(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 malformed += 1;
                 continue;
             };
-            let get_str = |k: &str| {
-                pairs.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
-                    stuq_obs::JsonVal::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-            };
-            let get_num = |k: &str| {
-                pairs.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
-                    stuq_obs::JsonVal::Num(n) => Some(*n),
-                    _ => None,
-                })
+            let get = |k: &str| pairs.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+            let get_str = |k: &str| get(k).and_then(Json::as_str).map(str::to_owned);
+            let get_num = |k: &str| match get(k) {
+                Some(Json::Num(n, _)) => Some(*n),
+                _ => None,
             };
             match get_str("type").as_deref() {
                 Some("span_start") => {
@@ -1084,11 +1079,8 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
     let workers: Vec<Box<dyn ShardWorker>> = (0..shards * replicas)
         .map(|w| {
             let (s, r) = (w / replicas, w % replicas);
-            let stem = if replicas == 1 {
-                format!("worker-{s}")
-            } else {
-                format!("worker-{s}-{r}")
-            };
+            let stem =
+                if replicas == 1 { format!("worker-{s}") } else { format!("worker-{s}-{r}") };
             let socket = worker_dir.join(format!("{stem}.sock"));
             let mut args = base_args.clone();
             args.push("--socket".into());

@@ -16,9 +16,10 @@
 
 use crate::error::Stage;
 use crate::guard::GuardState;
-use crate::io::{bad, check_arch, field, next_line, read_arch, write_arch};
-use std::io::{self, BufRead, Write};
+use crate::io::{check_arch, read_arch, write_arch};
+use std::io::{self, Write};
 use std::path::Path;
+use stuq_artifact::text::{self, invalid};
 use stuq_models::AgcrnConfig;
 use stuq_nn::opt::OptimizerState;
 use stuq_nn::params::ParamSet;
@@ -62,43 +63,6 @@ impl Checkpoint {
     }
 }
 
-fn write_tensor_body(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
-    for chunk in t.data().chunks(16) {
-        let words: Vec<String> = chunk.iter().map(|v| format!("{:08x}", v.to_bits())).collect();
-        writeln!(w, "{}", words.join(" "))?;
-    }
-    Ok(())
-}
-
-fn read_tensor_body(r: &mut impl BufRead, dims: &[usize]) -> io::Result<Tensor> {
-    let len: usize = dims.iter().product();
-    let mut data = Vec::with_capacity(len);
-    while data.len() < len {
-        let line = next_line(r)?;
-        for word in line.split_whitespace() {
-            let bits = u32::from_str_radix(word, 16)
-                .map_err(|_| bad(format!("bad tensor word {word:?}")))?;
-            data.push(f32::from_bits(bits));
-        }
-    }
-    if data.len() != len {
-        return Err(bad("tensor data length mismatch"));
-    }
-    Ok(Tensor::from_vec(data, dims))
-}
-
-fn parse_dims(tokens: &mut std::str::SplitWhitespace) -> io::Result<Vec<usize>> {
-    let ndim: usize =
-        tokens.next().ok_or_else(|| bad("missing ndim"))?.parse().map_err(|_| bad("bad ndim"))?;
-    let mut dims = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        dims.push(
-            tokens.next().ok_or_else(|| bad("missing dim"))?.parse().map_err(|_| bad("bad dim"))?,
-        );
-    }
-    Ok(dims)
-}
-
 /// Writes `snap` to `path` atomically, sealed with a checksum trailer.
 pub fn save_checkpoint(snap: &StageSnapshot, path: impl AsRef<Path>) -> io::Result<()> {
     let mut w: Vec<u8> = Vec::new();
@@ -123,11 +87,7 @@ pub fn save_checkpoint(snap: &StageSnapshot, path: impl AsRef<Path>) -> io::Resu
         for slot in slots {
             match slot {
                 None => writeln!(w, "slot none")?,
-                Some(t) => {
-                    let dims: Vec<String> = t.shape().iter().map(|d| d.to_string()).collect();
-                    writeln!(w, "slot tensor {} {}", t.shape().len(), dims.join(" "))?;
-                    write_tensor_body(&mut w, t)?;
-                }
+                Some(t) => text::write_tensor(&mut w, "slot tensor", t.shape(), t.data())?,
             }
         }
     }
@@ -137,9 +97,7 @@ pub fn save_checkpoint(snap: &StageSnapshot, path: impl AsRef<Path>) -> io::Resu
         Some((n_models, avg)) => {
             writeln!(w, "averager {n_models} {}", avg.len())?;
             for t in avg {
-                let dims: Vec<String> = t.shape().iter().map(|d| d.to_string()).collect();
-                writeln!(w, "tensor {} {}", t.shape().len(), dims.join(" "))?;
-                write_tensor_body(&mut w, t)?;
+                text::write_tensor(&mut w, "tensor", t.shape(), t.data())?;
             }
         }
     }
@@ -152,105 +110,85 @@ pub fn save_checkpoint(snap: &StageSnapshot, path: impl AsRef<Path>) -> io::Resu
 pub fn load_checkpoint(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
     let payload = stuq_artifact::read_verified(path.as_ref())?;
     let mut r = payload.as_slice();
-    if next_line(&mut r)? != MAGIC {
-        return Err(bad("not a deepstuq-checkpoint file"));
+    if text::line(&mut r)? != MAGIC {
+        return Err(invalid("not a deepstuq-checkpoint file"));
     }
     let arch = read_arch(&mut r)?;
-    let stage_name = field(&mut r, "stage")?;
-    let stage =
-        Stage::by_name(&stage_name).ok_or_else(|| bad(format!("unknown stage {stage_name:?}")))?;
-    let epochs_done: usize =
-        field(&mut r, "epochs_done")?.parse().map_err(|_| bad("bad epochs_done"))?;
-    let lr_bits = u32::from_str_radix(&field(&mut r, "lr_scale_bits")?, 16)
-        .map_err(|_| bad("bad lr_scale_bits"))?;
-    let rewinds: usize = field(&mut r, "rewinds")?.parse().map_err(|_| bad("bad rewinds"))?;
-    let trips: usize = field(&mut r, "trips")?.parse().map_err(|_| bad("bad trips"))?;
-    let skipped: usize = field(&mut r, "skipped")?.parse().map_err(|_| bad("bad skipped"))?;
-    let guard =
-        GuardState { lr_scale: f32::from_bits(lr_bits), rewinds_used: rewinds, trips, skipped };
-
-    let rng_line = field(&mut r, "rng")?;
-    let mut toks = rng_line.split_whitespace();
-    let mut s = [0u64; 4];
-    for word in &mut s {
-        *word = u64::from_str_radix(toks.next().ok_or_else(|| bad("short rng line"))?, 16)
-            .map_err(|_| bad("bad rng word"))?;
-    }
-    let spare_tok = toks.next().ok_or_else(|| bad("short rng line"))?;
-    let spare_normal_bits = if spare_tok == "none" {
-        None
-    } else {
-        Some(u64::from_str_radix(spare_tok, 16).map_err(|_| bad("bad rng spare"))?)
+    let stage_name = text::field(&mut r, "stage")?;
+    let stage = Stage::by_name(stage_name)
+        .ok_or_else(|| invalid(format!("unknown stage {stage_name:?}")))?;
+    let epochs_done = text::parse_field(&mut r, "epochs_done")?;
+    let guard = GuardState {
+        lr_scale: text::word_field(&mut r, "lr_scale_bits")?,
+        rewinds_used: text::parse_field(&mut r, "rewinds")?,
+        trips: text::parse_field(&mut r, "trips")?,
+        skipped: text::parse_field(&mut r, "skipped")?,
     };
-    let rng = RngState { s, spare_normal_bits };
 
-    let opt_line = field(&mut r, "opt")?;
-    let mut toks = opt_line.split_whitespace();
-    let algorithm = toks.next().ok_or_else(|| bad("short opt line"))?.to_string();
-    let counter: u64 = toks
-        .next()
-        .ok_or_else(|| bad("short opt line"))?
-        .parse()
-        .map_err(|_| bad("bad opt counter"))?;
-    let n_buffers: usize = toks
-        .next()
-        .ok_or_else(|| bad("short opt line"))?
-        .parse()
-        .map_err(|_| bad("bad opt buffer count"))?;
-    let mut buffers = Vec::with_capacity(n_buffers);
+    let rng_line = text::field(&mut r, "rng")?;
+    let hex64 =
+        |t: &str| u64::from_str_radix(t, 16).map_err(|_| invalid(format!("bad rng word {t:?}")));
+    let [s0, s1, s2, s3, spare] = rng_line.split_whitespace().collect::<Vec<_>>()[..] else {
+        return Err(invalid(format!("bad rng line {rng_line:?}")));
+    };
+    let rng = RngState {
+        s: [hex64(s0)?, hex64(s1)?, hex64(s2)?, hex64(s3)?],
+        spare_normal_bits: if spare == "none" { None } else { Some(hex64(spare)?) },
+    };
+
+    let opt_line = text::field(&mut r, "opt")?;
+    let [algorithm, counter, n_buffers] = opt_line.split_whitespace().collect::<Vec<_>>()[..]
+    else {
+        return Err(invalid(format!("bad opt line {opt_line:?}")));
+    };
+    let algorithm = algorithm.to_string();
+    let counter = counter.parse().map_err(|_| invalid("bad opt counter"))?;
+    let n_buffers: usize = n_buffers.parse().map_err(|_| invalid("bad opt buffer count"))?;
+    let mut buffers = Vec::with_capacity(n_buffers.min(r.len()));
     for _ in 0..n_buffers {
-        let buf_line = field(&mut r, "buffer")?;
-        let mut toks = buf_line.split_whitespace();
-        let name = toks.next().ok_or_else(|| bad("short buffer line"))?.to_string();
-        let n_slots: usize = toks
-            .next()
-            .ok_or_else(|| bad("short buffer line"))?
-            .parse()
-            .map_err(|_| bad("bad slot count"))?;
-        let mut slots = Vec::with_capacity(n_slots);
+        let buf_line = text::field(&mut r, "buffer")?;
+        let (name, n_slots) = buf_line
+            .split_once(' ')
+            .and_then(|(name, n)| Some((name.to_string(), n.parse::<usize>().ok()?)))
+            .ok_or_else(|| invalid(format!("bad buffer line {buf_line:?}")))?;
+        let mut slots = Vec::with_capacity(n_slots.min(r.len()));
         for _ in 0..n_slots {
-            let slot_line = field(&mut r, "slot")?;
-            let mut toks = slot_line.split_whitespace();
+            let mut toks = text::field(&mut r, "slot")?.split_whitespace();
             match toks.next() {
                 Some("none") => slots.push(None),
-                Some("tensor") => {
-                    let dims = parse_dims(&mut toks)?;
-                    slots.push(Some(read_tensor_body(&mut r, &dims)?));
-                }
-                other => return Err(bad(format!("bad slot tag {other:?}"))),
+                Some("tensor") => slots.push(Some(read_tensor(&mut r, &mut toks)?)),
+                other => return Err(invalid(format!("bad slot tag {other:?}"))),
             }
         }
         buffers.push((name, slots));
     }
     let opt = OptimizerState { algorithm, counter, buffers };
 
-    let avg_line = field(&mut r, "averager")?;
+    let avg_line = text::field(&mut r, "averager")?;
     let averager = if avg_line == "none" {
         None
     } else {
-        let mut toks = avg_line.split_whitespace();
-        let n_models: usize = toks
-            .next()
-            .ok_or_else(|| bad("short averager line"))?
-            .parse()
-            .map_err(|_| bad("bad averager n_models"))?;
-        let n_tensors: usize = toks
-            .next()
-            .ok_or_else(|| bad("short averager line"))?
-            .parse()
-            .map_err(|_| bad("bad averager tensor count"))?;
-        let mut avg = Vec::with_capacity(n_tensors);
+        let counts: Vec<usize> =
+            avg_line.split_whitespace().map_while(|t| t.parse().ok()).collect();
+        let [n_models, n_tensors] = counts[..] else {
+            return Err(invalid(format!("bad averager line {avg_line:?}")));
+        };
+        let mut avg = Vec::with_capacity(n_tensors.min(r.len()));
         for _ in 0..n_tensors {
-            let t_line = field(&mut r, "tensor")?;
-            let mut toks = t_line.split_whitespace();
-            let dims = parse_dims(&mut toks)?;
-            avg.push(read_tensor_body(&mut r, &dims)?);
+            let mut toks = text::field(&mut r, "tensor")?.split_whitespace();
+            avg.push(read_tensor(&mut r, &mut toks)?);
         }
         Some((n_models, avg))
     };
 
     let params = read_params(&mut r)?;
     Ok(Checkpoint { arch, stage, epochs_done, guard, rng, opt, averager, params })
+}
+
+/// One [`text::read_tensor`] as a [`Tensor`].
+fn read_tensor(r: &mut &[u8], header: &mut std::str::SplitWhitespace) -> io::Result<Tensor> {
+    let (dims, data) = text::read_tensor(r, header)?;
+    Ok(Tensor::from_vec(data, &dims))
 }
 
 #[cfg(test)]

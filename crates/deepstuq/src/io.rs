@@ -15,42 +15,14 @@
 //! stores only the finished artifact: architecture, temperature and weights.
 
 use crate::pipeline::DeepStuq;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::path::Path;
+use stuq_artifact::text::{self, invalid};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster, HeadKind};
 use stuq_nn::serialize::{load_into, read_params, write_params};
 use stuq_tensor::StuqRng;
 
 const MAGIC: &str = "deepstuq-model v1";
-
-pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads one line (without trailing newline), erroring at end of input.
-pub(crate) fn next_line(r: &mut impl BufRead) -> io::Result<String> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(bad("unexpected end of file"));
-    }
-    Ok(line.trim_end().to_string())
-}
-
-/// Reads a `key value` line, returning the value.
-pub(crate) fn field(r: &mut impl BufRead, key: &str) -> io::Result<String> {
-    let l = next_line(r)?;
-    l.strip_prefix(key)
-        .map(|s| s.trim().to_string())
-        .ok_or_else(|| bad(format!("expected field {key:?}, got {l:?}")))
-}
-
-fn usize_field(r: &mut impl BufRead, key: &str) -> io::Result<usize> {
-    field(r, key)?.parse().map_err(|_| bad(format!("bad {key}")))
-}
-
-fn bits_field(r: &mut impl BufRead, key: &str) -> io::Result<u32> {
-    u32::from_str_radix(&field(r, key)?, 16).map_err(|_| bad(format!("bad {key}")))
-}
 
 pub(crate) fn head_name(head: HeadKind) -> &'static str {
     match head {
@@ -65,7 +37,7 @@ pub(crate) fn head_from_name(name: &str) -> io::Result<HeadKind> {
         "point" => Ok(HeadKind::Point),
         "gaussian" => Ok(HeadKind::Gaussian),
         "quantile" => Ok(HeadKind::Quantile),
-        other => Err(bad(format!("unknown head kind {other:?}"))),
+        other => Err(invalid(format!("unknown head kind {other:?}"))),
     }
 }
 
@@ -83,19 +55,19 @@ pub(crate) fn write_arch(w: &mut impl Write, cfg: &AgcrnConfig) -> io::Result<()
 }
 
 /// Reads the architecture fields written by [`write_arch`].
-pub(crate) fn read_arch(r: &mut impl BufRead) -> io::Result<AgcrnConfig> {
-    let n_nodes = usize_field(r, "n_nodes")?;
-    let horizon = usize_field(r, "horizon")?;
-    let hidden = usize_field(r, "hidden")?;
-    let embed_dim = usize_field(r, "embed_dim")?;
-    let n_layers = usize_field(r, "n_layers")?;
-    let enc_bits = bits_field(r, "encoder_dropout_bits")?;
-    let dec_bits = bits_field(r, "decoder_dropout_bits")?;
-    let head = head_from_name(&field(r, "head")?)?;
-    let n_covariates = usize_field(r, "covariates")?;
+pub(crate) fn read_arch(r: &mut &[u8]) -> io::Result<AgcrnConfig> {
+    let n_nodes = text::parse_field(r, "n_nodes")?;
+    let horizon = text::parse_field(r, "horizon")?;
+    let hidden = text::parse_field(r, "hidden")?;
+    let embed_dim = text::parse_field(r, "embed_dim")?;
+    let n_layers = text::parse_field(r, "n_layers")?;
+    let encoder_dropout = text::word_field(r, "encoder_dropout_bits")?;
+    let decoder_dropout = text::word_field(r, "decoder_dropout_bits")?;
+    let head = head_from_name(text::field(r, "head")?)?;
+    let n_covariates = text::parse_field(r, "covariates")?;
     Ok(AgcrnConfig::new(n_nodes, horizon)
         .with_capacity(hidden, embed_dim, n_layers)
-        .with_dropout(f32::from_bits(enc_bits), f32::from_bits(dec_bits))
+        .with_dropout(encoder_dropout, decoder_dropout)
         .with_head(head)
         .with_covariates(n_covariates))
 }
@@ -146,7 +118,7 @@ pub fn save_model(model: &DeepStuq, path: impl AsRef<Path>) -> io::Result<()> {
 pub fn load_model(path: impl AsRef<Path>) -> io::Result<DeepStuq> {
     let path = path.as_ref();
     let bytes = std::fs::read(path)?;
-    load_model_bytes(&bytes).map_err(|e| bad(format!("{}: {e}", path.display())))
+    load_model_bytes(&bytes).map_err(|e| invalid(format!("{}: {e}", path.display())))
 }
 
 /// [`load_model`] over in-memory bytes (checksum trailer included).
@@ -157,20 +129,19 @@ pub fn load_model(path: impl AsRef<Path>) -> io::Result<DeepStuq> {
 pub fn load_model_bytes(bytes: &[u8]) -> io::Result<DeepStuq> {
     let payload = stuq_artifact::verify(bytes)?;
     let mut r = payload;
-    if next_line(&mut r)? != MAGIC {
-        return Err(bad("not a deepstuq-model file"));
+    if text::line(&mut r)? != MAGIC {
+        return Err(invalid("not a deepstuq-model file"));
     }
     let cfg = read_arch(&mut r)?;
-    let t_bits = bits_field(&mut r, "temperature_bits")?;
-    let mc_samples = usize_field(&mut r, "mc_samples")?;
+    let temperature = text::word_field(&mut r, "temperature_bits")?;
+    let mc_samples = text::parse_field(&mut r, "mc_samples")?;
 
     // Parameter values are immediately overwritten; the seed is irrelevant.
     let mut model = Agcrn::new(cfg, &mut StuqRng::new(0));
     let entries = read_params(&mut r)?;
     load_into(model.params_mut(), &entries)?;
-    let temperature = f32::from_bits(t_bits);
     if !(temperature.is_finite() && temperature > 0.0) {
-        return Err(bad(format!("invalid temperature {temperature}")));
+        return Err(invalid(format!("invalid temperature {temperature}")));
     }
     Ok(DeepStuq::from_parts(model, temperature, mc_samples))
 }

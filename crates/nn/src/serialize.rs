@@ -14,12 +14,11 @@
 //! ```
 
 use crate::params::ParamSet;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
+use stuq_artifact::text::{self, invalid};
 use stuq_tensor::Tensor;
 
 const MAGIC: &str = "stuq-params v1";
-/// Hex words per line (keeps lines short for diffing).
-const WORDS_PER_LINE: usize = 16;
 
 /// Writes every parameter of `ps` to `w`.
 pub fn write_params(ps: &ParamSet, w: &mut impl Write) -> io::Result<()> {
@@ -32,73 +31,28 @@ pub fn write_params(ps: &ParamSet, w: &mut impl Write) -> io::Result<()> {
             !name.contains(char::is_whitespace),
             "parameter name {name:?} must not contain whitespace"
         );
-        write!(w, "param {name} {}", t.shape().len())?;
-        for d in t.shape() {
-            write!(w, " {d}")?;
-        }
-        writeln!(w)?;
-        for chunk in t.data().chunks(WORDS_PER_LINE) {
-            let line: Vec<String> = chunk.iter().map(|v| format!("{:08x}", v.to_bits())).collect();
-            writeln!(w, "{}", line.join(" "))?;
-        }
+        text::write_tensor(w, &format!("param {name}"), t.shape(), t.data())?;
     }
     Ok(())
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads a parameter list written by [`write_params`].
-pub fn read_params(r: &mut impl BufRead) -> io::Result<Vec<(String, Tensor)>> {
-    let mut lines = r.lines();
-    let mut next = || lines.next().ok_or_else(|| bad("unexpected end of file"))?;
-    let magic = next()?;
+/// Reads a parameter list written by [`write_params`], advancing `r` past
+/// it.
+pub fn read_params(r: &mut &[u8]) -> io::Result<Vec<(String, Tensor)>> {
+    let magic = text::line(r)?;
     if magic.trim() != MAGIC {
-        return Err(bad(format!("bad magic: {magic:?}")));
+        return Err(invalid(format!("bad magic: {magic:?}")));
     }
-    let count_line = next()?;
-    let count: usize = count_line
-        .trim()
-        .strip_prefix("count ")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad(format!("bad count line: {count_line:?}")))?;
-
-    let mut out = Vec::with_capacity(count);
+    let count: usize = text::parse_field(r, "count")?;
+    let mut out = Vec::with_capacity(count.min(r.len()));
     for _ in 0..count {
-        let header = next()?;
+        let header = text::line(r)?;
         let mut parts = header.split_whitespace();
         if parts.next() != Some("param") {
-            return Err(bad(format!("expected param header, got {header:?}")));
+            return Err(invalid(format!("expected param header, got {header:?}")));
         }
-        let name = parts.next().ok_or_else(|| bad("missing param name"))?.to_string();
-        let ndim: usize =
-            parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("missing ndim"))?;
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(
-                parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad("missing dimension"))?,
-            );
-        }
-        let numel: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(numel);
-        while data.len() < numel {
-            let line = next()?;
-            for word in line.split_whitespace() {
-                let bits = u32::from_str_radix(word, 16)
-                    .map_err(|_| bad(format!("bad hex word {word:?}")))?;
-                data.push(f32::from_bits(bits));
-            }
-        }
-        if data.len() != numel {
-            return Err(bad(format!(
-                "parameter {name}: expected {numel} values, read {}",
-                data.len()
-            )));
-        }
+        let name = parts.next().ok_or_else(|| invalid("missing param name"))?.to_string();
+        let (shape, data) = text::read_tensor(r, &mut parts)?;
         out.push((name, Tensor::from_vec(data, &shape)));
     }
     Ok(out)
@@ -108,7 +62,7 @@ pub fn read_params(r: &mut impl BufRead) -> io::Result<Vec<(String, Tensor)>> {
 /// shapes slot-by-slot.
 pub fn load_into(ps: &mut ParamSet, entries: &[(String, Tensor)]) -> io::Result<()> {
     if entries.len() != ps.len() {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "parameter count mismatch: file {}, model {}",
             entries.len(),
             ps.len()
@@ -116,13 +70,13 @@ pub fn load_into(ps: &mut ParamSet, entries: &[(String, Tensor)]) -> io::Result<
     }
     for (slot, (name, t)) in entries.iter().enumerate() {
         if ps.name(slot) != name {
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "parameter {slot} name mismatch: file {name:?}, model {:?}",
                 ps.name(slot)
             )));
         }
         if ps.get(slot).shape() != t.shape() {
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "parameter {name} shape mismatch: file {:?}, model {:?}",
                 t.shape(),
                 ps.get(slot).shape()

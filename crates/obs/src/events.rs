@@ -1,27 +1,31 @@
 //! Structured event log: builder, JSONL rendering, and schema validation.
 //!
-//! Every event is one flat JSON object on one line — no nesting, so the
-//! validator (and `ci/validate_events.sh`, which shells out to it) needs
-//! only the tiny parser in this module, not a JSON library. The recorder
-//! stamps `t_ms` (milliseconds since recorder init), `seq` (strictly
-//! increasing), `stage` and `epoch` onto every event so consumers never
-//! have to reconstruct context from ordering.
+//! Every event is one flat JSON object on one line — no nesting. Lines are
+//! rendered and parsed with the workspace's one JSON codec,
+//! [`stuq_artifact::json`], so the validator (and `ci/validate_events.sh`,
+//! which shells out to it) reads strings exactly as every other JSON
+//! surface writes them. The recorder stamps `t_ms` (milliseconds since
+//! recorder init), `seq` (strictly increasing), `stage` and `epoch` onto
+//! every event so consumers never have to reconstruct context from
+//! ordering.
 //!
 //! Non-finite floats cannot be represented in JSON; they are rendered as
-//! the strings `"NaN"`, `"inf"`, `"-inf"` — important because a guard-trip
-//! event exists precisely to record a NaN loss.
+//! the strings `"NaN"`, `"inf"`, `"-inf"` ([`json::push_f64`]) — important
+//! because a guard-trip event exists precisely to record a NaN loss.
 //!
 //! The schema ([`validate_line`]) is a closed set of event types with
 //! required fields per type; unknown types, missing fields, duplicate keys
 //! and malformed JSON are all hard errors, and [`validate_events`]
 //! additionally enforces `seq` monotonicity across the file.
 
+use stuq_artifact::json::{self, Json};
+
 /// A single event value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Val {
-    /// A string (also used for non-finite floats: "NaN", "inf", "-inf").
+    /// A string.
     S(String),
-    /// A finite float.
+    /// A float (non-finite values render as marker strings).
     F(f64),
     /// An unsigned integer (epochs, counts, exit codes).
     U(u64),
@@ -62,16 +66,7 @@ impl Event {
 
     /// Attaches a float field (non-finite values become marker strings).
     pub fn num(mut self, k: &'static str, v: f64) -> Self {
-        let val = if v.is_nan() {
-            Val::S("NaN".into())
-        } else if v == f64::INFINITY {
-            Val::S("inf".into())
-        } else if v == f64::NEG_INFINITY {
-            Val::S("-inf".into())
-        } else {
-            Val::F(v)
-        };
-        self.fields.push((k, val));
+        self.fields.push((k, Val::F(v)));
         self
     }
 
@@ -91,24 +86,27 @@ impl Event {
     /// the recorder context. `stage`/`epoch` are only stamped when the event
     /// did not set them itself (e.g. `stage_start` carries its own).
     pub(crate) fn render(&self, t_ms: u64, seq: u64, stage: &str, epoch: u64) -> String {
+        use std::fmt::Write as _;
         let mut out = String::with_capacity(128);
-        out.push_str(&format!("{{\"t_ms\":{t_ms},\"seq\":{seq},\"type\":"));
-        push_json_str(&mut out, self.ty);
+        let _ = write!(out, "{{\"t_ms\":{t_ms},\"seq\":{seq},\"type\":");
+        json::push_string(&mut out, self.ty);
         if !self.has("stage") {
             out.push_str(",\"stage\":");
-            push_json_str(&mut out, stage);
+            json::push_string(&mut out, stage);
         }
         if !self.has("epoch") {
-            out.push_str(&format!(",\"epoch\":{epoch}"));
+            let _ = write!(out, ",\"epoch\":{epoch}");
         }
         for (k, v) in &self.fields {
             out.push(',');
-            push_json_str(&mut out, k);
+            json::push_string(&mut out, k);
             out.push(':');
             match v {
-                Val::S(s) => push_json_str(&mut out, s),
-                Val::F(f) => out.push_str(&fmt_f64(*f)),
-                Val::U(u) => out.push_str(&u.to_string()),
+                Val::S(s) => json::push_string(&mut out, s),
+                Val::F(f) => json::push_f64(&mut out, *f),
+                Val::U(u) => {
+                    let _ = write!(out, "{u}");
+                }
                 Val::B(b) => out.push_str(if *b { "true" } else { "false" }),
             }
         }
@@ -117,185 +115,23 @@ impl Event {
     }
 }
 
-/// Formats a finite f64 so it round-trips and is valid JSON (no bare `1e3`
-/// surprises from `{:?}`, no trailing garbage).
-fn fmt_f64(v: f64) -> String {
-    // `{}` on a finite f64 always yields a valid JSON number ("1", "0.5",
-    // "1e-7"); non-finite values were already converted to marker strings.
-    format!("{v}")
-}
-
-/// Appends `s` to `out` as a JSON string literal with escaping.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parsed JSON scalar (the event format is flat, so scalars suffice).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// String.
-    Str(String),
-    /// Number.
-    Num(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Null.
-    Null,
-}
-
-/// Parses one flat JSON object line into ordered key/value pairs.
+/// Parses one flat JSON object line into its key/value pairs, in order.
 ///
-/// Supports exactly the subset the renderer emits (strings with standard
-/// escapes incl. `\uXXXX`, numbers, booleans, null); nested objects/arrays
-/// are rejected. Duplicate keys are rejected.
-pub fn parse_line(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let mut p = Parser { bytes: line.trim().as_bytes(), pos: 0 };
-    p.expect(b'{')?;
-    let mut pairs: Vec<(String, JsonVal)> = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let val = p.parse_value()?;
-            pairs.push((key, val));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
+/// Any value [`json::parse`] accepts except arrays and objects (the event
+/// format is flat); duplicate keys are rejected.
+pub fn parse_line(line: &str) -> Result<Vec<(String, Json)>, String> {
+    let Json::Obj(pairs) = json::parse(line.trim())? else {
+        return Err("an event line must be a JSON object".into());
+    };
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if matches!(v, Json::Arr(_) | Json::Obj(_)) {
+            return Err(format!("field {k:?}: nested values are not part of the event schema"));
         }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after object".into());
+        if pairs[..i].iter().any(|(prev, _)| prev == k) {
+            return Err(format!("duplicate key {k:?}"));
+        }
     }
     Ok(pairs)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.next() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!("expected {:?}, got {got:?}", b as char)),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad hex in \\u escape")?;
-                        }
-                        s.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                // The renderer emits UTF-8; collect continuation bytes as-is.
-                Some(b) if b < 0x80 => s.push(b as char),
-                Some(b) => {
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    s.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonVal, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonVal::Str(self.parse_string()?)),
-            Some(b't') => self.keyword("true", JsonVal::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonVal::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonVal::Null),
-            Some(b'{' | b'[') => Err("nested values are not part of the event schema".into()),
-            Some(_) => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-                text.parse::<f64>()
-                    .map(JsonVal::Num)
-                    .map_err(|_| format!("malformed number {text:?}"))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str, val: JsonVal) -> Result<JsonVal, String> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(val)
-        } else {
-            Err(format!("malformed keyword (expected {kw})"))
-        }
-    }
 }
 
 /// The closed event schema: type name → required fields beyond the stamped
@@ -372,12 +208,9 @@ fn is_span_id(s: &str) -> bool {
     s.len() == 16 && s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-fn is_numericish(v: &JsonVal) -> bool {
-    match v {
-        JsonVal::Num(_) => true,
-        JsonVal::Str(s) => matches!(s.as_str(), "NaN" | "inf" | "-inf"),
-        _ => false,
-    }
+/// A number, or one of the non-finite marker strings.
+fn is_numericish(v: &Json) -> bool {
+    v.as_f64().is_some()
 }
 
 /// Validates one event line against the schema.
@@ -387,17 +220,17 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     // Stamped quintet.
     for k in ["t_ms", "seq", "epoch"] {
         match get(k) {
-            Some(JsonVal::Num(_)) => {}
+            Some(Json::Num(..)) => {}
             Some(v) => return Err(format!("field {k:?} must be a number, got {v:?}")),
             None => return Err(format!("missing stamped field {k:?}")),
         }
     }
     let ty = match get("type") {
-        Some(JsonVal::Str(s)) => s.clone(),
+        Some(Json::Str(s)) => s.clone(),
         Some(v) => return Err(format!("field \"type\" must be a string, got {v:?}")),
         None => return Err("missing stamped field \"type\"".into()),
     };
-    if !matches!(get("stage"), Some(JsonVal::Str(_))) {
+    if !matches!(get("stage"), Some(Json::Str(_))) {
         return Err("missing or non-string stamped field \"stage\"".into());
     }
     let required = SCHEMA
@@ -408,7 +241,7 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     for k in required {
         let v = get(k).ok_or_else(|| format!("event {ty:?} missing required field {k:?}"))?;
         let want_string = STRING_FIELDS.contains(k);
-        let ok = if want_string { matches!(v, JsonVal::Str(_)) } else { is_numericish(v) };
+        let ok = if want_string { matches!(v, Json::Str(_)) } else { is_numericish(v) };
         if !ok {
             return Err(format!(
                 "event {ty:?} field {k:?} has wrong type: {v:?} (expected {})",
@@ -419,7 +252,7 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     // Span ids must be well-formed hex wherever they appear on trace events.
     if matches!(ty.as_str(), "span_start" | "span_end" | "trace_exemplar") {
         for k in ["trace", "span", "parent"] {
-            if let Some(JsonVal::Str(s)) = get(k) {
+            if let Some(Json::Str(s)) = get(k) {
                 if !is_span_id(s) {
                     return Err(format!("event {ty:?} field {k:?} is not a 16-hex id: {s:?}"));
                 }
@@ -449,14 +282,14 @@ pub fn validate_events(payload: &str) -> Result<u64, String> {
         let pairs = parse_line(line).expect("validated line reparses");
         let get = |k: &str| {
             pairs.iter().find_map(|(key, v)| match v {
-                JsonVal::Str(s) if key == k => Some(s.clone()),
+                Json::Str(s) if key == k => Some(s.clone()),
                 _ => None,
             })
         };
         let seq = pairs
             .iter()
             .find_map(|(k, v)| match (k.as_str(), v) {
-                ("seq", JsonVal::Num(n)) => Some(*n),
+                ("seq", Json::Num(n, _)) => Some(*n),
                 _ => None,
             })
             .expect("validated line has seq");
@@ -521,7 +354,7 @@ mod tests {
         let pairs = parse_line(&line).unwrap();
         let stages: Vec<_> = pairs.iter().filter(|(k, _)| k == "stage").collect();
         assert_eq!(stages.len(), 1);
-        assert_eq!(stages[0].1, JsonVal::Str("calibrate".into()));
+        assert_eq!(stages[0].1, Json::Str("calibrate".into()));
     }
 
     #[test]
@@ -539,11 +372,11 @@ mod tests {
     fn parser_roundtrips_types() {
         let pairs =
             parse_line("{\"a\":1.5,\"b\":\"x\\u0041\",\"c\":true,\"d\":null,\"e\":-2e-3}").unwrap();
-        assert_eq!(pairs[0].1, JsonVal::Num(1.5));
-        assert_eq!(pairs[1].1, JsonVal::Str("xA".into()));
-        assert_eq!(pairs[2].1, JsonVal::Bool(true));
-        assert_eq!(pairs[3].1, JsonVal::Null);
-        assert_eq!(pairs[4].1, JsonVal::Num(-0.002));
+        assert_eq!(pairs[0].1, Json::Num(1.5, 1.5));
+        assert_eq!(pairs[1].1, Json::Str("xA".into()));
+        assert_eq!(pairs[2].1, Json::Bool(true));
+        assert_eq!(pairs[3].1, Json::Null);
+        assert_eq!(pairs[4].1, Json::Num(-0.002, -0.002));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod trace;
 
-pub use events::{parse_line, validate_events, validate_line, Event, JsonVal};
+pub use events::{parse_line, validate_events, validate_line, Event};
 pub use manifest::{git_describe, PhaseTiming, RunManifest};
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
 

@@ -8,6 +8,7 @@
 //! end as `manifest.json` beside the event log.
 
 use std::time::{SystemTime, UNIX_EPOCH};
+use stuq_artifact::json;
 
 /// Aggregate timing for one span path (e.g. `train/pretrain/epoch`).
 #[derive(Debug, Clone, PartialEq)]
@@ -75,67 +76,41 @@ impl RunManifest {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         out.push_str("  \"schema\": \"stuq-run-manifest-v1\",\n");
-        out.push_str(&format!("  \"cmd\": {},\n", json_str(&self.cmd)));
+        let str_field = |out: &mut String, key: &str, v: &str| {
+            out.push_str(&format!("  \"{key}\": "));
+            json::push_string(out, v);
+            out.push_str(",\n");
+        };
+        str_field(&mut out, "cmd", &self.cmd);
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"config_hash\": {},\n", json_str(&self.config_hash)));
+        str_field(&mut out, "config_hash", &self.config_hash);
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"git\": {},\n", json_str(&self.git)));
-        out.push_str(&format!("  \"telemetry_level\": {},\n", json_str(&self.telemetry_level)));
+        str_field(&mut out, "git", &self.git);
+        str_field(&mut out, "telemetry_level", &self.telemetry_level);
         out.push_str(&format!("  \"started_unix_ms\": {},\n", self.started_unix_ms));
-        out.push_str(&format!("  \"wall_seconds\": {},\n", json_num(self.wall_seconds)));
-        out.push_str("  \"phases\": [\n");
+        out.push_str("  \"wall_seconds\": ");
+        json::push_f64(&mut out, self.wall_seconds);
+        out.push_str(",\n  \"phases\": [\n");
         for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"path\": {}, \"count\": {}, \"total_s\": {}, \"max_s\": {}}}{}\n",
-                json_str(&p.path),
-                p.count,
-                json_num(p.total_s),
-                json_num(p.max_s),
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
+            out.push_str("    {\"path\": ");
+            json::push_string(&mut out, &p.path);
+            out.push_str(&format!(", \"count\": {}, \"total_s\": ", p.count));
+            json::push_f64(&mut out, p.total_s);
+            out.push_str(", \"max_s\": ");
+            json::push_f64(&mut out, p.max_s);
+            out.push_str(if i + 1 < self.phases.len() { "},\n" } else { "}\n" });
         }
         out.push_str("  ],\n");
         out.push_str("  \"final_metrics\": {\n");
         for (i, (k, v)) in self.final_metrics.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}: {}{}\n",
-                json_str(k),
-                json_num(*v),
-                if i + 1 < self.final_metrics.len() { "," } else { "" }
-            ));
+            out.push_str("    ");
+            json::push_string(&mut out, k);
+            out.push_str(": ");
+            json::push_f64(&mut out, *v);
+            out.push_str(if i + 1 < self.final_metrics.len() { ",\n" } else { "\n" });
         }
         out.push_str("  }\n}\n");
         out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_nan() {
-        "\"NaN\"".into()
-    } else if v == f64::INFINITY {
-        "\"inf\"".into()
-    } else if v == f64::NEG_INFINITY {
-        "\"-inf\"".into()
-    } else {
-        format!("{v}")
     }
 }
 

@@ -40,14 +40,6 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a fold of one byte slice into `h`.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// The trace id for the request at `arrival` under `seed` — deterministic,
 /// never zero. `seed` is the serve/router seed, `arrival` the value of
 /// `requests_served` when the request was validated (exactly the pair the
@@ -65,8 +57,9 @@ pub fn derive_trace_id(seed: u64, arrival: u64) -> u64 {
 /// disambiguates repeated phases under one parent (shard number, group
 /// number, member position).
 pub fn derive_span_id(parent: u64, phase: &str, index: u64) -> u64 {
-    let h = fnv(
-        fnv(fnv(0xcbf2_9ce4_8422_2325, &parent.to_le_bytes()), phase.as_bytes()),
+    use stuq_artifact::{fnv1a64_fold as fold, FNV1A64_OFFSET};
+    let h = fold(
+        fold(fold(FNV1A64_OFFSET, &parent.to_le_bytes()), phase.as_bytes()),
         &index.to_le_bytes(),
     );
     let h = mix64(h);

@@ -73,14 +73,9 @@ pub struct CacheEntry {
 /// FNV-1a over the bit pattern of a float slice. Stable across platforms
 /// and runs — part of the determinism surface, so no `DefaultHasher`.
 pub fn hash_window(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    data.iter().fold(stuq_artifact::FNV1A64_OFFSET, |h, v| {
+        stuq_artifact::fnv1a64_fold(h, &v.to_bits().to_le_bytes())
+    })
 }
 
 /// Bounded TTL cache with FIFO eviction. Insertion order drives eviction —
@@ -156,6 +151,14 @@ impl ForecastCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_hash_is_fnv1a64_of_the_little_endian_bits() {
+        let xs = [1.5f32, -0.0, f32::NAN, f32::from_bits(1), 3.0e38];
+        let bytes: Vec<u8> = xs.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        assert_eq!(hash_window(&xs), stuq_artifact::fnv1a64(&bytes));
+        assert_eq!(hash_window(&[]), stuq_artifact::fnv1a64(b""));
+    }
 
     fn key(tick: u64) -> CacheKey {
         CacheKey {

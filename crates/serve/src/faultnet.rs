@@ -133,8 +133,7 @@ pub fn fault_at(
     replica: usize,
     idx: u64,
 ) -> Option<Fault> {
-    let mut rng =
-        StuqRng::new(seed ^ FAULT_SALT).fork(shard as u64).fork(replica as u64).fork(idx);
+    let mut rng = StuqRng::new(seed ^ FAULT_SALT).fork(shard as u64).fork(replica as u64).fork(idx);
     let roll = rng.next_u64() % 100;
     match profile {
         Profile::Off => None,
@@ -368,7 +367,8 @@ mod tests {
     #[test]
     fn wrapper_matches_the_pure_plan_and_shields_the_inner_transport() {
         let (seed, shard, replica) = (11, 1, 0);
-        let mut w = FaultNet::wrap(Box::new(Echo { calls: 0 }), Profile::Drop, seed, shard, replica);
+        let mut w =
+            FaultNet::wrap(Box::new(Echo { calls: 0 }), Profile::Drop, seed, shard, replica);
         // Supervision traffic is never faulted or counted.
         assert!(w.call("{\"type\":\"ping\"}", 100).is_ok());
         assert_eq!(w.rpcs, 0);

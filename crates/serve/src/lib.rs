@@ -68,7 +68,6 @@ pub mod breaker;
 pub mod cache;
 pub mod clock;
 pub mod faultnet;
-pub mod json;
 pub mod proto;
 pub mod reload;
 pub mod router;
@@ -86,6 +85,7 @@ use cache::{CacheEntry, CacheKey, ForecastCache};
 use clock::Clock;
 use deepstuq::{DeepStuq, GaussianForecast, SampleBudget, UnlimitedBudget};
 use proto::{ForecastMeta, ForecastReq, PassReq, Request};
+use stuq_artifact::json;
 use stuq_models::Forecaster;
 use stuq_obs::{trace, Event};
 use stuq_tensor::{StuqRng, Tensor};
@@ -1464,10 +1464,7 @@ impl Server {
         let shed = self.shed + self.shed_reader;
         let mut out = String::with_capacity(192);
         out.push_str("{\"type\":\"health\"");
-        if let Some(id) = id {
-            out.push_str(",\"id\":");
-            out.push_str(&json::escape(id));
-        }
+        proto::push_id(&mut out, id);
         out.push_str(&format!(
             ",\"status\":\"{status}\",\"ready\":{ready},\"breaker\":\"{}\",\
              \"queue_depth\":{},\"queue_capacity\":{},\"requests\":{},\

@@ -47,8 +47,8 @@
 //! `{"type":"cluster-metrics"}` asks a *router* for the cluster-merged
 //! Prometheus export (counters summed across itself and every live worker).
 
-use crate::json::{escape, parse, Json};
 use deepstuq::SamplePass;
+use stuq_artifact::json::{self, parse, Json};
 use stuq_tensor::Tensor;
 
 /// A parsed client request.
@@ -363,28 +363,6 @@ fn trace_ctx(v: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Formats one f32 for the wire (non-finite values become markers).
-pub fn fmt_f32(v: f32) -> String {
-    let mut out = String::new();
-    push_f32(&mut out, v);
-    out
-}
-
-/// Appends [`fmt_f32`]'s form of `v` to `out` without a per-value
-/// allocation (a cluster worker renders every cell of every pass).
-fn push_f32(out: &mut String, v: f32) {
-    use std::fmt::Write as _;
-    if v.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if v == f32::INFINITY {
-        out.push_str("\"inf\"");
-    } else if v == f32::NEG_INFINITY {
-        out.push_str("\"-inf\"");
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
 /// Renders a `[rows, cols]` tensor as a nested JSON array.
 pub fn render_matrix(t: &Tensor) -> String {
     let (rows, cols) = (t.shape()[0], t.shape()[1]);
@@ -399,7 +377,7 @@ pub fn render_matrix(t: &Tensor) -> String {
             if c > 0 {
                 out.push(',');
             }
-            push_f32(&mut out, t.get(r, c));
+            json::push_f32(&mut out, t.get(r, c));
         }
         out.push(']');
     }
@@ -407,10 +385,11 @@ pub fn render_matrix(t: &Tensor) -> String {
     out
 }
 
-fn push_id(out: &mut String, id: &Option<String>) {
+/// Appends `,"id":<id>` when the request carried one.
+pub(crate) fn push_id(out: &mut String, id: &Option<String>) {
     if let Some(id) = id {
         out.push_str(",\"id\":");
-        out.push_str(&escape(id));
+        json::push_string(out, id);
     }
 }
 
@@ -472,10 +451,11 @@ fn push_forecast_head(
     out.push_str("{\"type\":\"forecast\"");
     push_id(out, id);
     out.push_str(&format!(
-        ",\"degraded\":{degraded},\"samples_used\":{samples_used},\"samples_requested\":{samples_requested},\"variance_inflation\":{}",
-        fmt_f32(inflation)
+        ",\"degraded\":{degraded},\"samples_used\":{samples_used},\"samples_requested\":{samples_requested},\"variance_inflation\":"
     ));
-    out.push_str(&format!(",\"model\":{}", escape(model)));
+    json::push_f32(out, inflation);
+    out.push_str(",\"model\":");
+    json::push_string(out, model);
 }
 
 /// A normal or degraded forecast response. `model` is the checksum of the
@@ -602,7 +582,8 @@ pub fn render_passes_req(
 pub fn resp_passes(model: &str, passes: &[SamplePass]) -> String {
     let cells: usize = passes.iter().map(|(mu, _)| mu.len()).sum();
     let mut out = String::with_capacity(cells * 20 + 64);
-    out.push_str(&format!("{{\"type\":\"passes\",\"model\":{}", escape(model)));
+    out.push_str("{\"type\":\"passes\",\"model\":");
+    json::push_string(&mut out, model);
     let mut push_list = |key: &str, pick: &dyn Fn(&SamplePass) -> &Tensor| {
         out.push_str(&format!(",\"{key}\":["));
         for (i, p) in passes.iter().enumerate() {
@@ -822,7 +803,9 @@ pub fn resp_rejected(id: &Option<String>, reason: &str) -> String {
     let mut out = String::with_capacity(64);
     out.push_str("{\"type\":\"rejected\"");
     push_id(&mut out, id);
-    out.push_str(&format!(",\"reason\":{}}}", escape(reason)));
+    out.push_str(",\"reason\":");
+    json::push_string(&mut out, reason);
+    out.push('}');
     out
 }
 
@@ -833,7 +816,8 @@ pub fn resp_fallback(id: &Option<String>, reason: &str, iv: &Intervals<'_>) -> S
     let mut out = String::with_capacity(256);
     out.push_str("{\"type\":\"fallback\"");
     push_id(&mut out, id);
-    out.push_str(&format!(",\"reason\":{}", escape(reason)));
+    out.push_str(",\"reason\":");
+    json::push_string(&mut out, reason);
     push_intervals(&mut out, iv);
     out.push('}');
     out
@@ -845,7 +829,11 @@ pub fn resp_error(id: &Option<String>, reason: &str, detail: &str) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"type\":\"error\"");
     push_id(&mut out, id);
-    out.push_str(&format!(",\"reason\":{},\"detail\":{}}}", escape(reason), escape(detail)));
+    out.push_str(",\"reason\":");
+    json::push_string(&mut out, reason);
+    out.push_str(",\"detail\":");
+    json::push_string(&mut out, detail);
+    out.push('}');
     out
 }
 
@@ -861,7 +849,8 @@ pub fn resp_metrics(id: &Option<String>, counters: &[(&str, u64)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{}:{v}", escape(k)));
+        json::push_string(&mut out, k);
+        out.push_str(&format!(":{v}"));
     }
     out.push_str("}}");
     out
@@ -878,9 +867,13 @@ pub fn resp_ack(id: &Option<String>, action: &str, fields: &[(&str, String)]) ->
     let mut out = String::with_capacity(96);
     out.push_str("{\"type\":\"ack\"");
     push_id(&mut out, id);
-    out.push_str(&format!(",\"action\":{}", escape(action)));
+    out.push_str(",\"action\":");
+    json::push_string(&mut out, action);
     for (k, v) in fields {
-        out.push_str(&format!(",{}:{}", escape(k), v));
+        out.push(',');
+        json::push_string(&mut out, k);
+        out.push(':');
+        out.push_str(v);
     }
     out.push('}');
     out
@@ -946,7 +939,7 @@ mod tests {
         assert_ne!(solo, co, "annotations must distinguish the paths");
         assert_eq!(strip_batch_meta(&solo), strip_batch_meta(&co));
         assert!(!strip_batch_meta(&co).contains("batch_size"));
-        assert!(crate::json::parse(&strip_batch_meta(&co)).is_ok());
+        assert!(json::parse(&strip_batch_meta(&co)).is_ok());
         // Non-forecast lines pass through untouched.
         let rej = resp_rejected(&id, "queue_full");
         assert_eq!(strip_batch_meta(&rej), rej);
@@ -1022,7 +1015,7 @@ mod tests {
             (resp_ack(&id, "drain", &[]), "ack"),
             (resp_passes("ck", &[(m.clone(), None)]), "passes"),
         ] {
-            let v = crate::json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let v = json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(v.get("type").and_then(Json::as_str), Some(ty));
         }
         let deg = resp_forecast(&id, 3, 8, "ck", &ForecastMeta::solo(), &iv);
@@ -1030,7 +1023,7 @@ mod tests {
         assert!(deg.contains("\"samples_used\":3"));
         assert!(deg.contains("\"model\":\"ck\""));
         assert!(deg.contains("\"batched\":false,\"batch_size\":1,\"cache_hit\":false"));
-        let v = crate::json::parse(&deg).unwrap();
+        let v = json::parse(&deg).unwrap();
         let infl = v.get("variance_inflation").and_then(Json::as_f64).unwrap();
         assert!((infl - 8.0 / 3.0).abs() < 1e-6);
     }
@@ -1142,7 +1135,7 @@ mod tests {
         push_trace_meta(&mut traced, 0xdead_beef, 1);
         assert_eq!(traced.len(), plain.len() + TRACE_META_LEN);
         assert!(traced.contains(",\"trace\":\"00000000deadbeef\",\"span\":\"0000000000000001\""));
-        assert!(crate::json::parse(&traced).is_ok());
+        assert!(json::parse(&traced).is_ok());
         assert_eq!(strip_trace_meta(&traced), plain);
         // Untraced lines pass through untouched, and stripping composes with
         // the other annotation strippers.
@@ -1164,7 +1157,7 @@ mod tests {
             &Some("m".into()),
             &[("stuq_serve_requests_total", 41), ("stuq_serve_shed_total", 0)],
         );
-        assert!(crate::json::parse(&line).is_ok(), "{line}");
+        assert!(json::parse(&line).is_ok(), "{line}");
         let Ok(WorkerResp::Metrics { counters }) = parse_worker_resp(&line) else {
             panic!("wrong variant for {line}");
         };
@@ -1184,6 +1177,6 @@ mod tests {
         let m = Tensor::from_vec(vec![f32::NAN, f32::INFINITY, -1.5, 0.0], &[2, 2]);
         let s = render_matrix(&m);
         assert_eq!(s, r#"[["NaN","inf"],[-1.5,0]]"#);
-        assert!(crate::json::parse(&s).is_ok());
+        assert!(json::parse(&s).is_ok());
     }
 }

@@ -41,8 +41,9 @@ use std::sync::{Arc, Mutex};
 use crate::breaker::{self, Breaker};
 use crate::proto::{self, WorkerResp};
 use crate::shard::ShardMap;
-use crate::{json, reload, LineOutcome, ServeConfig, ServeSummary, Server};
+use crate::{reload, LineOutcome, ServeConfig, ServeSummary, Server};
 use deepstuq::SamplePass;
+use stuq_artifact::json;
 use stuq_models::Forecaster;
 use stuq_obs::{trace, Event};
 use stuq_tensor::{StuqRng, Tensor};
@@ -679,10 +680,7 @@ impl Server {
         let shed = self.shed + self.shed_reader;
         let mut out = String::with_capacity(256);
         out.push_str("{\"type\":\"health\"");
-        if let Some(id) = id {
-            out.push_str(",\"id\":");
-            out.push_str(&json::escape(id));
-        }
+        proto::push_id(&mut out, id);
         out.push_str(&format!(
             ",\"status\":\"{status}\",\"ready\":{ready},\"cluster\":true,\
              \"shards\":{n},\"workers_up\":{n_up},\"queue_depth\":{},\

@@ -210,10 +210,7 @@ impl ProcWorker {
             last_restart: None,
         };
         if let Err(e) = w.start_process() {
-            eprintln!(
-                "serve: worker {}/{} failed to start: {e}",
-                w.spec.shard, w.spec.replica
-            );
+            eprintln!("serve: worker {}/{} failed to start: {e}", w.spec.shard, w.spec.replica);
             let delay = w.backoff.next_delay();
             w.next_restart_at = Some(Instant::now() + Duration::from_millis(delay));
         }

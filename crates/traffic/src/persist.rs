@@ -11,15 +11,12 @@
 //! detected before parsing begins.
 
 use crate::dataset::{SplitDataset, TrafficData};
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::path::Path;
+use stuq_artifact::text::{self, invalid};
 use stuq_graph::RoadNetwork;
 
 const MAGIC: &str = "stuq-traffic v1";
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// Writes `data` to `path` atomically with a checksum trailer (creating
 /// parent directories).
@@ -35,22 +32,18 @@ pub fn save_dataset(data: &TrafficData, path: impl AsRef<Path>) -> io::Result<()
     writeln!(w, "covariates {}", data.n_covariates())?;
     writeln!(w, "positions {}", net.positions().len())?;
     for &(x, y) in net.positions() {
-        writeln!(w, "{:08x} {:08x}", x.to_bits(), y.to_bits())?;
+        text::write_row(&mut w, [x, y])?;
     }
     for &(u, v, len) in net.edges() {
-        writeln!(w, "e {u} {v} {:08x}", len.to_bits())?;
+        write!(w, "e {u} {v} ")?;
+        text::write_row(&mut w, [len])?;
     }
     for t in 0..data.n_steps() {
-        let row: Vec<String> =
-            data.step(t).iter().map(|v| format!("{:08x}", v.to_bits())).collect();
-        writeln!(w, "{}", row.join(" "))?;
+        text::write_row(&mut w, data.step(t).iter().copied())?;
     }
-    for t in 0..data.n_steps() {
-        let row: Vec<String> = (0..data.n_covariates())
-            .map(|k| format!("{:08x}", data.covariate(t, k).to_bits()))
-            .collect();
-        if !row.is_empty() {
-            writeln!(w, "{}", row.join(" "))?;
+    if data.n_covariates() > 0 {
+        for t in 0..data.n_steps() {
+            text::write_row(&mut w, (0..data.n_covariates()).map(|k| data.covariate(t, k)))?;
         }
     }
     stuq_artifact::write_atomic_checksummed(path, &w)
@@ -60,83 +53,51 @@ pub fn save_dataset(data: &TrafficData, path: impl AsRef<Path>) -> io::Result<()
 pub fn load_dataset(path: impl AsRef<Path>) -> io::Result<TrafficData> {
     let payload = stuq_artifact::read_verified(path.as_ref())?;
     let mut r = payload.as_slice();
-    let next = |r: &mut &[u8]| -> io::Result<String> {
-        let mut buf = String::new();
-        if r.read_line(&mut buf)? == 0 {
-            return Err(bad("unexpected end of file"));
-        }
-        Ok(buf.trim_end().to_string())
-    };
-    if next(&mut r)? != MAGIC {
-        return Err(bad("not a stuq-traffic file"));
+    if text::line(&mut r)? != MAGIC {
+        return Err(invalid("not a stuq-traffic file"));
     }
-    let name = next(&mut r)?.strip_prefix("name ").ok_or_else(|| bad("missing name"))?.to_string();
-    let usize_field = |r: &mut &[u8], key: &str| -> io::Result<usize> {
-        let l = next(r)?;
-        l.strip_prefix(key)
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| bad(format!("bad field {key:?}: {l:?}")))
-    };
-    let n_nodes = usize_field(&mut r, "nodes")?;
-    let n_edges = usize_field(&mut r, "edges")?;
-    let n_steps = usize_field(&mut r, "steps")?;
-    let n_cov = usize_field(&mut r, "covariates")?;
-    let n_pos = usize_field(&mut r, "positions")?;
+    let name = text::line(&mut r)?
+        .strip_prefix("name ")
+        .ok_or_else(|| invalid("missing name"))?
+        .to_string();
+    let n_nodes: usize = text::parse_field(&mut r, "nodes")?;
+    let n_edges: usize = text::parse_field(&mut r, "edges")?;
+    let n_steps: usize = text::parse_field(&mut r, "steps")?;
+    let n_cov: usize = text::parse_field(&mut r, "covariates")?;
+    let n_pos: usize = text::parse_field(&mut r, "positions")?;
 
-    let hex = |s: &str| -> io::Result<f32> {
-        u32::from_str_radix(s, 16).map(f32::from_bits).map_err(|_| bad(format!("bad hex {s:?}")))
-    };
-
-    let mut positions = Vec::with_capacity(n_pos);
-    for _ in 0..n_pos {
-        let l = next(&mut r)?;
-        let mut parts = l.split_whitespace();
-        let x = hex(parts.next().ok_or_else(|| bad("missing position x"))?)?;
-        let y = hex(parts.next().ok_or_else(|| bad("missing position y"))?)?;
-        positions.push((x, y));
-    }
-    let mut edges = Vec::with_capacity(n_edges);
+    let xy = read_rows(&mut r, n_pos, 2, "position words")?;
+    let positions = xy.chunks(2).map(|p| (p[0], p[1])).collect();
+    let mut edges = Vec::with_capacity(n_edges.min(r.len()));
     for _ in 0..n_edges {
-        let l = next(&mut r)?;
-        let mut parts = l.split_whitespace();
-        if parts.next() != Some("e") {
-            return Err(bad(format!("expected edge line, got {l:?}")));
-        }
-        let u: usize =
-            parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad edge endpoint"))?;
-        let v: usize =
-            parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad edge endpoint"))?;
-        let len = hex(parts.next().ok_or_else(|| bad("missing edge length"))?)?;
-        edges.push((u, v, len));
+        let l = text::line(&mut r)?;
+        let edge = match l.split_whitespace().collect::<Vec<_>>()[..] {
+            ["e", u, v, len] => u.parse().ok().zip(v.parse().ok()).map(|(u, v)| (u, v, len)),
+            _ => None,
+        };
+        let (u, v, len) = edge.ok_or_else(|| invalid(format!("bad edge line {l:?}")))?;
+        edges.push((u, v, text::word(len)?));
     }
-    let mut values = Vec::with_capacity(n_steps * n_nodes);
-    for _ in 0..n_steps {
-        let l = next(&mut r)?;
-        for word in l.split_whitespace() {
-            values.push(hex(word)?);
-        }
-    }
-    if values.len() != n_steps * n_nodes {
-        return Err(bad(format!("expected {} values, read {}", n_steps * n_nodes, values.len())));
-    }
-    let mut covariates = Vec::with_capacity(n_steps * n_cov);
-    if n_cov > 0 {
-        for _ in 0..n_steps {
-            let l = next(&mut r)?;
-            for word in l.split_whitespace() {
-                covariates.push(hex(word)?);
-            }
-        }
-        if covariates.len() != n_steps * n_cov {
-            return Err(bad(format!(
-                "expected {} covariates, read {}",
-                n_steps * n_cov,
-                covariates.len()
-            )));
-        }
-    }
+    let values = read_rows(&mut r, n_steps, n_nodes, "values")?;
+    let covariates =
+        if n_cov > 0 { read_rows(&mut r, n_steps, n_cov, "covariates")? } else { Vec::new() };
     let net = RoadNetwork::new(n_nodes, edges, positions);
     Ok(TrafficData::with_covariates(name, values, n_steps, net, covariates, n_cov))
+}
+
+/// Reads `n_rows` lines of `per_row` hex words each, row-major.
+fn read_rows(r: &mut &[u8], n_rows: usize, per_row: usize, what: &str) -> io::Result<Vec<f32>> {
+    let want = n_rows
+        .checked_mul(per_row)
+        .ok_or_else(|| invalid(format!("{n_rows} rows of {per_row} {what} overflow")))?;
+    let mut out = Vec::with_capacity(want.min(r.len() / 9 + 1));
+    for _ in 0..n_rows {
+        text::read_row(r, &mut out)?;
+    }
+    if out.len() != want {
+        return Err(invalid(format!("expected {want} {what}, read {}", out.len())));
+    }
+    Ok(out)
 }
 
 /// Convenience: load and wrap with the paper's 12-in/12-out split geometry.

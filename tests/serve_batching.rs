@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
+use stuq_artifact::json::{self, Json};
 use stuq_models::Forecaster;
-use stuq_serve::json::{self, Json};
 use stuq_serve::proto::{self, strip_batch_meta, ForecastReq, Request};
 use stuq_serve::{serve_loop, ServeConfig, Server};
 use stuq_traffic::{Preset, Split};

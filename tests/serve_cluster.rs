@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
-use stuq_serve::json::{self, Json};
+use stuq_artifact::json::{self, Json};
 use stuq_serve::proto::strip_cluster_meta;
 use stuq_serve::router::{
     router_loop, InProcWorker, Router, RouterConfig, ShardWorker, SupEvent, WorkerState,

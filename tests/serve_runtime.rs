@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
+use stuq_artifact::json::{self, Json};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
-use stuq_serve::json::{self, Json};
 use stuq_serve::{reload, serve_loop, ServeConfig, Server};
 use stuq_tensor::StuqRng;
 use stuq_traffic::{Preset, Split};
