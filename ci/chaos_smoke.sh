@@ -53,7 +53,15 @@ cmp "$WORK/det-t1.out" "$WORK/det-t4.out" || fail "responses differ between 1 an
 [ "$(grep -c '"type":"forecast"' "$WORK/det-t1.out")" -eq 40 ] \
   || fail "expected 40 forecast responses"
 grep -q '"degraded":true' "$WORK/det-t1.out" || fail "deadline 3 must degrade the runs"
-echo "phase 1 OK: 40 degraded responses byte-identical across thread counts"
+# Surrogate probe: Python's default json.dumps writes U+1F600 as the escaped
+# UTF-16 pair \ud83d\ude00; the reader must decode it to one scalar and
+# echo the id as raw UTF-8 (F0 9F 98 80).
+printf '{"type":"healthz","id":"\\ud83d\\ude00"}\n' | "$STUQ" serve \
+  --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" --reload-poll-ms 0 \
+  >"$WORK/surrogate.out" 2>/dev/null
+grep -qF "$(printf '"id":"\360\237\230\200"')" "$WORK/surrogate.out" \
+  || fail "surrogate-pair id not echoed as one scalar: $(cat "$WORK/surrogate.out")"
+echo "phase 1 OK: 40 degraded responses byte-identical across thread counts; surrogate-pair id echoed"
 
 echo "=== chaos_smoke: phase 2 (burst + corrupt reload + NaN inputs) ==="
 # Oversized burst: 200 slow (mc 24) requests against a 4-deep queue, 20% of

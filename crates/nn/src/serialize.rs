@@ -3,7 +3,8 @@
 //! The format is line-oriented and self-describing: each parameter records
 //! its name, shape, and values as hexadecimal IEEE-754 bit patterns, so a
 //! round-trip is *bit-exact* (no decimal-formatting drift) while the files
-//! stay diffable and debuggable. No external serialisation crate is needed.
+//! stay diffable and debuggable. Each parameter is one tensor of the shared
+//! hex-word codec, [`stuq_artifact::text`]:
 //!
 //! ```text
 //! stuq-params v1

@@ -389,6 +389,20 @@ mod tests {
     }
 
     #[test]
+    fn validator_reads_strings_like_every_other_json_surface() {
+        let line = Event::new("fatal").str("message", "\u{1F600}").uint("exit_code", 1);
+        let line = line.render(0, 0, "x", 0);
+        let paired = line.replace("\u{1F600}", "\\ud83d\\ude00");
+        validate_line(&paired).unwrap();
+        assert_eq!(parse_line(&paired).unwrap(), parse_line(&line).unwrap());
+        for bad in ["\\ud83d", "\\ude00", "raw\u{1}control"] {
+            let bad_line = line.replace("\u{1F600}", bad);
+            assert!(validate_line(&bad_line).is_err(), "must reject {bad_line}");
+        }
+        assert!(validate_line(&line.replace("\"exit_code\":1", "\"exit_code\":1e999")).is_err());
+    }
+
+    #[test]
     fn schema_rejects_unknown_and_incomplete() {
         let unknown = Event::new("mystery").render(0, 0, "x", 0);
         assert!(validate_line(&unknown).unwrap_err().contains("unknown event type"));

@@ -785,11 +785,7 @@ impl Server {
             let n_req = lead.n_req;
             let floor = lead.floor;
             let seed = lead.seed;
-            let tick = lead.tick;
-            let arrival = lead.arrival;
-            let x_hash = lead.x_hash;
-            let x_raw = lead.x_raw.clone();
-            let x_bits = lead.x_bits.clone();
+            let x_raw = &lead.x_raw;
             // The shared run answers every member, so the tightest member
             // deadline bounds it (None = unbounded only if nobody set one).
             let deadline = g.iter().filter_map(|&i| valids[i].as_ref().unwrap().deadline).min();
@@ -802,18 +798,8 @@ impl Server {
             if self.breaker_is_open() {
                 for &i in g {
                     status[i] = "breaker_open";
-                    let (nodes, horizon) = {
-                        let v = valids[i].as_ref().unwrap();
-                        (v.nodes.clone(), v.horizon)
-                    };
-                    responses[i] = Some(self.fallback_or_reject(
-                        &reqs[i].id,
-                        &x_raw,
-                        "breaker_open",
-                        nodes.as_deref(),
-                        horizon,
-                    ));
                 }
+                self.fallback_group(g, reqs, &valids, "breaker_open", &mut responses);
                 continue;
             }
 
@@ -835,7 +821,7 @@ impl Server {
                     n: n_req,
                     rng: rng.export_state().s,
                     now: t_start,
-                    arrival,
+                    arrival: lead.arrival,
                     deadline,
                     model: &self.model_checksum,
                     shape,
@@ -850,18 +836,8 @@ impl Server {
                     for &i in g {
                         status[i] = "fallback";
                         compute[i] = Some((gi, compute_secs, "fallback"));
-                        let (nodes, horizon) = {
-                            let v = valids[i].as_ref().unwrap();
-                            (v.nodes.clone(), v.horizon)
-                        };
-                        responses[i] = Some(self.fallback_or_reject(
-                            &reqs[i].id,
-                            &x_raw,
-                            reason,
-                            nodes.as_deref(),
-                            horizon,
-                        ));
                     }
+                    self.fallback_group(g, reqs, &valids, reason, &mut responses);
                     continue;
                 }
             }
@@ -995,18 +971,8 @@ impl Server {
                 for &i in g {
                     status[i] = "fault";
                     compute[i] = Some((gi, compute_secs, "fault"));
-                    let (nodes, horizon) = {
-                        let v = valids[i].as_ref().unwrap();
-                        (v.nodes.clone(), v.horizon)
-                    };
-                    responses[i] = Some(self.fallback_or_reject(
-                        &reqs[i].id,
-                        &x_raw,
-                        "model_fault",
-                        nodes.as_deref(),
-                        horizon,
-                    ));
                 }
+                self.fallback_group(g, reqs, &valids, "model_fault", &mut responses);
                 continue;
             }
             if let Some(t) = self.breaker.on_success() {
@@ -1036,13 +1002,13 @@ impl Server {
                 if let Some(deriv) = seed.derivation() {
                     let key = CacheKey {
                         generation: self.generation,
-                        tick,
-                        x_hash,
+                        tick: lead.tick,
+                        x_hash: lead.x_hash,
                         seed: deriv,
                         n_samples: n_req,
                     };
                     let entry = CacheEntry {
-                        x_bits,
+                        x_bits: lead.x_bits.clone(),
                         mu_raw: mu_raw.clone(),
                         sigma_raw: sigma_raw.clone(),
                         samples_used: used,
@@ -1061,10 +1027,7 @@ impl Server {
             for &i in g {
                 compute[i] = Some((gi, compute_secs, compute_status));
                 let render_t0 = std::time::Instant::now();
-                let (nodes, horizon) = {
-                    let v = valids[i].as_ref().unwrap();
-                    (v.nodes.clone(), v.horizon)
-                };
+                let v = valids[i].as_ref().expect("grouped members are valid");
                 responses[i] = Some(self.render_forecast(
                     &reqs[i].id,
                     used,
@@ -1072,8 +1035,8 @@ impl Server {
                     &meta_miss,
                     &mu_raw,
                     &sigma_raw,
-                    nodes.as_deref(),
-                    horizon,
+                    v.nodes.as_deref(),
+                    v.horizon,
                 ));
                 let rs = render_t0.elapsed().as_secs_f64();
                 m.serve_render_seconds.record(rs);
@@ -1155,6 +1118,31 @@ impl Server {
             }
         }
         responses.into_iter().map(|r| r.expect("every request answered")).collect()
+    }
+
+    /// Answers every member of group `g` through [`Server::fallback_or_reject`]
+    /// with `reason`, each sliced to its own node subset and horizon. The
+    /// members share one input window, so the lead's persistence grid
+    /// serves them all.
+    fn fallback_group(
+        &mut self,
+        g: &[usize],
+        reqs: &[ForecastReq],
+        valids: &[Option<Valid>],
+        reason: &'static str,
+        responses: &mut [Option<String>],
+    ) {
+        let x_raw = &valids[g[0]].as_ref().expect("grouped members are valid").x_raw;
+        for &i in g {
+            let v = valids[i].as_ref().expect("grouped members are valid");
+            responses[i] = Some(self.fallback_or_reject(
+                &reqs[i].id,
+                x_raw,
+                reason,
+                v.nodes.as_deref(),
+                v.horizon,
+            ));
+        }
     }
 
     /// The documented degraded-service path: a persistence forecast (last

@@ -1179,4 +1179,109 @@ mod tests {
         assert_eq!(s, r#"[["NaN","inf"],[-1.5,0]]"#);
         assert!(json::parse(&s).is_ok());
     }
+
+    /// A random string over a pool weighted toward what escaping must get
+    /// right: controls, quotes, backslashes, escape look-alikes, BMP and
+    /// non-BMP characters.
+    fn random_string(rng: &mut stuq_tensor::StuqRng) -> String {
+        const POOL: &str = "\"\\/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}uaZ0 {:é\u{2028}\u{d7ff}\u{e000}\
+                            \u{fffd}\u{ffff}\u{10000}\u{1f600}\u{10ffff}";
+        let pool: Vec<char> = POOL.chars().collect();
+        let len = rng.uniform_usize(12);
+        (0..len)
+            .map(|_| match rng.uniform_usize(4) {
+                // Any scalar value at all, one draw in four.
+                0 => char::from_u32(rng.uniform_usize(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                _ => pool[rng.uniform_usize(pool.len())],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn escaped_strings_parse_back_exactly() {
+        let mut rng = stuq_tensor::StuqRng::new(0x5eed);
+        for _ in 0..20_000 {
+            let s = random_string(&mut rng);
+            let lit = json::escape(&s);
+            assert_eq!(json::parse(&lit).unwrap().as_str(), Some(s.as_str()), "{lit}");
+            // As an id, the string survives a request and its response.
+            let req = format!(r#"{{"type":"healthz","id":{lit}}}"#);
+            let Ok(Request::Healthz { id }) = parse_request(&req) else { panic!("{req}") };
+            assert_eq!(id.as_deref(), Some(s.as_str()));
+            let resp = resp_rejected(&id, "queue_full");
+            let back = json::parse(&resp).unwrap();
+            assert_eq!(back.get("id").and_then(Json::as_str), Some(s.as_str()), "{resp}");
+        }
+    }
+
+    #[test]
+    fn arbitrary_f32_bits_roundtrip_through_both_codecs() {
+        let mut rng = stuq_tensor::StuqRng::new(0xb175);
+        let specials =
+            [0x0000_0000, 0x8000_0000, 0x0000_0001, 0x807f_ffff, 0x7fc0_0000, 0xffbf_ffff];
+        let bits: Vec<u32> =
+            specials.into_iter().chain((0..50_000).map(|_| rng.next_u64() as u32)).collect();
+        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+
+        // Artifact text: bit-exact for every pattern, NaN payloads included.
+        let mut payload = Vec::new();
+        stuq_artifact::text::write_tensor(&mut payload, "tensor", &[values.len()], &values)
+            .unwrap();
+        let mut r = payload.as_slice();
+        let header = stuq_artifact::text::field(&mut r, "tensor").unwrap();
+        let (dims, back) =
+            stuq_artifact::text::read_tensor(&mut r, &mut header.split_whitespace()).unwrap();
+        assert_eq!(dims, [values.len()]);
+        assert!(back.iter().map(|v| v.to_bits()).eq(bits.iter().copied()));
+
+        // Wire JSON: bit-exact for finite values; non-finite ones come back
+        // as the class their marker names.
+        let m = Tensor::from_vec(values.clone(), &[1, values.len()]);
+        let parsed = json::parse(&render_matrix(&m)).unwrap();
+        let cells = parsed.as_arr().unwrap()[0].as_arr().unwrap();
+        for (v, cell) in values.iter().zip(cells) {
+            let got = cell.as_f32().unwrap();
+            if v.is_nan() {
+                assert!(got.is_nan());
+            } else {
+                assert_eq!(got.to_bits(), v.to_bits(), "{v:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_request_and_event_lines_never_panic() {
+        let forecast = br#"{"type":"forecast","id":"f\"1\ud83d\ude00","x":[[1.5,-2e1,"NaN"],[0,3,"inf"]],"deadline_ms":8,"mc":4,"seed":9,"nodes":[0,2],"horizon":2,"trace":"00000000deadbeef"}"#;
+        let event = br#"{"t_ms":12,"seq":3,"type":"span_start","stage":"serve","epoch":0,"trace":"00000000deadbeef","span":"00000000cafef00d","parent":"00000000deadbeef","phase":"request\u00e9"}"#;
+        assert!(parse_request(std::str::from_utf8(forecast).unwrap()).is_ok());
+        stuq_obs::validate_line(std::str::from_utf8(event).unwrap()).unwrap();
+
+        let mut rng = stuq_tensor::StuqRng::new(0xf1a9);
+        let lines: [&[u8]; 2] = [forecast, event];
+        for round in 0..10_000 {
+            let src = lines[round % 2];
+            let other = lines[(round + 1) % 2];
+            let mut b = src.to_vec();
+            match rng.uniform_usize(3) {
+                // Flip one to three bytes to arbitrary values.
+                0 => {
+                    for _ in 0..=rng.uniform_usize(3) {
+                        let i = rng.uniform_usize(b.len());
+                        b[i] = rng.next_u64() as u8;
+                    }
+                }
+                1 => b.truncate(rng.uniform_usize(b.len())),
+                // Splice a slice of the other line into this one.
+                _ => {
+                    let at = rng.uniform_usize(b.len());
+                    let from = rng.uniform_usize(other.len());
+                    let to = from + rng.uniform_usize(other.len() - from);
+                    b.splice(at..at, other[from..to].iter().copied());
+                }
+            }
+            let line = String::from_utf8_lossy(&b);
+            let _ = parse_request(&line);
+            let _ = stuq_obs::validate_line(&line);
+        }
+    }
 }

@@ -471,6 +471,26 @@ fn drain_rejects_new_forecasts_in_sync_mode() {
     assert!(matches!(health.get("ready"), Some(Json::Bool(false))));
 }
 
+#[test]
+fn surrogate_pair_ids_echo_as_one_scalar_and_lone_surrogates_are_bad_requests() {
+    // Python's default `json.dumps` writes 😀 as an escaped UTF-16 pair.
+    let f = fx();
+    let input = "{\"type\":\"healthz\",\"id\":\"\\ud83d\\ude00\"}\n\
+                 {\"type\":\"healthz\",\"id\":\"\\ud83d\"}\n";
+    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
+    let sink = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    serve_loop(&mut srv, std::io::Cursor::new(input), sink.clone());
+    let out = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    // The reader answers an unparseable line itself, so the two responses
+    // may arrive in either order.
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    let of_type = |t: &str| *lines.iter().find(|l| ty(&parsed(l)) == t).expect(t);
+    assert!(of_type("health").contains("\"id\":\"😀\""), "{out}");
+    let lone = parsed(of_type("error"));
+    assert_eq!(lone.get("reason").and_then(Json::as_str), Some("bad_request"));
+}
+
 #[derive(Clone)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
