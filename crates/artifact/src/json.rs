@@ -316,27 +316,19 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
 /// is copied as UTF-8.
 pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
-    let mut start = 0;
-    for (i, byte) in s.bytes().enumerate() {
-        let esc = match byte {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        // `byte` is ASCII, so `i` is a char boundary.
-        out.push_str(&s[start..i]);
-        if esc.is_empty() {
-            let _ = write!(out, "\\u{byte:04x}");
-        } else {
-            out.push_str(esc);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
-        start = i + 1;
     }
-    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -348,39 +340,25 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// The marker string standing in for a non-finite `v`, or `None` when `v`
-/// is finite.
-fn marker(v: f64) -> Option<&'static str> {
-    if v.is_nan() {
-        Some("\"NaN\"")
-    } else if v == f64::INFINITY {
-        Some("\"inf\"")
-    } else if v == f64::NEG_INFINITY {
-        Some("\"-inf\"")
-    } else {
-        None
-    }
-}
-
 /// Appends `v` as a JSON number in shortest round-trip form, or as its
 /// marker string when non-finite.
 pub fn push_f32(out: &mut String, v: f32) {
-    match marker(f64::from(v)) {
-        Some(m) => out.push_str(m),
-        None => {
-            let _ = write!(out, "{v}");
-        }
-    }
+    push_num(out, f64::from(v), v);
 }
 
 /// [`push_f32`] for an f64.
 pub fn push_f64(out: &mut String, v: f64) {
-    match marker(v) {
-        Some(m) => out.push_str(m),
-        None => {
-            let _ = write!(out, "{v}");
-        }
-    }
+    push_num(out, v, v);
+}
+
+/// Appends `shown`, or the marker for `v` when `v` is non-finite.
+fn push_num(out: &mut String, v: f64, shown: impl std::fmt::Display) {
+    let _ = match v {
+        _ if v.is_nan() => write!(out, "\"NaN\""),
+        f64::INFINITY => write!(out, "\"inf\""),
+        f64::NEG_INFINITY => write!(out, "\"-inf\""),
+        _ => write!(out, "{shown}"),
+    };
 }
 
 #[cfg(test)]

@@ -70,22 +70,14 @@ pub fn word(s: &str) -> io::Result<f32> {
         .map_err(|_| invalid(format!("bad hex word {s:?}")))
 }
 
-/// The 8 lowercase hex digits of `v`'s bit pattern.
-fn hex(v: f32) -> [u8; 8] {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let bits = v.to_bits();
-    std::array::from_fn(|i| DIGITS[(bits >> (28 - 4 * i)) as usize & 0xf])
-}
-
 /// Writes one line of space-separated hex words.
 pub fn write_row(w: &mut impl Write, words: impl IntoIterator<Item = f32>) -> io::Result<()> {
-    let mut sep: &[u8] = b"";
+    let mut sep = "";
     for v in words {
-        w.write_all(sep)?;
-        w.write_all(&hex(v))?;
-        sep = b" ";
+        write!(w, "{sep}{:08x}", v.to_bits())?;
+        sep = " ";
     }
-    w.write_all(b"\n")
+    writeln!(w)
 }
 
 /// Reads one line of hex words, appending them to `out`.

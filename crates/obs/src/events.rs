@@ -20,25 +20,13 @@
 
 use stuq_artifact::json::{self, Json};
 
-/// A single event value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Val {
-    /// A string.
-    S(String),
-    /// A float (non-finite values render as marker strings).
-    F(f64),
-    /// An unsigned integer (epochs, counts, exit codes).
-    U(u64),
-    /// A boolean.
-    B(bool),
-}
-
 /// Builder for one event line. Construct with [`Event::new`], attach fields
 /// with the typed setters, then hand to `stuq_obs::emit`.
 #[derive(Debug, Clone)]
 pub struct Event {
     ty: &'static str,
-    fields: Vec<(&'static str, Val)>,
+    /// `(name, value already rendered as JSON)`, in attach order.
+    fields: Vec<(&'static str, String)>,
 }
 
 impl Event {
@@ -59,26 +47,28 @@ impl Event {
     }
 
     /// Attaches a string field.
-    pub fn str(mut self, k: &'static str, v: impl Into<String>) -> Self {
-        self.fields.push((k, Val::S(v.into())));
+    pub fn str(mut self, k: &'static str, v: impl AsRef<str>) -> Self {
+        self.fields.push((k, json::escape(v.as_ref())));
         self
     }
 
     /// Attaches a float field (non-finite values become marker strings).
     pub fn num(mut self, k: &'static str, v: f64) -> Self {
-        self.fields.push((k, Val::F(v)));
+        let mut rendered = String::new();
+        json::push_f64(&mut rendered, v);
+        self.fields.push((k, rendered));
         self
     }
 
     /// Attaches an unsigned-integer field.
     pub fn uint(mut self, k: &'static str, v: u64) -> Self {
-        self.fields.push((k, Val::U(v)));
+        self.fields.push((k, v.to_string()));
         self
     }
 
     /// Attaches a boolean field.
     pub fn flag(mut self, k: &'static str, v: bool) -> Self {
-        self.fields.push((k, Val::B(v)));
+        self.fields.push((k, v.to_string()));
         self
     }
 
@@ -86,29 +76,21 @@ impl Event {
     /// the recorder context. `stage`/`epoch` are only stamped when the event
     /// did not set them itself (e.g. `stage_start` carries its own).
     pub(crate) fn render(&self, t_ms: u64, seq: u64, stage: &str, epoch: u64) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(128);
-        let _ = write!(out, "{{\"t_ms\":{t_ms},\"seq\":{seq},\"type\":");
+        out.push_str(&format!("{{\"t_ms\":{t_ms},\"seq\":{seq},\"type\":"));
         json::push_string(&mut out, self.ty);
         if !self.has("stage") {
             out.push_str(",\"stage\":");
             json::push_string(&mut out, stage);
         }
         if !self.has("epoch") {
-            let _ = write!(out, ",\"epoch\":{epoch}");
+            out.push_str(&format!(",\"epoch\":{epoch}"));
         }
         for (k, v) in &self.fields {
             out.push(',');
             json::push_string(&mut out, k);
             out.push(':');
-            match v {
-                Val::S(s) => json::push_string(&mut out, s),
-                Val::F(f) => json::push_f64(&mut out, *f),
-                Val::U(u) => {
-                    let _ = write!(out, "{u}");
-                }
-                Val::B(b) => out.push_str(if *b { "true" } else { "false" }),
-            }
+            out.push_str(v);
         }
         out.push_str("}\n");
         out
@@ -215,6 +197,11 @@ fn is_numericish(v: &Json) -> bool {
 
 /// Validates one event line against the schema.
 pub fn validate_line(line: &str) -> Result<(), String> {
+    checked_line(line).map(drop)
+}
+
+/// [`validate_line`], returning the validated pairs.
+fn checked_line(line: &str) -> Result<Vec<(String, Json)>, String> {
     let pairs = parse_line(line)?;
     let get = |k: &str| pairs.iter().find(|(key, _)| key == k).map(|(_, v)| v);
     // Stamped quintet.
@@ -259,7 +246,7 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    Ok(pairs)
 }
 
 /// Validates a whole event-log payload (checksum trailer already stripped by
@@ -278,37 +265,29 @@ pub fn validate_events(payload: &str) -> Result<u64, String> {
         if line.trim().is_empty() {
             continue;
         }
-        validate_line(line).map_err(|e| format!("line {}: {e}: {line}", i + 1))?;
-        let pairs = parse_line(line).expect("validated line reparses");
-        let get = |k: &str| {
-            pairs.iter().find_map(|(key, v)| match v {
-                Json::Str(s) if key == k => Some(s.clone()),
-                _ => None,
-            })
+        let pairs = checked_line(line).map_err(|e| format!("line {}: {e}: {line}", i + 1))?;
+        let get = |k: &str| pairs.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+        let span_key = || {
+            let id = |k| get(k).and_then(Json::as_str).expect("validated span id").to_owned();
+            (id("trace"), id("span"))
         };
-        let seq = pairs
-            .iter()
-            .find_map(|(k, v)| match (k.as_str(), v) {
-                ("seq", Json::Num(n, _)) => Some(*n),
-                _ => None,
-            })
-            .expect("validated line has seq");
+        let seq = get("seq").and_then(Json::as_f64).expect("validated line has seq");
         if let Some(prev) = last_seq {
             if seq <= prev {
                 return Err(format!("line {}: seq {seq} not greater than previous {prev}", i + 1));
             }
         }
         last_seq = Some(seq);
-        match get("type").as_deref() {
+        match get("type").and_then(Json::as_str) {
             Some("span_start") => {
-                let key = (get("trace").unwrap(), get("span").unwrap());
+                let key = span_key();
                 if spans.iter().any(|(k, _)| *k == key) {
                     return Err(format!("line {}: span {} started twice", i + 1, key.1));
                 }
                 spans.push((key, false));
             }
             Some("span_end") => {
-                let key = (get("trace").unwrap(), get("span").unwrap());
+                let key = span_key();
                 match spans.iter_mut().find(|(k, _)| *k == key) {
                     Some((_, closed @ false)) => *closed = true,
                     Some(_) => {

@@ -73,41 +73,42 @@ impl RunManifest {
     /// Renders the manifest as pretty-ish JSON (one field per line, phases
     /// and metrics one entry per line — diff-friendly).
     pub fn to_json(&self) -> String {
+        let num = |v: f64| {
+            let mut s = String::new();
+            json::push_f64(&mut s, v);
+            s
+        };
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         out.push_str("  \"schema\": \"stuq-run-manifest-v1\",\n");
-        let str_field = |out: &mut String, key: &str, v: &str| {
-            out.push_str(&format!("  \"{key}\": "));
-            json::push_string(out, v);
-            out.push_str(",\n");
-        };
-        str_field(&mut out, "cmd", &self.cmd);
+        out.push_str(&format!("  \"cmd\": {},\n", json::escape(&self.cmd)));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        str_field(&mut out, "config_hash", &self.config_hash);
+        out.push_str(&format!("  \"config_hash\": {},\n", json::escape(&self.config_hash)));
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        str_field(&mut out, "git", &self.git);
-        str_field(&mut out, "telemetry_level", &self.telemetry_level);
+        out.push_str(&format!("  \"git\": {},\n", json::escape(&self.git)));
+        out.push_str(&format!("  \"telemetry_level\": {},\n", json::escape(&self.telemetry_level)));
         out.push_str(&format!("  \"started_unix_ms\": {},\n", self.started_unix_ms));
-        out.push_str("  \"wall_seconds\": ");
-        json::push_f64(&mut out, self.wall_seconds);
-        out.push_str(",\n  \"phases\": [\n");
+        out.push_str(&format!("  \"wall_seconds\": {},\n", num(self.wall_seconds)));
+        out.push_str("  \"phases\": [\n");
         for (i, p) in self.phases.iter().enumerate() {
-            out.push_str("    {\"path\": ");
-            json::push_string(&mut out, &p.path);
-            out.push_str(&format!(", \"count\": {}, \"total_s\": ", p.count));
-            json::push_f64(&mut out, p.total_s);
-            out.push_str(", \"max_s\": ");
-            json::push_f64(&mut out, p.max_s);
-            out.push_str(if i + 1 < self.phases.len() { "},\n" } else { "}\n" });
+            out.push_str(&format!(
+                "    {{\"path\": {}, \"count\": {}, \"total_s\": {}, \"max_s\": {}}}{}\n",
+                json::escape(&p.path),
+                p.count,
+                num(p.total_s),
+                num(p.max_s),
+                if i + 1 < self.phases.len() { "," } else { "" }
+            ));
         }
         out.push_str("  ],\n");
         out.push_str("  \"final_metrics\": {\n");
         for (i, (k, v)) in self.final_metrics.iter().enumerate() {
-            out.push_str("    ");
-            json::push_string(&mut out, k);
-            out.push_str(": ");
-            json::push_f64(&mut out, *v);
-            out.push_str(if i + 1 < self.final_metrics.len() { ",\n" } else { "\n" });
+            out.push_str(&format!(
+                "    {}: {}{}\n",
+                json::escape(k),
+                num(*v),
+                if i + 1 < self.final_metrics.len() { "," } else { "" }
+            ));
         }
         out.push_str("  }\n}\n");
         out

@@ -90,7 +90,7 @@ pub fn start_event(trace: u64, span: u64, parent: u64, phase: &str) -> Event {
         .str("trace", fmt_id(trace))
         .str("span", fmt_id(span))
         .str("parent", fmt_id(parent))
-        .str("phase", phase.to_string())
+        .str("phase", phase)
 }
 
 /// Base `span_end` event for the same span; decorate with `.str("status",

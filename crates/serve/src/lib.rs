@@ -1097,16 +1097,14 @@ impl Server {
                             trace::emit_phase(mt.trace, cspan, "merge", mt.arrival, *ms);
                         }
                     }
-                    trace::emit_span(
-                        trace::end_event(mt.trace, cspan, cs).str("status", cstat.to_string()),
-                    );
+                    trace::emit_span(trace::end_event(mt.trace, cspan, cs).str("status", cstat));
                 }
                 if let Some(rs) = render_s[i] {
                     trace::emit_phase(mt.trace, mt.span, "render", mt.arrival, rs);
                 }
                 let mut end = trace::end_event(mt.trace, mt.span, secs);
                 if status[i] != "ok" {
-                    end = end.str("status", status[i].to_string());
+                    end = end.str("status", status[i]);
                 }
                 trace::emit_span(end);
                 trace::note_request(mt.trace, secs);

@@ -48,7 +48,7 @@
 //! Prometheus export (counters summed across itself and every live worker).
 
 use deepstuq::SamplePass;
-use stuq_artifact::json::{self, parse, Json};
+use stuq_artifact::json::{self, escape, parse, Json};
 use stuq_tensor::Tensor;
 
 /// A parsed client request.
@@ -454,8 +454,7 @@ fn push_forecast_head(
         ",\"degraded\":{degraded},\"samples_used\":{samples_used},\"samples_requested\":{samples_requested},\"variance_inflation\":"
     ));
     json::push_f32(out, inflation);
-    out.push_str(",\"model\":");
-    json::push_string(out, model);
+    out.push_str(&format!(",\"model\":{}", escape(model)));
 }
 
 /// A normal or degraded forecast response. `model` is the checksum of the
@@ -582,8 +581,7 @@ pub fn render_passes_req(
 pub fn resp_passes(model: &str, passes: &[SamplePass]) -> String {
     let cells: usize = passes.iter().map(|(mu, _)| mu.len()).sum();
     let mut out = String::with_capacity(cells * 20 + 64);
-    out.push_str("{\"type\":\"passes\",\"model\":");
-    json::push_string(&mut out, model);
+    out.push_str(&format!("{{\"type\":\"passes\",\"model\":{}", escape(model)));
     let mut push_list = |key: &str, pick: &dyn Fn(&SamplePass) -> &Tensor| {
         out.push_str(&format!(",\"{key}\":["));
         for (i, p) in passes.iter().enumerate() {
@@ -803,9 +801,7 @@ pub fn resp_rejected(id: &Option<String>, reason: &str) -> String {
     let mut out = String::with_capacity(64);
     out.push_str("{\"type\":\"rejected\"");
     push_id(&mut out, id);
-    out.push_str(",\"reason\":");
-    json::push_string(&mut out, reason);
-    out.push('}');
+    out.push_str(&format!(",\"reason\":{}}}", escape(reason)));
     out
 }
 
@@ -816,8 +812,7 @@ pub fn resp_fallback(id: &Option<String>, reason: &str, iv: &Intervals<'_>) -> S
     let mut out = String::with_capacity(256);
     out.push_str("{\"type\":\"fallback\"");
     push_id(&mut out, id);
-    out.push_str(",\"reason\":");
-    json::push_string(&mut out, reason);
+    out.push_str(&format!(",\"reason\":{}", escape(reason)));
     push_intervals(&mut out, iv);
     out.push('}');
     out
@@ -829,11 +824,7 @@ pub fn resp_error(id: &Option<String>, reason: &str, detail: &str) -> String {
     let mut out = String::with_capacity(96);
     out.push_str("{\"type\":\"error\"");
     push_id(&mut out, id);
-    out.push_str(",\"reason\":");
-    json::push_string(&mut out, reason);
-    out.push_str(",\"detail\":");
-    json::push_string(&mut out, detail);
-    out.push('}');
+    out.push_str(&format!(",\"reason\":{},\"detail\":{}}}", escape(reason), escape(detail)));
     out
 }
 
@@ -849,8 +840,7 @@ pub fn resp_metrics(id: &Option<String>, counters: &[(&str, u64)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        json::push_string(&mut out, k);
-        out.push_str(&format!(":{v}"));
+        out.push_str(&format!("{}:{v}", escape(k)));
     }
     out.push_str("}}");
     out
@@ -867,13 +857,9 @@ pub fn resp_ack(id: &Option<String>, action: &str, fields: &[(&str, String)]) ->
     let mut out = String::with_capacity(96);
     out.push_str("{\"type\":\"ack\"");
     push_id(&mut out, id);
-    out.push_str(",\"action\":");
-    json::push_string(&mut out, action);
+    out.push_str(&format!(",\"action\":{}", escape(action)));
     for (k, v) in fields {
-        out.push(',');
-        json::push_string(&mut out, k);
-        out.push(':');
-        out.push_str(v);
+        out.push_str(&format!(",{}:{}", escape(k), v));
     }
     out.push('}');
     out
