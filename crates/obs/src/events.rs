@@ -190,11 +190,6 @@ fn is_span_id(s: &str) -> bool {
     s.len() == 16 && s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-/// A number, or one of the non-finite marker strings.
-fn is_numericish(v: &Json) -> bool {
-    v.as_f64().is_some()
-}
-
 /// Validates one event line against the schema.
 pub fn validate_line(line: &str) -> Result<(), String> {
     checked_line(line).map(drop)
@@ -228,7 +223,7 @@ fn checked_line(line: &str) -> Result<Vec<(String, Json)>, String> {
     for k in required {
         let v = get(k).ok_or_else(|| format!("event {ty:?} missing required field {k:?}"))?;
         let want_string = STRING_FIELDS.contains(k);
-        let ok = if want_string { matches!(v, Json::Str(_)) } else { is_numericish(v) };
+        let ok = if want_string { matches!(v, Json::Str(_)) } else { v.as_f64().is_some() };
         if !ok {
             return Err(format!(
                 "event {ty:?} field {k:?} has wrong type: {v:?} (expected {})",
