@@ -61,7 +61,24 @@ printf '{"type":"healthz","id":"\\ud83d\\ude00"}\n' | "$STUQ" serve \
   >"$WORK/surrogate.out" 2>/dev/null
 grep -qF "$(printf '"id":"\360\237\230\200"')" "$WORK/surrogate.out" \
   || fail "surrogate-pair id not echoed as one scalar: $(cat "$WORK/surrogate.out")"
-echo "phase 1 OK: 40 degraded responses byte-identical across thread counts; surrogate-pair id echoed"
+# Oversize probe: a healthz padded with spaces to one byte past
+# proto::MAX_LINE_BYTES (1 MiB) gets exactly one typed bad_request instead
+# of an answer, and is skipped; the next line is served.
+big='{"type":"healthz","id":"too-long"}'
+{
+  printf '%s' "$big"
+  head -c $((1048577 - ${#big})) /dev/zero | tr '\0' ' '
+  printf '\n{"type":"healthz","id":"after"}\n'
+} | "$STUQ" serve --model "$WORK/model.stuq" --data "$WORK/flow.stuqd" \
+  --reload-poll-ms 0 >"$WORK/oversize.out" 2>/dev/null
+[ "$(grep -c '"bad_request"' "$WORK/oversize.out")" -eq 1 ] \
+  || fail "oversize line not answered with one bad_request: $(cat "$WORK/oversize.out")"
+if grep -q '"id":"too-long"' "$WORK/oversize.out"; then
+  fail "oversize line was read whole: $(cat "$WORK/oversize.out")"
+fi
+grep -q '"id":"after"' "$WORK/oversize.out" \
+  || fail "no answer after the oversize line: $(cat "$WORK/oversize.out")"
+echo "phase 1 OK: 40 degraded responses byte-identical across thread counts; surrogate-pair id echoed; oversize line answered"
 
 echo "=== chaos_smoke: phase 2 (burst + corrupt reload + NaN inputs) ==="
 # Oversized burst: 200 slow (mc 24) requests against a 4-deep queue, 20% of

@@ -389,6 +389,22 @@ mod tests {
         assert!(model.params().all_finite());
     }
 
+    /// One training tape of the paper configuration at 43 nodes keeps its
+    /// 606 nodes (DESIGN.md §17): the tape computes the z and r gates'
+    /// spatial mixing separately, so training bytes and the replay
+    /// signature stay put. Sharing it is a byte-moving change that must
+    /// re-pin this count on purpose.
+    #[test]
+    fn paper_config_tape_has_606_nodes() {
+        let mut rng = StuqRng::new(6);
+        let model = Agcrn::new(AgcrnConfig::new(43, 12).with_dropout(0.05, 0.2), &mut rng);
+        let x = Tensor::randn(&[12, 43], 1.0, &mut rng);
+        let mut tape = Tape::new();
+        let mut ctx = FwdCtx::train(&mut rng);
+        model.forward(&mut tape, &x, &mut ctx);
+        assert_eq!(tape.len(), 606);
+    }
+
     #[test]
     fn mc_dropout_samples_vary_eval_does_not() {
         let mut rng = StuqRng::new(5);

@@ -25,18 +25,26 @@ use stuq_tensor::{NodeId, StuqRng, Tape, Tensor};
 /// [`Tape`] records every op (values are [`NodeId`]s; parameters are copied
 /// onto the tape) so gradients can flow. [`Eager`] computes owned
 /// [`Tensor`]s, borrows parameters, and drops each intermediate with its
-/// last reader. Both implementations call the same [`Tensor`] kernel per op
-/// and draw dropout masks from [`Tensor::dropout_mask`], so a pass written
-/// against `Exec` yields the same bits — and leaves the RNG at the same
-/// position — on either.
+/// last reader. Both implementations run the same per-element arithmetic
+/// per op and draw dropout through the one rule in
+/// [`Tensor::dropout_inplace`], so a pass written against `Exec` yields the
+/// same bits — and leaves the RNG at the same position — on either.
 ///
 /// Operands that the layers never read again are taken by value, so the
-/// eager executor can free them as soon as the op has run.
+/// eager executor can write its result into their buffers.
 pub trait Exec {
     /// A value: a tape node id, or an owned tensor.
     type Val: Clone;
     /// A bound parameter: a tape node id, or a borrow of the parameter.
     type Param<'p>: Borrow<Self::Val>;
+
+    /// Whether [`BoundAgcrnCell::step`] may compute the spatial mixing
+    /// `(I + Â)·[x, h]` once for both the z and r gates. The forward bits
+    /// are the same either way, but on a tape one shared node would sum
+    /// both gates' gradients in another order and move training bytes, so
+    /// the tape keeps two mixings until that fusion lands behind the
+    /// UQ-quality oracle (ROADMAP item 3(b), DESIGN.md §17).
+    const SHARES_GATE_MIXING: bool;
 
     /// Binds parameter `slot` holding `value`.
     fn param<'p>(&mut self, slot: usize, value: &'p Tensor) -> Self::Param<'p>;
@@ -63,7 +71,7 @@ pub trait Exec {
     /// Adds the `1×n` row `bias` to every row of `x`.
     fn add_row_broadcast(&mut self, x: Self::Val, bias: &Self::Val) -> Self::Val;
     /// `1 − a` (paper Eq. 6d).
-    fn one_minus(&mut self, a: &Self::Val) -> Self::Val;
+    fn one_minus(&mut self, a: Self::Val) -> Self::Val;
     /// Rectified linear unit.
     fn relu(&mut self, a: Self::Val) -> Self::Val;
     /// Row-wise soft-max.
@@ -79,6 +87,7 @@ pub trait Exec {
 impl Exec for Tape {
     type Val = NodeId;
     type Param<'p> = NodeId;
+    const SHARES_GATE_MIXING: bool = false;
 
     fn param(&mut self, slot: usize, value: &Tensor) -> NodeId {
         Tape::param(self, slot, value.clone())
@@ -107,8 +116,8 @@ impl Exec for Tape {
     fn add_row_broadcast(&mut self, x: NodeId, bias: &NodeId) -> NodeId {
         Tape::add_row_broadcast(self, x, *bias)
     }
-    fn one_minus(&mut self, a: &NodeId) -> NodeId {
-        Tape::one_minus(self, *a)
+    fn one_minus(&mut self, a: NodeId) -> NodeId {
+        Tape::one_minus(self, a)
     }
     fn relu(&mut self, a: NodeId) -> NodeId {
         Tape::relu(self, a)
@@ -128,12 +137,15 @@ impl Exec for Tape {
 }
 
 /// Runs each op immediately on owned tensors: a forward pass without a
-/// tape, for inference.
+/// tape, for inference. Element-wise ops write into the buffer of the
+/// operand they take by value, and dropout is drawn straight into the value
+/// without a mask.
 pub struct Eager;
 
 impl Exec for Eager {
     type Val = Tensor;
     type Param<'p> = &'p Tensor;
+    const SHARES_GATE_MIXING: bool = true;
 
     fn param<'p>(&mut self, _slot: usize, value: &'p Tensor) -> &'p Tensor {
         value
@@ -156,30 +168,39 @@ impl Exec for Eager {
     fn mul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
         a.mul(b)
     }
-    fn add(&mut self, a: Tensor, b: &Tensor) -> Tensor {
-        a.add(b)
+    fn add(&mut self, mut a: Tensor, b: &Tensor) -> Tensor {
+        a.add_assign(b);
+        a
     }
-    fn add_row_broadcast(&mut self, x: Tensor, bias: &Tensor) -> Tensor {
-        x.add_row_broadcast(bias)
+    fn add_row_broadcast(&mut self, mut x: Tensor, bias: &Tensor) -> Tensor {
+        x.add_row_broadcast_inplace(bias);
+        x
     }
-    fn one_minus(&mut self, a: &Tensor) -> Tensor {
-        // The tape's `neg` then `add_scalar`, rounding for rounding.
-        a.scale(-1.0).map(|x| x + 1.0)
+    fn one_minus(&mut self, mut a: Tensor) -> Tensor {
+        // The tape's `neg` then `add_scalar` in one pass; negation is
+        // exact, so it rounds as they do.
+        a.map_inplace(|x| -x + 1.0);
+        a
     }
-    fn relu(&mut self, a: Tensor) -> Tensor {
-        a.relu()
+    fn relu(&mut self, mut a: Tensor) -> Tensor {
+        a.relu_inplace();
+        a
     }
-    fn softmax_rows(&mut self, a: Tensor) -> Tensor {
-        a.softmax_rows()
+    fn softmax_rows(&mut self, mut a: Tensor) -> Tensor {
+        a.softmax_rows_inplace();
+        a
     }
-    fn sigmoid(&mut self, a: Tensor) -> Tensor {
-        a.sigmoid()
+    fn sigmoid(&mut self, mut a: Tensor) -> Tensor {
+        a.sigmoid_inplace();
+        a
     }
-    fn tanh(&mut self, a: Tensor) -> Tensor {
-        a.tanh()
+    fn tanh(&mut self, mut a: Tensor) -> Tensor {
+        a.tanh_inplace();
+        a
     }
-    fn dropout(&mut self, a: Tensor, p: f32, rng: &mut StuqRng) -> Tensor {
-        a.mul(&Tensor::dropout_mask(a.shape(), p, rng))
+    fn dropout(&mut self, mut a: Tensor, p: f32, rng: &mut StuqRng) -> Tensor {
+        a.dropout_inplace(p, rng);
+        a
     }
 }
 
@@ -473,15 +494,14 @@ pub struct BoundAgcrnCell<V = NodeId> {
 }
 
 impl<V> BoundAgcrnCell<V> {
-    fn gate<E: Exec>(&self, ex: &mut E, ctx: &mut FwdCtx<'_>, idx: usize, input: &E::Val) -> E::Val
+    /// Gate `idx` on its spatially mixed input `(I + Â) · [x, h]`.
+    fn gate<E: Exec>(&self, ex: &mut E, ctx: &mut FwdCtx<'_>, idx: usize, mixed: &E::Val) -> E::Val
     where
         V: Borrow<E::Val>,
     {
         let g = &self.gates[idx];
-        // (I + Â) · [x, h]  — spatial mixing.
-        let mixed = ex.matmul(self.support.borrow(), input);
         // Per-node NAPL weights (Eq. 5), then bias.
-        let pre = ex.rowwise_matmul(&mixed, g.wn.borrow(), self.c_in + self.hidden, self.hidden);
+        let pre = ex.rowwise_matmul(mixed, g.wn.borrow(), self.c_in + self.hidden, self.hidden);
         let pre = ex.add(pre, g.bn.borrow());
         // M ⊙ (·): dropout inside the graph convolution (Eq. 13).
         ctx.dropout(ex, pre, self.dropout_p)
@@ -499,17 +519,22 @@ impl<V> BoundAgcrnCell<V> {
         V: Borrow<E::Val>,
     {
         let (x, h) = (x.borrow(), h.borrow());
+        let support: &E::Val = self.support.borrow();
         let xh = ex.concat_cols(x, h);
-        let z = self.gate(ex, ctx, 0, &xh);
+        let mixed = ex.matmul(support, &xh);
+        let z = self.gate(ex, ctx, 0, &mixed);
         let z = ex.sigmoid(z);
-        let r = self.gate(ex, ctx, 1, &xh);
+        // z and r read the same mixed input; see `Exec::SHARES_GATE_MIXING`.
+        let mixed = if E::SHARES_GATE_MIXING { mixed } else { ex.matmul(support, &xh) };
+        let r = self.gate(ex, ctx, 1, &mixed);
         let r = ex.sigmoid(r);
         let rh = ex.mul(&r, h);
         let xrh = ex.concat_cols(x, &rh);
-        let c = self.gate(ex, ctx, 2, &xrh);
+        let mixed = ex.matmul(support, &xrh);
+        let c = self.gate(ex, ctx, 2, &mixed);
         let c = ex.tanh(c);
         let zh = ex.mul(&z, h);
-        let omz = ex.one_minus(&z);
+        let omz = ex.one_minus(z);
         let oc = ex.mul(&omz, &c);
         ex.add(zh, &oc)
     }
@@ -569,9 +594,17 @@ mod tests {
     }
 
     fn agcrn_fixture(dropout_p: f32) -> (ParamSet, AgcrnCell, Tensor, Tensor, StuqRng) {
+        agcrn_fixture_with(1, 4, dropout_p)
+    }
+
+    fn agcrn_fixture_with(
+        c_in: usize,
+        hidden: usize,
+        dropout_p: f32,
+    ) -> (ParamSet, AgcrnCell, Tensor, Tensor, StuqRng) {
         let mut rng = StuqRng::new(4);
         let mut ps = ParamSet::new();
-        let cell = AgcrnCell::new(&mut ps, "a", 1, 4, 3, dropout_p, &mut rng);
+        let cell = AgcrnCell::new(&mut ps, "a", c_in, hidden, 3, dropout_p, &mut rng);
         let n = 6;
         let e = Tensor::randn(&[n, 3], 0.3, &mut rng);
         // Simple support: I + ring adjacency / 2.
@@ -646,6 +679,51 @@ mod tests {
                 for (a, b) in g.data().iter().zip(o.data()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}: slot {slot}");
                 }
+            }
+        }
+    }
+
+    /// Four MC-dropout steps of one cell give the same bits and leave the
+    /// RNG at the same position on `Eager` (one shared z/r mixing, in-place
+    /// ops) as on `Tape`. Widths: `c_in = 1` puts the mixed input in the
+    /// matmul's narrow-tail path; `c_in = hidden = 32` is layer 2's
+    /// full-tile width in the paper configuration.
+    #[test]
+    fn agcrn_eager_steps_match_tape_bitwise() {
+        for (c_in, hidden) in [(1, 4), (32, 32)] {
+            let (ps, cell, e, s, mut rng) = agcrn_fixture_with(c_in, hidden, 0.2);
+            let xs: Vec<Tensor> =
+                (0..4).map(|_| Tensor::randn(&[6, c_in], 1.0, &mut rng)).collect();
+            let h0 = Tensor::randn(&[6, hidden], 0.5, &mut rng);
+            let stream = rng.fork(7);
+
+            let mut r_tape = stream.clone();
+            let mut tape = Tape::new();
+            let (en, sn) = (tape.constant(e.clone()), tape.constant(s.clone()));
+            let bound = cell.bind(&mut tape, &ps, en, sn);
+            let mut h = tape.constant(h0.clone());
+            let mut ctx = FwdCtx::mc_sample(&mut r_tape);
+            for x in &xs {
+                let x = tape.constant(x.clone());
+                h = bound.step(&mut tape, &mut ctx, x, h);
+            }
+            let want = tape.value(h).clone();
+
+            let mut r_eager = stream;
+            let bound = cell.bind(&mut Eager, &ps, &e, s.clone());
+            let mut ctx = FwdCtx::mc_sample(&mut r_eager);
+            let got = xs.iter().fold(h0, |h, x| bound.step(&mut Eager, &mut ctx, x, &h));
+
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "c_in {c_in}, hidden {hidden}: hidden state");
+            assert_eq!(r_eager.export_state(), r_tape.export_state(), "c_in {c_in}: RNG position");
+            if c_in == 1 {
+                // Both executors share one draw rule, so a change to it
+                // passes the comparison above; this checksum catches it.
+                let fnv = bits(&got).iter().fold(0xcbf2_9ce4_8422_2325u64, |a, &b| {
+                    (a ^ b as u64).wrapping_mul(0x100_0000_01b3)
+                });
+                assert_eq!(fnv, 0xb2dc_24ea_d5ca_c85f, "pinned 4-step MC hidden state");
             }
         }
     }

@@ -74,7 +74,7 @@ pub mod router;
 pub mod shard;
 pub mod supervisor;
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -1502,6 +1502,33 @@ pub struct ServeSummary {
     pub samples_used: u64,
 }
 
+/// Reads the serve loop's next request line into `buf`, holding at most
+/// [`proto::MAX_LINE_BYTES`] bytes of it plus one. Gives the line without
+/// its line ending; `Err(detail)` for a line that is too long or not UTF-8,
+/// consumed through its newline; `None` at end of input or on any other
+/// I/O error.
+fn next_request_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> Option<Result<&'b str, String>> {
+    buf.clear();
+    let limit = proto::MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf).ok()? == 0 {
+        return None;
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > proto::MAX_LINE_BYTES {
+        // Skip the rest unbuffered; an error here ends intake on the next read.
+        let _ = reader.skip_until(b'\n');
+        return Some(Err(format!("request line is longer than {} bytes", proto::MAX_LINE_BYTES)));
+    }
+    Some(std::str::from_utf8(buf).map_err(|_| "request line is not valid UTF-8".to_owned()))
+}
+
 /// Runs the serve loop: a reader thread classifies and admits request
 /// lines; the worker (this thread) owns the server and answers them.
 /// Returns when the input closes or a `shutdown` request is processed.
@@ -1554,27 +1581,22 @@ where
         let flags = Arc::clone(&flags);
         let write_line = write_line.clone();
         std::thread::spawn(move || {
-            for line in reader.lines() {
+            let (mut reader, mut buf) = (reader, Vec::new());
+            while let Some(line) = next_request_line(&mut reader, &mut buf) {
+                // The bad line's bytes are consumed: answer it and read on.
                 let line = match line {
                     Ok(line) => line,
-                    // `lines()` consumed the bad line's bytes: answer it and
-                    // read on. Any other I/O error ends intake.
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        write_line(&proto::resp_error(
-                            &None,
-                            "bad_request",
-                            "request line is not valid UTF-8",
-                        ));
+                    Err(detail) => {
+                        write_line(&proto::resp_error(&None, "bad_request", &detail));
                         continue;
                     }
-                    Err(_) => break,
                 };
                 if line.trim().is_empty() {
                     continue;
                 }
                 // The only parse a served line gets: the lanes carry the
                 // typed request from here on.
-                match proto::parse_request(&line) {
+                match proto::parse_request(line) {
                     Err(e) => write_line(&proto::resp_error(&e.id, "bad_request", &e.detail)),
                     Ok(Request::Forecast(req)) => {
                         let id = req.id.clone();

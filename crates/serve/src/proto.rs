@@ -171,6 +171,15 @@ pub struct PassReq {
 /// unbounded count from the wire could exhaust memory.
 pub const MAX_MC_SAMPLES: usize = 1024;
 
+/// Longest request line the serve reader accepts, in bytes before the
+/// newline. A window `x` is the bulk of any request, forecast or `passes`.
+/// The paper's largest graph (PEMS07, 883 sensors) over its 12-step history
+/// is 10,596 cells; at 24 bytes a cell (a 9-digit f32 such as
+/// `-1.23456789e-38`, its comma and some whitespace) that is ~254 KB, and
+/// 1 MiB leaves 4× headroom. The reader holds at most this much of a line:
+/// a longer one gets one typed `bad_request` and is skipped unbuffered.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Why a request could not be parsed.
 #[derive(Debug)]
 pub struct ParseError {

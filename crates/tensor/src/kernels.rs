@@ -651,59 +651,56 @@ pub fn blocked_sum(x: &[f32], map: impl Fn(f32) -> f64 + Sync) -> f64 {
     partials.iter().sum()
 }
 
-/// Row softmax with the max-subtraction trick; rows are independent, so the
-/// loop is row-parallel above [`PAR_ELEMS_MIN`] without affecting the
-/// per-row summation order. Outside [`with_reference_kernels`] the exp calls
-/// go through [`crate::fastmath::exp_f32`] — the adaptive-adjacency softmax
-/// is a full `n × n` pass per forward, and libm `exp` is a measurable slice
-/// of it.
-pub fn softmax_rows(src: &[f32], m: usize, n: usize) -> Vec<f32> {
-    debug_assert_eq!(src.len(), m * n);
-    let mut out = vec![0.0f32; m * n];
+/// Row softmax in place, with the max-subtraction trick. Rows are
+/// independent, so the loop is row-parallel above [`PAR_ELEMS_MIN`]
+/// without affecting the per-row summation order. Outside
+/// [`with_reference_kernels`] the exp calls go through
+/// [`crate::fastmath::exp_f32`] — the adaptive-adjacency softmax is a full
+/// `n × n` pass per forward, and libm `exp` is a measurable slice of it.
+pub fn softmax_rows_inplace(buf: &mut [f32], m: usize, n: usize) {
+    debug_assert_eq!(buf.len(), m * n);
     if n == 0 {
-        return out;
+        return;
     }
     let refmode = reference_mode();
-    let one_row = |row: &[f32], orow: &mut [f32]| {
+    let one_row = |row: &mut [f32]| {
         let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut denom = 0.0f32;
         if refmode {
-            for (o, &x) in orow.iter_mut().zip(row) {
-                let e = (x - mx).exp();
-                *o = e;
+            for x in row.iter_mut() {
+                let e = (*x - mx).exp();
+                *x = e;
                 denom += e;
             }
-            for o in orow {
-                *o /= denom;
+            for x in row {
+                *x /= denom;
             }
         } else {
-            for (o, &x) in orow.iter_mut().zip(row) {
-                let e = crate::fastmath::exp_f32(x - mx);
-                *o = e;
+            for x in row.iter_mut() {
+                let e = crate::fastmath::exp_f32(*x - mx);
+                *x = e;
                 denom += e;
             }
             let inv = 1.0 / denom;
-            for o in orow {
-                *o *= inv;
+            for x in row {
+                *x *= inv;
             }
         }
     };
     if m * n >= PAR_ELEMS_MIN && m > 1 {
-        let optr = SendPtr::new(out.as_mut_ptr());
+        let bptr = SendPtr::new(buf.as_mut_ptr());
         let rows_per_chunk = (ELEM_CHUNK / n).max(1);
         par_ranges(m, rows_per_chunk, |rr| {
             for i in rr {
                 // SAFETY: each row index is visited by exactly one chunk.
-                let orow = unsafe { std::slice::from_raw_parts_mut(optr.get().add(i * n), n) };
-                one_row(&src[i * n..(i + 1) * n], orow);
+                one_row(unsafe { std::slice::from_raw_parts_mut(bptr.get().add(i * n), n) });
             }
         });
     } else {
-        for (i, orow) in out.chunks_exact_mut(n).enumerate() {
-            one_row(&src[i * n..(i + 1) * n], orow);
+        for row in buf.chunks_exact_mut(n) {
+            one_row(row);
         }
     }
-    out
 }
 
 /// Blocked `f64` dot product with the same ordered-reduction guarantee.
@@ -744,6 +741,11 @@ mod tests {
         let mut rng = StuqRng::new(0x50F7);
         for &(m, n) in &[(3usize, 7usize), (307, 307), (1, 513)] {
             let src: Vec<f32> = (0..m * n).map(|_| rng.normal_f32() * 4.0).collect();
+            let softmax_rows = |src: &[f32], m, n| {
+                let mut out = src.to_vec();
+                softmax_rows_inplace(&mut out, m, n);
+                out
+            };
             let fast = softmax_rows(&src, m, n);
             let reference = with_reference_kernels(|| softmax_rows(&src, m, n));
             assert_close(&fast, &reference, 1e-5);

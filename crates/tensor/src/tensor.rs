@@ -348,47 +348,80 @@ impl Tensor {
 
     /// Row-wise soft-max (each row sums to one), numerically stabilised.
     pub fn softmax_rows(&self) -> Self {
+        let mut out = self.clone();
+        out.softmax_rows_inplace();
+        out
+    }
+
+    /// [`Tensor::softmax_rows`] in place.
+    pub fn softmax_rows_inplace(&mut self) {
         let (m, n) = (self.rows(), self.cols());
-        Self { data: kernels::softmax_rows(&self.data, m, n), shape: vec![m, n] }
+        kernels::softmax_rows_inplace(&mut self.data, m, n);
     }
 
     /// Rectified linear unit, element-wise.
     pub fn relu(&self) -> Self {
-        self.map(|x| x.max(0.0))
+        let mut out = self.clone();
+        out.relu_inplace();
+        out
     }
 
-    /// Logistic sigmoid, element-wise: the vectorizable rational of
+    /// [`Tensor::relu`] in place.
+    pub fn relu_inplace(&mut self) {
+        self.map_inplace(|x| x.max(0.0));
+    }
+
+    /// Logistic sigmoid, element-wise.
+    pub fn sigmoid(&self) -> Self {
+        let mut out = self.clone();
+        out.sigmoid_inplace();
+        out
+    }
+
+    /// Logistic sigmoid in place: the vectorizable rational of
     /// [`crate::fastmath`], or libm inside
     /// [`kernels::with_reference_kernels`].
-    pub fn sigmoid(&self) -> Self {
+    pub fn sigmoid_inplace(&mut self) {
         if kernels::reference_mode() {
-            self.map(|x| 1.0 / (1.0 + (-x).exp()))
+            self.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
         } else {
-            self.map(crate::fastmath::sigmoid_f32)
+            self.map_inplace(crate::fastmath::sigmoid_f32);
         }
     }
 
-    /// Hyperbolic tangent, element-wise; same kernel choice as
-    /// [`Tensor::sigmoid`].
+    /// Hyperbolic tangent, element-wise.
     pub fn tanh(&self) -> Self {
+        let mut out = self.clone();
+        out.tanh_inplace();
+        out
+    }
+
+    /// Hyperbolic tangent in place; same kernel choice as
+    /// [`Tensor::sigmoid_inplace`].
+    pub fn tanh_inplace(&mut self) {
         if kernels::reference_mode() {
-            self.map(f32::tanh)
+            self.map_inplace(f32::tanh);
         } else {
-            self.map(crate::fastmath::tanh_f32)
+            self.map_inplace(crate::fastmath::tanh_f32);
         }
     }
 
     /// `self + bias` with the `1×n` row `bias` added to every row.
     pub fn add_row_broadcast(&self, bias: &Self) -> Self {
+        let mut out = self.clone();
+        out.add_row_broadcast_inplace(bias);
+        out
+    }
+
+    /// [`Tensor::add_row_broadcast`] in place.
+    pub fn add_row_broadcast_inplace(&mut self, bias: &Self) {
         assert_eq!(bias.rows(), 1, "bias must be a 1×n row");
         assert_eq!(self.cols(), bias.cols(), "bias width mismatch");
-        let mut out = self.clone();
-        for row in out.data.chunks_exact_mut(bias.cols()) {
+        for row in self.data.chunks_exact_mut(bias.cols()) {
             for (o, &b) in row.iter_mut().zip(&bias.data) {
                 *o += b;
             }
         }
-        out
     }
 
     /// NAPL row-wise matmul (paper Eq. 5): row `n` of the output is
@@ -402,18 +435,28 @@ impl Tensor {
         Self { data, shape: vec![n, c_out] }
     }
 
-    /// An inverted-dropout mask of `shape` with drop rate `p ∈ (0, 1)`:
-    /// each entry is `1/keep` (`keep = 1 − p`) or `0`, from one
-    /// `bernoulli(keep)` draw per element in row-major order. Every dropout
-    /// in the workspace draws its mask here, so any two forward passes that
-    /// drop the same shapes in the same order consume `rng` identically.
-    pub fn dropout_mask(shape: &[usize], p: f32, rng: &mut StuqRng) -> Self {
+    /// Inverted dropout in place at drop rate `p ∈ (0, 1)`: each element
+    /// `v` becomes `v * m` with `m = 1/keep` (`keep = 1 − p`) or `m = 0`,
+    /// from one `bernoulli(keep)` draw per element in row-major order.
+    ///
+    /// This is the only place a dropout draw is written: the tape's stored
+    /// mask is this applied to ones ([`Tensor::dropout_mask`]), so any two
+    /// forward passes that drop the same shapes in the same order consume
+    /// `rng` identically and produce the same bits.
+    pub fn dropout_inplace(&mut self, p: f32, rng: &mut StuqRng) {
         assert!(p > 0.0 && p < 1.0, "dropout rate must be in (0, 1)");
         let keep = 1.0 - p;
-        let numel: usize = shape.iter().product();
-        let data =
-            (0..numel).map(|_| if rng.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 }).collect();
-        Self::from_vec(data, shape)
+        for v in &mut self.data {
+            *v *= if rng.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 };
+        }
+    }
+
+    /// The inverted-dropout mask of `shape` at rate `p`: ones through
+    /// [`Tensor::dropout_inplace`], so each entry is `1/keep` or `0`.
+    pub fn dropout_mask(shape: &[usize], p: f32, rng: &mut StuqRng) -> Self {
+        let mut mask = Self::ones(shape);
+        mask.dropout_inplace(p, rng);
+        mask
     }
 
     /// Frobenius norm.
@@ -546,6 +589,38 @@ mod tests {
         let b = Tensor::full(&[2, 2], 3.0);
         a.axpy(0.5, &b);
         assert_eq!(a.data(), &[2.5, 2.5, 2.5, 2.5]);
+    }
+
+    /// The in-place draw is the tape's `x ⊙ mask` bit for bit, including
+    /// on ±0, ±inf, NaN and subnormals, matches the draw rule written out
+    /// here, and leaves the generator where the mask draw leaves it.
+    #[test]
+    fn dropout_inplace_matches_the_mask_product_bitwise() {
+        let specials =
+            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-45, f32::MAX];
+        let mut rng = StuqRng::new(17);
+        let mut x = Tensor::randn(&[5, 7], 3.0, &mut rng);
+        for (v, &s) in x.data_mut().iter_mut().step_by(3).zip(specials.iter().cycle()) {
+            *v = s;
+        }
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in [0.05f32, 0.5, 0.9] {
+            let stream = rng.fork(1);
+            let (mut r1, mut r2, mut r3) = (stream.clone(), stream.clone(), stream);
+            let mut got = x.clone();
+            got.dropout_inplace(p, &mut r1);
+            let via_mask = x.mul(&Tensor::dropout_mask(x.shape(), p, &mut r2));
+            let keep = 1.0 - p;
+            let by_rule: Vec<f32> = x
+                .data()
+                .iter()
+                .map(|&v| v * if r3.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 })
+                .collect();
+            assert_eq!(bits(got.data()), bits(via_mask.data()), "p = {p}: in place vs mask");
+            assert_eq!(bits(got.data()), bits(&by_rule), "p = {p}: in place vs draw rule");
+            assert_eq!(r1.export_state(), r2.export_state(), "p = {p}: RNG position");
+            assert_eq!(r1.export_state(), r3.export_state(), "p = {p}: RNG position");
+        }
     }
 
     #[test]

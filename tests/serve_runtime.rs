@@ -721,6 +721,48 @@ fn serve_loop_answers_a_non_utf8_line_and_keeps_reading() {
 }
 
 #[test]
+fn serve_loop_answers_an_oversize_line_and_keeps_reading() {
+    // A line past the bound gets one typed answer and is skipped without
+    // being buffered; one exactly at the bound is still served.
+    use stuq_serve::proto::MAX_LINE_BYTES;
+    let f = fx();
+    let pad = |mut line: String, len: usize| {
+        line.push_str(&" ".repeat(len - line.len()));
+        line.into_bytes()
+    };
+    // Valid JSON one byte past the bound: served only if read whole.
+    let mut input = pad(r#"{"type":"healthz","id":"too-long"}"#.into(), MAX_LINE_BYTES + 1);
+    input.push(b'\n');
+    input.extend(vec![b'y'; 3 * MAX_LINE_BYTES + 5]);
+    input.extend_from_slice(b"\n{\"type\":\"healthz\",\"id\":\"after\"}\n");
+    input.extend(pad(forecast_line(f, "padded", None, Some(2), 3), MAX_LINE_BYTES));
+    input.push(b'\n');
+    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
+    let sink = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let reader = std::io::BufReader::with_capacity(1 << 12, std::io::Cursor::new(input));
+    let summary = serve_loop(&mut srv, reader, sink.clone());
+    let out = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<Json> = out.lines().map(parsed).collect();
+    assert_eq!(lines.len(), 4, "four lines in, four responses out:\n{out}");
+    assert_eq!(summary.responses, 4);
+    // The reader answers both oversize lines before it admits anything.
+    for bad in &lines[..2] {
+        assert_eq!(ty(bad), "error", "{out}");
+        assert_eq!(bad.get("reason").and_then(Json::as_str), Some("bad_request"));
+        assert!(bad.get("id").is_none(), "an unread line has no id:\n{out}");
+    }
+    let by_id = |id: &str| {
+        let hits: Vec<&Json> =
+            lines.iter().filter(|v| v.get("id").and_then(Json::as_str) == Some(id)).collect();
+        assert_eq!(hits.len(), 1, "exactly one response for {id}:\n{out}");
+        ty(hits[0])
+    };
+    assert!(!out.contains("too-long"), "the oversize line must not be parsed:\n{out}");
+    assert_eq!(by_id("after"), "health", "{out}");
+    assert_eq!(by_id("padded"), "forecast", "{out}");
+}
+
+#[test]
 fn serve_loop_rejects_a_hostile_mc_and_keeps_serving() {
     // An `mc` far past the bound must be refused at parse time — the sample
     // streams are allocated up front — without disturbing later requests.
