@@ -1,14 +1,14 @@
 #!/usr/bin/env sh
-# Offline-build guard: the workspace must be buildable with no registry
-# access (DESIGN.md §5) — every dependency has to be an in-tree path or
-# workspace reference. Fails if any crate manifest declares a dependency by
-# registry version or git URL.
+# Offline-build guard: the workspace and the standalone perfbench crate must
+# be buildable with no registry access (DESIGN.md §5) — every dependency has
+# to be an in-tree path or workspace reference. Fails if any crate manifest
+# declares a dependency by registry version or git URL.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 status=0
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml; do
     # Scan only [*dependencies*] sections; `version.workspace = true` under
     # [package] is fine.
     bad=$(awk '

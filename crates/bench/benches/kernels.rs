@@ -5,8 +5,7 @@
 //! against the seed's scalar reference, serial-vs-parallel dispatch, the
 //! DESIGN.md NAPL fused-vs-composed ablation, whole-model AGCRN costs, and
 //! the data substrates. `cargo bench -p stuq-bench` prints one line per
-//! benchmark; for the machine-readable speedup record see
-//! `cargo run --release -p stuq-bench --bin bench_pr1`.
+//! benchmark; the end-to-end benchmark is `perfbench/`.
 
 use std::hint::black_box;
 use stuq_bench::timing::{bench, bench_with, Sample};

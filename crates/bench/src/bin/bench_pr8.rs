@@ -1,8 +1,9 @@
 //! Machine-readable speedup record for the static-schedule replay PR.
 //!
-//! BENCH_PR3 exposed the level-scheduled backward losing to the seed's
-//! serial walk on one core (0.67–0.75×): per-call schedule derivation and
-//! edge-arena bookkeeping ate the parallel win. This bench times the
+//! The training-engine bench (EXPERIMENTS.md) exposed the level-scheduled
+//! backward losing to the seed's serial walk on one core (0.67–0.75×):
+//! per-call schedule derivation and edge-arena bookkeeping ate the parallel
+//! win. This bench times the
 //! compiled-[`ReplayPlan`] engine (DESIGN.md §14) against the same seed
 //! baselines on the same workloads:
 //!
@@ -53,7 +54,7 @@ impl Triple {
 }
 
 /// Records one full AGCRN training-loss tape (forward + combined loss) at
-/// Pems04Like scale — the same fixture as BENCH_PR3's `backward` workload,
+/// Pems04Like scale — the fixture of the training-engine `backward` record,
 /// and exactly the graph `sample_grad` replays every batch.
 fn training_tape() -> (Tape, usize) {
     let mut rng = StuqRng::new(0x404);

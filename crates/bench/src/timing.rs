@@ -4,7 +4,7 @@
 //! module provides the small subset the repo needs: warmup, a time-budgeted
 //! measurement loop over `std::time::Instant`, and best/mean statistics.
 //! "Best of N" is the headline number — it is the least noisy estimator on a
-//! shared machine, and every comparison in BENCH_PR1.json uses the same
+//! shared machine, and every comparison a bench prints uses the same
 //! statistic on both sides.
 
 use std::time::Instant;
@@ -35,11 +35,6 @@ impl Sample {
     /// the best iteration.
     pub fn gflops(&self, flops_per_iter: f64) -> f64 {
         flops_per_iter / self.best_s / 1e9
-    }
-
-    /// Iterations per second, based on the best iteration.
-    pub fn per_sec(&self) -> f64 {
-        1.0 / self.best_s
     }
 }
 

@@ -74,7 +74,7 @@ impl DeepEnsemble {
             let session = self.members[j].session();
             crate::mc::run_pass(&*session, x, None, &streams[j], true)
         });
-        crate::mc::reduce_samples(samples, shape)
+        crate::mc::reduce_samples(&samples, shape)
     }
 }
 

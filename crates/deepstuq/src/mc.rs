@@ -54,13 +54,9 @@ pub type SamplePass = (Tensor, Option<Tensor>);
 ///
 /// Accumulation runs in *sample-index order* — together with the
 /// per-sample RNG streams this is what makes the parallel inference paths
-/// bit-identical across thread counts.
-pub(crate) fn reduce_samples(samples: Vec<SamplePass>, shape: [usize; 2]) -> GaussianForecast {
-    reduce_sample_slice(&samples, shape)
-}
-
-/// Slice form of [`reduce_samples`], usable on a growing prefix.
-pub(crate) fn reduce_sample_slice(samples: &[SamplePass], shape: [usize; 2]) -> GaussianForecast {
+/// bit-identical across thread counts. Takes a slice, so the anytime
+/// sampler can fold a growing prefix.
+pub(crate) fn reduce_samples(samples: &[SamplePass], shape: [usize; 2]) -> GaussianForecast {
     let n = samples.len();
     let mut mean = Tensor::zeros(&shape);
     let mut mean_sq = Tensor::zeros(&shape);
@@ -168,7 +164,7 @@ pub fn mc_forecast_with_cov(
             m.mc_samples_per_sec.set(n_samples as f64 / secs);
         }
     }
-    reduce_samples(samples, shape)
+    reduce_samples(&samples, shape)
 }
 
 /// Decides, between MC forward passes, whether the sampler may draw another
@@ -317,10 +313,10 @@ pub fn reduce_anytime(
         let Some(p) = pass(j) else { continue };
         samples.push(p);
         if let Some(obs) = observer.as_deref_mut() {
-            obs(&reduce_sample_slice(&samples, shape));
+            obs(&reduce_samples(&samples, shape));
         }
     }
-    AnytimeForecast { forecast: reduce_samples(samples, shape), samples_requested: n_samples }
+    AnytimeForecast { forecast: reduce_samples(&samples, shape), samples_requested: n_samples }
 }
 
 /// Ensemble combination for snapshot ensembles (FGE): runs one deterministic
@@ -349,7 +345,7 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
         run_pass(&*session, x, None, &streams[j], true)
     });
     model.params_mut().load_snapshot(snapshots.last().expect("non-empty"));
-    reduce_samples(samples, shape)
+    reduce_samples(&samples, shape)
 }
 
 #[cfg(test)]
@@ -592,7 +588,7 @@ mod tests {
         let rest: Vec<SamplePass> = [0, 2, 3].iter().map(|&j| passes[j].clone()).collect();
         assert_eq!(got.forecast.n_samples, 3);
         assert!(got.degraded());
-        assert_bitwise(&got.forecast, &reduce_samples(rest, shape), "missing pass 1");
+        assert_bitwise(&got.forecast, &reduce_samples(&rest, shape), "missing pass 1");
     }
 
     /// The tape oracle: the first `k` of the `n` streams an entry point
@@ -608,7 +604,7 @@ mod tests {
         rng: &mut StuqRng,
     ) -> GaussianForecast {
         let streams = fork_streams(rng, n);
-        let passes = streams[..k]
+        let passes: Vec<SamplePass> = streams[..k]
             .iter()
             .map(|stream| {
                 let mut r = stream.clone();
@@ -622,7 +618,7 @@ mod tests {
                 (tape.value(pred.point()).clone(), var)
             })
             .collect();
-        reduce_samples(passes, [model.n_nodes(), model.horizon()])
+        reduce_samples(&passes, [model.n_nodes(), model.horizon()])
     }
 
     fn assert_bitwise(got: &GaussianForecast, want: &GaussianForecast, what: &str) {
@@ -686,7 +682,7 @@ mod tests {
             assert_same_rng(&mut r, &mut wr.clone(), &at("mc_passes"));
         }
         let shape = [model.n_nodes(), model.horizon()];
-        assert_bitwise(&reduce_samples(passes, shape), &want, &at("mc_passes"));
+        assert_bitwise(&reduce_samples(&passes, shape), &want, &at("mc_passes"));
     }
 
     #[test]

@@ -530,6 +530,15 @@ impl Server {
             }
         }
         if let Some(nodes) = &req.nodes {
+            // Duplicates are legal, but each entry renders a row of every
+            // response matrix, so the list may not outgrow the grid.
+            if nodes.len() > n_nodes {
+                return Err(proto::resp_error(
+                    &req.id,
+                    "shape_mismatch",
+                    &format!("{} nodes listed (model has {n_nodes} sensors)", nodes.len()),
+                ));
+            }
             if let Some(&bad) = nodes.iter().find(|&&i| i >= n_nodes) {
                 return Err(proto::resp_error(
                     &req.id,

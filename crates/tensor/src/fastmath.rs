@@ -4,7 +4,7 @@
 //! opaque to the autovectorizer. The gate activations of the recurrent
 //! encoder apply tanh/sigmoid to every element of every gate at every step,
 //! which makes those calls a measurable slice of inference wall-clock (see
-//! BENCH_PR1.json). The rational approximations here inline into straight
+//! EXPERIMENTS.md). The rational approximations here inline into straight
 //! FMA/divide sequences the compiler vectorizes like any other map kernel.
 //!
 //! Accuracy: `tanh_f32` is the classic degree-13/6 minimax rational on the

@@ -27,7 +27,7 @@ thread_local! {
 ///
 /// This is a benchmark hook: `stuq-bench` uses it (combined with
 /// [`stuq_parallel::with_serial`]) to time a seed-equivalent baseline for
-/// whole-model inference in-process, so BENCH_PR1.json reports speedups
+/// whole-model inference in-process, so its speedups are measured
 /// against the actual pre-engine code path rather than a synthetic stand-in.
 pub fn with_reference_kernels<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
@@ -160,7 +160,7 @@ fn mm_row_tiles(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize) {
 /// and the output is touched once per tile — the seed kernel's
 /// load-FMA-store round-trip per `(k, j)` step is what limited it. There is
 /// deliberately no zero-skip branch (the seed's `if aik == 0.0 { continue }`
-/// defeated vectorization on dense data — see BENCH_PR1.json for the
+/// defeated vectorization on dense data — see EXPERIMENTS.md for the
 /// measured cost).
 ///
 /// Tiling is fixed by position in the block (parallel callers hand over row
@@ -797,15 +797,18 @@ mod tests {
             let slow = matmul_reference(&a, &b, m, k, n);
             assert_close(&fast, &slow, 1e-5);
             if case == 0 {
-                // One guaranteed-large case: tiled + row-parallel path.
-                let (m, k, n) = (307, 64, 307);
-                let a = randv(&mut rng, m * k);
-                let bt = randv(&mut rng, n * k);
-                assert_close(
-                    &matmul_tb(&a, &bt, m, k, n),
-                    &matmul_tb_reference(&a, &bt, m, k, n),
-                    1e-5,
-                );
+                // Guaranteed-large cases: tiled + row-parallel path. The
+                // square one sums 307 terms per output, so it gets the
+                // looser reassociation bound.
+                for (m, k, n, tol) in [(307, 64, 307, 1e-5), (307, 307, 307, 1e-4)] {
+                    let a = randv(&mut rng, m * k);
+                    let bt = randv(&mut rng, n * k);
+                    assert_close(
+                        &matmul_tb(&a, &bt, m, k, n),
+                        &matmul_tb_reference(&a, &bt, m, k, n),
+                        tol,
+                    );
+                }
             }
         }
     }

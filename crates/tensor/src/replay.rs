@@ -3,7 +3,7 @@
 //! Training re-traces a structurally identical tape every batch: same ops,
 //! same parents, same shapes — only the floats change. Re-deriving the
 //! schedule (levels, consumer lists, edge arena, buckets) on every call is
-//! the constant factor BENCH_PR3 measured losing to the seed's serial walk,
+//! the constant factor that lost to the seed's serial walk (EXPERIMENTS.md),
 //! so this module compiles that schedule **once** into a [`ReplayPlan`]
 //! keyed on [`Tape::structural_sig`] and replays it on every later batch
 //! with preallocated scratch, frozen per-level chunk assignments and zero

@@ -390,6 +390,19 @@ fn cache_hit_is_bit_identical_and_reports_the_hit() {
     let r2 = srv.handle_forecast_batch(&[legacy.parse(f)]).pop().unwrap();
     assert!(r1.contains("\"cache_hit\":false") && r2.contains("\"cache_hit\":false"));
     assert_ne!(r1, r2, "arrival-indexed requests draw fresh MC streams");
+
+    // A same-tick duplicate burst: priming is all misses, the replay all
+    // hits, each hit equal to its primed line.
+    let burst: Vec<ForecastReq> =
+        (0..8).map(|i| Req { id: format!("b{i}"), tick: Some(2), ..t1.clone() }.parse(f)).collect();
+    let primed = srv.handle_forecast_batch(&burst);
+    let hits = srv.handle_forecast_batch(&burst);
+    let count_hits =
+        |out: &[String]| out.iter().filter(|r| r.contains("\"cache_hit\":true")).count();
+    assert_eq!((count_hits(&primed), count_hits(&hits)), (0, 8));
+    for (h, p) in hits.iter().zip(&primed) {
+        assert_eq!(strip_batch_meta(h), strip_batch_meta(p));
+    }
 }
 
 #[test]

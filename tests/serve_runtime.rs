@@ -787,3 +787,25 @@ fn serve_loop_rejects_a_hostile_mc_and_keeps_serving() {
     assert_eq!(bad.get("reason").and_then(Json::as_str), Some("bad_request"));
     assert_eq!(ty(by_id("after")), "forecast", "{out}");
 }
+
+#[test]
+fn node_lists_longer_than_the_grid_are_refused_but_duplicates_are_not() {
+    // Each listed node renders a row of every response matrix, so a list
+    // may repeat sensors but never outgrow the model's sensor count.
+    let f = fx();
+    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
+    let with_nodes = |id: &str, len: usize| {
+        let nodes = vec!["0"; len].join(",");
+        forecast_line(f, id, None, Some(2), 3).replacen(
+            "\"x\":[",
+            &format!("\"nodes\":[{nodes}],\"x\":["),
+            1,
+        )
+    };
+    let long = parsed(&srv.handle_line(&with_nodes("long", f.n_nodes + 1)).response);
+    assert_eq!(ty(&long), "error");
+    assert_eq!(long.get("reason").and_then(Json::as_str), Some("shape_mismatch"));
+    let full = parsed(&srv.handle_line(&with_nodes("full", f.n_nodes)).response);
+    assert_eq!(ty(&full), "forecast");
+    assert_eq!(matrix(&full, "mu").len(), f.n_nodes * f.horizon);
+}
