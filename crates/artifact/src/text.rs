@@ -12,6 +12,10 @@
 //! 3d4ccccd bd4ccccd …
 //! ```
 //!
+//! The serving cluster's `passes` RPC carries the same words packed with no
+//! separators ([`push_words`] / [`read_words`]), with the dims sent beside
+//! them.
+//!
 //! Readers take the payload as a byte-slice cursor (`&mut &[u8]`, already
 //! checksum-verified) and advance it line by line without allocating per
 //! line or per word. Every malformed input is an [`io::ErrorKind::InvalidData`]
@@ -61,19 +65,88 @@ pub fn word_field(r: &mut &[u8], key: &str) -> io::Result<f32> {
     word(field(r, key)?)
 }
 
-/// The f32 whose bit pattern the hex word `s` spells.
+/// The f32 whose bit pattern the hex word `s` spells: exactly 8 lowercase
+/// hex digits.
 pub fn word(s: &str) -> io::Result<f32> {
-    u32::from_str_radix(s, 16)
+    word_bits(s.as_bytes())
         .map(f32::from_bits)
-        .map_err(|_| invalid(format!("bad hex word {s:?}")))
+        .ok_or_else(|| invalid(format!("bad hex word {s:?}")))
+}
+
+/// The bit pattern spelled by `b`, or `None` unless `b` is exactly 8
+/// digits of `[0-9a-f]`.
+#[inline]
+fn word_bits(b: &[u8]) -> Option<u32> {
+    if b.len() != 8 {
+        return None;
+    }
+    // Digit values, with bit 4 set for every byte outside `[0-9a-f]`.
+    const DIGIT: [u8; 256] = {
+        let mut t = [0x10u8; 256];
+        let mut i = 0;
+        while i < 16 {
+            t[b"0123456789abcdef"[i] as usize] = i as u8;
+            i += 1;
+        }
+        t
+    };
+    let (mut bits, mut bad) = (0u32, 0u8);
+    for &c in b {
+        let d = DIGIT[c as usize];
+        bad |= d;
+        bits = bits << 4 | u32::from(d & 0xf);
+    }
+    (bad & 0x10 == 0).then_some(bits)
+}
+
+/// Appends each value's hex word to `out`, packed with no separators: the
+/// inverse of [`read_words`].
+pub fn push_words(out: &mut String, values: &[f32]) {
+    let mut buf = Vec::with_capacity(values.len() * 8);
+    for &v in values {
+        buf.extend_from_slice(&hex_word(v));
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+}
+
+/// The hex word of `v`: the 8 lowercase hex digits of its bit pattern.
+#[inline]
+fn hex_word(v: f32) -> [u8; 8] {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = v.to_bits();
+    std::array::from_fn(|i| HEX[(bits >> (28 - 4 * i)) as usize & 0xf])
+}
+
+/// Decodes a [`push_words`] string holding a tensor of shape `dims`: all
+/// dims nonzero and exactly `8·∏dims` bytes of `[0-9a-f]`. The length is
+/// checked before anything is allocated, so a lying `dims` costs nothing.
+pub fn read_words(s: &str, dims: &[usize]) -> io::Result<Vec<f32>> {
+    if dims.contains(&0) {
+        return Err(invalid(format!("word dims {dims:?} must be nonzero")));
+    }
+    let bytes = dims
+        .iter()
+        .try_fold(8usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| invalid(format!("word dims {dims:?} overflow")))?;
+    if s.len() != bytes {
+        return Err(invalid(format!("word dims {dims:?} need {bytes} bytes, got {}", s.len())));
+    }
+    let mut out = Vec::with_capacity(bytes / 8);
+    for w in s.as_bytes().chunks_exact(8) {
+        let bits = word_bits(w)
+            .ok_or_else(|| invalid(format!("bad hex word {:?}", String::from_utf8_lossy(w))))?;
+        out.push(f32::from_bits(bits));
+    }
+    Ok(out)
 }
 
 /// Writes one line of space-separated hex words.
 pub fn write_row(w: &mut impl Write, words: impl IntoIterator<Item = f32>) -> io::Result<()> {
-    let mut sep = "";
-    for v in words {
-        write!(w, "{sep}{:08x}", v.to_bits())?;
-        sep = " ";
+    for (i, v) in words.into_iter().enumerate() {
+        if i > 0 {
+            w.write_all(b" ")?;
+        }
+        w.write_all(&hex_word(v))?;
     }
     writeln!(w)
 }
@@ -178,6 +251,55 @@ mod tests {
         // Too many words on the last body line is a length error.
         let mut body: &[u8] = b"00000000 00000000 00000000\n";
         assert!(read_tensor(&mut body, &mut "1 2".split_whitespace()).is_err());
-        assert!(word("zz").is_err());
+        // A word is exactly 8 lowercase hex digits: no sign, no uppercase,
+        // no short or long forms, even where `from_str_radix` would agree.
+        assert_eq!(word("abcdef12").unwrap().to_bits(), 0xabcd_ef12);
+        for bad in
+            ["zz", "+1", "+0000001", "1", "ABCDEF12", "abcdeF12", "000000000", "", " 0000000"]
+        {
+            let err = word(bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
+        }
+        assert!(word_field(&mut &b"lr_bits 3F800000\n"[..], "lr_bits").is_err());
+        let mut body: &[u8] = b"0000000 3f800000\n";
+        assert!(read_tensor(&mut body, &mut "1 2".split_whitespace()).is_err());
+    }
+
+    #[test]
+    fn packed_words_roundtrip_and_refuse_malformed_input() {
+        let values: Vec<f32> =
+            [0x7fc0_0001u32, 0x8000_0000, 0, 1, 0x807f_ffff, 0x7f80_0000, 0xff80_0000, 0x3f80_0000]
+                .map(f32::from_bits)
+                .to_vec();
+        let mut s = String::from("prefix:");
+        push_words(&mut s, &values);
+        let packed = s.strip_prefix("prefix:").unwrap();
+        assert_eq!(&packed[..16], "7fc0000180000000");
+        let back = read_words(packed, &[2, 4]).unwrap();
+        assert!(back.iter().zip(&values).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(read_words(packed, &[8]).unwrap().len(), 8);
+
+        let upper = packed.to_uppercase();
+        let signed = format!("+{}", &packed[1..]);
+        let spaced = format!("{} ", &packed[..63]);
+        let non_hex = format!("{}g", &packed[..63]);
+        for (text, dims) in [
+            (packed, &[3, 4][..]),
+            (packed, &[2, 0, 4]),
+            (packed, &[]),
+            (&packed[..63], &[2, 4]),
+            (upper.as_str(), &[2, 4]),
+            (signed.as_str(), &[2, 4]),
+            (spaced.as_str(), &[2, 4]),
+            (non_hex.as_str(), &[2, 4]),
+            ("", &[4294967296, 4294967296, 1]),
+            ("00000000", &[usize::MAX, 2]),
+        ] {
+            let err = read_words(text, dims).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{dims:?}: {err}");
+        }
+        // A non-ASCII byte inside a word is refused without splitting a char.
+        let err = read_words("0000000é0000000", &[2]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -286,7 +286,8 @@ mod tests {
         calls: u64,
     }
 
-    const RESP: &str = "{\"type\":\"passes\",\"model\":\"ck\",\"mu\":[[[0.5]]]}";
+    const RESP: &str =
+        "{\"type\":\"passes\",\"model\":\"ck\",\"dims\":[1,1,1],\"mu\":\"3f000000\"}";
 
     impl ShardWorker for Echo {
         fn call(&mut self, _line: &str, _timeout_ms: u64) -> Result<String, String> {
@@ -374,7 +375,7 @@ mod tests {
         assert_eq!(w.rpcs, 0);
         let mut dropped = 0;
         for idx in 0..32 {
-            let out = w.call("{\"type\":\"passes\",\"x\":[[0.0]]}", 100);
+            let out = w.call("{\"type\":\"passes\",\"dims\":[1,1],\"x\":\"00000000\"}", 100);
             match fault_at(Profile::Drop, seed, shard, replica, idx) {
                 Some(Fault::Drop) => {
                     assert_eq!(out, Err("rpc_timeout".to_string()), "idx={idx}");

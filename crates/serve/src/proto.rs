@@ -26,7 +26,9 @@
 //!   rebuilds streams `lo..hi` of the router's fork. The worker answers
 //!   with those passes' normalised `(μ_j, σ²_j)` and its `model` checksum
 //!   ([`resp_passes`]), which the router compares with its own so a
-//!   mixed-version window can never be reduced;
+//!   mixed-version window can never be reduced. Unlike every other
+//!   matrix, these tensors travel as packed hex words beside explicit
+//!   `"dims"` ([`stuq_artifact::text::push_words`]), bit-exact both ways;
 //! * every `forecast` response carries `"model"`: the checksum of the
 //!   artifact that produced it.
 //!
@@ -49,6 +51,7 @@
 
 use deepstuq::SamplePass;
 use stuq_artifact::json::{self, escape, parse, Json};
+use stuq_artifact::text;
 use stuq_tensor::Tensor;
 
 /// A parsed client request.
@@ -234,7 +237,9 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     .and_then(|h| u64::from_str_radix(h, 16).ok())
                     .ok_or_else(|| err("\"rng\" words must be hex strings".into()))?;
             }
-            let x = parse_matrix(&v, "x").map_err(err)?;
+            let [rows, cols] = dims_field(&v).map_err(err)?;
+            let x = words_field(&v, "x", &[rows, cols]).map_err(err)?;
+            let x = Tensor::from_vec(x, &[rows, cols]);
             let trace = trace_ctx(&v, "trace").map_err(err)?;
             let span = trace_ctx(&v, "span").map_err(err)?;
             Ok(Request::Passes(PassReq { id, x, n, lo, hi, rng, trace, span }))
@@ -566,7 +571,7 @@ pub fn render_passes_req(
     rng: &[u64; 4],
     ctx: Option<(u64, u64)>,
 ) -> String {
-    let mut s = String::with_capacity(x.len() * 10 + 160);
+    let mut s = String::with_capacity(x.len() * 8 + 192);
     s.push_str(&format!(
         "{{\"type\":\"passes\",\"n\":{n},\"lo\":{},\"hi\":{},\"rng\":[\"{:016x}\",\"{:016x}\",\"{:016x}\",\"{:016x}\"]",
         range.start, range.end, rng[0], rng[1], rng[2], rng[3]
@@ -578,28 +583,31 @@ pub fn render_passes_req(
             stuq_obs::trace::fmt_id(span)
         ));
     }
-    s.push_str(",\"x\":");
-    s.push_str(&render_matrix(x));
-    s.push('}');
+    s.push_str(&format!(",\"dims\":[{},{}],\"x\":\"", x.shape()[0], x.shape()[1]));
+    text::push_words(&mut s, x.data());
+    s.push_str("\"}");
     s
 }
 
 /// A worker's answer to `passes`: each pass's normalised mean and, for
 /// Gaussian heads, its clamped variance, in sample order, plus the checksum
-/// of the model that ran them.
+/// of the model that ran them. Both are packed hex words of shape
+/// `dims = [passes, rows, cols]`, row-major.
 pub fn resp_passes(model: &str, passes: &[SamplePass]) -> String {
     let cells: usize = passes.iter().map(|(mu, _)| mu.len()).sum();
-    let mut out = String::with_capacity(cells * 20 + 64);
-    out.push_str(&format!("{{\"type\":\"passes\",\"model\":{}", escape(model)));
+    let (rows, cols) = passes.first().map_or((0, 0), |(mu, _)| (mu.shape()[0], mu.shape()[1]));
+    let mut out = String::with_capacity(cells * 16 + 96);
+    out.push_str(&format!(
+        "{{\"type\":\"passes\",\"model\":{},\"dims\":[{},{rows},{cols}]",
+        escape(model),
+        passes.len()
+    ));
     let mut push_list = |key: &str, pick: &dyn Fn(&SamplePass) -> &Tensor| {
-        out.push_str(&format!(",\"{key}\":["));
-        for (i, p) in passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&render_matrix(pick(p)));
+        out.push_str(&format!(",\"{key}\":\""));
+        for p in passes {
+            text::push_words(&mut out, pick(p).data());
         }
-        out.push(']');
+        out.push('"');
     };
     push_list("mu", &|p| &p.0);
     if passes.iter().all(|p| p.1.is_some()) && !passes.is_empty() {
@@ -687,12 +695,32 @@ pub enum WorkerResp {
     },
 }
 
-fn parse_matrix(v: &Json, key: &str) -> Result<Tensor, String> {
-    parse_matrix_value(v.get(key).ok_or_else(|| format!("missing matrix {key:?}"))?, key)
+/// The `"dims"` of a packed hex-word payload: `N` non-negative integers.
+/// [`words_field`] checks that they are nonzero and fit the payload.
+fn dims_field<const N: usize>(v: &Json) -> Result<[usize; N], String> {
+    let bad = || format!("\"dims\" must hold {N} non-negative integers");
+    let arr = v.get("dims").and_then(Json::as_arr).ok_or_else(bad)?;
+    if arr.len() != N {
+        return Err(bad());
+    }
+    let mut dims = [0usize; N];
+    for (d, j) in dims.iter_mut().zip(arr) {
+        *d = j.as_u64().and_then(|n| usize::try_from(n).ok()).ok_or_else(bad)?;
+    }
+    Ok(dims)
+}
+
+/// A string field of packed hex words holding a tensor of shape `dims`
+/// ([`text::read_words`]).
+fn words_field(v: &Json, key: &str, dims: &[usize]) -> Result<Vec<f32>, String> {
+    let s =
+        v.get(key).and_then(Json::as_str).ok_or_else(|| format!("{key:?} is not a word string"))?;
+    text::read_words(s, dims).map_err(|e| format!("{key:?}: {e}"))
 }
 
 /// A `[rows][cols]` matrix of f32 cells, each parsed from its own text.
-fn parse_matrix_value(v: &Json, key: &str) -> Result<Tensor, String> {
+fn parse_matrix(v: &Json, key: &str) -> Result<Tensor, String> {
+    let v = v.get(key).ok_or_else(|| format!("missing matrix {key:?}"))?;
     let rows = v.as_arr().ok_or_else(|| format!("{key:?} is not a matrix"))?;
     if rows.is_empty() {
         return Err(format!("{key:?} is empty"));
@@ -746,23 +774,25 @@ pub fn parse_worker_resp(line: &str) -> Result<WorkerResp, String> {
             iv: parse_intervals(&v)?,
         }),
         "passes" => {
-            let list = |key: &str| -> Result<Option<Vec<Tensor>>, String> {
-                let Some(items) = v.get(key) else { return Ok(None) };
-                let items = items.as_arr().ok_or_else(|| format!("{key:?} is not a list"))?;
-                items.iter().map(|m| parse_matrix_value(m, key)).collect::<Result<_, _>>().map(Some)
+            let model = str_field("model").ok_or("passes without \"model\"")?;
+            let dims: [usize; 3] = dims_field(&v)?;
+            let shape = [dims[1], dims[2]];
+            // One tensor per pass, in sample order.
+            let split = |words: Vec<f32>| -> Vec<Tensor> {
+                words
+                    .chunks_exact(shape[0] * shape[1])
+                    .map(|c| Tensor::from_vec(c.to_vec(), &shape))
+                    .collect()
             };
-            let mu = list("mu")?.ok_or("passes without \"mu\"")?;
-            let passes = match list("var")? {
+            let mu = split(words_field(&v, "mu", &dims)?);
+            let passes = match v.get("var") {
                 None => mu.into_iter().map(|m| (m, None)).collect(),
-                Some(var) if var.len() == mu.len() => {
+                Some(_) => {
+                    let var = split(words_field(&v, "var", &dims)?);
                     mu.into_iter().zip(var).map(|(m, v)| (m, Some(v))).collect()
                 }
-                Some(_) => return Err("\"var\" and \"mu\" differ in length".into()),
             };
-            Ok(WorkerResp::Passes {
-                model: str_field("model").ok_or("passes without \"model\"")?,
-                passes,
-            })
+            Ok(WorkerResp::Passes { model, passes })
         }
         "fallback" => Ok(WorkerResp::Fallback {
             reason: str_field("reason").ok_or("fallback without \"reason\"")?,
@@ -972,16 +1002,128 @@ mod tests {
         assert_eq!((p.trace, p.span), (Some(0xdead_beef), Some(5)));
         let line = render_passes_req(&x, MAX_MC_SAMPLES, 0..MAX_MC_SAMPLES, &rng, None);
         assert!(matches!(parse_request(&line), Ok(Request::Passes(p)) if p.n == MAX_MC_SAMPLES));
+        let ok = r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":["0","0","0","0"],"dims":[1,1],"x":"3f800000"}"#;
+        assert!(matches!(parse_request(ok), Ok(Request::Passes(p)) if p.x.data() == [1.0]));
         for bad in [
-            r#"{"type":"passes","n":4,"lo":3,"hi":3,"rng":["0","0","0","0"],"x":[[1]]}"#,
-            r#"{"type":"passes","n":4,"lo":0,"hi":5,"rng":["0","0","0","0"],"x":[[1]]}"#,
-            r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":["0","0","0"],"x":[[1]]}"#,
-            r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":[0,0,0,0],"x":[[1]]}"#,
-            r#"{"type":"passes","lo":0,"hi":2,"rng":["0","0","0","0"],"x":[[1]]}"#,
-            r#"{"type":"passes","n":1025,"lo":0,"hi":1,"rng":["0","0","0","0"],"x":[[1]]}"#,
+            r#"{"type":"passes","n":4,"lo":3,"hi":3,"rng":["0","0","0","0"],"dims":[1,1],"x":"3f800000"}"#,
+            r#"{"type":"passes","n":4,"lo":0,"hi":5,"rng":["0","0","0","0"],"dims":[1,1],"x":"3f800000"}"#,
+            r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":["0","0","0"],"dims":[1,1],"x":"3f800000"}"#,
+            r#"{"type":"passes","n":4,"lo":0,"hi":2,"rng":[0,0,0,0],"dims":[1,1],"x":"3f800000"}"#,
+            r#"{"type":"passes","lo":0,"hi":2,"rng":["0","0","0","0"],"dims":[1,1],"x":"3f800000"}"#,
+            r#"{"type":"passes","n":1025,"lo":0,"hi":1,"rng":["0","0","0","0"],"dims":[1,1],"x":"3f800000"}"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }
+    }
+
+    /// Bit patterns the decimal wire could not carry exactly (a NaN
+    /// payload), plus the other classes a float codec gets wrong: ±0,
+    /// subnormals, ±inf, the extremes, then seeded random patterns.
+    fn awkward_bits(rng: &mut stuq_tensor::StuqRng, n: usize) -> Vec<f32> {
+        let specials = [
+            0x7fc0_0001u32,
+            0xffc0_0000,
+            0x7f80_0001,
+            0x0000_0000,
+            0x8000_0000,
+            0x0000_0001,
+            0x807f_ffff,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7f7f_ffff,
+            0x15ae_43fd,
+        ];
+        let random = std::iter::repeat_with(|| rng.next_u64() as u32);
+        specials.into_iter().chain(random).take(n).map(f32::from_bits).collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn passes_rpc_roundtrips_every_bit_pattern_in_both_directions() {
+        let mut rng = stuq_tensor::StuqRng::new(0x9a55);
+        for (rows, cols, n_passes) in [(12, 43, 5), (1, 1, 1), (3, 7, 2)] {
+            let x = Tensor::from_vec(awkward_bits(&mut rng, rows * cols), &[rows, cols]);
+            let words = [rng.next_u64(), rng.next_u64(), 0, u64::MAX];
+            let line = render_passes_req(&x, 9, 2..9, &words, Some((3, 4)));
+            let Ok(Request::Passes(p)) = parse_request(&line) else { panic!("{line}") };
+            assert_eq!(p.x.shape(), [rows, cols]);
+            assert_eq!(bits(&p.x), bits(&x));
+            assert_eq!((p.n, p.lo, p.hi, p.rng), (9, 2, 9, words));
+
+            let (r, c) = (cols, rows);
+            let passes: Vec<SamplePass> = (0..n_passes)
+                .map(|_| {
+                    let mu = Tensor::from_vec(awkward_bits(&mut rng, r * c), &[r, c]);
+                    (mu, Some(Tensor::from_vec(awkward_bits(&mut rng, r * c), &[r, c])))
+                })
+                .collect();
+            let line = resp_passes("ck", &passes);
+            assert!(line.starts_with("{\"type\":\"passes\""), "faultnet's envelope");
+            let Ok(WorkerResp::Passes { model, passes: got }) = parse_worker_resp(&line) else {
+                panic!("{line}")
+            };
+            assert_eq!(model, "ck");
+            assert_eq!(got.len(), n_passes);
+            for ((gm, gv), (wm, wv)) in got.iter().zip(&passes) {
+                assert_eq!((gm.shape(), bits(gm)), (wm.shape(), bits(wm)));
+                let (gv, wv) = (gv.as_ref().unwrap(), wv.as_ref().unwrap());
+                assert_eq!((gv.shape(), bits(gv)), (wv.shape(), bits(wv)));
+            }
+        }
+        // The decimal wire turned every NaN into the canonical marker; the
+        // words keep the payload.
+        let nan = Tensor::from_vec(vec![f32::from_bits(0x7fc0_0001)], &[1, 1]);
+        let line = render_passes_req(&nan, 1, 0..1, &[0; 4], None);
+        assert!(line.ends_with(",\"dims\":[1,1],\"x\":\"7fc00001\"}"), "{line}");
+    }
+
+    #[test]
+    fn malformed_pass_payloads_get_typed_refusals() {
+        let head = r#"{"type":"passes","id":"m","n":2,"lo":0,"hi":1,"rng":["0","0","0","0"]"#;
+        let reply = r#"{"type":"passes","model":"ck""#;
+        let word = "3f800000";
+        for (req_tail, resp_tail) in [
+            // Wrong word count, both ways.
+            (format!(r#""dims":[1,2],"x":"{word}""#), format!(r#""dims":[1,1,2],"mu":"{word}""#)),
+            (
+                format!(r#""dims":[1,1],"x":"{word}0""#),
+                format!(r#""dims":[1,1,1],"mu":"{word}{word}""#),
+            ),
+            // Uppercase, signed and non-hex digits.
+            (r#""dims":[1,1],"x":"3F800000""#.into(), r#""dims":[1,1,1],"mu":"3F800000""#.into()),
+            (r#""dims":[1,1],"x":"+3f80000""#.into(), r#""dims":[1,1,1],"mu":"+3f80000""#.into()),
+            (r#""dims":[1,1],"x":"3f80000g""#.into(), r#""dims":[1,1,1],"mu":"3f8 0000""#.into()),
+            // Zero and overflowing dims.
+            (r#""dims":[0,1],"x":"""#.into(), r#""dims":[1,0,1],"mu":"""#.into()),
+            (
+                r#""dims":[4294967296,4294967296],"x":"""#.into(),
+                r#""dims":[4294967296,4294967296,1],"mu":"""#.into(),
+            ),
+            // Dims of the wrong rank, or missing.
+            (format!(r#""dims":[1],"x":"{word}""#), format!(r#""dims":[1,1],"mu":"{word}""#)),
+            (format!(r#""x":"{word}""#), format!(r#""mu":"{word}""#)),
+            // A good "mu" beside a bad "var".
+            (
+                r#""dims":[1,1],"x":1"#.into(),
+                format!(r#""dims":[1,1,1],"mu":"{word}","var":"{word}0""#),
+            ),
+            // The old decimal forms.
+            (r#""x":[[1]]"#.into(), r#""mu":[[[0.5]]]"#.into()),
+            (r#""dims":[1,1],"x":[[1]]"#.into(), r#""dims":[1,1,1],"mu":[[[0.5]]]"#.into()),
+        ] {
+            let line = format!("{head},{req_tail}}}");
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(e.id.as_deref(), Some("m"), "{line}");
+            let line = format!("{reply},{resp_tail}}}");
+            assert!(parse_worker_resp(&line).is_err(), "{line}");
+        }
+        // The good forms of the same lines parse.
+        assert!(parse_request(&format!(r#"{head},"dims":[1,1],"x":"{word}"}}"#)).is_ok());
+        let good = format!(r#"{reply},"dims":[1,1,1],"mu":"{word}","var":"{word}"}}"#);
+        assert!(parse_worker_resp(&good).is_ok());
     }
 
     #[test]

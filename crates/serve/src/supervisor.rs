@@ -142,8 +142,12 @@ impl Conn {
             // Ok without a trailing newline means EOF — the peer closed
             // mid-line (or idle); either way the stream is dead.
             Ok(_) if buf.last() == Some(&b'\n') => {
-                let line = String::from_utf8_lossy(&buf);
-                Ok(Some(line.trim_end().to_string()))
+                // The buffer becomes the line; only non-UTF-8 bytes (which
+                // then fail to parse as a reply) take the lossy copy.
+                let mut line = String::from_utf8(buf)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+                line.truncate(line.trim_end().len());
+                Ok(Some(line))
             }
             Ok(_) => Err("eof".into()),
             Err(e)
@@ -504,5 +508,18 @@ mod tests {
         b.write_all(b"\"ok\":true}\n").unwrap();
         let line = conn.recv_line(5_000).unwrap();
         assert_eq!(line, "{\"type\":\"ack\",\"ok\":true}", "partial bytes were dropped");
+    }
+
+    #[test]
+    fn lines_are_trimmed_and_non_utf8_bytes_arrive_lossy() {
+        use std::io::Write as _;
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(a).unwrap();
+        b.write_all(b"{\"type\":\"pa\xffes\"} \r\n{\"type\":\"ack\"}\t\n").unwrap();
+        let bad = conn.recv_line(5_000).unwrap();
+        assert_eq!(bad, "{\"type\":\"pa\u{fffd}es\"}");
+        // The router classifies it as a garbled reply (`worker_error`).
+        assert!(crate::proto::parse_worker_resp(&bad).is_err());
+        assert_eq!(conn.recv_line(5_000).unwrap(), "{\"type\":\"ack\"}");
     }
 }

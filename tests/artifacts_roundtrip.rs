@@ -460,6 +460,17 @@ fn golden_manifest_and_wire_lines_are_pinned() {
     );
     assert_eq!(
         passes,
-        "{\"type\":\"passes\",\"model\":\"m\\\"\\\\\\n\\u0007\",\"mu\":[[[1.5,\"NaN\"],[-0,0.000000000000000000000000000000000000003]],[[-1,\"-inf\"],[0.1,7]]],\"var\":[[[0.25,\"inf\"],[10000000,2]],[[340282350000000000000000000000000000000,0.000000000000000000000000000000000000011754944],[1,9.5]]]}"
+        "{\"type\":\"passes\",\"model\":\"m\\\"\\\\\\n\\u0007\",\"dims\":[2,2,2],\"mu\":\"3fc000007fc00000800000000020aac8bf800000ff8000003dcccccd40e00000\",\"var\":\"3e8000007f8000004b189680400000007f7fffff008000003f80000041180000\"}"
+    );
+    let request = stuq_serve::proto::render_passes_req(
+        &mu,
+        10,
+        3..7,
+        &[0x0123_4567_89ab_cdef, u64::MAX, 0, 42],
+        Some((0xdead_beef, 5)),
+    );
+    assert_eq!(
+        request,
+        "{\"type\":\"passes\",\"n\":10,\"lo\":3,\"hi\":7,\"rng\":[\"0123456789abcdef\",\"ffffffffffffffff\",\"0000000000000000\",\"000000000000002a\"],\"trace\":\"00000000deadbeef\",\"span\":\"0000000000000005\",\"dims\":[2,2],\"x\":\"3fc000007fc00000800000000020aac8\"}"
     );
 }

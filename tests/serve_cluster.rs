@@ -791,7 +791,7 @@ fn router_refuses_cluster_internal_requests_from_clients() {
     let (mut router, _, _) = cluster(&f.model, f, 3);
     for line in [
         "{\"type\":\"passes\",\"id\":\"x\",\"n\":2,\"lo\":0,\"hi\":1,\
-         \"rng\":[\"0\",\"0\",\"0\",\"0\"],\"x\":[[1]]}",
+         \"rng\":[\"0\",\"0\",\"0\",\"0\"],\"dims\":[1,1],\"x\":\"3f800000\"}",
         "{\"type\":\"prepare_reload\",\"id\":\"x\"}",
         "{\"type\":\"commit_reload\",\"id\":\"x\"}",
         "{\"type\":\"abort_reload\",\"id\":\"x\"}",
