@@ -19,7 +19,6 @@ pub mod timing;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use deepstuq::config::{AwaConfig, CalibConfig, TrainConfig};
 use deepstuq::methods::MethodConfig;
 use stuq_traffic::{DatasetSpec, Preset, SplitDataset};
 
@@ -148,21 +147,6 @@ pub fn method_config(opts: &HarnessOpts, n_nodes: usize) -> MethodConfig {
         _ => {
             let (epochs, batch) = opts.scale.train_knobs();
             MethodConfig::fast(n_nodes, epochs, batch)
-        }
-    }
-}
-
-/// Pipeline stage configs for the chosen scale.
-pub fn stage_configs(opts: &HarnessOpts) -> (TrainConfig, AwaConfig, CalibConfig) {
-    match opts.scale {
-        Scale::Full => (TrainConfig::default(), AwaConfig::default(), CalibConfig::default()),
-        _ => {
-            let (epochs, batch) = opts.scale.train_knobs();
-            (
-                TrainConfig::scaled(epochs, batch),
-                AwaConfig::scaled(((epochs / 2).max(1) * 2).min(6), batch),
-                CalibConfig { mc_samples: 5, max_iters: 300, stride: 5 },
-            )
         }
     }
 }

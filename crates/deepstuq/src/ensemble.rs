@@ -6,7 +6,7 @@
 //! quantified (the `ablations` bench compares AWA's single model against
 //! the M-model ensemble at matched and unmatched budgets).
 
-use crate::mc::GaussianForecast;
+use crate::mc::{fork_streams, run_pass, Eq19Fold, GaussianForecast};
 use crate::trainer::{train, LossKind};
 use crate::TrainConfig;
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
@@ -67,14 +67,12 @@ impl DeepEnsemble {
     /// data-parallel with one forked RNG stream each; the reduction is
     /// ordered, so the result is thread-count independent.
     pub fn forecast(&self, x: &Tensor, rng: &mut StuqRng) -> GaussianForecast {
-        let first = &self.members[0];
-        let shape = [first.n_nodes(), first.horizon()];
-        let streams = crate::mc::fork_streams(rng, self.members.len());
-        let samples = stuq_parallel::par_map(self.members.len(), |j| {
+        let streams = fork_streams(rng, self.members.len());
+        let passes = stuq_parallel::par_map(self.members.len(), |j| {
             let session = self.members[j].session();
-            crate::mc::run_pass(&*session, x, None, &streams[j], true)
+            run_pass(&*session, x, None, &streams[j], true)
         });
-        crate::mc::reduce_samples(&samples, shape)
+        Eq19Fold::over([self.members[0].n_nodes(), self.members[0].horizon()], &passes)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Monte-Carlo dropout inference and uncertainty combination (Eq. 19).
+//! Monte-Carlo dropout inference, combined by the one Eq. 19 fold (`Eq19Fold`).
 
 use stuq_models::{Forecaster, InferenceSession, Prediction};
 use stuq_nn::layers::FwdCtx;
@@ -50,35 +50,53 @@ fn clamped_var(logvar: &Tensor) -> Tensor {
 /// (`σ²_j` is `None` for point and quantile heads).
 pub type SamplePass = (Tensor, Option<Tensor>);
 
-/// Combines per-sample passes into the Eq. 19 decomposition.
-///
-/// Accumulation runs in *sample-index order* — together with the
-/// per-sample RNG streams this is what makes the parallel inference paths
-/// bit-identical across thread counts. Takes a slice, so the anytime
-/// sampler can fold a growing prefix.
-pub(crate) fn reduce_samples(samples: &[SamplePass], shape: [usize; 2]) -> GaussianForecast {
-    let n = samples.len();
-    let mut mean = Tensor::zeros(&shape);
-    let mut mean_sq = Tensor::zeros(&shape);
-    let mut var_sum = Tensor::zeros(&shape);
-    for (mu_j, var_j) in samples {
-        if let Some(v) = var_j {
-            var_sum.add_assign(v);
-        }
-        mean_sq.add_assign(&mu_j.mul(mu_j));
-        mean.add_assign(mu_j);
+/// The running Eq. 19 sums `Σ σ²_j`, `Σ μ_j²`, `Σ μ_j`: the only code that
+/// combines passes. Pushing in sample order (with per-sample RNG streams)
+/// makes every entry point bit-identical to the others at any thread count.
+/// The sums start at `+0.0` and `μ_j²` is a multiply then an add, not an FMA.
+pub(crate) struct Eq19Fold {
+    mean: Tensor,
+    mean_sq: Tensor,
+    var_sum: Tensor,
+    n: usize,
+}
+
+impl Eq19Fold {
+    pub(crate) fn new(shape: [usize; 2]) -> Self {
+        let zeros = Tensor::zeros(&shape);
+        Self { mean: zeros.clone(), mean_sq: zeros.clone(), var_sum: zeros, n: 0 }
     }
-    let inv_n = 1.0 / n as f32;
-    mean = mean.scale(inv_n);
-    let var_aleatoric = var_sum.scale(inv_n);
-    // Unbiased sample variance of the means (Eq. 19b, second term).
-    let var_epistemic = if n > 1 {
-        let correction = n as f32 / (n as f32 - 1.0);
-        mean_sq.scale(inv_n).sub(&mean.mul(&mean)).scale(correction).map(|v| v.max(0.0))
-    } else {
-        Tensor::zeros(&shape)
-    };
-    GaussianForecast { mu: mean, var_aleatoric, var_epistemic, n_samples: n }
+
+    /// The decomposition over `passes`, pushed in order.
+    pub(crate) fn over(shape: [usize; 2], passes: &[SamplePass]) -> GaussianForecast {
+        passes.iter().fold(Self::new(shape), Self::push).snapshot()
+    }
+
+    /// Adds one pass to the sums.
+    pub(crate) fn push(mut self, (mu, var): &SamplePass) -> Self {
+        if let Some(v) = var {
+            self.var_sum.add_assign(v);
+        }
+        self.mean_sq.add_assign(&mu.mul(mu));
+        self.mean.add_assign(mu);
+        self.n += 1;
+        self
+    }
+
+    /// The Eq. 19 decomposition over the passes pushed so far.
+    pub(crate) fn snapshot(&self) -> GaussianForecast {
+        let inv_n = 1.0 / self.n as f32;
+        let mu = self.mean.scale(inv_n);
+        let var_aleatoric = self.var_sum.scale(inv_n);
+        // Unbiased sample variance of the means (Eq. 19b, second term).
+        let var_epistemic = if self.n > 1 {
+            let correction = self.n as f32 / (self.n as f32 - 1.0);
+            self.mean_sq.scale(inv_n).sub(&mu.mul(&mu)).scale(correction).map(|v| v.max(0.0))
+        } else {
+            Tensor::zeros(self.mean.shape())
+        };
+        GaussianForecast { mu, var_aleatoric, var_epistemic, n_samples: self.n }
+    }
 }
 
 /// Forks one independent RNG stream per sample from the caller's generator.
@@ -89,14 +107,6 @@ pub(crate) fn reduce_samples(samples: &[SamplePass], shape: [usize; 2]) -> Gauss
 /// workers exist.
 pub(crate) fn fork_streams(rng: &mut StuqRng, n: usize) -> Vec<StuqRng> {
     (0..n).map(|i| rng.fork(i as u64)).collect()
-}
-
-/// A pass's point forecast and, for Gaussian heads, its clamped variance.
-fn sample_pass(pred: Prediction<Tensor>) -> SamplePass {
-    match pred {
-        Prediction::Point(mu) | Prediction::Quantiles { mid: mu, .. } => (mu, None),
-        Prediction::Gaussian { mu, logvar } => (mu, Some(clamped_var(&logvar))),
-    }
 }
 
 /// One forward pass through the call's session. `deterministic` selects
@@ -114,16 +124,19 @@ pub(crate) fn run_pass(
 ) -> SamplePass {
     let mut r = stream.clone();
     let mut ctx = if deterministic { FwdCtx::eval(&mut r) } else { FwdCtx::mc_sample(&mut r) };
-    sample_pass(session.forward(x, cov, &mut ctx))
+    match session.forward(x, cov, &mut ctx) {
+        Prediction::Point(mu) | Prediction::Quantiles { mid: mu, .. } => (mu, None),
+        Prediction::Gaussian { mu, logvar } => (mu, Some(clamped_var(&logvar))),
+    }
 }
 
 /// Runs `n_samples` stochastic forward passes (`n_samples == 1` runs a single
 /// deterministic pass — the `DeepSTUQ/S` mode of Table III).
 ///
 /// Works with Gaussian heads (aleatoric + epistemic) and point heads
-/// (epistemic only — the MCDO / FGE baselines). Samples are data-parallel
-/// across the global `stuq-parallel` pool; see [`reduce_samples`] for the
-/// determinism contract.
+/// (epistemic only — the MCDO / FGE baselines). The passes are
+/// [`mc_passes`] over `0..n_samples`, data-parallel across the global
+/// `stuq-parallel` pool, folded by Eq. 19 in sample order.
 pub fn mc_forecast(
     model: &dyn Forecaster,
     x: &Tensor,
@@ -141,19 +154,9 @@ pub fn mc_forecast_with_cov(
     n_samples: usize,
     rng: &mut StuqRng,
 ) -> GaussianForecast {
-    assert!(n_samples >= 1, "need at least one sample");
-    // Telemetry (pure observer): count samples at summary, time the fan-out
-    // at trace to derive MC samples/s.
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(n_samples as u64);
-    }
+    // Trace telemetry (pure observer); `mc_passes` counts the samples.
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let shape = [model.n_nodes(), model.horizon()];
-    let streams = fork_streams(rng, n_samples);
-    let session = model.session();
-    let samples = stuq_parallel::par_map(n_samples, |j| {
-        run_pass(&*session, x, cov, &streams[j], n_samples == 1)
-    });
+    let passes = mc_passes(model, x, cov, n_samples, 0..n_samples, rng);
     if let Some(t0) = t0 {
         let secs = t0.elapsed().as_secs_f64();
         let m = stuq_obs::metrics();
@@ -164,7 +167,7 @@ pub fn mc_forecast_with_cov(
             m.mc_samples_per_sec.set(n_samples as f64 / secs);
         }
     }
-    reduce_samples(&samples, shape)
+    Eq19Fold::over([model.n_nodes(), model.horizon()], &passes)
 }
 
 /// Decides, between MC forward passes, whether the sampler may draw another
@@ -224,8 +227,8 @@ impl AnytimeForecast {
 /// The per-pass loop is sequential; each forward pass still fans out across
 /// the kernel-level `stuq-parallel` pool, so results stay bit-identical for
 /// any `STUQ_THREADS`. When `observer` is given it is called after every
-/// completed pass with the reduction over the prefix so far — the serving
-/// layer derives its monotone variance envelope from these snapshots.
+/// completed pass with the Eq. 19 snapshot over the prefix so far — the
+/// serving layer derives its monotone variance envelope from these.
 #[allow(clippy::too_many_arguments)] // mirrors mc_forecast_with_cov plus the budget knobs
 pub fn mc_forecast_anytime(
     model: &dyn Forecaster,
@@ -286,10 +289,10 @@ pub fn mc_passes(
     })
 }
 
-/// The anytime half of [`mc_forecast_anytime`]: folds passes `0..n_samples`
-/// in sample-index order, consulting `budget` before every pass beyond
-/// `floor` (clamped to `1..=n_samples`) and calling `observer` with the
-/// reduction over the passes so far after each one.
+/// The anytime half of [`mc_forecast_anytime`]: pushes passes `0..n_samples`
+/// once each, in sample order, into running Eq. 19 sums, consulting `budget`
+/// before every pass beyond `floor` (clamped to `1..=n_samples`) and calling
+/// `observer` with a snapshot of the sums after each one.
 ///
 /// `pass(j)` yields pass `j`, or `None` when it is missing (a cluster
 /// shard that did not answer). Missing passes are skipped: the budget and
@@ -305,18 +308,18 @@ pub fn reduce_anytime(
     mut pass: impl FnMut(usize) -> Option<SamplePass>,
 ) -> AnytimeForecast {
     let floor = floor.clamp(1, n_samples);
-    let mut samples: Vec<SamplePass> = Vec::with_capacity(n_samples);
+    let mut fold = Eq19Fold::new(shape);
     for j in 0..n_samples {
-        if samples.len() >= floor && !budget.allow(samples.len()) {
+        if fold.n >= floor && !budget.allow(fold.n) {
             break;
         }
         let Some(p) = pass(j) else { continue };
-        samples.push(p);
+        fold = fold.push(&p);
         if let Some(obs) = observer.as_deref_mut() {
-            obs(&reduce_samples(&samples, shape));
+            obs(&fold.snapshot());
         }
     }
-    AnytimeForecast { forecast: reduce_samples(&samples, shape), samples_requested: n_samples }
+    AnytimeForecast { forecast: fold.snapshot(), samples_requested: n_samples }
 }
 
 /// Ensemble combination for snapshot ensembles (FGE): runs one deterministic
@@ -335,17 +338,15 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().mc_samples.add(snapshots.len() as u64);
     }
-    let shape = [model.n_nodes(), model.horizon()];
     let streams = fork_streams(rng, snapshots.len());
-    let proto: &M = model;
-    let samples = stuq_parallel::par_map(snapshots.len(), |j| {
-        let mut member = proto.clone();
+    let passes = stuq_parallel::par_map(snapshots.len(), |j| {
+        let mut member = model.clone();
         member.params_mut().load_snapshot(&snapshots[j]);
         let session = member.session();
         run_pass(&*session, x, None, &streams[j], true)
     });
     model.params_mut().load_snapshot(snapshots.last().expect("non-empty"));
-    reduce_samples(&samples, shape)
+    Eq19Fold::over([model.n_nodes(), model.horizon()], &passes)
 }
 
 #[cfg(test)]
@@ -437,6 +438,53 @@ mod tests {
         assert_eq!(par.mu.data(), ser.mu.data());
         assert_eq!(par.var_aleatoric.data(), ser.var_aleatoric.data());
         assert_eq!(par.var_epistemic.data(), ser.var_epistemic.data());
+    }
+
+    #[test]
+    fn fold_matches_hand_computed_moments_bitwise() {
+        // The tape oracle folds through `Eq19Fold` too, so this pins the
+        // fold itself to Eq. 19 on exactly representable inputs.
+        let t = |v: &[f32]| Tensor::from_vec(v.to_vec(), &[1, v.len()]);
+        let fold = |passes: &[SamplePass]| Eq19Fold::over([1, passes[0].0.len()], passes);
+        let check = |got: &Tensor, want: &[f32], what: &str| {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.data()), bits(want), "{what}: {:?} vs {want:?}", got.data());
+        };
+        let u = f32::EPSILON; // 2^-23
+
+        // Three Gaussian passes, per column:
+        // - μ = 1, 2, 3: epistemic (14/3 − 4)·3/2 = 1, but with f32's 1/3,
+        //   E[μ²] − E[μ]² rounds to 2/3 + (2/3)·2^-21, so 1 + 2^-21;
+        // - μ = 1, 1, 1 + 3u: E[μ²] rounds to 1 + 2u, below E[μ]² = 1 + 4u,
+        //   and the negative difference clamps to 0;
+        // - μ = −0.0 three times: the sums start at +0.0;
+        // - μ = 1.5, 1.5 + 7u, 1.5 − 7u: the rounded squares sum to
+        //   6.75 + 4u, so E[μ²] = 2.25 + 2u and the epistemic is 3u; a fused
+        //   multiply-add would round the sums to 6.75 and give 0.
+        let f = fold(&[
+            (t(&[1.0, 1.0, -0.0, 1.5]), Some(t(&[0.5, 0.25, 0.0, 1.0]))),
+            (t(&[2.0, 1.0, -0.0, 1.5 + 7.0 * u]), Some(t(&[1.0, 0.25, 0.0, 1.0]))),
+            (t(&[3.0, 1.0 + 3.0 * u, -0.0, 1.5 - 7.0 * u]), Some(t(&[1.5, 0.25, 0.0, 1.0]))),
+        ]);
+        assert_eq!(f.n_samples, 3);
+        check(&f.mu, &[2.0, 1.0 + 2.0 * u, 0.0, 1.5], "gaussian mu");
+        check(&f.var_aleatoric, &[1.0, 0.25, 0.0, 1.0], "gaussian aleatoric");
+        check(&f.var_epistemic, &[1.0 + 4.0 * u, 0.0, 0.0, 3.0 * u], "gaussian epistemic");
+
+        // Point head: no variance, so aleatoric is 0; μ = 1, 3 has
+        // sample variance 2.
+        let f = fold(&[(t(&[-0.0, 1.0]), None), (t(&[-0.0, 3.0]), None)]);
+        check(&f.mu, &[0.0, 2.0], "point mu");
+        check(&f.var_aleatoric, &[0.0, 0.0], "point aleatoric");
+        check(&f.var_epistemic, &[0.0, 2.0], "point epistemic");
+
+        // n = 1: the pass itself, epistemic exactly 0, and −0.0 comes back
+        // as +0.0 (a fold seeded by cloning the first pass would keep −0.0).
+        let f = fold(&[(t(&[-0.0, 5.0]), Some(t(&[0.25, 2.0])))]);
+        assert_eq!(f.n_samples, 1);
+        check(&f.mu, &[0.0, 5.0], "single mu");
+        check(&f.var_aleatoric, &[0.25, 2.0], "single aleatoric");
+        check(&f.var_epistemic, &[0.0, 0.0], "single epistemic");
     }
 
     /// Denies everything: the anytime loop must stop exactly at the floor.
@@ -588,7 +636,7 @@ mod tests {
         let rest: Vec<SamplePass> = [0, 2, 3].iter().map(|&j| passes[j].clone()).collect();
         assert_eq!(got.forecast.n_samples, 3);
         assert!(got.degraded());
-        assert_bitwise(&got.forecast, &reduce_samples(&rest, shape), "missing pass 1");
+        assert_bitwise(&got.forecast, &Eq19Fold::over(shape, &rest), "missing pass 1");
     }
 
     /// The tape oracle: the first `k` of the `n` streams an entry point
@@ -618,7 +666,7 @@ mod tests {
                 (tape.value(pred.point()).clone(), var)
             })
             .collect();
-        reduce_samples(&passes, [model.n_nodes(), model.horizon()])
+        Eq19Fold::over([model.n_nodes(), model.horizon()], &passes)
     }
 
     fn assert_bitwise(got: &GaussianForecast, want: &GaussianForecast, what: &str) {
@@ -682,7 +730,7 @@ mod tests {
             assert_same_rng(&mut r, &mut wr.clone(), &at("mc_passes"));
         }
         let shape = [model.n_nodes(), model.horizon()];
-        assert_bitwise(&reduce_samples(&passes, shape), &want, &at("mc_passes"));
+        assert_bitwise(&Eq19Fold::over(shape, &passes), &want, &at("mc_passes"));
     }
 
     #[test]

@@ -96,17 +96,6 @@ impl RoadNetwork {
         a
     }
 
-    /// Unweighted 0/1 adjacency. Zero diagonal.
-    pub fn binary_adjacency(&self) -> Tensor {
-        let n = self.n_nodes;
-        let mut a = Tensor::zeros(&[n, n]);
-        for &(u, v, _) in &self.edges {
-            a.set(u, v, 1.0);
-            a.set(v, u, 1.0);
-        }
-        a
-    }
-
     /// Number of connected components.
     pub fn n_components(&self) -> usize {
         let adj = self.adjacency_lists();

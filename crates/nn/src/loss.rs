@@ -19,13 +19,6 @@ pub fn mae(tape: &mut Tape, pred: NodeId, target: NodeId) -> NodeId {
     tape.mean_all(a)
 }
 
-/// Mean squared error.
-pub fn mse(tape: &mut Tape, pred: NodeId, target: NodeId) -> NodeId {
-    let d = tape.sub(pred, target);
-    let s = tape.square(d);
-    tape.mean_all(s)
-}
-
 /// Heteroscedastic Gaussian negative log-likelihood (paper Eq. 8, up to the
 /// constant `½ log 2π` and the global factor `½`):
 /// `mean(logvar + (y − μ)² · exp(−logvar))`.

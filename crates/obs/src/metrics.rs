@@ -11,7 +11,7 @@
 //!   must never poison a latency distribution.
 //!
 //! [`Metrics`] is the fixed catalog every crate in the workspace records
-//! into, reachable via [`crate::metrics`]. The catalog is deliberately
+//! into, reachable via [`crate::metrics()`]. The catalog is deliberately
 //! closed and declared once: one table at the bottom of this file names
 //! each metric's doc, field, kind, exposition name and help text, and a
 //! macro generates the struct, `new`, [`Metrics::expose`],
@@ -355,7 +355,7 @@ macro_rules! catalog {
         }
 
         impl Metrics {
-            /// A fresh catalog (const, backing the global in [`crate::metrics`]).
+            /// A fresh catalog (const, backing the global in [`crate::metrics()`]).
             pub const fn new() -> Self {
                 Self { $($field: $kind::new(),)* }
             }

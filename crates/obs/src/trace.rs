@@ -138,7 +138,7 @@ fn drain_worst(w: &mut ExemplarWindow) {
 }
 
 /// Records a completed request for slow-request exemplars: the worst
-/// [`EXEMPLAR_WORST`] requests of every [`EXEMPLAR_WINDOW`]-request window
+/// `EXEMPLAR_WORST` requests of every `EXEMPLAR_WINDOW`-request window
 /// are emitted as `trace_exemplar` events. No-op below trace level. The
 /// *number* of emissions at any call point depends only on the request
 /// count, so a seeded rerun keeps identical event sequence numbers even

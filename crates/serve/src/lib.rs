@@ -34,7 +34,7 @@
 //!
 //! Two throughput mechanisms sit in front of the MC loop (DESIGN.md §12):
 //!
-//! 5. **Request coalescing** ([`batcher`]) — the worker gathers forecasts
+//! 5. **Request coalescing** (`batcher`) — the worker gathers forecasts
 //!    that arrive together into one batch (`--batch-max`, window bounded by
 //!    `--batch-wait-ms` and the tightest gathered deadline), groups members
 //!    whose window bits, RNG derivation, and sample count coincide, and

@@ -793,11 +793,6 @@ impl Router {
         Ok(Router { server })
     }
 
-    /// The active shard map.
-    pub fn shard_map(&self) -> ShardMap {
-        self.server.cluster().map
-    }
-
     /// Checksum of the model version the cluster currently serves.
     pub fn model_checksum(&self) -> &str {
         self.server.model_checksum()

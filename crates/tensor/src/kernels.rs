@@ -382,7 +382,7 @@ pub fn matmul_ta(a: &[f32], b: &[f32], ar: usize, ac: usize, n: usize) -> Vec<f3
 
 /// NAPL row-wise matmul forward (paper Eq. 5): output row `r` is
 /// `z[r, :] @ W_r` with `W_r = w[r, :]` viewed as `ci × co`. Row-parallel;
-/// each row reuses the blocked [`mm_block`] micro-kernel.
+/// each row reuses the blocked `mm_block` micro-kernel.
 pub fn rowwise_matmul(z: &[f32], w: &[f32], rows: usize, ci: usize, co: usize) -> Vec<f32> {
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().kernel_rowwise.inc();

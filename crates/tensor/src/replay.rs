@@ -11,7 +11,7 @@
 //!
 //! On top of the frozen schedule, the compiler fuses chains of adjacent
 //! unary element-wise adjoints (negate/scale/σ′/tanh′/ReLU′/dropout-mask …)
-//! into a single [`Step`]-interpreter task that transforms one gradient
+//! into a single `Step`-interpreter task that transforms one gradient
 //! buffer in place, eliminating the interior nodes' per-op tensor
 //! allocations and edge-slot traffic entirely.
 //!
@@ -20,7 +20,7 @@
 //! consumer deltas in the serial walk's order (descending consumer id, then
 //! input declaration order), parameter slots reduce in descending node-id
 //! order, and every fused step applies the exact per-element expression of
-//! the corresponding [`Tape::node_adjoints`] arm. Chunk boundaries are part
+//! the corresponding `Tape::node_adjoints` arm. Chunk boundaries are part
 //! of the plan, not of the thread count, so results are identical at any
 //! `STUQ_THREADS`.
 //!

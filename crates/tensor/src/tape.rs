@@ -286,7 +286,7 @@ impl Tape {
 
     /// Structural signature of the recorded graph: a 64-bit hash over every
     /// node's op discriminant, adjoint-relevant constants, parent ids and
-    /// value shape — maintained incrementally by [`Tape::push`]. Two tapes
+    /// value shape — maintained incrementally by `Tape::push`. Two tapes
     /// with equal signatures (and equal lengths) describe the same backward
     /// *schedule*, even when their data differ; the replay cache
     /// (DESIGN.md §14) keys compiled plans on it.

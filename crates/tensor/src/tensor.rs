@@ -135,11 +135,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access for a matrix.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {

@@ -145,12 +145,6 @@ impl Scaler {
     pub fn inverse(&self, z: f32) -> f32 {
         (z as f64 * self.std + self.mean) as f32
     }
-
-    /// Normalised standard deviation → raw standard deviation.
-    #[inline]
-    pub fn inverse_std(&self, s: f32) -> f32 {
-        (s as f64 * self.std) as f32
-    }
 }
 
 /// Which segment of the 6:2:2 split a window comes from.
@@ -288,7 +282,7 @@ impl SplitDataset {
     }
 
     /// Like [`SplitDataset::window`], but the **history** is read from a
-    /// corrupted [`FaultedSeries`] while the target stays the clean ground
+    /// corrupted [`FaultedSeries`](crate::FaultedSeries) while the target stays the clean ground
     /// truth — the evaluation setting for sensor-fault robustness
     /// (DESIGN.md §8). The returned window carries the validity mask of its
     /// history cells.

@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_artifact::json::{self, Json};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
+use stuq_serve::proto::MAX_MC_SAMPLES;
 use stuq_serve::{reload, serve_loop, ServeConfig, Server};
 use stuq_tensor::StuqRng;
 use stuq_traffic::{Preset, Split};
@@ -765,17 +766,20 @@ fn serve_loop_answers_an_oversize_line_and_keeps_reading() {
 #[test]
 fn serve_loop_rejects_a_hostile_mc_and_keeps_serving() {
     // An `mc` far past the bound must be refused at parse time — the sample
-    // streams are allocated up front — without disturbing later requests.
+    // streams are allocated up front — without disturbing later requests,
+    // and an `mc` exactly at the bound is served in full.
     let f = fx();
     let hostile = forecast_line(f, "hostile", None, Some(1_000_000_000_000), 1);
-    let input = format!("{hostile}\n{}\n", forecast_line(f, "after", None, Some(2), 2));
+    let after = forecast_line(f, "after", None, Some(2), 2);
+    let at_bound = forecast_line(f, "at_bound", None, Some(MAX_MC_SAMPLES), 3);
+    let input = format!("{hostile}\n{after}\n{at_bound}\n");
     let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
     let sink = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     let summary = serve_loop(&mut srv, std::io::Cursor::new(input), sink.clone());
     let out = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
     let lines: Vec<Json> = out.lines().map(parsed).collect();
-    assert_eq!(lines.len(), 2, "two lines in, two responses out:\n{out}");
-    assert_eq!(summary.responses, 2);
+    assert_eq!(lines.len(), 3, "three lines in, three responses out:\n{out}");
+    assert_eq!(summary.responses, 3);
     let by_id = |id: &str| {
         let hits: Vec<&Json> =
             lines.iter().filter(|v| v.get("id").and_then(Json::as_str) == Some(id)).collect();
@@ -786,6 +790,11 @@ fn serve_loop_rejects_a_hostile_mc_and_keeps_serving() {
     assert_eq!(ty(bad), "error", "{out}");
     assert_eq!(bad.get("reason").and_then(Json::as_str), Some("bad_request"));
     assert_eq!(ty(by_id("after")), "forecast", "{out}");
+    let full = by_id("at_bound");
+    assert_eq!(ty(full), "forecast", "{out}");
+    assert_eq!(field_u64(full, "samples_used"), MAX_MC_SAMPLES as u64);
+    assert_eq!(field_u64(full, "samples_requested"), MAX_MC_SAMPLES as u64);
+    assert_eq!(full.get("degraded"), Some(&Json::Bool(false)), "{out}");
 }
 
 #[test]
