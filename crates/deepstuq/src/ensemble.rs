@@ -6,7 +6,7 @@
 //! quantified (the `ablations` bench compares AWA's single model against
 //! the M-model ensemble at matched and unmatched budgets).
 
-use crate::mc::{fork_streams, run_pass, Eq19Fold, GaussianForecast};
+use crate::mc::{fork_streams, run_block, Eq19Fold, GaussianForecast, SamplePass};
 use crate::trainer::{train, LossKind};
 use crate::TrainConfig;
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
@@ -68,10 +68,13 @@ impl DeepEnsemble {
     /// ordered, so the result is thread-count independent.
     pub fn forecast(&self, x: &Tensor, rng: &mut StuqRng) -> GaussianForecast {
         let streams = fork_streams(rng, self.members.len());
-        let passes = stuq_parallel::par_map(self.members.len(), |j| {
+        let passes: Vec<SamplePass> = stuq_parallel::par_map(self.members.len(), |j| {
             let session = self.members[j].session();
-            run_pass(&*session, x, None, &streams[j], true)
-        });
+            run_block(&*session, x, None, std::slice::from_ref(&streams[j]), true)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         Eq19Fold::over([self.members[0].n_nodes(), self.members[0].horizon()], &passes)
     }
 }

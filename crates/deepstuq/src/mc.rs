@@ -109,25 +109,36 @@ pub(crate) fn fork_streams(rng: &mut StuqRng, n: usize) -> Vec<StuqRng> {
     (0..n).map(|i| rng.fork(i as u64)).collect()
 }
 
-/// One forward pass through the call's session. `deterministic` selects
-/// the eval context (the single-sample `DeepSTUQ/S` mode); otherwise
-/// dropout stays live ([`FwdCtx::mc_sample`]). Every MC entry point builds
-/// one session per call and funnels each pass through here, which is what
-/// makes the solo, anytime, and sample-range paths bit-identical for the
-/// same stream.
-pub(crate) fn run_pass(
+/// Passes per block: how many MC samples run in lockstep through one
+/// session call (DESIGN.md §17). Fixed, so a 1024-sample request holds at
+/// most one block of activations at a time; which samples share a block
+/// never changes their bytes.
+pub const BLOCK: usize = 16;
+
+/// One block of forward passes through the call's session, one per stream
+/// of `streams`, in stream order. `deterministic` selects the eval context
+/// (the single-sample `DeepSTUQ/S` mode); otherwise dropout stays live
+/// ([`FwdCtx::mc_sample`]). Every MC entry point builds one session per
+/// call and funnels its passes through here, which is what makes the solo,
+/// anytime, and sample-range paths bit-identical for the same streams.
+pub(crate) fn run_block(
     session: &dyn InferenceSession,
     x: &Tensor,
     cov: Option<&Tensor>,
-    stream: &StuqRng,
+    streams: &[StuqRng],
     deterministic: bool,
-) -> SamplePass {
-    let mut r = stream.clone();
-    let mut ctx = if deterministic { FwdCtx::eval(&mut r) } else { FwdCtx::mc_sample(&mut r) };
-    match session.forward(x, cov, &mut ctx) {
-        Prediction::Point(mu) | Prediction::Quantiles { mid: mu, .. } => (mu, None),
-        Prediction::Gaussian { mu, logvar } => (mu, Some(clamped_var(&logvar))),
-    }
+) -> Vec<SamplePass> {
+    let mut rngs = streams.to_vec();
+    let rngs = &mut rngs[..];
+    let mut ctx = if deterministic { FwdCtx::eval(rngs) } else { FwdCtx::mc_sample(rngs) };
+    session
+        .forward(x, cov, &mut ctx)
+        .into_iter()
+        .map(|pred| match pred {
+            Prediction::Point(mu) | Prediction::Quantiles { mid: mu, .. } => (mu, None),
+            Prediction::Gaussian { mu, logvar } => (mu, Some(clamped_var(&logvar))),
+        })
+        .collect()
 }
 
 /// Runs `n_samples` stochastic forward passes (`n_samples == 1` runs a single
@@ -224,8 +235,13 @@ impl AnytimeForecast {
 ///   inputs (the pass mode is keyed on the *requested* count, matching the
 ///   batch path, and the reduction is the same sample-index-ordered fold).
 ///
-/// The per-pass loop is sequential; each forward pass still fans out across
-/// the kernel-level `stuq-parallel` pool, so results stay bit-identical for
+/// The passes run in blocks of up to [`BLOCK`], computed when the fold
+/// first asks for one of their passes: the floor's passes first, then the
+/// rest. The budget is still consulted before every pass beyond the floor,
+/// so under a logical clock the result does not depend on the blocking;
+/// under the real clock a cut discards the rest of its block (at most
+/// `BLOCK − 1` passes of extra work). Each block still fans out across the
+/// kernel-level `stuq-parallel` pool, so results stay bit-identical for
 /// any `STUQ_THREADS`. When `observer` is given it is called after every
 /// completed pass with the Eq. 19 snapshot over the prefix so far — the
 /// serving layer derives its monotone variance envelope from these.
@@ -245,8 +261,17 @@ pub fn mc_forecast_anytime(
     let streams = fork_streams(rng, n_samples);
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
     let session = model.session();
+    let floor_n = floor.clamp(1, n_samples);
+    let mut block = Vec::new().into_iter();
+    let mut next = 0;
     let any = reduce_anytime(shape, n_samples, floor, budget, observer, |j| {
-        Some(run_pass(&*session, x, cov, &streams[j], n_samples == 1))
+        debug_assert_eq!(j, next, "the fold asks for passes in order");
+        if block.len() == 0 {
+            let end = if j < floor_n { floor_n } else { n_samples }.min(j + BLOCK);
+            block = run_block(&*session, x, cov, &streams[j..end], n_samples == 1).into_iter();
+        }
+        next += 1;
+        block.next()
     });
     let used = any.forecast.n_samples;
     if stuq_obs::summary_enabled() {
@@ -268,7 +293,9 @@ pub fn mc_forecast_anytime(
 /// `rng` for the full count (so `rng` advances identically whatever the
 /// range), and `n_samples == 1` selects the deterministic pass. A cluster
 /// worker answers one sample range with this; the router reduces the
-/// gathered passes with [`reduce_anytime`].
+/// gathered passes with [`reduce_anytime`]. The range runs in even blocks
+/// of at most [`BLOCK`] passes, at least one per pool thread, data-parallel
+/// across the pool.
 pub fn mc_passes(
     model: &dyn Forecaster,
     x: &Tensor,
@@ -279,14 +306,18 @@ pub fn mc_passes(
 ) -> Vec<SamplePass> {
     assert!(n_samples >= 1, "need at least one sample");
     assert!(range.end <= n_samples, "pass range {range:?} beyond {n_samples} samples");
-    let streams = fork_streams(rng, n_samples);
+    let streams = &fork_streams(rng, n_samples)[range.clone()];
     let session = model.session();
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().mc_samples.add(range.len() as u64);
     }
-    stuq_parallel::par_map(range.len(), |k| {
-        run_pass(&*session, x, cov, &streams[range.start + k], n_samples == 1)
-    })
+    let len = streams.len();
+    let blocks = len.div_ceil(BLOCK).max(stuq_parallel::num_threads().min(len));
+    let per_block = stuq_parallel::par_map(blocks, |b| {
+        let block = &streams[b * len / blocks..(b + 1) * len / blocks];
+        run_block(&*session, x, cov, block, n_samples == 1)
+    });
+    per_block.into_iter().flatten().collect()
 }
 
 /// The anytime half of [`mc_forecast_anytime`]: pushes passes `0..n_samples`
@@ -339,12 +370,15 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
         stuq_obs::metrics().mc_samples.add(snapshots.len() as u64);
     }
     let streams = fork_streams(rng, snapshots.len());
-    let passes = stuq_parallel::par_map(snapshots.len(), |j| {
+    let passes: Vec<SamplePass> = stuq_parallel::par_map(snapshots.len(), |j| {
         let mut member = model.clone();
         member.params_mut().load_snapshot(&snapshots[j]);
         let session = member.session();
-        run_pass(&*session, x, None, &streams[j], true)
-    });
+        run_block(&*session, x, None, std::slice::from_ref(&streams[j]), true)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     model.params_mut().load_snapshot(snapshots.last().expect("non-empty"));
     Eq19Fold::over([model.n_nodes(), model.horizon()], &passes)
 }
@@ -720,6 +754,44 @@ mod tests {
         let mut r = StuqRng::new(8);
         let cut = mc_forecast_anytime(model, x, cov, n, 1, &mut CapBudget(2), &mut r, None);
         assert_bitwise(&cut.forecast, &oracle(n.min(2), 8).0, &at("mc_forecast_anytime cut"));
+        // A cut inside the first block after the floor, and one inside a
+        // later block: the bytes of the prefix, and the caller's RNG as if
+        // uncut.
+        for cap in [3, BLOCK + 2].into_iter().filter(|&cap| cap < n) {
+            let mut r = StuqRng::new(8);
+            let cut = mc_forecast_anytime(model, x, cov, n, 2, &mut CapBudget(cap), &mut r, None);
+            let (want, mut wr) = oracle(cap, 8);
+            let what = at(&format!("mc_forecast_anytime floor 2, cut at {cap}"));
+            assert_bitwise(&cut.forecast, &want, &what);
+            assert_same_rng(&mut r, &mut wr, &what);
+        }
+
+        // One request's passes in blocks of one, in one block, and in an
+        // uneven split (1, 2, 4, …): the same bytes.
+        let streams = fork_streams(&mut StuqRng::new(10), n);
+        let session = model.session();
+        let (want, _) = oracle(n, 10);
+        let mut uneven = Vec::new();
+        let mut lo = 0;
+        while lo < n {
+            let hi = (2 * lo + 1).min(n);
+            uneven.push(lo..hi);
+            lo = hi;
+        }
+        let whole = std::iter::once(0..n).collect();
+        for split in [(0..n).map(|j| j..j + 1).collect(), whole, uneven] {
+            let passes: Vec<SamplePass> = split
+                .iter()
+                .flat_map(|r| run_block(&*session, x, cov, &streams[r.clone()], n == 1))
+                .collect();
+            let what =
+                at(&format!("blocks {:?}", split.iter().map(|r| r.len()).collect::<Vec<_>>()));
+            assert_bitwise(
+                &Eq19Fold::over([model.n_nodes(), model.horizon()], &passes),
+                &want,
+                &what,
+            );
+        }
 
         // A cluster's sample ranges, concatenated, are the whole run.
         let (want, wr) = oracle(n, 9);
@@ -765,6 +837,10 @@ mod tests {
         let gru =
             GruConfig { decoder_dropout: 0.2, head: HeadKind::Gaussian, ..GruConfig::new(5, 3) };
         models.push(("gru baseline", Box::new(GruForecaster::new(gru, &mut rng)), false));
+        // The paper's hidden width: the NAPL products fill a whole 32-column
+        // register tile, and requests span one, two and three blocks.
+        let paper_width = AgcrnConfig::new(5, 3).with_dropout(0.1, 0.2).with_capacity(32, 3, 2);
+        let paper_width: Box<dyn Forecaster> = Box::new(Agcrn::new(paper_width, &mut rng));
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
         let cov = Tensor::randn(&[4, 1], 1.0, &mut rng);
         let run_all = || {
@@ -772,6 +848,9 @@ mod tests {
                 for n in [1usize, 5] {
                     check_against_tape(&**model, &x, with_cov.then_some(&cov), n, name);
                 }
+            }
+            for n in [BLOCK - 1, BLOCK, BLOCK + 3] {
+                check_against_tape(&*paper_width, &x, None, n, "hidden 32");
             }
         };
         run_all();

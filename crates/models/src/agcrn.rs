@@ -9,14 +9,15 @@
 //!
 //! The forward pass is written once over [`Exec`]: on a tape for training,
 //! and eagerly for inference, where [`Agcrn`]'s [`InferenceSession`] builds
-//! the support and the NAPL gate weights once per call (DESIGN.md §17).
+//! the support and the NAPL gate weights once per call and runs each block
+//! of MC samples in lockstep (DESIGN.md §17).
 
 use std::borrow::Borrow;
 
 use crate::heads::{Head, HeadKind};
 use crate::traits::{Forecaster, InferenceSession, Prediction};
 use stuq_nn::init;
-use stuq_nn::layers::{AgcrnCell, BoundAgcrnCell, Eager, Exec, FwdCtx};
+use stuq_nn::layers::{AgcrnCell, Block, BoundAgcrnCell, Eager, Exec, FwdCtx};
 use stuq_nn::ParamSet;
 use stuq_tensor::{StuqRng, Tape, Tensor};
 
@@ -154,7 +155,7 @@ impl Agcrn {
         cells: &[BoundAgcrnCell<V>],
         x: &Tensor,
         cov: Option<&Tensor>,
-        ctx: &mut FwdCtx<'_>,
+        ctx: &mut FwdCtx<'_, E::Rng>,
     ) -> Prediction<E::Val> {
         let (t_h, n) = (x.rows(), x.cols());
         assert_eq!(
@@ -246,13 +247,17 @@ impl Forecaster for Agcrn {
     }
 
     /// Builds `I + Â` and every gate's `E·W_pool` / `E·b_pool` once, then
-    /// runs each pass eagerly on them and the borrowed head parameters.
+    /// runs each block of passes eagerly on them and the borrowed head
+    /// parameters.
     fn session(&self) -> Box<dyn InferenceSession + '_> {
-        let ex = &mut Eager;
-        let e = self.params.get(self.e_slot);
-        let support = self.support(ex, e);
-        let cells =
-            self.cells.iter().map(|cell| cell.bind(ex, &self.params, e, support.clone())).collect();
+        let ex = &mut Eager::new(&self.params);
+        let e = ex.param(self.e_slot, self.params.get(self.e_slot));
+        let support = self.support(ex, &e);
+        let cells = self
+            .cells
+            .iter()
+            .map(|cell| cell.bind(ex, &self.params, &e, support.clone()))
+            .collect();
         Box::new(AgcrnSession { model: self, cells })
     }
 
@@ -265,7 +270,7 @@ impl Forecaster for Agcrn {
 /// once per call.
 struct AgcrnSession<'m> {
     model: &'m Agcrn,
-    cells: Vec<BoundAgcrnCell<Tensor>>,
+    cells: Vec<BoundAgcrnCell<Block<'m>>>,
 }
 
 impl InferenceSession for AgcrnSession<'_> {
@@ -273,9 +278,13 @@ impl InferenceSession for AgcrnSession<'_> {
         &self,
         x: &Tensor,
         cov: Option<&Tensor>,
-        ctx: &mut FwdCtx<'_>,
-    ) -> Prediction<Tensor> {
-        self.model.run(&mut Eager, &self.cells, x, cov, ctx)
+        ctx: &mut FwdCtx<'_, [StuqRng]>,
+    ) -> Vec<Prediction<Tensor>> {
+        let ex = &mut Eager::new(&self.model.params);
+        let s = ctx.rng.len();
+        let pred = self.model.run(ex, &self.cells, x, cov, ctx);
+        let mut outs = pred.map(|b| b.into_samples(s).into_iter());
+        (0..s).map(|_| outs.as_mut().map(|o| o.next().expect("one tensor per sample"))).collect()
     }
 }
 

@@ -72,7 +72,7 @@ impl Head {
         &self,
         ex: &mut E,
         ps: &ParamSet,
-        ctx: &mut FwdCtx<'_>,
+        ctx: &mut FwdCtx<'_, E::Rng>,
         h: E::Val,
     ) -> Prediction<E::Val> {
         let hd = ctx.dropout(ex, h.clone(), self.dropout_p);

@@ -1,7 +1,7 @@
 //! The [`Forecaster`] abstraction shared by every architecture.
 
 use stuq_nn::{FwdCtx, ParamSet};
-use stuq_tensor::{NodeId, Tape, Tensor};
+use stuq_tensor::{NodeId, StuqRng, Tape, Tensor};
 
 /// The output of a forecasting model for one input window.
 ///
@@ -58,19 +58,34 @@ impl<V> Prediction<V> {
             }
         }
     }
+
+    /// Borrows every output mutably, keeping the variant.
+    pub fn as_mut(&mut self) -> Prediction<&mut V> {
+        match self {
+            Prediction::Point(p) => Prediction::Point(p),
+            Prediction::Gaussian { mu, logvar } => Prediction::Gaussian { mu, logvar },
+            Prediction::Quantiles { lo, mid, hi } => Prediction::Quantiles { lo, mid, hi },
+        }
+    }
 }
 
 /// The forward passes of one inference call (DESIGN.md §17).
 ///
 /// [`Forecaster::session`] builds one per call — an MC-dropout forecast,
 /// a batch of them — so work that depends only on the parameters is done
-/// once per call rather than once per sample. `Sync`, so the call's samples
-/// can run on the parallel pool against one shared session.
+/// once per call rather than once per sample. `Sync`, so blocks of the
+/// call's samples can run on the parallel pool against one shared session.
 pub trait InferenceSession: Sync {
-    /// One forward pass over the window `x` (`[t_h, N]`) with optional
-    /// covariates; dropout follows `ctx`.
-    fn forward(&self, x: &Tensor, cov: Option<&Tensor>, ctx: &mut FwdCtx<'_>)
-        -> Prediction<Tensor>;
+    /// One forward pass per stream of `ctx.rng` over the window `x`
+    /// (`[t_h, N]`) with optional covariates, in stream order; dropout
+    /// follows `ctx`, and pass `i` draws from stream `i` alone. A pass's
+    /// bytes do not depend on which streams share its block.
+    fn forward(
+        &self,
+        x: &Tensor,
+        cov: Option<&Tensor>,
+        ctx: &mut FwdCtx<'_, [StuqRng]>,
+    ) -> Vec<Prediction<Tensor>>;
 }
 
 /// The default session: each pass records [`Forecaster::forward_with_cov`]
@@ -82,11 +97,18 @@ impl<F: Forecaster + ?Sized> InferenceSession for TapeSession<'_, F> {
         &self,
         x: &Tensor,
         cov: Option<&Tensor>,
-        ctx: &mut FwdCtx<'_>,
-    ) -> Prediction<Tensor> {
-        let mut tape = Tape::new();
-        let pred = self.0.forward_with_cov(&mut tape, x, cov, ctx);
-        pred.map(|id| tape.value(id).clone())
+        ctx: &mut FwdCtx<'_, [StuqRng]>,
+    ) -> Vec<Prediction<Tensor>> {
+        let (train, mc_dropout) = (ctx.train, ctx.mc_dropout);
+        ctx.rng
+            .iter_mut()
+            .map(|rng| {
+                let mut tape = Tape::new();
+                let mut ctx = FwdCtx { train, mc_dropout, rng };
+                let pred = self.0.forward_with_cov(&mut tape, x, cov, &mut ctx);
+                pred.map(|id| tape.value(id).clone())
+            })
+            .collect()
     }
 }
 
@@ -127,9 +149,9 @@ pub trait Forecaster: Send + Sync {
 
     /// An inference session for one call. The default runs every pass on a
     /// tape; a model overrides it to hoist parameter-only work out of the
-    /// per-sample loop and to run without a tape. Either way a pass must
-    /// return the bytes `forward_with_cov` computes and leave `ctx.rng`
-    /// where it would.
+    /// per-sample loop and to run a block of samples without a tape. Either
+    /// way pass `i` must return the bytes `forward_with_cov` computes on
+    /// stream `i` and leave that stream where it would.
     fn session(&self) -> Box<dyn InferenceSession + '_> {
         Box::new(TapeSession(self))
     }

@@ -10,40 +10,43 @@
 //!
 //! The linear map, the AGCRN cell and the decoder heads are written once
 //! over an [`Exec`]utor: on a [`Tape`] they record nodes for the backward
-//! pass; on [`Eager`] they compute owned tensors straight from borrowed
-//! parameters and keep nothing they do not return.
+//! pass; on [`Eager`] they run a block of MC samples in lockstep straight
+//! from borrowed parameters and keep nothing they do not return.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 use crate::init;
 use crate::params::ParamSet;
-use stuq_tensor::{NodeId, StuqRng, Tape, Tensor};
+use stuq_tensor::{kernels, NodeId, StuqRng, Tape, Tensor};
 
 /// The tensor operations a forward pass is written against, so one
 /// definition of each layer serves both training and inference.
 ///
 /// [`Tape`] records every op (values are [`NodeId`]s; parameters are copied
-/// onto the tape) so gradients can flow. [`Eager`] computes owned
-/// [`Tensor`]s, borrows parameters, and drops each intermediate with its
-/// last reader. Both implementations run the same per-element arithmetic
-/// per op and draw dropout through the one rule in
-/// [`Tensor::dropout_inplace`], so a pass written against `Exec` yields the
-/// same bits — and leaves the RNG at the same position — on either.
+/// onto the tape) so gradients can flow. [`Eager`] computes [`Block`]s —
+/// one value per sample of a block, or one shared by all — borrows
+/// parameters, and drops each intermediate with its last reader. Both run
+/// the same per-element arithmetic per sample and draw dropout through the
+/// one rule in [`Tensor::dropout_blocks_inplace`], so a pass written
+/// against `Exec` yields the same bits — and leaves each sample's RNG
+/// stream at the same position — on either.
 ///
 /// Operands that the layers never read again are taken by value, so the
 /// eager executor can write its result into their buffers.
 pub trait Exec {
-    /// A value: a tape node id, or an owned tensor.
+    /// A value: a tape node id, or a sample block.
     type Val: Clone;
     /// A bound parameter: a tape node id, or a borrow of the parameter.
     type Param<'p>: Borrow<Self::Val>;
+    /// Where dropout draws from: one stream, or one stream per sample.
+    type Rng: ?Sized;
 
     /// Whether [`BoundAgcrnCell::step`] may compute the spatial mixing
     /// `(I + Â)·[x, h]` once for both the z and r gates. The forward bits
     /// are the same either way, but on a tape one shared node would sum
     /// both gates' gradients in another order and move training bytes, so
     /// the tape keeps two mixings until that fusion lands behind the
-    /// UQ-quality oracle (ROADMAP item 3(b), DESIGN.md §17).
+    /// UQ-quality oracle (ROADMAP item 4(c), DESIGN.md §17).
     const SHARES_GATE_MIXING: bool;
 
     /// Binds parameter `slot` holding `value`.
@@ -81,12 +84,13 @@ pub trait Exec {
     /// Hyperbolic tangent.
     fn tanh(&mut self, a: Self::Val) -> Self::Val;
     /// Inverted dropout at rate `p > 0`.
-    fn dropout(&mut self, a: Self::Val, p: f32, rng: &mut StuqRng) -> Self::Val;
+    fn dropout(&mut self, a: Self::Val, p: f32, rng: &mut Self::Rng) -> Self::Val;
 }
 
 impl Exec for Tape {
     type Val = NodeId;
     type Param<'p> = NodeId;
+    type Rng = StuqRng;
     const SHARES_GATE_MIXING: bool = false;
 
     fn param(&mut self, slot: usize, value: &Tensor) -> NodeId {
@@ -136,71 +140,226 @@ impl Exec for Tape {
     }
 }
 
-/// Runs each op immediately on owned tensors: a forward pass without a
-/// tape, for inference. Element-wise ops write into the buffer of the
-/// operand they take by value, and dropout is drawn straight into the value
-/// without a mask.
-pub struct Eager;
+/// A value on [`Eager`]: one tensor every sample of the block shares, or
+/// one row block per sample.
+///
+/// Parameters (borrowed), the window input, `h = 0` and everything
+/// computed from them alone are shared; a value splits at the first
+/// dropout, which draws each sample's block from that sample's stream.
+#[derive(Clone, Debug)]
+pub struct Block<'p> {
+    /// The shared value, or `samples` values of one shape stacked
+    /// sample-major into `[samples·rows, cols]`.
+    data: Cow<'p, Tensor>,
+    /// `None` while every sample shares `data`.
+    samples: Option<usize>,
+}
 
-impl Exec for Eager {
-    type Val = Tensor;
-    type Param<'p> = &'p Tensor;
+impl<'p> Block<'p> {
+    fn shared(data: Cow<'p, Tensor>) -> Self {
+        Self { data, samples: None }
+    }
+
+    /// One sample's `[rows, cols]`.
+    fn sample_shape(&self) -> [usize; 2] {
+        [self.data.rows() / self.samples.unwrap_or(1), self.data.cols()]
+    }
+
+    /// Sample `i`'s data (a shared value's data for every `i`).
+    fn sample(&self, i: usize) -> &[f32] {
+        let len = self.data.len() / self.samples.unwrap_or(1);
+        match self.samples {
+            None => self.data.data(),
+            Some(_) => &self.data.data()[i * len..(i + 1) * len],
+        }
+    }
+
+    /// The value as `s` samples; a shared value is repeated.
+    fn split(self, s: usize) -> Self {
+        match self.samples {
+            None => {
+                let t = &self.data;
+                let data = Tensor::from_vec(t.data().repeat(s), &[s * t.rows(), t.cols()]);
+                Self { data: Cow::Owned(data), samples: Some(s) }
+            }
+            Some(samples) => {
+                assert_eq!(samples, s, "a block of {samples} samples used as {s}");
+                self
+            }
+        }
+    }
+
+    /// One tensor per sample for a block of `s` samples.
+    pub fn into_samples(self, s: usize) -> Vec<Tensor> {
+        if let Some(samples) = self.samples {
+            assert_eq!(samples, s, "a block of {samples} samples read as {s}");
+        }
+        let [rows, cols] = self.sample_shape();
+        (0..s).map(|i| Tensor::from_vec(self.sample(i).to_vec(), &[rows, cols])).collect()
+    }
+
+    /// Applies `f` to the underlying tensor in place.
+    fn update(mut self, f: impl FnOnce(&mut Tensor)) -> Self {
+        f(self.data.to_mut());
+        self
+    }
+
+    /// The tensor of a value every sample shares.
+    fn expect_shared(&self, what: &str) -> &Tensor {
+        assert!(self.samples.is_none(), "{what} must be shared by every sample");
+        &self.data
+    }
+
+    /// `product` of each sample's operands (a shared operand stands for
+    /// every sample) into that sample's zeroed `shape` block, computed once
+    /// while both are shared. Each call sees one sample's operands alone,
+    /// so a sample's bits do not depend on the block.
+    fn per_sample(
+        a: &Self,
+        b: &Self,
+        shape: [usize; 2],
+        product: impl Fn(&[f32], &[f32], &mut [f32]),
+    ) -> Self {
+        let samples = Self::common_samples(a, b);
+        let s = samples.unwrap_or(1);
+        let len = shape[0] * shape[1];
+        let mut data = vec![0.0f32; s * len];
+        for (i, out) in data.chunks_exact_mut(len.max(1)).enumerate() {
+            product(a.sample(i), b.sample(i), out);
+        }
+        let data = Tensor::from_vec(data, &[s * shape[0], shape[1]]);
+        Self { data: Cow::Owned(data), samples }
+    }
+
+    /// `f(a, b)` element-wise into `a`'s buffer; a shared `b` repeats for
+    /// every sample.
+    fn zip_into(self, b: &Self, f: impl Fn(f32, f32) -> f32 + Sync + Copy) -> Self {
+        let a = match Self::common_samples(&self, b) {
+            Some(s) => self.split(s),
+            None => self,
+        };
+        let blocks = a.samples.unwrap_or(1);
+        a.update(|t| {
+            let per = t.len() / blocks;
+            for (i, chunk) in t.data_mut().chunks_mut(per.max(1)).enumerate() {
+                kernels::zip_assign_elems(chunk, b.sample(i), f);
+            }
+        })
+    }
+
+    /// The sample count of an op on `a` and `b`: `None` while both are
+    /// shared.
+    fn common_samples(a: &Self, b: &Self) -> Option<usize> {
+        if let (Some(x), Some(y)) = (a.samples, b.samples) {
+            assert_eq!(x, y, "operands of {x} and {y} samples");
+        }
+        a.samples.or(b.samples)
+    }
+}
+
+/// Runs a block of MC samples in lockstep on owned tensors: a forward pass
+/// without a tape, for inference. A lone pass is a block of one.
+///
+/// Values are [`Block`]s. Row-independent ops (element-wise, bias,
+/// concatenation, soft-max) run once over the stacked rows; matmuls run
+/// once per sample, so their tiling — hence their bits — is a lone pass's;
+/// the NAPL product runs the whole block through
+/// [`kernels::rowwise_matmul`], which loads each node's weights once per
+/// block. Element-wise ops write into the buffer of the operand they take
+/// by value, and dropout is drawn straight into the value without a mask.
+pub struct Eager<'p> {
+    params: &'p ParamSet,
+}
+
+impl<'p> Eager<'p> {
+    /// An executor binding parameters from `params` by borrow.
+    pub fn new(params: &'p ParamSet) -> Self {
+        Self { params }
+    }
+}
+
+impl<'p> Exec for Eager<'p> {
+    type Val = Block<'p>;
+    type Param<'q> = Block<'p>;
+    type Rng = [StuqRng];
     const SHARES_GATE_MIXING: bool = true;
 
-    fn param<'p>(&mut self, _slot: usize, value: &'p Tensor) -> &'p Tensor {
-        value
+    fn param<'q>(&mut self, slot: usize, value: &'q Tensor) -> Block<'p> {
+        let bound = self.params.get(slot);
+        assert!(std::ptr::eq(bound, value), "slot {slot} is not read from the executor's ParamSet");
+        Block::shared(Cow::Borrowed(bound))
     }
-    fn constant(&mut self, value: Tensor) -> Tensor {
-        value
+    fn constant(&mut self, value: Tensor) -> Block<'p> {
+        Block::shared(Cow::Owned(value))
     }
-    fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        a.matmul(b)
+    fn matmul(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
+        let ([m, k], [k2, n]) = (a.sample_shape(), b.sample_shape());
+        assert_eq!(k, k2, "matmul inner dims: {m}x{k} @ {k2}x{n}");
+        Block::per_sample(a, b, [m, n], |x, y, out| kernels::matmul_into(x, y, out, m, k, n))
     }
-    fn matmul_tb(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        a.matmul_tb(b)
+    fn matmul_tb(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
+        let ([m, k], [n, k2]) = (a.sample_shape(), b.sample_shape());
+        assert_eq!(k, k2, "matmul_tb inner dims: {m}x{k} @ ({n}x{k2})^T");
+        Block::per_sample(a, b, [m, n], |x, y, out| {
+            out.copy_from_slice(&kernels::matmul_tb(x, y, m, k, n));
+        })
     }
-    fn rowwise_matmul(&mut self, z: &Tensor, w: &Tensor, c_in: usize, c_out: usize) -> Tensor {
-        z.rowwise_matmul(w, c_in, c_out)
+    fn rowwise_matmul(
+        &mut self,
+        z: &Block<'p>,
+        w: &Block<'p>,
+        c_in: usize,
+        c_out: usize,
+    ) -> Block<'p> {
+        let w = w.expect_shared("NAPL weights");
+        let data = Cow::Owned(z.data.rowwise_matmul(w, c_in, c_out));
+        Block { data, samples: z.samples }
     }
-    fn concat_cols(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        a.concat_cols(b)
+    fn concat_cols(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
+        let ([rows, ca], [rb, cb]) = (a.sample_shape(), b.sample_shape());
+        assert_eq!(rows, rb, "concat_cols row mismatch");
+        Block::per_sample(a, b, [rows, ca + cb], |x, y, out| {
+            for (r, o) in out.chunks_exact_mut((ca + cb).max(1)).enumerate() {
+                o[..ca].copy_from_slice(&x[r * ca..(r + 1) * ca]);
+                o[ca..].copy_from_slice(&y[r * cb..(r + 1) * cb]);
+            }
+        })
     }
-    fn mul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
-        a.mul(b)
+    fn mul(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
+        let ([m, n], shape_b) = (a.sample_shape(), b.sample_shape());
+        assert_eq!([m, n], shape_b, "mul shape mismatch");
+        Block::per_sample(a, b, [m, n], |x, y, out| {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *o = x * y;
+            }
+        })
     }
-    fn add(&mut self, mut a: Tensor, b: &Tensor) -> Tensor {
-        a.add_assign(b);
-        a
+    fn add(&mut self, a: Block<'p>, b: &Block<'p>) -> Block<'p> {
+        a.zip_into(b, |x, y| x + y)
     }
-    fn add_row_broadcast(&mut self, mut x: Tensor, bias: &Tensor) -> Tensor {
-        x.add_row_broadcast_inplace(bias);
-        x
+    fn add_row_broadcast(&mut self, x: Block<'p>, bias: &Block<'p>) -> Block<'p> {
+        let bias = bias.expect_shared("a bias row");
+        x.update(|t| t.add_row_broadcast_inplace(bias))
     }
-    fn one_minus(&mut self, mut a: Tensor) -> Tensor {
+    fn one_minus(&mut self, a: Block<'p>) -> Block<'p> {
         // The tape's `neg` then `add_scalar` in one pass; negation is
         // exact, so it rounds as they do.
-        a.map_inplace(|x| -x + 1.0);
-        a
+        a.update(|t| t.map_inplace(|x| -x + 1.0))
     }
-    fn relu(&mut self, mut a: Tensor) -> Tensor {
-        a.relu_inplace();
-        a
+    fn relu(&mut self, a: Block<'p>) -> Block<'p> {
+        a.update(Tensor::relu_inplace)
     }
-    fn softmax_rows(&mut self, mut a: Tensor) -> Tensor {
-        a.softmax_rows_inplace();
-        a
+    fn softmax_rows(&mut self, a: Block<'p>) -> Block<'p> {
+        a.update(Tensor::softmax_rows_inplace)
     }
-    fn sigmoid(&mut self, mut a: Tensor) -> Tensor {
-        a.sigmoid_inplace();
-        a
+    fn sigmoid(&mut self, a: Block<'p>) -> Block<'p> {
+        a.update(Tensor::sigmoid_inplace)
     }
-    fn tanh(&mut self, mut a: Tensor) -> Tensor {
-        a.tanh_inplace();
-        a
+    fn tanh(&mut self, a: Block<'p>) -> Block<'p> {
+        a.update(Tensor::tanh_inplace)
     }
-    fn dropout(&mut self, mut a: Tensor, p: f32, rng: &mut StuqRng) -> Tensor {
-        a.dropout_inplace(p, rng);
-        a
+    fn dropout(&mut self, a: Block<'p>, p: f32, rngs: &mut [StuqRng]) -> Block<'p> {
+        a.split(rngs.len()).update(|t| t.dropout_blocks_inplace(p, rngs))
     }
 }
 
@@ -210,28 +369,31 @@ impl Exec for Eager {
 ///   learning, paper Eq. 11–13);
 /// * MC-dropout inference: dropout also on (paper §IV-C2);
 /// * deterministic inference (`DeepSTUQ/S` in Table III): dropout off.
-pub struct FwdCtx<'a> {
+///
+/// `R` is the executor's [`Exec::Rng`]: one stream on a tape, one stream
+/// per sample on [`Eager`].
+pub struct FwdCtx<'a, R: ?Sized = StuqRng> {
     /// True during gradient-producing passes.
     pub train: bool,
     /// True when sampling with MC dropout at inference time.
     pub mc_dropout: bool,
     /// Randomness source for dropout masks.
-    pub rng: &'a mut StuqRng,
+    pub rng: &'a mut R,
 }
 
-impl<'a> FwdCtx<'a> {
+impl<'a, R: ?Sized> FwdCtx<'a, R> {
     /// Training-mode context.
-    pub fn train(rng: &'a mut StuqRng) -> Self {
+    pub fn train(rng: &'a mut R) -> Self {
         Self { train: true, mc_dropout: false, rng }
     }
 
     /// Deterministic evaluation context (dropout off).
-    pub fn eval(rng: &'a mut StuqRng) -> Self {
+    pub fn eval(rng: &'a mut R) -> Self {
         Self { train: false, mc_dropout: false, rng }
     }
 
     /// MC-dropout sampling context (dropout on, no training).
-    pub fn mc_sample(rng: &'a mut StuqRng) -> Self {
+    pub fn mc_sample(rng: &'a mut R) -> Self {
         Self { train: false, mc_dropout: true, rng }
     }
 
@@ -241,7 +403,7 @@ impl<'a> FwdCtx<'a> {
     }
 
     /// Applies dropout to `x` when active; identity otherwise.
-    pub fn dropout<E: Exec>(&mut self, ex: &mut E, x: E::Val, p: f32) -> E::Val {
+    pub fn dropout<E: Exec<Rng = R>>(&mut self, ex: &mut E, x: E::Val, p: f32) -> E::Val {
         if self.dropout_active() && p > 0.0 {
             ex.dropout(x, p, self.rng)
         } else {
@@ -495,7 +657,13 @@ pub struct BoundAgcrnCell<V = NodeId> {
 
 impl<V> BoundAgcrnCell<V> {
     /// Gate `idx` on its spatially mixed input `(I + Â) · [x, h]`.
-    fn gate<E: Exec>(&self, ex: &mut E, ctx: &mut FwdCtx<'_>, idx: usize, mixed: &E::Val) -> E::Val
+    fn gate<E: Exec>(
+        &self,
+        ex: &mut E,
+        ctx: &mut FwdCtx<'_, E::Rng>,
+        idx: usize,
+        mixed: &E::Val,
+    ) -> E::Val
     where
         V: Borrow<E::Val>,
     {
@@ -511,7 +679,7 @@ impl<V> BoundAgcrnCell<V> {
     pub fn step<E: Exec>(
         &self,
         ex: &mut E,
-        ctx: &mut FwdCtx<'_>,
+        ctx: &mut FwdCtx<'_, E::Rng>,
         x: impl Borrow<E::Val>,
         h: impl Borrow<E::Val>,
     ) -> E::Val
@@ -685,7 +853,8 @@ mod tests {
 
     /// Four MC-dropout steps of one cell give the same bits and leave the
     /// RNG at the same position on `Eager` (one shared z/r mixing, in-place
-    /// ops) as on `Tape`. Widths: `c_in = 1` puts the mixed input in the
+    /// ops, a block of three samples in lockstep) as on `Tape`, one tape
+    /// per sample stream. Widths: `c_in = 1` puts the mixed input in the
     /// matmul's narrow-tail path; `c_in = hidden = 32` is layer 2's
     /// full-tile width in the paper configuration.
     #[test]
@@ -695,32 +864,45 @@ mod tests {
             let xs: Vec<Tensor> =
                 (0..4).map(|_| Tensor::randn(&[6, c_in], 1.0, &mut rng)).collect();
             let h0 = Tensor::randn(&[6, hidden], 0.5, &mut rng);
-            let stream = rng.fork(7);
+            let streams: Vec<StuqRng> = (7..10).map(|k| rng.fork(k)).collect();
 
-            let mut r_tape = stream.clone();
-            let mut tape = Tape::new();
-            let (en, sn) = (tape.constant(e.clone()), tape.constant(s.clone()));
-            let bound = cell.bind(&mut tape, &ps, en, sn);
-            let mut h = tape.constant(h0.clone());
-            let mut ctx = FwdCtx::mc_sample(&mut r_tape);
-            for x in &xs {
-                let x = tape.constant(x.clone());
-                h = bound.step(&mut tape, &mut ctx, x, h);
-            }
-            let want = tape.value(h).clone();
-
-            let mut r_eager = stream;
-            let bound = cell.bind(&mut Eager, &ps, &e, s.clone());
-            let mut ctx = FwdCtx::mc_sample(&mut r_eager);
-            let got = xs.iter().fold(h0, |h, x| bound.step(&mut Eager, &mut ctx, x, &h));
+            let mut ex = Eager::new(&ps);
+            let (en, sn) = (ex.constant(e.clone()), ex.constant(s.clone()));
+            let bound = cell.bind(&mut ex, &ps, en, sn);
+            let mut r_eager = streams.clone();
+            let mut ctx = FwdCtx::mc_sample(&mut r_eager[..]);
+            let h = ex.constant(h0.clone());
+            let h = xs.iter().fold(h, |h, x| {
+                let x = ex.constant(x.clone());
+                bound.step(&mut ex, &mut ctx, x, &h)
+            });
+            let got = h.into_samples(streams.len());
 
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "c_in {c_in}, hidden {hidden}: hidden state");
-            assert_eq!(r_eager.export_state(), r_tape.export_state(), "c_in {c_in}: RNG position");
+            for (i, stream) in streams.iter().enumerate() {
+                let mut r_tape = stream.clone();
+                let mut tape = Tape::new();
+                let (en, sn) = (tape.constant(e.clone()), tape.constant(s.clone()));
+                let bound = cell.bind(&mut tape, &ps, en, sn);
+                let mut h = tape.constant(h0.clone());
+                let mut ctx = FwdCtx::mc_sample(&mut r_tape);
+                for x in &xs {
+                    let x = tape.constant(x.clone());
+                    h = bound.step(&mut tape, &mut ctx, x, h);
+                }
+                let want = tape.value(h);
+                let what = format!("c_in {c_in}, hidden {hidden}, sample {i}");
+                assert_eq!(bits(&got[i]), bits(want), "{what}: hidden state");
+                assert_eq!(
+                    r_eager[i].export_state(),
+                    r_tape.export_state(),
+                    "{what}: RNG position"
+                );
+            }
             if c_in == 1 {
                 // Both executors share one draw rule, so a change to it
                 // passes the comparison above; this checksum catches it.
-                let fnv = bits(&got).iter().fold(0xcbf2_9ce4_8422_2325u64, |a, &b| {
+                let fnv = bits(&got[0]).iter().fold(0xcbf2_9ce4_8422_2325u64, |a, &b| {
                     (a ^ b as u64).wrapping_mul(0x100_0000_01b3)
                 });
                 assert_eq!(fnv, 0xb2dc_24ea_d5ca_c85f, "pinned 4-step MC hidden state");

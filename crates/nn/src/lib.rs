@@ -29,5 +29,5 @@ pub mod sched;
 pub mod serialize;
 pub mod swa;
 
-pub use layers::{Eager, Exec, FwdCtx};
+pub use layers::{Block, Eager, Exec, FwdCtx};
 pub use params::ParamSet;

@@ -116,34 +116,55 @@ fn mm_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, j0
     }
 }
 
-/// Register-tiled single row: full `J_TILE` column tiles, k unrolled by two
-/// into independent accumulator sets (combined in a fixed order at the end).
-fn mm_row_tiles(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize) {
-    for (t, otile) in orow.chunks_exact_mut(J_TILE).enumerate() {
+/// Whole rows against one right-hand side in the one-row order: full
+/// `J_TILE` column tiles, k unrolled by two into independent accumulator
+/// sets combined in a fixed order at the end, then [`mm_row_tail`].
+///
+/// Each tiled element of row `r` is an even-k chain and an odd-k chain,
+/// both from zero, with an odd leftover k on the even chain, then
+/// `acc_e + acc_o`. `R` only sets how many rows share each loaded `B`
+/// vector, so a row's bits are the same for any `R`: the sample-block
+/// [`rowwise_matmul`] runs its samples through this in pairs.
+fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usize, n: usize) {
+    let jt = n - n % J_TILE;
+    for t in 0..jt / J_TILE {
         let jb = t * J_TILE;
-        let mut acc_e = [0.0f32; J_TILE];
-        let mut acc_o = [0.0f32; J_TILE];
+        let mut acc_e = [[0.0f32; J_TILE]; R];
+        let mut acc_o = [[0.0f32; J_TILE]; R];
         let mut kk = 0;
         while kk + 2 <= k {
             let be: &[f32; J_TILE] = b[kk * n + jb..kk * n + jb + J_TILE].try_into().unwrap();
             let bo: &[f32; J_TILE] =
                 b[(kk + 1) * n + jb..(kk + 1) * n + jb + J_TILE].try_into().unwrap();
-            let (xe, xo) = (arow[kk], arow[kk + 1]);
-            for l in 0..J_TILE {
-                acc_e[l] = xe.mul_add(be[l], acc_e[l]);
-                acc_o[l] = xo.mul_add(bo[l], acc_o[l]);
+            for r in 0..R {
+                let (xe, xo) = (a[r][kk], a[r][kk + 1]);
+                for l in 0..J_TILE {
+                    acc_e[r][l] = xe.mul_add(be[l], acc_e[r][l]);
+                    acc_o[r][l] = xo.mul_add(bo[l], acc_o[r][l]);
+                }
             }
             kk += 2;
         }
         if kk < k {
             let bv: &[f32; J_TILE] = b[kk * n + jb..kk * n + jb + J_TILE].try_into().unwrap();
-            let x = arow[kk];
-            for l in 0..J_TILE {
-                acc_e[l] = x.mul_add(bv[l], acc_e[l]);
+            for r in 0..R {
+                let x = a[r][kk];
+                for l in 0..J_TILE {
+                    acc_e[r][l] = x.mul_add(bv[l], acc_e[r][l]);
+                }
             }
         }
-        for (o, l) in otile.iter_mut().zip(0..J_TILE) {
-            *o = acc_e[l] + acc_o[l];
+        for r in 0..R {
+            for (out, (&e, &d)) in
+                o[r][jb..jb + J_TILE].iter_mut().zip(acc_e[r].iter().zip(&acc_o[r]))
+            {
+                *out = e + d;
+            }
+        }
+    }
+    if jt < n {
+        for r in 0..R {
+            mm_row_tail(a[r], b, &mut o[r][jt..], k, n, jt);
         }
     }
 }
@@ -213,24 +234,30 @@ fn mm_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     while r < rows {
         let arow = &a[r * k..(r + 1) * k];
         let orow = &mut out[r * n..(r + 1) * n];
-        mm_row_tiles(arow, b, &mut orow[..jt], k, n);
-        if jt < n {
-            mm_row_tail(arow, b, &mut orow[jt..], k, n, jt);
-        }
+        mm_rows([arow], b, [orow], k, n);
         r += 1;
     }
 }
 
 /// `A (m×k) @ B (k×n)`, row-parallel above [`PAR_FLOPS_MIN`].
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    matmul_into(a, b, &mut out, m, k, n);
+    out
+}
+
+/// [`matmul`] into `out` (`m·n` floats, zeroed on entry), so a sample
+/// block's per-sample products land side by side in one buffer.
+pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().kernel_matmul.inc();
     }
+    assert_eq!(out.len(), m * n, "matmul_into: {} floats for a {m}x{n} product", out.len());
     if reference_mode() {
-        return matmul_reference(a, b, m, k, n);
+        out.copy_from_slice(&matmul_reference(a, b, m, k, n));
+        return;
     }
     let t_start = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let mut out = vec![0.0f32; m * n];
     if m.saturating_mul(k).saturating_mul(n) >= PAR_FLOPS_MIN && m > ROW_CHUNK {
         let optr = SendPtr::new(out.as_mut_ptr());
         par_ranges(m, ROW_CHUNK, |r| {
@@ -241,12 +268,11 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
             mm_block(&a[r.start * k..r.end * k], b, ob, k, n);
         });
     } else {
-        mm_block(a, b, &mut out, k, n);
+        mm_block(a, b, out, k, n);
     }
     if let Some(t) = t_start {
         record_gflops(m, k, n, t);
     }
-    out
 }
 
 /// Sets the traced GFLOP/s gauge for a `2·m·k·n`-flop kernel dispatch.
@@ -380,9 +406,30 @@ pub fn matmul_ta(a: &[f32], b: &[f32], ar: usize, ac: usize, n: usize) -> Vec<f3
     out
 }
 
-/// NAPL row-wise matmul forward (paper Eq. 5): output row `r` is
-/// `z[r, :] @ W_r` with `W_r = w[r, :]` viewed as `ci × co`. Row-parallel;
-/// each row reuses the blocked `mm_block` micro-kernel.
+/// The sample count of a sample-major block: `len` floats of `per_sample`
+/// each (one sample when a sample holds nothing).
+fn block_samples(len: usize, per_sample: usize) -> usize {
+    if per_sample == 0 {
+        return 1;
+    }
+    assert!(
+        len.is_multiple_of(per_sample),
+        "block of {len} floats is not whole samples of {per_sample}"
+    );
+    len / per_sample
+}
+
+/// NAPL row-wise matmul forward (paper Eq. 5) over a block of samples.
+///
+/// `w` holds `rows` per-node weights, `W_n = w[n, :]` viewed as `ci × co`.
+/// `z` holds `s = z.len() / (rows·ci)` samples of `rows × ci`, stacked
+/// sample-major, and output row `i·rows + n` is `z[i·rows + n, :] @ W_n`.
+/// The loop runs node-outer, sample-inner, so each `W_n` is loaded once per
+/// block instead of once per sample, and samples share the register tile
+/// in pairs (`mm_rows`). Every output element keeps the one-row order, so
+/// a sample's rows are bit-identical however many samples share its
+/// block, and `s = 1` is the one-row kernel itself. Fans out over node
+/// ranges above [`PAR_FLOPS_MIN`].
 pub fn rowwise_matmul(z: &[f32], w: &[f32], rows: usize, ci: usize, co: usize) -> Vec<f32> {
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().kernel_rowwise.inc();
@@ -390,31 +437,67 @@ pub fn rowwise_matmul(z: &[f32], w: &[f32], rows: usize, ci: usize, co: usize) -
     if reference_mode() {
         return rowwise_matmul_reference(z, w, rows, ci, co);
     }
-    let mut out = vec![0.0f32; rows * co];
-    let per_row = |row: usize, orow: &mut [f32]| {
-        mm_block(
-            &z[row * ci..(row + 1) * ci],
-            &w[row * ci * co..(row + 1) * ci * co],
-            orow,
-            ci,
-            co,
-        );
-    };
-    if rows.saturating_mul(ci).saturating_mul(co) >= PAR_FLOPS_MIN && rows > ROW_CHUNK {
+    let s = block_samples(z.len(), rows * ci);
+    let mut out = vec![0.0f32; s * rows * co];
+    if out.is_empty() {
+        return out;
+    }
+    if s.saturating_mul(rows).saturating_mul(ci).saturating_mul(co) >= PAR_FLOPS_MIN
+        && rows > ROW_CHUNK
+    {
         let optr = SendPtr::new(out.as_mut_ptr());
         par_ranges(rows, ROW_CHUNK, |r| {
-            for row in r {
-                // SAFETY: each row's output slice is disjoint.
-                let orow = unsafe { std::slice::from_raw_parts_mut(optr.get().add(row * co), co) };
-                per_row(row, orow);
-            }
+            let mut outs: Vec<&mut [f32]> = (0..s)
+                .map(|i| {
+                    // SAFETY: sample i's rows of the node range r; node
+                    // ranges are disjoint, so no two slices alias.
+                    unsafe {
+                        std::slice::from_raw_parts_mut(
+                            optr.get().add((i * rows + r.start) * co),
+                            r.len() * co,
+                        )
+                    }
+                })
+                .collect();
+            rowwise_nodes(z, w, &mut outs, r, rows, ci, co);
         });
     } else {
-        for (row, orow) in out.chunks_exact_mut(co).enumerate() {
-            per_row(row, orow);
-        }
+        let mut outs: Vec<&mut [f32]> = out.chunks_exact_mut(rows * co).collect();
+        rowwise_nodes(z, w, &mut outs, 0..rows, rows, ci, co);
     }
     out
+}
+
+/// The nodes `nodes` of a [`rowwise_matmul`] block: `outs[i]` holds sample
+/// `i`'s output rows for those nodes.
+fn rowwise_nodes(
+    z: &[f32],
+    w: &[f32],
+    outs: &mut [&mut [f32]],
+    nodes: std::ops::Range<usize>,
+    rows: usize,
+    ci: usize,
+    co: usize,
+) {
+    let zrow = |i: usize, node: usize| &z[(i * rows + node) * ci..(i * rows + node + 1) * ci];
+    for (local, node) in nodes.enumerate() {
+        let wn = &w[node * ci * co..(node + 1) * ci * co];
+        let at = local * co..(local + 1) * co;
+        for (p, pair) in outs.chunks_mut(2).enumerate() {
+            let (z0, at) = (zrow(2 * p, node), at.clone());
+            match pair {
+                [o0, o1] => mm_rows(
+                    [z0, zrow(2 * p + 1, node)],
+                    wn,
+                    [&mut o0[at.clone()], &mut o1[at]],
+                    ci,
+                    co,
+                ),
+                [o0] => mm_rows([z0], wn, [&mut o0[at]], ci, co),
+                _ => unreachable!("chunks of one or two"),
+            }
+        }
+    }
 }
 
 /// NAPL row-wise matmul backward: given upstream grad `g` (`rows × co`),
@@ -512,7 +595,8 @@ pub fn matmul_tb_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -
     out
 }
 
-/// The seed's scalar NAPL row-wise matmul: per row, a naive i-j loop.
+/// The seed's scalar NAPL row-wise matmul: per row, a naive i-j loop, run
+/// once per sample of a [`rowwise_matmul`] block.
 pub fn rowwise_matmul_reference(
     z: &[f32],
     w: &[f32],
@@ -520,11 +604,13 @@ pub fn rowwise_matmul_reference(
     ci: usize,
     co: usize,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows * co];
-    for row in 0..rows {
-        let z_row = &z[row * ci..(row + 1) * ci];
-        let w_row = &w[row * ci * co..(row + 1) * ci * co];
-        let o_row = &mut out[row * co..(row + 1) * co];
+    let s = block_samples(z.len(), rows * ci);
+    let mut out = vec![0.0f32; s * rows * co];
+    for r in 0..s * rows {
+        let node = r % rows;
+        let z_row = &z[r * ci..(r + 1) * ci];
+        let w_row = &w[node * ci * co..(node + 1) * ci * co];
+        let o_row = &mut out[r * co..(r + 1) * co];
         for (i, &zv) in z_row.iter().enumerate() {
             if zv == 0.0 {
                 continue;
@@ -869,6 +955,58 @@ mod tests {
             &rowwise_matmul_reference(&z, &w, rows, ci, co),
             1e-5,
         );
+    }
+
+    /// The sample-block NAPL kernel against one-row products: sample `i`'s
+    /// row `n` is bit for bit `matmul(z_i[n], W_n)` for every sample count,
+    /// column tiling (full tiles, wide and narrow tails), odd and even
+    /// `ci`, node counts above `ROW_CHUNK` and blocks above
+    /// `PAR_FLOPS_MIN`, serial or pooled; in reference mode it is the seed
+    /// loop once per sample.
+    #[test]
+    fn rowwise_block_matches_one_row_products_bitwise() {
+        let mut rng = StuqRng::new(0x5A3);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cases = Vec::new();
+        for s in 1..=11 {
+            for ci in [5, 8] {
+                for co in [3, 8, 32, 40, 64] {
+                    cases.push((s, 5, ci, co));
+                }
+            }
+        }
+        for s in [1, 2, 5, 11] {
+            for ci in [33, 64] {
+                for co in [8, 32, 40, 64] {
+                    cases.push((s, ROW_CHUNK + 5, ci, co));
+                }
+            }
+        }
+        cases.push((10, 43, 33, 32));
+        let mut crossed = false;
+        for (s, rows, ci, co) in cases {
+            let z = randv(&mut rng, s * rows * ci);
+            let w = randv(&mut rng, rows * ci * co);
+            let got = rowwise_matmul(&z, &w, rows, ci, co);
+            crossed |= s * rows * ci * co >= PAR_FLOPS_MIN;
+            let what = format!("s {s}, rows {rows}, ci {ci}, co {co}");
+            let want: Vec<f32> = (0..s * rows)
+                .flat_map(|r| {
+                    let n = r % rows;
+                    matmul(&z[r * ci..(r + 1) * ci], &w[n * ci * co..(n + 1) * ci * co], 1, ci, co)
+                })
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "{what}: block vs one-row products");
+            let serial = stuq_parallel::with_serial(|| rowwise_matmul(&z, &w, rows, ci, co));
+            assert_eq!(bits(&got), bits(&serial), "{what}: pooled vs serial");
+            let reference = with_reference_kernels(|| rowwise_matmul(&z, &w, rows, ci, co));
+            let per_sample: Vec<f32> = z
+                .chunks_exact(rows * ci)
+                .flat_map(|zs| rowwise_matmul_reference(zs, &w, rows, ci, co))
+                .collect();
+            assert_eq!(bits(&reference), bits(&per_sample), "{what}: reference mode");
+        }
+        assert!(crossed, "some block must cross PAR_FLOPS_MIN");
     }
 
     #[test]

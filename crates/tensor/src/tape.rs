@@ -527,6 +527,8 @@ impl Tape {
     /// NAPL row-wise matmul (paper Eq. 5): row `n` of the output is
     /// `z[n, :] @ W_n` where `W_n` is `w[n, :]` reshaped to `c_in × c_out`.
     pub fn rowwise_matmul(&mut self, z: NodeId, w: NodeId, c_in: usize, c_out: usize) -> NodeId {
+        let (zr, wr) = (self.nodes[z].value.rows(), self.nodes[w].value.rows());
+        assert_eq!(zr, wr, "rowwise_matmul on a tape takes one sample: {zr} rows, {wr} nodes");
         let v = self.nodes[z].value.rowwise_matmul(&self.nodes[w].value, c_in, c_out);
         self.push(v, OpKind::RowwiseMatmul { c_in, c_out }, vec![z, w])
     }

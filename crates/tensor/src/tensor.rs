@@ -421,28 +421,62 @@ impl Tensor {
 
     /// NAPL row-wise matmul (paper Eq. 5): row `n` of the output is
     /// `self[n, :] @ W_n` where `W_n` is `w[n, :]` reshaped to `c_in × c_out`.
+    ///
+    /// `self` may stack `s` samples of `w.rows()` rows sample-major; row
+    /// `i·N + n` then meets `W_n`, and each sample's rows come out
+    /// bit-identical to a call on that sample alone
+    /// ([`kernels::rowwise_matmul`]).
     pub fn rowwise_matmul(&self, w: &Self, c_in: usize, c_out: usize) -> Self {
-        let n = self.rows();
+        let rows = self.rows();
         assert_eq!(self.cols(), c_in, "rowwise_matmul: z cols != c_in");
-        assert_eq!(w.rows(), n, "rowwise_matmul: row count mismatch");
+        assert!(
+            w.rows() > 0 && rows.is_multiple_of(w.rows()),
+            "rowwise_matmul: {rows} rows are not whole samples of {} nodes",
+            w.rows()
+        );
         assert_eq!(w.cols(), c_in * c_out, "rowwise_matmul: w cols != c_in*c_out");
-        let data = kernels::rowwise_matmul(&self.data, &w.data, n, c_in, c_out);
-        Self { data, shape: vec![n, c_out] }
+        let data = kernels::rowwise_matmul(&self.data, &w.data, w.rows(), c_in, c_out);
+        Self { data, shape: vec![rows, c_out] }
     }
 
     /// Inverted dropout in place at drop rate `p ∈ (0, 1)`: each element
     /// `v` becomes `v * m` with `m = 1/keep` (`keep = 1 − p`) or `m = 0`,
     /// from one `bernoulli(keep)` draw per element in row-major order.
     ///
+    /// This is [`Tensor::dropout_blocks_inplace`] with one block.
+    pub fn dropout_inplace(&mut self, p: f32, rng: &mut StuqRng) {
+        self.dropout_blocks_inplace(p, std::slice::from_mut(rng));
+    }
+
+    /// Inverted dropout in place for a sample block: the data splits into
+    /// `rngs.len()` equal blocks (samples stacked sample-major), and block
+    /// `i` is drawn from `rngs[i]` exactly as [`Tensor::dropout_inplace`]
+    /// draws a lone sample.
+    ///
     /// This is the only place a dropout draw is written: the tape's stored
     /// mask is this applied to ones ([`Tensor::dropout_mask`]), so any two
     /// forward passes that drop the same shapes in the same order consume
-    /// `rng` identically and produce the same bits.
-    pub fn dropout_inplace(&mut self, p: f32, rng: &mut StuqRng) {
+    /// each stream identically and produce the same bits.
+    ///
+    /// `bernoulli(keep)` is `(x >> 11)·2⁻⁵³ < keep` for the next raw draw
+    /// `x`. Both sides scale exactly by 2⁵³, so for the integer `x >> 11`
+    /// it is `x >> 11 < ⌈keep·2⁵³⌉`, one integer compare per element.
+    pub fn dropout_blocks_inplace(&mut self, p: f32, rngs: &mut [StuqRng]) {
         assert!(p > 0.0 && p < 1.0, "dropout rate must be in (0, 1)");
+        assert!(
+            !rngs.is_empty() && self.data.len().is_multiple_of(rngs.len()),
+            "{} elements do not split into {} sample blocks",
+            self.data.len(),
+            rngs.len()
+        );
         let keep = 1.0 - p;
-        for v in &mut self.data {
-            *v *= if rng.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 };
+        let scale = 1.0 / keep;
+        let below = (keep as f64 * (1u64 << 53) as f64).ceil() as u64;
+        let per_block = self.data.len() / rngs.len();
+        for (block, rng) in self.data.chunks_mut(per_block.max(1)).zip(rngs) {
+            for v in block {
+                *v *= if rng.next_u64() >> 11 < below { scale } else { 0.0 };
+            }
         }
     }
 
@@ -587,8 +621,11 @@ mod tests {
     }
 
     /// The in-place draw is the tape's `x ⊙ mask` bit for bit, including
-    /// on ±0, ±inf, NaN and subnormals, matches the draw rule written out
-    /// here, and leaves the generator where the mask draw leaves it.
+    /// on ±0, ±inf, NaN and subnormals, matches the `bernoulli(keep)` draw
+    /// rule written out here at rates from 1e-7 to 1 − 1e-7, and leaves the
+    /// generator where the mask draw leaves it. A sample block draws each
+    /// sample's rows from its own stream, as a lone draw would, and leaves
+    /// every stream at the same final position.
     #[test]
     fn dropout_inplace_matches_the_mask_product_bitwise() {
         let specials =
@@ -599,7 +636,7 @@ mod tests {
             *v = s;
         }
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for p in [0.05f32, 0.5, 0.9] {
+        for p in [1e-7f32, 0.05, 0.5, 0.9, 1.0 - 1e-7] {
             let stream = rng.fork(1);
             let (mut r1, mut r2, mut r3) = (stream.clone(), stream.clone(), stream);
             let mut got = x.clone();
@@ -615,6 +652,31 @@ mod tests {
             assert_eq!(bits(got.data()), bits(&by_rule), "p = {p}: in place vs draw rule");
             assert_eq!(r1.export_state(), r2.export_state(), "p = {p}: RNG position");
             assert_eq!(r1.export_state(), r3.export_state(), "p = {p}: RNG position");
+
+            // The integer threshold is the float compare at the boundary
+            // raw draws, up to the last 53-bit value.
+            let below = (keep as f64 * (1u64 << 53) as f64).ceil() as u64;
+            let last = (1u64 << 53) - 1;
+            for m in [0, 1, below.saturating_sub(1), below, below + 1, last - 1, last] {
+                let m = m.min(last);
+                let float = (m as f64) * (1.0 / (1u64 << 53) as f64) < keep as f64;
+                assert_eq!(m < below, float, "p = {p}: draw {m}");
+            }
+
+            // A block of three samples, one stream each.
+            let streams: Vec<StuqRng> = (0..3).map(|i| rng.fork(10 + i)).collect();
+            let stacked = Tensor::randn(&[3 * 4, 7], 1.0, &mut rng);
+            let mut block = stacked.clone();
+            let mut block_rngs = streams.clone();
+            block.dropout_blocks_inplace(p, &mut block_rngs);
+            for (i, (stream, after)) in streams.iter().zip(&block_rngs).enumerate() {
+                let mut alone = stacked.slice_rows(4 * i, 4 * (i + 1));
+                let mut r = stream.clone();
+                alone.dropout_inplace(p, &mut r);
+                let rows = &block.data()[28 * i..28 * (i + 1)];
+                assert_eq!(bits(rows), bits(alone.data()), "p = {p}: block sample {i}");
+                assert_eq!(after.export_state(), r.export_state(), "p = {p}: stream {i}");
+            }
         }
     }
 
