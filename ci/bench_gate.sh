@@ -1,7 +1,7 @@
 #!/bin/sh
 # Bench-regression gate: reads BENCH_PR8.json (emitted by `bench_pr8`) and
-# fails if a speedup ratio fell below its floor or a determinism flag is not
-# true. No jq in the image, so extraction is sed-based like
+# fails if the epoch speedup ratio fell below its floor or the determinism
+# flag is not true. No jq in the image, so extraction is sed-based like
 # validate_events.sh: scope to the workload's JSON object, then pull the
 # numeric field.
 #
@@ -21,7 +21,6 @@ fail() {
 
 # shellcheck disable=SC1090
 . "$FLOORS"
-: "${BENCH_FLOOR_BACKWARD:?bench_floors.env must set BENCH_FLOOR_BACKWARD}"
 : "${BENCH_FLOOR_EPOCH:?bench_floors.env must set BENCH_FLOOR_EPOCH}"
 
 # extract <workload> <field>: prints the numeric value of "field" inside the
@@ -47,14 +46,10 @@ gate() {
   echo "bench_gate: $workload speedup $ratio >= floor $floor"
 }
 
-gate backward "$BENCH_FLOOR_BACKWARD"
 gate epoch "$BENCH_FLOOR_EPOCH"
 
-# The bench asserts these itself, but a stale/hand-edited JSON must not pass.
-for flag in replay_bit_identical_to_serial \
-  epoch_params_bit_identical_across_thread_counts \
-  epoch_params_bit_identical_replay_on_off; do
-  grep -q "\"$flag\": true" "$JSON" || fail "determinism flag $flag is not true"
-done
+# The bench asserts this itself, but a stale/hand-edited JSON must not pass.
+flag=epoch_params_bit_identical_across_thread_counts
+grep -q "\"$flag\": true" "$JSON" || fail "determinism flag $flag is not true"
 
 echo "bench_gate: $JSON OK"

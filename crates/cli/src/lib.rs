@@ -1026,6 +1026,15 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
         .map_err(|e| format!("--worker-dir {}: {e}", worker_dir.display()))?;
 
     let shards = cfg.shards;
+    // Reloads keep the model's [N, τ], so the reply cap derived from the
+    // served model holds for the cluster's lifetime.
+    let model_path = &cfg.serve.model_path;
+    let served =
+        deepstuq::load_model(model_path).map_err(|e| format!("{}: {e}", model_path.display()))?;
+    let max_reply_bytes = stuq_serve::proto::max_worker_reply_bytes(
+        served.model().n_nodes(),
+        served.model().horizon(),
+    );
 
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     // Workers inherit the serving knobs but never the reload watcher (the
@@ -1099,6 +1108,7 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
                 backoff_ms,
                 backoff_max_ms,
                 connect_timeout_ms,
+                max_reply_bytes,
                 jitter_seed: jitter_rng.fork(w as u64).next_u64(),
             })) as Box<dyn ShardWorker>;
             // The fault harness wraps exactly one seed-chosen victim replica

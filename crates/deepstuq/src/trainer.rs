@@ -418,31 +418,30 @@ mod tests {
         assert!(model.params().all_finite());
     }
 
-    /// Training one epoch with the replay engine must leave every parameter
-    /// bit-identical to training with replay disabled: the dispatcher's
-    /// engine choice (and the plan cache, including the final partial
-    /// batch's second plan) can never leak into model weights. This is the
-    /// in-process twin of the CI determinism gate's `STUQ_REPLAY=0` train.
+    /// Training one epoch on the pool must leave every parameter
+    /// bit-identical to training on a serial pool: the thread count can
+    /// never leak into model weights. This is the in-process twin of the CI
+    /// determinism gate's `STUQ_THREADS=1/2/4` train.
     #[test]
-    fn one_epoch_train_bitwise_identical_replay_on_off() {
-        let run = |disable_replay: bool| {
+    fn one_epoch_train_bitwise_identical_pooled_vs_serial_pool() {
+        let run = |serial: bool| {
             let (ds, mut model, mut rng) = tiny_setup();
             let mut opt = stuq_nn::opt::Adam::new(0.003, 0.0);
             let kind = LossKind::Combined { lambda: 0.1 };
             let mut epoch =
                 || train_epoch(&mut model, &ds, 8, kind, &mut opt, 5.0, &mut rng, None).unwrap();
-            let loss = if disable_replay {
-                stuq_tensor::with_replay_disabled(&mut epoch)
-            } else {
-                epoch()
-            };
+            let loss = if serial { stuq_parallel::with_serial(&mut epoch) } else { epoch() };
             (loss, model.params().snapshot())
         };
-        let (loss_on, snap_on) = run(false);
-        let (loss_off, snap_off) = run(true);
-        assert_eq!(loss_on.to_bits(), loss_off.to_bits(), "epoch loss must be bit-identical");
-        assert_eq!(snap_on.len(), snap_off.len());
-        for (slot, (a, b)) in snap_on.iter().zip(&snap_off).enumerate() {
+        let (loss_pooled, snap_pooled) = run(false);
+        let (loss_serial, snap_serial) = run(true);
+        assert_eq!(
+            loss_pooled.to_bits(),
+            loss_serial.to_bits(),
+            "epoch loss must be bit-identical"
+        );
+        assert_eq!(snap_pooled.len(), snap_serial.len());
+        for (slot, (a, b)) in snap_pooled.iter().zip(&snap_serial).enumerate() {
             assert_eq!(a.shape(), b.shape(), "slot {slot} shape");
             for (x, y) in a.data().iter().zip(b.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "slot {slot} diverged");

@@ -400,9 +400,8 @@ mod tests {
 
     /// One training tape of the paper configuration at 43 nodes keeps its
     /// 606 nodes (DESIGN.md §17): the tape computes the z and r gates'
-    /// spatial mixing separately, so training bytes and the replay
-    /// signature stay put. Sharing it is a byte-moving change that must
-    /// re-pin this count on purpose.
+    /// spatial mixing separately, so training bytes stay put. Sharing it
+    /// is a byte-moving change that must re-pin this count on purpose.
     #[test]
     fn paper_config_tape_has_606_nodes() {
         let mut rng = StuqRng::new(6);

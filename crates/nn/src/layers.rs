@@ -817,11 +817,11 @@ mod tests {
         assert_eq!(grads.len(), 6, "3 gates × (w_pool, b_pool)");
     }
 
-    /// The replay engine must not change a single gradient bit on a real
-    /// multi-step AGCRN training tape (dropout masks included) — the same
-    /// tape shape the trainer replays every batch.
+    /// The pooled backward must not change a single gradient bit against a
+    /// serial pool on a real multi-step AGCRN training tape (dropout masks
+    /// included).
     #[test]
-    fn agcrn_backward_replay_bitwise_vs_serial() {
+    fn agcrn_backward_pooled_bitwise_vs_serial_pool() {
         let (ps, cell, e, s, mut rng) = agcrn_fixture(0.2);
         let mut tape = Tape::new();
         let en = tape.constant(e);
@@ -835,18 +835,14 @@ mod tests {
         }
         let sq = tape.square(h);
         let loss = tape.mean_all(sq);
-        let serial = tape.backward_serial(loss);
-        let replayed = tape.backward(loss); // twice: cold compile + warm hit
-        let warm = tape.backward(loss);
-        let off = stuq_tensor::with_replay_disabled(|| tape.backward(loss));
-        for (got, what) in [(&replayed, "replay"), (&warm, "warm replay"), (&off, "replay off")] {
-            assert_eq!(serial.len(), got.len(), "{what}: slot count");
-            for (slot, g) in serial.iter() {
-                let o = got.get(slot).unwrap();
-                assert_eq!(g.shape(), o.shape(), "{what}: slot {slot} shape");
-                for (a, b) in g.data().iter().zip(o.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: slot {slot}");
-                }
+        let pooled = tape.backward(loss);
+        let serial = stuq_parallel::with_serial(|| tape.backward(loss));
+        assert_eq!(pooled.len(), serial.len(), "slot count");
+        for (slot, g) in pooled.iter() {
+            let o = serial.get(slot).unwrap();
+            assert_eq!(g.shape(), o.shape(), "slot {slot} shape");
+            for (a, b) in g.data().iter().zip(o.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "slot {slot}");
             }
         }
     }

@@ -404,19 +404,8 @@ catalog! {
     pool_run_seconds: Histogram = "stuq_pool_run_seconds", "seconds per pooled fan-out (trace)";
 
     // --- stuq-tensor: autodiff + kernels ---------------------------------
-    /// Reverse sweeps executed (serial walk or replay).
+    /// Reverse sweeps executed.
     backward_runs: Counter = "stuq_backward_runs_total", "reverse sweeps executed";
-    /// Backward sweeps served by a cached replay plan.
-    replay_hits: Counter =
-        "stuq_backward_replay_hits_total", "backward sweeps served by a cached replay plan";
-    /// Replay plans compiled (one per new tape structure).
-    replay_compiles: Counter = "stuq_backward_replay_compiles_total", "replay plans compiled";
-    /// Fused adjoint chains across all compiled plans.
-    replay_fused_chains: Counter =
-        "stuq_backward_replay_fused_chains_total", "fused adjoint chains across compiled plans";
-    /// Tape nodes absorbed into fused chains across all compiled plans.
-    replay_fused_nodes: Counter =
-        "stuq_backward_replay_fused_nodes_total", "tape nodes absorbed into fused chains";
     /// `matmul` kernel dispatches.
     kernel_matmul: Counter = "stuq_kernel_matmul_total", "matmul kernel dispatches";
     /// `matmul_tb` kernel dispatches.

@@ -270,15 +270,6 @@ fn in_serial_region() -> bool {
     SERIAL_DEPTH.with(std::cell::Cell::get) > 0
 }
 
-/// True while the current thread is inside a [`with_serial`] scope.
-///
-/// Schedulers that *restructure* work for parallel execution (rather than
-/// merely fanning out identical chunks) consult this so a `with_serial`
-/// baseline really exercises the serial code path end to end.
-pub fn serial_forced() -> bool {
-    in_serial_region()
-}
-
 /// Runs `f` with all `par_*` calls on this thread forced inline.
 ///
 /// Used by tests (and benches) to compare the one-thread and N-thread
@@ -317,75 +308,6 @@ pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         unsafe { *slots.get().add(i) = Some(f(i)) };
     });
     out.into_iter().map(|s| s.expect("par_map chunk skipped")).collect()
-}
-
-/// A precomputed fan-out schedule: chunk boundaries decided once, replayed
-/// on every [`StaticSchedule::run`].
-///
-/// [`par_ranges`] re-derives its chunking on every call; schedulers that
-/// dispatch the *same* index space many times (the tape-replay backward,
-/// DESIGN.md §14) build the chunk list once — optionally cost-balanced via
-/// [`StaticSchedule::balanced`] — and replay it with zero per-call
-/// bookkeeping. Boundaries depend only on the construction inputs, never on
-/// the thread count, so the determinism contract is inherited unchanged.
-#[derive(Clone, Debug)]
-pub struct StaticSchedule {
-    chunks: Vec<(usize, usize)>,
-}
-
-impl StaticSchedule {
-    /// Fixed `chunk`-sized ranges over `0..len` ([`par_ranges`]'s split,
-    /// frozen).
-    pub fn fixed(len: usize, chunk: usize) -> Self {
-        let chunk = chunk.max(1);
-        Self {
-            chunks: (0..len.div_ceil(chunk))
-                .map(|c| (c * chunk, ((c + 1) * chunk).min(len)))
-                .collect(),
-        }
-    }
-
-    /// Cost-balanced ranges over `0..costs.len()`: consecutive items are
-    /// grouped until a chunk's summed cost reaches `target_cost`, so many
-    /// light items share one dispatch while a heavy item gets its own.
-    /// Boundaries are a pure function of `costs` and `target_cost`.
-    pub fn balanced(costs: &[u64], target_cost: u64) -> Self {
-        let target = target_cost.max(1);
-        let mut chunks = Vec::new();
-        let mut start = 0usize;
-        let mut acc = 0u64;
-        for (i, &c) in costs.iter().enumerate() {
-            acc = acc.saturating_add(c);
-            if acc >= target {
-                chunks.push((start, i + 1));
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < costs.len() {
-            chunks.push((start, costs.len()));
-        }
-        Self { chunks }
-    }
-
-    /// Number of chunks in the schedule.
-    pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// True when the schedule covers no items.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Fans `f(range)` out over the global pool, one call per frozen chunk.
-    /// Single-chunk schedules run inline via the pool's fast path.
-    pub fn run(&self, f: impl Fn(Range<usize>) + Sync) {
-        par_for(self.chunks.len(), |c| {
-            let (s, e) = self.chunks[c];
-            f(s..e);
-        });
-    }
 }
 
 /// A raw pointer that asserts cross-thread shareability.
@@ -493,38 +415,6 @@ mod tests {
         with_serial(|| {
             pool.run(16, &|_| assert_eq!(std::thread::current().id(), main_id));
         });
-    }
-
-    #[test]
-    fn static_schedule_fixed_matches_par_ranges_boundaries() {
-        let sched = StaticSchedule::fixed(1003, 64);
-        let mut seen = vec![false; 1003];
-        let flags = SendPtr::new(seen.as_mut_ptr());
-        sched.run(|r| {
-            assert_eq!(r.start % 64, 0, "boundaries must sit on fixed multiples");
-            for i in r {
-                unsafe { *flags.get().add(i) = true };
-            }
-        });
-        assert!(seen.iter().all(|&s| s));
-        assert_eq!(sched.n_chunks(), 1003usize.div_ceil(64));
-    }
-
-    #[test]
-    fn static_schedule_balanced_groups_by_cost() {
-        // Light items coalesce; the heavy item closes its chunk on its own.
-        let sched = StaticSchedule::balanced(&[1, 1, 1, 100, 1, 1], 10);
-        let mut covered = vec![false; 6];
-        let flags = SendPtr::new(covered.as_mut_ptr());
-        sched.run(|r| {
-            for i in r {
-                unsafe { *flags.get().add(i) = true };
-            }
-        });
-        assert!(covered.iter().all(|&s| s));
-        // (0..4) crosses the target at the heavy item, (4..6) is the tail.
-        assert_eq!(sched.n_chunks(), 2);
-        assert!(StaticSchedule::balanced(&[], 10).is_empty());
     }
 
     #[test]

@@ -183,6 +183,19 @@ pub const MAX_MC_SAMPLES: usize = 1024;
 /// a longer one gets one typed `bad_request` and is skipped unbuffered.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Longest worker reply line the router reads, in bytes before the newline,
+/// for a model of `n_nodes` sensors and horizon `horizon`. The largest
+/// legal reply is a `passes` reply for all [`MAX_MC_SAMPLES`] passes: two
+/// hex-word tensors, `mu` and `var`, at 8 bytes a cell, so 16 bytes per
+/// cell per pass (~60 MB at 307 × 12). [`MAX_LINE_BYTES`] on top covers
+/// its head and every smaller reply.
+pub fn max_worker_reply_bytes(n_nodes: usize, horizon: usize) -> usize {
+    (16 * MAX_MC_SAMPLES)
+        .saturating_mul(n_nodes)
+        .saturating_mul(horizon)
+        .saturating_add(MAX_LINE_BYTES)
+}
+
 /// Why a request could not be parsed.
 #[derive(Debug)]
 pub struct ParseError {
@@ -1039,6 +1052,17 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn worker_reply_cap_holds_the_largest_passes_reply() {
+        let cell = Tensor::full(&[3, 2], f32::NAN);
+        let passes = vec![(cell.clone(), Some(cell)); MAX_MC_SAMPLES];
+        let reply = resp_passes("0123456789abcdef", &passes);
+        let cap = max_worker_reply_bytes(3, 2);
+        assert!(reply.len() <= cap, "{} > {cap}", reply.len());
+        assert!(reply.len() > cap - MAX_LINE_BYTES, "the payload term is the whole payload");
+        assert_eq!(max_worker_reply_bytes(307, 12), 60_358_656 + MAX_LINE_BYTES);
     }
 
     #[test]

@@ -100,6 +100,10 @@ pub struct WorkerSpec {
     pub backoff_max_ms: u64,
     /// How long to wait for the freshly spawned worker's socket.
     pub connect_timeout_ms: u64,
+    /// Longest reply line read from the worker, in bytes before the
+    /// newline ([`crate::proto::max_worker_reply_bytes`]). A longer reply
+    /// is a `reply_too_long` error and drops the connection.
+    pub max_reply_bytes: usize,
 }
 
 /// A connected worker socket with line-framing state that survives read
@@ -110,8 +114,10 @@ pub(crate) struct Conn {
     stream: UnixStream,
     reader: BufReader<UnixStream>,
     /// Bytes of the current response line read so far, not yet
-    /// newline-terminated.
+    /// newline-terminated; never more than `max_line`.
     partial: Vec<u8>,
+    /// Longest line accepted, in bytes before the newline.
+    max_line: usize,
 }
 
 /// Per-poll read-timeout slice. Short enough that `recv_line` re-checks its
@@ -120,9 +126,9 @@ pub(crate) struct Conn {
 const POLL_SLICE_MS: u64 = 50;
 
 impl Conn {
-    fn new(stream: UnixStream) -> Result<Conn, String> {
+    fn new(stream: UnixStream, max_line: usize) -> Result<Conn, String> {
         let reader = BufReader::new(stream.try_clone().map_err(|e| format!("socket clone: {e}"))?);
-        Ok(Conn { stream, reader, partial: Vec::new() })
+        Ok(Conn { stream, reader, partial: Vec::new(), max_line })
     }
 
     fn send_line(&mut self, line: &str) -> Result<(), String> {
@@ -132,34 +138,55 @@ impl Conn {
 
     /// One bounded read attempt: `Ok(Some(line))` on a complete line,
     /// `Ok(None)` if the timeout fired first (partial bytes retained),
-    /// `Err` on EOF or a transport error.
+    /// `Err` on EOF, a transport error, or a line longer than `max_line`
+    /// (`reply_too_long`, detected before more than `max_line` bytes are
+    /// buffered).
     fn poll_line(&mut self, timeout_ms: u64) -> Result<Option<String>, String> {
         self.stream
             .set_read_timeout(Some(Duration::from_millis(timeout_ms.max(1))))
             .map_err(|e| format!("set timeout: {e}"))?;
-        let mut buf = std::mem::take(&mut self.partial);
-        match self.reader.read_until(b'\n', &mut buf) {
-            // Ok without a trailing newline means EOF — the peer closed
-            // mid-line (or idle); either way the stream is dead.
-            Ok(_) if buf.last() == Some(&b'\n') => {
-                // The buffer becomes the line; only non-UTF-8 bytes (which
-                // then fail to parse as a reply) take the lossy copy.
-                let mut line = String::from_utf8(buf)
-                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-                line.truncate(line.trim_end().len());
-                Ok(Some(line))
+        loop {
+            let avail = match self.reader.fill_buf() {
+                Ok(avail) => avail,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                // Whatever arrived before the timeout stays in `partial`
+                // for the next poll.
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(format!("read: {e}")),
+            };
+            // No bytes means EOF — the peer closed mid-line (or idle);
+            // either way the stream is dead.
+            if avail.is_empty() {
+                return Err("eof".into());
             }
-            Ok(_) => Err("eof".into()),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // read_until appends whatever arrived before the timeout;
-                // keep it for the next poll.
-                self.partial = buf;
-                Ok(None)
+            let room = self.max_line - self.partial.len();
+            match avail.iter().position(|&b| b == b'\n') {
+                Some(end) if end <= room => {
+                    self.partial.extend_from_slice(&avail[..end]);
+                    self.reader.consume(end + 1);
+                    // The buffer becomes the line; only non-UTF-8 bytes
+                    // (which then fail to parse as a reply) take the lossy
+                    // copy.
+                    let mut line = String::from_utf8(std::mem::take(&mut self.partial))
+                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+                    line.truncate(line.trim_end().len());
+                    return Ok(Some(line));
+                }
+                _ if avail.len() > room => {
+                    self.partial = Vec::new();
+                    return Err("reply_too_long".into());
+                }
+                _ => {
+                    let n = avail.len();
+                    self.partial.extend_from_slice(avail);
+                    self.reader.consume(n);
+                }
             }
-            Err(e) => Err(format!("read: {e}")),
         }
     }
 
@@ -263,7 +290,7 @@ impl ProcWorker {
                 }
             }
         };
-        self.conn = Some(Conn::new(stream)?);
+        self.conn = Some(Conn::new(stream, self.spec.max_reply_bytes)?);
         self.state = WorkerState::Up;
         self.last_ok = Instant::now();
         self.next_restart_at = None;
@@ -478,7 +505,7 @@ mod tests {
     fn recv_line_survives_a_mid_line_stall() {
         use std::io::Write as _;
         let (a, b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a).unwrap();
+        let mut conn = Conn::new(a, crate::proto::MAX_LINE_BYTES).unwrap();
         let writer = std::thread::spawn(move || {
             let mut b = b;
             b.write_all(b"{\"type\":\"ack\",").unwrap();
@@ -498,7 +525,7 @@ mod tests {
     fn a_timed_out_read_keeps_partial_bytes_for_the_next_attempt() {
         use std::io::Write as _;
         let (a, mut b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a).unwrap();
+        let mut conn = Conn::new(a, crate::proto::MAX_LINE_BYTES).unwrap();
         b.write_all(b"{\"type\":\"ack\",").unwrap();
         b.flush().unwrap();
         // The regression: the old transport discarded these bytes on
@@ -514,12 +541,37 @@ mod tests {
     fn lines_are_trimmed_and_non_utf8_bytes_arrive_lossy() {
         use std::io::Write as _;
         let (a, mut b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a).unwrap();
+        let mut conn = Conn::new(a, crate::proto::MAX_LINE_BYTES).unwrap();
         b.write_all(b"{\"type\":\"pa\xffes\"} \r\n{\"type\":\"ack\"}\t\n").unwrap();
         let bad = conn.recv_line(5_000).unwrap();
         assert_eq!(bad, "{\"type\":\"pa\u{fffd}es\"}");
         // The router classifies it as a garbled reply (`worker_error`).
         assert!(crate::proto::parse_worker_resp(&bad).is_err());
         assert_eq!(conn.recv_line(5_000).unwrap(), "{\"type\":\"ack\"}");
+    }
+
+    #[test]
+    fn conn_refuses_a_reply_past_the_cap_without_buffering_it() {
+        let cap = 64;
+        let (ours, mut peer) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(ours, cap).unwrap();
+        // A line of exactly `cap` bytes still arrives.
+        peer.write_all(&vec![b'a'; cap]).unwrap();
+        peer.write_all(b"\n").unwrap();
+        assert_eq!(conn.recv_line(5_000).unwrap(), "a".repeat(cap));
+        // `cap` bytes with no newline are held; one more is an error.
+        peer.write_all(&vec![b'b'; cap]).unwrap();
+        assert_eq!(conn.poll_line(50), Ok(None));
+        assert_eq!(conn.partial.len(), cap);
+        peer.write_all(b"b").unwrap();
+        assert_eq!(conn.poll_line(50), Err("reply_too_long".to_string()));
+        assert!(conn.partial.is_empty());
+
+        // `cap + 1` bytes in one write, with no newline ever.
+        let (ours, mut peer) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(ours, cap).unwrap();
+        peer.write_all(&vec![b'c'; cap + 1]).unwrap();
+        assert_eq!(conn.recv_line(5_000), Err("reply_too_long".to_string()));
+        assert!(conn.partial.len() <= cap);
     }
 }

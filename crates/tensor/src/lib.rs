@@ -39,12 +39,18 @@
 pub mod fastmath;
 pub mod gradcheck;
 pub mod kernels;
-pub mod replay;
 pub mod rng;
 pub mod tape;
 pub mod tensor;
 
-pub use replay::{replay_enabled, replay_stats, with_replay_disabled, ReplayPlan};
 pub use rng::{RngState, StuqRng};
 pub use tape::{CustomOp, GradStore, NodeId, Tape};
 pub use tensor::Tensor;
+
+/// Always `(0, 0)`. The backward pass has one engine, the descending-id
+/// walk of [`Tape::backward`], so there are no compiled plans to hit or
+/// compile. Kept only so the benchmark's traced run, which still reports a
+/// plan hit ratio, builds unchanged; it goes when that row does.
+pub fn replay_stats() -> (u64, u64) {
+    (0, 0)
+}

@@ -13,15 +13,12 @@
 //! of AGCRN, Eq. 5 of the paper) are first-class ops so that a GRU step stays
 //! a handful of tape nodes instead of dozens.
 //!
-//! The reverse sweep has two interchangeable engines (DESIGN.md §9, §14):
-//! [`Tape::backward_serial`], the plain descending-id walk and the oracle,
-//! and the compiled [`crate::replay::ReplayPlan`], which freezes the
-//! reverse graph's topological levels once per tape structure and replays
-//! them on the `stuq-parallel` pool. Both accumulate every gradient in the
-//! *same* fixed order (children by descending id, inputs in declaration
-//! order, parameter slots by descending node id), so their results are
-//! bit-identical for any thread count; [`Tape::backward`] picks between them
-//! automatically.
+//! The reverse sweep is one descending-id walk (DESIGN.md §9). It
+//! accumulates every gradient in a fixed order (consumers by descending id,
+//! inputs in declaration order, parameter slots by descending node id), and
+//! its adjoint products run on the pooled kernels, whose chunking never
+//! depends on the thread count, so gradients are bit-identical for any
+//! thread count.
 
 use crate::rng::StuqRng;
 use crate::tensor::Tensor;
@@ -43,7 +40,7 @@ pub trait CustomOp: std::fmt::Debug + Send + Sync {
 }
 
 #[derive(Debug)]
-pub(crate) enum OpKind {
+enum OpKind {
     /// A value with no gradient (data, fixed adjacency, …).
     Constant,
     /// A learnable parameter; gradient is reported under this slot id.
@@ -96,15 +93,11 @@ pub(crate) enum OpKind {
     Custom(Box<dyn CustomOp>),
 }
 
-pub(crate) struct Node {
-    pub(crate) value: Tensor,
-    pub(crate) op: OpKind,
-    pub(crate) parents: Vec<NodeId>,
+struct Node {
+    value: Tensor,
+    op: OpKind,
+    parents: Vec<NodeId>,
 }
-
-/// Below this many tape nodes a replay plan's bookkeeping costs more than
-/// it buys; [`Tape::backward`] stays on the serial walk.
-const PAR_BACKWARD_MIN_NODES: usize = 48;
 
 /// Gradients produced by [`Tape::backward`], keyed by parameter slot.
 #[derive(Debug, Default)]
@@ -177,121 +170,15 @@ impl GradStore {
 }
 
 /// A reverse-mode autodiff tape.
+#[derive(Default)]
 pub struct Tape {
-    pub(crate) nodes: Vec<Node>,
-    /// Incremental structural signature (see [`Tape::structural_sig`]).
-    sig: u64,
-}
-
-impl Default for Tape {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// FNV-1a 64-bit offset basis / prime, folding whole `u64` words at a time.
-const SIG_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const SIG_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn sig_fold(sig: &mut u64, word: u64) {
-    *sig = (*sig ^ word).wrapping_mul(SIG_PRIME);
-}
-
-/// Folds the *adjoint-relevant* identity of an op into the signature: the op
-/// discriminant plus every constant the backward pass reads. Data values
-/// (tensor contents, dropout mask draws) are deliberately excluded — two
-/// tapes that differ only in values share a replay plan.
-fn sig_fold_op(sig: &mut u64, op: &OpKind) {
-    match op {
-        OpKind::Constant => sig_fold(sig, 1),
-        OpKind::Param(slot) => {
-            sig_fold(sig, 2);
-            sig_fold(sig, *slot as u64);
-        }
-        OpKind::Add => sig_fold(sig, 3),
-        OpKind::Sub => sig_fold(sig, 4),
-        OpKind::Mul => sig_fold(sig, 5),
-        OpKind::MaxElem => sig_fold(sig, 6),
-        OpKind::Neg => sig_fold(sig, 7),
-        OpKind::Scale(c) => {
-            sig_fold(sig, 8);
-            sig_fold(sig, u64::from(c.to_bits()));
-        }
-        // The offset never enters the adjoint (identity gradient).
-        OpKind::AddScalar(_) => sig_fold(sig, 9),
-        OpKind::Matmul => sig_fold(sig, 10),
-        OpKind::MatmulTB => sig_fold(sig, 11),
-        OpKind::Transpose => sig_fold(sig, 12),
-        OpKind::Sigmoid => sig_fold(sig, 13),
-        OpKind::Tanh => sig_fold(sig, 14),
-        OpKind::Relu => sig_fold(sig, 15),
-        OpKind::LeakyRelu(a) => {
-            sig_fold(sig, 16);
-            sig_fold(sig, u64::from(a.to_bits()));
-        }
-        OpKind::Exp => sig_fold(sig, 17),
-        OpKind::Ln => sig_fold(sig, 18),
-        OpKind::Abs => sig_fold(sig, 19),
-        OpKind::Sqrt => sig_fold(sig, 20),
-        OpKind::Clamp(lo, hi) => {
-            sig_fold(sig, 21);
-            sig_fold(sig, u64::from(lo.to_bits()));
-            sig_fold(sig, u64::from(hi.to_bits()));
-        }
-        OpKind::SoftmaxRows => sig_fold(sig, 22),
-        OpKind::ConcatCols => sig_fold(sig, 23),
-        OpKind::SliceCols(from, to) => {
-            sig_fold(sig, 24);
-            sig_fold(sig, *from as u64);
-            sig_fold(sig, *to as u64);
-        }
-        OpKind::SliceRows(from, to) => {
-            sig_fold(sig, 25);
-            sig_fold(sig, *from as u64);
-            sig_fold(sig, *to as u64);
-        }
-        OpKind::SliceColsStrided { start, stride, count } => {
-            sig_fold(sig, 26);
-            sig_fold(sig, *start as u64);
-            sig_fold(sig, *stride as u64);
-            sig_fold(sig, *count as u64);
-        }
-        OpKind::MeanAll => sig_fold(sig, 27),
-        OpKind::SumAll => sig_fold(sig, 28),
-        OpKind::AddRowBroadcast => sig_fold(sig, 29),
-        OpKind::RowwiseMatmul { c_in, c_out } => {
-            sig_fold(sig, 30);
-            sig_fold(sig, *c_in as u64);
-            sig_fold(sig, *c_out as u64);
-        }
-        // The mask's *values* are data; its shape is folded with the node
-        // shape below. Mask-value differences across batches are exactly
-        // what plan reuse must tolerate.
-        OpKind::Dropout(_) => sig_fold(sig, 31),
-        OpKind::Custom(op) => {
-            sig_fold(sig, 32);
-            for b in op.name().bytes() {
-                sig_fold(sig, u64::from(b));
-            }
-        }
-    }
+    nodes: Vec<Node>,
 }
 
 impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::with_capacity(256), sig: SIG_BASIS }
-    }
-
-    /// Structural signature of the recorded graph: a 64-bit hash over every
-    /// node's op discriminant, adjoint-relevant constants, parent ids and
-    /// value shape — maintained incrementally by `Tape::push`. Two tapes
-    /// with equal signatures (and equal lengths) describe the same backward
-    /// *schedule*, even when their data differ; the replay cache
-    /// (DESIGN.md §14) keys compiled plans on it.
-    pub fn structural_sig(&self) -> u64 {
-        self.sig
+        Self { nodes: Vec::with_capacity(256) }
     }
 
     /// Number of recorded nodes.
@@ -310,15 +197,6 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: OpKind, parents: Vec<NodeId>) -> NodeId {
-        sig_fold_op(&mut self.sig, &op);
-        sig_fold(&mut self.sig, parents.len() as u64);
-        for &p in &parents {
-            sig_fold(&mut self.sig, p as u64);
-        }
-        sig_fold(&mut self.sig, value.shape().len() as u64);
-        for &d in value.shape() {
-            sig_fold(&mut self.sig, d as u64);
-        }
         self.nodes.push(Node { value, op, parents });
         self.nodes.len() - 1
     }
@@ -553,41 +431,15 @@ impl Tape {
         self.push(value, OpKind::Custom(op), parents)
     }
 
-    /// Runs the reverse sweep from the scalar node `loss`.
-    ///
-    /// Two engines (DESIGN.md §14): tapes large enough to amortise
-    /// scheduling go through the thread-local replay cache — a compiled
-    /// [`crate::replay::ReplayPlan`] keyed on [`Tape::structural_sig`], so
-    /// the static schedule is derived once per graph shape and replayed with
-    /// preallocated buffers on every later batch. Everything else falls back
-    /// to the serial walk, [`Tape::backward_serial`]: small tapes, replay
-    /// disabled (`STUQ_REPLAY=0` or [`crate::replay::with_replay_disabled`]),
-    /// a re-entrant backward from inside a `Custom` op, and anything inside
-    /// [`crate::kernels::with_reference_kernels`], so benchmark baselines
-    /// time the genuine seed code path. Replay is bit-identical to the
-    /// serial walk, so the choice never changes a result.
+    /// Runs the reverse sweep from the scalar node `loss`: one
+    /// descending-id pass, accumulating each node's gradient in place as its
+    /// consumers are visited.
     ///
     /// Panics if `loss` is not a `1×1` tensor.
     pub fn backward(&self, loss: NodeId) -> GradStore {
         if stuq_obs::summary_enabled() {
             stuq_obs::metrics().backward_runs.inc();
         }
-        if crate::kernels::reference_mode() || loss + 1 < PAR_BACKWARD_MIN_NODES {
-            return self.backward_serial(loss);
-        }
-        if crate::replay::replay_enabled() {
-            if let Some(store) = crate::replay::cached_backward(self, loss) {
-                return store;
-            }
-        }
-        self.backward_serial(loss)
-    }
-
-    /// The seed's reverse sweep: one descending-id pass, accumulating each
-    /// node's gradient in place as its consumers are visited.
-    ///
-    /// Panics if `loss` is not a `1×1` tensor.
-    pub fn backward_serial(&self, loss: NodeId) -> GradStore {
         assert_eq!(self.nodes[loss].value.len(), 1, "backward() needs a scalar loss node");
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[loss] = Some(Tensor::scalar(1.0));
@@ -618,11 +470,9 @@ impl Tape {
 
     /// Computes `d loss / d input_k` for every input of node `id`, in input
     /// declaration order, given the node's fully-accumulated upstream
-    /// gradient. Pure with respect to the tape — both backward engines
-    /// (serial and replay) call this, which is what keeps them
-    /// numerically interchangeable.
+    /// gradient. Pure with respect to the tape.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn node_adjoints(&self, id: NodeId, grad: &Tensor) -> Vec<Tensor> {
+    fn node_adjoints(&self, id: NodeId, grad: &Tensor) -> Vec<Tensor> {
         let node = &self.nodes[id];
         let p = &node.parents;
         let val = |nid: NodeId| &self.nodes[nid].value;

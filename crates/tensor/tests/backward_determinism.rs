@@ -1,20 +1,16 @@
 //! Property tests for the backward pass's accumulation-order contract
-//! (DESIGN.md §9) and the static-schedule replay engine (DESIGN.md §14).
+//! (DESIGN.md §9).
 //!
-//! The compiled [`ReplayPlan`] must be *bit-identical* to the serial
-//! descending-id walk ([`Tape::backward_serial`]) on any tape and any
-//! thread count — that is
-//! the contract the CI determinism gate enforces by re-running this suite at
-//! `STUQ_THREADS=1,2,4`. The tests here are hand-rolled proptest loops in
-//! the style of the kernel suite: a seeded generator builds randomized DAG
-//! tapes (fan-out, fan-in, shared parameter slots, matmul/matmul_tb grads)
-//! and every gradient is compared bit for bit. The DAG generator draws
-//! *structure* and *values* from separate streams so replay tests can build
-//! two structurally identical tapes with different data — the exact reuse
-//! pattern of batches within a training epoch.
+//! [`Tape::backward`] is one descending-id walk whose adjoint products run
+//! on the pooled kernels. Its gradients must be *bit-identical* to the same
+//! call under [`stuq_parallel::with_serial`], on any tape and any thread
+//! count — the contract the CI determinism gate enforces by re-running this
+//! suite at `STUQ_THREADS=1,2,4`. The tests here are hand-rolled proptest
+//! loops in the style of the kernel suite: a seeded generator builds
+//! randomized DAG tapes (fan-out, fan-in, shared parameter slots,
+//! matmul/matmul_tb grads) and every gradient is compared bit for bit.
 
-use stuq_tensor::replay::{clear_replay_cache, replay_stats, reset_replay_stats};
-use stuq_tensor::{GradStore, ReplayPlan, StuqRng, Tape, Tensor};
+use stuq_tensor::{GradStore, NodeId, StuqRng, Tape, Tensor};
 
 fn randt(rng: &mut StuqRng, shape: &[usize]) -> Tensor {
     let len = shape.iter().product();
@@ -33,6 +29,14 @@ fn assert_bit_identical(a: &GradStore, b: &GradStore, what: &str) {
     }
 }
 
+/// Asserts the pooled backward equals the same call on a serial pool.
+fn assert_pooled_matches_serial(tape: &Tape, loss: NodeId, what: &str) -> GradStore {
+    let pooled = tape.backward(loss);
+    let serial = stuq_parallel::with_serial(|| tape.backward(loss));
+    assert_bit_identical(&pooled, &serial, what);
+    pooled
+}
+
 /// Builds a random DAG tape of same-shaped nodes: a few parameters (with one
 /// slot deliberately registered twice — shared weights), then a mix of unary
 /// and binary ops whose operands are drawn from *all* earlier nodes, which
@@ -40,8 +44,7 @@ fn assert_bit_identical(a: &GradStore, b: &GradStore, what: &str) {
 /// the tape and a scalar loss node.
 ///
 /// Structure (op choices, operand wiring) is drawn from `srng`; tensor
-/// *values* from `vrng`. Replaying the same structure seed with a different
-/// value seed yields a structurally identical tape with different data.
+/// *values* from `vrng`.
 fn random_dag(
     srng: &mut StuqRng,
     vrng: &mut StuqRng,
@@ -84,10 +87,8 @@ fn random_dag(
     (tape, loss)
 }
 
-/// Property: a replay plan's level schedule matches the serial walk
-/// bit-for-bit on randomized elementwise DAGs of many shapes and sizes
-/// (including tapes below the dispatcher's size threshold, where the plan
-/// is compiled directly).
+/// Property: the pooled walk matches the serial pool bit-for-bit on
+/// randomized elementwise DAGs of many shapes and sizes.
 #[test]
 fn random_dags_levels_match_serial_bitwise() {
     let mut rng = StuqRng::new(0x9E7E1);
@@ -97,19 +98,13 @@ fn random_dags_levels_match_serial_bitwise() {
         let c = 1 + rng.uniform_usize(6);
         let n_ops = 4 + rng.uniform_usize(60);
         let (tape, loss) = random_dag(&mut rng, &mut vrng, n_ops, r, c);
-        let serial = tape.backward_serial(loss);
-        let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
-        assert_bit_identical(&serial, &replayed, &format!("case {case}"));
-        // The public entry point must agree with both, whichever engine it
-        // picked for this tape size and pool configuration.
-        let auto = tape.backward(loss);
-        assert_bit_identical(&serial, &auto, &format!("case {case} (auto)"));
+        assert_pooled_matches_serial(&tape, loss, &format!("case {case}"));
     }
 }
 
 /// A handcrafted diamond with heavy fan-out: one shared parameter feeds
 /// three branches that later fan back in, plus the same slot mounted twice.
-/// Exercises the multi-consumer delta assembly order explicitly.
+/// Exercises the multi-consumer accumulation order explicitly.
 #[test]
 fn diamond_fanout_shared_params_bitwise() {
     let mut rng = StuqRng::new(0xD1A);
@@ -122,20 +117,19 @@ fn diamond_fanout_shared_params_bitwise() {
     let b2 = tape.mul(w, u);
     let b3 = tape.sigmoid(w);
     let sq = tape.square(w_again); // same node consumed twice by one op
-                                   // Fan back in.
+
+    // Fan back in.
     let m1 = tape.add(b1, b2);
     let m2 = tape.add(b3, sq);
     let top = tape.mul(m1, m2);
     let loss = tape.sum_all(top);
-    let serial = tape.backward_serial(loss);
-    let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
-    assert_bit_identical(&serial, &replayed, "diamond");
-    assert_eq!(serial.len(), 2, "two parameter slots");
+    let grads = assert_pooled_matches_serial(&tape, loss, "diamond");
+    assert_eq!(grads.len(), 2, "two parameter slots");
 }
 
-/// Property: matmul / matmul_tb adjoints (which themselves run the tiled,
-/// row-parallel kernels) are bit-identical between the two engines, on tapes
-/// large enough that [`Tape::backward`] really picks replay.
+/// Property: matmul / matmul_tb adjoints, which run the tiled,
+/// row-parallel kernels, are bit-identical on the pool and on a serial
+/// pool, at sizes where the kernels fan out.
 #[test]
 fn matmul_grads_match_across_engines_bitwise() {
     let mut rng = StuqRng::new(0x3A7B);
@@ -146,7 +140,7 @@ fn matmul_grads_match_across_engines_bitwise() {
         let b = tape.param(1, randt(&mut rng, &[n, n]));
         let c = tape.param(2, randt(&mut rng, &[n, n]));
         // Two independent matmul branches plus a matmul_tb branch, padded
-        // with elementwise ops so the tape crosses the dispatcher threshold.
+        // with elementwise ops.
         let mut p = tape.matmul(a, b);
         let mut q = tape.matmul_tb(b, c);
         let mut s = tape.tanh(a);
@@ -158,109 +152,13 @@ fn matmul_grads_match_across_engines_bitwise() {
         let pq = tape.add(p, q);
         let top = tape.add(pq, s);
         let loss = tape.mean_all(top);
-        let serial = tape.backward_serial(loss);
-        let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
-        assert_bit_identical(&serial, &replayed, &format!("matmul case {case}"));
-        let auto = tape.backward(loss);
-        assert_bit_identical(&serial, &auto, &format!("matmul case {case} (auto)"));
-        // And the whole thing must be invariant under a forced-serial pool.
-        let forced = stuq_parallel::with_serial(|| tape.backward(loss));
-        assert_bit_identical(&serial, &forced, &format!("matmul case {case} (forced)"));
+        assert_pooled_matches_serial(&tape, loss, &format!("matmul case {case}"));
     }
 }
 
-/// Property: a compiled [`ReplayPlan`] matches the serial walk bit-for-bit
-/// on randomized DAGs — both on the tape it was compiled from and when
-/// *reused* on a structurally identical tape with different values (the
-/// batch-to-batch reuse pattern replay exists for).
-#[test]
-fn replay_matches_serial_bitwise_on_random_dags() {
-    let mut meta = StuqRng::new(0x5E7A1);
-    for case in 0u64..25 {
-        let r = 1 + meta.uniform_usize(6);
-        let c = 1 + meta.uniform_usize(6);
-        let n_ops = 4 + meta.uniform_usize(60);
-        let sseed = meta.next_u64();
-
-        let (tape_a, loss_a) =
-            random_dag(&mut StuqRng::new(sseed), &mut StuqRng::new(0xA + case), n_ops, r, c);
-        let mut plan = ReplayPlan::compile(&tape_a, loss_a);
-        let fresh = plan.run(&tape_a);
-        assert_bit_identical(
-            &tape_a.backward_serial(loss_a),
-            &fresh,
-            &format!("case {case} fresh"),
-        );
-
-        // Same structure stream, different value stream: the plan must both
-        // match and replay bit-identically against the new data.
-        let (tape_b, loss_b) =
-            random_dag(&mut StuqRng::new(sseed), &mut StuqRng::new(0xB00 + case), n_ops, r, c);
-        assert_eq!(
-            tape_a.structural_sig(),
-            tape_b.structural_sig(),
-            "case {case}: same structure must hash equal"
-        );
-        assert!(plan.matches(&tape_b, loss_b), "case {case}: warm plan must match");
-        let warm = plan.run(&tape_b);
-        assert_bit_identical(&tape_b.backward_serial(loss_b), &warm, &format!("case {case} warm"));
-
-        // A second warm run on the same tape (scratch reuse round-trip).
-        let again = plan.run(&tape_b);
-        assert_bit_identical(&warm, &again, &format!("case {case} rerun"));
-
-        // The forced-serial pool is the engine-serial path the bench gate
-        // times; it must not change a bit either.
-        let forced = stuq_parallel::with_serial(|| plan.run(&tape_b));
-        assert_bit_identical(&warm, &forced, &format!("case {case} forced-serial"));
-    }
-}
-
-/// Plan invalidation: a tape with a different shape (the trainer's partial
-/// final batch) hashes to a different signature, is rejected by
-/// [`ReplayPlan::matches`], and forces a fresh compile through the cached
-/// dispatcher rather than a stale replay.
-#[test]
-fn replay_plan_invalidated_on_shape_change() {
-    let seed = 0xBA7C4;
-    let (full, loss_full) = random_dag(&mut StuqRng::new(seed), &mut StuqRng::new(1), 60, 6, 5);
-    let (partial, loss_partial) =
-        random_dag(&mut StuqRng::new(seed), &mut StuqRng::new(2), 60, 3, 5);
-    assert_ne!(
-        full.structural_sig(),
-        partial.structural_sig(),
-        "shape change must change the signature"
-    );
-    let mut plan = ReplayPlan::compile(&full, loss_full);
-    assert!(plan.matches(&full, loss_full));
-    assert!(!plan.matches(&partial, loss_partial), "shape-changed tape must not match");
-    let fresh = plan.run(&full);
-    assert_bit_identical(&full.backward_serial(loss_full), &fresh, "full batch");
-
-    // Through the public dispatcher: two structures → two compiles, then
-    // alternating batches are all cache hits.
-    if stuq_tensor::replay_enabled() {
-        clear_replay_cache();
-        reset_replay_stats();
-        let a = full.backward(loss_full);
-        let b = partial.backward(loss_partial);
-        let a2 = full.backward(loss_full);
-        let b2 = partial.backward(loss_partial);
-        assert_bit_identical(&a, &a2, "full batch replayed");
-        assert_bit_identical(&b, &b2, "partial batch replayed");
-        assert_bit_identical(&full.backward_serial(loss_full), &a, "full vs serial");
-        assert_bit_identical(&partial.backward_serial(loss_partial), &b, "partial vs serial");
-        let (hits, compiles) = replay_stats();
-        assert_eq!(compiles, 2, "one compile per structure");
-        assert_eq!(hits, 2, "later batches hit the cache");
-    }
-}
-
-/// Fused-chain gradients: a tape built almost entirely from single-consumer
-/// unary chains (the GRU gate idiom `1 - z`, stacked activations, dropout)
-/// must actually fuse — and still be bit-identical to the serial walk,
-/// including chains terminating in a `Param` (direct deposit) and in a
-/// multi-consumer node (edge write).
+/// Chains of single-consumer unary ops (the GRU gate idiom `1 - z`,
+/// stacked activations, dropout) ending in a `Param`, in a multi-consumer
+/// node and in a matmul: bit-identical on the pool and on a serial pool.
 #[test]
 fn fused_chain_gradients_match_serial_bitwise() {
     let mut rng = StuqRng::new(0xF05E);
@@ -282,8 +180,7 @@ fn fused_chain_gradients_match_serial_bitwise() {
     let n = tape.neg(d);
     let other = tape.mul(w, x); // second consumer of w
 
-    // Chain ending in a non-fusable single-consumer op (matmul): its
-    // adjoints run inside the fused task (Tail::Op).
+    // Chain ending in a single-consumer matmul.
     let mm = tape.matmul(w, u);
     let act = tape.relu(mm);
     let cl = tape.clamp(act, -2.0, 2.0);
@@ -292,50 +189,9 @@ fn fused_chain_gradients_match_serial_bitwise() {
     let mut acc = tape.add(g1, n);
     acc = tape.add(acc, other);
     acc = tape.add(acc, e);
-    // Pad with an alternating unary stack so the tape crosses the
-    // dispatcher's size threshold.
     for i in 0..40 {
         acc = if i % 2 == 0 { tape.tanh(acc) } else { tape.scale(acc, 1.01) };
     }
     let loss = tape.mean_all(acc);
-
-    let mut plan = ReplayPlan::compile(&tape, loss);
-    assert!(plan.fused_chains() > 0, "this tape must produce fused chains");
-    assert!(plan.fused_nodes() >= 2 * plan.fused_chains(), "chains merge ≥ 2 nodes each");
-    assert!(plan.n_tasks() < tape.len(), "fusion must shrink the schedule");
-    let serial = tape.backward_serial(loss);
-    assert_bit_identical(&serial, &plan.run(&tape), "fused plan");
-    // And through the public dispatcher (replay or serial, must agree).
-    assert_bit_identical(&serial, &tape.backward(loss), "dispatcher");
-}
-
-/// The structural signature ignores values (plan reuse across batches) but
-/// is sensitive to every adjoint-relevant constant.
-#[test]
-fn structural_sig_ignores_values_but_not_constants() {
-    let build = |scale: f32, value: f32| {
-        let mut tape = Tape::new();
-        let p = tape.param(0, Tensor::full(&[4, 4], value));
-        let s = tape.scale(p, scale);
-        let loss = tape.mean_all(s);
-        (tape, loss)
-    };
-    let (a, _) = build(0.5, 1.0);
-    let (b, _) = build(0.5, 2.0);
-    let (c, _) = build(0.75, 1.0);
-    assert_eq!(a.structural_sig(), b.structural_sig(), "values must not affect the sig");
-    assert_ne!(a.structural_sig(), c.structural_sig(), "op constants must affect the sig");
-}
-
-/// Replay on vs. off through the public dispatcher: bit-identical, and the
-/// disable scope restores replay afterwards.
-#[test]
-fn replay_disabled_scope_matches_enabled() {
-    let (tape, loss) = random_dag(&mut StuqRng::new(0xD15), &mut StuqRng::new(3), 70, 5, 5);
-    let on = tape.backward(loss);
-    let off = stuq_tensor::with_replay_disabled(|| {
-        assert!(!stuq_tensor::replay_enabled());
-        tape.backward(loss)
-    });
-    assert_bit_identical(&on, &off, "replay on vs off");
+    assert_pooled_matches_serial(&tape, loss, "unary chains");
 }

@@ -797,6 +797,101 @@ fn serve_loop_rejects_a_hostile_mc_and_keeps_serving() {
     assert_eq!(full.get("degraded"), Some(&Json::Bool(false)), "{out}");
 }
 
+/// One seeded mutation of a corpus line: up to three single-bit flips, a
+/// truncation, or a splice of this line's prefix onto another line's
+/// suffix. Never a newline (each mutated line stays one request line) and
+/// never blank (every request line is answered).
+fn mutate(line: &[u8], corpus: &[Vec<u8>], rng: &mut StuqRng) -> Vec<u8> {
+    let mut out = line.to_vec();
+    match rng.uniform_usize(3) {
+        0 => {
+            for _ in 0..1 + rng.uniform_usize(3) {
+                let i = rng.uniform_usize(out.len());
+                let flipped = out[i] ^ (1 << rng.uniform_usize(8));
+                if flipped != b'\n' {
+                    out[i] = flipped;
+                }
+            }
+        }
+        1 => out.truncate(1 + rng.uniform_usize(out.len() - 1)),
+        _ => {
+            let other = &corpus[rng.uniform_usize(corpus.len())];
+            out.truncate(1 + rng.uniform_usize(out.len() - 1));
+            out.extend_from_slice(&other[rng.uniform_usize(other.len())..]);
+        }
+    }
+    if std::str::from_utf8(&out).is_ok_and(|s| s.trim().is_empty()) {
+        out.push(b'x');
+    }
+    out
+}
+
+/// Runs `lines` through `serve_loop` one line at a time and returns the
+/// responses, which are then in input order.
+fn serve_in_lockstep(f: &Fx, lines: &[Vec<u8>]) -> Vec<String> {
+    let sink = Responses::default();
+    let chunks = lines.iter().map(|l| [l.as_slice(), b"\n"].concat()).collect();
+    let input = Lockstep { chunks, handed_out: 0, responses: sink.clone() };
+    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
+    let summary =
+        serve_loop(&mut srv, std::io::BufReader::with_capacity(1 << 16, input), sink.clone());
+    let out: Vec<String> = sink.text().lines().map(str::to_owned).collect();
+    assert_eq!(summary.responses as usize, out.len());
+    out
+}
+
+#[test]
+fn serve_loop_answers_a_mutated_corpus_and_clean_lines_keep_their_bytes() {
+    // Whole-loop hostile input: a corpus of explicit-seed forecasts and
+    // control lines, each clean line preceded by seeded mutations of the
+    // corpus. Every line gets exactly one typed JSON response, nothing
+    // panics, and every clean forecast after garbage answers with the bytes
+    // it gets in a clean run. Control responses carry server counters that
+    // garbage legitimately moves, so for them only the type is compared.
+    let f = fx();
+    let mut corpus: Vec<String> =
+        (0..6).map(|i| forecast_line(f, &format!("c{i}"), None, Some(4), 60 + i)).collect();
+    corpus.push("{\"type\":\"healthz\",\"id\":\"h\"}".into());
+    corpus.push("{\"type\":\"metrics\",\"id\":\"m\"}".into());
+    let clean_lines: Vec<Vec<u8>> = corpus.iter().map(|l| l.clone().into_bytes()).collect();
+    let clean = serve_in_lockstep(f, &clean_lines);
+    assert_eq!(clean.len(), corpus.len());
+
+    let mut rng = StuqRng::new(0xF022);
+    let (mut lines, mut clean_at) = (Vec::new(), Vec::new());
+    for _round in 0..4 {
+        for (k, line) in clean_lines.iter().enumerate() {
+            for _ in 0..1 + rng.uniform_usize(4) {
+                let victim = &clean_lines[rng.uniform_usize(clean_lines.len())];
+                lines.push(mutate(victim, &clean_lines, &mut rng));
+            }
+            clean_at.push((lines.len(), k));
+            lines.push(line.clone());
+        }
+    }
+    let out = serve_in_lockstep(f, &lines);
+    assert_eq!(out.len(), lines.len(), "one response per request line");
+    let typed = ["forecast", "rejected", "fallback", "error", "health", "ack", "metrics"];
+    let mut forecasts = 0;
+    for (line, resp) in lines.iter().zip(&out) {
+        let t = ty(&parsed(resp));
+        assert!(typed.contains(&t.as_str()), "{resp} answers {:?}", String::from_utf8_lossy(line));
+        forecasts += usize::from(t == "forecast");
+    }
+    // The mutations reach past the parser too: some garbage is still a
+    // valid forecast (a flipped digit, say) and is served.
+    let is_forecast = |k: usize| corpus[k].contains("\"forecast\"");
+    let clean_forecasts = clean_at.iter().filter(|&&(_, k)| is_forecast(k)).count();
+    assert!(forecasts > clean_forecasts, "no mutated line was served as a forecast");
+    for (at, k) in clean_at {
+        if is_forecast(k) {
+            assert_eq!(out[at], clean[k], "clean line {k} at {at} changed bytes");
+        } else {
+            assert_eq!(ty(&parsed(&out[at])), ty(&parsed(&clean[k])), "control line {k} at {at}");
+        }
+    }
+}
+
 #[test]
 fn node_lists_longer_than_the_grid_are_refused_but_duplicates_are_not() {
     // Each listed node renders a row of every response matrix, so a list
