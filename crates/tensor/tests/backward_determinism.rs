@@ -102,6 +102,35 @@ fn random_dags_levels_match_serial_bitwise() {
     }
 }
 
+/// Property: replaying the backward pass batch to batch — the same DAG
+/// structure rebuilt with fresh values, as the trainer does each step — keeps
+/// the pooled walk bit-identical to the serial pool, and a second backward
+/// over the same tape reproduces the first bit for bit.
+#[test]
+fn replay_matches_serial_bitwise_on_random_dags() {
+    let mut meta = StuqRng::new(0x5E7A1);
+    for case in 0u64..25 {
+        let r = 1 + meta.uniform_usize(6);
+        let c = 1 + meta.uniform_usize(6);
+        let n_ops = 4 + meta.uniform_usize(60);
+        let sseed = meta.next_u64();
+
+        let (tape_a, loss_a) =
+            random_dag(&mut StuqRng::new(sseed), &mut StuqRng::new(0xA + case), n_ops, r, c);
+        assert_pooled_matches_serial(&tape_a, loss_a, &format!("case {case} first"));
+
+        // Same structure stream, different value stream.
+        let (tape_b, loss_b) =
+            random_dag(&mut StuqRng::new(sseed), &mut StuqRng::new(0xB00 + case), n_ops, r, c);
+        assert_eq!(tape_a.len(), tape_b.len(), "case {case}: same structure, same length");
+        let warm = assert_pooled_matches_serial(&tape_b, loss_b, &format!("case {case} replay"));
+
+        // A second backward on the same tape must not change a bit.
+        let again = tape_b.backward(loss_b);
+        assert_bit_identical(&warm, &again, &format!("case {case} rerun"));
+    }
+}
+
 /// A handcrafted diamond with heavy fan-out: one shared parameter feeds
 /// three branches that later fan back in, plus the same slot mounted twice.
 /// Exercises the multi-consumer accumulation order explicitly.
