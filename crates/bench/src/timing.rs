@@ -3,9 +3,10 @@
 //! The build environment is offline, so Criterion cannot be fetched; this
 //! module provides the small subset the repo needs: warmup, a time-budgeted
 //! measurement loop over `std::time::Instant`, and best/mean statistics.
-//! "Best of N" is the headline number — it is the least noisy estimator on a
-//! shared machine, and every comparison a bench prints uses the same
-//! statistic on both sides.
+//! "Best of N" is the headline time, and every comparison a bench prints
+//! uses the same statistic on both sides. A gated ratio instead pairs the
+//! variants round by round ([`bench_interleaved`], [`median_ratio`]): one
+//! best-of sample per side lets a single noisy call move the ratio.
 
 use std::time::Instant;
 
@@ -14,8 +15,6 @@ use std::time::Instant;
 pub struct Sample {
     /// Benchmark label.
     pub name: String,
-    /// Measured iterations (after warmup).
-    pub iters: usize,
     /// Mean seconds per iteration.
     pub mean_s: f64,
     /// Best (minimum) seconds per iteration.
@@ -28,6 +27,9 @@ pub struct Sample {
     /// 99th-percentile seconds per iteration (same estimator) — the serving
     /// tail the BENCH artifacts track.
     pub p99_s: f64,
+    /// Every measured iteration's seconds (after warmup), in order. For
+    /// [`bench_interleaved`] entry `r` is round `r`, so variants pair up.
+    pub times_s: Vec<f64>,
 }
 
 impl Sample {
@@ -62,8 +64,35 @@ impl std::fmt::Display for Sample {
             fmt_duration(self.p95_s),
             fmt_duration(self.p99_s),
             fmt_duration(self.mean_s),
-            self.iters
+            self.times_s.len()
         )
+    }
+}
+
+/// Summarises measured iteration times, in order, as a [`Sample`].
+fn summarise(name: &str, times_s: Vec<f64>) -> Sample {
+    // Per-iteration timings feed the same log-bucketed histogram the
+    // telemetry layer uses, giving p50/p95 without sorting.
+    let hist = stuq_obs::Histogram::new();
+    for &dt in &times_s {
+        hist.record(dt);
+    }
+    let best_s = times_s.iter().copied().fold(f64::INFINITY, f64::min);
+    // Sub-resolution iterations (dt == 0) are rejected by the histogram;
+    // fall back to the exact statistics we do have.
+    let (p50_s, p95_s, p99_s) = if hist.count() > 0 {
+        (hist.quantile(0.5), hist.quantile(0.95), hist.quantile(0.99))
+    } else {
+        (best_s, best_s, best_s)
+    };
+    Sample {
+        name: name.to_string(),
+        mean_s: times_s.iter().sum::<f64>() / times_s.len() as f64,
+        best_s,
+        p50_s,
+        p95_s,
+        p99_s,
+        times_s,
     }
 }
 
@@ -77,43 +106,25 @@ pub fn bench_with<R>(
     mut f: impl FnMut() -> R,
 ) -> Sample {
     std::hint::black_box(f());
-    let mut total = 0.0f64;
-    let mut best = f64::INFINITY;
-    let mut iters = 0usize;
-    // Per-iteration timings feed the same log-bucketed histogram the
-    // telemetry layer uses, giving p50/p95 without storing every sample.
-    let hist = stuq_obs::Histogram::new();
-    while (total < min_total_s || iters < 3) && iters < max_iters {
+    let mut times_s = Vec::new();
+    while times_s.len() < 3
+        || (times_s.iter().sum::<f64>() < min_total_s && times_s.len() < max_iters)
+    {
         let t0 = Instant::now();
         std::hint::black_box(f());
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        best = best.min(dt);
-        hist.record(dt);
-        iters += 1;
+        times_s.push(t0.elapsed().as_secs_f64());
     }
-    // Sub-resolution iterations (dt == 0) are rejected by the histogram;
-    // fall back to the exact statistics we do have.
-    let (p50_s, p95_s, p99_s) = if hist.count() > 0 {
-        (hist.quantile(0.5), hist.quantile(0.95), hist.quantile(0.99))
-    } else {
-        (best, best, best)
-    };
-    Sample {
-        name: name.to_string(),
-        iters,
-        mean_s: total / iters as f64,
-        best_s: best,
-        p50_s,
-        p95_s,
-        p99_s,
-    }
+    summarise(name, times_s)
 }
 
 /// [`bench_with`] at the default budget (0.5 s or 1000 iterations).
 pub fn bench<R>(name: &str, f: impl FnMut() -> R) -> Sample {
     bench_with(name, 0.5, 1000, f)
 }
+
+/// Rounds [`bench_interleaved`] always runs: enough pairs for
+/// [`median_ratio`] to drop a round that noise hit on one side only.
+pub const MIN_ROUNDS: usize = 5;
 
 /// Times several variants of one workload in a single interleaved loop:
 /// every round runs each variant once, in order, so slow drift on a shared
@@ -123,8 +134,8 @@ pub fn bench<R>(name: &str, f: impl FnMut() -> R) -> Sample {
 ///
 /// Each variant gets one warmup call, then rounds continue until every
 /// variant has accumulated `min_total_s` of measured time or `max_rounds`
-/// rounds have run (always at least 3). Returns one [`Sample`] per variant,
-/// in input order.
+/// rounds have run — but always at least [`MIN_ROUNDS`], whatever
+/// `max_rounds` says. Returns one [`Sample`] per variant, in input order.
 ///
 /// # Panics
 ///
@@ -140,42 +151,36 @@ pub fn bench_interleaved(
     for f in fs.iter_mut() {
         f();
     }
-    let n = fs.len();
-    let mut total = vec![0.0f64; n];
-    let mut best = vec![f64::INFINITY; n];
-    let hists: Vec<_> = (0..n).map(|_| stuq_obs::Histogram::new()).collect();
-    let mut rounds = 0usize;
-    while (rounds < 3 || total.iter().any(|&t| t < min_total_s)) && rounds < max_rounds {
-        for (i, f) in fs.iter_mut().enumerate() {
+    let mut times: Vec<Vec<f64>> = vec![Vec::new(); fs.len()];
+    let short = |t: &Vec<f64>| t.iter().sum::<f64>() < min_total_s;
+    while times[0].len() < MIN_ROUNDS || (times[0].len() < max_rounds && times.iter().any(short)) {
+        for (f, t) in fs.iter_mut().zip(&mut times) {
             let t0 = Instant::now();
             f();
-            let dt = t0.elapsed().as_secs_f64();
-            total[i] += dt;
-            best[i] = best[i].min(dt);
-            hists[i].record(dt);
+            t.push(t0.elapsed().as_secs_f64());
         }
-        rounds += 1;
     }
-    names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let (p50_s, p95_s, p99_s) = if hists[i].count() > 0 {
-                (hists[i].quantile(0.5), hists[i].quantile(0.95), hists[i].quantile(0.99))
-            } else {
-                (best[i], best[i], best[i])
-            };
-            Sample {
-                name: (*name).to_string(),
-                iters: rounds,
-                mean_s: total[i] / rounds as f64,
-                best_s: best[i],
-                p50_s,
-                p95_s,
-                p99_s,
-            }
-        })
-        .collect()
+    names.iter().zip(times).map(|(name, t)| summarise(name, t)).collect()
+}
+
+/// The median over paired iterations of `num.times_s[r] / den.times_s[r]`:
+/// for two [`bench_interleaved`] samples, the per-round ratio. Each round
+/// shares its drift between both sides, and the median drops the rounds
+/// that a burst of noise hit on one side only.
+///
+/// # Panics
+///
+/// Panics if either sample has no iterations.
+pub fn median_ratio(num: &Sample, den: &Sample) -> f64 {
+    let mut r: Vec<f64> = num.times_s.iter().zip(&den.times_s).map(|(a, b)| a / b).collect();
+    assert!(!r.is_empty(), "median_ratio needs measured iterations");
+    r.sort_by(f64::total_cmp);
+    let m = r.len() / 2;
+    if r.len() % 2 == 1 {
+        r[m]
+    } else {
+        (r[m - 1] + r[m]) / 2.0
+    }
 }
 
 #[cfg(test)]
@@ -186,9 +191,9 @@ mod tests {
     fn bench_runs_at_least_three_iters_and_orders_stats() {
         let mut n = 0u64;
         let s = bench_with("noop", 0.0, 10, || n += 1);
-        assert!(s.iters >= 3);
+        assert!(s.times_s.len() >= 3);
         assert!(s.best_s <= s.mean_s);
-        assert!(n as usize >= s.iters, "warmup plus measured calls");
+        assert!(n as usize > s.times_s.len(), "warmup plus measured calls");
     }
 
     #[test]
@@ -209,12 +214,22 @@ mod tests {
         let (mut a, mut b) = (0u64, 0u64);
         let mut fa = || a += 1;
         let mut fb = || b += 1;
-        let samples = bench_interleaved(&["a", "b"], 0.0, 7, &mut [&mut fa, &mut fb]);
+        let samples = bench_interleaved(&["a", "b"], 0.0, 1, &mut [&mut fa, &mut fb]);
         assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].iters, samples[1].iters);
-        assert!(samples[0].iters >= 3);
+        assert_eq!(samples[0].times_s.len(), samples[1].times_s.len());
+        assert_eq!(samples[0].times_s.len(), MIN_ROUNDS, "the minimum holds below max_rounds");
         assert_eq!(a, b, "variants advance in lockstep");
         assert!(samples.iter().all(|s| s.best_s <= s.mean_s));
+    }
+
+    #[test]
+    fn median_ratio_pairs_rounds_and_ignores_one_outlier() {
+        let num = summarise("num", vec![2.0, 4.0, 90.0, 6.0, 2.0]);
+        let den = summarise("den", vec![1.0, 2.0, 1.0, 4.0, 1.0]);
+        // Per-round ratios 2, 2, 90, 1.5, 2: the outlier round drops out.
+        assert_eq!(median_ratio(&num, &den), 2.0);
+        let even = summarise("even", vec![1.0, 3.0]);
+        assert_eq!(median_ratio(&even, &summarise("ones", vec![1.0, 1.0])), 2.0);
     }
 
     #[test]

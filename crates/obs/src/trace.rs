@@ -14,7 +14,7 @@
 //! instrumented code branches on. Span durations come from
 //! `std::time::Instant` — wall time, never `Clock` — so enabling tracing
 //! cannot move a clock read and cannot change a response byte beyond the
-//! appended trace annotation.
+//! trace ids added to the response's `meta` object.
 //!
 //! Span events are emitted only at [`crate::Level::Trace`]; callers gate on
 //! [`crate::trace_enabled`]. A `span_start` always carries `parent` (a root

@@ -654,7 +654,7 @@ impl Server {
     /// timings attached for the tracer. `timing` is telemetry-only by
     /// contract — nothing in the forecast pipeline branches on it — so a
     /// traced run answers byte-identically to an untraced one modulo the
-    /// [`proto::strip_trace_meta`] annotation.
+    /// [`proto::strip_meta`] annotation.
     pub(crate) fn handle_forecast_batch_timed(
         &mut self,
         reqs: &[ForecastReq],

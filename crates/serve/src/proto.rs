@@ -32,17 +32,27 @@
 //! * every `forecast` response carries `"model"`: the checksum of the
 //!   artifact that produced it.
 //!
+//! ## Annotations: one trailing `"meta"` object
+//!
+//! Fields that say only *how* an answer was produced live in one object,
+//! always the last member of the line, keys in the fixed order `batched`,
+//! `batch_size`, `cache_hit` (forecasts only), then `trace`, `span` (when
+//! traced): `…,"upper":[…],"meta":{"batched":false,…}}`. Untraced
+//! fallback, rejected and error lines have none. Every byte-identity
+//! contract (batched, cached, cluster, traced) is stated modulo this
+//! object, which [`strip_meta`] removes. JSON escaping puts a `\` before
+//! every `"` in a string, so no string can hold the `,"meta":{` it cuts at.
+//!
 //! ## Trace context (DESIGN.md §15)
 //!
 //! When tracing is on, forecast requests and `passes` RPCs may carry two
 //! optional string fields, `"trace"` and `"span"` — each a 16-hex-digit id
 //! ([`stuq_obs::trace::fmt_id`]). On a `passes` RPC `trace` is the
 //! request's trace id and `span` the router's per-range shard span, which
-//! becomes the parent of the worker's own spans. Forecast/fallback responses from a
-//! tracing server are annotated with the same two fields so a client can
-//! join its response to the reconstructed timeline; [`strip_trace_meta`]
-//! removes that fixed-width block, and traced vs untraced responses are
-//! byte-identical through it.
+//! becomes the parent of the worker's own spans. Responses from a tracing
+//! server carry the same two ids in their `meta` object
+//! ([`push_trace_meta`]) so a client can join its response to the
+//! reconstructed timeline.
 //!
 //! Telemetry scrape requests: `{"type":"metrics"}` asks a worker for its
 //! raw counters (answered `{"type":"metrics","counters":{…}}`);
@@ -445,9 +455,8 @@ fn push_intervals(out: &mut String, iv: &Intervals<'_>) {
 
 /// Batching/caching accounting on a forecast response. These three fields
 /// are *annotations*: they describe how the answer was produced, never what
-/// it is. Byte-identity guarantees between the batched and unbatched serve
-/// paths are therefore stated modulo this block — [`strip_batch_meta`]
-/// removes it for such comparisons (DESIGN.md §12).
+/// it is, so they render into the trailing `"meta"` object that
+/// [`strip_meta`] removes (DESIGN.md §12).
 #[derive(Clone, Copy, Debug)]
 pub struct ForecastMeta {
     /// True when the request was co-processed with at least one other.
@@ -497,80 +506,51 @@ pub fn resp_forecast(
 ) -> String {
     let mut out = String::with_capacity(256);
     push_forecast_head(&mut out, id, samples_used, samples_requested, model);
+    push_intervals(&mut out, iv);
     out.push_str(&format!(
-        ",\"batched\":{},\"batch_size\":{},\"cache_hit\":{}",
+        "{META_OPEN}\"batched\":{},\"batch_size\":{},\"cache_hit\":{}}}}}",
         meta.batched, meta.batch_size, meta.cache_hit
     ));
-    push_intervals(&mut out, iv);
-    out.push('}');
     out
 }
 
-/// Removes the contiguous `"batched"/"batch_size"/"cache_hit"` annotation
-/// block from a response line, leaving the semantic payload. Tests and the
-/// bench binary compare batched-vs-unbatched streams through this — the
-/// annotations exist precisely to tell the execution paths apart, so they
-/// are excluded from the byte-identity contract. Non-forecast lines pass
-/// through unchanged.
-pub fn strip_batch_meta(line: &str) -> String {
-    let Some(start) = line.find(",\"batched\":") else {
-        return line.to_string();
-    };
-    let tail = &line[start..];
-    // The block ends after the "cache_hit" boolean.
-    let Some(ch) = tail.find(",\"cache_hit\":") else {
-        return line.to_string();
-    };
-    let after_key = &tail[ch + ",\"cache_hit\":".len()..];
-    let bool_len = if after_key.starts_with("true") {
-        4
-    } else if after_key.starts_with("false") {
-        5
-    } else {
-        return line.to_string();
-    };
-    let end = start + ch + ",\"cache_hit\":".len() + bool_len;
-    format!("{}{}", &line[..start], &line[end..])
-}
+/// Opens the annotation object, the last member of an annotated line.
+const META_OPEN: &str = ",\"meta\":{";
 
-/// Appends the trace annotation to a rendered response line (before its
-/// closing brace): `,"trace":"<16hex>","span":"<16hex>"`. Like the batching
-/// annotations this describes how the answer was traced, never what it is —
-/// [`strip_trace_meta`] removes it for byte-identity comparisons.
+/// Appends `"trace":"<16hex>","span":"<16hex>"` as the last members of a
+/// rendered line's `meta` object, opening one when the line has none.
 pub fn push_trace_meta(line: &mut String, trace: u64, span: u64) {
     debug_assert!(line.ends_with('}'), "trace meta goes on a rendered object");
     line.pop();
+    if line.rfind(META_OPEN).is_some() {
+        line.pop();
+        line.push(',');
+    } else {
+        line.push_str(META_OPEN);
+    }
     line.push_str(&format!(
-        ",\"trace\":\"{}\",\"span\":\"{}\"}}",
+        "\"trace\":\"{}\",\"span\":\"{}\"}}}}",
         stuq_obs::trace::fmt_id(trace),
         stuq_obs::trace::fmt_id(span)
     ));
 }
 
-/// Width of the [`push_trace_meta`] block: `,"trace":"` + 16 hex + `"` (27)
-/// plus `,"span":"` + 16 hex + `"` (26).
-const TRACE_META_LEN: usize = 53;
-
-/// Removes the fixed-width trace annotation appended by [`push_trace_meta`],
-/// leaving the semantic payload. Traced-on vs traced-off responses are
-/// byte-identical through this (the tracing determinism contract,
-/// DESIGN.md §15). Untraced lines pass through unchanged.
-pub fn strip_trace_meta(line: &str) -> String {
-    let Some(start) = line.find(",\"trace\":\"") else {
-        return line.to_string();
-    };
-    if line.len() < start + TRACE_META_LEN {
-        return line.to_string();
+/// Removes the trailing `meta` object — everything from the last
+/// `,"meta":{` on — and closes the line again, leaving what the answer
+/// *is*. Every byte-identity comparison goes through this. A line with no
+/// `meta` object comes back unchanged.
+pub fn strip_meta(line: &str) -> String {
+    match line.rfind(META_OPEN) {
+        Some(at) => format!("{}}}", &line[..at]),
+        None => line.to_string(),
     }
-    format!("{}{}", &line[..start], &line[start + TRACE_META_LEN..])
 }
 
-/// The cluster-vs-solo comparison: a router renders its forecasts with the
-/// solo pipeline, so the only annotations that can differ are the batching
-/// ones (a router may coalesce when the solo server does not). Lines
-/// without them pass through unchanged.
+/// [`strip_meta`] under its old cluster-vs-solo name, kept only because
+/// the benchmark (`perfbench/`) still calls it; it goes when the benchmark
+/// moves to [`strip_meta`].
 pub fn strip_cluster_meta(line: &str) -> String {
-    strip_batch_meta(line)
+    strip_meta(line)
 }
 
 /// Renders a `passes` request (DESIGN.md §13): run passes `lo..hi` of an
@@ -966,21 +946,57 @@ mod tests {
         }
     }
 
+    /// The one annotation rule: `batched`, `batch_size`, `cache_hit`,
+    /// `trace` and `span` appear only inside a last-member `meta` object,
+    /// in that order, and [`strip_meta`] removes exactly that object from
+    /// every response kind, whatever the client put in its id.
     #[test]
-    fn strip_batch_meta_removes_only_the_annotation_block() {
-        let id = Some("q".to_string());
+    fn annotations_live_only_in_one_trailing_meta_object() {
+        const ANNOTATIONS: [&str; 5] = ["batched", "batch_size", "cache_hit", "trace", "span"];
         let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
-        let solo = resp_forecast(&id, 8, 8, "ck0", &ForecastMeta::solo(), &iv);
-        let meta = ForecastMeta { batched: true, batch_size: 5, cache_hit: false };
-        let co = resp_forecast(&id, 8, 8, "ck0", &meta, &iv);
-        assert_ne!(solo, co, "annotations must distinguish the paths");
-        assert_eq!(strip_batch_meta(&solo), strip_batch_meta(&co));
-        assert!(!strip_batch_meta(&co).contains("batch_size"));
-        assert!(json::parse(&strip_batch_meta(&co)).is_ok());
-        // Non-forecast lines pass through untouched.
-        let rej = resp_rejected(&id, "queue_full");
-        assert_eq!(strip_batch_meta(&rej), rej);
+        let hit = ForecastMeta { batched: true, batch_size: 3, cache_hit: true };
+        let ids = [None, Some(",\"meta\":{"), Some("}"), Some("\"trace\":\""), Some("a\\\"}")];
+        for id in ids.map(|s| s.map(str::to_owned)) {
+            let solo = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
+            // (line, number of batching keys in its meta object)
+            let table = [
+                (resp_forecast(&id, 8, 8, "ck", &hit, &iv), 3),
+                (solo.clone(), 3),
+                (resp_fallback(&id, "breaker_open", &iv), 0),
+                (resp_rejected(&id, "queue_full"), 0),
+                (resp_error(&id, "bad_request", "}"), 0),
+                (resp_ack(&id, "drain", &[]), 0),
+                (resp_metrics(&id, &[("meta", 1)]), 0),
+            ];
+            for (plain, batching) in table {
+                // Every forecast strips to the solo payload; a line with no
+                // meta object comes back unchanged.
+                let payload = if batching == 0 { plain.clone() } else { strip_meta(&solo) };
+                let mut traced = plain.clone();
+                push_trace_meta(&mut traced, 0xdead_beef, 1);
+                assert!(traced
+                    .ends_with("\"trace\":\"00000000deadbeef\",\"span\":\"0000000000000001\"}}"));
+                for (line, keys) in [(&plain, batching), (&traced, batching + 2)] {
+                    assert_eq!(strip_meta(line), payload, "{line}");
+                    let Ok(Json::Obj(mut members)) = json::parse(line) else {
+                        panic!("not a JSON object: {line}")
+                    };
+                    let meta = match members.pop() {
+                        Some((k, Json::Obj(meta))) if k == "meta" => meta,
+                        other => {
+                            members.extend(other);
+                            Vec::new()
+                        }
+                    };
+                    assert!(!members.iter().any(|(k, _)| ANNOTATIONS.contains(&k.as_str())));
+                    assert_eq!(json::parse(&payload), Ok(Json::Obj(members)), "{line}");
+                    let names: Vec<&str> = meta.iter().map(|(k, _)| k.as_str()).collect();
+                    let order = &ANNOTATIONS[if batching == 0 { 3 } else { 0 }..];
+                    assert_eq!(names, order[..keys], "fixed key order: {line}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1190,21 +1206,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_meta_strips_down_to_the_solo_payload() {
-        let id = Some("c".to_string());
-        let m = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[2, 2]);
-        let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
-        let solo = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
-        // A coalescing router annotates its batch; nothing else differs.
-        let meta = ForecastMeta { batched: true, batch_size: 3, cache_hit: true };
-        let routed = resp_forecast(&id, 8, 8, "ck", &meta, &iv);
-        assert_ne!(solo, routed);
-        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&routed));
-        let rej = resp_rejected(&id, "worker_down");
-        assert_eq!(strip_cluster_meta(&rej), rej);
-    }
-
-    #[test]
     fn worker_responses_roundtrip_bit_exactly() {
         let id = None;
         // Awkward floats: shortest-roundtrip f32 rendering parsed back as
@@ -1284,27 +1285,6 @@ mod tests {
         assert!(e.detail.contains("16-hex"), "{}", e.detail);
         let e = parse_request(r#"{"type":"forecast","x":[[1]],"span":12}"#).unwrap_err();
         assert!(e.detail.contains("\"span\""), "{}", e.detail);
-    }
-
-    #[test]
-    fn trace_meta_is_fixed_width_and_strips_exactly() {
-        let id = Some("t".to_string());
-        let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
-        let plain = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
-        let mut traced = plain.clone();
-        push_trace_meta(&mut traced, 0xdead_beef, 1);
-        assert_eq!(traced.len(), plain.len() + TRACE_META_LEN);
-        assert!(traced.contains(",\"trace\":\"00000000deadbeef\",\"span\":\"0000000000000001\""));
-        assert!(json::parse(&traced).is_ok());
-        assert_eq!(strip_trace_meta(&traced), plain);
-        // Untraced lines pass through untouched, and stripping composes with
-        // the other annotation strippers.
-        assert_eq!(strip_trace_meta(&plain), plain);
-        let meta = ForecastMeta { batched: true, batch_size: 2, cache_hit: false };
-        let mut routed = resp_forecast(&id, 8, 8, "ck", &meta, &iv);
-        push_trace_meta(&mut routed, 7, 9);
-        assert_eq!(strip_cluster_meta(&strip_trace_meta(&routed)), strip_cluster_meta(&plain));
     }
 
     #[test]

@@ -452,7 +452,7 @@ fn golden_manifest_and_wire_lines_are_pinned() {
     );
     assert_eq!(
         forecast,
-        "{\"type\":\"forecast\",\"id\":\"q\\\"b\\\\s\\u0001c\\u001fé\",\"degraded\":true,\"samples_used\":7,\"samples_requested\":8,\"variance_inflation\":1.1428572,\"model\":\"00000000deadbeef\",\"batched\":false,\"batch_size\":1,\"cache_hit\":false,\"mu\":[[1.5,\"NaN\"],[-0,0.000000000000000000000000000000000000003]],\"sigma\":[[0.25,\"inf\"],[10000000,2]],\"lower\":[[-1,\"-inf\"],[0.1,7]],\"upper\":[[340282350000000000000000000000000000000,0.000000000000000000000000000000000000011754944],[1,9.5]]}"
+        "{\"type\":\"forecast\",\"id\":\"q\\\"b\\\\s\\u0001c\\u001fé\",\"degraded\":true,\"samples_used\":7,\"samples_requested\":8,\"variance_inflation\":1.1428572,\"model\":\"00000000deadbeef\",\"mu\":[[1.5,\"NaN\"],[-0,0.000000000000000000000000000000000000003]],\"sigma\":[[0.25,\"inf\"],[10000000,2]],\"lower\":[[-1,\"-inf\"],[0.1,7]],\"upper\":[[340282350000000000000000000000000000000,0.000000000000000000000000000000000000011754944],[1,9.5]],\"meta\":{\"batched\":false,\"batch_size\":1,\"cache_hit\":false}}"
     );
     let passes = stuq_serve::proto::resp_passes(
         "m\"\\\n\u{7}",

@@ -3,11 +3,12 @@
 //!
 //! The contract under test, stated once: for uncut budgets, a request's
 //! response bytes are the same whether it was answered solo, co-batched, or
-//! from the cache (modulo the `batched`/`batch_size`/`cache_hit` annotation,
-//! which [`stuq_serve::proto::strip_batch_meta`] removes); batch composition
-//! under the fake clock is a pure function of arrival order; co-batched
-//! duplicates share one MC run (samples counted once); and the cache never
-//! survives a model swap or a breaker-open transition.
+//! from the cache (modulo the `batched`/`batch_size`/`cache_hit` annotation
+//! in the trailing `meta` object, which [`stuq_serve::proto::strip_meta`]
+//! removes); batch composition under the fake clock is a pure function of
+//! arrival order; co-batched duplicates share one MC run (samples counted
+//! once); and the cache never survives a model swap or a breaker-open
+//! transition.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -16,7 +17,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_artifact::json::{self, Json};
 use stuq_models::Forecaster;
-use stuq_serve::proto::{self, strip_batch_meta, ForecastReq, Request};
+use stuq_serve::proto::{self, strip_meta, ForecastReq, Request};
 use stuq_serve::{serve_loop, ServeConfig, Server};
 use stuq_traffic::{Preset, Split};
 
@@ -211,8 +212,8 @@ fn batched_matches_unbatched_bitwise_for_uncut_budgets() {
         assert!(b.contains("\"batched\":true,\"batch_size\":6"), "member {i}: {b}");
         assert!(s.contains("\"batched\":false,\"batch_size\":1"), "member {i}: {s}");
         assert_eq!(
-            strip_batch_meta(b),
-            strip_batch_meta(s),
+            strip_meta(b),
+            strip_meta(s),
             "member {i} must be bit-identical batched vs unbatched"
         );
     }
@@ -304,8 +305,9 @@ fn co_batched_duplicates_share_one_mc_run_and_its_sample_count() {
     let forecasts: Vec<Json> = out.lines().map(parsed).filter(|v| ty(v) == "forecast").collect();
     assert_eq!(forecasts.len(), 4, "{out}");
     for v in &forecasts {
-        assert!(matches!(v.get("batched"), Some(Json::Bool(true))), "{out}");
-        assert_eq!(v.get("batch_size").and_then(Json::as_u64), Some(4), "{out}");
+        let meta = v.get("meta").expect("forecasts carry a meta object");
+        assert!(matches!(meta.get("batched"), Some(Json::Bool(true))), "{out}");
+        assert_eq!(meta.get("batch_size").and_then(Json::as_u64), Some(4), "{out}");
     }
     let mu0 = matrix(&forecasts[0], "mu");
     for v in &forecasts[1..] {
@@ -319,8 +321,8 @@ fn co_batched_duplicates_share_one_mc_run_and_its_sample_count() {
     cfg1.max_queue = 100;
     let (summary1, out1) = run_loop(f, cfg1, &input);
     assert_eq!(summary1.samples_used, 16, "unbatched duplicates each run alone:\n{out1}");
-    let solo: Vec<String> = out1.lines().map(strip_batch_meta).collect();
-    let batched: Vec<String> = out.lines().map(strip_batch_meta).collect();
+    let solo: Vec<String> = out1.lines().map(strip_meta).collect();
+    let batched: Vec<String> = out.lines().map(strip_meta).collect();
     assert_eq!(solo, batched, "batched and unbatched streams must agree modulo annotation");
 }
 
@@ -365,8 +367,8 @@ fn cache_hit_is_bit_identical_and_reports_the_hit() {
     // Identity modulo the annotation *and* the id the clients chose.
     let strip_id = |s: &str, id: &str| s.replace(&format!("\"id\":\"{id}\","), "");
     assert_eq!(
-        strip_id(&strip_batch_meta(&miss), "m"),
-        strip_id(&strip_batch_meta(&hit), "h"),
+        strip_id(&strip_meta(&miss), "m"),
+        strip_id(&strip_meta(&hit), "h"),
         "a hit must reproduce the computed response bit-for-bit"
     );
 
@@ -375,7 +377,10 @@ fn cache_hit_is_bit_identical_and_reports_the_hit() {
     let sub =
         Req { tick: Some(1), nodes: Some(vec![1]), horizon: Some(1), id: "s".into(), ..t1.clone() };
     let sub_resp = parsed(&srv.handle_forecast_batch(&[sub.parse(f)]).pop().unwrap());
-    assert!(matches!(sub_resp.get("cache_hit"), Some(Json::Bool(true))));
+    assert!(matches!(
+        sub_resp.get("meta").and_then(|m| m.get("cache_hit")),
+        Some(Json::Bool(true))
+    ));
     let full_mu = matrix(&parsed(&miss), "mu");
     let sub_mu = matrix(&sub_resp, "mu");
     assert_eq!(sub_mu, vec![vec![full_mu[1][0]]]);
@@ -401,7 +406,7 @@ fn cache_hit_is_bit_identical_and_reports_the_hit() {
         |out: &[String]| out.iter().filter(|r| r.contains("\"cache_hit\":true")).count();
     assert_eq!((count_hits(&primed), count_hits(&hits)), (0, 8));
     for (h, p) in hits.iter().zip(&primed) {
-        assert_eq!(strip_batch_meta(h), strip_batch_meta(p));
+        assert_eq!(strip_meta(h), strip_meta(p));
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_artifact::json::{self, Json};
-use stuq_serve::proto::strip_cluster_meta;
+use stuq_serve::proto::strip_meta;
 use stuq_serve::router::{
     router_loop, InProcWorker, Router, RouterConfig, ShardWorker, SupEvent, WorkerState,
 };
@@ -300,8 +300,8 @@ fn merged_responses_match_a_solo_server_byte_for_byte() {
                     assert_eq!(ty(&v), "forecast", "{tag}: {merged}");
                     assert_eq!(uint(&v, "samples_used"), mc as u64, "{tag}: {merged}");
                     assert_eq!(
-                        strip_cluster_meta(&merged),
-                        strip_cluster_meta(&want),
+                        strip_meta(&merged),
+                        strip_meta(&want),
                         "{tag}: router diverged from the solo server"
                     );
                 }
@@ -338,7 +338,7 @@ fn merged_responses_match_a_solo_server_byte_for_byte() {
     assert!(routed.contains("\"cache_hit\":true"), "{routed}");
     assert_eq!(routed.lines().count(), 9);
     for (a, b) in routed.lines().zip(solo.lines()) {
-        assert_eq!(strip_cluster_meta(a), strip_cluster_meta(b), "batched router diverged");
+        assert_eq!(strip_meta(a), strip_meta(b), "batched router diverged");
     }
 }
 
@@ -889,8 +889,8 @@ fn replica_failover_keeps_full_fidelity_and_replays_byte_identically() {
         let v = parsed(merged);
         assert_eq!(ty(&v), "forecast", "{merged}");
         assert_eq!(
-            strip_cluster_meta(merged),
-            strip_cluster_meta(solo_resp),
+            strip_meta(merged),
+            strip_meta(solo_resp),
             "one dead replica must never change the response"
         );
     }
@@ -995,8 +995,8 @@ fn faultnet_injection_counts_match_the_scripted_plan_exactly() {
         let before = counter("stuq_cluster_failover_total");
         let resp = router.handle_line(&line).response;
         assert_eq!(
-            strip_cluster_meta(&resp),
-            strip_cluster_meta(&solo.handle_line(&line).response),
+            strip_meta(&resp),
+            strip_meta(&solo.handle_line(&line).response),
             "an injected drop must fail over, not degrade"
         );
         assert_eq!(

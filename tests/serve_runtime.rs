@@ -12,9 +12,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_artifact::json::{self, Json};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
-use stuq_serve::proto::MAX_MC_SAMPLES;
+use stuq_serve::proto::{self, strip_meta, MAX_MC_SAMPLES};
+use stuq_serve::router::{router_loop, InProcWorker, Router, RouterConfig, ShardWorker};
 use stuq_serve::{reload, serve_loop, ServeConfig, Server};
-use stuq_tensor::StuqRng;
+use stuq_tensor::{StuqRng, Tensor};
 use stuq_traffic::{Preset, Split};
 
 struct Fx {
@@ -826,15 +827,26 @@ fn mutate(line: &[u8], corpus: &[Vec<u8>], rng: &mut StuqRng) -> Vec<u8> {
     out
 }
 
-/// Runs `lines` through `serve_loop` one line at a time and returns the
-/// responses, which are then in input order.
-fn serve_in_lockstep(f: &Fx, lines: &[Vec<u8>]) -> Vec<String> {
+/// Runs `lines` through the serve loop one line at a time and returns the
+/// responses, which are then in input order. With `shards == 0` that is
+/// `serve_loop` on a solo server; otherwise `router_loop` on a router over
+/// `shards` in-process workers, every process configured like the solo one.
+fn serve_in_lockstep(f: &Fx, shards: usize, lines: &[Vec<u8>]) -> Vec<String> {
     let sink = Responses::default();
     let chunks = lines.iter().map(|l| [l.as_slice(), b"\n"].concat()).collect();
     let input = Lockstep { chunks, handed_out: 0, responses: sink.clone() };
-    let mut srv = Server::new(cfg_for(&f.model, f)).unwrap();
-    let summary =
-        serve_loop(&mut srv, std::io::BufReader::with_capacity(1 << 16, input), sink.clone());
+    let reader = std::io::BufReader::with_capacity(1 << 16, input);
+    let server = || Server::new(cfg_for(&f.model, f)).unwrap();
+    let summary = if shards == 0 {
+        serve_loop(&mut server(), reader, sink.clone())
+    } else {
+        let mut rcfg = RouterConfig::new(cfg_for(&f.model, f));
+        rcfg.shards = shards;
+        let workers = (0..shards)
+            .map(|_| Box::new(InProcWorker::new(server())) as Box<dyn ShardWorker>)
+            .collect();
+        router_loop(&mut Router::new(rcfg, workers).unwrap(), reader, sink.clone())
+    };
     let out: Vec<String> = sink.text().lines().map(str::to_owned).collect();
     assert_eq!(summary.responses as usize, out.len());
     out
@@ -842,20 +854,26 @@ fn serve_in_lockstep(f: &Fx, lines: &[Vec<u8>]) -> Vec<String> {
 
 #[test]
 fn serve_loop_answers_a_mutated_corpus_and_clean_lines_keep_their_bytes() {
-    // Whole-loop hostile input: a corpus of explicit-seed forecasts and
-    // control lines, each clean line preceded by seeded mutations of the
-    // corpus. Every line gets exactly one typed JSON response, nothing
-    // panics, and every clean forecast after garbage answers with the bytes
-    // it gets in a clean run. Control responses carry server counters that
-    // garbage legitimately moves, so for them only the type is compared.
+    // Whole-loop hostile input, on a solo server and on a 2-shard router: a
+    // corpus of explicit-seed forecasts, control lines and one
+    // cluster-internal `passes` RPC, each clean line preceded by seeded
+    // mutations of the corpus. On both targets every line gets exactly one
+    // typed JSON response, nothing panics, and every clean forecast or
+    // `passes` line after garbage answers with the bytes it gets in a clean
+    // run. Control responses carry counters that garbage legitimately
+    // moves, so for them only the type is compared. The router refuses the
+    // `passes` RPC with a typed error, and its clean forecasts equal the
+    // solo server's modulo the `meta` object.
     let f = fx();
     let mut corpus: Vec<String> =
         (0..6).map(|i| forecast_line(f, &format!("c{i}"), None, Some(4), 60 + i)).collect();
     corpus.push("{\"type\":\"healthz\",\"id\":\"h\"}".into());
     corpus.push("{\"type\":\"metrics\",\"id\":\"m\"}".into());
+    let window = Tensor::from_vec(f.x_rows.concat(), &[f.x_rows.len(), f.n_nodes]);
+    let rng_words = [0x9e37_79b9_7f4a_7c15, 1, 2, 3];
+    corpus.push(proto::render_passes_req(&window, 4, 1..3, &rng_words, None));
+    let passes_at = corpus.len() - 1;
     let clean_lines: Vec<Vec<u8>> = corpus.iter().map(|l| l.clone().into_bytes()).collect();
-    let clean = serve_in_lockstep(f, &clean_lines);
-    assert_eq!(clean.len(), corpus.len());
 
     let mut rng = StuqRng::new(0xF022);
     let (mut lines, mut clean_at) = (Vec::new(), Vec::new());
@@ -869,26 +887,45 @@ fn serve_loop_answers_a_mutated_corpus_and_clean_lines_keep_their_bytes() {
             lines.push(line.clone());
         }
     }
-    let out = serve_in_lockstep(f, &lines);
-    assert_eq!(out.len(), lines.len(), "one response per request line");
-    let typed = ["forecast", "rejected", "fallback", "error", "health", "ack", "metrics"];
-    let mut forecasts = 0;
-    for (line, resp) in lines.iter().zip(&out) {
-        let t = ty(&parsed(resp));
-        assert!(typed.contains(&t.as_str()), "{resp} answers {:?}", String::from_utf8_lossy(line));
-        forecasts += usize::from(t == "forecast");
-    }
     // The mutations reach past the parser too: some garbage is still a
     // valid forecast (a flipped digit, say) and is served.
     let is_forecast = |k: usize| corpus[k].contains("\"forecast\"");
     let clean_forecasts = clean_at.iter().filter(|&&(_, k)| is_forecast(k)).count();
-    assert!(forecasts > clean_forecasts, "no mutated line was served as a forecast");
-    for (at, k) in clean_at {
-        if is_forecast(k) {
-            assert_eq!(out[at], clean[k], "clean line {k} at {at} changed bytes");
-        } else {
-            assert_eq!(ty(&parsed(&out[at])), ty(&parsed(&clean[k])), "control line {k} at {at}");
+    let mut clean_runs = Vec::new();
+    for shards in [0, 2] {
+        let clean = serve_in_lockstep(f, shards, &clean_lines);
+        assert_eq!(clean.len(), corpus.len());
+        let out = serve_in_lockstep(f, shards, &lines);
+        assert_eq!(out.len(), lines.len(), "{shards} shards: one response per request line");
+        // Only a worker answers a `passes` RPC.
+        let typed = ["forecast", "rejected", "fallback", "error", "health", "ack", "metrics"];
+        let mut forecasts = 0;
+        for (line, resp) in lines.iter().zip(&out) {
+            let t = ty(&parsed(resp));
+            assert!(
+                typed.contains(&t.as_str()) || (shards == 0 && t == "passes"),
+                "{shards} shards: {resp} answers {:?}",
+                String::from_utf8_lossy(line)
+            );
+            forecasts += usize::from(t == "forecast");
         }
+        assert!(forecasts > clean_forecasts, "{shards} shards: no mutated forecast was served");
+        for &(at, k) in &clean_at {
+            if is_forecast(k) || k == passes_at {
+                assert_eq!(out[at], clean[k], "{shards} shards: clean line {k} at {at} moved");
+            } else {
+                assert_eq!(ty(&parsed(&out[at])), ty(&parsed(&clean[k])), "control line {k}");
+            }
+        }
+        clean_runs.push(clean);
+    }
+    let (solo, routed) = (&clean_runs[0], &clean_runs[1]);
+    assert_eq!(ty(&parsed(&solo[passes_at])), "passes", "{}", solo[passes_at]);
+    let refusal = parsed(&routed[passes_at]);
+    assert_eq!(ty(&refusal), "error", "{}", routed[passes_at]);
+    assert_eq!(refusal.get("reason").and_then(Json::as_str), Some("bad_request"));
+    for k in (0..corpus.len()).filter(|&k| is_forecast(k)) {
+        assert_eq!(strip_meta(&routed[k]), strip_meta(&solo[k]), "clean forecast {k}");
     }
 }
 

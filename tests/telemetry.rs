@@ -162,7 +162,8 @@ use std::path::Path;
 use std::sync::OnceLock as Once2;
 
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
-use stuq_serve::proto::strip_trace_meta;
+use stuq_artifact::json::{self, Json};
+use stuq_serve::proto::strip_meta;
 use stuq_serve::router::{InProcWorker, Router, RouterConfig, ShardWorker};
 use stuq_serve::{ServeConfig, Server};
 use stuq_traffic::{Preset, Split};
@@ -236,10 +237,23 @@ fn trace_forecast_line(f: &ServeFx, id: &str, seed: Option<u64>) -> String {
     s
 }
 
-/// The tracing determinism contract: enabling trace-level telemetry adds a
-/// fixed-width `trace`/`span` annotation and nothing else — responses are
-/// byte-identical to an untraced run modulo [`strip_trace_meta`]. CI re-runs
-/// this under `STUQ_THREADS=1/2/4`.
+/// The members of a response line's trailing `meta` object (none when the
+/// line has no annotations).
+fn meta_members(line: &str) -> Vec<(String, Json)> {
+    let v = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    let Json::Obj(members) = v else { panic!("not an object: {line}") };
+    match members.last() {
+        Some((k, Json::Obj(meta))) if k == "meta" => meta.clone(),
+        _ => Vec::new(),
+    }
+}
+
+/// The tracing determinism contract: enabling trace-level telemetry adds
+/// `trace` and `span` as the last members of the response's trailing `meta`
+/// object and nothing else — responses are byte-identical to an untraced
+/// run modulo [`strip_meta`], and the traced `meta` object is the untraced
+/// one plus exactly those two ids. CI re-runs this under
+/// `STUQ_THREADS=1/2/4`.
 #[test]
 fn traced_responses_strip_to_untraced_bytes_solo_and_cluster() {
     let _l = obs_lock();
@@ -270,13 +284,15 @@ fn traced_responses_strip_to_untraced_bytes_solo_and_cluster() {
         [("solo", &solo_tr, &solo_off), ("cluster", &cluster_tr, &cluster_off)]
     {
         for (t, o) in traced.iter().zip(off) {
-            assert!(t.contains(",\"trace\":\""), "{tag}: traced response lacks annotation: {t}");
-            assert_ne!(t, o, "{tag}: annotation must be present when tracing");
-            assert_eq!(
-                &strip_trace_meta(t),
-                o,
-                "{tag}: traced bytes diverge beyond the annotation"
-            );
+            assert_eq!(strip_meta(t), strip_meta(o), "{tag}: traced bytes diverge beyond meta");
+            let (mut want, got) = (meta_members(o), meta_members(t));
+            assert_eq!(got.len(), want.len() + 2, "{tag}: tracing adds two ids: {t}");
+            for (key, (k, v)) in ["trace", "span"].iter().zip(&got[want.len()..]) {
+                let id = v.as_str().filter(|s| stuq_obs::trace::parse_id(s).is_some());
+                assert!(k == key && id.is_some(), "{tag}: bad {key:?} in {t}");
+                want.push((k.clone(), v.clone()));
+            }
+            assert_eq!(got, want, "{tag}: traced meta is the untraced one plus trace/span");
         }
     }
     // Identical arrivals get identical trace ids across reruns.
