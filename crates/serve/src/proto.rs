@@ -1000,6 +1000,71 @@ mod tests {
     }
 
     #[test]
+    fn strip_batch_meta_removes_only_the_annotation_block() {
+        let id = Some("q".to_string());
+        let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
+        let solo = resp_forecast(&id, 8, 8, "ck0", &ForecastMeta::solo(), &iv);
+        let meta = ForecastMeta { batched: true, batch_size: 5, cache_hit: false };
+        let co = resp_forecast(&id, 8, 8, "ck0", &meta, &iv);
+        assert_ne!(solo, co, "annotations must distinguish the paths");
+        assert_eq!(strip_meta(&solo), strip_meta(&co));
+        assert!(!strip_meta(&co).contains("batch_size"));
+        assert!(!strip_meta(&co).contains("\"meta\""));
+        assert!(json::parse(&strip_meta(&co)).is_ok());
+        // Only the annotation block goes: the payload before it stays.
+        assert!(co.starts_with(&strip_meta(&co)[..strip_meta(&co).len() - 1]));
+        // Lines with no meta object pass through untouched.
+        let rej = resp_rejected(&id, "queue_full");
+        assert_eq!(strip_meta(&rej), rej);
+    }
+
+    #[test]
+    fn cluster_meta_strips_down_to_the_solo_payload() {
+        let id = Some("c".to_string());
+        let m = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[2, 2]);
+        let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
+        let solo = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
+        // A coalescing router annotates its batch; nothing else differs.
+        let meta = ForecastMeta { batched: true, batch_size: 3, cache_hit: true };
+        let routed = resp_forecast(&id, 8, 8, "ck", &meta, &iv);
+        assert_ne!(solo, routed);
+        assert_eq!(strip_cluster_meta(&solo), strip_cluster_meta(&routed));
+        assert_eq!(strip_cluster_meta(&routed), strip_meta(&routed));
+        let rej = resp_rejected(&id, "worker_down");
+        assert_eq!(strip_cluster_meta(&rej), rej);
+    }
+
+    #[test]
+    fn trace_meta_is_fixed_width_and_strips_exactly() {
+        const TRACE_MEMBERS: &str = ",\"trace\":\"00000000deadbeef\",\"span\":\"0000000000000001\"";
+        let id = Some("t".to_string());
+        let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
+        let iv = Intervals { mu: &m, sigma: &m, lower: &m, upper: &m };
+        let plain = resp_forecast(&id, 8, 8, "ck", &ForecastMeta::solo(), &iv);
+        let mut traced = plain.clone();
+        push_trace_meta(&mut traced, 0xdead_beef, 1);
+        // On a forecast the ids join its meta object at a fixed width.
+        assert_eq!(traced.len(), plain.len() + TRACE_MEMBERS.len());
+        assert!(traced.ends_with(&format!("{TRACE_MEMBERS}}}}}")));
+        assert!(json::parse(&traced).is_ok());
+        assert_eq!(strip_meta(&traced), strip_meta(&plain));
+        // A line with no meta object gains one holding just the ids, and
+        // strips back to exactly the untraced line.
+        let rej = resp_rejected(&id, "queue_full");
+        let mut traced_rej = rej.clone();
+        push_trace_meta(&mut traced_rej, 0xdead_beef, 1);
+        assert_eq!(traced_rej.len(), rej.len() + META_OPEN.len() + TRACE_MEMBERS.len());
+        assert!(json::parse(&traced_rej).is_ok());
+        assert_eq!(strip_meta(&traced_rej), rej);
+        // Stripping a traced, batched forecast leaves the solo payload.
+        let meta = ForecastMeta { batched: true, batch_size: 2, cache_hit: false };
+        let mut routed = resp_forecast(&id, 8, 8, "ck", &meta, &iv);
+        push_trace_meta(&mut routed, 7, 9);
+        assert_eq!(strip_meta(&routed), strip_meta(&plain));
+    }
+
+    #[test]
     fn control_requests_parse() {
         assert!(matches!(parse_request(r#"{"type":"healthz"}"#), Ok(Request::Healthz { .. })));
         assert!(matches!(parse_request(r#"{"type":"drain","id":"d"}"#), Ok(Request::Drain { .. })));
