@@ -1037,38 +1037,21 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
     );
 
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    // Workers inherit the serving knobs but never the reload watcher (the
-    // two-phase protocol owns reloads; a per-worker watcher would reopen
-    // the mixed-version window) and never --health-dir (they would all
-    // clobber the router's health.json).
+    // A worker answers only `passes` and control lines, so it takes no
+    // forecast knob (batching, cache, queue, breaker, floor, deadline,
+    // widening, output ceiling, --mc, --seed). It never runs the reload
+    // watcher (the two-phase protocol owns reloads; a per-worker watcher
+    // would reopen the mixed-version window) and never gets --health-dir
+    // (workers would all clobber the router's health.json). The telemetry
+    // directory itself is per-worker (below) so event logs never
+    // interleave and `stuq trace` can attribute spans to shards.
     let mut base_args: Vec<String> = ["serve", "--role", "worker", "--reload-poll-ms", "0"]
         .iter()
         .map(|s| s.to_string())
         .collect();
     base_args.push("--model".into());
     base_args.push(cfg.serve.model_path.display().to_string());
-    for key in [
-        "data",
-        "max-queue",
-        "mc",
-        "floor",
-        "deadline-ms",
-        "breaker-threshold",
-        "breaker-cooldown-ms",
-        "breaker-cooldown-max-ms",
-        "max-abs-output",
-        "widen-factor",
-        "seed",
-        "batch-max",
-        "batch-wait-ms",
-        "cache-ttl-ms",
-        "cache-cap",
-        // Workers inherit the telemetry level and rollover bound; the
-        // directory itself is per-worker (below) so event logs never
-        // interleave and `stuq trace` can attribute spans to shards.
-        "telemetry-level",
-        "telemetry-max-mb",
-    ] {
+    for key in ["data", "telemetry-level", "telemetry-max-mb"] {
         if let Some(v) = a.get(key) {
             base_args.push(format!("--{key}"));
             base_args.push(v.to_string());

@@ -83,46 +83,31 @@ impl AwaState {
         guard: &GuardConfig,
         gstate: &mut GuardState,
     ) -> Result<f64, TrainError> {
-        let n_iters = {
-            let n_windows = ds.window_starts(Split::Train).len();
-            n_windows.div_ceil(cfg.batch_size)
-        };
-        let loss = if self.epoch.is_multiple_of(2) {
-            // Escape epoch: cosine lr₁ → lr₂ across this epoch's iterations.
-            let sched = CosineSchedule::new(cfg.lr_max, cfg.lr_min, n_iters.max(1));
-            let mut hook = |it: usize| sched.lr_at(it);
-            train_epoch_guarded(
-                model,
-                ds,
-                cfg.batch_size,
-                kind,
-                &mut self.opt,
-                5.0,
-                rng,
-                Some(&mut hook),
-                Stage::Awa,
-                guard,
-                gstate,
-            )?
-        } else {
-            // Fine-tune epoch at constant lr₂, then average (Eq. 15).
-            let mut hook = |_: usize| cfg.lr_min;
-            let l = train_epoch_guarded(
-                model,
-                ds,
-                cfg.batch_size,
-                kind,
-                &mut self.opt,
-                5.0,
-                rng,
-                Some(&mut hook),
-                Stage::Awa,
-                guard,
-                gstate,
-            )?;
+        // Escape epochs (even) sweep lr₁ → lr₂ by the cosine of Eq. 16 across
+        // the epoch's iterations; fine-tune epochs (odd) hold lr₂.
+        let escape = self.epoch.is_multiple_of(2);
+        let sched = escape.then(|| {
+            let n_iters = ds.window_starts(Split::Train).len().div_ceil(cfg.batch_size);
+            CosineSchedule::new(cfg.lr_max, cfg.lr_min, n_iters.max(1))
+        });
+        let mut hook = |it: usize| sched.as_ref().map_or(cfg.lr_min, |s| s.lr_at(it));
+        let loss = train_epoch_guarded(
+            model,
+            ds,
+            cfg.batch_size,
+            kind,
+            &mut self.opt,
+            5.0,
+            rng,
+            Some(&mut hook),
+            Stage::Awa,
+            guard,
+            gstate,
+        )?;
+        if !escape {
+            // A fine-tuned model joins the running average (Eq. 15).
             self.averager.update(model.params());
-            l
-        };
+        }
         self.epoch += 1;
         self.history.push(loss);
         Ok(loss)
@@ -160,6 +145,7 @@ impl AwaState {
 }
 
 /// Re-trains `model` in place: on return its parameters are the AWA average.
+/// The stage runs under the default guard policy with fresh guard state.
 pub fn awa_retrain(
     model: &mut dyn Forecaster,
     ds: &SplitDataset,
@@ -168,33 +154,10 @@ pub fn awa_retrain(
     weight_decay: f32,
     rng: &mut StuqRng,
 ) -> Result<AwaReport, TrainError> {
-    awa_retrain_guarded(
-        model,
-        ds,
-        cfg,
-        kind,
-        weight_decay,
-        rng,
-        &GuardConfig::default(),
-        &mut GuardState::default(),
-    )
-}
-
-/// [`awa_retrain`] with an explicit guard policy and sticky stage state.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's training-loop knobs
-pub fn awa_retrain_guarded(
-    model: &mut dyn Forecaster,
-    ds: &SplitDataset,
-    cfg: &AwaConfig,
-    kind: LossKind,
-    weight_decay: f32,
-    rng: &mut StuqRng,
-    guard: &GuardConfig,
-    gstate: &mut GuardState,
-) -> Result<AwaReport, TrainError> {
+    let (guard, mut gstate) = (GuardConfig::default(), GuardState::default());
     let mut state = AwaState::new(cfg, weight_decay)?;
     while state.epochs_done() < cfg.epochs {
-        state.run_epoch(model, ds, cfg, kind, rng, guard, gstate)?;
+        state.run_epoch(model, ds, cfg, kind, rng, &guard, &mut gstate)?;
     }
     Ok(state.finish(model))
 }

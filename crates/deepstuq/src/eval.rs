@@ -72,28 +72,7 @@ pub fn evaluate_faulted(
     score_forecasts(ds, &starts, forecasts)
 }
 
-/// Data-parallel [`evaluate`]: forward passes for all test windows fan out
-/// over the `stuq-parallel` pool, then metrics accumulate in window order.
-///
-/// Requires a `Fn` predictor (stateless per call, e.g. driving an eval-mode
-/// model or an MC forecast from a per-window forked RNG); methods that must
-/// mutate state between windows keep using the sequential [`evaluate`].
-pub fn evaluate_par(
-    ds: &SplitDataset,
-    split: Split,
-    stride: usize,
-    predict: impl Fn(&Tensor, usize) -> RawForecast + Sync,
-) -> EvalResult {
-    let starts: Vec<usize> =
-        ds.window_starts(split).iter().copied().step_by(stride.max(1)).collect();
-    let forecasts = stuq_parallel::par_map(starts.len(), |i| {
-        let s = starts[i];
-        predict(&ds.window(s).x, s)
-    });
-    score_forecasts(ds, &starts, forecasts)
-}
-
-/// Ordered metric accumulation shared by [`evaluate`] and [`evaluate_par`].
+/// Ordered metric accumulation shared by [`evaluate`] and [`evaluate_faulted`].
 fn score_forecasts(ds: &SplitDataset, starts: &[usize], forecasts: Vec<RawForecast>) -> EvalResult {
     assert!(!starts.is_empty(), "no windows in split");
     if stuq_obs::summary_enabled() {
@@ -221,25 +200,6 @@ mod tests {
         assert!((uq.picp - 100.0).abs() < 1e-9);
         assert!((uq.mpiw - 2000.0).abs() < 1e-3);
         assert!(uq.mnll.is_finite());
-    }
-
-    #[test]
-    fn evaluate_par_matches_sequential_evaluate() {
-        let ds = tiny_ds();
-        let seq = evaluate(&ds, Split::Test, 3, oracle(&ds, 2.0));
-        let par = evaluate_par(&ds, Split::Test, 3, |_, start| {
-            let w = ds.window(start);
-            RawForecast {
-                mu: w.y_raw.transpose(),
-                sigma: Some(Tensor::full(&[ds.n_nodes(), ds.horizon()], 2.0)),
-                bounds: None,
-            }
-        });
-        assert_eq!(seq.n_windows, par.n_windows);
-        assert_eq!(seq.point.mae.to_bits(), par.point.mae.to_bits());
-        let (su, pu) = (seq.uq.unwrap(), par.uq.unwrap());
-        assert_eq!(su.mnll.to_bits(), pu.mnll.to_bits());
-        assert_eq!(su.picp.to_bits(), pu.picp.to_bits());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    the *trajectory* has diverged, not the data: parameters, optimiser
 //!    moments and RNG are restored from the last-good snapshot and the run
 //!    retries from there with the learning rate scaled down by `backoff`.
-//!    After `max_rewinds` rewinds the stage gives up with
+//!    After `max_rewinds` rewinds the run gives up with
 //!    [`crate::error::TrainError::DivergenceBudgetExhausted`].
 //!
 //! The distinction matters because the rewind restores the RNG too (that is
@@ -26,7 +26,9 @@
 pub struct GuardConfig {
     /// Consecutive trips that trigger a rewind (the issue's `k`).
     pub max_consecutive_skips: usize,
-    /// Total rewinds allowed per stage before giving up.
+    /// Total rewinds allowed before giving up, counted over the
+    /// [`GuardState`] a run threads through its epochs: in
+    /// [`crate::DeepStuq::fit`] that spans pre-training and AWA together.
     pub max_rewinds: usize,
     /// Multiplicative learning-rate back-off applied at each rewind.
     pub backoff: f32,
@@ -51,16 +53,22 @@ impl Default for GuardConfig {
     }
 }
 
-/// Mutable guard bookkeeping, sticky across the epochs of one stage.
+/// Mutable guard bookkeeping, sticky across the epochs it is threaded
+/// through.
 ///
-/// `lr_scale` in particular must survive epoch boundaries (a diverging run
-/// that was rescued at a lower learning rate should not snap back the next
-/// epoch) and is persisted in checkpoints so resumed runs replay it.
+/// [`crate::DeepStuq::fit`] threads one state through pre-training and AWA,
+/// so the rewind budget and the learning-rate back-off span both stages and
+/// `FitOutcome::Complete.guard` reports the run's totals. A standalone
+/// [`crate::trainer::train`] or [`crate::awa::awa_retrain`] call starts from
+/// a fresh state. `lr_scale` in particular must survive epoch boundaries (a
+/// diverging run that was rescued at a lower learning rate should not snap
+/// back the next epoch) and is persisted in checkpoints so resumed runs
+/// replay it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GuardState {
     /// Current multiplicative learning-rate scale (1.0 when undisturbed).
     pub lr_scale: f32,
-    /// Rewinds consumed so far in this stage.
+    /// Rewinds consumed so far.
     pub rewinds_used: usize,
     /// Total guard trips observed (skips and rewind triggers).
     pub trips: usize,

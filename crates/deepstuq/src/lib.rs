@@ -50,7 +50,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod conformal;
 pub mod decompose;
-pub mod early_stop;
 pub mod ensemble;
 pub mod error;
 pub mod eval;

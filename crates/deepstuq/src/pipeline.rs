@@ -19,11 +19,10 @@ use crate::error::{Stage, TrainError};
 use crate::guard::{GuardConfig, GuardState};
 use crate::mc::{mc_forecast_with_cov, GaussianForecast};
 use crate::trainer::{train_epoch_guarded, LossKind};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use stuq_metrics::Z_95;
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster, HeadKind};
 use stuq_nn::opt::{Adam, Optimizer, OptimizerState};
-use stuq_nn::params::ParamSet;
 use stuq_nn::serialize::load_into;
 use stuq_tensor::{StuqRng, Tensor};
 use stuq_traffic::{Scaler, SplitDataset};
@@ -115,7 +114,8 @@ impl Default for FitOptions {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // Complete carries the model by design
 pub enum FitOutcome {
-    /// All stages finished; `guard` reports any trips/rewinds survived.
+    /// All stages finished; `guard` reports the trips and rewinds the run
+    /// survived, totalled over pre-training and AWA.
     Complete { model: DeepStuq, guard: GuardState },
     /// The epoch budget ran out; state was checkpointed for `--resume`.
     Paused { stage: Stage, epochs_done: usize, guard: GuardState },
@@ -133,31 +133,62 @@ impl FitOutcome {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // flat view of one checkpoint record
-fn save_stage_checkpoint(
-    path: &Path,
-    arch: &AgcrnConfig,
-    stage: Stage,
-    epochs_done: usize,
-    guard: GuardState,
-    rng: &StuqRng,
-    opt: OptimizerState,
-    averager: Option<(usize, Vec<Tensor>)>,
-    params: &ParamSet,
-) -> Result<(), TrainError> {
-    let snap = StageSnapshot {
-        arch,
-        stage,
-        epochs_done,
-        guard,
-        rng: rng.export_state(),
-        opt,
-        averager,
-        params,
-    };
-    save_checkpoint(&snap, path).map_err(|e| TrainError::Checkpoint(e.to_string()))?;
-    stuq_obs::emit(stuq_obs::Event::new("checkpoint").str("path", path.display().to_string()));
-    Ok(())
+/// The optimiser state of one epoch-driven stage: Adam for pre-training
+/// (Eq. 14), the AWA optimiser and running average for re-training
+/// (Algorithm 1).
+enum StageOpt<'a> {
+    Pretrain(Adam),
+    Awa(AwaState, &'a AwaConfig),
+}
+
+impl<'a> StageOpt<'a> {
+    /// Fresh state for `stage`'s first epoch.
+    fn fresh(stage: Stage, cfg: &'a DeepStuqConfig) -> Result<Self, TrainError> {
+        Ok(match (stage, &cfg.awa) {
+            (Stage::Awa, Some(awa)) => Self::Awa(AwaState::new(awa, cfg.train.weight_decay)?, awa),
+            _ => Self::Pretrain(Adam::new(cfg.train.lr, cfg.train.weight_decay)),
+        })
+    }
+
+    #[allow(clippy::too_many_arguments)] // mirrors the paper's training-loop knobs
+    fn run_epoch(
+        &mut self,
+        model: &mut Agcrn,
+        ds: &SplitDataset,
+        train: &TrainConfig,
+        kind: LossKind,
+        rng: &mut StuqRng,
+        guard: &GuardConfig,
+        gstate: &mut GuardState,
+    ) -> Result<f64, TrainError> {
+        match self {
+            Self::Pretrain(opt) => train_epoch_guarded(
+                model,
+                ds,
+                train.batch_size,
+                kind,
+                opt,
+                train.grad_clip,
+                rng,
+                None,
+                Stage::Pretrain,
+                guard,
+                gstate,
+            ),
+            Self::Awa(st, awa) => st.run_epoch(model, ds, awa, kind, rng, guard, gstate),
+        }
+    }
+
+    /// The checkpoint's optimiser and averager blocks.
+    fn export(&self) -> (OptimizerState, Option<(usize, Vec<Tensor>)>) {
+        match self {
+            Self::Pretrain(opt) => (opt.export_state(), None),
+            Self::Awa(st, _) => {
+                let (opt, n_models, avg, _) = st.export();
+                (opt, Some((n_models, avg)))
+            }
+        }
+    }
 }
 
 /// Opens a stage for telemetry: stamps the recorder context, emits
@@ -265,9 +296,8 @@ impl DeepStuq {
         let mut rng = StuqRng::new(seed);
         let mut model = Agcrn::new(cfg.base.clone(), &mut rng);
         let mut gstate = GuardState::default();
-        let mut pre_epoch = 0usize;
-        let mut pre_opt = Adam::new(cfg.train.lr, cfg.train.weight_decay);
-        let mut awa_state: Option<AwaState> = None;
+        // The stage, epoch cursor and optimiser state a resumed run starts from.
+        let mut resumed: Option<(Stage, usize, StageOpt)> = None;
 
         if opts.resume {
             let path = ckpt_path.as_ref().expect("validated above");
@@ -281,167 +311,114 @@ impl DeepStuq {
             rng = StuqRng::from_state(cp.rng);
             gstate = cp.guard;
             stuq_obs::emit(stuq_obs::Event::new("resume").str("path", path.display().to_string()));
-            match cp.stage {
-                Stage::Pretrain => {
-                    pre_epoch = cp.epochs_done;
-                    pre_opt.import_state(&cp.opt).map_err(TrainError::Checkpoint)?;
+            let (epochs, opt) = match (cp.stage, &cfg.awa) {
+                (Stage::Pretrain, _) => {
+                    let mut opt = Adam::new(cfg.train.lr, cfg.train.weight_decay);
+                    opt.import_state(&cp.opt).map_err(TrainError::Checkpoint)?;
+                    (cfg.train.epochs, StageOpt::Pretrain(opt))
                 }
-                Stage::Awa => {
-                    pre_epoch = cfg.train.epochs;
-                    let awa_cfg = cfg.awa.as_ref().ok_or_else(|| {
-                        TrainError::Checkpoint(
-                            "checkpoint is in the AWA stage but the config has no AWA stage".into(),
-                        )
-                    })?;
+                (Stage::Awa, Some(awa)) => {
                     let (n_models, avg) = cp.averager.ok_or_else(|| {
                         TrainError::Checkpoint("AWA checkpoint missing averager block".into())
                     })?;
-                    awa_state = Some(AwaState::import(
-                        awa_cfg,
+                    let st = AwaState::import(
+                        awa,
                         cfg.train.weight_decay,
                         &cp.opt,
                         n_models,
                         avg,
                         cp.epochs_done,
-                    )?);
+                    )?;
+                    (awa.epochs, StageOpt::Awa(st, awa))
                 }
-                Stage::Calibrate => {
+                (Stage::Awa, None) => {
+                    return Err(TrainError::Checkpoint(
+                        "checkpoint is in the AWA stage but the config has no AWA stage".into(),
+                    ));
+                }
+                (Stage::Calibrate, _) => {
                     return Err(TrainError::Checkpoint(
                         "checkpoint stage 'calibrate' is not resumable".into(),
                     ));
                 }
+            };
+            if cp.epochs_done > epochs {
+                return Err(TrainError::Checkpoint(format!(
+                    "checkpoint cursor {} is beyond the {epochs} configured {} epochs",
+                    cp.epochs_done, cp.stage
+                )));
             }
+            resumed = Some((cp.stage, cp.epochs_done, opt));
         }
 
+        // Stages 1–2: variational pre-training (Eq. 14), then AWA
+        // re-training (Algorithm 1), through one epoch loop.
         let budget = opts.epoch_budget.unwrap_or(usize::MAX);
         let mut ran = 0usize;
-
-        // Stage 1: variational pre-training (Eq. 14).
-        let (pre_span, pre_t0) = stage_telemetry(Stage::Pretrain);
-        while pre_epoch < cfg.train.epochs {
-            stuq_obs::set_epoch(pre_epoch as u64);
-            if ran >= budget {
-                let path = ckpt_path.as_ref().expect("budget requires a checkpoint dir");
-                save_stage_checkpoint(
-                    path,
-                    &cfg.base,
-                    Stage::Pretrain,
-                    pre_epoch,
-                    gstate,
-                    &rng,
-                    pre_opt.export_state(),
-                    None,
-                    model.params(),
-                )?;
-                return Ok(FitOutcome::Paused {
-                    stage: Stage::Pretrain,
-                    epochs_done: pre_epoch,
-                    guard: gstate,
-                });
-            }
-            let epoch_t0 = std::time::Instant::now();
-            let epoch_span = stuq_obs::SpanGuard::enter("epoch");
-            let loss = train_epoch_guarded(
-                &mut model,
-                ds,
-                cfg.train.batch_size,
-                kind,
-                &mut pre_opt,
-                cfg.train.grad_clip,
-                &mut rng,
-                None,
-                Stage::Pretrain,
-                &opts.guard,
-                &mut gstate,
-            )?;
-            drop(epoch_span);
-            record_epoch(pre_epoch, loss, epoch_t0);
-            pre_epoch += 1;
-            ran += 1;
-            if let Some(path) = &ckpt_path {
-                if pre_epoch.is_multiple_of(opts.checkpoint_every) || pre_epoch == cfg.train.epochs
-                {
-                    save_stage_checkpoint(
-                        path,
-                        &cfg.base,
-                        Stage::Pretrain,
-                        pre_epoch,
-                        gstate,
-                        &rng,
-                        pre_opt.export_state(),
-                        None,
-                        model.params(),
-                    )?;
-                }
-            }
-        }
-        drop(pre_span);
-        stage_done(Stage::Pretrain, pre_t0);
-
-        // Stage 2: AWA re-training (Algorithm 1).
-        if let Some(awa_cfg) = &cfg.awa {
-            let (awa_span, awa_t0) = stage_telemetry(Stage::Awa);
-            let mut st = match awa_state.take() {
-                Some(st) => st,
-                None => AwaState::new(awa_cfg, cfg.train.weight_decay)?,
+        let mut first_epoch = 0usize; // run-wide index of the stage's first epoch
+        let stages = std::iter::once((Stage::Pretrain, cfg.train.epochs))
+            .chain(cfg.awa.as_ref().map(|a| (Stage::Awa, a.epochs)));
+        for (stage, epochs) in stages {
+            let (stage_span, stage_t0) = stage_telemetry(stage);
+            let (mut done, mut opt) = match resumed.take_if(|r| r.0 == stage) {
+                Some((_, done, opt)) => (done, opt),
+                // A run resumed in AWA has finished pre-training.
+                None if resumed.is_some() => (epochs, StageOpt::fresh(stage, &cfg)?),
+                None => (0, StageOpt::fresh(stage, &cfg)?),
             };
-            while st.epochs_done() < awa_cfg.epochs {
-                stuq_obs::set_epoch((cfg.train.epochs + st.epochs_done()) as u64);
-                if ran >= budget {
-                    let path = ckpt_path.as_ref().expect("budget requires a checkpoint dir");
-                    let (opt_state, n_models, avg, epoch) = st.export();
-                    save_stage_checkpoint(
-                        path,
-                        &cfg.base,
-                        Stage::Awa,
-                        epoch,
-                        gstate,
-                        &rng,
-                        opt_state,
-                        Some((n_models, avg)),
-                        model.params(),
+            while done < epochs {
+                stuq_obs::set_epoch((first_epoch + done) as u64);
+                let pause = ran >= budget;
+                if !pause {
+                    let epoch_t0 = std::time::Instant::now();
+                    let epoch_span = stuq_obs::SpanGuard::enter("epoch");
+                    let loss = opt.run_epoch(
+                        &mut model,
+                        ds,
+                        &cfg.train,
+                        kind,
+                        &mut rng,
+                        &opts.guard,
+                        &mut gstate,
                     )?;
-                    return Ok(FitOutcome::Paused {
-                        stage: Stage::Awa,
-                        epochs_done: epoch,
-                        guard: gstate,
-                    });
+                    drop(epoch_span);
+                    record_epoch(first_epoch + done, loss, epoch_t0);
+                    done += 1;
+                    ran += 1;
                 }
-                let epoch_t0 = std::time::Instant::now();
-                let epoch_span = stuq_obs::SpanGuard::enter("epoch");
-                let loss = st.run_epoch(
-                    &mut model,
-                    ds,
-                    awa_cfg,
-                    kind,
-                    &mut rng,
-                    &opts.guard,
-                    &mut gstate,
-                )?;
-                drop(epoch_span);
-                record_epoch(cfg.train.epochs + st.epochs_done() - 1, loss, epoch_t0);
-                ran += 1;
+                // A checkpoint every `checkpoint_every` epochs, at the end
+                // of the stage, and on pause.
                 if let Some(path) = &ckpt_path {
-                    let done = st.epochs_done();
-                    if done % opts.checkpoint_every == 0 || done == awa_cfg.epochs {
-                        let (opt_state, n_models, avg, epoch) = st.export();
-                        save_stage_checkpoint(
-                            path,
-                            &cfg.base,
-                            Stage::Awa,
-                            epoch,
-                            gstate,
-                            &rng,
-                            opt_state,
-                            Some((n_models, avg)),
-                            model.params(),
-                        )?;
+                    if pause || done.is_multiple_of(opts.checkpoint_every) || done == epochs {
+                        let (opt_state, averager) = opt.export();
+                        let snap = StageSnapshot {
+                            arch: &cfg.base,
+                            stage,
+                            epochs_done: done,
+                            guard: gstate,
+                            rng: rng.export_state(),
+                            opt: opt_state,
+                            averager,
+                            params: model.params(),
+                        };
+                        save_checkpoint(&snap, path)
+                            .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
+                        stuq_obs::emit(
+                            stuq_obs::Event::new("checkpoint")
+                                .str("path", path.display().to_string()),
+                        );
                     }
                 }
+                if pause {
+                    return Ok(FitOutcome::Paused { stage, epochs_done: done, guard: gstate });
+                }
             }
-            let _report = st.finish(&mut model);
-            drop(awa_span);
-            stage_done(Stage::Awa, awa_t0);
+            if let StageOpt::Awa(st, _) = opt {
+                st.finish(&mut model);
+            }
+            drop(stage_span);
+            stage_done(stage, stage_t0);
+            first_epoch += epochs;
         }
 
         // Stage 3: temperature calibration on the validation split (Eq. 18).
@@ -462,24 +439,14 @@ impl DeepStuq {
         })
     }
 
-    /// [`DeepStuq::fit`] with default fault-tolerance options, returning the
-    /// trained model or the first typed error.
-    pub fn try_train(
-        ds: &SplitDataset,
-        cfg: DeepStuqConfig,
-        seed: u64,
-    ) -> Result<Self, TrainError> {
-        match Self::fit(ds, cfg, seed, &FitOptions::default())? {
-            FitOutcome::Complete { model, .. } => Ok(model),
-            FitOutcome::Paused { .. } => unreachable!("no epoch budget was set"),
-        }
-    }
-
     /// Runs the three training stages on `ds` with the experiment `seed`,
     /// panicking on any [`TrainError`] (the original pipeline contract; use
-    /// [`DeepStuq::fit`] or [`DeepStuq::try_train`] for typed errors).
+    /// [`DeepStuq::fit`] for typed errors).
     pub fn train(ds: &SplitDataset, cfg: DeepStuqConfig, seed: u64) -> Self {
-        Self::try_train(ds, cfg, seed).unwrap_or_else(|e| panic!("DeepSTUQ training failed: {e}"))
+        match Self::fit(ds, cfg, seed, &FitOptions::default()) {
+            Ok(outcome) => outcome.expect_complete(),
+            Err(e) => panic!("DeepSTUQ training failed: {e}"),
+        }
     }
 
     /// Wraps an externally trained base model (used by the ablation benches).

@@ -6,18 +6,19 @@
 //!
 //! The per-sample loop itself stays sequential — that fixes the RNG draw
 //! order the guard snapshots and checkpoints depend on — but every pass
-//! through it runs on the parallel training engine: the reverse sweep is the
-//! level-scheduled [`Tape::backward`] (DESIGN.md §9) and the optimiser step
-//! fans parameter slots onto the pool, both bit-identical to their serial
-//! forms for any `STUQ_THREADS` setting. All three pipeline stages
-//! (pre-train, AWA re-training, calibration) inherit this because they all
-//! route through here.
+//! through it runs on the parallel training engine: the reverse sweep is
+//! [`Tape::backward`]'s descending-id walk (DESIGN.md §9) and the optimiser
+//! step fans parameter slots onto the pool, both bit-identical to their
+//! serial forms for any `STUQ_THREADS` setting. Both epoch-driven pipeline
+//! stages (pre-training and AWA re-training) inherit this because they
+//! route through here; calibration fits its temperature from MC forward
+//! passes alone ([`crate::calibrate`]) and records no tape.
 //!
-//! Every stage routes through the divergence guard (DESIGN.md §8): each
-//! batch's loss and gradient norm are checked before the optimiser step, bad
-//! batches are skipped, and sustained divergence rewinds to an in-memory
-//! last-good snapshot with a backed-off learning rate. Failures surface as
-//! typed [`TrainError`]s instead of panics.
+//! Every training epoch routes through the divergence guard (DESIGN.md §8):
+//! each batch's loss and gradient norm are checked before the optimiser
+//! step, bad batches are skipped, and sustained divergence rewinds to an
+//! in-memory last-good snapshot with a backed-off learning rate. Failures
+//! surface as typed [`TrainError`]s instead of panics.
 
 use crate::config::TrainConfig;
 use crate::error::{Stage, TrainError};
@@ -77,6 +78,24 @@ pub fn loss_node(
     }
 }
 
+/// Records window `start`'s forward pass and loss on a fresh tape; `ctx`
+/// decides whether dropout is on.
+fn window_loss(
+    model: &dyn Forecaster,
+    ds: &SplitDataset,
+    start: usize,
+    kind: LossKind,
+    ctx: &mut FwdCtx,
+) -> Result<(Tape, NodeId), TrainError> {
+    let w = ds.window(start);
+    let y_norm = ds.normalize_target(&w.y_raw).transpose(); // [N, τ]
+    let mut tape = Tape::new();
+    let pred = model.forward_with_cov(&mut tape, &w.x, w.cov.as_ref(), ctx);
+    let target = tape.constant(y_norm);
+    let l = loss_node(&mut tape, &pred, target, kind)?;
+    Ok((tape, l))
+}
+
 /// Computes the gradient and loss of one sample.
 fn sample_grad(
     model: &dyn Forecaster,
@@ -85,13 +104,7 @@ fn sample_grad(
     kind: LossKind,
     rng: &mut StuqRng,
 ) -> Result<(GradStore, f64), TrainError> {
-    let w = ds.window(start);
-    let y_norm = ds.normalize_target(&w.y_raw).transpose(); // [N, τ]
-    let mut tape = Tape::new();
-    let mut ctx = FwdCtx::train(rng);
-    let pred = model.forward_with_cov(&mut tape, &w.x, w.cov.as_ref(), &mut ctx);
-    let target = tape.constant(y_norm);
-    let l = loss_node(&mut tape, &pred, target, kind)?;
+    let (tape, l) = window_loss(model, ds, start, kind, &mut FwdCtx::train(rng))?;
     let value = tape.value(l).get(0, 0) as f64;
     Ok((tape.backward(l), value))
 }
@@ -148,8 +161,9 @@ impl Snapshot {
 ///
 /// `lr_per_iter`, when provided, is consulted before each batch — this is how
 /// AWA's within-epoch cosine schedule (Eq. 16) is driven. The effective rate
-/// each batch is `raw · gstate.lr_scale`, so a rewound stage keeps its
-/// backed-off rate across epochs.
+/// each batch is `raw · gstate.lr_scale`, so a rewound run keeps its
+/// backed-off rate across epochs (and, in [`crate::DeepStuq::fit`], across
+/// stages).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's training-loop knobs
 pub fn train_epoch_guarded(
     model: &mut dyn Forecaster,
@@ -325,8 +339,9 @@ pub fn train(
     train_guarded(model, ds, cfg, kind, rng, &GuardConfig::default(), &mut GuardState::default())
 }
 
-/// [`train`] with an explicit guard policy and sticky per-stage state (the
-/// pipeline threads this so checkpoints can persist it).
+/// [`train`] with an explicit guard policy and the caller's guard state,
+/// which carries on across its epochs and is left for the caller to
+/// continue or inspect.
 pub fn train_guarded(
     model: &mut dyn Forecaster,
     ds: &SplitDataset,
@@ -372,13 +387,7 @@ pub fn eval_loss(
     let mut total = 0.0f64;
     let mut count = 0usize;
     for &s in starts.iter().step_by(stride.max(1)) {
-        let w = ds.window(s);
-        let y_norm = ds.normalize_target(&w.y_raw).transpose();
-        let mut tape = Tape::new();
-        let mut ctx = FwdCtx::eval(rng);
-        let pred = model.forward_with_cov(&mut tape, &w.x, w.cov.as_ref(), &mut ctx);
-        let target = tape.constant(y_norm);
-        let l = loss_node(&mut tape, &pred, target, kind)?;
+        let (tape, l) = window_loss(model, ds, s, kind, &mut FwdCtx::eval(rng))?;
         total += tape.value(l).get(0, 0) as f64;
         count += 1;
     }

@@ -96,49 +96,117 @@ fn divergence_budget_exhaustion_is_a_typed_error() {
     );
 }
 
-#[test]
-fn interrupted_run_resumes_bit_for_bit() {
-    let ds = tiny_ds(303);
-    let cfg = DeepStuqConfig::fast_demo(ds.n_nodes(), ds.horizon());
-    let uninterrupted = DeepStuq::train(&ds, cfg.clone(), 303);
-
-    // Drive the same training through repeated 1-epoch pauses, resuming from
-    // the checkpoint each time — the worst-case interruption pattern.
-    let dir = tmp_dir("resume_loop");
-    let mut opts = FitOptions {
-        checkpoint_dir: Some(dir.clone()),
-        epoch_budget: Some(1),
-        ..Default::default()
-    };
-    let mut pauses = 0usize;
-    let resumed = loop {
-        match DeepStuq::fit(&ds, cfg.clone(), 303, &opts).unwrap() {
-            FitOutcome::Complete { model, .. } => break model,
-            FitOutcome::Paused { .. } => {
-                pauses += 1;
-                assert!(pauses <= cfg.total_epochs(), "resume loop failed to make progress");
+/// Drives `cfg` through `opts`' budget pauses, resuming from the checkpoint
+/// each time, and returns the finished model with the `(stage, epochs_done)`
+/// of every pause.
+fn fit_through_pauses(
+    ds: &SplitDataset,
+    cfg: &DeepStuqConfig,
+    seed: u64,
+    mut opts: FitOptions,
+) -> (DeepStuq, Vec<(Stage, usize)>) {
+    let mut pauses = Vec::new();
+    loop {
+        match DeepStuq::fit(ds, cfg.clone(), seed, &opts).unwrap() {
+            FitOutcome::Complete { model, .. } => return (model, pauses),
+            FitOutcome::Paused { stage, epochs_done, .. } => {
+                pauses.push((stage, epochs_done));
+                assert!(pauses.len() <= cfg.total_epochs(), "resume loop failed to make progress");
                 opts.resume = true;
             }
         }
-    };
-    // The run that trains the final epoch completes (calibration included)
-    // instead of pausing, so a budget of 1 pauses total_epochs − 1 times.
-    assert_eq!(pauses, cfg.total_epochs() - 1, "budget 1 must pause between epochs");
-
-    assert_eq!(
-        uninterrupted.temperature().to_bits(),
-        resumed.temperature().to_bits(),
-        "resumed temperature diverged"
-    );
-    let a = uninterrupted.model().params().snapshot();
-    let b = resumed.model().params().snapshot();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        for (p, q) in x.data().iter().zip(y.data()) {
-            assert_eq!(p.to_bits(), q.to_bits(), "resumed parameters diverged");
-        }
     }
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn interrupted_run_resumes_bit_for_bit() {
+    let ds = tiny_ds(303);
+    let demo = DeepStuqConfig::fast_demo(ds.n_nodes(), ds.horizon());
+    let no_awa = DeepStuqConfig { awa: None, ..demo.clone() };
+    use Stage::{Awa, Pretrain};
+    // (name, config, checkpoint_every, epoch_budget, expected pauses as
+    // (stage, epochs_done)). The run that trains the final epoch completes
+    // (calibration included) instead of pausing.
+    let rows = [
+        // Repeated 1-epoch pauses, the worst-case interruption pattern:
+        // 2 pre-train + 2 AWA epochs pause 3 times.
+        ("budget_1", &demo, 1, 1, vec![(Pretrain, 1), (Awa, 0), (Awa, 1)]),
+        // 3 epochs, then a pause off the 2-epoch cadence inside AWA.
+        ("awa_off_cadence", &demo, 2, 3, vec![(Awa, 1)]),
+        // Table V's No-AWA ablation: pre-training plus calibration.
+        ("no_awa", &no_awa, 1, 1, vec![(Pretrain, 1)]),
+    ];
+    for (name, cfg, every, budget, expected_pauses) in rows {
+        let uninterrupted = DeepStuq::train(&ds, cfg.clone(), 303);
+        let dir = tmp_dir(&format!("resume_{name}"));
+        let opts = FitOptions {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: every,
+            epoch_budget: Some(budget),
+            ..Default::default()
+        };
+        let (resumed, pauses) = fit_through_pauses(&ds, cfg, 303, opts);
+        assert_eq!(pauses, expected_pauses, "{name}: pauses");
+
+        assert_eq!(
+            uninterrupted.temperature().to_bits(),
+            resumed.temperature().to_bits(),
+            "{name}: resumed temperature diverged"
+        );
+        let a = uninterrupted.model().params().snapshot();
+        let b = resumed.model().params().snapshot();
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            for (p, q) in x.data().iter().zip(y.data()) {
+                assert_eq!(p.to_bits(), q.to_bits(), "{name}: resumed parameters diverged");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn checkpoint_past_the_configured_epochs_is_rejected_on_resume() {
+    let ds = tiny_ds(307);
+    let demo = DeepStuqConfig::fast_demo(ds.n_nodes(), ds.horizon());
+    let mut long_pre = demo.clone();
+    long_pre.train.epochs = 3;
+    let mut short_pre = demo.clone();
+    short_pre.train.epochs = 1;
+    let mut long_awa = demo.clone();
+    long_awa.train.epochs = 1;
+    long_awa.awa.as_mut().unwrap().epochs = 4;
+    let mut short_awa = long_awa.clone();
+    short_awa.awa.as_mut().unwrap().epochs = 2;
+    // (name, paused config, epoch budget, resumed config, stage paused in)
+    let rows = [
+        ("pretrain", &long_pre, 2, &short_pre, Stage::Pretrain),
+        ("awa", &long_awa, 4, &short_awa, Stage::Awa),
+    ];
+    for (name, paused_cfg, budget, resumed_cfg, stage) in rows {
+        let dir = tmp_dir(&format!("past_end_{name}"));
+        let opts = FitOptions {
+            checkpoint_dir: Some(dir.clone()),
+            epoch_budget: Some(budget),
+            ..Default::default()
+        };
+        match DeepStuq::fit(&ds, paused_cfg.clone(), 307, &opts).unwrap() {
+            FitOutcome::Paused { stage: s, epochs_done, .. } => {
+                assert_eq!(s, stage, "{name}: paused stage");
+                assert!(epochs_done > 1, "{name}: the cursor must pass the shorter stage");
+            }
+            FitOutcome::Complete { .. } => panic!("{name}: the budget must pause the run"),
+        }
+        let opts = FitOptions { resume: true, epoch_budget: None, ..opts };
+        match DeepStuq::fit(&ds, resumed_cfg.clone(), 307, &opts) {
+            Err(TrainError::Checkpoint(msg)) => {
+                assert!(msg.contains("beyond"), "{name}: {msg}")
+            }
+            Err(other) => panic!("{name}: expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("{name}: a checkpoint past the configured epochs was accepted"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
