@@ -224,3 +224,241 @@ fn fused_chain_gradients_match_serial_bitwise() {
     let loss = tape.mean_all(acc);
     assert_pooled_matches_serial(&tape, loss, "unary chains");
 }
+
+/// Builds seeded random tapes whose leaves are parameters, constants and
+/// constant-only subgraphs, and the `fnv1a64` digests of their gradients.
+struct PinnedTape {
+    tape: Tape,
+    s: StuqRng,
+    v: StuqRng,
+    slots: usize,
+}
+
+impl PinnedTape {
+    fn param(&mut self, shape: &[usize]) -> NodeId {
+        self.slots += 1;
+        self.tape.param(self.slots - 1, randt(&mut self.v, shape))
+    }
+
+    fn constant(&mut self, shape: &[usize]) -> NodeId {
+        self.tape.constant(randt(&mut self.v, shape))
+    }
+
+    /// A parameter, a constant, or two constants through `tanh(a ⊙ b)`.
+    fn operand(&mut self, shape: &[usize]) -> NodeId {
+        match self.s.uniform_usize(3) {
+            0 => self.param(shape),
+            1 => self.constant(shape),
+            _ => {
+                let (a, b) = (self.constant(shape), self.constant(shape));
+                let ab = self.tape.mul(a, b);
+                self.tape.tanh(ab)
+            }
+        }
+    }
+
+    /// One random elementwise op on operands drawn from `pool`.
+    fn elementwise(&mut self, pool: &[NodeId], drng: &mut StuqRng) -> NodeId {
+        let a = pool[self.s.uniform_usize(pool.len())];
+        let b = pool[self.s.uniform_usize(pool.len())];
+        let t = &mut self.tape;
+        match self.s.uniform_usize(17) {
+            0 => t.add(a, b),
+            1 => t.sub(a, b),
+            2 => t.mul(a, b),
+            3 => t.max_elem(a, b),
+            4 => t.neg(a),
+            5 => t.scale(a, 0.75),
+            6 => t.add_scalar(a, -0.5),
+            7 => t.one_minus(a),
+            8 => t.relu(a),
+            9 => t.leaky_relu(a, 0.1),
+            10 => t.abs(a),
+            11 => {
+                let m = t.abs(a);
+                let m = t.add_scalar(m, 1.0);
+                t.sqrt(m)
+            }
+            12 => t.clamp(a, -0.8, 0.6),
+            13 => t.sigmoid(a),
+            14 => t.tanh(a),
+            15 => t.square(a),
+            _ => t.dropout(a, 0.3, drng),
+        }
+    }
+
+    /// Loss terms from a random elementwise DAG over `r × c` nodes.
+    fn elementwise_terms(&mut self, r: usize, c: usize, terms: &mut Vec<NodeId>) -> Vec<NodeId> {
+        let mut drng = self.v.fork(1);
+        let mut pool = vec![self.param(&[r, c]), self.constant(&[r, c])];
+        // The same slot mounted at a second node.
+        pool.push(self.tape.param(0, randt(&mut self.v, &[r, c])));
+        for _ in 0..3 {
+            let leaf = self.operand(&[r, c]);
+            pool.push(leaf);
+        }
+        for _ in 0..10 + self.s.uniform_usize(30) {
+            let node = self.elementwise(&pool, &mut drng);
+            pool.push(node);
+        }
+        // Every node feeds the loss, so each one's gradient folds several
+        // consumers' deltas, the element-wise ops' arriving after this one.
+        for &x in &pool {
+            let weight = self.constant(&[r, c]);
+            let weighted = self.tape.mul(x, weight);
+            terms.push(self.tape.sum_all(weighted));
+        }
+        pool
+    }
+
+    /// Loss terms in which a parameter is dropped out, so its gradient
+    /// holds `-0.0`s (dropped elements under a negative upstream gradient),
+    /// alone or before a slice's zero delta arrives.
+    fn signed_zero_terms(&mut self, r: usize, c: usize, terms: &mut Vec<NodeId>) {
+        let mut drng = self.v.fork(2);
+        let (rows, cols) = (r + 1, 2 * c);
+        for kind in 0..4 {
+            let x = self.param(&[rows, cols]);
+            let w_dropped = self.constant(&[rows, cols]);
+            let t = &mut self.tape;
+            let part = match kind {
+                0 => Some(t.slice_cols(x, 1, cols)),
+                1 => Some(t.slice_rows(x, 1, rows)),
+                2 => Some(t.slice_cols_strided(x, 1, 2, c)),
+                _ => None,
+            };
+            let dropped = t.dropout(x, 0.5, &mut drng);
+            if let Some(part) = part {
+                let part_sq = t.square(part);
+                terms.push(t.sum_all(part_sq));
+            }
+            let weighted = t.mul(dropped, w_dropped);
+            terms.push(t.sum_all(weighted));
+        }
+    }
+
+    /// Loss terms through concat, the three slices, transpose and the row
+    /// broadcast, on `r × c` operands from `pool`.
+    fn structural_terms(&mut self, pool: &[NodeId], r: usize, c: usize, terms: &mut Vec<NodeId>) {
+        let x = pool[self.s.uniform_usize(pool.len())];
+        let y = pool[self.s.uniform_usize(pool.len())];
+        let cat = self.tape.concat_cols(x, y);
+        let bias = self.operand(&[1, 2 * c]);
+        let t = &mut self.tape;
+        let parts = [
+            t.slice_cols(cat, c / 2, c / 2 + c),
+            t.slice_rows(cat, r / 2, r),
+            t.slice_cols_strided(cat, 1, 2, c),
+            t.transpose(cat),
+            t.add_row_broadcast(cat, bias),
+        ];
+        for (i, part) in parts.into_iter().enumerate() {
+            let sq = t.square(part);
+            terms.push(if i % 2 == 0 { t.sum_all(sq) } else { t.mean_all(sq) });
+        }
+    }
+
+    /// Loss terms through `matmul` and `matmul_tb` of an `m × k` operand,
+    /// plus a constant-by-constant product.
+    fn matmul_terms(&mut self, (m, k, n): (usize, usize, usize), terms: &mut Vec<NodeId>) {
+        let a = self.operand(&[m, k]);
+        let b = self.operand(&[k, n]);
+        let bt = self.operand(&[n, k]);
+        let (ca, cb) = (self.constant(&[m, k]), self.constant(&[k, n]));
+        let weight = self.constant(&[m, n]);
+        let t = &mut self.tape;
+        let ab = t.matmul(a, b);
+        let cc = t.matmul(ca, cb);
+        let abt = t.matmul_tb(a, bt);
+        let sum = t.add(ab, cc);
+        let sum = t.sub(sum, abt);
+        let weighted = t.mul(sum, weight);
+        terms.push(t.mean_all(weighted));
+    }
+
+    /// A loss term through the NAPL `rowwise_matmul`.
+    fn rowwise_term(&mut self, (rows, ci, co): (usize, usize, usize), terms: &mut Vec<NodeId>) {
+        let z = self.operand(&[rows, ci]);
+        let w = self.operand(&[rows, ci * co]);
+        let weight = self.constant(&[rows, co]);
+        let t = &mut self.tape;
+        let y = t.rowwise_matmul(z, w, ci, co);
+        let weighted = t.mul(y, weight);
+        terms.push(t.sum_all(weighted));
+    }
+
+    /// The digest of every gradient, slots in ascending order, each as its
+    /// slot, its shape and its elements' little-endian bits.
+    fn digest(&self, loss: NodeId) -> u64 {
+        let grads = self.tape.backward(loss);
+        assert!(!grads.is_empty(), "some parameter reaches the loss");
+        let mut slots: Vec<usize> = grads.iter().map(|(slot, _)| slot).collect();
+        slots.sort_unstable();
+        let mut bytes = Vec::new();
+        for slot in slots {
+            let g = grads.get(slot).unwrap();
+            assert!(g.all_finite(), "slot {slot} has a non-finite gradient");
+            bytes.extend_from_slice(&(slot as u64).to_le_bytes());
+            for &d in g.shape() {
+                bytes.extend_from_slice(&(d as u64).to_le_bytes());
+            }
+            for x in g.data() {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        stuq_artifact::fnv1a64(&bytes)
+    }
+}
+
+/// The gradients of seeded random tapes are pinned to digests, so a change
+/// to the backward walk or its kernels that moves a single bit fails here.
+///
+/// The tapes use every op whose forward and adjoint are IEEE arithmetic
+/// only (`exp`, `ln` and `softmax_rows` go through libm and are left out),
+/// fed by parameters, constants and constant-only subgraphs. The matmul
+/// shapes put 8 to 31 columns past the last 32-column tile, leave row
+/// counts that are not a multiple of four, and run long inner dimensions,
+/// some past the pooled kernels' fan-out threshold.
+#[test]
+fn backward_gradients_are_pinned() {
+    const MATMULS: [(usize, usize, usize); 6] =
+        [(17, 8, 2048), (13, 45, 40), (6, 300, 24), (5, 19, 9), (21, 40, 72), (3, 72, 600)];
+    const ROWWISE: [(usize, usize, usize); 3] = [(5, 3, 4), (20, 33, 32), (25, 65, 170)];
+    const PINNED: [u64; 12] = [
+        0x691bab3645dd0def,
+        0x92bb8980f7f878d0,
+        0x771fde94d4048220,
+        0x1c35ad39bf9a2609,
+        0x9b62dcfb5f9f0de9,
+        0xc26c2521f7c0d4f5,
+        0x78016578925b6fdb,
+        0xd128c95541c4781b,
+        0x00145f44b1a718d6,
+        0x517c36d4d0e3eaa6,
+        0x25a3f8a341f7b03e,
+        0x191e9bcca9a42822,
+    ];
+    let mut got = Vec::new();
+    for case in 0..PINNED.len() as u64 {
+        let mut g = PinnedTape {
+            tape: Tape::new(),
+            s: StuqRng::new(0x9B17 + case),
+            v: StuqRng::new(0x7A1 + case),
+            slots: 0,
+        };
+        let (r, c) = (1 + g.s.uniform_usize(6), 1 + g.s.uniform_usize(6));
+        let mut terms = Vec::new();
+        let pool = g.elementwise_terms(r, c, &mut terms);
+        g.structural_terms(&pool, r, c, &mut terms);
+        g.signed_zero_terms(r, c, &mut terms);
+        g.matmul_terms(MATMULS[case as usize % MATMULS.len()], &mut terms);
+        g.rowwise_term(ROWWISE[case as usize % ROWWISE.len()], &mut terms);
+        let mut loss = terms[0];
+        for &term in &terms[1..] {
+            loss = g.tape.add(loss, term);
+        }
+        got.push(g.digest(loss));
+    }
+    let hex: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+    assert_eq!(got, PINNED, "gradient digests moved: [{}]", hex.join(", "));
+}
