@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use deepstuq::eval::{evaluate, evaluate_faulted, RawForecast};
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome};
-use deepstuq::{AwaConfig, CalibConfig, TrainConfig};
+use deepstuq::{AwaConfig, CalibConfig, Stage, TrainConfig};
 use stuq_artifact::json::Json;
 use stuq_metrics::{ProperScoreAccumulator, ReliabilityDiagram};
 use stuq_models::{AgcrnConfig, Forecaster};
@@ -739,14 +739,20 @@ fn cmd_train(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         calib: Some(CalibConfig { mc_samples: mc.min(10), max_iters: 500, stride: 3 }),
         mc_samples: mc,
     };
-    let total_epochs = cfg.total_epochs();
+    let (pretrain_epochs, total_epochs) = (cfg.train.epochs, cfg.total_epochs());
     let opts =
         FitOptions { checkpoint_dir, checkpoint_every, resume, epoch_budget, ..Default::default() };
     match DeepStuq::fit(&ds, cfg, seed, &opts).map_err(|e| e.to_string())? {
         FitOutcome::Paused { stage, epochs_done, .. } => {
+            // `epochs_done` counts the paused stage's epochs; AWA follows
+            // the whole of pre-training.
+            let run_wide = match stage {
+                Stage::Awa => pretrain_epochs + epochs_done,
+                _ => epochs_done,
+            };
             let _ = writeln!(
                 out,
-                "paused in {stage} after {epochs_done}/{total_epochs} training epochs — \
+                "paused in {stage} after {run_wide}/{total_epochs} training epochs — \
                  checkpoint written; rerun with --resume true to continue"
             );
             Ok(())
@@ -1438,7 +1444,15 @@ mod tests {
         // The same run split across a pause/resume process boundary.
         let ckpt_s = ckpt.to_str().unwrap().to_string();
         let paused = train(&["--checkpoint-dir", &ckpt_s, "--epoch-budget", "1"], &m_resumed);
-        assert!(paused.contains("paused"), "{paused}");
+        assert!(paused.contains("paused in pretrain after 1/4 training epochs"), "{paused}");
+        assert!(!m_resumed.exists(), "paused run must not write a model");
+        // The second leg finishes pre-training and pauses one epoch into
+        // AWA: three of the run's four epochs.
+        let paused = train(
+            &["--checkpoint-dir", &ckpt_s, "--resume", "true", "--epoch-budget", "2"],
+            &m_resumed,
+        );
+        assert!(paused.contains("paused in awa after 3/4 training epochs"), "{paused}");
         assert!(!m_resumed.exists(), "paused run must not write a model");
         let resumed = train(&["--checkpoint-dir", &ckpt_s, "--resume", "true"], &m_resumed);
         assert!(resumed.contains("temperature"), "{resumed}");

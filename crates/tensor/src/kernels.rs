@@ -116,6 +116,40 @@ fn mm_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, j0
     }
 }
 
+/// Columns per register tile of a 4-row group's wide tail.
+const TAIL_TILE: usize = 8;
+
+/// The wide tail, columns `j0..n` with `n - j0 >= TAIL_TILE`, of four rows
+/// at once: `4 × TAIL_TILE` accumulators stay in registers over the whole
+/// k-loop, so four independent FMA chains are in flight per loaded `B`
+/// vector instead of one. The last tile ends at `n` and may overlap the one
+/// before; an overlapped column is computed twice to the same bits.
+///
+/// Each element is one FMA chain over k in order from zero, exactly
+/// [`mm_row_tail`]'s wide path, so a row's tail has the same bits whether
+/// it runs here or alone. Overwrites its columns of `o`.
+fn mm_tail_tile(a: [&[f32]; 4], b: &[f32], mut o: [&mut [f32]; 4], k: usize, n: usize, j0: usize) {
+    debug_assert!(n - j0 >= TAIL_TILE);
+    let mut j = j0;
+    while j < n {
+        let jb = j.min(n - TAIL_TILE);
+        let mut c = [[0.0f32; TAIL_TILE]; 4];
+        for kk in 0..k {
+            let bv: &[f32; TAIL_TILE] = b[kk * n + jb..kk * n + jb + TAIL_TILE].try_into().unwrap();
+            for (cr, ar) in c.iter_mut().zip(&a) {
+                let x = ar[kk];
+                for l in 0..TAIL_TILE {
+                    cr[l] = x.mul_add(bv[l], cr[l]);
+                }
+            }
+        }
+        for (orow, cr) in o.iter_mut().zip(&c) {
+            orow[jb..jb + TAIL_TILE].copy_from_slice(cr);
+        }
+        j = jb + TAIL_TILE;
+    }
+}
+
 /// Whole rows against one right-hand side in the one-row order: full
 /// `J_TILE` column tiles, k unrolled by two into independent accumulator
 /// sets combined in a fixed order at the end, then [`mm_row_tail`].
@@ -174,12 +208,15 @@ fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usi
 /// `a` holds `rows·k` elements, `out` holds `rows·n`; `b` is the full
 /// `k × n` right-hand side, and `out` must be zeroed on entry (the register
 /// tiles overwrite their columns outright — sparing a read pass of `out` —
-/// but the wide-tail path and the `k == 0` early return rely on the zeros).
+/// but a leftover row's wide tail, [`mm_row_tail`], accumulates into the
+/// zeros, and the `k == 0` early return leaves them).
 /// Rows are processed in groups of four with a
 /// `4 × J_TILE` register tile: the output accumulators live in vector
 /// registers for the whole k-loop, so each loaded `B` vector feeds four FMAs
 /// and the output is touched once per tile — the seed kernel's
-/// load-FMA-store round-trip per `(k, j)` step is what limited it. There is
+/// load-FMA-store round-trip per `(k, j)` step is what limited it. A group's
+/// tail of 8 to 31 columns runs the same way in `4 × 8` tiles
+/// ([`mm_tail_tile`]); a narrower tail goes row by row. There is
 /// deliberately no zero-skip branch (the seed's `if aik == 0.0 { continue }`
 /// defeated vectorization on dense data — see EXPERIMENTS.md for the
 /// measured cost).
@@ -223,7 +260,9 @@ fn mm_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
             o2[jb..jb + J_TILE].copy_from_slice(&c2);
             o3[jb..jb + J_TILE].copy_from_slice(&c3);
         }
-        if jt < n {
+        if n - jt >= TAIL_TILE {
+            mm_tail_tile([a0, a1, a2, a3], b, [o0, o1, o2, o3], k, n, jt);
+        } else if jt < n {
             mm_row_tail(a0, b, &mut o0[jt..], k, n, jt);
             mm_row_tail(a1, b, &mut o1[jt..], k, n, jt);
             mm_row_tail(a2, b, &mut o2[jt..], k, n, jt);
@@ -500,59 +539,69 @@ fn rowwise_nodes(
     }
 }
 
-/// NAPL row-wise matmul backward: given upstream grad `g` (`rows × co`),
-/// returns `(dz, dw)` with `dz[r, i] = g[r, :] · W_r[i, :]` and
-/// `dw[r, i·co + j] = z[r, i] · g[r, j]`. Row-parallel (rows are disjoint in
-/// both outputs).
-pub fn rowwise_matmul_grad(
-    z: &[f32],
-    w: &[f32],
-    g: &[f32],
-    rows: usize,
-    ci: usize,
-    co: usize,
-) -> (Vec<f32>, Vec<f32>) {
-    let mut dz = vec![0.0f32; rows * ci];
-    let mut dw = vec![0.0f32; rows * ci * co];
-    let per_row = |row: usize, dz_row: &mut [f32], dw_row: &mut [f32]| {
-        let g_row = &g[row * co..(row + 1) * co];
-        let z_row = &z[row * ci..(row + 1) * ci];
-        let w_row = &w[row * ci * co..(row + 1) * ci * co];
-        for i in 0..ci {
-            let w_chunk = &w_row[i * co..(i + 1) * co];
-            let dw_chunk = &mut dw_row[i * co..(i + 1) * co];
-            let zri = z_row[i];
-            dz_row[i] = dot_f32(g_row, w_chunk);
-            for (dwv, &gv) in dw_chunk.iter_mut().zip(g_row) {
-                *dwv = zri * gv;
-            }
-        }
-    };
-    if rows.saturating_mul(ci).saturating_mul(co) >= PAR_FLOPS_MIN && rows > ROW_CHUNK {
-        let zptr = SendPtr::new(dz.as_mut_ptr());
-        let wptr = SendPtr::new(dw.as_mut_ptr());
+/// Runs `f(row, &mut out[row·width..][..width])` for every row, on the
+/// pool over [`ROW_CHUNK`] row ranges when the work crosses
+/// [`PAR_FLOPS_MIN`]. Rows are disjoint, so the split never changes a result.
+fn for_rows(out: &mut [f32], width: usize, flops: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+    let rows = out.len().checked_div(width).unwrap_or(0);
+    if flops >= PAR_FLOPS_MIN && rows > ROW_CHUNK {
+        let optr = SendPtr::new(out.as_mut_ptr());
         par_ranges(rows, ROW_CHUNK, |r| {
             for row in r {
-                // SAFETY: per-row slices of dz and dw are disjoint.
-                let (dz_row, dw_row) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(zptr.get().add(row * ci), ci),
-                        std::slice::from_raw_parts_mut(wptr.get().add(row * ci * co), ci * co),
-                    )
-                };
-                per_row(row, dz_row, dw_row);
+                // SAFETY: row < out.len() / width, so each slice lies in
+                // out, and slices of distinct rows are disjoint.
+                f(row, unsafe {
+                    std::slice::from_raw_parts_mut(optr.get().add(row * width), width)
+                });
             }
         });
     } else {
-        for row in 0..rows {
-            per_row(
-                row,
-                &mut dz[row * ci..(row + 1) * ci],
-                &mut dw[row * ci * co..(row + 1) * ci * co],
-            );
+        for (row, o) in out.chunks_exact_mut(width.max(1)).enumerate() {
+            f(row, o);
         }
     }
-    (dz, dw)
+}
+
+/// NAPL row-wise matmul backward into `z`: given the upstream gradient `g`
+/// (`rows × co`), adds `g[r, :] · W_r[i, :]` to `dz[r, i]`.
+pub fn rowwise_matmul_grad_z(
+    w: &[f32],
+    g: &[f32],
+    dz: &mut [f32],
+    rows: usize,
+    ci: usize,
+    co: usize,
+) {
+    assert_eq!(dz.len(), rows * ci, "rowwise_matmul_grad_z: dz is not rows x ci");
+    for_rows(dz, ci, rows.saturating_mul(ci).saturating_mul(co), |row, dz_row| {
+        let g_row = &g[row * co..(row + 1) * co];
+        let w_row = &w[row * ci * co..(row + 1) * ci * co];
+        for (i, d) in dz_row.iter_mut().enumerate() {
+            *d += dot_f32(g_row, &w_row[i * co..(i + 1) * co]);
+        }
+    });
+}
+
+/// NAPL row-wise matmul backward into `w`: given the upstream gradient `g`
+/// (`rows × co`), adds `z[r, i] · g[r, j]` to `dw[r, i·co + j]`.
+pub fn rowwise_matmul_grad_w(
+    z: &[f32],
+    g: &[f32],
+    dw: &mut [f32],
+    rows: usize,
+    ci: usize,
+    co: usize,
+) {
+    assert_eq!(dw.len(), rows * ci * co, "rowwise_matmul_grad_w: dw is not rows x ci*co");
+    for_rows(dw, ci * co, rows.saturating_mul(ci).saturating_mul(co), |row, dw_row| {
+        let g_row = &g[row * co..(row + 1) * co];
+        let z_row = &z[row * ci..(row + 1) * ci];
+        for (dw_chunk, &zri) in dw_row.chunks_exact_mut(co.max(1)).zip(z_row) {
+            for (d, &gv) in dw_chunk.iter_mut().zip(g_row) {
+                *d += zri * gv;
+            }
+        }
+    });
 }
 
 /// The seed's scalar i-k-j matmul, zero-skip branch included.
@@ -642,23 +691,31 @@ pub fn transpose(src: &[f32], m: usize, n: usize) -> Vec<f32> {
     out
 }
 
+/// Runs `f(range, &mut dst[range])` over [`ELEM_CHUNK`]-element chunks of
+/// `dst` on the pool above [`PAR_ELEMS_MIN`] elements, and once over all
+/// of `dst` below it. Each element is computed alone, so the split never
+/// changes a result.
+fn for_elem_chunks(dst: &mut [f32], f: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync) {
+    if dst.len() >= PAR_ELEMS_MIN {
+        let dptr = SendPtr::new(dst.as_mut_ptr());
+        par_ranges(dst.len(), ELEM_CHUNK, |r| {
+            // SAFETY: disjoint ranges of dst.
+            let db = unsafe { std::slice::from_raw_parts_mut(dptr.get().add(r.start), r.len()) };
+            f(r, db);
+        });
+    } else {
+        f(0..dst.len(), dst);
+    }
+}
+
 /// Elementwise map into a fresh buffer, chunk-parallel above [`PAR_ELEMS_MIN`].
 pub fn map_elems(src: &[f32], f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
     let mut out = vec![0.0f32; src.len()];
-    if src.len() >= PAR_ELEMS_MIN {
-        let optr = SendPtr::new(out.as_mut_ptr());
-        par_ranges(src.len(), ELEM_CHUNK, |r| {
-            // SAFETY: disjoint output ranges.
-            let ob = unsafe { std::slice::from_raw_parts_mut(optr.get().add(r.start), r.len()) };
-            for (o, &v) in ob.iter_mut().zip(&src[r]) {
-                *o = f(v);
-            }
-        });
-    } else {
-        for (o, &v) in out.iter_mut().zip(src) {
+    for_elem_chunks(&mut out, |r, ob| {
+        for (o, &v) in ob.iter_mut().zip(&src[r]) {
             *o = f(v);
         }
-    }
+    });
     out
 }
 
@@ -666,60 +723,47 @@ pub fn map_elems(src: &[f32], f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
 pub fn zip_elems(x: &[f32], y: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) -> Vec<f32> {
     debug_assert_eq!(x.len(), y.len());
     let mut out = vec![0.0f32; x.len()];
-    if x.len() >= PAR_ELEMS_MIN {
-        let optr = SendPtr::new(out.as_mut_ptr());
-        par_ranges(x.len(), ELEM_CHUNK, |r| {
-            // SAFETY: disjoint output ranges.
-            let ob = unsafe { std::slice::from_raw_parts_mut(optr.get().add(r.start), r.len()) };
-            for ((o, &a), &b) in ob.iter_mut().zip(&x[r.clone()]).zip(&y[r]) {
-                *o = f(a, b);
-            }
-        });
-    } else {
-        for ((o, &a), &b) in out.iter_mut().zip(x).zip(y) {
+    for_elem_chunks(&mut out, |r, ob| {
+        for ((o, &a), &b) in ob.iter_mut().zip(&x[r.clone()]).zip(&y[r]) {
             *o = f(a, b);
         }
-    }
+    });
     out
 }
 
 /// In-place elementwise map, chunk-parallel.
 pub fn map_inplace_elems(dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
-    if dst.len() >= PAR_ELEMS_MIN {
-        let len = dst.len();
-        let dptr = SendPtr::new(dst.as_mut_ptr());
-        par_ranges(len, ELEM_CHUNK, |r| {
-            // SAFETY: disjoint ranges of dst.
-            let db = unsafe { std::slice::from_raw_parts_mut(dptr.get().add(r.start), r.len()) };
-            for v in db {
-                *v = f(*v);
-            }
-        });
-    } else {
-        for v in dst {
+    for_elem_chunks(dst, |_, db| {
+        for v in db {
             *v = f(*v);
         }
-    }
+    });
 }
 
 /// `dst[i] = f(dst[i], src[i])`, chunk-parallel (covers `+=` and AXPY).
 pub fn zip_assign_elems(dst: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) {
     debug_assert_eq!(dst.len(), src.len());
-    if dst.len() >= PAR_ELEMS_MIN {
-        let len = dst.len();
-        let dptr = SendPtr::new(dst.as_mut_ptr());
-        par_ranges(len, ELEM_CHUNK, |r| {
-            // SAFETY: disjoint ranges of dst.
-            let db = unsafe { std::slice::from_raw_parts_mut(dptr.get().add(r.start), r.len()) };
-            for (d, &s) in db.iter_mut().zip(&src[r]) {
-                *d = f(*d, s);
-            }
-        });
-    } else {
-        for (d, &s) in dst.iter_mut().zip(src) {
+    for_elem_chunks(dst, |r, db| {
+        for (d, &s) in db.iter_mut().zip(&src[r]) {
             *d = f(*d, s);
         }
-    }
+    });
+}
+
+/// `dst[i] = f(dst[i], x[i], y[i])`, chunk-parallel: how the backward walk
+/// adds an element-wise adjoint such as `g ⊙ m` into a gradient in place.
+pub fn zip2_assign_elems(
+    dst: &mut [f32],
+    x: &[f32],
+    y: &[f32],
+    f: impl Fn(f32, f32, f32) -> f32 + Sync,
+) {
+    debug_assert!(dst.len() == x.len() && dst.len() == y.len());
+    for_elem_chunks(dst, |r, db| {
+        for ((d, &a), &b) in db.iter_mut().zip(&x[r.clone()]).zip(&y[r]) {
+            *d = f(*d, a, b);
+        }
+    });
 }
 
 /// Sum of `map(x[i])` accumulated in `f64` over fixed [`SUM_BLOCK`]-sized
@@ -1007,6 +1051,36 @@ mod tests {
             assert_eq!(bits(&reference), bits(&per_sample), "{what}: reference mode");
         }
         assert!(crossed, "some block must cross PAR_FLOPS_MIN");
+    }
+
+    /// A 4-row group's tail columns, register-tiled when 8 or more wide,
+    /// hold the bits of the same row run alone through `mm_rows::<1>`, for
+    /// tails of 1 to 31 columns after zero, one or two full tiles, short
+    /// and long k, and row counts with leftover rows.
+    #[test]
+    fn mm_block_rows_match_the_one_row_order_bitwise() {
+        let mut rng = StuqRng::new(0x7A11);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 40, 45, 63, 64 + 13, 64 + 31] {
+            for k in [1, 2, 3, 5, 8, 33, 301] {
+                for rows in [4, 7, 8, 13] {
+                    let a = randv(&mut rng, rows * k);
+                    let b = randv(&mut rng, k * n);
+                    let mut tile = vec![0.0f32; rows * n];
+                    mm_block(&a, &b, &mut tile, k, n);
+                    let jt = n - n % J_TILE;
+                    for r in 0..rows {
+                        let mut alone = vec![0.0f32; n];
+                        mm_rows([&a[r * k..(r + 1) * k]], &b, [&mut alone[..]], k, n);
+                        assert_eq!(
+                            bits(&tile[r * n + jt..(r + 1) * n]),
+                            bits(&alone[jt..]),
+                            "n {n}, k {k}, rows {rows}: row {r}'s tail"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

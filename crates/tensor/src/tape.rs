@@ -18,8 +18,13 @@
 //! inputs in declaration order, parameter slots by descending node id), and
 //! its adjoint products run on the pooled kernels, whose chunking never
 //! depends on the thread count, so gradients are bit-identical for any
-//! thread count.
+//! thread count. The walk computes no delta into a node that no parameter
+//! reaches (constants and constant-only subgraphs), and each op adds its
+//! delta straight into its input's gradient buffer, element by element,
+//! rather than building the delta as a tensor first. Matmul-family deltas
+//! are the exception: they are products computed whole and then added.
 
+use crate::kernels;
 use crate::rng::StuqRng;
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -35,7 +40,9 @@ pub trait CustomOp: std::fmt::Debug + Send + Sync {
     /// Human-readable kernel name (for debugging).
     fn name(&self) -> &'static str;
     /// Given `d loss / d output`, the inputs and the output value, returns
-    /// `d loss / d input_i` for every input, in order.
+    /// `d loss / d input_i` for every input, in order. The walk calls it
+    /// only when some input depends on a parameter, and drops the deltas
+    /// of inputs that do not.
     fn backward(&self, grad: &Tensor, inputs: &[&Tensor], output: &Tensor) -> Vec<Tensor>;
 }
 
@@ -433,7 +440,9 @@ impl Tape {
 
     /// Runs the reverse sweep from the scalar node `loss`: one
     /// descending-id pass, accumulating each node's gradient in place as its
-    /// consumers are visited.
+    /// consumers are visited. Only nodes that depend on a parameter get a
+    /// gradient: no delta into a constant, or into a node computed from
+    /// constants alone, is ever computed.
     ///
     /// Panics if `loss` is not a `1×1` tensor.
     pub fn backward(&self, loss: NodeId) -> GradStore {
@@ -441,102 +450,95 @@ impl Tape {
             stuq_obs::metrics().backward_runs.inc();
         }
         assert_eq!(self.nodes[loss].value.len(), 1, "backward() needs a scalar loss node");
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss] = Some(Tensor::scalar(1.0));
-
+        let mut needs = Vec::with_capacity(loss + 1);
+        for node in &self.nodes[..=loss] {
+            let need = match node.op {
+                OpKind::Param(_) => true,
+                OpKind::Constant => false,
+                _ => node.parents.iter().any(|&p| needs[p]),
+            };
+            needs.push(need);
+        }
         let mut store = GradStore::default();
+        if !needs[loss] {
+            return store;
+        }
+        let mut acc = Adjoints { grads: vec![None; loss + 1], needs };
+        acc.grads[loss] = Some(Tensor::scalar(1.0));
         for id in (0..=loss).rev() {
-            let Some(grad) = grads[id].take() else { continue };
-            let node = &self.nodes[id];
-            match &node.op {
-                OpKind::Constant => {}
+            let Some(grad) = acc.grads[id].take() else { continue };
+            match &self.nodes[id].op {
                 OpKind::Param(slot) => store.accumulate_slot(*slot, grad),
-                _ => {
-                    for (pid, delta) in node.parents.iter().zip(self.node_adjoints(id, &grad)) {
-                        Self::accumulate(&mut grads, *pid, delta);
-                    }
-                }
+                _ => self.add_adjoints(id, &grad, &mut acc),
             }
         }
         store
     }
 
-    fn accumulate(grads: &mut [Option<Tensor>], id: NodeId, delta: Tensor) {
-        match &mut grads[id] {
-            Some(g) => g.add_assign(&delta),
-            slot @ None => *slot = Some(delta),
-        }
-    }
-
-    /// Computes `d loss / d input_k` for every input of node `id`, in input
-    /// declaration order, given the node's fully-accumulated upstream
-    /// gradient. Pure with respect to the tape.
+    /// Adds `d loss / d input_k` into every input of node `id` that needs
+    /// it, in input declaration order, given the node's fully-accumulated
+    /// upstream gradient.
     #[allow(clippy::too_many_lines)]
-    fn node_adjoints(&self, id: NodeId, grad: &Tensor) -> Vec<Tensor> {
+    fn add_adjoints(&self, id: NodeId, grad: &Tensor, acc: &mut Adjoints) {
         let node = &self.nodes[id];
         let p = &node.parents;
         let val = |nid: NodeId| &self.nodes[nid].value;
+        let y = &node.value;
         match &node.op {
-            OpKind::Constant | OpKind::Param(_) => unreachable!("handled by caller"),
-            OpKind::Add => vec![grad.clone(), grad.clone()],
-            OpKind::Sub => vec![grad.clone(), grad.scale(-1.0)],
-            OpKind::Mul => vec![grad.mul(val(p[1])), grad.mul(val(p[0]))],
-            OpKind::MaxElem => {
-                let a = val(p[0]);
-                let b = val(p[1]);
-                let ga = grad.zip(&a.zip(b, |x, y| if x >= y { 1.0 } else { 0.0 }), |g, m| g * m);
-                let gb = grad.zip(&a.zip(b, |x, y| if x >= y { 0.0 } else { 1.0 }), |g, m| g * m);
-                vec![ga, gb]
+            OpKind::Constant | OpKind::Param(_) => unreachable!("leaves have no inputs"),
+            OpKind::Add => {
+                acc.map(p[0], grad, |g| g);
+                acc.map(p[1], grad, |g| g);
             }
-            OpKind::Neg => vec![grad.scale(-1.0)],
-            OpKind::Scale(c) => vec![grad.scale(*c)],
-            OpKind::AddScalar(_) => vec![grad.clone()],
+            OpKind::Sub => {
+                acc.map(p[0], grad, |g| g);
+                acc.map(p[1], grad, |g| -g);
+            }
+            OpKind::Mul => {
+                acc.zip(p[0], grad, val(p[1]), |g, b| g * b);
+                acc.zip(p[1], grad, val(p[0]), |g, a| g * a);
+            }
+            OpKind::MaxElem => {
+                // The gradient follows the winning side, ties to the lhs.
+                let (a, b) = (val(p[0]), val(p[1]));
+                if acc.needs[p[0]] {
+                    let lhs_wins = a.zip(b, |x, y| if x >= y { 1.0 } else { 0.0 });
+                    acc.zip(p[0], grad, &lhs_wins, |g, m| g * m);
+                }
+                if acc.needs[p[1]] {
+                    let rhs_wins = a.zip(b, |x, y| if x >= y { 0.0 } else { 1.0 });
+                    acc.zip(p[1], grad, &rhs_wins, |g, m| g * m);
+                }
+            }
+            OpKind::Neg => acc.map(p[0], grad, |g| -g),
+            OpKind::Scale(c) => acc.map(p[0], grad, |g| g * c),
+            OpKind::AddScalar(_) => acc.map(p[0], grad, |g| g),
             OpKind::Matmul => {
                 // y = a b  ⇒  da = g bᵀ, db = aᵀ g
-                vec![grad.matmul_tb(val(p[1])), val(p[0]).matmul_ta(grad)]
+                acc.whole(p[0], || grad.matmul_tb(val(p[1])));
+                acc.whole(p[1], || val(p[0]).matmul_ta(grad));
             }
             OpKind::MatmulTB => {
                 // y = a bᵀ  ⇒  da = g b, db = gᵀ a
-                vec![grad.matmul(val(p[1])), grad.matmul_ta(val(p[0]))]
+                acc.whole(p[0], || grad.matmul(val(p[1])));
+                acc.whole(p[1], || grad.matmul_ta(val(p[0])));
             }
-            OpKind::Transpose => vec![grad.transpose()],
-            OpKind::Sigmoid => {
-                let y = &node.value;
-                vec![grad.zip(y, |g, s| g * s * (1.0 - s))]
-            }
-            OpKind::Tanh => {
-                let y = &node.value;
-                vec![grad.zip(y, |g, t| g * (1.0 - t * t))]
-            }
-            OpKind::Relu => {
-                let x = val(p[0]);
-                vec![grad.zip(x, |g, xv| if xv > 0.0 { g } else { 0.0 })]
-            }
+            OpKind::Transpose => acc.whole(p[0], || grad.transpose()),
+            OpKind::Sigmoid => acc.zip(p[0], grad, y, |g, s| g * s * (1.0 - s)),
+            OpKind::Tanh => acc.zip(p[0], grad, y, |g, t| g * (1.0 - t * t)),
+            OpKind::Relu => acc.zip(p[0], grad, val(p[0]), |g, x| if x > 0.0 { g } else { 0.0 }),
             OpKind::LeakyRelu(alpha) => {
-                let x = val(p[0]);
-                let a = *alpha;
-                vec![grad.zip(x, |g, xv| if xv > 0.0 { g } else { a * g })]
+                acc.zip(p[0], grad, val(p[0]), |g, x| if x > 0.0 { g } else { alpha * g });
             }
-            OpKind::Exp => vec![grad.mul(&node.value)],
-            OpKind::Ln => {
-                let x = val(p[0]);
-                vec![grad.zip(x, |g, xv| g / xv)]
-            }
-            OpKind::Abs => {
-                let x = val(p[0]);
-                vec![grad.zip(x, |g, xv| if xv >= 0.0 { g } else { -g })]
-            }
-            OpKind::Sqrt => {
-                let y = &node.value;
-                vec![grad.zip(y, |g, s| g * 0.5 / s.max(1e-12))]
-            }
+            OpKind::Exp => acc.zip(p[0], grad, y, |g, e| g * e),
+            OpKind::Ln => acc.zip(p[0], grad, val(p[0]), |g, x| g / x),
+            OpKind::Abs => acc.zip(p[0], grad, val(p[0]), |g, x| if x >= 0.0 { g } else { -g }),
+            OpKind::Sqrt => acc.zip(p[0], grad, y, |g, s| g * 0.5 / s.max(1e-12)),
             OpKind::Clamp(lo, hi) => {
-                let x = val(p[0]);
                 let (lo, hi) = (*lo, *hi);
-                vec![grad.zip(x, |g, xv| if xv > lo && xv < hi { g } else { 0.0 })]
+                acc.zip(p[0], grad, val(p[0]), |g, x| if x > lo && x < hi { g } else { 0.0 });
             }
-            OpKind::SoftmaxRows => {
-                let y = &node.value;
+            OpKind::SoftmaxRows => acc.whole(p[0], || {
                 let (m, n) = (y.rows(), y.cols());
                 let mut dx = Tensor::zeros(&[m, n]);
                 for i in 0..m {
@@ -548,69 +550,87 @@ impl Tape {
                         dx.set(i, j, y.get(i, j) * (grad.get(i, j) - dot));
                     }
                 }
-                vec![dx]
-            }
+                dx
+            }),
             OpKind::ConcatCols => {
-                let ca = val(p[0]).cols();
-                let cb = val(p[1]).cols();
-                vec![grad.slice_cols(0, ca), grad.slice_cols(ca, ca + cb)]
-            }
-            OpKind::SliceCols(from, to) => {
-                let src = val(p[0]);
-                let (m, n) = (src.rows(), src.cols());
-                let mut dx = Tensor::zeros(&[m, n]);
-                for i in 0..m {
-                    for (jj, j) in (*from..*to).enumerate() {
-                        dx.set(i, j, grad.get(i, jj));
+                let (ca, cb) = (val(p[0]).cols(), val(p[1]).cols());
+                for (k, from, w) in [(0, 0, ca), (1, ca, cb)] {
+                    let Some(dx) = acc.buffer(p[k], val(p[k]).shape()) else { continue };
+                    for i in 0..grad.rows() {
+                        let g_row = &grad.data()[i * (ca + cb) + from..][..w];
+                        add_into(&mut dx.data_mut()[i * w..(i + 1) * w], g_row);
                     }
                 }
-                vec![dx]
+            }
+            // The slices' deltas are zero outside the slice. Adding that
+            // zero keeps the bits of adding a zero-padded delta: it turns an
+            // accumulated -0.0 into +0.0.
+            OpKind::SliceCols(from, to) => {
+                let Some(dx) = acc.buffer(p[0], val(p[0]).shape()) else { return };
+                let (n, w) = (dx.cols(), to - from);
+                for i in 0..dx.rows() {
+                    let row = &mut dx.data_mut()[i * n..(i + 1) * n];
+                    let (head, rest) = row.split_at_mut(*from);
+                    let (mid, tail) = rest.split_at_mut(w);
+                    add_zeros(head);
+                    add_into(mid, &grad.data()[i * w..(i + 1) * w]);
+                    add_zeros(tail);
+                }
             }
             OpKind::SliceRows(from, to) => {
-                let src = val(p[0]);
-                let (m, n) = (src.rows(), src.cols());
-                let mut dx = Tensor::zeros(&[m, n]);
-                for (ii, i) in (*from..*to).enumerate() {
-                    for j in 0..n {
-                        dx.set(i, j, grad.get(ii, j));
-                    }
-                }
-                vec![dx]
+                let Some(dx) = acc.buffer(p[0], val(p[0]).shape()) else { return };
+                let n = dx.cols();
+                let (head, rest) = dx.data_mut().split_at_mut(from * n);
+                let (mid, tail) = rest.split_at_mut((to - from) * n);
+                add_zeros(head);
+                add_into(mid, grad.data());
+                add_zeros(tail);
             }
             OpKind::SliceColsStrided { start, stride, count } => {
-                let src = val(p[0]);
-                let (m, n) = (src.rows(), src.cols());
-                let mut dx = Tensor::zeros(&[m, n]);
-                for i in 0..m {
-                    for j in 0..*count {
-                        dx.set(i, start + j * stride, grad.get(i, j));
+                let Some(dx) = acc.buffer(p[0], val(p[0]).shape()) else { return };
+                let n = dx.cols();
+                for i in 0..dx.rows() {
+                    let row = &mut dx.data_mut()[i * n..(i + 1) * n];
+                    for (j, v) in row.iter_mut().enumerate() {
+                        let picked = j.checked_sub(*start).filter(|d| d % stride == 0);
+                        *v += match picked.map(|d| d / stride) {
+                            Some(jj) if jj < *count => grad.get(i, jj),
+                            _ => 0.0,
+                        };
                     }
                 }
-                vec![dx]
             }
             OpKind::MeanAll => {
-                let src = val(p[0]);
-                let g = grad.get(0, 0) / src.len() as f32;
-                vec![Tensor::full(src.shape(), g)]
+                let Some(dx) = acc.buffer(p[0], val(p[0]).shape()) else { return };
+                let g = grad.get(0, 0) / dx.len() as f32;
+                dx.map_inplace(|v| v + g);
             }
             OpKind::SumAll => {
-                let src = val(p[0]);
-                vec![Tensor::full(src.shape(), grad.get(0, 0))]
+                let Some(dx) = acc.buffer(p[0], val(p[0]).shape()) else { return };
+                let g = grad.get(0, 0);
+                dx.map_inplace(|v| v + g);
             }
-            OpKind::AddRowBroadcast => vec![grad.clone(), grad.sum_rows()],
+            OpKind::AddRowBroadcast => {
+                acc.map(p[0], grad, |g| g);
+                acc.whole(p[1], || grad.sum_rows());
+            }
             OpKind::RowwiseMatmul { c_in, c_out } => {
-                let z = val(p[0]);
-                let w = val(p[1]);
-                let n = z.rows();
-                let (ci, co) = (*c_in, *c_out);
-                let (dz, dw) =
-                    crate::kernels::rowwise_matmul_grad(z.data(), w.data(), grad.data(), n, ci, co);
-                vec![Tensor::from_vec(dz, &[n, ci]), Tensor::from_vec(dw, &[n, ci * co])]
+                let (z, w) = (val(p[0]), val(p[1]));
+                let (n, ci, co) = (z.rows(), *c_in, *c_out);
+                if let Some(dz) = acc.buffer(p[0], z.shape()) {
+                    kernels::rowwise_matmul_grad_z(w.data(), grad.data(), dz.data_mut(), n, ci, co);
+                }
+                if let Some(dw) = acc.buffer(p[1], w.shape()) {
+                    kernels::rowwise_matmul_grad_w(z.data(), grad.data(), dw.data_mut(), n, ci, co);
+                }
             }
-            OpKind::Dropout(mask) => vec![grad.mul(mask)],
+            OpKind::Dropout(mask) => acc.zip(p[0], grad, mask, |g, m| g * m),
             OpKind::Custom(op) => {
+                if !p.iter().any(|&pid| acc.needs[pid]) {
+                    return;
+                }
                 let inputs: Vec<&Tensor> = p.iter().map(|&pid| val(pid)).collect();
-                let deltas = op.backward(grad, &inputs, &node.value);
+                let deltas = op.backward(grad, &inputs, y);
                 assert_eq!(
                     deltas.len(),
                     p.len(),
@@ -619,9 +639,74 @@ impl Tape {
                     deltas.len(),
                     p.len()
                 );
-                deltas
+                for (&pid, delta) in p.iter().zip(deltas) {
+                    acc.whole(pid, || delta);
+                }
             }
         }
+    }
+}
+
+/// The gradient buffers of one [`Tape::backward`] walk.
+///
+/// A node *needs* a gradient when a parameter reaches it: a `Param` does, a
+/// `Constant` does not, and any other node does when one of its inputs
+/// does. Deltas into a node that does not need one are never computed.
+///
+/// Each delta is added into its input's buffer element by element, in the
+/// order the deltas arrive. The first delta installs the buffer; the
+/// element-wise forms install it as `-0.0`s and add into them, which keeps
+/// the delta's bits, since `-0.0 + x` is `x` for every `x`. Rust never
+/// contracts `acc + g * m` into a fused multiply-add, so adding a formula
+/// in place rounds exactly as building the delta and adding it would.
+struct Adjoints {
+    grads: Vec<Option<Tensor>>,
+    needs: Vec<bool>,
+}
+
+impl Adjoints {
+    /// The gradient buffer of `id`, or `None` when `id` needs no gradient.
+    fn buffer(&mut self, id: NodeId, shape: &[usize]) -> Option<&mut Tensor> {
+        self.needs[id].then(|| self.grads[id].get_or_insert_with(|| Tensor::full(shape, -0.0)))
+    }
+
+    /// Adds a delta computed whole (a matmul-family product, say) into `id`.
+    fn whole(&mut self, id: NodeId, delta: impl FnOnce() -> Tensor) {
+        if !self.needs[id] {
+            return;
+        }
+        match &mut self.grads[id] {
+            Some(g) => g.add_assign(&delta()),
+            slot @ None => *slot = Some(delta()),
+        }
+    }
+
+    /// Adds the element-wise delta `f(g, x)` into `id`.
+    fn zip(&mut self, id: NodeId, g: &Tensor, x: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) {
+        assert_eq!(g.shape(), x.shape(), "adjoint shape mismatch");
+        if let Some(acc) = self.buffer(id, g.shape()) {
+            assert_eq!(acc.shape(), g.shape(), "adjoint shape mismatch");
+            kernels::zip2_assign_elems(acc.data_mut(), g.data(), x.data(), |a, g, x| a + f(g, x));
+        }
+    }
+
+    /// Adds the element-wise delta `f(g)` into `id`.
+    fn map(&mut self, id: NodeId, g: &Tensor, f: impl Fn(f32) -> f32 + Sync) {
+        self.zip(id, g, g, |g, _| f(g));
+    }
+}
+
+/// `acc[i] += delta[i]`.
+fn add_into(acc: &mut [f32], delta: &[f32]) {
+    for (a, &d) in acc.iter_mut().zip(delta) {
+        *a += d;
+    }
+}
+
+/// `acc[i] += 0.0`, a zero delta's effect (it turns `-0.0` into `+0.0`).
+fn add_zeros(acc: &mut [f32]) {
+    for a in acc {
+        *a += 0.0;
     }
 }
 

@@ -271,15 +271,6 @@ impl Tensor {
         Self { data: out, shape: vec![m, ca + cb] }
     }
 
-    /// Vertical concatenation (stacked rows).
-    pub fn concat_rows(&self, other: &Self) -> Self {
-        let n = self.cols();
-        assert_eq!(n, other.cols(), "concat_rows col mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Self { data, shape: vec![self.rows() + other.rows(), n] }
-    }
-
     /// Copies the column range `[from, to)` into a new matrix.
     pub fn slice_cols(&self, from: usize, to: usize) -> Self {
         let (m, n) = (self.rows(), self.cols());

@@ -1,6 +1,9 @@
 //! Edge-case and stress tests for the autodiff tape, beyond the per-op
 //! gradchecks in the library.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use stuq_tensor::{CustomOp, StuqRng, Tape, Tensor};
 
 #[test]
@@ -85,6 +88,43 @@ fn custom_op_round_trips_gradients() {
     let grads = tape.backward(loss);
     assert_eq!(tape.value(y).data(), &[6.0, 8.0]);
     assert_eq!(grads.get(0).unwrap().data(), &[2.0, 2.0]);
+}
+
+#[test]
+fn constant_only_inputs_get_no_adjoint() {
+    // A custom op that counts its backward calls: fed only by constants it
+    // is never called, and fed by a parameter it is called once.
+    #[derive(Debug)]
+    struct Counting(Arc<AtomicUsize>);
+    impl CustomOp for Counting {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn backward(&self, grad: &Tensor, inputs: &[&Tensor], _out: &Tensor) -> Vec<Tensor> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            inputs.iter().map(|_| grad.clone()).collect()
+        }
+    }
+    let calls = Arc::new(AtomicUsize::new(0));
+    let mut tape = Tape::new();
+    let x = tape.param(0, Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
+    let c = tape.constant(Tensor::from_vec(vec![3.0, 4.0], &[1, 2]));
+    let c2 = tape.tanh(c); // a constant-only subgraph
+    let value = tape.value(c).add(tape.value(c2));
+    let dead = tape.custom(Box::new(Counting(calls.clone())), vec![c, c2], value);
+    let value = tape.value(x).add(tape.value(c));
+    let live = tape.custom(Box::new(Counting(calls.clone())), vec![x, c], value);
+    let sum = tape.add(dead, live);
+    let loss = tape.sum_all(sum);
+    let grads = tape.backward(loss);
+    assert_eq!(calls.load(Ordering::Relaxed), 1, "only the op fed by a parameter runs");
+    assert_eq!(grads.get(0).unwrap().data(), &[1.0, 1.0]);
+    assert_eq!(grads.len(), 1);
+
+    // A loss that no parameter reaches gets an empty store.
+    let loss = tape.sum_all(dead);
+    assert!(tape.backward(loss).is_empty());
+    assert_eq!(calls.load(Ordering::Relaxed), 1);
 }
 
 #[test]
