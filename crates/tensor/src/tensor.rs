@@ -613,10 +613,16 @@ mod tests {
 
     /// The in-place draw is the tape's `x ⊙ mask` bit for bit, including
     /// on ±0, ±inf, NaN and subnormals, matches the `bernoulli(keep)` draw
-    /// rule written out here at rates from 1e-7 to 1 − 1e-7, and leaves the
-    /// generator where the mask draw leaves it. A sample block draws each
-    /// sample's rows from its own stream, as a lone draw would, and leaves
-    /// every stream at the same final position.
+    /// rule written out here at rates from 1e-9 (where `keep` rounds to 1
+    /// in f32) to 1 − 1e-7, and leaves the generator where the mask draw
+    /// leaves it.
+    ///
+    /// A sample block draws each sample's elements from its own stream by
+    /// the same rule, whatever path the build takes for the block, and
+    /// leaves every stream's whole state where the rule leaves it. The
+    /// table crosses block sizes around the lockstep group of 8 with
+    /// per-sample lengths from 1 to a 43×32 gate, and stream 1 of every
+    /// block holds a pending Box–Muller spare, which the draw must keep.
     #[test]
     fn dropout_inplace_matches_the_mask_product_bitwise() {
         let specials =
@@ -627,7 +633,8 @@ mod tests {
             *v = s;
         }
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for p in [1e-7f32, 0.05, 0.5, 0.9, 1.0 - 1e-7] {
+        let rates = [1e-9f32, 1e-7, 0.05, 0.2, 0.5, 0.9, 1.0 - 1e-7];
+        for p in rates {
             let stream = rng.fork(1);
             let (mut r1, mut r2, mut r3) = (stream.clone(), stream.clone(), stream);
             let mut got = x.clone();
@@ -653,20 +660,31 @@ mod tests {
                 let float = (m as f64) * (1.0 / (1u64 << 53) as f64) < keep as f64;
                 assert_eq!(m < below, float, "p = {p}: draw {m}");
             }
+        }
 
-            // A block of three samples, one stream each.
-            let streams: Vec<StuqRng> = (0..3).map(|i| rng.fork(10 + i)).collect();
-            let stacked = Tensor::randn(&[3 * 4, 7], 1.0, &mut rng);
-            let mut block = stacked.clone();
-            let mut block_rngs = streams.clone();
-            block.dropout_blocks_inplace(p, &mut block_rngs);
-            for (i, (stream, after)) in streams.iter().zip(&block_rngs).enumerate() {
-                let mut alone = stacked.slice_rows(4 * i, 4 * (i + 1));
-                let mut r = stream.clone();
-                alone.dropout_inplace(p, &mut r);
-                let rows = &block.data()[28 * i..28 * (i + 1)];
-                assert_eq!(bits(rows), bits(alone.data()), "p = {p}: block sample {i}");
-                assert_eq!(after.export_state(), r.export_state(), "p = {p}: stream {i}");
+        for samples in [2, 3, 4, 5, 7, 8, 9, 16, 17] {
+            for len in [1, 7, 33, 1376] {
+                for p in rates {
+                    let mut streams: Vec<StuqRng> =
+                        (0..samples as u64).map(|i| rng.fork(10 + i)).collect();
+                    let _ = streams[1].normal_f64();
+                    let stacked = Tensor::randn(&[samples, len], 1.0, &mut rng);
+                    let mut block = stacked.clone();
+                    let mut block_rngs = streams.clone();
+                    block.dropout_blocks_inplace(p, &mut block_rngs);
+                    let keep = 1.0 - p;
+                    for (i, r) in streams.iter_mut().enumerate() {
+                        let by_rule: Vec<f32> = stacked.data()[len * i..len * (i + 1)]
+                            .iter()
+                            .map(|&v| v * if r.bernoulli(keep as f64) { 1.0 / keep } else { 0.0 })
+                            .collect();
+                        let at = format!("{samples} samples of {len}, p = {p}: stream {i}");
+                        let rows = &block.data()[len * i..len * (i + 1)];
+                        assert_eq!(bits(rows), bits(&by_rule), "{at}: draws");
+                        assert_eq!(block_rngs[i].export_state(), r.export_state(), "{at}: state");
+                    }
+                    assert!(block_rngs[1].export_state().spare_normal_bits.is_some());
+                }
             }
         }
     }
