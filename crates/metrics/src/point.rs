@@ -65,14 +65,6 @@ impl PointAccumulator {
         }
     }
 
-    /// Adds a whole row of sensors at forecast step `h`.
-    pub fn update_row(&mut self, h: usize, pred: &[f32], truth: &[f32]) {
-        assert_eq!(pred.len(), truth.len(), "row length mismatch");
-        for (&p, &t) in pred.iter().zip(truth) {
-            self.update(h, p, t);
-        }
-    }
-
     /// Metrics for a single forecast step.
     pub fn at_horizon(&self, h: usize) -> PointMetrics {
         assert!(h < self.horizon, "horizon index {h} out of range");
@@ -131,7 +123,8 @@ mod tests {
     fn perfect_prediction_is_zero() {
         let mut acc = PointAccumulator::new(2);
         for h in 0..2 {
-            acc.update_row(h, &[10.0, 20.0], &[10.0, 20.0]);
+            acc.update(h, 10.0, 10.0);
+            acc.update(h, 20.0, 20.0);
         }
         let m = acc.overall();
         assert_eq!((m.mae, m.rmse, m.mape), (0.0, 0.0, 0.0));

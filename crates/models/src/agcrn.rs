@@ -203,12 +203,6 @@ impl Agcrn {
         let last = hidden.pop().expect("at least one layer");
         self.head.forward(ex, &self.params, ctx, last)
     }
-
-    /// The learned dense adjacency `Â` as a plain tensor (for inspection).
-    pub fn learned_adjacency(&self) -> Tensor {
-        let e = self.params.get(self.e_slot);
-        e.matmul_tb(e).map(|x| x.max(0.0)).softmax_rows()
-    }
 }
 
 impl Forecaster for Agcrn {
@@ -318,13 +312,17 @@ mod tests {
     }
 
     #[test]
-    fn learned_adjacency_rows_sum_to_one() {
+    fn support_rows_sum_to_two() {
+        // `Â` is a row softmax, so each row of `I + Â` sums to 1 + 1.
         let mut rng = StuqRng::new(2);
         let model = tiny_model(HeadKind::Point, &mut rng);
-        let a = model.learned_adjacency();
+        let mut tape = Tape::new();
+        let e = tape.constant(model.params.get(model.e_slot).clone());
+        let support = model.support(&mut tape, e);
+        let a = tape.value(support);
         for i in 0..6 {
             let sum: f32 = (0..6).map(|j| a.get(i, j)).sum();
-            assert!((sum - 1.0).abs() < 1e-5);
+            assert!((sum - 2.0).abs() < 1e-5, "row {i} sums to {sum}");
         }
     }
 

@@ -8,11 +8,6 @@ pub fn glorot_uniform(fan_in: usize, fan_out: usize, shape: &[usize], rng: &mut 
     Tensor::rand_uniform(shape, -a, a, rng)
 }
 
-/// He/Kaiming normal: `N(0, sqrt(2 / fan_in))` — for ReLU stacks.
-pub fn he_normal(fan_in: usize, shape: &[usize], rng: &mut StuqRng) -> Tensor {
-    Tensor::randn(shape, (2.0 / fan_in as f32).sqrt(), rng)
-}
-
 /// Small-scale normal for node embeddings (AGCRN initialises `E` this way).
 pub fn embedding_init(shape: &[usize], rng: &mut StuqRng) -> Tensor {
     Tensor::randn(shape, 0.1, rng)
@@ -29,13 +24,5 @@ mod tests {
         let a = (6.0f32 / 200.0).sqrt();
         assert!(t.max() <= a && t.min() >= -a);
         assert!(t.mean().abs() < 0.01);
-    }
-
-    #[test]
-    fn he_normal_variance() {
-        let mut rng = StuqRng::new(2);
-        let t = he_normal(50, &[200, 50], &mut rng);
-        let var = t.data().iter().map(|&x| (x as f64).powi(2)).sum::<f64>() / t.len() as f64;
-        assert!((var - 2.0 / 50.0).abs() < 0.005, "var {var}");
     }
 }

@@ -60,11 +60,6 @@ impl ParamSet {
         self.entries.iter().map(|(_, t)| t.len()).sum()
     }
 
-    /// Sum of squared parameter values (for L2 diagnostics).
-    pub fn l2_norm_sq(&self) -> f64 {
-        self.entries.iter().map(|(_, t)| t.norm().powi(2)).sum()
-    }
-
     /// Copies all parameter values out.
     pub fn snapshot(&self) -> Vec<Tensor> {
         self.entries.iter().map(|(_, t)| t.clone()).collect()
@@ -117,12 +112,5 @@ mod tests {
         let mut ps = ParamSet::new();
         ps.add("w", Tensor::ones(&[1, 1]));
         ps.load_snapshot(&[]);
-    }
-
-    #[test]
-    fn l2_norm_sq_matches_manual() {
-        let mut ps = ParamSet::new();
-        ps.add("w", Tensor::full(&[2, 2], 2.0));
-        assert!((ps.l2_norm_sq() - 16.0).abs() < 1e-9);
     }
 }

@@ -74,7 +74,8 @@ fn mm_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, j0
         // in flight and serialize into k-long dependent FMA chains. Go
         // column-major with four accumulator chains per output instead.
         for (o, j) in orow.iter_mut().zip(j0..n) {
-            let col = &b[j..];
+            // With k = 0, `b` is empty: the column is too, and the sum 0.
+            let col = b.get(j..).unwrap_or_default();
             let mut s = [0.0f32; 4];
             let mut kk = 0;
             while kk + 4 <= k {
@@ -1051,6 +1052,17 @@ mod tests {
             assert_eq!(bits(&reference), bits(&per_sample), "{what}: reference mode");
         }
         assert!(crossed, "some block must cross PAR_FLOPS_MIN");
+    }
+
+    /// With no inner dimension, one row's product is all zeros at every
+    /// width: the register tiles, the wide tail and the narrow tail alike.
+    #[test]
+    fn mm_rows_with_k_zero_is_zero() {
+        for n in 1..=40 {
+            let mut out = vec![0.0f32; n];
+            mm_rows([&[]], &[], [&mut out[..]], 0, n);
+            assert!(out.iter().all(|&v| v == 0.0), "n {n}: {out:?}");
+        }
     }
 
     /// A 4-row group's tail columns, register-tiled when 8 or more wide,

@@ -11,6 +11,11 @@
 //! this repository and can never change under a dependency upgrade; see
 //! DESIGN.md §5.
 
+/// Streams one call of `StuqRng::keep_masks` advances together: one per
+/// bit of its `u8` masks, and two AVX2 registers of 64-bit lanes.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+pub(crate) const LOCKSTEP_LANES: usize = 8;
+
 /// A seeded `xoshiro256**` pseudo-random generator.
 #[derive(Clone, Debug)]
 pub struct StuqRng {
@@ -131,6 +136,99 @@ impl StuqRng {
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.uniform_f64() < p
+    }
+
+    /// Draws `masks.len()` Bernoulli outcomes from each of up to
+    /// [`LOCKSTEP_LANES`] streams in lockstep, one stream per SIMD lane.
+    ///
+    /// Bit `i` of `masks[e]` is set when the `e`-th [`StuqRng::next_u64`]
+    /// of `rngs[i]` has `x >> 11 < below`, the integer form of
+    /// `bernoulli(below·2⁻⁵³)`; the bits of lanes past `rngs.len()` mean
+    /// nothing. Each stream ends where `masks.len()` scalar draws leave it,
+    /// and its Box–Muller spare is untouched, so the draws are the scalar
+    /// ones to the bit.
+    ///
+    /// The lanes are one AVX2 register of four 64-bit words per four
+    /// streams. The ×5 and ×9
+    /// of `xoshiro256**` are shift-adds and the rotates shift/or, all exact
+    /// in wrapping 64-bit arithmetic. AVX2 compares 64-bit words only as
+    /// signed, so `x >> 11 < below`, which is `x <= below·2¹¹ − 1`, is
+    /// tested as `x > below·2¹¹ − 1` with the sign bit of both sides
+    /// flipped; the product wraps to `u64::MAX` at `below = 2⁵³`, where
+    /// every draw is kept.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    pub(crate) fn keep_masks(rngs: &mut [StuqRng], below: u64, masks: &mut [u8]) {
+        use std::arch::x86_64::*;
+
+        /// Runs the first `4·H` lanes on `words`, where word `w` of lane
+        /// `i` is `words[w][i]`, and leaves their final states there.
+        #[target_feature(enable = "avx2")]
+        fn lanes<const H: usize>(
+            words: &mut [[u64; LOCKSTEP_LANES]; 4],
+            below: u64,
+            masks: &mut [u8],
+        ) {
+            let load = |w: &[u64; LOCKSTEP_LANES], h: usize| {
+                let [a, b, c, d] = [w[4 * h], w[4 * h + 1], w[4 * h + 2], w[4 * h + 3]];
+                _mm256_set_epi64x(d as i64, c as i64, b as i64, a as i64)
+            };
+            let mut s: [_; H] = std::array::from_fn(|h| words.each_ref().map(|w| load(w, h)));
+            let flip = _mm256_set1_epi64x(i64::MIN);
+            let last_kept = _mm256_set1_epi64x(((below << 11).wrapping_sub(1) ^ (1 << 63)) as i64);
+            for m in masks.iter_mut() {
+                let mut dropped = 0;
+                for (h, [s0, s1, s2, s3]) in s.iter_mut().enumerate() {
+                    let x5 = _mm256_add_epi64(_mm256_slli_epi64::<2>(*s1), *s1);
+                    let r =
+                        _mm256_or_si256(_mm256_slli_epi64::<7>(x5), _mm256_srli_epi64::<57>(x5));
+                    let x = _mm256_add_epi64(_mm256_slli_epi64::<3>(r), r);
+                    let drop = _mm256_cmpgt_epi64(_mm256_xor_si256(x, flip), last_kept);
+                    dropped |= _mm256_movemask_pd(_mm256_castsi256_pd(drop)) << (4 * h);
+                    let t = _mm256_slli_epi64::<17>(*s1);
+                    *s2 = _mm256_xor_si256(*s2, *s0);
+                    *s3 = _mm256_xor_si256(*s3, *s1);
+                    *s1 = _mm256_xor_si256(*s1, *s2);
+                    *s0 = _mm256_xor_si256(*s0, *s3);
+                    *s2 = _mm256_xor_si256(*s2, t);
+                    *s3 =
+                        _mm256_or_si256(_mm256_slli_epi64::<45>(*s3), _mm256_srli_epi64::<19>(*s3));
+                }
+                *m = !dropped as u8;
+            }
+            for (h, half) in s.iter().enumerate() {
+                for (w, &v) in words.iter_mut().zip(half) {
+                    w[4 * h] = _mm256_extract_epi64::<0>(v) as u64;
+                    w[4 * h + 1] = _mm256_extract_epi64::<1>(v) as u64;
+                    w[4 * h + 2] = _mm256_extract_epi64::<2>(v) as u64;
+                    w[4 * h + 3] = _mm256_extract_epi64::<3>(v) as u64;
+                }
+            }
+        }
+
+        assert!(rngs.len() <= LOCKSTEP_LANES, "{} streams in one lockstep group", rngs.len());
+        assert!((1..=1 << 53).contains(&below), "keep threshold {below} is not a 53-bit draw");
+        // Lanes past the streams run on zeros and are never written back.
+        let mut words = [[0u64; LOCKSTEP_LANES]; 4];
+        for (i, rng) in rngs.iter().enumerate() {
+            for (w, &v) in rng.s.iter().enumerate() {
+                words[w][i] = v;
+            }
+        }
+        // SAFETY: `lanes` needs AVX2, and this function exists only in
+        // builds that enable AVX2 for the whole program (the `cfg` above),
+        // which run only on CPUs that have it.
+        unsafe {
+            if rngs.len() <= LOCKSTEP_LANES / 2 {
+                lanes::<1>(&mut words, below, masks)
+            } else {
+                lanes::<2>(&mut words, below, masks)
+            }
+        }
+        for (i, rng) in rngs.iter_mut().enumerate() {
+            for (w, v) in rng.s.iter_mut().enumerate() {
+                *v = words[w][i];
+            }
+        }
     }
 
     /// Fisher–Yates shuffle of a slice.

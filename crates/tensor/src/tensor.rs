@@ -452,6 +452,11 @@ impl Tensor {
     /// `bernoulli(keep)` is `(x >> 11)·2⁻⁵³ < keep` for the next raw draw
     /// `x`. Both sides scale exactly by 2⁵³, so for the integer `x >> 11`
     /// it is `x >> 11 < ⌈keep·2⁵³⌉`, one integer compare per element.
+    ///
+    /// On x86-64 builds with AVX2, a block of two or more samples draws its
+    /// streams in lockstep groups of eight ([`StuqRng`]'s lane kernel) to
+    /// the same bits and final states; a lone stream, and every other
+    /// build, takes the scalar loop.
     pub fn dropout_blocks_inplace(&mut self, p: f32, rngs: &mut [StuqRng]) {
         assert!(p > 0.0 && p < 1.0, "dropout rate must be in (0, 1)");
         assert!(
@@ -463,8 +468,23 @@ impl Tensor {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let below = (keep as f64 * (1u64 << 53) as f64).ceil() as u64;
-        let per_block = self.data.len() / rngs.len();
-        for (block, rng) in self.data.chunks_mut(per_block.max(1)).zip(rngs) {
+        let per_block = (self.data.len() / rngs.len()).max(1);
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        if rngs.len() >= 2 {
+            use crate::rng::LOCKSTEP_LANES;
+            let mut masks = vec![0u8; per_block];
+            let groups = self.data.chunks_mut(LOCKSTEP_LANES * per_block);
+            for (group, rngs) in groups.zip(rngs.chunks_mut(LOCKSTEP_LANES)) {
+                StuqRng::keep_masks(rngs, below, &mut masks);
+                for (lane, block) in group.chunks_mut(per_block).enumerate() {
+                    for (v, &m) in block.iter_mut().zip(&masks) {
+                        *v *= if m >> lane & 1 == 1 { scale } else { 0.0 };
+                    }
+                }
+            }
+            return;
+        }
+        for (block, rng) in self.data.chunks_mut(per_block).zip(rngs) {
             for v in block {
                 *v *= if rng.next_u64() >> 11 < below { scale } else { 0.0 };
             }
@@ -609,6 +629,20 @@ mod tests {
         let b = Tensor::full(&[2, 2], 3.0);
         a.axpy(0.5, &b);
         assert_eq!(a.data(), &[2.5, 2.5, 2.5, 2.5]);
+    }
+
+    /// A NAPL product with no input columns is zeros for every output
+    /// width, the narrow 2–7-column tails included, for one sample or two.
+    #[test]
+    fn rowwise_matmul_with_no_input_columns_is_zero() {
+        for rows in [3, 6] {
+            for c_out in 1..=9 {
+                let out =
+                    Tensor::zeros(&[rows, 0]).rowwise_matmul(&Tensor::zeros(&[3, 0]), 0, c_out);
+                assert_eq!(out.shape(), &[rows, c_out]);
+                assert!(out.data().iter().all(|&v| v == 0.0), "{rows} rows, c_out {c_out}");
+            }
+        }
     }
 
     /// The in-place draw is the tape's `x ⊙ mask` bit for bit, including

@@ -26,11 +26,6 @@ impl BatchIter {
         Self { starts, batch_size, cursor: 0 }
     }
 
-    /// Number of batches per epoch (the paper's `n_iteration` in Eq. 16).
-    pub fn n_batches(&self) -> usize {
-        self.starts.len().div_ceil(self.batch_size)
-    }
-
     /// Reshuffles and rewinds for the next epoch.
     pub fn reshuffle(&mut self, rng: &mut StuqRng) {
         rng.shuffle(&mut self.starts);
@@ -65,7 +60,6 @@ mod tests {
     fn covers_every_start_exactly_once() {
         let mut rng = StuqRng::new(5);
         let iter = BatchIter::new((0..103).collect(), 16, &mut rng);
-        assert_eq!(iter.n_batches(), 7);
         let mut seen: Vec<usize> = iter.flatten().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..103).collect::<Vec<_>>());
