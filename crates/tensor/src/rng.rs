@@ -12,7 +12,7 @@
 //! DESIGN.md §5.
 
 /// Streams one call of `StuqRng::keep_masks` advances together: one per
-/// bit of its `u8` masks, and two AVX2 registers of 64-bit lanes.
+/// bit of its `u8` masks, in at most two AVX2 registers of 64-bit lanes.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 pub(crate) const LOCKSTEP_LANES: usize = 8;
 
@@ -148,12 +148,12 @@ impl StuqRng {
     /// and its Box–Muller spare is untouched, so the draws are the scalar
     /// ones to the bit.
     ///
-    /// The lanes are one AVX2 register of four 64-bit words per four
-    /// streams. The ×5 and ×9
-    /// of `xoshiro256**` are shift-adds and the rotates shift/or, all exact
-    /// in wrapping 64-bit arithmetic. AVX2 compares 64-bit words only as
-    /// signed, so `x >> 11 < below`, which is `x <= below·2¹¹ − 1`, is
-    /// tested as `x > below·2¹¹ − 1` with the sign bit of both sides
+    /// Each AVX2 register holds four streams' 64-bit words, so a group of
+    /// up to four runs on one register and a larger group on two. The ×5
+    /// and ×9 of `xoshiro256**` are shift-adds and the rotates shift/or,
+    /// all exact in wrapping 64-bit arithmetic. AVX2 compares 64-bit words
+    /// only as signed, so `x >> 11 < below`, which is `x <= below·2¹¹ − 1`,
+    /// is tested as `x > below·2¹¹ − 1` with the sign bit of both sides
     /// flipped; the product wraps to `u64::MAX` at `below = 2⁵³`, where
     /// every draw is kept.
     #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
