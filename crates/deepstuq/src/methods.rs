@@ -570,4 +570,33 @@ mod tests {
         assert!(uq.mnll.is_finite());
         assert!(uq.picp > 50.0, "calibrated DeepSTUQ should cover most points");
     }
+
+    /// The DeepSTUQ arms' trained bits are pinned to digests: a change to how
+    /// they train that moves one parameter or temperature bit fails here.
+    /// DeepSTUQ/S forecasts with one pass, which draws no dropout mask, so
+    /// its test-split MAE and MNLL are pinned too.
+    #[test]
+    fn deepstuq_arms_are_pinned() {
+        const PINNED: [u64; 4] =
+            [0x295a1a27e39e5c8f, 0x295a1a27e39e5c8f, 0x403763659a8a28a3, 0x40132a13681f80a4];
+        let ds = tiny_ds(47);
+        let cfg = MethodConfig::fast(ds.n_nodes(), 1, 8);
+        let digest = |tm: &TrainedMethod| {
+            let mut bytes = Vec::new();
+            for t in tm.model.params().snapshot() {
+                for x in t.data() {
+                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+            }
+            bytes.extend_from_slice(&tm.temperature().to_bits().to_le_bytes());
+            stuq_artifact::fnv1a64(&bytes)
+        };
+        let full = TrainedMethod::train(Method::DeepStuq, &ds, cfg.clone(), 47);
+        let mut single = TrainedMethod::train(Method::DeepStuqS, &ds, cfg, 47);
+        let r = single.evaluate(&ds, Split::Test, 9);
+        let mnll = r.uq.expect("DeepSTUQ/S has UQ").mnll;
+        let got = [digest(&full), digest(&single), r.point.mae.to_bits(), mnll.to_bits()];
+        let hex: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+        assert_eq!(got, PINNED, "DeepSTUQ arm digests moved: [{}]", hex.join(", "));
+    }
 }
