@@ -9,13 +9,11 @@
 //!
 //! Runs on the PEMS08-like dataset (the smallest one).
 
-use deepstuq::awa::awa_retrain;
 use deepstuq::ensemble::DeepEnsemble;
 use deepstuq::eval::{evaluate, RawForecast};
-use deepstuq::mc::mc_forecast;
-use deepstuq::trainer::{train, LossKind};
+use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_bench::{dataset, fmt2, method_config, parse_args, print_table, write_csv};
-use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
+use stuq_models::Forecaster;
 use stuq_tensor::StuqRng;
 use stuq_traffic::{Preset, Split, SplitDataset};
 
@@ -47,22 +45,31 @@ fn main() {
     let stride = opts.scale.eval_stride();
     let seed = opts.seed ^ Preset::Pems08Like.seed_offset();
 
+    // Every part trains through `DeepStuq::train` without calibration, and
+    // parts 1 and 2 without AWA. `fit` keeps its RNG, so test-time passes
+    // draw from a fork of the seed.
+    let mut awa_only = mcfg.deepstuq(ds.n_nodes(), ds.horizon());
+    awa_only.calib = None;
+    let mut pretrain_only = awa_only.clone();
+    pretrain_only.awa = None;
+    let fit_and_eval = |cfg: DeepStuqConfig| {
+        let model = DeepStuq::train(&ds, cfg, seed);
+        let mut rng = StuqRng::new(seed).fork(1);
+        let metrics = eval_gaussian(
+            |x| model.forecast_normalized(x, model.mc_samples(), &mut rng),
+            &ds,
+            stride,
+        );
+        (model, metrics)
+    };
+
     // --- 1. λ sweep -------------------------------------------------------
     let mut rows = Vec::new();
     for lambda in [0.02f32, 0.1, 0.3, 0.7] {
         eprintln!("[ablations] lambda {lambda}");
-        let mut rng = StuqRng::new(seed);
-        let base = AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-            .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-            .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout);
-        let mut model = Agcrn::new(base, &mut rng);
-        let mut cfg = mcfg.train.clone();
-        cfg.lambda = lambda;
-        train(&mut model, &ds, &cfg, LossKind::Combined { lambda }, &mut rng)
-            .expect("training failed");
-        let mut mc_rng = rng.fork(1);
-        let (mae, mnll, picp, mpiw) =
-            eval_gaussian(|x| mc_forecast(&model, x, mcfg.mc_samples, &mut mc_rng), &ds, stride);
+        let mut cfg = pretrain_only.clone();
+        cfg.train.lambda = lambda;
+        let (_, (mae, mnll, picp, mpiw)) = fit_and_eval(cfg);
         rows.push(vec![format!("{lambda}"), fmt2(mae), fmt2(mnll), fmt2(picp), fmt2(mpiw)]);
     }
     let header = ["lambda", "MAE", "MNLL", "PICP(%)", "MPIW"];
@@ -73,22 +80,9 @@ fn main() {
     let mut rows = Vec::new();
     for p in [0.0f32, 0.05, 0.1, 0.3] {
         eprintln!("[ablations] encoder dropout {p}");
-        let mut rng = StuqRng::new(seed);
-        let base = AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-            .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-            .with_dropout(p, mcfg.decoder_dropout);
-        let mut model = Agcrn::new(base, &mut rng);
-        train(
-            &mut model,
-            &ds,
-            &mcfg.train,
-            LossKind::Combined { lambda: mcfg.train.lambda },
-            &mut rng,
-        )
-        .expect("training failed");
-        let mut mc_rng = rng.fork(1);
-        let (mae, mnll, picp, mpiw) =
-            eval_gaussian(|x| mc_forecast(&model, x, mcfg.mc_samples, &mut mc_rng), &ds, stride);
+        let mut cfg = pretrain_only.clone();
+        cfg.base.encoder_dropout = p;
+        let (_, (mae, mnll, picp, mpiw)) = fit_and_eval(cfg);
         rows.push(vec![format!("{p}"), fmt2(mae), fmt2(mnll), fmt2(picp), fmt2(mpiw)]);
     }
     let header = ["encoder_dropout", "MAE", "MNLL", "PICP(%)", "MPIW"];
@@ -96,21 +90,9 @@ fn main() {
     write_csv(&opts.out_dir, "ablation_dropout.csv", &header, &rows);
 
     // --- 3. AWA vs true deep ensembles ------------------------------------
-    let base = AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-        .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-        .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout);
-    let kind = LossKind::Combined { lambda: mcfg.train.lambda };
-
     eprintln!("[ablations] AWA single model");
-    let mut rng = StuqRng::new(seed);
-    let mut awa_model = Agcrn::new(base.clone(), &mut rng);
-    train(&mut awa_model, &ds, &mcfg.train, kind, &mut rng).expect("pre-training failed");
-    awa_retrain(&mut awa_model, &ds, &mcfg.awa, kind, mcfg.train.weight_decay, &mut rng)
-        .expect("AWA re-training failed");
-    let mut awa_rng = rng.fork(1);
-    let awa_metrics =
-        eval_gaussian(|x| mc_forecast(&awa_model, x, mcfg.mc_samples, &mut awa_rng), &ds, stride);
-    let awa_mem = awa_model.params().n_scalars();
+    let (awa_model, awa_metrics) = fit_and_eval(awa_only.clone());
+    let awa_mem = awa_model.model().params().n_scalars();
 
     let mut rows = Vec::new();
     rows.push(vec![
@@ -123,7 +105,7 @@ fn main() {
     ]);
     for m in [3usize, 5] {
         eprintln!("[ablations] deep ensemble M={m}");
-        let ens = DeepEnsemble::train(&base, &ds, &mcfg.train, m, seed);
+        let ens = DeepEnsemble::train(&awa_only.base, &ds, &mcfg.train, m, seed);
         let mut ens_rng = StuqRng::new(seed ^ 0xE5);
         let metrics = eval_gaussian(|x| ens.forecast(x, &mut ens_rng), &ds, stride);
         rows.push(vec![

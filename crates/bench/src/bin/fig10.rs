@@ -5,9 +5,8 @@
 //! forecasts are more reliable than long-term ones.
 
 use deepstuq::decompose::HorizonUncertaintyAccumulator;
-use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
+use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{datasets, method_config, parse_args, print_table, write_csv};
-use stuq_models::AgcrnConfig;
 use stuq_tensor::StuqRng;
 use stuq_traffic::Split;
 
@@ -21,16 +20,7 @@ fn main() {
         eprintln!("[fig10] dataset {preset:?}");
         let mcfg = method_config(&opts, ds.n_nodes());
         let seed = opts.seed ^ preset.seed_offset();
-        let cfg = DeepStuqConfig {
-            base: AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-                .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-                .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout),
-            train: mcfg.train.clone(),
-            awa: Some(mcfg.awa.clone()),
-            calib: Some(mcfg.calib),
-            mc_samples: mcfg.mc_samples,
-        };
-        let model = DeepStuq::train(&ds, cfg, seed);
+        let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
         let mut rng = StuqRng::new(seed ^ 0xF10);
         let mut acc = HorizonUncertaintyAccumulator::new(ds.horizon());
         for &s in ds.window_starts(Split::Test).iter().step_by(stride) {

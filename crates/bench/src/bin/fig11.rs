@@ -5,9 +5,8 @@
 //! ~10–15, justifying the paper's choice of 10 at test time.
 
 use deepstuq::eval::{evaluate, RawForecast};
-use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
+use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{datasets, fmt2, method_config, parse_args, print_table, write_csv};
-use stuq_models::AgcrnConfig;
 use stuq_tensor::StuqRng;
 use stuq_traffic::Split;
 
@@ -22,16 +21,7 @@ fn main() {
         eprintln!("[fig11] dataset {preset:?}");
         let mcfg = method_config(&opts, ds.n_nodes());
         let seed = opts.seed ^ preset.seed_offset();
-        let cfg = DeepStuqConfig {
-            base: AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-                .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-                .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout),
-            train: mcfg.train.clone(),
-            awa: Some(mcfg.awa.clone()),
-            calib: Some(mcfg.calib),
-            mc_samples: mcfg.mc_samples,
-        };
-        let model = DeepStuq::train(&ds, cfg, seed);
+        let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
         let scaler = *ds.scaler();
         for n in sample_counts {
             let mut rng = StuqRng::new(seed ^ 0xF11);

@@ -5,9 +5,8 @@
 //! interval bounds and ground truth — the series the paper plots. Check:
 //! the interval hugs the daily profile and covers nearly all truth points.
 
-use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
+use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{datasets, method_config, parse_args, write_csv, Scale};
-use stuq_models::AgcrnConfig;
 use stuq_tensor::StuqRng;
 use stuq_traffic::Split;
 
@@ -23,16 +22,7 @@ fn main() {
         eprintln!("[fig8] dataset {preset:?}");
         let mcfg = method_config(&opts, ds.n_nodes());
         let seed = opts.seed ^ preset.seed_offset();
-        let cfg = DeepStuqConfig {
-            base: AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-                .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-                .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout),
-            train: mcfg.train.clone(),
-            awa: Some(mcfg.awa.clone()),
-            calib: Some(mcfg.calib),
-            mc_samples: mcfg.mc_samples,
-        };
-        let model = DeepStuq::train(&ds, cfg, seed);
+        let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
         let mut rng = StuqRng::new(seed ^ 0xF16);
         let sensor = rng.uniform_usize(ds.n_nodes());
         let starts = ds.window_starts(Split::Test);

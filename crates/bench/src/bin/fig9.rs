@@ -5,9 +5,8 @@
 //! band — traffic uncertainty is mainly data noise.
 
 use deepstuq::decompose::sensor_trace;
-use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
+use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{dataset, method_config, parse_args, write_csv, Scale};
-use stuq_models::AgcrnConfig;
 use stuq_tensor::StuqRng;
 use stuq_traffic::{Preset, Split};
 
@@ -17,16 +16,7 @@ fn main() {
     let ds = dataset(&opts, Preset::Pems08Like);
     let mcfg = method_config(&opts, ds.n_nodes());
     let seed = opts.seed ^ Preset::Pems08Like.seed_offset();
-    let cfg = DeepStuqConfig {
-        base: AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-            .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-            .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout),
-        train: mcfg.train.clone(),
-        awa: Some(mcfg.awa.clone()),
-        calib: Some(mcfg.calib),
-        mc_samples: mcfg.mc_samples,
-    };
-    let model = DeepStuq::train(&ds, cfg, seed);
+    let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
 
     let mut rng = StuqRng::new(seed ^ 0xF19);
     let sensor = rng.uniform_usize(ds.n_nodes());

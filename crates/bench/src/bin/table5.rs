@@ -1,16 +1,22 @@
 //! Reproduces **Table V**: ablation on AWA re-training.
 //!
-//! Trains the DeepSTUQ base once per dataset, then compares point metrics
-//! of the pre-trained model ("No AWA" = the paper's Combined row) against
-//! the same model after AWA re-training. Also reports the SGD-SWA variant
-//! (the original SWA recipe) as the extra ablation called out in DESIGN.md.
+//! Pre-trains the DeepSTUQ base once per dataset, then compares point
+//! metrics of the pre-trained model ("No AWA" = the paper's Combined row)
+//! against the same model after AWA re-training. Also reports the SGD-SWA
+//! variant (the original SWA recipe) as the extra ablation called out in
+//! DESIGN.md.
+//!
+//! This is the one place that trains DeepSTUQ's stages outside
+//! `DeepStuq::fit`: both re-training variants must start from the same
+//! pre-trained model. The AWA branch drives `AwaState` the way `fit` does.
 
-use deepstuq::awa::awa_retrain;
+use deepstuq::awa::AwaState;
 use deepstuq::eval::{evaluate, RawForecast};
 use deepstuq::mc::mc_forecast;
 use deepstuq::trainer::{train, train_epoch, LossKind};
+use deepstuq::{GuardConfig, GuardState};
 use stuq_bench::{datasets, fmt2, method_config, parse_args, print_table, write_csv};
-use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
+use stuq_models::{Agcrn, Forecaster};
 use stuq_nn::opt::Sgd;
 use stuq_nn::sched::CosineSchedule;
 use stuq_nn::swa::WeightAverager;
@@ -66,10 +72,7 @@ fn main() {
         let mcfg = method_config(&opts, ds.n_nodes());
         let seed = opts.seed ^ preset.seed_offset();
         let mut rng = StuqRng::new(seed);
-        let base_cfg = AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-            .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-            .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout);
-        let mut model = Agcrn::new(base_cfg, &mut rng);
+        let mut model = Agcrn::new(mcfg.deepstuq(ds.n_nodes(), ds.horizon()).base, &mut rng);
         let kind = LossKind::Combined { lambda: mcfg.train.lambda };
         train(&mut model, &ds, &mcfg.train, kind, &mut rng).expect("pre-training failed");
 
@@ -78,8 +81,13 @@ fn main() {
         // AWA (Adam, the paper's recipe).
         let mut awa_model = model.clone();
         let mut awa_rng = rng.fork(1);
-        awa_retrain(&mut awa_model, &ds, &mcfg.awa, kind, mcfg.train.weight_decay, &mut awa_rng)
-            .expect("AWA re-training failed");
+        let mut awa = AwaState::new(&mcfg.awa, mcfg.train.weight_decay).expect("AWA config");
+        let (guard, mut gstate) = (GuardConfig::default(), GuardState::default());
+        while awa.epochs_done() < mcfg.awa.epochs {
+            awa.run_epoch(&mut awa_model, &ds, &mcfg.awa, kind, &mut awa_rng, &guard, &mut gstate)
+                .expect("AWA re-training failed");
+        }
+        awa.finish(&mut awa_model);
         let with_awa = eval_point(&awa_model, &ds, mcfg.mc_samples, stride, seed);
 
         // SWA with SGD (original recipe) — the DESIGN.md ablation.

@@ -1,26 +1,21 @@
 //! Reproduces **Table VI**: ablation on temperature calibration.
 //!
-//! Trains the full pipeline up to calibration once per dataset, then
+//! Trains the full pipeline once per dataset with `DeepStuq::train`, then
 //! compares MNLL / PICP / MPIW with `T = 1` (no calibration) against the
 //! fitted temperature. As the DESIGN.md extra ablation, also reports the
 //! temperature fit on the *training* split — demonstrating the
 //! overconfidence that validation-split calibration corrects.
 
-use deepstuq::awa::awa_retrain;
-use deepstuq::calibrate::calibrate_on_validation;
-use deepstuq::calibrate::fit_temperature;
+use deepstuq::calibrate::{calibration_residuals, fit_temperature};
 use deepstuq::eval::{evaluate, RawForecast};
-use deepstuq::mc::mc_forecast;
-use deepstuq::trainer::{train, LossKind};
+use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{datasets, fmt2, method_config, parse_args, print_table, write_csv};
-use stuq_models::{Agcrn, AgcrnConfig};
 use stuq_tensor::StuqRng;
 use stuq_traffic::{Split, SplitDataset};
 
 fn eval_uq(
-    model: &Agcrn,
+    model: &DeepStuq,
     ds: &SplitDataset,
-    mc: usize,
     temperature: f32,
     stride: usize,
     seed: u64,
@@ -29,34 +24,12 @@ fn eval_uq(
     let std = scaler.std() as f32;
     let mut rng = StuqRng::new(seed);
     let r = evaluate(ds, Split::Test, stride, |x, _| {
-        let f = mc_forecast(model, x, mc, &mut rng);
+        let f = model.forecast_normalized(x, model.mc_samples(), &mut rng);
         let sigma = f.sigma_total(temperature).scale(std);
         RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: Some(sigma), bounds: None }
     });
     let u = r.uq.expect("gaussian eval");
     [u.mnll, u.picp, u.mpiw]
-}
-
-/// Temperature fit on the training split (the wrong split, for contrast).
-fn calibrate_on_train(
-    model: &Agcrn,
-    ds: &SplitDataset,
-    mc: usize,
-    stride: usize,
-    rng: &mut StuqRng,
-) -> f32 {
-    let mut residual_sq = Vec::new();
-    for &s in ds.window_starts(Split::Train).iter().step_by(stride.max(1)) {
-        let w = ds.window(s);
-        let f = mc_forecast(model, &w.x, mc, rng);
-        let y = ds.normalize_target(&w.y_raw).transpose();
-        let var = f.var_total(1.0);
-        for i in 0..y.len() {
-            let r = (y.data()[i] - f.mu.data()[i]) as f64;
-            residual_sq.push(r * r / (var.data()[i] as f64).max(1e-9));
-        }
-    }
-    fit_temperature(&residual_sq, 300).expect("train-split calibration failed")
 }
 
 fn main() {
@@ -69,24 +42,20 @@ fn main() {
         eprintln!("[table6] dataset {preset:?}");
         let mcfg = method_config(&opts, ds.n_nodes());
         let seed = opts.seed ^ preset.seed_offset();
-        let mut rng = StuqRng::new(seed);
-        let base_cfg = AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-            .with_capacity(mcfg.hidden, mcfg.embed_dim, mcfg.n_layers)
-            .with_dropout(mcfg.encoder_dropout, mcfg.decoder_dropout);
-        let mut model = Agcrn::new(base_cfg, &mut rng);
-        let kind = LossKind::Combined { lambda: mcfg.train.lambda };
-        train(&mut model, &ds, &mcfg.train, kind, &mut rng).expect("pre-training failed");
-        awa_retrain(&mut model, &ds, &mcfg.awa, kind, mcfg.train.weight_decay, &mut rng)
-            .expect("AWA re-training failed");
+        let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
+        let t_val = model.temperature();
+        // The same fit on the training split, for contrast. `fit` keeps its
+        // RNG, so these passes draw from a fork of the seed.
+        let mut rng = StuqRng::new(seed).fork(1);
+        let residual_sq =
+            calibration_residuals(model.model(), &ds, Split::Train, &mcfg.calib, &mut rng)
+                .expect("train-split residuals failed");
+        let t_train = fit_temperature(&residual_sq, mcfg.calib.max_iters)
+            .expect("train-split calibration failed");
 
-        let t_val = calibrate_on_validation(&model, &ds, &mcfg.calib, &mut rng)
-            .expect("calibration failed");
-        let t_train =
-            calibrate_on_train(&model, &ds, mcfg.calib.mc_samples, mcfg.calib.stride, &mut rng);
-
-        let none = eval_uq(&model, &ds, mcfg.mc_samples, 1.0, stride, seed);
-        let val = eval_uq(&model, &ds, mcfg.mc_samples, t_val, stride, seed);
-        let tr = eval_uq(&model, &ds, mcfg.mc_samples, t_train, stride, seed);
+        let none = eval_uq(&model, &ds, 1.0, stride, seed);
+        let val = eval_uq(&model, &ds, t_val, stride, seed);
+        let tr = eval_uq(&model, &ds, t_train, stride, seed);
 
         eprintln!("[table6]   T(val) = {t_val:.4}, T(train) = {t_train:.4}");
         for (i, metric) in ["MNLL", "PICP(%)", "MPIW"].iter().enumerate() {

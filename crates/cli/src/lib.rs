@@ -21,7 +21,7 @@ use deepstuq::pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome};
 use deepstuq::{AwaConfig, CalibConfig, Stage, TrainConfig};
 use stuq_artifact::json::Json;
 use stuq_metrics::{ProperScoreAccumulator, ReliabilityDiagram};
-use stuq_models::{AgcrnConfig, Forecaster};
+use stuq_models::Forecaster;
 use stuq_tensor::StuqRng;
 use stuq_traffic::{FaultPlan, FaultProfile, Preset, Split, SplitDataset};
 
@@ -726,19 +726,16 @@ fn cmd_train(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         epochs,
         awa_epochs
     );
-    let small_graph = ds.n_nodes() < 200;
-    let cfg = DeepStuqConfig {
-        base: AgcrnConfig::new(ds.n_nodes(), ds.horizon())
-            .with_dropout(if small_graph { 0.05 } else { 0.1 }, 0.2),
-        train: TrainConfig { epochs, batch_size: batch, ..Default::default() },
-        awa: (awa_epochs > 0).then(|| AwaConfig {
-            epochs: awa_epochs,
-            batch_size: batch,
-            ..Default::default()
-        }),
-        calib: Some(CalibConfig { mc_samples: mc.min(10), max_iters: 500, stride: 3 }),
-        mc_samples: mc,
-    };
+    // The paper's model and stages, at the requested length and batch.
+    let mut cfg = DeepStuqConfig::paper(ds.n_nodes(), ds.horizon());
+    cfg.train = TrainConfig { epochs, batch_size: batch, ..cfg.train };
+    cfg.awa = (awa_epochs > 0).then(|| AwaConfig {
+        epochs: awa_epochs,
+        batch_size: batch,
+        ..Default::default()
+    });
+    cfg.calib = Some(CalibConfig { mc_samples: mc.min(10), max_iters: 500, stride: 3 });
+    cfg.mc_samples = mc;
     let (pretrain_epochs, total_epochs) = (cfg.train.epochs, cfg.total_epochs());
     let opts =
         FitOptions { checkpoint_dir, checkpoint_every, resume, epoch_budget, ..Default::default() };

@@ -144,24 +144,6 @@ impl AwaState {
     }
 }
 
-/// Re-trains `model` in place: on return its parameters are the AWA average.
-/// The stage runs under the default guard policy with fresh guard state.
-pub fn awa_retrain(
-    model: &mut dyn Forecaster,
-    ds: &SplitDataset,
-    cfg: &AwaConfig,
-    kind: LossKind,
-    weight_decay: f32,
-    rng: &mut StuqRng,
-) -> Result<AwaReport, TrainError> {
-    let (guard, mut gstate) = (GuardConfig::default(), GuardState::default());
-    let mut state = AwaState::new(cfg, weight_decay)?;
-    while state.epochs_done() < cfg.epochs {
-        state.run_epoch(model, ds, cfg, kind, rng, &guard, &mut gstate)?;
-    }
-    Ok(state.finish(model))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +168,14 @@ mod tests {
         let loss_pre = eval_loss(&model, &ds, Split::Val, kind, 13, &mut rng).unwrap();
 
         let awa_cfg = AwaConfig::scaled(4, 8);
-        let report = awa_retrain(&mut model, &ds, &awa_cfg, kind, 1e-6, &mut rng).unwrap();
+        let (guard, mut gstate) = (GuardConfig::default(), GuardState::default());
+        let mut state = AwaState::new(&awa_cfg, 1e-6).unwrap();
+        while state.epochs_done() < awa_cfg.epochs {
+            state
+                .run_epoch(&mut model, &ds, &awa_cfg, kind, &mut rng, &guard, &mut gstate)
+                .unwrap();
+        }
+        let report = state.finish(&mut model);
         assert_eq!(report.n_models, 2, "4 epochs → 2 averaged models");
         assert_eq!(report.loss_history.len(), 4);
         let loss_post = eval_loss(&model, &ds, Split::Val, kind, 13, &mut rng).unwrap();

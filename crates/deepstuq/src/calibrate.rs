@@ -51,26 +51,25 @@ pub fn fit_temperature(residual_sq: &[f64], max_iters: usize) -> Result<f32, Tra
     Ok(t as f32)
 }
 
-/// Collects standardised residuals of `model` on the validation split and
-/// fits `T`. Uses `cfg.mc_samples` MC passes per window (paper: 10) so the
-/// calibrated quantity is the same predictive distribution used at test time.
-pub fn calibrate_on_validation(
+/// Standardised squared residuals `r² = (y − μ)² / σ²` of `model` over
+/// `split`'s windows (every `cfg.stride`-th), with `σ²` the total
+/// uncalibrated variance of `cfg.mc_samples` MC passes, as in Eq. 18.
+pub fn calibration_residuals(
     model: &dyn Forecaster,
     ds: &SplitDataset,
+    split: Split,
     cfg: &CalibConfig,
     rng: &mut StuqRng,
-) -> Result<f32, TrainError> {
-    let starts = ds.window_starts(Split::Val);
+) -> Result<Vec<f64>, TrainError> {
+    let starts = ds.window_starts(split);
     if starts.is_empty() {
-        return Err(TrainError::EmptySplit { what: "validation windows".into() });
+        return Err(TrainError::EmptySplit { what: format!("{split:?}-split windows") });
     }
     let mut residual_sq = Vec::new();
     for &s in starts.iter().step_by(cfg.stride.max(1)) {
         let w = ds.window(s);
         let f = mc_forecast_with_cov(model, &w.x, w.cov.as_ref(), cfg.mc_samples, rng);
         let y_norm = ds.normalize_target(&w.y_raw).transpose(); // [N, τ]
-                                                                // r² uses the *total* uncalibrated variance, matching Eq. 18 where
-                                                                // σ² comes from the Monte-Carlo estimate.
         let var = f.var_total(1.0);
         for i in 0..y_norm.len() {
             let mu = f.mu.data()[i] as f64;
@@ -79,6 +78,19 @@ pub fn calibrate_on_validation(
             residual_sq.push((y - mu).powi(2) / v);
         }
     }
+    Ok(residual_sq)
+}
+
+/// Fits `T` on the validation split's [`calibration_residuals`]. Uses
+/// `cfg.mc_samples` MC passes per window (paper: 10) so the calibrated
+/// quantity is the same predictive distribution used at test time.
+pub fn calibrate_on_validation(
+    model: &dyn Forecaster,
+    ds: &SplitDataset,
+    cfg: &CalibConfig,
+    rng: &mut StuqRng,
+) -> Result<f32, TrainError> {
+    let residual_sq = calibration_residuals(model, ds, Split::Val, cfg, rng)?;
     let t = fit_temperature(&residual_sq, cfg.max_iters)?;
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().calib_temperature.set(t as f64);

@@ -59,8 +59,9 @@ impl Default for GuardConfig {
 /// [`crate::DeepStuq::fit`] threads one state through pre-training and AWA,
 /// so the rewind budget and the learning-rate back-off span both stages and
 /// `FitOutcome::Complete.guard` reports the run's totals. A standalone
-/// [`crate::trainer::train`] or [`crate::awa::awa_retrain`] call starts from
-/// a fresh state. `lr_scale` in particular must survive epoch boundaries (a
+/// [`crate::trainer::train`] call starts from a fresh state, and so does a
+/// caller that drives [`crate::awa::AwaState`] by hand with a new one (Table
+/// V's AWA branch). `lr_scale` in particular must survive epoch boundaries (a
 /// diverging run that was rescued at a lower learning rate should not snap
 /// back the next epoch) and is persisted in checkpoints so resumed runs
 /// replay it.

@@ -18,12 +18,12 @@
 //! | DeepSTUQ/S | Gaussian | on | Eq. 14 | AWA + T, 1 sample |
 //! | DeepSTUQ | Gaussian | on | Eq. 14 | AWA + T, MC sampling |
 
-use crate::awa::awa_retrain;
 use crate::calibrate::calibrate_on_validation;
 use crate::config::{AwaConfig, CalibConfig, TrainConfig};
 use crate::conformal::{Cfrnn, LocallyWeightedConformal};
 use crate::eval::{evaluate, EvalResult, RawForecast};
 use crate::mc::{ensemble_forecast, mc_forecast, GaussianForecast};
+use crate::pipeline::{DeepStuq, DeepStuqConfig};
 use crate::trainer::{train, train_epoch, LossKind};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster, HeadKind};
 use stuq_nn::opt::Adam;
@@ -166,19 +166,22 @@ pub struct MethodConfig {
 }
 
 impl MethodConfig {
-    /// Paper-faithful settings at full scale.
+    /// Paper-faithful settings at full scale: the stages, capacity and
+    /// dropout rates of [`DeepStuqConfig::paper`].
     pub fn paper(n_nodes: usize) -> Self {
+        // The horizon shapes only the head, which `base_config` sets per dataset.
+        let p = DeepStuqConfig::paper(n_nodes, 1);
         Self {
-            train: TrainConfig::default(),
-            awa: AwaConfig::default(),
-            calib: CalibConfig::default(),
-            mc_samples: 10,
+            train: p.train,
+            awa: p.awa.unwrap_or_default(),
+            calib: p.calib.unwrap_or_default(),
+            mc_samples: p.mc_samples,
             fge_snapshots: 10,
-            hidden: 32,
-            embed_dim: 8.min(n_nodes / 2).max(2),
-            n_layers: 2,
-            encoder_dropout: if n_nodes < 200 { 0.05 } else { 0.1 },
-            decoder_dropout: 0.2,
+            hidden: p.base.hidden,
+            embed_dim: p.base.embed_dim,
+            n_layers: p.base.n_layers,
+            encoder_dropout: p.base.encoder_dropout,
+            decoder_dropout: p.base.decoder_dropout,
             val_stride: 1,
         }
     }
@@ -197,6 +200,19 @@ impl MethodConfig {
             encoder_dropout: 0.05,
             decoder_dropout: 0.15,
             val_stride: 5,
+        }
+    }
+
+    /// The DeepSTUQ pipeline these settings describe: every stage on, the
+    /// DeepSTUQ base model. The only place a harness config becomes a
+    /// [`DeepStuqConfig`].
+    pub fn deepstuq(&self, n_nodes: usize, horizon: usize) -> DeepStuqConfig {
+        DeepStuqConfig {
+            base: self.base_config(Method::DeepStuq, n_nodes, horizon),
+            train: self.train.clone(),
+            awa: Some(self.awa.clone()),
+            calib: Some(self.calib),
+            mc_samples: self.mc_samples,
         }
     }
 
@@ -230,23 +246,22 @@ impl TrainedMethod {
     /// validation-split post-processing the method requires).
     pub fn train(method: Method, ds: &SplitDataset, cfg: MethodConfig, seed: u64) -> Self {
         let mut rng = StuqRng::new(seed);
-        let base = cfg.base_config(method, ds.n_nodes(), ds.horizon());
-        let mut model = Agcrn::new(base, &mut rng);
         let kind = method.loss(cfg.train.lambda);
-        train(&mut model, ds, &cfg.train, kind, &mut rng).expect("baseline pre-training failed");
-
-        let mut temperature = 1.0f32;
-        let mut conformal = None;
-        let mut cfrnn = None;
-        let mut snapshots = None;
-
+        let deepstuq = matches!(method, Method::DeepStuqS | Method::DeepStuq);
+        let (mut model, mut temperature) = if deepstuq {
+            let fitted = DeepStuq::train(ds, cfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
+            // `fit` keeps its RNG; test-time passes draw from a fork of the seed.
+            rng = rng.fork(1);
+            (fitted.model().clone(), fitted.temperature())
+        } else {
+            let mut model =
+                Agcrn::new(cfg.base_config(method, ds.n_nodes(), ds.horizon()), &mut rng);
+            train(&mut model, ds, &cfg.train, kind, &mut rng)
+                .expect("baseline pre-training failed");
+            (model, 1.0)
+        };
+        let (mut conformal, mut cfrnn, mut snapshots) = (None, None, None);
         match method {
-            Method::DeepStuqS | Method::DeepStuq => {
-                awa_retrain(&mut model, ds, &cfg.awa, kind, cfg.train.weight_decay, &mut rng)
-                    .expect("AWA re-training failed");
-                temperature = calibrate_on_validation(&model, ds, &cfg.calib, &mut rng)
-                    .expect("calibration failed");
-            }
             Method::Ts => {
                 // TS calibrates the *deterministic* MVE variance.
                 let c = CalibConfig { mc_samples: 1, ..cfg.calib };
@@ -292,9 +307,12 @@ impl TrainedMethod {
                 let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
                 RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
             }
-            Method::Mcdo | Method::Combined => {
-                let f = mc_forecast(&self.model, x, self.cfg.mc_samples, &mut self.rng);
-                let sigma = f.sigma_total(1.0).scale(std);
+            Method::Mcdo | Method::Combined | Method::DeepStuqS | Method::DeepStuq => {
+                // DeepSTUQ/S is DeepSTUQ's single deterministic pass; MCDO
+                // and Combined keep T = 1.
+                let n = if self.method == Method::DeepStuqS { 1 } else { self.cfg.mc_samples };
+                let f = mc_forecast(&self.model, x, n, &mut self.rng);
+                let sigma = f.sigma_total(self.temperature).scale(std);
                 RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
             }
             Method::Ts => {
@@ -338,16 +356,6 @@ impl TrainedMethod {
                     }
                 }
                 RawForecast { mu, sigma: None, bounds: Some((lo, hi)) }
-            }
-            Method::DeepStuqS => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let sigma = f.sigma_total(self.temperature).scale(std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::DeepStuq => {
-                let f = mc_forecast(&self.model, x, self.cfg.mc_samples, &mut self.rng);
-                let sigma = f.sigma_total(self.temperature).scale(std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
             }
         }
     }

@@ -449,7 +449,8 @@ impl DeepStuq {
         }
     }
 
-    /// Wraps an externally trained base model (used by the ablation benches).
+    /// Wraps an already trained base model: [`crate::load_model`] rebuilds a
+    /// saved model through it.
     pub fn from_parts(model: Agcrn, temperature: f32, mc_samples: usize) -> Self {
         assert!(temperature > 0.0, "temperature must be positive");
         Self { model, temperature, mc_samples }
@@ -470,7 +471,7 @@ impl DeepStuq {
         &self.model
     }
 
-    /// Mutable base model access (ablations).
+    /// Mutable base model access, e.g. to perturb parameters in a test.
     pub fn model_mut(&mut self) -> &mut Agcrn {
         &mut self.model
     }
