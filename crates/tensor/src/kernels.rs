@@ -62,39 +62,14 @@ pub const TRANSPOSE_TILE: usize = 32;
 /// `4 × J_TILE` floats, sized to stay in vector registers on AVX-512/NEON.
 const J_TILE: usize = 32;
 
-/// Scalar-panel fallback for the trailing `n % J_TILE` columns of one row.
-///
-/// `orow` is the tail slice `out[row][j0..n]`; `b` is the full `k × n`
-/// right-hand side, entered at column offset `j0`.
+/// The wide tail, columns `j0..n` with `n - j0 >= TAIL_TILE`, of one row:
+/// row-major k-panels of four vectorize across the columns, and the many
+/// outputs in flight hide the per-element chain latency. Each element is
+/// one FMA chain over k in order from zero, accumulated into `orow`, the
+/// zeroed tail slice `out[row][j0..n]`; `b` is the full `k × n` right-hand
+/// side, entered at column offset `j0`.
 fn mm_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, j0: usize) {
-    let width = n - j0;
-    if width < 8 {
-        // Narrow tail (1–2 columns is common for the model's gate widths):
-        // the row-major panel below would leave too few independent outputs
-        // in flight and serialize into k-long dependent FMA chains. Go
-        // column-major with four accumulator chains per output instead.
-        for (o, j) in orow.iter_mut().zip(j0..n) {
-            // With k = 0, `b` is empty: the column is too, and the sum 0.
-            let col = b.get(j..).unwrap_or_default();
-            let mut s = [0.0f32; 4];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                s[0] = arow[kk].mul_add(col[kk * n], s[0]);
-                s[1] = arow[kk + 1].mul_add(col[(kk + 1) * n], s[1]);
-                s[2] = arow[kk + 2].mul_add(col[(kk + 2) * n], s[2]);
-                s[3] = arow[kk + 3].mul_add(col[(kk + 3) * n], s[3]);
-                kk += 4;
-            }
-            while kk < k {
-                s[0] = arow[kk].mul_add(col[kk * n], s[0]);
-                kk += 1;
-            }
-            *o = (s[0] + s[1]) + (s[2] + s[3]);
-        }
-        return;
-    }
-    // Wide tail: row-major k-panels of four vectorize across the columns,
-    // and the many outputs in flight hide the per-element chain latency.
+    debug_assert!(n - j0 >= TAIL_TILE);
     let mut kk = 0;
     while kk + 4 <= k {
         let (a0, a1, a2, a3) = (arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]);
@@ -117,6 +92,65 @@ fn mm_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, j0
     }
 }
 
+/// k values per gathered column chunk of [`mm_narrow_tail`]: a multiple of
+/// four, so every chunk starts on chain 0.
+const NARROW_CHUNK: usize = 64;
+
+/// Rows whose chains [`mm_narrow_tail`] carries across its k chunks at once.
+const NARROW_ROWS: usize = 64;
+
+/// The narrow tail, columns `j0..n` with `n - j0 < TAIL_TILE`, of rows
+/// `0..rows`: row `r` is `arow(r)`, and `put(r, j, v)` stores element
+/// `(r, j)`.
+///
+/// A row-major panel would leave too few outputs in flight and serialize
+/// into k-long dependent FMA chains, so each element runs four chains
+/// instead: chain `c` takes the k with `k ≡ c (mod 4)` in order, a leftover
+/// `k % 4` goes on chain 0, and the result is `(s0 + s1) + (s2 + s3)`.
+/// Column `j` of `b` is gathered into a stack chunk of [`NARROW_CHUNK`] k
+/// once for up to [`NARROW_ROWS`] rows, so each row's four chains run as
+/// one 4-lane vector over contiguous data instead of strided scalar loads;
+/// the chains carry across chunks.
+fn mm_narrow_tail<'a>(
+    rows: usize,
+    arow: impl Fn(usize) -> &'a [f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    mut put: impl FnMut(usize, usize, f32),
+) {
+    let mut col = [0.0f32; NARROW_CHUNK];
+    let mut chains = [[0.0f32; 4]; NARROW_ROWS];
+    for r0 in (0..rows).step_by(NARROW_ROWS) {
+        let chains = &mut chains[..NARROW_ROWS.min(rows - r0)];
+        for j in j0..n {
+            chains.fill([0.0; 4]);
+            for k0 in (0..k).step_by(NARROW_CHUNK) {
+                let len = NARROW_CHUNK.min(k - k0);
+                for (c, &x) in col[..len].iter_mut().zip(b[k0 * n + j..].iter().step_by(n)) {
+                    *c = x;
+                }
+                let (col, quads) = (&col[..len], len - len % 4);
+                for (r, s) in (r0..).zip(chains.iter_mut()) {
+                    let row = &arow(r)[k0..k0 + len];
+                    let mut v = *s;
+                    for (aq, cq) in row[..quads].chunks_exact(4).zip(col[..quads].chunks_exact(4)) {
+                        v = std::array::from_fn(|c| aq[c].mul_add(cq[c], v[c]));
+                    }
+                    for (&x, &y) in row[quads..].iter().zip(&col[quads..]) {
+                        v[0] = x.mul_add(y, v[0]);
+                    }
+                    *s = v;
+                }
+            }
+            for (r, s) in (r0..).zip(chains.iter()) {
+                put(r, j, (s[0] + s[1]) + (s[2] + s[3]));
+            }
+        }
+    }
+}
+
 /// Columns per register tile of a 4-row group's wide tail.
 const TAIL_TILE: usize = 8;
 
@@ -127,7 +161,7 @@ const TAIL_TILE: usize = 8;
 /// before; an overlapped column is computed twice to the same bits.
 ///
 /// Each element is one FMA chain over k in order from zero, exactly
-/// [`mm_row_tail`]'s wide path, so a row's tail has the same bits whether
+/// [`mm_row_tail`]'s order, so a row's tail has the same bits whether
 /// it runs here or alone. Overwrites its columns of `o`.
 fn mm_tail_tile(a: [&[f32]; 4], b: &[f32], mut o: [&mut [f32]; 4], k: usize, n: usize, j0: usize) {
     debug_assert!(n - j0 >= TAIL_TILE);
@@ -153,24 +187,26 @@ fn mm_tail_tile(a: [&[f32]; 4], b: &[f32], mut o: [&mut [f32]; 4], k: usize, n: 
 
 /// Whole rows against one right-hand side in the one-row order: full
 /// `J_TILE` column tiles, k unrolled by two into independent accumulator
-/// sets combined in a fixed order at the end, then [`mm_row_tail`].
+/// sets combined in a fixed order at the end, then the tail, wide
+/// ([`mm_row_tail`]) or narrow ([`mm_narrow_tail`]).
 ///
 /// Each tiled element of row `r` is an even-k chain and an odd-k chain,
 /// both from zero, with an odd leftover k on the even chain, then
 /// `acc_e + acc_o`. `R` only sets how many rows share each loaded `B`
 /// vector, so a row's bits are the same for any `R`: the sample-block
-/// [`rowwise_matmul`] runs its samples through this in pairs.
+/// [`rowwise_matmul`] runs its samples through this in pairs. The tile's
+/// sums are formed in a register array and stored whole, so the epilogue
+/// runs at vector width too.
 fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usize, n: usize) {
     let jt = n - n % J_TILE;
-    for t in 0..jt / J_TILE {
-        let jb = t * J_TILE;
+    for jb in (0..jt).step_by(J_TILE) {
         let mut acc_e = [[0.0f32; J_TILE]; R];
         let mut acc_o = [[0.0f32; J_TILE]; R];
-        let mut kk = 0;
-        while kk + 2 <= k {
-            let be: &[f32; J_TILE] = b[kk * n + jb..kk * n + jb + J_TILE].try_into().unwrap();
-            let bo: &[f32; J_TILE] =
-                b[(kk + 1) * n + jb..(kk + 1) * n + jb + J_TILE].try_into().unwrap();
+        let pairs = b[..k * n].chunks_exact(2 * n);
+        let odd = pairs.remainder();
+        for (kk, bk) in (0..k).step_by(2).zip(pairs) {
+            let be: &[f32; J_TILE] = bk[jb..jb + J_TILE].try_into().unwrap();
+            let bo: &[f32; J_TILE] = bk[n + jb..n + jb + J_TILE].try_into().unwrap();
             for r in 0..R {
                 let (xe, xo) = (a[r][kk], a[r][kk + 1]);
                 for l in 0..J_TILE {
@@ -178,29 +214,30 @@ fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usi
                     acc_o[r][l] = xo.mul_add(bo[l], acc_o[r][l]);
                 }
             }
-            kk += 2;
         }
-        if kk < k {
-            let bv: &[f32; J_TILE] = b[kk * n + jb..kk * n + jb + J_TILE].try_into().unwrap();
+        if !odd.is_empty() {
+            let bv: &[f32; J_TILE] = odd[jb..jb + J_TILE].try_into().unwrap();
             for r in 0..R {
-                let x = a[r][kk];
+                let x = a[r][k - 1];
                 for l in 0..J_TILE {
                     acc_e[r][l] = x.mul_add(bv[l], acc_e[r][l]);
                 }
             }
         }
         for r in 0..R {
-            for (out, (&e, &d)) in
-                o[r][jb..jb + J_TILE].iter_mut().zip(acc_e[r].iter().zip(&acc_o[r]))
-            {
-                *out = e + d;
+            let mut sum = [0.0f32; J_TILE];
+            for l in 0..J_TILE {
+                sum[l] = acc_e[r][l] + acc_o[r][l];
             }
+            o[r][jb..jb + J_TILE].copy_from_slice(&sum);
         }
     }
-    if jt < n {
+    if n - jt >= TAIL_TILE {
         for r in 0..R {
             mm_row_tail(a[r], b, &mut o[r][jt..], k, n, jt);
         }
+    } else if jt < n {
+        mm_narrow_tail(R, |r| a[r], b, k, n, jt, |r, j, v| o[r][j] = v);
     }
 }
 
@@ -217,7 +254,9 @@ fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usi
 /// and the output is touched once per tile — the seed kernel's
 /// load-FMA-store round-trip per `(k, j)` step is what limited it. A group's
 /// tail of 8 to 31 columns runs the same way in `4 × 8` tiles
-/// ([`mm_tail_tile`]); a narrower tail goes row by row. There is
+/// ([`mm_tail_tile`]); a narrower tail runs for all the groups' rows in
+/// one [`mm_narrow_tail`], so each narrow column of `b` is gathered once
+/// per product. Leftover rows run through [`mm_rows`]. There is
 /// deliberately no zero-skip branch (the seed's `if aik == 0.0 { continue }`
 /// defeated vectorization on dense data — see EXPERIMENTS.md for the
 /// measured cost).
@@ -263,13 +302,11 @@ fn mm_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
         }
         if n - jt >= TAIL_TILE {
             mm_tail_tile([a0, a1, a2, a3], b, [o0, o1, o2, o3], k, n, jt);
-        } else if jt < n {
-            mm_row_tail(a0, b, &mut o0[jt..], k, n, jt);
-            mm_row_tail(a1, b, &mut o1[jt..], k, n, jt);
-            mm_row_tail(a2, b, &mut o2[jt..], k, n, jt);
-            mm_row_tail(a3, b, &mut o3[jt..], k, n, jt);
         }
         r += 4;
+    }
+    if jt < n && n - jt < TAIL_TILE {
+        mm_narrow_tail(r, |i| &a[i * k..(i + 1) * k], b, k, n, jt, |i, j, v| out[i * n + j] = v);
     }
     while r < rows {
         let arow = &a[r * k..(r + 1) * k];
@@ -355,6 +392,9 @@ pub fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
 pub const TB_TILE_MIN: usize = 1 << 14;
 
 fn mm_tb_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    if k == 0 {
+        return; // the zeroed `out` is the product
+    }
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         debug_assert_eq!(b.len(), n * k);
         for (o, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
@@ -1092,6 +1132,14 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `matmul_tb` with no inner dimension is the all-zero product.
+    #[test]
+    fn matmul_tb_with_k_zero_is_zero() {
+        for (m, n) in [(1, 1), (3, 7), (5, 40)] {
+            assert_eq!(matmul_tb(&[], &[], m, 0, n), vec![0.0f32; m * n], "m {m}, n {n}");
         }
     }
 
