@@ -998,6 +998,8 @@ fn cmd_serve(args: &[String], _out: &mut impl Write) -> Result<(), CliError> {
 /// (the same binary with `--role worker --socket …`), then run the router
 /// loop on stdin/stdout or `--socket` (DESIGN.md §13).
 fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use stuq_serve::faultnet::{self, FaultNet};
     use stuq_serve::router::{Router, RouterConfig, ShardWorker};
     use stuq_serve::supervisor::{ProcWorker, WorkerSpec};
@@ -1029,15 +1031,9 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
         .map_err(|e| format!("--worker-dir {}: {e}", worker_dir.display()))?;
 
     let shards = cfg.shards;
-    // Reloads keep the model's [N, τ], so the reply cap derived from the
-    // served model holds for the cluster's lifetime.
-    let model_path = &cfg.serve.model_path;
-    let served =
-        deepstuq::load_model(model_path).map_err(|e| format!("{}: {e}", model_path.display()))?;
-    let max_reply_bytes = stuq_serve::proto::max_worker_reply_bytes(
-        served.model().n_nodes(),
-        served.model().horizon(),
-    );
+    // One reply cap shared by every worker, set from the router's own model
+    // once `Router::new` has loaded it; no RPC runs before then.
+    let max_reply_bytes = Arc::new(AtomicUsize::new(0));
 
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     // A worker answers only `passes` and control lines, so it takes no
@@ -1094,7 +1090,7 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
                 backoff_ms,
                 backoff_max_ms,
                 connect_timeout_ms,
-                max_reply_bytes,
+                max_reply_bytes: Arc::clone(&max_reply_bytes),
                 jitter_seed: jitter_rng.fork(w as u64).next_u64(),
             })) as Box<dyn ShardWorker>;
             // The fault harness wraps exactly one seed-chosen victim replica
@@ -1116,6 +1112,7 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
         .collect();
 
     let mut router = Router::new(cfg, workers)?;
+    max_reply_bytes.store(router.max_worker_reply_bytes(), Ordering::Relaxed);
     match a.get("socket").map(PathBuf::from) {
         None => {
             let reader = std::io::BufReader::new(std::io::stdin());

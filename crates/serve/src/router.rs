@@ -793,6 +793,14 @@ impl Router {
         Ok(Router { server })
     }
 
+    /// Longest worker reply line for the served model
+    /// ([`crate::proto::max_worker_reply_bytes`]). Reloads keep the
+    /// model's `[N, τ]`, so it holds for the cluster's lifetime.
+    pub fn max_worker_reply_bytes(&self) -> usize {
+        let model = self.server.model.model();
+        crate::proto::max_worker_reply_bytes(model.n_nodes(), model.horizon())
+    }
+
     /// Checksum of the model version the cluster currently serves.
     pub fn model_checksum(&self) -> &str {
         self.server.model_checksum()

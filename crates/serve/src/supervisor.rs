@@ -25,6 +25,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::router::{ShardWorker, SupEvent, WorkerState};
@@ -102,8 +104,12 @@ pub struct WorkerSpec {
     pub connect_timeout_ms: u64,
     /// Longest reply line read from the worker, in bytes before the
     /// newline ([`crate::proto::max_worker_reply_bytes`]). A longer reply
-    /// is a `reply_too_long` error and drops the connection.
-    pub max_reply_bytes: usize,
+    /// is a `reply_too_long` error and drops the connection. The cell is
+    /// read at every receive, so one cell shared by all workers can be set
+    /// once the router has loaded its model
+    /// ([`crate::router::Router::max_worker_reply_bytes`]); until then it
+    /// holds 0 and refuses every reply.
+    pub max_reply_bytes: Arc<AtomicUsize>,
 }
 
 /// A connected worker socket with line-framing state that survives read
@@ -117,7 +123,7 @@ pub(crate) struct Conn {
     /// newline-terminated; never more than `max_line`.
     partial: Vec<u8>,
     /// Longest line accepted, in bytes before the newline.
-    max_line: usize,
+    max_line: Arc<AtomicUsize>,
 }
 
 /// Per-poll read-timeout slice. Short enough that `recv_line` re-checks its
@@ -126,7 +132,7 @@ pub(crate) struct Conn {
 const POLL_SLICE_MS: u64 = 50;
 
 impl Conn {
-    fn new(stream: UnixStream, max_line: usize) -> Result<Conn, String> {
+    fn new(stream: UnixStream, max_line: Arc<AtomicUsize>) -> Result<Conn, String> {
         let reader = BufReader::new(stream.try_clone().map_err(|e| format!("socket clone: {e}"))?);
         Ok(Conn { stream, reader, partial: Vec::new(), max_line })
     }
@@ -164,7 +170,7 @@ impl Conn {
             if avail.is_empty() {
                 return Err("eof".into());
             }
-            let room = self.max_line - self.partial.len();
+            let room = self.max_line.load(Ordering::Relaxed).saturating_sub(self.partial.len());
             match avail.iter().position(|&b| b == b'\n') {
                 Some(end) if end <= room => {
                     self.partial.extend_from_slice(&avail[..end]);
@@ -290,7 +296,7 @@ impl ProcWorker {
                 }
             }
         };
-        self.conn = Some(Conn::new(stream, self.spec.max_reply_bytes)?);
+        self.conn = Some(Conn::new(stream, Arc::clone(&self.spec.max_reply_bytes))?);
         self.state = WorkerState::Up;
         self.last_ok = Instant::now();
         self.next_restart_at = None;
@@ -433,6 +439,10 @@ impl Drop for ProcWorker {
 mod tests {
     use super::*;
 
+    fn cell(bytes: usize) -> Arc<AtomicUsize> {
+        Arc::new(AtomicUsize::new(bytes))
+    }
+
     #[test]
     fn backoff_doubles_to_the_cap() {
         let mut b = Backoff::new(100, 750);
@@ -505,7 +515,7 @@ mod tests {
     fn recv_line_survives_a_mid_line_stall() {
         use std::io::Write as _;
         let (a, b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a, crate::proto::MAX_LINE_BYTES).unwrap();
+        let mut conn = Conn::new(a, cell(crate::proto::MAX_LINE_BYTES)).unwrap();
         let writer = std::thread::spawn(move || {
             let mut b = b;
             b.write_all(b"{\"type\":\"ack\",").unwrap();
@@ -525,7 +535,7 @@ mod tests {
     fn a_timed_out_read_keeps_partial_bytes_for_the_next_attempt() {
         use std::io::Write as _;
         let (a, mut b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a, crate::proto::MAX_LINE_BYTES).unwrap();
+        let mut conn = Conn::new(a, cell(crate::proto::MAX_LINE_BYTES)).unwrap();
         b.write_all(b"{\"type\":\"ack\",").unwrap();
         b.flush().unwrap();
         // The regression: the old transport discarded these bytes on
@@ -541,7 +551,7 @@ mod tests {
     fn lines_are_trimmed_and_non_utf8_bytes_arrive_lossy() {
         use std::io::Write as _;
         let (a, mut b) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(a, crate::proto::MAX_LINE_BYTES).unwrap();
+        let mut conn = Conn::new(a, cell(crate::proto::MAX_LINE_BYTES)).unwrap();
         b.write_all(b"{\"type\":\"pa\xffes\"} \r\n{\"type\":\"ack\"}\t\n").unwrap();
         let bad = conn.recv_line(5_000).unwrap();
         assert_eq!(bad, "{\"type\":\"pa\u{fffd}es\"}");
@@ -554,7 +564,7 @@ mod tests {
     fn conn_refuses_a_reply_past_the_cap_without_buffering_it() {
         let cap = 64;
         let (ours, mut peer) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(ours, cap).unwrap();
+        let mut conn = Conn::new(ours, cell(cap)).unwrap();
         // A line of exactly `cap` bytes still arrives.
         peer.write_all(&vec![b'a'; cap]).unwrap();
         peer.write_all(b"\n").unwrap();
@@ -569,9 +579,24 @@ mod tests {
 
         // `cap + 1` bytes in one write, with no newline ever.
         let (ours, mut peer) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(ours, cap).unwrap();
+        let mut conn = Conn::new(ours, cell(cap)).unwrap();
         peer.write_all(&vec![b'c'; cap + 1]).unwrap();
         assert_eq!(conn.recv_line(5_000), Err("reply_too_long".to_string()));
         assert!(conn.partial.len() <= cap);
+    }
+
+    /// The router fills the shared cap only after its workers connect: a
+    /// connection made while the cell still holds 0 takes the cap stored
+    /// later, and that cap bounds the next reply.
+    #[test]
+    fn a_cap_stored_after_connect_bounds_the_reply() {
+        let cap = cell(0);
+        let (ours, mut peer) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(ours, Arc::clone(&cap)).unwrap();
+        cap.store(8, Ordering::Relaxed);
+        peer.write_all(b"12345678\n").unwrap();
+        assert_eq!(conn.recv_line(5_000).unwrap(), "12345678");
+        peer.write_all(b"123456789").unwrap();
+        assert_eq!(conn.recv_line(5_000), Err("reply_too_long".to_string()));
     }
 }

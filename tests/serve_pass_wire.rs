@@ -20,13 +20,14 @@ use stuq_tensor::{StuqRng, Tensor};
 
 const N_NODES: usize = 6;
 const T_H: usize = 4;
+const HORIZON: usize = 3;
 
 fn model_path() -> &'static PathBuf {
     static MODEL: OnceLock<PathBuf> = OnceLock::new();
     MODEL.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("stuq_pass_wire_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let cfg = AgcrnConfig::new(N_NODES, 3).with_capacity(8, 3, 1).with_dropout(0.3, 0.3);
+        let cfg = AgcrnConfig::new(N_NODES, HORIZON).with_capacity(8, 3, 1).with_dropout(0.3, 0.3);
         let model = DeepStuq::from_parts(Agcrn::new(cfg, &mut StuqRng::new(5)), 1.0, 6);
         let path = dir.join("tiny.stuq");
         deepstuq::save_model(&model, &path).unwrap();
@@ -234,4 +235,24 @@ fn a_router_loses_a_malformed_reply_range_as_worker_error() {
     *switches[0].lock().unwrap() = None;
     let again = one.handle_line(&forecast("f")).response;
     assert_eq!(again, clean);
+}
+
+/// The router sizes the worker-reply cap from the model it loaded: a
+/// worker's largest legal reply, every one of the `MAX_MC_SAMPLES` passes,
+/// fits under it, and its hex-word payload alone fills all of the cap but
+/// the [`proto::MAX_LINE_BYTES`] of headroom.
+#[test]
+fn the_router_sizes_the_reply_cap_from_its_model() {
+    let (router, _) = router();
+    let cap = router.max_worker_reply_bytes();
+    assert_eq!(cap, proto::max_worker_reply_bytes(N_NODES, HORIZON));
+    let mut worker = Server::new(cfg()).unwrap();
+    let x = Tensor::from_vec((0..T_H * N_NODES).map(|i| i as f32 * 0.1).collect(), &[T_H, N_NODES]);
+    let all = proto::MAX_MC_SAMPLES;
+    let req = proto::render_passes_req(&x, all, 0..all, &[1, 2, 3, 4], None);
+    let reply = worker.handle_line(&req).response;
+    assert_eq!(field(&reply, "type").as_str(), Some("passes"), "{}", &reply[..200]);
+    assert!(reply.len() <= cap, "reply of {} bytes past the cap {cap}", reply.len());
+    let payload = words(&reply, "mu").len() + words(&reply, "var").len();
+    assert_eq!(payload, cap - proto::MAX_LINE_BYTES);
 }
