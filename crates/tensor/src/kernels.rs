@@ -256,7 +256,7 @@ fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usi
 /// tail of 8 to 31 columns runs the same way in `4 × 8` tiles
 /// ([`mm_tail_tile`]); a narrower tail runs for all the groups' rows in
 /// one [`mm_narrow_tail`], so each narrow column of `b` is gathered once
-/// per product. Leftover rows run through [`mm_rows`]. There is
+/// per [`NARROW_ROWS`] rows. Leftover rows run through [`mm_rows`]. There is
 /// deliberately no zero-skip branch (the seed's `if aik == 0.0 { continue }`
 /// defeated vectorization on dense data — see EXPERIMENTS.md for the
 /// measured cost).

@@ -251,7 +251,7 @@ fn the_router_sizes_the_reply_cap_from_its_model() {
     let all = proto::MAX_MC_SAMPLES;
     let req = proto::render_passes_req(&x, all, 0..all, &[1, 2, 3, 4], None);
     let reply = worker.handle_line(&req).response;
-    assert_eq!(field(&reply, "type").as_str(), Some("passes"), "{}", &reply[..200]);
+    assert_eq!(field(&reply, "type").as_str(), Some("passes"), "{reply:.200}");
     assert!(reply.len() <= cap, "reply of {} bytes past the cap {cap}", reply.len());
     let payload = words(&reply, "mu").len() + words(&reply, "var").len();
     assert_eq!(payload, cap - proto::MAX_LINE_BYTES);
