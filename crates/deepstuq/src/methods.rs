@@ -579,32 +579,73 @@ mod tests {
         assert!(uq.picp > 50.0, "calibrated DeepSTUQ should cover most points");
     }
 
-    /// The DeepSTUQ arms' trained bits are pinned to digests: a change to how
-    /// they train that moves one parameter or temperature bit fails here.
-    /// DeepSTUQ/S forecasts with one pass, which draws no dropout mask, so
-    /// its test-split MAE and MNLL are pinned too.
+    /// Every arm of the zoo is pinned to its bits: a change to how a method
+    /// trains or forecasts that moves one parameter, temperature or metric
+    /// bit fails here. Each row digests the method's trained parameters and
+    /// temperature, then its test-split MAE/RMSE/MAPE/MNLL/PICP/MPIW (Point
+    /// has no UQ three). `PREDICT` digests the six tensors of
+    /// `DeepStuq::predict` on the DeepSTUQ arm's model.
     #[test]
     fn deepstuq_arms_are_pinned() {
-        const PINNED: [u64; 4] =
-            [0x295a1a27e39e5c8f, 0x295a1a27e39e5c8f, 0x403763659a8a28a3, 0x40132a13681f80a4];
+        const PINNED: [(u64, u64); 11] = [
+            (0x010d9b011f083a39, 0x86f69bb1ce991377), // Point
+            (0x825e79a28737619b, 0x8ddc793944d33ded), // Quantile
+            (0xf2c03db6065f9505, 0x9c9e9e85330e7c8f), // MVE
+            (0x53a9b49c9781aa6c, 0x8a419c41e8dcd52e), // MCDO
+            (0x126f116696da5948, 0x7f05f5cd17ff506b), // Combined
+            (0xd8ce8c74c53cf447, 0xb8b1b6739e382960), // TS
+            (0x0c111991534bb78a, 0x50d22f31956262c7), // FGE
+            (0xf2c03db6065f9505, 0x2a48207d70b9dee1), // Conformal
+            (0x010d9b011f083a39, 0x57779d9fed096036), // CFRNN
+            (0x295a1a27e39e5c8f, 0xb8bfec3a3cff957f), // DeepSTUQ/S
+            (0x295a1a27e39e5c8f, 0x842e2bb845f16dc3), // DeepSTUQ
+        ];
+        const PREDICT: u64 = 0xb5330a88e4722338;
         let ds = tiny_ds(47);
         let cfg = MethodConfig::fast(ds.n_nodes(), 1, 8);
-        let digest = |tm: &TrainedMethod| {
-            let mut bytes = Vec::new();
-            for t in tm.model.params().snapshot() {
-                for x in t.data() {
-                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
+        let push = |bytes: &mut Vec<u8>, t: &Tensor| {
+            for x in t.data() {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
             }
-            bytes.extend_from_slice(&tm.temperature().to_bits().to_le_bytes());
-            stuq_artifact::fnv1a64(&bytes)
         };
-        let full = TrainedMethod::train(Method::DeepStuq, &ds, cfg.clone(), 47);
-        let mut single = TrainedMethod::train(Method::DeepStuqS, &ds, cfg, 47);
-        let r = single.evaluate(&ds, Split::Test, 9);
-        let mnll = r.uq.expect("DeepSTUQ/S has UQ").mnll;
-        let got = [digest(&full), digest(&single), r.point.mae.to_bits(), mnll.to_bits()];
-        let hex: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
-        assert_eq!(got, PINNED, "DeepSTUQ arm digests moved: [{}]", hex.join(", "));
+        let mut got = Vec::new();
+        let mut predict = 0;
+        for method in Method::all() {
+            let mut tm = TrainedMethod::train(method, &ds, cfg.clone(), 47);
+            let mut params = Vec::new();
+            for t in tm.model.params().snapshot() {
+                push(&mut params, &t);
+            }
+            params.extend_from_slice(&tm.temperature().to_bits().to_le_bytes());
+            let r = tm.evaluate(&ds, Split::Test, 9);
+            let mut metrics = vec![r.point.mae, r.point.rmse, r.point.mape];
+            if let Some(uq) = r.uq {
+                metrics.extend([uq.mnll, uq.picp, uq.mpiw]);
+            }
+            let metrics: Vec<u8> = metrics.iter().flat_map(|m| m.to_bits().to_le_bytes()).collect();
+            got.push((stuq_artifact::fnv1a64(&params), stuq_artifact::fnv1a64(&metrics)));
+            if method == Method::DeepStuq {
+                let model =
+                    DeepStuq::from_parts(tm.model.clone(), tm.temperature(), cfg.mc_samples);
+                let w = ds.window(ds.window_starts(Split::Test)[0]);
+                let f = model.predict(&w.x, ds.scaler(), &mut StuqRng::new(47));
+                let mut bytes = Vec::new();
+                for t in [
+                    &f.mu,
+                    &f.sigma_total,
+                    &f.sigma_aleatoric,
+                    &f.sigma_epistemic,
+                    &f.lower,
+                    &f.upper,
+                ] {
+                    push(&mut bytes, t);
+                }
+                predict = stuq_artifact::fnv1a64(&bytes);
+            }
+        }
+        let rows: Vec<String> =
+            got.iter().map(|(p, m)| format!("(0x{p:016x}, 0x{m:016x})")).collect();
+        assert_eq!(got, PINNED, "method digests moved: [{}]", rows.join(", "));
+        assert_eq!(predict, PREDICT, "predict digest moved: 0x{predict:016x}");
     }
 }
