@@ -85,8 +85,8 @@ pub fn train_and_eval_baseline(
     let scaler = *ds.scaler();
     let mut eval_rng = rng.fork(0xEA1);
     evaluate(ds, Split::Test, eval_stride, |x, _| {
-        let f = mc_forecast(model.as_ref(), x, 1, &mut eval_rng);
-        RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: None, bounds: None }
+        let mu = mc_forecast(model.as_ref(), x, 1, &mut eval_rng).to_raw(&scaler, 1.0).mu;
+        RawForecast { mu, sigma: None, bounds: None }
     })
 }
 

@@ -11,6 +11,7 @@
 
 use deepstuq::ensemble::DeepEnsemble;
 use deepstuq::eval::{evaluate, RawForecast};
+use deepstuq::mc::mc_forecast;
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig};
 use stuq_bench::{dataset, fmt2, method_config, parse_args, print_table, write_csv};
 use stuq_models::Forecaster;
@@ -24,14 +25,9 @@ fn eval_gaussian(
 ) -> (f64, f64, f64, f64) {
     let mut forecast = forecast;
     let scaler = *ds.scaler();
-    let std = scaler.std() as f32;
     let r = evaluate(ds, Split::Test, stride, |x, _| {
-        let f = forecast(x);
-        RawForecast {
-            mu: f.mu.map(|v| scaler.inverse(v)),
-            sigma: Some(f.sigma_total(1.0).scale(std)),
-            bounds: None,
-        }
+        let f = forecast(x).to_raw(&scaler, 1.0);
+        RawForecast { mu: f.mu, sigma: Some(f.sigma_total), bounds: None }
     });
     let uq = r.uq.expect("gaussian");
     (r.point.mae, uq.mnll, uq.picp, uq.mpiw)
@@ -56,7 +52,7 @@ fn main() {
         let model = DeepStuq::train(&ds, cfg, seed);
         let mut rng = StuqRng::new(seed).fork(1);
         let metrics = eval_gaussian(
-            |x| model.forecast_normalized(x, model.mc_samples(), &mut rng),
+            |x| mc_forecast(model.model(), x, model.mc_samples(), &mut rng),
             &ds,
             stride,
         );

@@ -4,7 +4,6 @@
 //! Paper shape to check: both components grow with the horizon — short-term
 //! forecasts are more reliable than long-term ones.
 
-use deepstuq::decompose::HorizonUncertaintyAccumulator;
 use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{datasets, method_config, parse_args, print_table, write_csv};
 use stuq_tensor::StuqRng;
@@ -22,21 +21,27 @@ fn main() {
         let seed = opts.seed ^ preset.seed_offset();
         let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
         let mut rng = StuqRng::new(seed ^ 0xF10);
-        let mut acc = HorizonUncertaintyAccumulator::new(ds.horizon());
-        for &s in ds.window_starts(Split::Test).iter().step_by(stride) {
+        // Per horizon step: aleatoric, epistemic and total σ, each the
+        // sensor mean of one window summed over the test windows.
+        let mut sums = vec![[0.0f64; 3]; ds.horizon()];
+        let starts: Vec<usize> =
+            ds.window_starts(Split::Test).iter().copied().step_by(stride).collect();
+        for &s in &starts {
             let w = ds.window(s);
-            let f = model.forecast_normalized(&w.x, model.mc_samples(), &mut rng);
-            acc.update(&f, ds.scaler().std(), model.temperature());
+            let f = model.predict(&w.x, ds.scaler(), &mut rng);
+            for (h, sum) in sums.iter_mut().enumerate() {
+                for (k, sigma) in
+                    [&f.sigma_aleatoric, &f.sigma_epistemic, &f.sigma_total].into_iter().enumerate()
+                {
+                    let across: f64 = (0..ds.n_nodes()).map(|i| sigma.get(i, h) as f64).sum();
+                    sum[k] += across / ds.n_nodes() as f64;
+                }
+            }
         }
-        let m = acc.mean();
-        for h in 0..ds.horizon() {
-            rows.push(vec![
-                format!("{preset:?}"),
-                format!("{}", h + 1),
-                format!("{:.3}", m.aleatoric[h]),
-                format!("{:.3}", m.epistemic[h]),
-                format!("{:.3}", m.total[h]),
-            ]);
+        for (h, sum) in sums.iter().enumerate() {
+            let mut row = vec![format!("{preset:?}"), format!("{}", h + 1)];
+            row.extend(sum.iter().map(|s| format!("{:.3}", s / starts.len() as f64)));
+            rows.push(row);
         }
     }
 

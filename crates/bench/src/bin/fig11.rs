@@ -22,12 +22,11 @@ fn main() {
         let mcfg = method_config(&opts, ds.n_nodes());
         let seed = opts.seed ^ preset.seed_offset();
         let model = DeepStuq::train(&ds, mcfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
-        let scaler = *ds.scaler();
         for n in sample_counts {
             let mut rng = StuqRng::new(seed ^ 0xF11);
             let r = evaluate(&ds, Split::Test, stride, |x, _| {
-                let f = model.forecast_normalized(x, n, &mut rng);
-                RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: None, bounds: None }
+                let mu = model.predict_with_samples(x, ds.scaler(), n, &mut rng).mu;
+                RawForecast { mu, sigma: None, bounds: None }
             });
             rows.push(vec![
                 format!("{preset:?}"),

@@ -4,7 +4,6 @@
 //! Paper shape to check: the aleatoric band is much wider than the epistemic
 //! band — traffic uncertainty is mainly data noise.
 
-use deepstuq::decompose::sensor_trace;
 use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{dataset, method_config, parse_args, write_csv, Scale};
 use stuq_tensor::StuqRng;
@@ -31,18 +30,17 @@ fn main() {
     let (mut sum_a, mut sum_e) = (0.0f64, 0.0f64);
     for &s in starts.iter().take(take) {
         let w = ds.window(s);
-        let f = model.forecast_normalized(&w.x, model.mc_samples(), &mut rng);
-        let mu_raw = f.mu.map(|v| ds.scaler().inverse(v));
-        let tr = sensor_trace(&f, &mu_raw, sensor, ds.scaler().std(), model.temperature());
-        sum_a += tr.sigma_aleatoric[0];
-        sum_e += tr.sigma_epistemic[0];
+        let f = model.predict(&w.x, ds.scaler(), &mut rng);
+        let (a, e) = (f.sigma_aleatoric.get(sensor, 0), f.sigma_epistemic.get(sensor, 0));
+        sum_a += a as f64;
+        sum_e += e as f64;
         rows.push(vec![
             format!("{s}"),
             format!("{:.2}", w.y_raw.get(0, sensor)),
-            format!("{:.2}", tr.mu[0]),
-            format!("{:.3}", tr.sigma_aleatoric[0]),
-            format!("{:.3}", tr.sigma_epistemic[0]),
-            format!("{:.3}", tr.sigma_total[0]),
+            format!("{:.2}", f.mu.get(sensor, 0)),
+            format!("{a:.3}"),
+            format!("{e:.3}"),
+            format!("{:.3}", f.sigma_total.get(sensor, 0)),
         ]);
     }
     println!(

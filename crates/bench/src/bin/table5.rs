@@ -27,8 +27,8 @@ fn eval_point(model: &Agcrn, ds: &SplitDataset, mc: usize, stride: usize, seed: 
     let scaler = *ds.scaler();
     let mut rng = StuqRng::new(seed);
     let r = evaluate(ds, Split::Test, stride, |x, _| {
-        let f = mc_forecast(model, x, mc, &mut rng);
-        RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: None, bounds: None }
+        let mu = mc_forecast(model, x, mc, &mut rng).to_raw(&scaler, 1.0).mu;
+        RawForecast { mu, sigma: None, bounds: None }
     });
     [r.point.mae, r.point.rmse, r.point.mape]
 }

@@ -8,6 +8,7 @@
 
 use deepstuq::calibrate::{calibration_residuals, fit_temperature};
 use deepstuq::eval::{evaluate, RawForecast};
+use deepstuq::mc::mc_forecast;
 use deepstuq::pipeline::DeepStuq;
 use stuq_bench::{datasets, fmt2, method_config, parse_args, print_table, write_csv};
 use stuq_tensor::StuqRng;
@@ -21,12 +22,11 @@ fn eval_uq(
     seed: u64,
 ) -> [f64; 3] {
     let scaler = *ds.scaler();
-    let std = scaler.std() as f32;
     let mut rng = StuqRng::new(seed);
     let r = evaluate(ds, Split::Test, stride, |x, _| {
-        let f = model.forecast_normalized(x, model.mc_samples(), &mut rng);
-        let sigma = f.sigma_total(temperature).scale(std);
-        RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: Some(sigma), bounds: None }
+        let f = mc_forecast(model.model(), x, model.mc_samples(), &mut rng)
+            .to_raw(&scaler, temperature);
+        RawForecast { mu: f.mu, sigma: Some(f.sigma_total), bounds: None }
     });
     let u = r.uq.expect("gaussian eval");
     [u.mnll, u.picp, u.mpiw]

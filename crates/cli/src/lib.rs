@@ -17,6 +17,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use deepstuq::eval::{evaluate, evaluate_faulted, RawForecast};
+use deepstuq::mc::mc_forecast_with_cov;
 use deepstuq::pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome};
 use deepstuq::{AwaConfig, CalibConfig, Stage, TrainConfig};
 use stuq_artifact::json::Json;
@@ -805,11 +806,13 @@ fn cmd_evaluate(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let mut proper = ProperScoreAccumulator::new();
     let mut reliability = ReliabilityDiagram::standard();
     let mut predict = |x: &stuq_tensor::Tensor, start: usize| {
-        let f = model.forecast_normalized(x, model.mc_samples(), &mut rng);
-        let mu = f.mu.map(|v| scaler.inverse(v));
-        let sigma = f.sigma_total(model.temperature()).scale(scaler.std() as f32);
-        // Targets always come from the *clean* window, even under faults.
+        // Targets and covariates always come from the *clean* window, even
+        // under faults; only the history `x` is corrupted.
         let w = ds.window(start);
+        let f =
+            mc_forecast_with_cov(model.model(), x, w.cov.as_ref(), model.mc_samples(), &mut rng)
+                .to_raw(&scaler, model.temperature());
+        let (mu, sigma) = (f.mu, f.sigma_total);
         for i in 0..ds.n_nodes() {
             for h in 0..ds.horizon() {
                 let (m, s, y) =
@@ -872,7 +875,7 @@ fn cmd_forecast(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
     let w = ds.window(start);
     let mut rng = StuqRng::new(seed);
-    let f = model.predict(&w.x, ds.scaler(), &mut rng);
+    let f = model.predict_window(&w, ds.scaler(), &mut rng);
     let _ = writeln!(
         out,
         "window {window} (t = {start}), sensor {sensor}, T = {:.3}:",

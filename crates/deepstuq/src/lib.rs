@@ -49,7 +49,6 @@ pub mod calibrate;
 pub mod checkpoint;
 pub mod config;
 pub mod conformal;
-pub mod decompose;
 pub mod ensemble;
 pub mod error;
 pub mod eval;
@@ -65,7 +64,7 @@ pub use error::{Stage, TrainError};
 pub use guard::{GuardConfig, GuardState};
 pub use io::{load_model, load_model_bytes, save_model};
 pub use mc::{
-    mc_forecast, mc_forecast_anytime, mc_passes, reduce_anytime, AnytimeForecast, GaussianForecast,
-    SampleBudget, SamplePass, UnlimitedBudget,
+    mc_forecast, mc_forecast_anytime, mc_passes, reduce_anytime, AnytimeForecast, Forecast,
+    GaussianForecast, SampleBudget, SamplePass, UnlimitedBudget,
 };
-pub use pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome, Forecast};
+pub use pipeline::{DeepStuq, DeepStuqConfig, FitOptions, FitOutcome};

@@ -1,9 +1,13 @@
-//! Monte-Carlo dropout inference, combined by the one Eq. 19 fold (`Eq19Fold`).
+//! Monte-Carlo dropout inference, combined by the one Eq. 19 fold
+//! (`Eq19Fold`) and turned into raw-unit μ and σ by the one conversion,
+//! [`GaussianForecast::to_raw`].
 
+use stuq_metrics::Z_95;
 use stuq_models::{Forecaster, InferenceSession, Prediction};
 use stuq_nn::layers::FwdCtx;
 use stuq_nn::loss::{LOGVAR_MAX, LOGVAR_MIN};
 use stuq_tensor::{StuqRng, Tensor};
+use stuq_traffic::Scaler;
 
 /// The result of Monte-Carlo inference, in *normalised* units.
 ///
@@ -23,6 +27,24 @@ pub struct GaussianForecast {
     pub n_samples: usize,
 }
 
+/// A raw-scale probabilistic forecast: mean, decomposed uncertainty and the
+/// 95 % prediction interval.
+#[derive(Clone, Debug)]
+pub struct Forecast {
+    /// Point forecast, `[N, τ]` raw units.
+    pub mu: Tensor,
+    /// Total predictive σ (aleatoric/T + epistemic), `[N, τ]` raw units.
+    pub sigma_total: Tensor,
+    /// Calibrated aleatoric σ, `[N, τ]`.
+    pub sigma_aleatoric: Tensor,
+    /// Epistemic σ, `[N, τ]`.
+    pub sigma_epistemic: Tensor,
+    /// Lower 95 % bound (`μ − 1.96 σ_total`).
+    pub lower: Tensor,
+    /// Upper 95 % bound.
+    pub upper: Tensor,
+}
+
 impl GaussianForecast {
     /// Total predictive variance under temperature `t` (Eq. 19b):
     /// `σ̂² = σ²_aleatoric / T² + σ²_epistemic`.
@@ -36,9 +58,21 @@ impl GaussianForecast {
         self.var_aleatoric.scale(inv_t2).add(&self.var_epistemic)
     }
 
-    /// Total predictive standard deviation under temperature `t`.
-    pub fn sigma_total(&self, t: f32) -> Tensor {
-        self.var_total(t).map(f32::sqrt)
+    /// The raw-unit forecast under temperature `t`: `μ̂` through the
+    /// scaler, each σ scaled by its std, the aleatoric σ divided by `T`,
+    /// the total σ from [`GaussianForecast::var_total`], and the 95 %
+    /// interval `μ ∓ z·σ_total`. The only code that turns Eq. 19 sums
+    /// into raw μ/σ; every forecast the workspace reports comes through it.
+    pub fn to_raw(&self, scaler: &Scaler, t: f32) -> Forecast {
+        let std = scaler.std() as f32;
+        let mu = self.mu.map(|v| scaler.inverse(v));
+        let sigma_total = self.var_total(t).map(f32::sqrt).scale(std);
+        let sigma_aleatoric = self.var_aleatoric.map(|v| (v.max(0.0)).sqrt() / t * std);
+        let sigma_epistemic = self.var_epistemic.map(|v| v.max(0.0).sqrt() * std);
+        let z = Z_95 as f32;
+        let lower = mu.zip(&sigma_total, |m, s| m - z * s);
+        let upper = mu.zip(&sigma_total, |m, s| m + z * s);
+        Forecast { mu, sigma_total, sigma_aleatoric, sigma_epistemic, lower, upper }
     }
 }
 
@@ -440,6 +474,96 @@ mod tests {
             assert!((a - b).abs() < 1e-6);
         }
         assert!(v1.mean() > v2.mean());
+    }
+
+    /// 2 sensors × 3 steps with known variances.
+    fn toy_forecast() -> GaussianForecast {
+        GaussianForecast {
+            mu: Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]),
+            var_aleatoric: Tensor::from_vec(vec![1.0, 4.0, 9.0, 1.0, 4.0, 9.0], &[2, 3]),
+            var_epistemic: Tensor::from_vec(vec![0.25; 6], &[2, 3]),
+            n_samples: 5,
+        }
+    }
+
+    /// A scaler with the given mean and std: one sensor reading
+    /// `mean ∓ std` over two steps.
+    fn toy_scaler(mean: f32, std: f32) -> Scaler {
+        let net = stuq_graph::RoadNetwork::new(1, Vec::new(), Vec::new());
+        let data = stuq_traffic::TrafficData::new("toy", vec![mean - std, mean + std], 2, net);
+        Scaler::fit(&data, 2)
+    }
+
+    fn assert_close(got: &Tensor, want: &[f32], what: &str) {
+        for (g, w) in got.data().iter().zip(want) {
+            assert!((g - w).abs() < 1e-5 * w.abs().max(1.0), "{what}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn to_raw_at_unit_temperature() {
+        let r = toy_forecast().to_raw(&toy_scaler(0.0, 1.0), 1.0);
+        assert_close(&r.sigma_aleatoric, &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0], "σ_a");
+        assert_close(&r.sigma_epistemic, &[0.5; 6], "σ_e");
+        for i in 0..6 {
+            let (t, a, e) =
+                (r.sigma_total.data()[i], r.sigma_aleatoric.data()[i], r.sigma_epistemic.data()[i]);
+            // total σ = sqrt(var_a + var_e) ≥ each component.
+            assert!(t >= a && t >= e, "σ_total {t} below a component ({a}, {e})");
+        }
+    }
+
+    #[test]
+    fn to_raw_sigma_scales_with_the_scaler_std() {
+        let f = toy_forecast();
+        let (r1, r10) =
+            (f.to_raw(&toy_scaler(0.0, 1.0), 1.0), f.to_raw(&toy_scaler(0.0, 10.0), 1.0));
+        for (s1, s10) in [
+            (&r1.sigma_total, &r10.sigma_total),
+            (&r1.sigma_aleatoric, &r10.sigma_aleatoric),
+            (&r1.sigma_epistemic, &r10.sigma_epistemic),
+        ] {
+            assert_close(s10, s1.scale(10.0).data(), "σ at std 10");
+        }
+    }
+
+    #[test]
+    fn to_raw_temperature_shrinks_only_aleatoric() {
+        let r = toy_forecast().to_raw(&toy_scaler(0.0, 1.0), 2.0);
+        assert_close(&r.sigma_aleatoric, &[0.5, 1.0, 1.5, 0.5, 1.0, 1.5], "σ_a / T");
+        assert_close(&r.sigma_epistemic, &[0.5; 6], "epistemic untouched");
+        // σ_total² = σ_a² / T² + σ_e².
+        assert_close(&r.sigma_total, &[0.5f32.sqrt(), 1.25f32.sqrt(), 2.5f32.sqrt()], "σ_total");
+    }
+
+    #[test]
+    fn to_raw_averages_linearly_over_scalers() {
+        // The mean of the 1× and 3× conversions is the 2× conversion.
+        let f = toy_forecast();
+        let (r1, r3) = (f.to_raw(&toy_scaler(0.0, 1.0), 1.0), f.to_raw(&toy_scaler(0.0, 3.0), 1.0));
+        let r2 = f.to_raw(&toy_scaler(0.0, 2.0), 1.0);
+        let mean = r1.sigma_total.add(&r3.sigma_total).scale(0.5);
+        assert_close(&mean, r2.sigma_total.data(), "averaged σ_total");
+    }
+
+    #[test]
+    fn to_raw_maps_mu_through_the_scaler() {
+        let r = toy_forecast().to_raw(&toy_scaler(0.0, 100.0), 1.0);
+        assert_close(&r.mu, &[100.0, 200.0, 300.0, 400.0, 500.0, 600.0], "μ");
+        let shifted = toy_forecast().to_raw(&toy_scaler(50.0, 1.0), 1.0);
+        assert_close(&shifted.mu, &[51.0, 52.0, 53.0, 54.0, 55.0, 56.0], "μ + mean");
+        assert_close(&shifted.sigma_aleatoric, r.sigma_aleatoric.scale(0.01).data(), "σ");
+    }
+
+    #[test]
+    fn to_raw_interval_is_mu_minus_plus_z_sigma_total() {
+        let r = toy_forecast().to_raw(&toy_scaler(10.0, 4.0), 1.5);
+        let z = Z_95 as f32;
+        for i in 0..6 {
+            let (m, s) = (r.mu.data()[i], r.sigma_total.data()[i]);
+            assert_eq!(r.lower.data()[i].to_bits(), (m - z * s).to_bits());
+            assert_eq!(r.upper.data()[i].to_bits(), (m + z * s).to_bits());
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::calibrate::calibrate_on_validation;
 use crate::config::{AwaConfig, CalibConfig, TrainConfig};
 use crate::conformal::{Cfrnn, LocallyWeightedConformal};
 use crate::eval::{evaluate, EvalResult, RawForecast};
-use crate::mc::{ensemble_forecast, mc_forecast, GaussianForecast};
+use crate::mc::{ensemble_forecast, mc_forecast};
 use crate::pipeline::{DeepStuq, DeepStuqConfig};
 use crate::trainer::{train, train_epoch, LossKind};
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster, HeadKind};
@@ -293,71 +293,37 @@ impl TrainedMethod {
         self.temperature
     }
 
-    /// Raw-scale forecast for one normalised window.
+    /// Raw-scale forecast for one normalised window: the method's passes
+    /// through [`crate::GaussianForecast::to_raw`] at its temperature (1
+    /// unless it calibrates). The quantile head skips the Eq. 19 sums.
     pub fn forecast(&mut self, x: &Tensor, scaler: &Scaler) -> RawForecast {
-        let std = scaler.std() as f32;
-        match self.method {
-            Method::Point => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: None, bounds: None }
-            }
-            Method::Quantile => self.quantile_forecast(x, scaler),
-            Method::Mve => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::Mcdo | Method::Combined | Method::DeepStuqS | Method::DeepStuq => {
-                // DeepSTUQ/S is DeepSTUQ's single deterministic pass; MCDO
-                // and Combined keep T = 1.
-                let n = if self.method == Method::DeepStuqS { 1 } else { self.cfg.mc_samples };
-                let f = mc_forecast(&self.model, x, n, &mut self.rng);
-                let sigma = f.sigma_total(self.temperature).scale(std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::Ts => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let t = self.temperature;
-                let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() / t * std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::Fge => {
-                let snaps = self.snapshots.as_ref().expect("FGE has snapshots").clone();
-                let f = ensemble_forecast(&mut self.model, &snaps, x, &mut self.rng);
-                let sigma = f.var_epistemic.map(|v| v.max(0.0).sqrt() * std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::Conformal => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let mu = raw_mu(&f, scaler);
-                let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
-                let cp = self.conformal.as_ref().expect("conformal fitted");
-                let mut lo = mu.clone();
-                let mut hi = mu.clone();
-                for i in 0..mu.len() {
-                    let (l, h) = cp.interval(mu.data()[i] as f64, sigma.data()[i] as f64);
-                    lo.data_mut()[i] = l as f32;
-                    hi.data_mut()[i] = h as f32;
-                }
-                RawForecast { mu, sigma: Some(sigma), bounds: Some((lo, hi)) }
-            }
-            Method::Cfrnn => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let mu = raw_mu(&f, scaler);
-                let cf = self.cfrnn.as_ref().expect("cfrnn fitted");
-                let (n, tau) = (mu.rows(), mu.cols());
-                let mut lo = mu.clone();
-                let mut hi = mu.clone();
-                for i in 0..n {
-                    for h in 0..tau {
-                        let (l, u) = cf.interval(h, mu.get(i, h) as f64);
-                        lo.set(i, h, l as f32);
-                        hi.set(i, h, u as f32);
-                    }
-                }
-                RawForecast { mu, sigma: None, bounds: Some((lo, hi)) }
-            }
+        let n = match self.method {
+            Method::Quantile => return self.quantile_forecast(x, scaler),
+            Method::Mcdo | Method::Combined | Method::DeepStuq => self.cfg.mc_samples,
+            // DeepSTUQ/S is DeepSTUQ's single deterministic pass.
+            _ => 1,
+        };
+        let f = match &self.snapshots {
+            Some(snaps) => ensemble_forecast(&mut self.model, snaps, x, &mut self.rng),
+            None => mc_forecast(&self.model, x, n, &mut self.rng),
         }
+        .to_raw(scaler, self.temperature);
+        let sigma = match self.method {
+            Method::Point | Method::Cfrnn => None,
+            Method::Mve | Method::Ts | Method::Conformal => Some(f.sigma_aleatoric),
+            Method::Fge => Some(f.sigma_epistemic),
+            // The MC arms: MCDO, Combined, DeepSTUQ/S and DeepSTUQ.
+            _ => Some(f.sigma_total),
+        };
+        let mu = f.mu;
+        let bounds = match (&self.conformal, &self.cfrnn, &sigma) {
+            (Some(cp), _, Some(sigma)) => Some(intervals(&mu, |i, h| {
+                cp.interval(mu.get(i, h) as f64, sigma.get(i, h) as f64)
+            })),
+            (_, Some(cf), _) => Some(intervals(&mu, |i, h| cf.interval(h, mu.get(i, h) as f64))),
+            _ => None,
+        };
+        RawForecast { mu, sigma, bounds }
     }
 
     fn quantile_forecast(&mut self, x: &Tensor, scaler: &Scaler) -> RawForecast {
@@ -387,8 +353,17 @@ impl TrainedMethod {
     }
 }
 
-fn raw_mu(f: &GaussianForecast, scaler: &Scaler) -> Tensor {
-    f.mu.map(|v| scaler.inverse(v))
+/// Per-cell `(lower, upper)` bounds over `mu`'s `[N, τ]` grid.
+fn intervals(mu: &Tensor, interval: impl Fn(usize, usize) -> (f64, f64)) -> (Tensor, Tensor) {
+    let (mut lo, mut hi) = (mu.clone(), mu.clone());
+    for i in 0..mu.rows() {
+        for h in 0..mu.cols() {
+            let (l, u) = interval(i, h);
+            lo.set(i, h, l as f32);
+            hi.set(i, h, u as f32);
+        }
+    }
+    (lo, hi)
 }
 
 fn fit_conformal(
@@ -397,13 +372,11 @@ fn fit_conformal(
     stride: usize,
     rng: &mut StuqRng,
 ) -> LocallyWeightedConformal {
-    let std = ds.scaler().std() as f32;
     let mut triples = Vec::new();
     for &s in ds.window_starts(Split::Val).iter().step_by(stride.max(1)) {
         let w = ds.window(s);
-        let f = mc_forecast(model, &w.x, 1, rng);
-        let mu = raw_mu(&f, ds.scaler());
-        let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
+        let f = mc_forecast(model, &w.x, 1, rng).to_raw(ds.scaler(), 1.0);
+        let (mu, sigma) = (f.mu, f.sigma_aleatoric);
         let (n, tau) = (mu.rows(), mu.cols());
         for i in 0..n {
             for h in 0..tau {
@@ -422,8 +395,7 @@ fn fit_cfrnn(model: &Agcrn, ds: &SplitDataset, stride: usize, rng: &mut StuqRng)
     let mut residuals = Vec::new();
     for &s in ds.window_starts(Split::Val).iter().step_by(stride.max(1)) {
         let w = ds.window(s);
-        let f = mc_forecast(model, &w.x, 1, rng);
-        let mu = raw_mu(&f, ds.scaler());
+        let mu = mc_forecast(model, &w.x, 1, rng).to_raw(ds.scaler(), 1.0).mu;
         let (n, tau) = (mu.rows(), mu.cols());
         for i in 0..n {
             for h in 0..tau {

@@ -8,8 +8,9 @@
 //! **bit-for-bit** — an interrupted-then-resumed run produces exactly the
 //! parameters and temperature of an uninterrupted one. [`DeepStuq::train`]
 //! is the panicking convenience wrapper. [`DeepStuq::predict`] performs
-//! MC-dropout inference and returns a raw-scale [`Forecast`] with the full
-//! uncertainty decomposition and 95 % interval.
+//! MC-dropout inference and returns the raw-scale [`Forecast`] (full
+//! uncertainty decomposition and 95 % interval) that
+//! [`crate::GaussianForecast::to_raw`] builds at the model's temperature.
 
 use crate::awa::AwaState;
 use crate::calibrate::calibrate_on_validation;
@@ -17,10 +18,10 @@ use crate::checkpoint::{load_checkpoint, save_checkpoint, StageSnapshot};
 use crate::config::{AwaConfig, CalibConfig, TrainConfig};
 use crate::error::{Stage, TrainError};
 use crate::guard::{GuardConfig, GuardState};
-use crate::mc::{mc_forecast_with_cov, GaussianForecast};
+use crate::mc::mc_forecast_with_cov;
+pub use crate::mc::Forecast;
 use crate::trainer::{train_epoch_guarded, LossKind};
 use std::path::PathBuf;
-use stuq_metrics::Z_95;
 use stuq_models::{Agcrn, AgcrnConfig, Forecaster, HeadKind};
 use stuq_nn::opt::{Adam, Optimizer, OptimizerState};
 use stuq_nn::serialize::load_into;
@@ -220,24 +221,6 @@ fn record_epoch(epoch: usize, loss: f64, t0: std::time::Instant) {
     m.train_epoch.set(epoch as f64);
     m.train_epoch_seconds.record(seconds);
     stuq_obs::emit(stuq_obs::Event::new("epoch_end").num("loss", loss).num("seconds", seconds));
-}
-
-/// A raw-scale probabilistic forecast: mean, decomposed uncertainty and the
-/// 95 % prediction interval.
-#[derive(Clone, Debug)]
-pub struct Forecast {
-    /// Point forecast, `[N, τ]` raw units.
-    pub mu: Tensor,
-    /// Total predictive σ (aleatoric/T + epistemic), `[N, τ]` raw units.
-    pub sigma_total: Tensor,
-    /// Calibrated aleatoric σ, `[N, τ]`.
-    pub sigma_aleatoric: Tensor,
-    /// Epistemic σ, `[N, τ]`.
-    pub sigma_epistemic: Tensor,
-    /// Lower 95 % bound (`μ − 1.96 σ_total`).
-    pub lower: Tensor,
-    /// Upper 95 % bound.
-    pub upper: Tensor,
 }
 
 /// A trained DeepSTUQ model.
@@ -476,16 +459,6 @@ impl DeepStuq {
         &mut self.model
     }
 
-    /// Normalised-unit MC forecast with `n_samples` override.
-    pub fn forecast_normalized(
-        &self,
-        x: &Tensor,
-        n_samples: usize,
-        rng: &mut StuqRng,
-    ) -> GaussianForecast {
-        mc_forecast_with_cov(&self.model, x, None, n_samples, rng)
-    }
-
     /// Raw-scale forecast for a dataset [`stuq_traffic::Window`], passing its
     /// exogenous covariates (when present) to a covariate-aware base model.
     pub fn predict_window(
@@ -522,17 +495,7 @@ impl DeepStuq {
         n_samples: usize,
         rng: &mut StuqRng,
     ) -> Forecast {
-        let f = mc_forecast_with_cov(&self.model, x, cov, n_samples, rng);
-        let std = scaler.std() as f32;
-        let t = self.temperature;
-        let mu = f.mu.map(|v| scaler.inverse(v));
-        let sigma_total = f.sigma_total(t).scale(std);
-        let sigma_aleatoric = f.var_aleatoric.map(|v| (v.max(0.0)).sqrt() / t * std);
-        let sigma_epistemic = f.var_epistemic.map(|v| v.max(0.0).sqrt() * std);
-        let z = Z_95 as f32;
-        let lower = mu.zip(&sigma_total, |m, s| m - z * s);
-        let upper = mu.zip(&sigma_total, |m, s| m + z * s);
-        Forecast { mu, sigma_total, sigma_aleatoric, sigma_epistemic, lower, upper }
+        mc_forecast_with_cov(&self.model, x, cov, n_samples, rng).to_raw(scaler, self.temperature)
     }
 }
 

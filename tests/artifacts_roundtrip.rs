@@ -173,6 +173,67 @@ fn cli_artifacts_interoperate_with_library_loaders() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+#[test]
+fn cli_forecast_feeds_a_covariate_model_its_weather() {
+    // A weather-aware model and a dataset carrying the rain channel: the
+    // CLI's σ/μ must be the ones `predict_window` gives for the same
+    // window and seed, covariates included.
+    let dir = tmp_dir("cli_covariates");
+    let sim = stuq_traffic::SimulationConfig {
+        weather: Some(stuq_traffic::simulate::WeatherConfig {
+            rain_start_prob: 1.0 / 24.0,
+            rain_len: (6, 12),
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let ds = Preset::Pems08Like.spec().scaled(0.08, 0.02).generate_with(205, &sim, 12, 12);
+    let mut cfg = DeepStuqConfig::fast_demo(ds.n_nodes(), ds.horizon());
+    cfg.base = cfg.base.with_covariates(1);
+    let model = DeepStuq::train(&ds, cfg, 205);
+    let (data_path, model_path) = (dir.join("rain.stuqd"), dir.join("rain.stuq"));
+    stuq_traffic::save_dataset(ds.data(), &data_path).unwrap();
+    deepstuq::save_model(&model, &model_path).unwrap();
+
+    // A test window whose forecast period has rain, so zeroed covariates
+    // would show.
+    let starts = ds.window_starts(Split::Test);
+    let window = (0..starts.len())
+        .find(|&k| ds.window(starts[k]).cov.unwrap().data().iter().any(|&r| r > 0.0))
+        .expect("a rainy test window");
+    let sensor = 2;
+    let args = [
+        "forecast",
+        "--model",
+        model_path.to_str().unwrap(),
+        "--data",
+        data_path.to_str().unwrap(),
+        "--sensor",
+        &sensor.to_string(),
+        "--window",
+        &window.to_string(),
+        "--seed",
+        "9",
+    ];
+    let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    let mut out = Vec::new();
+    deepstuq_cli::run(&owned, &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+
+    let f = model.predict_window(&ds.window(starts[window]), ds.scaler(), &mut StuqRng::new(9));
+    let rows: Vec<Vec<&str>> =
+        out.lines().skip(2).map(|l| l.split_whitespace().collect()).collect();
+    assert_eq!(rows.len(), ds.horizon(), "{out}");
+    for (h, row) in rows.iter().enumerate() {
+        let want: Vec<String> = [&f.mu, &f.sigma_aleatoric, &f.sigma_epistemic, &f.sigma_total]
+            .iter()
+            .map(|t| format!("{:.2}", t.get(sensor, h)))
+            .collect();
+        assert_eq!(row[2..6], want, "step {}:\n{out}", h + 1);
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Fuzz sweep across every serialized artifact type: byte truncation at a
 /// spread of offsets and single-bit flips at a spread of positions must all
 /// surface as typed `Err`s from the loaders — never a panic, never a

@@ -258,12 +258,8 @@ fn sensor_faults_degrade_accuracy_but_scoring_stays_clean() {
     ) -> impl FnMut(&Tensor, usize) -> RawForecast + '_ {
         let mut rng = StuqRng::new(seed);
         move |x, _start| {
-            let f = model.forecast_normalized(x, model.mc_samples(), &mut rng);
-            RawForecast {
-                mu: f.mu.map(|v| scaler.inverse(v)),
-                sigma: Some(f.sigma_total(model.temperature()).scale(scaler.std() as f32)),
-                bounds: None,
-            }
+            let f = model.predict(x, &scaler, &mut rng);
+            RawForecast { mu: f.mu, sigma: Some(f.sigma_total), bounds: None }
         }
     }
     let clean = evaluate(&ds, Split::Test, 9, predict(&model, scaler, 1));
