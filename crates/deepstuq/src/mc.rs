@@ -982,6 +982,81 @@ mod tests {
         stuq_parallel::with_serial(|| stuq_tensor::kernels::with_reference_kernels(run_all));
     }
 
+    /// `f` on the fast kernels, or serially on the reference kernels, so
+    /// that no pass runs on a pool thread in the other mode.
+    fn in_mode<R>(reference: bool, f: impl FnOnce() -> R) -> R {
+        if reference {
+            stuq_parallel::with_serial(|| stuq_tensor::kernels::with_reference_kernels(f))
+        } else {
+            f()
+        }
+    }
+
+    #[test]
+    fn session_follows_every_parameter_change() {
+        // `Agcrn` keeps its session's bind until `params_mut` is called.
+        // After an Adam step and after loading other weights, each forecast
+        // in either kernel mode must be a fresh model's, and a clone taken
+        // before the changes must keep the old bytes.
+        let mut rng = StuqRng::new(47);
+        let cfg = AgcrnConfig::new(5, 3).with_dropout(0.3, 0.2).with_capacity(8, 3, 2);
+        let mut model = Agcrn::new(cfg.clone(), &mut rng);
+        let other = Agcrn::new(cfg.clone(), &mut rng).params().snapshot();
+        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
+        let y = Tensor::randn(&[5, 3], 1.0, &mut rng);
+        let mode = |reference: bool| if reference { "reference kernels" } else { "fast kernels" };
+        let forecast = |m: &Agcrn, reference: bool| {
+            in_mode(reference, || {
+                let mut r = StuqRng::new(9);
+                (mc_forecast(m, &x, 5, &mut r), r)
+            })
+        };
+        let warm = |m: &Agcrn| [false, true].map(|reference| forecast(m, reference).0);
+        let check = |model: &Agcrn, before: &[GaussianForecast; 2], what: &str| {
+            let mut fresh = Agcrn::new(cfg.clone(), &mut StuqRng::new(0));
+            fresh.params_mut().load_snapshot(&model.params().snapshot());
+            for reference in [false, true] {
+                let (want, wr) = forecast(&fresh, reference);
+                // The first call rebuilds the bind, the second reuses it.
+                for call in ["rebuilt", "cached"] {
+                    let at = format!("{what}, {}, {call}", mode(reference));
+                    let (got, mut r) = forecast(model, reference);
+                    assert_bitwise(&got, &want, &at);
+                    assert_same_rng(&mut r, &mut wr.clone(), &at);
+                    let old_mu = before[usize::from(reference)].mu.data();
+                    assert_ne!(got.mu.data(), old_mu, "{at}: the old parameters' mu");
+                }
+            }
+        };
+        let before = warm(&model);
+        let old = model.clone();
+
+        let mut tape = stuq_tensor::Tape::new();
+        let Prediction::Gaussian { mu, logvar } =
+            model.forward(&mut tape, &x, &mut FwdCtx::train(&mut rng))
+        else {
+            panic!("gaussian head")
+        };
+        let yt = tape.constant(y);
+        let l = stuq_nn::loss::combined(&mut tape, mu, logvar, yt, 0.5);
+        let grads = tape.backward(l);
+        stuq_nn::opt::Optimizer::step(
+            &mut stuq_nn::opt::Adam::new(0.01, 0.0),
+            model.params_mut(),
+            &grads,
+        );
+        check(&model, &before, "after an Adam step");
+        let stepped = warm(&model);
+
+        model.params_mut().load_snapshot(&other);
+        check(&model, &stepped, "after load_snapshot");
+
+        for reference in [false, true] {
+            let at = format!("old clone, {}", mode(reference));
+            assert_bitwise(&forecast(&old, reference).0, &before[usize::from(reference)], &at);
+        }
+    }
+
     #[test]
     fn ensemble_variance_zero_for_identical_snapshots() {
         let mut rng = StuqRng::new(6);

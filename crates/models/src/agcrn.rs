@@ -8,18 +8,20 @@
 //! (direct multi-step decoding, as AGCRN does).
 //!
 //! The forward pass is written once over [`Exec`]: on a tape for training,
-//! and eagerly for inference, where [`Agcrn`]'s [`InferenceSession`] builds
-//! the support and the NAPL gate weights once per call and runs each block
-//! of MC samples in lockstep (DESIGN.md §17).
+//! and eagerly for inference, where [`Agcrn`]'s [`InferenceSession`] runs
+//! each block of MC samples in lockstep on the support and the NAPL gate
+//! weights. The model builds those once per parameter state and keeps them
+//! until [`Forecaster::params_mut`] is next called (DESIGN.md §17).
 
 use std::borrow::Borrow;
+use std::sync::OnceLock;
 
 use crate::heads::{Head, HeadKind};
 use crate::traits::{Forecaster, InferenceSession, Prediction};
 use stuq_nn::init;
 use stuq_nn::layers::{AgcrnCell, Block, BoundAgcrnCell, Eager, Exec, FwdCtx};
 use stuq_nn::ParamSet;
-use stuq_tensor::{StuqRng, Tape, Tensor};
+use stuq_tensor::{kernels, StuqRng, Tape, Tensor};
 
 /// Hyper-parameters of the base model.
 #[derive(Clone, Debug)]
@@ -97,6 +99,12 @@ pub struct Agcrn {
     e_slot: usize,
     cells: Vec<AgcrnCell>,
     head: Head,
+    /// The inference bind of the current parameters: `I + Â` and every
+    /// gate's `E·W_pool` / `E·b_pool`, built by the first [`Agcrn::session`]
+    /// and cleared by [`Agcrn::params_mut`]. One slot per kernel mode
+    /// (indexed by [`kernels::reference_mode`]), since the two modes round
+    /// the bind differently.
+    bind: [OnceLock<Vec<BoundAgcrnCell<Block<'static>>>>; 2],
 }
 
 impl Agcrn {
@@ -129,7 +137,7 @@ impl Agcrn {
             cfg.decoder_dropout,
             rng,
         );
-        Self { params, cfg, e_slot, cells, head }
+        Self { params, cfg, e_slot, cells, head, bind: Default::default() }
     }
 
     /// The configuration this model was built with.
@@ -210,7 +218,10 @@ impl Forecaster for Agcrn {
         &self.params
     }
 
+    /// Clears the cached inference bind: the caller may change any
+    /// parameter.
     fn params_mut(&mut self) -> &mut ParamSet {
+        self.bind = Default::default();
         &mut self.params
     }
 
@@ -240,18 +251,19 @@ impl Forecaster for Agcrn {
         self.run(tape, &bound, x, cov, ctx)
     }
 
-    /// Builds `I + Â` and every gate's `E·W_pool` / `E·b_pool` once, then
-    /// runs each block of passes eagerly on them and the borrowed head
-    /// parameters.
+    /// Runs each block of passes eagerly on the cached `I + Â` and gate
+    /// weights (built here on first use after a parameter change) and the
+    /// borrowed head parameters.
     fn session(&self) -> Box<dyn InferenceSession + '_> {
-        let ex = &mut Eager::new(&self.params);
-        let e = ex.param(self.e_slot, self.params.get(self.e_slot));
-        let support = self.support(ex, &e);
-        let cells = self
-            .cells
-            .iter()
-            .map(|cell| cell.bind(ex, &self.params, &e, support.clone()))
-            .collect();
+        let cells = self.bind[usize::from(kernels::reference_mode())].get_or_init(|| {
+            let ex = &mut Eager::new(&self.params);
+            let e = ex.param(self.e_slot, self.params.get(self.e_slot));
+            let support = self.support(ex, &e);
+            self.cells
+                .iter()
+                .map(|cell| cell.bind(ex, &self.params, &e, support.clone()).map(Block::into_owned))
+                .collect()
+        });
         Box::new(AgcrnSession { model: self, cells })
     }
 
@@ -260,11 +272,11 @@ impl Forecaster for Agcrn {
     }
 }
 
-/// [`Agcrn`]'s inference session: the parameter-only work of a pass, done
-/// once per call.
+/// [`Agcrn`]'s inference session: a borrow of the model and of its cached
+/// bind, the parameter-only work of a pass.
 struct AgcrnSession<'m> {
     model: &'m Agcrn,
-    cells: Vec<BoundAgcrnCell<Block<'m>>>,
+    cells: &'m [BoundAgcrnCell<Block<'m>>],
 }
 
 impl InferenceSession for AgcrnSession<'_> {
@@ -276,7 +288,7 @@ impl InferenceSession for AgcrnSession<'_> {
     ) -> Vec<Prediction<Tensor>> {
         let ex = &mut Eager::new(&self.model.params);
         let s = ctx.rng.len();
-        let pred = self.model.run(ex, &self.cells, x, cov, ctx);
+        let pred = self.model.run(ex, self.cells, x, cov, ctx);
         let mut outs = pred.map(|b| b.into_samples(s).into_iter());
         (0..s).map(|_| outs.as_mut().map(|o| o.next().expect("one tensor per sample"))).collect()
     }

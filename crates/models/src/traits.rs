@@ -71,10 +71,11 @@ impl<V> Prediction<V> {
 
 /// The forward passes of one inference call (DESIGN.md §17).
 ///
-/// [`Forecaster::session`] builds one per call — an MC-dropout forecast,
-/// a batch of them — so work that depends only on the parameters is done
-/// once per call rather than once per sample. `Sync`, so blocks of the
-/// call's samples can run on the parallel pool against one shared session.
+/// [`Forecaster::session`] hands out one per call — an MC-dropout
+/// forecast, a batch of them — so work that depends only on the parameters
+/// is not repeated per sample; a model may also keep that work across
+/// calls until its parameters change. `Sync`, so blocks of the call's
+/// samples can run on the parallel pool against one shared session.
 pub trait InferenceSession: Sync {
     /// One forward pass per stream of `ctx.rng` over the window `x`
     /// (`[t_h, N]`) with optional covariates, in stream order; dropout
@@ -125,7 +126,8 @@ impl<F: Forecaster + ?Sized> InferenceSession for TapeSession<'_, F> {
 pub trait Forecaster: Send + Sync {
     /// The model's parameters.
     fn params(&self) -> &ParamSet;
-    /// Mutable access for optimisers and weight averaging.
+    /// Mutable access for optimisers, weight averaging and snapshot loads;
+    /// the one way a model's parameters change.
     fn params_mut(&mut self) -> &mut ParamSet;
     /// Number of sensors the model was built for.
     fn n_nodes(&self) -> usize;
@@ -149,9 +151,11 @@ pub trait Forecaster: Send + Sync {
 
     /// An inference session for one call. The default runs every pass on a
     /// tape; a model overrides it to hoist parameter-only work out of the
-    /// per-sample loop and to run a block of samples without a tape. Either
-    /// way pass `i` must return the bytes `forward_with_cov` computes on
-    /// stream `i` and leave that stream where it would.
+    /// per-sample loop and to run a block of samples without a tape. The
+    /// hoisted work may be cached in the model, provided
+    /// [`Forecaster::params_mut`] drops the cache. Either way pass `i` must
+    /// return the bytes `forward_with_cov` computes on stream `i` and leave
+    /// that stream where it would.
     fn session(&self) -> Box<dyn InferenceSession + '_> {
         Box::new(TapeSession(self))
     }

@@ -6,7 +6,8 @@
 //! the 12 time steps) without re-binding them. This is also how the NAPL
 //! weight pools of AGCRN are hoisted: the per-node weight matrices
 //! `E·W_pool` (paper Eq. 5) are computed once per bind — once per tape when
-//! training, once per MC-dropout call at inference (DESIGN.md §17).
+//! training, and at inference once per parameter state: the model keeps the
+//! bound cell until its parameters change (DESIGN.md §17).
 //!
 //! The linear map, the AGCRN cell and the decoder heads are written once
 //! over an [`Exec`]utor: on a [`Tape`] they record nodes for the backward
@@ -187,6 +188,12 @@ impl<'p> Block<'p> {
                 self
             }
         }
+    }
+
+    /// The value with its data owned, so it can outlive the parameters it
+    /// was computed from. An op's result is owned already and only moves.
+    pub fn into_owned(self) -> Block<'static> {
+        Block { data: Cow::Owned(self.data.into_owned()), samples: self.samples }
     }
 
     /// One tensor per sample for a block of `s` samples.
@@ -656,6 +663,18 @@ pub struct BoundAgcrnCell<V = NodeId> {
 }
 
 impl<V> BoundAgcrnCell<V> {
+    /// Applies `f` to every bound value, keeping the cell's shape.
+    pub fn map<U>(self, mut f: impl FnMut(V) -> U) -> BoundAgcrnCell<U> {
+        let gates = self.gates.map(|g| BoundGate { wn: f(g.wn), bn: f(g.bn) });
+        BoundAgcrnCell {
+            gates,
+            support: f(self.support),
+            c_in: self.c_in,
+            hidden: self.hidden,
+            dropout_p: self.dropout_p,
+        }
+    }
+
     /// Gate `idx` on its spatially mixed input `(I + Â) · [x, h]`.
     fn gate<E: Exec>(
         &self,

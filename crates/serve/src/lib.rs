@@ -284,13 +284,14 @@ fn slice_grid(full: &Tensor, nodes: Option<&[usize]>, horizon: Option<usize>) ->
 
 impl Server {
     /// Loads the model (and dataset scaler, when given) and starts the
-    /// reload watcher. Fails on an unreadable artifact and on a default
+    /// reload watcher. Fails on an unreadable artifact, on a model that
+    /// reads covariates (requests carry no weather) and on a default
     /// sample count (`cfg.mc_samples`, else the model's own) above
     /// [`proto::MAX_MC_SAMPLES`].
     pub fn new(cfg: ServeConfig) -> Result<Server, String> {
         let bytes = std::fs::read(&cfg.model_path)
             .map_err(|e| format!("{}: {e}", cfg.model_path.display()))?;
-        let model = deepstuq::load_model_bytes(&bytes)
+        let model = reload::load_servable(&bytes)
             .map_err(|e| format!("{}: {e}", cfg.model_path.display()))?;
         let model_checksum = reload::file_checksum(&bytes);
         // A count above the wire bound would have every cluster worker

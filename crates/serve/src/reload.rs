@@ -3,7 +3,8 @@
 //! A watcher thread polls the model artifact for content changes (FNV-1a
 //! checksum of the raw file bytes — the same hash the artifact trailer
 //! uses). When the bytes change it runs the *expensive* work right there:
-//! checksum verification and a full parse into a candidate [`DeepStuq`].
+//! checksum verification, a full parse into a candidate [`DeepStuq`] and
+//! the check that the server can answer for it (no covariate models).
 //! Only the finished [`Validated`] result crosses the channel; the serve
 //! worker picks it up between requests, performs the *cheap* work
 //! (shape-compatibility check + pointer swap) and emits `reload_ok` /
@@ -38,6 +39,22 @@ pub fn file_checksum(bytes: &[u8]) -> String {
     format!("{:016x}", stuq_artifact::fnv1a64(bytes))
 }
 
+/// Parses a model artifact and checks that this server can answer for it:
+/// a model that reads covariates is refused, because requests carry no
+/// weather and it would be fed a zeroed channel. Shared by
+/// [`crate::Server::new`], [`validate`] and the [`Watcher`].
+pub(crate) fn load_servable(bytes: &[u8]) -> Result<DeepStuq, String> {
+    let model = deepstuq::load_model_bytes(bytes).map_err(|e| e.to_string())?;
+    let c = model.model().config().n_covariates;
+    if c > 0 {
+        return Err(format!(
+            "the model reads {c} covariate channel(s), but serving requests carry no \
+             weather, so it would forecast from zeroed covariates"
+        ));
+    }
+    Ok(model)
+}
+
 /// Reads and validates `path` right now (the synchronous `reload` request).
 pub fn validate(path: &Path) -> Validated {
     match std::fs::read(path) {
@@ -48,8 +65,7 @@ pub fn validate(path: &Path) -> Validated {
         },
         Ok(bytes) => {
             let checksum = file_checksum(&bytes);
-            let result = deepstuq::load_model_bytes(&bytes).map_err(|e| e.to_string());
-            Validated { path: path.to_path_buf(), checksum, result }
+            Validated { path: path.to_path_buf(), checksum, result: load_servable(&bytes) }
         }
     }
 }
@@ -92,7 +108,7 @@ impl Watcher {
                     continue;
                 }
                 last_seen = checksum.clone();
-                let result = deepstuq::load_model_bytes(&bytes).map_err(|e| e.to_string());
+                let result = load_servable(&bytes);
                 if tx.send(Validated { path: path.clone(), checksum, result }).is_err() {
                     break; // server gone
                 }

@@ -41,7 +41,10 @@ pub fn with_reference_kernels<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-pub(crate) fn reference_mode() -> bool {
+/// Whether the current thread runs inside [`with_reference_kernels`]. A
+/// cache of kernel outputs keeps one entry per mode, since the two modes
+/// round differently.
+pub fn reference_mode() -> bool {
     REFERENCE_DEPTH.with(|d| d.get()) > 0
 }
 

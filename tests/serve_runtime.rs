@@ -26,6 +26,8 @@ struct Fx {
     poisoned: PathBuf,
     /// Valid artifact, incompatible architecture (n_nodes + 1).
     mismatch: PathBuf,
+    /// Valid artifact, same grid, one covariate channel.
+    covariate: PathBuf,
     n_nodes: usize,
     horizon: usize,
     /// One raw test window, time-major rows.
@@ -57,6 +59,11 @@ fn fx() -> &'static Fx {
         let mismatch = dir.join("mismatch.stuq");
         deepstuq::save_model(&DeepStuq::from_parts(other, 1.0, 4), &mismatch).unwrap();
 
+        let cfg3 = AgcrnConfig::new(ds.n_nodes(), ds.horizon()).with_covariates(1);
+        let weather = Agcrn::new(cfg3, &mut StuqRng::new(2));
+        let covariate = dir.join("covariate.stuq");
+        deepstuq::save_model(&DeepStuq::from_parts(weather, 1.0, 4), &covariate).unwrap();
+
         let start = ds.window_starts(Split::Test)[0];
         let x_rows: Vec<Vec<f32>> = (start..start + ds.t_h())
             .map(|t| (0..ds.n_nodes()).map(|i| ds.data().get(t, i)).collect())
@@ -67,6 +74,7 @@ fn fx() -> &'static Fx {
             model,
             poisoned,
             mismatch,
+            covariate,
             n_nodes: ds.n_nodes(),
             horizon: ds.horizon(),
             x_rows,
@@ -413,6 +421,40 @@ fn reload_rolls_back_on_corrupt_bytes_and_shape_mismatch() {
     // The server still answers forecasts throughout.
     let resp = srv.handle_line(&forecast_line(f, "still", None, Some(2), 3)).response;
     assert_eq!(ty(&parsed(&resp)), "forecast", "{resp}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn server_refuses_a_covariate_model() {
+    // Requests carry no weather, so a covariate model would be fed zeros.
+    let f = fx();
+    let err = Server::new(cfg_for(&f.covariate, f)).err().expect("a covariate model is refused");
+    assert!(err.contains("covariate.stuq") && err.contains("carry no weather"), "{err}");
+}
+
+#[test]
+fn reload_refuses_a_covariate_model_and_the_old_model_keeps_answering() {
+    let f = fx();
+    let dir = f.dir.join("covariate_reload");
+    std::fs::create_dir_all(&dir).unwrap();
+    let live = dir.join("live.stuq");
+    std::fs::copy(&f.model, &live).unwrap();
+    let mut srv = Server::new(cfg_for(&live, f)).unwrap();
+    let checksum0 = srv.model_checksum().to_string();
+    let ask = |srv: &mut Server| {
+        strip_meta(&srv.handle_line(&forecast_line(f, "w", None, Some(3), 5)).response).to_string()
+    };
+    let before = ask(&mut srv);
+    assert_eq!(ty(&parsed(&before)), "forecast", "{before}");
+
+    std::fs::copy(&f.covariate, &live).unwrap();
+    assert!(reload::validate(&live).result.is_err(), "validation must refuse it");
+    for req in [r#"{"type":"reload","id":"r"}"#, r#"{"type":"prepare_reload","id":"p"}"#] {
+        let ack = srv.handle_line(req).response;
+        assert!(ack.contains("\"ok\":false") && ack.contains("carry no weather"), "{ack}");
+        assert_eq!(srv.model_checksum(), checksum0, "the old model must stay");
+    }
+    assert_eq!(ask(&mut srv), before, "the old model answers with the same bytes");
     std::fs::remove_dir_all(&dir).ok();
 }
 
