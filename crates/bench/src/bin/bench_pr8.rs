@@ -79,9 +79,7 @@ fn params_bit_identical(a: &[Tensor], b: &[Tensor]) -> bool {
 
 fn time_epoch(ds: &SplitDataset, secs: f64, reps: usize) -> Triple {
     let mut seed = || {
-        stuq_parallel::with_serial(|| {
-            kernels::with_reference_kernels(|| std::hint::black_box(run_epoch(ds)))
-        });
+        kernels::with_reference_kernels(|| std::hint::black_box(run_epoch(ds)));
     };
     let mut engine_serial = || {
         stuq_parallel::with_serial(|| std::hint::black_box(run_epoch(ds)));

@@ -979,17 +979,38 @@ mod tests {
         };
         run_all();
         stuq_parallel::with_serial(run_all);
-        stuq_parallel::with_serial(|| stuq_tensor::kernels::with_reference_kernels(run_all));
+        stuq_tensor::kernels::with_reference_kernels(run_all);
     }
 
-    /// `f` on the fast kernels, or serially on the reference kernels, so
-    /// that no pass runs on a pool thread in the other mode.
+    /// `f` on the fast kernels, or on the reference kernels.
     fn in_mode<R>(reference: bool, f: impl FnOnce() -> R) -> R {
         if reference {
-            stuq_parallel::with_serial(|| stuq_tensor::kernels::with_reference_kernels(f))
+            stuq_tensor::kernels::with_reference_kernels(f)
         } else {
             f()
         }
+    }
+
+    #[test]
+    fn reference_kernels_keep_a_parallel_call_in_their_mode() {
+        // The kernel mode is per thread, so `with_reference_kernels` runs
+        // its closure on a serial pool: 16 passes, which `mc_passes` splits
+        // into one block per pool thread, must come back with the bits of
+        // the same call under `with_serial`, at any `STUQ_THREADS`.
+        let mut rng = StuqRng::new(43);
+        let cfg = AgcrnConfig::new(5, 3).with_dropout(0.1, 0.2).with_capacity(32, 3, 2);
+        let model = Agcrn::new(cfg, &mut rng);
+        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
+        let run = || mc_passes(&model, &x, None, 16, 0..16, &mut StuqRng::new(5));
+        let bits = |passes: &[SamplePass]| {
+            let words = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            passes.iter().map(|(mu, var)| (words(mu), var.as_ref().map(words))).collect::<Vec<_>>()
+        };
+        let reference = bits(&stuq_tensor::kernels::with_reference_kernels(run));
+        let serial =
+            bits(&stuq_parallel::with_serial(|| stuq_tensor::kernels::with_reference_kernels(run)));
+        assert_eq!(reference, serial, "a pass left the reference kernels");
+        assert_ne!(reference, bits(&run()), "the two kernel modes must round differently");
     }
 
     #[test]

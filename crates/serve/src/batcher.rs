@@ -17,17 +17,18 @@
 //!   `deadline_ms` of any gathered member (a 3 ms request never waits 50 ms
 //!   for company), and a control pop closes the batch early so operator
 //!   commands keep their latency.
-//! * [`SeedSpec`] / [`group_requests`] — the share-key machinery: requests
-//!   whose RNG derivation, sample count, and exact window bits coincide
-//!   form one *group* and share a single MC run; each member then slices
-//!   its nodes/horizon out of the shared result. Arrival-indexed (legacy
-//!   seedless) requests get unique specs, so they always compute alone.
+//! * [`RequestKey`] / [`group_requests`] — the request key: requests whose
+//!   RNG derivation, sample count, and exact window bits coincide form one
+//!   *group* and share a single MC run; each member then slices its
+//!   nodes/horizon out of the shared result. The same key, plus the model
+//!   generation and the data tick, keys the forecast cache. Arrival-indexed
+//!   (legacy seedless) requests get unique specs, so they always compute
+//!   alone.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cache::SeedDerivation;
 use crate::proto::{ForecastReq, Request};
 
 /// What the worker popped from the lanes.
@@ -234,11 +235,11 @@ pub(crate) struct BatchTiming {
 }
 
 // ---------------------------------------------------------------------------
-// Share keys and grouping
+// Request keys and grouping
 // ---------------------------------------------------------------------------
 
-/// How a request's RNG is derived — the seed component of the share key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How a request's RNG is derived — the seed component of the request key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum SeedSpec {
     /// Request carried its own `seed`.
     Explicit(u64),
@@ -246,26 +247,16 @@ pub(crate) enum SeedSpec {
     FromTick(u64),
     /// Legacy seedless request: forked from the server seed by arrival
     /// index. Unique per request, so never equal to another spec — these
-    /// compute alone by construction.
+    /// compute alone by construction, and are never cached.
     Arrival(u64),
 }
 
-impl SeedSpec {
-    /// The cache-key form; `None` for arrival-indexed (uncacheable) specs.
-    pub(crate) fn derivation(&self) -> Option<SeedDerivation> {
-        match self {
-            SeedSpec::Explicit(s) => Some(SeedDerivation::Explicit(*s)),
-            SeedSpec::FromTick(t) => Some(SeedDerivation::FromTick(*t)),
-            SeedSpec::Arrival(_) => None,
-        }
-    }
-}
-
-/// The fields that must coincide for two requests to share one MC run.
-/// Window equality is checked separately (exact bits, via `same_x`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ShareInfo {
-    /// FNV-1a over the window bits (prefilter; exactness via `same_x`).
+/// What fixes a request's MC run, so two requests with equal keys and
+/// bit-identical windows may share one run (and one cache entry). Window
+/// equality is checked separately, on the exact bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct RequestKey {
+    /// FNV-1a over the window bits (prefilter; exactness via the bits).
     pub x_hash: u64,
     /// RNG derivation.
     pub seed: SeedSpec,
@@ -275,7 +266,7 @@ pub(crate) struct ShareInfo {
 
 /// Arrival-ordered grouping of a batch's members.
 ///
-/// `info(i)` returns the share info of member `i`, or `None` when the
+/// `key(i)` returns the request key of member `i`, or `None` when the
 /// member needs no compute (validation error or cache hit). `same_x(i, j)`
 /// must compare the exact window bits. Groups come back in first-member
 /// arrival order, members in arrival order within each group — both facts
@@ -283,15 +274,15 @@ pub(crate) struct ShareInfo {
 /// breaker-event order).
 pub(crate) fn group_requests(
     n: usize,
-    info: impl Fn(usize) -> Option<ShareInfo>,
+    key: impl Fn(usize) -> Option<RequestKey>,
     same_x: impl Fn(usize, usize) -> bool,
 ) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for i in 0..n {
-        let Some(mine) = info(i) else { continue };
+        let Some(mine) = key(i) else { continue };
         let found = groups
             .iter_mut()
-            .find(|g| info(g[0]).is_some_and(|lead| lead == mine) && same_x(g[0], i));
+            .find(|g| key(g[0]).is_some_and(|lead| lead == mine) && same_x(g[0], i));
         match found {
             Some(g) => g.push(i),
             None => groups.push(vec![i]),
@@ -307,8 +298,8 @@ pub(crate) mod tests {
     #[test]
     fn arrival_specs_never_group() {
         let infos = [
-            Some(ShareInfo { x_hash: 1, seed: SeedSpec::Arrival(0), n_samples: 4 }),
-            Some(ShareInfo { x_hash: 1, seed: SeedSpec::Arrival(1), n_samples: 4 }),
+            Some(RequestKey { x_hash: 1, seed: SeedSpec::Arrival(0), n_samples: 4 }),
+            Some(RequestKey { x_hash: 1, seed: SeedSpec::Arrival(1), n_samples: 4 }),
         ];
         let g = group_requests(2, |i| infos[i], |_, _| true);
         assert_eq!(g, vec![vec![0], vec![1]]);
@@ -318,12 +309,12 @@ pub(crate) mod tests {
     fn grouping_respects_seed_samples_and_window_bits() {
         let tick = |t| SeedSpec::FromTick(t);
         let infos = [
-            Some(ShareInfo { x_hash: 1, seed: tick(5), n_samples: 8 }), // group A
-            Some(ShareInfo { x_hash: 1, seed: tick(5), n_samples: 8 }), // group A
-            Some(ShareInfo { x_hash: 1, seed: tick(5), n_samples: 4 }), // mc differs
-            Some(ShareInfo { x_hash: 1, seed: tick(6), n_samples: 8 }), // tick differs
-            None,                                                       // answered already
-            Some(ShareInfo { x_hash: 1, seed: tick(5), n_samples: 8 }), // group A
+            Some(RequestKey { x_hash: 1, seed: tick(5), n_samples: 8 }), // group A
+            Some(RequestKey { x_hash: 1, seed: tick(5), n_samples: 8 }), // group A
+            Some(RequestKey { x_hash: 1, seed: tick(5), n_samples: 4 }), // mc differs
+            Some(RequestKey { x_hash: 1, seed: tick(6), n_samples: 8 }), // tick differs
+            None,                                                        // answered already
+            Some(RequestKey { x_hash: 1, seed: tick(5), n_samples: 8 }), // group A
         ];
         let g = group_requests(6, |i| infos[i], |_, _| true);
         assert_eq!(g, vec![vec![0, 1, 5], vec![2], vec![3]]);
@@ -331,7 +322,7 @@ pub(crate) mod tests {
 
     #[test]
     fn hash_collisions_split_on_exact_window_compare() {
-        let info = ShareInfo { x_hash: 9, seed: SeedSpec::Explicit(3), n_samples: 2 };
+        let info = RequestKey { x_hash: 9, seed: SeedSpec::Explicit(3), n_samples: 2 };
         let g = group_requests(2, |_| Some(info), |_, _| false);
         assert_eq!(g, vec![vec![0], vec![1]], "same hash, different bits: no sharing");
     }

@@ -14,8 +14,10 @@
 //!
 //! All time comes from the injectable [`crate::clock::Clock`] via `now_ms`
 //! arguments, so breaker trajectories are deterministic under the fake
-//! clock. The breaker itself never touches telemetry; the server maps the
-//! returned [`Transition`]s onto events and metrics.
+//! clock. The breaker itself never touches telemetry; the server and the
+//! router emit each returned [`Transition`] as its [`Transition::event`].
+
+use stuq_obs::Event;
 
 /// Breaker position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,6 +70,24 @@ pub enum Transition {
         /// Cooldown after reset (the base value).
         cooldown_ms: u64,
     },
+}
+
+impl Transition {
+    /// The transition's event: `breaker_open`, `breaker_half_open` or
+    /// `breaker_close`, with its cooldown (and fault count, on opening).
+    pub(crate) fn event(self) -> Event {
+        match self {
+            Transition::Opened { consecutive, cooldown_ms } => Event::new("breaker_open")
+                .uint("consecutive_faults", consecutive as u64)
+                .uint("cooldown_ms", cooldown_ms),
+            Transition::HalfOpened { cooldown_ms } => {
+                Event::new("breaker_half_open").uint("cooldown_ms", cooldown_ms)
+            }
+            Transition::Closed { cooldown_ms } => {
+                Event::new("breaker_close").uint("cooldown_ms", cooldown_ms)
+            }
+        }
+    }
 }
 
 /// The breaker state machine.

@@ -7,8 +7,9 @@
 //! part of the key from the issue becomes response slicing, strictly more
 //! sharing than keying per subset).
 //!
-//! A key is `(model generation, data tick, window hash, seed derivation,
-//! n_samples)`. Only requests whose RNG is a pure function of their fields
+//! A key is the request key that also groups co-batched requests (window
+//! hash, seed derivation, `n_samples`) plus the model generation and the
+//! data tick. Only requests whose RNG is a pure function of their fields
 //! (an explicit `seed` or a `tick` to derive one from) are cacheable —
 //! legacy seedless requests draw from the arrival-indexed server fork, so
 //! two of them never produce the same bytes and caching them would be a
@@ -27,37 +28,28 @@ use std::collections::{HashMap, VecDeque};
 
 use stuq_tensor::Tensor;
 
-/// How a cacheable request's RNG was derived (part of the cache key).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SeedDerivation {
-    /// The request carried its own `seed`.
-    Explicit(u64),
-    /// Seedless with a `tick`: forked from (server seed, tick).
-    FromTick(u64),
-}
+use crate::batcher::RequestKey;
 
-/// Full cache key. `x_hash` is FNV-1a over the window's f32 bit pattern;
-/// exactness comes from the entry-side bit comparison, not the hash.
+/// Full cache key. The request key's `x_hash` is FNV-1a over the window's
+/// f32 bit pattern; exactness comes from the entry-side bit comparison,
+/// not the hash.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Reload generation of the model that computed the entry.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Data tick the request declared (None for explicitly-seeded requests
     /// without one).
-    pub tick: Option<u64>,
-    /// Hash of the input window bits.
-    pub x_hash: u64,
-    /// RNG derivation.
-    pub seed: SeedDerivation,
-    /// Requested MC sample count.
-    pub n_samples: usize,
+    pub(crate) tick: Option<u64>,
+    /// Window hash, seed derivation and sample count.
+    pub(crate) request: RequestKey,
 }
 
 /// A cached full-grid forecast in raw units.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// Exact input-window bits, collision guard for `x_hash`.
-    pub x_bits: Vec<u32>,
+    /// Raw input window, the collision guard for `x_hash` (compared bit
+    /// for bit).
+    pub x_raw: Vec<f32>,
     /// Predictive mean `[N, τ]`, raw units.
     pub mu_raw: Tensor,
     /// Total predictive σ `[N, τ]`, raw units (envelope already applied).
@@ -76,6 +68,12 @@ pub fn hash_window(data: &[f32]) -> u64 {
     data.iter().fold(stuq_artifact::FNV1A64_OFFSET, |h, v| {
         stuq_artifact::fnv1a64_fold(h, &v.to_bits().to_le_bytes())
     })
+}
+
+/// True when two windows have the same f32 bit patterns — the exact
+/// compare behind [`hash_window`]'s prefilter, for grouping and for hits.
+pub(crate) fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.iter().map(|v| v.to_bits()).eq(b.iter().map(|v| v.to_bits()))
 }
 
 /// Bounded TTL cache with FIFO eviction. Insertion order drives eviction —
@@ -103,10 +101,10 @@ impl ForecastCache {
         self.map.is_empty()
     }
 
-    /// Looks up a key at server time `now_ms`. Expired entries and hash
-    /// collisions (key matches, window bits do not) both miss; an expired
-    /// entry is dropped on the spot.
-    pub fn get(&mut self, key: &CacheKey, x_bits: &[u32], now_ms: u64) -> Option<&CacheEntry> {
+    /// Looks up a key and its window `x` at server time `now_ms`. Expired
+    /// entries and hash collisions (key matches, window bits do not) both
+    /// miss; an expired entry is dropped on the spot.
+    pub fn get(&mut self, key: &CacheKey, x: &[f32], now_ms: u64) -> Option<&CacheEntry> {
         let expired = match self.map.get(key) {
             None => return None,
             Some(e) => now_ms.saturating_sub(e.at_ms) >= self.ttl_ms,
@@ -116,7 +114,7 @@ impl ForecastCache {
             self.order.retain(|k| k != key);
             return None;
         }
-        self.map.get(key).filter(|e| e.x_bits == x_bits)
+        self.map.get(key).filter(|e| same_bits(&e.x_raw, x))
     }
 
     /// Inserts an entry, evicting the oldest insertion when at capacity.
@@ -161,19 +159,20 @@ mod tests {
     }
 
     fn key(tick: u64) -> CacheKey {
-        CacheKey {
-            generation: 1,
-            tick: Some(tick),
-            x_hash: 42,
-            seed: SeedDerivation::FromTick(tick),
-            n_samples: 8,
-        }
+        use crate::batcher::SeedSpec;
+        let request = RequestKey { x_hash: 42, seed: SeedSpec::FromTick(tick), n_samples: 8 };
+        CacheKey { generation: 1, tick: Some(tick), request }
+    }
+
+    /// The window whose f32 bit patterns are `bits`.
+    fn w(bits: &[u32]) -> Vec<f32> {
+        bits.iter().map(|&b| f32::from_bits(b)).collect()
     }
 
     fn entry(at_ms: u64) -> CacheEntry {
         let t = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
         CacheEntry {
-            x_bits: vec![7, 8],
+            x_raw: w(&[7, 8]),
             mu_raw: t.clone(),
             sigma_raw: t,
             samples_used: 8,
@@ -186,17 +185,17 @@ mod tests {
     fn hit_requires_exact_window_bits() {
         let mut c = ForecastCache::new(4, 100);
         c.insert(key(1), entry(0));
-        assert!(c.get(&key(1), &[7, 8], 10).is_some());
-        assert!(c.get(&key(1), &[7, 9], 10).is_none(), "hash collision must miss");
-        assert!(c.get(&key(2), &[7, 8], 10).is_none(), "different tick must miss");
+        assert!(c.get(&key(1), &w(&[7, 8]), 10).is_some());
+        assert!(c.get(&key(1), &w(&[7, 9]), 10).is_none(), "hash collision must miss");
+        assert!(c.get(&key(2), &w(&[7, 8]), 10).is_none(), "different tick must miss");
     }
 
     #[test]
     fn ttl_expires_against_the_given_clock() {
         let mut c = ForecastCache::new(4, 50);
         c.insert(key(1), entry(100));
-        assert!(c.get(&key(1), &[7, 8], 149).is_some());
-        assert!(c.get(&key(1), &[7, 8], 150).is_none(), "age == ttl expires");
+        assert!(c.get(&key(1), &w(&[7, 8]), 149).is_some());
+        assert!(c.get(&key(1), &w(&[7, 8]), 150).is_none(), "age == ttl expires");
         assert_eq!(c.len(), 0, "expired entries are dropped");
     }
 
@@ -206,9 +205,9 @@ mod tests {
         assert_eq!(c.insert(key(1), entry(0)), 0);
         assert_eq!(c.insert(key(2), entry(0)), 0);
         assert_eq!(c.insert(key(3), entry(0)), 1, "third insert evicts");
-        assert!(c.get(&key(1), &[7, 8], 1).is_none(), "oldest goes first");
-        assert!(c.get(&key(2), &[7, 8], 1).is_some());
-        assert!(c.get(&key(3), &[7, 8], 1).is_some());
+        assert!(c.get(&key(1), &w(&[7, 8]), 1).is_none(), "oldest goes first");
+        assert!(c.get(&key(2), &w(&[7, 8]), 1).is_some());
+        assert!(c.get(&key(3), &w(&[7, 8]), 1).is_some());
     }
 
     #[test]
@@ -218,7 +217,7 @@ mod tests {
         c.insert(key(2), entry(0));
         assert_eq!(c.clear(), 2);
         assert!(c.is_empty());
-        assert!(c.get(&key(1), &[7, 8], 1).is_none());
+        assert!(c.get(&key(1), &w(&[7, 8]), 1).is_none());
     }
 
     #[test]

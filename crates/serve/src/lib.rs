@@ -40,8 +40,9 @@
 //!    whose window bits, RNG derivation, and sample count coincide, and
 //!    runs *one* anytime-MC pass per group; each member slices its node
 //!    subset / horizon prefix out of the shared full-grid result.
-//! 6. **Per-tick forecast cache** ([`cache`]) — keyed on (model generation,
-//!    tick, window bits, seed derivation, `n_samples`), TTL = the data
+//! 6. **Per-tick forecast cache** ([`cache`]) — keyed on the request key
+//!    (window bits, seed derivation, `n_samples`) that also groups
+//!    co-batched members, plus model generation and tick, TTL = the data
 //!    cadence (`--cache-ttl-ms`); a hit answers without touching the model
 //!    and the whole cache is dropped on hot-reload swap and breaker-open.
 //!
@@ -79,7 +80,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use batcher::{GatherEnd, Lanes, Popped, SeedSpec, ShareInfo};
+use batcher::{GatherEnd, Lanes, Popped, RequestKey, SeedSpec};
 use breaker::Breaker;
 use cache::{CacheEntry, CacheKey, ForecastCache};
 use clock::Clock;
@@ -229,32 +230,65 @@ pub struct Server {
     cluster: Option<router::Cluster>,
 }
 
-/// A validated forecast request, ready for cache lookup and share-key
-/// grouping. Everything derived from the request exactly once, in arrival
-/// order, before any clock or model work happens.
+/// A validated forecast request, ready for cache lookup and grouping.
+/// Everything derived from the request exactly once, in arrival order,
+/// before any clock or model work happens.
 struct Valid {
-    /// Raw-unit input window `[T_h, N]`.
+    /// Raw-unit input window `[T_h, N]`; its bits are the exact window
+    /// compare behind both sharing and caching.
     x_raw: Tensor,
-    /// Exact window bit pattern (share-key and cache collision guard).
-    x_bits: Vec<u32>,
-    /// FNV-1a over `x_bits` (grouping/cache prefilter).
-    x_hash: u64,
-    /// MC samples requested (after config/model defaulting).
-    n_req: usize,
+    /// Window hash, RNG derivation and sample count (after config/model
+    /// defaulting): equal keys over equal window bits share one MC run.
+    key: RequestKey,
     /// Effective degradation floor for this request.
     floor: usize,
     /// Deadline after config defaulting.
     deadline: Option<u64>,
-    /// RNG derivation (the share-key seed component).
-    seed: SeedSpec,
     /// Declared data tick, if any (cache key component).
     tick: Option<u64>,
-    /// Arrival index (a router picks each range's replica from it).
-    arrival: u64,
     /// Node subset to answer with (`None` = all nodes).
     nodes: Option<Vec<usize>>,
     /// Horizon prefix to answer with (`None` = full horizon).
     horizon: Option<usize>,
+}
+
+/// A member's trace context (DESIGN.md §15).
+struct MemberTrace {
+    trace: u64,
+    span: u64,
+    parent: u64,
+}
+
+/// One batch member's way through [`Server::handle_forecast_batch_timed`]:
+/// its request, what validation made of it, its response once answered,
+/// and what the tracer reports about it.
+struct Member<'r> {
+    req: &'r ForecastReq,
+    /// `None` after a client error.
+    valid: Option<Valid>,
+    response: Option<String>,
+    /// Arrival index (a router picks each range's replica from the lead's).
+    arrival: u64,
+    /// Status of the member's root span (`ok`, `error`, `cache_hit`,
+    /// `breaker_open`, `fallback` or `fault`).
+    status: &'static str,
+    /// Whether the batch's cache probe looked this member up.
+    probed: bool,
+    /// Its group's index, compute seconds and compute-span status.
+    compute: Option<(usize, f64, &'static str)>,
+    /// Seconds spent rendering its response.
+    render_s: Option<f64>,
+    /// On a router group's lead: the per-range RPCs and the merge time.
+    ranges: Option<(Vec<router::RangeSpan>, Option<f64>)>,
+    /// Set only while tracing.
+    trace: Option<MemberTrace>,
+}
+
+impl Member<'_> {
+    /// The validated request of a member that reached grouping.
+    fn valid(&self) -> &Valid {
+        self.valid.as_ref().expect("grouped members are valid")
+    }
 }
 
 /// Slices a full-grid `[N, τ]` tensor down to a node subset and horizon
@@ -280,6 +314,39 @@ fn slice_grid(full: &Tensor, nodes: Option<&[usize]>, horizon: Option<usize>) ->
         }
     }
     Tensor::from_vec(out, &[idx.len(), h])
+}
+
+/// Slices a member's view out of a full-grid result of the model with
+/// checksum `model` and renders the forecast response.
+fn render_forecast(
+    model: &str,
+    m: &Member,
+    samples_used: usize,
+    meta: &ForecastMeta,
+    mu_full: &Tensor,
+    sigma_full: &Tensor,
+) -> String {
+    let v = m.valid();
+    with_intervals(mu_full, sigma_full, v, |iv| {
+        proto::resp_forecast(&m.req.id, samples_used, v.key.n_samples, model, meta, iv)
+    })
+}
+
+/// Slices a full-grid μ/σ pair to a request's nodes and horizon and hands
+/// `f` the intervals with the 95 % band `μ ∓ z·σ` — the one builder behind
+/// both forecast and fallback responses.
+fn with_intervals<R>(
+    mu_full: &Tensor,
+    sigma_full: &Tensor,
+    v: &Valid,
+    f: impl FnOnce(&proto::Intervals) -> R,
+) -> R {
+    let mu = slice_grid(mu_full, v.nodes.as_deref(), v.horizon);
+    let sigma = slice_grid(sigma_full, v.nodes.as_deref(), v.horizon);
+    let z = stuq_metrics::Z_95 as f32;
+    let lower = mu.zip(&sigma, |m, s| m - z * s);
+    let upper = mu.zip(&sigma, |m, s| m + z * s);
+    f(&proto::Intervals { mu: &mu, sigma: &sigma, lower: &lower, upper: &upper })
 }
 
 impl Server {
@@ -507,8 +574,8 @@ impl Server {
     }
 
     /// Validation half of the request pipeline: typed client errors out,
-    /// a [`Valid`] (with its share-key ingredients precomputed) on success.
-    /// Client errors are never breaker faults.
+    /// a [`Valid`] (with its request key precomputed) on success. Client
+    /// errors are never breaker faults.
     fn validate(&mut self, req: &ForecastReq, req_index: u64) -> Result<Valid, String> {
         let n_nodes = self.model.model().n_nodes();
         let model_tau = self.model.model().horizon();
@@ -568,7 +635,6 @@ impl Server {
                 "input window contains non-finite values",
             ));
         }
-        let x_bits: Vec<u32> = flat.iter().map(|v| v.to_bits()).collect();
         let x_hash = cache::hash_window(&flat);
         let x_raw = Tensor::from_vec(flat, &[t_rows, n_nodes]);
         let n_req =
@@ -587,50 +653,24 @@ impl Server {
         };
         Ok(Valid {
             x_raw,
-            x_bits,
-            x_hash,
-            n_req,
+            key: RequestKey { x_hash, seed, n_samples: n_req },
             floor,
             deadline,
-            seed,
             tick: req.tick,
-            arrival: req_index,
             nodes: req.nodes.clone(),
             horizon: req.horizon,
         })
     }
 
-    /// Slices a member's view out of a full-grid result and renders the
-    /// forecast response.
-    #[allow(clippy::too_many_arguments)]
-    fn render_forecast(
-        &self,
-        id: &Option<String>,
-        samples_used: usize,
-        samples_requested: usize,
-        meta: &ForecastMeta,
-        mu_full: &Tensor,
-        sigma_full: &Tensor,
-        nodes: Option<&[usize]>,
-        horizon: Option<usize>,
-    ) -> String {
-        let mu = slice_grid(mu_full, nodes, horizon);
-        let sigma = slice_grid(sigma_full, nodes, horizon);
-        let z = stuq_metrics::Z_95 as f32;
-        let lower = mu.zip(&sigma, |m, s| m - z * s);
-        let upper = mu.zip(&sigma, |m, s| m + z * s);
-        proto::resp_forecast(
-            id,
-            samples_used,
-            samples_requested,
-            &self.model_checksum,
-            meta,
-            &proto::Intervals { mu: &mu, sigma: &sigma, lower: &lower, upper: &upper },
-        )
+    /// The cache key of a validated request; `None` for arrival-indexed
+    /// requests, whose RNG is not a pure function of the request.
+    fn cache_key(&self, v: &Valid) -> Option<CacheKey> {
+        let cacheable = !matches!(v.key.seed, SeedSpec::Arrival(_));
+        cacheable.then_some(CacheKey { generation: self.generation, tick: v.tick, request: v.key })
     }
 
     /// One admitted batch, end to end: per-request validation → cache
-    /// lookups → share-key grouping → one anytime-MC run per group → per-
+    /// lookups → request-key grouping → one anytime-MC run per group → per-
     /// member slicing and rendering. A singleton slice is the ordinary
     /// unbatched path (the sync [`Server::handle_line`] route always lands
     /// here with one request), so there is exactly one forecast pipeline to
@@ -671,50 +711,38 @@ impl Server {
         // the caller sent one, else derived from (seed, arrival index) —
         // the same pair seedless RNG forks use — so a seeded rerun rebuilds
         // the identical span tree.
-        struct MemberTrace {
-            trace: u64,
-            span: u64,
-            parent: u64,
-            arrival: u64,
-        }
         let traced = stuq_obs::trace_enabled();
         // A router's root span is `request`, so a joined timeline tells the
         // router hop from the worker hops nested under it.
         let root = if self.cluster.is_some() { "request" } else { "serve" };
-        let mut spans: Vec<MemberTrace> = Vec::new();
-        // A router group's per-range RPCs and reduction time, on its lead.
-        let mut range_obs: Vec<Option<(Vec<router::RangeSpan>, Option<f64>)>> =
-            (0..n).map(|_| None).collect();
-        let mut status: Vec<&'static str> = vec!["ok"; n];
-        let mut probed: Vec<bool> = vec![false; n];
-        let mut compute: Vec<Option<(usize, f64, &'static str)>> = vec![None; n];
-        let mut render_s: Vec<Option<f64>> = vec![None; n];
-
-        let mut responses: Vec<Option<String>> = (0..n).map(|_| None).collect();
-        let mut valids: Vec<Option<Valid>> = Vec::with_capacity(n);
-        for (i, req) in reqs.iter().enumerate() {
+        let mut members: Vec<Member> = Vec::with_capacity(n);
+        for req in reqs {
             m.serve_requests.inc();
-            let req_index = self.requests_served;
+            let arrival = self.requests_served;
             self.requests_served += 1;
-            match self.validate(req, req_index) {
-                Ok(v) => valids.push(Some(v)),
-                Err(resp) => {
-                    responses[i] = Some(resp);
-                    valids.push(None);
-                    status[i] = "error";
-                }
-            }
-            if traced {
+            let (valid, response) = match self.validate(req, arrival) {
+                Ok(v) => (Some(v), None),
+                Err(resp) => (None, Some(resp)),
+            };
+            let trace = traced.then(|| {
                 let trace =
-                    req.trace.unwrap_or_else(|| trace::derive_trace_id(self.cfg.seed, req_index));
+                    req.trace.unwrap_or_else(|| trace::derive_trace_id(self.cfg.seed, arrival));
                 let parent = req.span.unwrap_or(trace);
-                spans.push(MemberTrace {
-                    trace,
-                    span: trace::derive_span_id(parent, root, req_index),
-                    parent,
-                    arrival: req_index,
-                });
-            }
+                MemberTrace { trace, span: trace::derive_span_id(parent, root, arrival), parent }
+            });
+            let status = if valid.is_some() { "ok" } else { "error" };
+            members.push(Member {
+                req,
+                valid,
+                response,
+                arrival,
+                status,
+                probed: false,
+                compute: None,
+                render_s: None,
+                ranges: None,
+                trace,
+            });
         }
 
         // Cache lookups: exactly one clock read per batch, and only when
@@ -727,39 +755,20 @@ impl Server {
         if self.cache_enabled() {
             let probe_t0 = std::time::Instant::now();
             let now = self.clock.now_ms();
-            for i in 0..n {
-                if responses[i].is_some() {
-                    continue;
-                }
-                let Some(v) = &valids[i] else { continue };
-                let Some(deriv) = v.seed.derivation() else { continue };
-                probed[i] = true;
-                let key = CacheKey {
-                    generation: self.generation,
-                    tick: v.tick,
-                    x_hash: v.x_hash,
-                    seed: deriv,
-                    n_samples: v.n_req,
-                };
-                let hit = self
-                    .cache
-                    .get(&key, &v.x_bits, now)
-                    .map(|e| (e.mu_raw.clone(), e.sigma_raw.clone(), e.samples_used));
+            for mem in &mut members {
+                let Some(v) = &mem.valid else { continue };
+                let Some(key) = self.cache_key(v) else { continue };
+                mem.probed = true;
+                let hit = self.cache.get(&key, v.x_raw.data(), now).map(|e| {
+                    let (mu, sigma) = (&e.mu_raw, &e.sigma_raw);
+                    render_forecast(&self.model_checksum, mem, e.samples_used, &meta_hit, mu, sigma)
+                });
                 match hit {
-                    Some((mu, sigma, used)) => {
+                    Some(response) => {
                         cache_hits += 1;
                         m.serve_cache_hits.inc();
-                        status[i] = "cache_hit";
-                        responses[i] = Some(self.render_forecast(
-                            &reqs[i].id,
-                            used,
-                            v.n_req,
-                            &meta_hit,
-                            &mu,
-                            &sigma,
-                            v.nodes.as_deref(),
-                            v.horizon,
-                        ));
+                        mem.status = "cache_hit";
+                        mem.response = Some(response);
                     }
                     None => m.serve_cache_misses.inc(),
                 }
@@ -770,35 +779,24 @@ impl Server {
             probe_s = Some(secs);
         }
 
-        // Share-key grouping of what still needs compute.
+        // Grouping of what still needs compute, by request key and exact
+        // window bits.
         let groups = batcher::group_requests(
             n,
-            |i| {
-                if responses[i].is_some() {
-                    return None;
-                }
-                valids[i].as_ref().map(|v| ShareInfo {
-                    x_hash: v.x_hash,
-                    seed: v.seed,
-                    n_samples: v.n_req,
-                })
-            },
-            |a, b| match (&valids[a], &valids[b]) {
-                (Some(va), Some(vb)) => va.x_bits == vb.x_bits,
-                _ => false,
+            |i| members[i].response.is_none().then(|| members[i].valid().key),
+            |a, b| {
+                cache::same_bits(members[a].valid().x_raw.data(), members[b].valid().x_raw.data())
             },
         );
 
         // One anytime-MC run per group, in first-arrival order.
         for (gi, g) in groups.iter().enumerate() {
-            let lead = valids[g[0]].as_ref().expect("grouped members are valid");
-            let n_req = lead.n_req;
-            let floor = lead.floor;
-            let seed = lead.seed;
-            let x_raw = &lead.x_raw;
+            let lead = &members[g[0]];
+            let RequestKey { seed, n_samples: n_req, .. } = lead.valid().key;
+            let floor = lead.valid().floor;
             // The shared run answers every member, so the tightest member
             // deadline bounds it (None = unbounded only if nobody set one).
-            let deadline = g.iter().filter_map(|&i| valids[i].as_ref().unwrap().deadline).min();
+            let deadline = g.iter().filter_map(|&i| members[i].valid().deadline).min();
 
             // Breaker gate: one poll per group, exactly the solo schedule.
             let t_start = self.clock.now_ms();
@@ -806,25 +804,23 @@ impl Server {
                 self.note_transition(t);
             }
             if self.breaker_is_open() {
-                for &i in g {
-                    status[i] = "breaker_open";
-                }
-                self.fallback_group(g, reqs, &valids, "breaker_open", &mut responses);
+                self.fall_back(&mut members, g, "breaker_open", "breaker_open", None);
                 continue;
             }
 
             let compute_t0 = std::time::Instant::now();
             let mut rng = self.rng_for(&seed);
             let xn = match self.scaler {
-                Some(s) => x_raw.map(move |v| s.transform(v)),
-                None => x_raw.clone(),
+                Some(s) => lead.valid().x_raw.map(move |v| s.transform(v)),
+                None => lead.valid().x_raw.clone(),
             };
             let shape = [self.model.model().n_nodes(), self.model.model().horizon()];
             // On a router the passes run on the workers, one sample range
             // per shard; fewer than the floor is the fallback ladder.
             let mut gathered = self.cluster.as_mut().map(|c| {
-                let ctx = spans
-                    .get(g[0])
+                let ctx = lead
+                    .trace
+                    .as_ref()
                     .map(|mt| (mt.trace, trace::derive_span_id(mt.span, "compute", gi as u64)));
                 c.gather(&router::PassJob {
                     x: &xn,
@@ -841,13 +837,9 @@ impl Server {
             if let Some(gt) = gathered.as_mut() {
                 if gt.passes.iter().flatten().count() < floor {
                     let reason = gt.lost.expect("a pass short of the floor means a lost range");
-                    let compute_secs = compute_t0.elapsed().as_secs_f64();
-                    range_obs[g[0]] = Some((std::mem::take(&mut gt.spans), None));
-                    for &i in g {
-                        status[i] = "fallback";
-                        compute[i] = Some((gi, compute_secs, "fallback"));
-                    }
-                    self.fallback_group(g, reqs, &valids, reason, &mut responses);
+                    let run = (gi, compute_t0.elapsed().as_secs_f64());
+                    members[g[0]].ranges = Some((std::mem::take(&mut gt.spans), None));
+                    self.fall_back(&mut members, g, "fallback", reason, Some(run));
                     continue;
                 }
             }
@@ -926,7 +918,7 @@ impl Server {
                 }
             };
             if let Some(gt) = gathered {
-                range_obs[g[0]] = Some((gt.spans, merge_s));
+                members[g[0]].ranges = Some((gt.spans, merge_s));
             }
             let compute_secs = compute_t0.elapsed().as_secs_f64();
             m.serve_compute_seconds.record(compute_secs);
@@ -939,7 +931,7 @@ impl Server {
                 // miss; the histogram's rejected count tallies those.
                 let spent = self.clock.now_ms().saturating_sub(t_start);
                 for &i in g {
-                    if let Some(d) = valids[i].as_ref().unwrap().deadline {
+                    if let Some(d) = members[i].valid().deadline {
                         m.serve_deadline_slack_ms.record(d as f64 - spent as f64);
                     }
                 }
@@ -978,11 +970,7 @@ impl Server {
                 if let Some(t) = self.breaker.on_fault(now) {
                     self.note_transition(t);
                 }
-                for &i in g {
-                    status[i] = "fault";
-                    compute[i] = Some((gi, compute_secs, "fault"));
-                }
-                self.fallback_group(g, reqs, &valids, "model_fault", &mut responses);
+                self.fall_back(&mut members, g, "fault", "model_fault", Some((gi, compute_secs)));
                 continue;
             }
             if let Some(t) = self.breaker.on_success() {
@@ -1008,49 +996,42 @@ impl Server {
             // Only uncut, seed-derivable results are cacheable: a degraded
             // grid would poison later, laxer requests with narrower-budget
             // output.
-            if self.cache_enabled() && !any.degraded() {
-                if let Some(deriv) = seed.derivation() {
-                    let key = CacheKey {
-                        generation: self.generation,
-                        tick: lead.tick,
-                        x_hash: lead.x_hash,
-                        seed: deriv,
-                        n_samples: n_req,
-                    };
-                    let entry = CacheEntry {
-                        x_bits: lead.x_bits.clone(),
-                        mu_raw: mu_raw.clone(),
-                        sigma_raw: sigma_raw.clone(),
-                        samples_used: used,
-                        samples_requested: n_req,
-                        at_ms: t_start,
-                    };
-                    let evicted = self.cache.insert(key, entry);
-                    if evicted > 0 {
-                        m.serve_cache_evictions.add(evicted as u64);
-                    }
-                    m.serve_cache_entries.set(self.cache.len() as f64);
+            let lead = members[g[0]].valid();
+            if let Some(key) =
+                self.cache_key(lead).filter(|_| self.cache_enabled() && !any.degraded())
+            {
+                let entry = CacheEntry {
+                    x_raw: lead.x_raw.data().to_vec(),
+                    mu_raw: mu_raw.clone(),
+                    sigma_raw: sigma_raw.clone(),
+                    samples_used: used,
+                    samples_requested: n_req,
+                    at_ms: t_start,
+                };
+                let evicted = self.cache.insert(key, entry);
+                if evicted > 0 {
+                    m.serve_cache_evictions.add(evicted as u64);
                 }
+                m.serve_cache_entries.set(self.cache.len() as f64);
             }
 
             let compute_status = if any.degraded() { "degraded" } else { "ok" };
             for &i in g {
-                compute[i] = Some((gi, compute_secs, compute_status));
                 let render_t0 = std::time::Instant::now();
-                let v = valids[i].as_ref().expect("grouped members are valid");
-                responses[i] = Some(self.render_forecast(
-                    &reqs[i].id,
+                let response = render_forecast(
+                    &self.model_checksum,
+                    &members[i],
                     used,
-                    n_req,
                     &meta_miss,
                     &mu_raw,
                     &sigma_raw,
-                    v.nodes.as_deref(),
-                    v.horizon,
-                ));
+                );
                 let rs = render_t0.elapsed().as_secs_f64();
                 m.serve_render_seconds.record(rs);
-                render_s[i] = Some(rs);
+                let mem = &mut members[i];
+                mem.compute = Some((gi, compute_secs, compute_status));
+                mem.response = Some(response);
+                mem.render_s = Some(rs);
             }
         }
 
@@ -1077,79 +1058,72 @@ impl Server {
             }
             m.serve_batch_dwell_seconds.record(t.dwell_s);
         }
-        if traced {
-            // Span emission, arrival order: one `serve` root per member with
-            // its retroactive phases nested under it, then the trace-meta
-            // annotation on the response line. Emission *count* at any call
-            // point is a pure function of the batch contents, so seeded
-            // reruns keep identical event sequence numbers.
-            for (i, mt) in spans.iter().enumerate() {
+        // Span emission, arrival order: one root span per member with its
+        // retroactive phases nested under it, then the trace-meta
+        // annotation on the response line. Emission *count* at any call
+        // point is a pure function of the batch contents, so seeded reruns
+        // keep identical event sequence numbers.
+        members
+            .into_iter()
+            .enumerate()
+            .map(|(i, mem)| {
+                let mut line = mem.response.expect("every request answered");
+                let Some(mt) = &mem.trace else { return line };
                 trace::emit_span(trace::start_event(mt.trace, mt.span, mt.parent, root));
                 if let Some(t) = timing {
-                    trace::emit_phase(mt.trace, mt.span, "admission", mt.arrival, t.waits[i]);
-                    trace::emit_phase(mt.trace, mt.span, "dwell", mt.arrival, t.dwell_s);
+                    trace::emit_phase(mt.trace, mt.span, "admission", mem.arrival, t.waits[i]);
+                    trace::emit_phase(mt.trace, mt.span, "dwell", mem.arrival, t.dwell_s);
                 }
-                if probed[i] {
-                    trace::emit_phase(
-                        mt.trace,
-                        mt.span,
-                        "cache",
-                        mt.arrival,
-                        probe_s.unwrap_or(0.0),
-                    );
+                if mem.probed {
+                    let probe = probe_s.unwrap_or(0.0);
+                    trace::emit_phase(mt.trace, mt.span, "cache", mem.arrival, probe);
                 }
-                if let Some((gi, cs, cstat)) = compute[i] {
+                if let Some((gi, cs, cstat)) = mem.compute {
                     let cspan = trace::derive_span_id(mt.span, "compute", gi as u64);
                     trace::emit_span(trace::start_event(mt.trace, cspan, mt.span, "compute"));
-                    if let Some((ranges, merge_s)) = &range_obs[i] {
+                    if let Some((ranges, merge_s)) = &mem.ranges {
                         router::emit_range_spans(mt.trace, cspan, ranges);
                         if let Some(ms) = merge_s {
-                            trace::emit_phase(mt.trace, cspan, "merge", mt.arrival, *ms);
+                            trace::emit_phase(mt.trace, cspan, "merge", mem.arrival, *ms);
                         }
                     }
                     trace::emit_span(trace::end_event(mt.trace, cspan, cs).str("status", cstat));
                 }
-                if let Some(rs) = render_s[i] {
-                    trace::emit_phase(mt.trace, mt.span, "render", mt.arrival, rs);
+                if let Some(rs) = mem.render_s {
+                    trace::emit_phase(mt.trace, mt.span, "render", mem.arrival, rs);
                 }
                 let mut end = trace::end_event(mt.trace, mt.span, secs);
-                if status[i] != "ok" {
-                    end = end.str("status", status[i]);
+                if mem.status != "ok" {
+                    end = end.str("status", mem.status);
                 }
                 trace::emit_span(end);
                 trace::note_request(mt.trace, secs);
-            }
-            for (i, r) in responses.iter_mut().enumerate() {
-                if let Some(line) = r {
-                    proto::push_trace_meta(line, spans[i].trace, spans[i].span);
-                }
-            }
-        }
-        responses.into_iter().map(|r| r.expect("every request answered")).collect()
+                proto::push_trace_meta(&mut line, mt.trace, mt.span);
+                line
+            })
+            .collect()
     }
 
-    /// Answers every member of group `g` through [`Server::fallback_or_reject`]
-    /// with `reason`, each sliced to its own node subset and horizon. The
-    /// members share one input window, so the lead's persistence grid
-    /// serves them all.
-    fn fallback_group(
+    /// One of the three fallback exits (breaker open, a router short of
+    /// the floor, a model fault): every member of group `g` gets `status`,
+    /// the group's compute record when a run was attempted, and the
+    /// fallback or rejection for `reason`, sliced to its own nodes and
+    /// horizon. A group's windows are bit-identical, so each member's own
+    /// persistence grid is the lead's.
+    fn fall_back(
         &mut self,
+        members: &mut [Member],
         g: &[usize],
-        reqs: &[ForecastReq],
-        valids: &[Option<Valid>],
+        status: &'static str,
         reason: &'static str,
-        responses: &mut [Option<String>],
+        run: Option<(usize, f64)>,
     ) {
-        let x_raw = &valids[g[0]].as_ref().expect("grouped members are valid").x_raw;
         for &i in g {
-            let v = valids[i].as_ref().expect("grouped members are valid");
-            responses[i] = Some(self.fallback_or_reject(
-                &reqs[i].id,
-                x_raw,
-                reason,
-                v.nodes.as_deref(),
-                v.horizon,
-            ));
+            let response = self.fallback_or_reject(&members[i], reason);
+            let mem = &mut members[i];
+            mem.status = status;
+            mem.compute = run.map(|(gi, secs)| (gi, secs, status));
+            mem.response = Some(response);
         }
     }
 
@@ -1160,19 +1134,13 @@ impl Server {
     /// (`model_fault` on the faulting request itself, `breaker_open` while
     /// the breaker is open, a lost range's reason on a router whose shards
     /// returned fewer passes than the floor).
-    fn fallback_or_reject(
-        &mut self,
-        id: &Option<String>,
-        x_raw: &Tensor,
-        reason: &'static str,
-        nodes: Option<&[usize]>,
-        horizon: Option<usize>,
-    ) -> String {
+    fn fallback_or_reject(&mut self, mem: &Member, reason: &'static str) -> String {
         let Some(sigma0) = self.last_good_sigma else {
-            return self.reject(id, reason);
+            return self.reject(&mem.req.id, reason);
         };
         let n = self.model.model().n_nodes();
         let tau = self.model.model().horizon();
+        let x_raw = &mem.valid().x_raw;
         let t_rows = x_raw.shape()[0];
         let mut mu = Vec::with_capacity(n * tau);
         for node in 0..n {
@@ -1181,18 +1149,10 @@ impl Server {
         }
         // The persistence grid slices exactly like a model response, so a
         // node-subset request degrades to a subset-shaped fallback.
-        let mu = slice_grid(&Tensor::from_vec(mu, &[n, tau]), nodes, horizon);
-        let widened = self.cfg.widen_factor * sigma0;
-        let sigma = Tensor::from_vec(vec![widened; mu.len()], mu.shape());
-        let z = stuq_metrics::Z_95 as f32;
-        let lower = mu.map(move |v| v - z * widened);
-        let upper = mu.map(move |v| v + z * widened);
+        let mu = Tensor::from_vec(mu, &[n, tau]);
+        let sigma = Tensor::from_vec(vec![self.cfg.widen_factor * sigma0; n * tau], &[n, tau]);
         stuq_obs::metrics().serve_fallback.inc();
-        proto::resp_fallback(
-            id,
-            reason,
-            &proto::Intervals { mu: &mu, sigma: &sigma, lower: &lower, upper: &upper },
-        )
+        with_intervals(&mu, &sigma, mem.valid(), |iv| proto::resp_fallback(&mem.req.id, reason, iv))
     }
 
     /// Drops every cache entry and bumps the key generation. Hot-reload
@@ -1218,22 +1178,10 @@ impl Server {
     /// fault window are no longer trusted.
     fn note_transition(&mut self, t: breaker::Transition) {
         stuq_obs::metrics().serve_breaker_state.set(self.breaker.state().gauge());
-        match t {
-            breaker::Transition::Opened { consecutive, cooldown_ms } => {
-                self.invalidate_cache("breaker_open");
-                stuq_obs::emit(
-                    Event::new("breaker_open")
-                        .uint("consecutive_faults", consecutive as u64)
-                        .uint("cooldown_ms", cooldown_ms),
-                )
-            }
-            breaker::Transition::HalfOpened { cooldown_ms } => {
-                stuq_obs::emit(Event::new("breaker_half_open").uint("cooldown_ms", cooldown_ms))
-            }
-            breaker::Transition::Closed { cooldown_ms } => {
-                stuq_obs::emit(Event::new("breaker_close").uint("cooldown_ms", cooldown_ms))
-            }
+        if let breaker::Transition::Opened { .. } = t {
+            self.invalidate_cache("breaker_open");
         }
+        stuq_obs::emit(t.event());
     }
 
     /// Applies any candidate the watcher finished validating. Cheap; called

@@ -624,7 +624,9 @@ pub struct OwnedIntervals {
     pub upper: Tensor,
 }
 
-/// A worker's response line, as the router sees it.
+/// A worker's response line, as the router (or a client reading
+/// forecasts) sees it. Only the types a reader acts on parse; any other
+/// reply is an `Err`, which the router treats as a failed call.
 pub enum WorkerResp {
     /// A live (possibly degraded) forecast.
     Forecast {
@@ -644,27 +646,6 @@ pub enum WorkerResp {
         /// Normalised `(μ_j, σ²_j?)` per pass, in sample order.
         passes: Vec<SamplePass>,
     },
-    /// A persistence fallback (breaker open, model fault, or too few
-    /// passes); carries the typed reason.
-    Fallback {
-        /// Worker-typed reason (`breaker_open`, `model_fault`).
-        reason: String,
-        /// Widened persistence intervals.
-        iv: OwnedIntervals,
-    },
-    /// A typed refusal (`queue_full`, `draining`, `breaker_open`,
-    /// `model_fault`).
-    Rejected {
-        /// Worker-typed reason.
-        reason: String,
-    },
-    /// A request-level failure (router bug or version skew).
-    Error {
-        /// Error class.
-        reason: String,
-        /// Human-readable cause.
-        detail: String,
-    },
     /// A control acknowledgement.
     Ack {
         /// Acknowledged action.
@@ -675,11 +656,6 @@ pub enum WorkerResp {
         checksum: Option<String>,
         /// Failure reason, when `ok` is false.
         reason: Option<String>,
-    },
-    /// A health report.
-    Health {
-        /// Coarse status string.
-        status: String,
     },
     /// A raw counter dump answering a `metrics` scrape, in catalog order.
     Metrics {
@@ -747,7 +723,8 @@ fn parse_intervals(v: &Json) -> Result<OwnedIntervals, String> {
     })
 }
 
-/// Parses one worker response line into the closed [`WorkerResp`] set.
+/// Parses one worker response line into the closed [`WorkerResp`] set;
+/// other types (`fallback`, `rejected`, `error`, `health`) are errors.
 pub fn parse_worker_resp(line: &str) -> Result<WorkerResp, String> {
     let v = parse(line)?;
     let ty = v.get("type").and_then(Json::as_str).ok_or("worker response has no \"type\"")?;
@@ -787,25 +764,11 @@ pub fn parse_worker_resp(line: &str) -> Result<WorkerResp, String> {
             };
             Ok(WorkerResp::Passes { model, passes })
         }
-        "fallback" => Ok(WorkerResp::Fallback {
-            reason: str_field("reason").ok_or("fallback without \"reason\"")?,
-            iv: parse_intervals(&v)?,
-        }),
-        "rejected" => Ok(WorkerResp::Rejected {
-            reason: str_field("reason").ok_or("rejection without \"reason\"")?,
-        }),
-        "error" => Ok(WorkerResp::Error {
-            reason: str_field("reason").unwrap_or_else(|| "error".into()),
-            detail: str_field("detail").unwrap_or_default(),
-        }),
         "ack" => Ok(WorkerResp::Ack {
             action: str_field("action").ok_or("ack without \"action\"")?,
             ok: matches!(v.get("ok"), None | Some(Json::Bool(true))),
             checksum: str_field("checksum"),
             reason: str_field("reason"),
-        }),
-        "health" => Ok(WorkerResp::Health {
-            status: str_field("status").unwrap_or_else(|| "unknown".into()),
         }),
         "metrics" => {
             let Some(Json::Obj(pairs)) = v.get("counters") else {
@@ -1315,15 +1278,6 @@ mod tests {
         let point = parse_worker_resp(&resp_passes("ck9", &[(m.clone(), None)]));
         assert!(matches!(point, Ok(WorkerResp::Passes { passes, .. }) if passes[0].1.is_none()));
 
-        let fb = resp_fallback(&id, "model_fault", &iv);
-        assert!(matches!(
-            parse_worker_resp(&fb),
-            Ok(WorkerResp::Fallback { reason, .. }) if reason == "model_fault"
-        ));
-        assert!(matches!(
-            parse_worker_resp(r#"{"type":"rejected","reason":"queue_full"}"#),
-            Ok(WorkerResp::Rejected { reason }) if reason == "queue_full"
-        ));
         let ack = resp_ack(&id, "prepare_reload", &[("ok", "true".into())]);
         assert!(matches!(
             parse_worker_resp(&ack),

@@ -496,21 +496,10 @@ impl Cluster {
     }
 }
 
-/// Maps a worker-breaker transition onto the event log (`shard` and
-/// `replica` ride along as extra fields on the standard breaker events).
+/// Logs a worker-breaker transition: the standard breaker event with the
+/// worker's `shard` and `replica` appended.
 fn note_breaker(s: usize, r: usize, t: breaker::Transition) {
-    let ev = match t {
-        breaker::Transition::Opened { consecutive, cooldown_ms } => Event::new("breaker_open")
-            .uint("consecutive_faults", consecutive as u64)
-            .uint("cooldown_ms", cooldown_ms),
-        breaker::Transition::HalfOpened { cooldown_ms } => {
-            Event::new("breaker_half_open").uint("cooldown_ms", cooldown_ms)
-        }
-        breaker::Transition::Closed { cooldown_ms } => {
-            Event::new("breaker_close").uint("cooldown_ms", cooldown_ms)
-        }
-    };
-    stuq_obs::emit(ev.uint("shard", s as u64).uint("replica", r as u64));
+    stuq_obs::emit(t.event().uint("shard", s as u64).uint("replica", r as u64));
 }
 
 impl Server {

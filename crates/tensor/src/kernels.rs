@@ -20,15 +20,19 @@ thread_local! {
     static REFERENCE_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Routes the matmul-family kernels on the *current thread* through the
-/// seed's scalar reference implementations — and the tanh/sigmoid
-/// activations ([`crate::Tensor::tanh`], [`crate::Tensor::sigmoid`]) back
-/// to libm — for the duration of `f`.
+/// Routes the matmul-family kernels through the seed's scalar reference
+/// implementations — and the tanh/sigmoid activations
+/// ([`crate::Tensor::tanh`], [`crate::Tensor::sigmoid`]) back to libm — for
+/// the duration of `f`, and runs `f` under [`stuq_parallel::with_serial`].
 ///
-/// This is a benchmark hook: `stuq-bench` uses it (combined with
-/// [`stuq_parallel::with_serial`]) to time a seed-equivalent baseline for
-/// whole-model inference in-process, so its speedups are measured
-/// against the actual pre-engine code path rather than a synthetic stand-in.
+/// The mode is per thread, so `f` has to stay on the calling thread: a
+/// fan-out would run its chunks on pool threads with the fast kernels and
+/// return mixed-mode bits that depend on scheduling. Hence the serial pool.
+///
+/// This is a benchmark hook: `stuq-bench` uses it to time a seed-equivalent
+/// baseline for whole-model training in-process, so its speedups are
+/// measured against the actual pre-engine code path rather than a synthetic
+/// stand-in.
 pub fn with_reference_kernels<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {
@@ -38,7 +42,7 @@ pub fn with_reference_kernels<R>(f: impl FnOnce() -> R) -> R {
     }
     REFERENCE_DEPTH.with(|d| d.set(d.get() + 1));
     let _g = Guard;
-    f()
+    stuq_parallel::with_serial(f)
 }
 
 /// Whether the current thread runs inside [`with_reference_kernels`]. A
