@@ -1,8 +1,7 @@
-//! Shared harness for the paper-reproduction binaries.
-//!
-//! Each binary under `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index). They share the CLI, dataset
-//! construction and table/CSV output implemented here.
+//! Shared harness for the `paper` binary, which regenerates every table and
+//! figure of the paper (see DESIGN.md §3 for the index). It holds the CLI,
+//! the per-run [`Fits`] every table reads, and table/CSV output; the tables
+//! themselves are in [`tables`].
 //!
 //! # Scales
 //!
@@ -14,13 +13,17 @@
 //! where coverage lands — are the reproduction target at every scale.
 
 pub mod baselines;
+pub mod tables;
 pub mod timing;
 
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use deepstuq::methods::MethodConfig;
-use stuq_traffic::{DatasetSpec, Preset, SplitDataset};
+use deepstuq::eval::EvalResult;
+use deepstuq::methods::{BaseFit, Method, MethodConfig, TrainedMethod};
+use deepstuq::pipeline::DeepStuq;
+use stuq_traffic::{DatasetSpec, Preset, Split, SplitDataset};
 
 /// Experiment scale: how far from paper-size the run is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,9 +82,11 @@ impl Default for HarnessOpts {
     }
 }
 
-/// Parses `--seed N`, `--scale quick|standard|full`, `--out DIR`.
-pub fn parse_args() -> HarnessOpts {
+/// Parses `--seed N`, `--scale quick|standard|full`, `--out DIR` and the
+/// names of the tables to run (none: all of them).
+pub fn parse_args() -> (HarnessOpts, Vec<String>) {
     let mut opts = HarnessOpts::default();
+    let mut names = Vec::new();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -106,29 +111,16 @@ pub fn parse_args() -> HarnessOpts {
                 opts.out_dir = PathBuf::from(args.get(i + 1).expect("--out needs a path"));
                 i += 2;
             }
-            other => panic!("unknown argument {other} (use --seed/--scale/--out)"),
+            other if other.starts_with("--") => {
+                panic!("unknown argument {other} (use --seed/--scale/--out and table names)")
+            }
+            name => {
+                names.push(name.to_string());
+                i += 1;
+            }
         }
     }
-    opts
-}
-
-/// The four Table I datasets at the chosen scale, in paper order.
-pub fn datasets(opts: &HarnessOpts) -> Vec<(Preset, SplitDataset)> {
-    let (nf, sf) = opts.scale.data_fractions();
-    Preset::all()
-        .into_iter()
-        .map(|p| {
-            let spec = scaled_spec(p, nf, sf);
-            let ds = spec.generate(opts.seed ^ p.seed_offset());
-            (p, ds)
-        })
-        .collect()
-}
-
-/// One dataset (for the single-dataset figures).
-pub fn dataset(opts: &HarnessOpts, preset: Preset) -> SplitDataset {
-    let (nf, sf) = opts.scale.data_fractions();
-    scaled_spec(preset, nf, sf).generate(opts.seed ^ preset.seed_offset())
+    (opts, names)
 }
 
 fn scaled_spec(p: Preset, nf: f64, sf: f64) -> DatasetSpec {
@@ -140,14 +132,77 @@ fn scaled_spec(p: Preset, nf: f64, sf: f64) -> DatasetSpec {
     }
 }
 
-/// Method-zoo configuration for the chosen scale.
-pub fn method_config(opts: &HarnessOpts, n_nodes: usize) -> MethodConfig {
-    match opts.scale {
-        Scale::Full => MethodConfig::paper(n_nodes),
-        _ => {
-            let (epochs, batch) = opts.scale.train_knobs();
-            MethodConfig::fast(n_nodes, epochs, batch)
+/// Everything one run's tables read: each Table I dataset, generated on
+/// first use, and each distinct fit on it, trained on first use. A fit is
+/// one of the six method-zoo bases ([`Method::base`], the DeepSTUQ pipeline
+/// among them) with the dataset's seed; an arm's test-split evaluation is
+/// kept too, since it is a function of its base. Nothing is written to disk.
+/// The cells are indexed by `Preset` and `Method` in declaration order.
+pub struct Fits {
+    /// The run's options.
+    pub opts: HarnessOpts,
+    data: [OnceCell<SplitDataset>; 4],
+    bases: [[OnceCell<BaseFit>; 11]; 4],
+    arms: [[OnceCell<EvalResult>; 11]; 4],
+}
+
+impl Fits {
+    /// An empty set of fits for one run.
+    pub fn new(opts: HarnessOpts) -> Self {
+        Self { opts, data: Default::default(), bases: Default::default(), arms: Default::default() }
+    }
+
+    /// The preset's dataset at the run's scale.
+    pub fn dataset(&self, preset: Preset) -> &SplitDataset {
+        self.data[preset as usize].get_or_init(|| {
+            let (nf, sf) = self.opts.scale.data_fractions();
+            scaled_spec(preset, nf, sf).generate(self.seed(preset))
+        })
+    }
+
+    /// The preset's seed: the run's seed mixed with the preset's offset.
+    pub fn seed(&self, preset: Preset) -> u64 {
+        self.opts.seed ^ preset.seed_offset()
+    }
+
+    /// Method-zoo configuration for the preset's dataset at the run's scale.
+    pub fn config(&self, preset: Preset) -> MethodConfig {
+        let n_nodes = self.dataset(preset).n_nodes();
+        match self.opts.scale {
+            Scale::Full => MethodConfig::paper(n_nodes),
+            _ => {
+                let (epochs, batch) = self.opts.scale.train_knobs();
+                MethodConfig::fast(n_nodes, epochs, batch)
+            }
         }
+    }
+
+    /// The base fit `base` (a value of [`Method::base`]) on the preset.
+    pub fn base(&self, preset: Preset, base: Method) -> &BaseFit {
+        self.bases[preset as usize][base as usize].get_or_init(|| {
+            if base == Method::DeepStuq {
+                eprintln!("[fits] {preset:?}: DeepSTUQ pipeline fit");
+            } else {
+                eprintln!("[fits] {preset:?}: pre-training the {} base", base.name());
+            }
+            BaseFit::train(base, self.dataset(preset), &self.config(preset), self.seed(preset))
+        })
+    }
+
+    /// The DeepSTUQ pipeline's model on the preset.
+    pub fn deepstuq(&self, preset: Preset) -> DeepStuq {
+        let base = self.base(preset, Method::DeepStuq);
+        DeepStuq::from_parts(base.model.clone(), base.temperature, self.config(preset).mc_samples)
+    }
+
+    /// `method`'s metrics on the preset's test split, at the scale's stride.
+    pub fn arm(&self, preset: Preset, method: Method) -> &EvalResult {
+        self.arms[preset as usize][method as usize].get_or_init(|| {
+            let ds = self.dataset(preset);
+            let base = self.base(preset, method.base());
+            let mut tm = TrainedMethod::from_base(method, base, ds, self.config(preset));
+            tm.evaluate(ds, Split::Test, self.opts.scale.eval_stride())
+        })
     }
 }
 
@@ -216,12 +271,10 @@ mod tests {
 
     #[test]
     fn datasets_cover_all_presets() {
-        let opts = HarnessOpts::default();
-        let ds = datasets(&opts);
-        assert_eq!(ds.len(), 4);
+        let fits = Fits::new(HarnessOpts::default());
         // Names survive scaling.
-        assert!(ds[0].1.data().name().contains("PEMS03"));
-        assert!(ds[3].1.data().name().contains("PEMS08"));
+        assert!(fits.dataset(Preset::Pems03Like).data().name().contains("PEMS03"));
+        assert!(fits.dataset(Preset::Pems08Like).data().name().contains("PEMS08"));
     }
 
     #[test]

@@ -46,6 +46,12 @@ impl DeepEnsemble {
         Self { members }
     }
 
+    /// The first `m` members: the ensemble [`DeepEnsemble::train`] returns
+    /// for `m` members and the same seed.
+    pub fn first(&self, m: usize) -> Self {
+        Self { members: self.members[..m].to_vec() }
+    }
+
     /// Number of stored models (the memory cost AWA avoids).
     pub fn len(&self) -> usize {
         self.members.len()

@@ -17,6 +17,9 @@
 //! | CFRNN | point | off | MAE | per-horizon CP |
 //! | DeepSTUQ/S | Gaussian | on | Eq. 14 | AWA + T, 1 sample |
 //! | DeepSTUQ | Gaussian | on | Eq. 14 | AWA + T, MC sampling |
+//!
+//! The eleven arms post-process six base fits ([`Method::base`], trained by
+//! [`BaseFit`]), so [`TrainedMethod::from_base`] lets arms share one fit.
 
 use crate::calibrate::calibrate_on_validation;
 use crate::config::{AwaConfig, CalibConfig, TrainConfig};
@@ -114,6 +117,18 @@ impl Method {
             }
             Method::Mcdo | Method::Fge => "epistemic",
             Method::Combined | Method::DeepStuqS | Method::DeepStuq => "aleatoric + epistemic",
+        }
+    }
+
+    /// The base fit this arm post-processes: itself for the six bases,
+    /// Point for FGE and CFRNN, MVE for TS and Conformal, DeepSTUQ for
+    /// DeepSTUQ/S.
+    pub fn base(self) -> Method {
+        match self {
+            Method::Fge | Method::Cfrnn => Method::Point,
+            Method::Ts | Method::Conformal => Method::Mve,
+            Method::DeepStuqS => Method::DeepStuq,
+            m => m,
         }
     }
 
@@ -229,6 +244,38 @@ impl MethodConfig {
     }
 }
 
+/// One trained base model (a value of [`Method::base`]) and the state every
+/// arm on it starts from.
+#[derive(Clone, Debug)]
+pub struct BaseFit {
+    base: Method,
+    /// The trained model.
+    pub model: Agcrn,
+    /// The pipeline's calibrated temperature for DeepSTUQ, 1 otherwise.
+    pub temperature: f32,
+    /// The RNG state after training, which post-processing continues.
+    pub rng: StuqRng,
+}
+
+impl BaseFit {
+    /// Trains `base` on the dataset's training split: the pipeline for
+    /// DeepSTUQ, pre-training with the base's loss for the other five.
+    pub fn train(base: Method, ds: &SplitDataset, cfg: &MethodConfig, seed: u64) -> Self {
+        assert_eq!(base, base.base(), "{} is not a base fit", base.name());
+        let mut rng = StuqRng::new(seed);
+        if base == Method::DeepStuq {
+            let pipeline = DeepStuq::train(ds, cfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
+            // `fit` keeps its RNG; test-time passes draw from a fork of the seed.
+            let (model, temperature) = (pipeline.model().clone(), pipeline.temperature());
+            return Self { base, model, temperature, rng: rng.fork(1) };
+        }
+        let mut model = Agcrn::new(cfg.base_config(base, ds.n_nodes(), ds.horizon()), &mut rng);
+        train(&mut model, ds, &cfg.train, base.loss(cfg.train.lambda), &mut rng)
+            .expect("baseline pre-training failed");
+        Self { base, model, temperature: 1.0, rng }
+    }
+}
+
 /// A trained instance of one method, ready for evaluation.
 pub struct TrainedMethod {
     method: Method,
@@ -245,21 +292,17 @@ impl TrainedMethod {
     /// Trains `method` on the dataset's training split (plus whichever
     /// validation-split post-processing the method requires).
     pub fn train(method: Method, ds: &SplitDataset, cfg: MethodConfig, seed: u64) -> Self {
-        let mut rng = StuqRng::new(seed);
-        let kind = method.loss(cfg.train.lambda);
-        let deepstuq = matches!(method, Method::DeepStuqS | Method::DeepStuq);
-        let (mut model, mut temperature) = if deepstuq {
-            let fitted = DeepStuq::train(ds, cfg.deepstuq(ds.n_nodes(), ds.horizon()), seed);
-            // `fit` keeps its RNG; test-time passes draw from a fork of the seed.
-            rng = rng.fork(1);
-            (fitted.model().clone(), fitted.temperature())
-        } else {
-            let mut model =
-                Agcrn::new(cfg.base_config(method, ds.n_nodes(), ds.horizon()), &mut rng);
-            train(&mut model, ds, &cfg.train, kind, &mut rng)
-                .expect("baseline pre-training failed");
-            (model, 1.0)
-        };
+        let base = BaseFit::train(method.base(), ds, &cfg, seed);
+        Self::from_base(method, &base, ds, cfg)
+    }
+
+    /// `method` from a clone of its base fit's model and RNG state plus the
+    /// method's own post-processing: [`TrainedMethod::train`] with the seed
+    /// and config `base` was trained with.
+    pub fn from_base(method: Method, base: &BaseFit, ds: &SplitDataset, cfg: MethodConfig) -> Self {
+        assert_eq!(base.base, method.base(), "{} does not start from this base", method.name());
+        let (mut model, mut temperature, mut rng) =
+            (base.model.clone(), base.temperature, base.rng.clone());
         let (mut conformal, mut cfrnn, mut snapshots) = (None, None, None);
         match method {
             Method::Ts => {
@@ -275,6 +318,7 @@ impl TrainedMethod {
                 cfrnn = Some(fit_cfrnn(&model, ds, cfg.val_stride, &mut rng));
             }
             Method::Fge => {
+                let kind = method.loss(cfg.train.lambda);
                 snapshots = Some(fge_snapshots(&mut model, ds, &cfg, kind, &mut rng));
             }
             _ => {}
@@ -556,7 +600,9 @@ mod tests {
     /// bit fails here. Each row digests the method's trained parameters and
     /// temperature, then its test-split MAE/RMSE/MAPE/MNLL/PICP/MPIW (Point
     /// has no UQ three). `PREDICT` digests the six tensors of
-    /// `DeepStuq::predict` on the DeepSTUQ arm's model.
+    /// `DeepStuq::predict` on the DeepSTUQ arm's model. The arms are built
+    /// twice, each alone and all eleven from six shared base fits, and both
+    /// builds must give the pinned bits.
     #[test]
     fn deepstuq_arms_are_pinned() {
         const PINNED: [(u64, u64); 11] = [
@@ -580,44 +626,61 @@ mod tests {
                 bytes.extend_from_slice(&x.to_bits().to_le_bytes());
             }
         };
-        let mut got = Vec::new();
-        let mut predict = 0;
-        for method in Method::all() {
-            let mut tm = TrainedMethod::train(method, &ds, cfg.clone(), 47);
-            let mut params = Vec::new();
-            for t in tm.model.params().snapshot() {
-                push(&mut params, &t);
-            }
-            params.extend_from_slice(&tm.temperature().to_bits().to_le_bytes());
-            let r = tm.evaluate(&ds, Split::Test, 9);
-            let mut metrics = vec![r.point.mae, r.point.rmse, r.point.mape];
-            if let Some(uq) = r.uq {
-                metrics.extend([uq.mnll, uq.picp, uq.mpiw]);
-            }
-            let metrics: Vec<u8> = metrics.iter().flat_map(|m| m.to_bits().to_le_bytes()).collect();
-            got.push((stuq_artifact::fnv1a64(&params), stuq_artifact::fnv1a64(&metrics)));
-            if method == Method::DeepStuq {
-                let model =
-                    DeepStuq::from_parts(tm.model.clone(), tm.temperature(), cfg.mc_samples);
-                let w = ds.window(ds.window_starts(Split::Test)[0]);
-                let f = model.predict(&w.x, ds.scaler(), &mut StuqRng::new(47));
-                let mut bytes = Vec::new();
-                for t in [
-                    &f.mu,
-                    &f.sigma_total,
-                    &f.sigma_aleatoric,
-                    &f.sigma_epistemic,
-                    &f.lower,
-                    &f.upper,
-                ] {
-                    push(&mut bytes, t);
+        let mut alone = |method: Method| TrainedMethod::train(method, &ds, cfg.clone(), 47);
+        let mut bases: Vec<BaseFit> = Vec::new();
+        let mut shared = |method: Method| {
+            let i = match bases.iter().position(|b| b.base == method.base()) {
+                Some(i) => i,
+                None => {
+                    bases.push(BaseFit::train(method.base(), &ds, &cfg, 47));
+                    bases.len() - 1
                 }
-                predict = stuq_artifact::fnv1a64(&bytes);
+            };
+            TrainedMethod::from_base(method, &bases[i], &ds, cfg.clone())
+        };
+        let builds: [&mut dyn FnMut(Method) -> TrainedMethod; 2] = [&mut alone, &mut shared];
+        for (build, make) in ["alone", "shared"].into_iter().zip(builds) {
+            let mut got = Vec::new();
+            let mut predict = 0;
+            for method in Method::all() {
+                let mut tm = make(method);
+                let mut params = Vec::new();
+                for t in tm.model.params().snapshot() {
+                    push(&mut params, &t);
+                }
+                params.extend_from_slice(&tm.temperature().to_bits().to_le_bytes());
+                let r = tm.evaluate(&ds, Split::Test, 9);
+                let mut metrics = vec![r.point.mae, r.point.rmse, r.point.mape];
+                if let Some(uq) = r.uq {
+                    metrics.extend([uq.mnll, uq.picp, uq.mpiw]);
+                }
+                let metrics: Vec<u8> =
+                    metrics.iter().flat_map(|m| m.to_bits().to_le_bytes()).collect();
+                got.push((stuq_artifact::fnv1a64(&params), stuq_artifact::fnv1a64(&metrics)));
+                if method == Method::DeepStuq {
+                    let model =
+                        DeepStuq::from_parts(tm.model.clone(), tm.temperature(), cfg.mc_samples);
+                    let w = ds.window(ds.window_starts(Split::Test)[0]);
+                    let f = model.predict(&w.x, ds.scaler(), &mut StuqRng::new(47));
+                    let mut bytes = Vec::new();
+                    for t in [
+                        &f.mu,
+                        &f.sigma_total,
+                        &f.sigma_aleatoric,
+                        &f.sigma_epistemic,
+                        &f.lower,
+                        &f.upper,
+                    ] {
+                        push(&mut bytes, t);
+                    }
+                    predict = stuq_artifact::fnv1a64(&bytes);
+                }
             }
+            let rows: Vec<String> =
+                got.iter().map(|(p, m)| format!("(0x{p:016x}, 0x{m:016x})")).collect();
+            assert_eq!(got, PINNED, "{build}: method digests moved: [{}]", rows.join(", "));
+            assert_eq!(predict, PREDICT, "{build}: predict digest moved: 0x{predict:016x}");
         }
-        let rows: Vec<String> =
-            got.iter().map(|(p, m)| format!("(0x{p:016x}, 0x{m:016x})")).collect();
-        assert_eq!(got, PINNED, "method digests moved: [{}]", rows.join(", "));
-        assert_eq!(predict, PREDICT, "predict digest moved: 0x{predict:016x}");
+        assert_eq!(bases.len(), 6, "the eleven arms share six base fits");
     }
 }
