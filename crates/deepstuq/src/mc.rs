@@ -225,6 +225,13 @@ pub fn mc_forecast_with_cov(
 pub trait SampleBudget {
     /// May one more pass run, given that `completed` passes have finished?
     fn allow(&mut self, completed: usize) -> bool;
+
+    /// Whether [`SampleBudget::allow`] may ever refuse. A budget that
+    /// cannot cut lets [`mc_forecast_anytime`] run the floor's passes in
+    /// the same block as the rest.
+    fn can_cut(&self) -> bool {
+        true
+    }
 }
 
 /// A budget that never exhausts: every requested sample runs.
@@ -233,6 +240,10 @@ pub struct UnlimitedBudget;
 impl SampleBudget for UnlimitedBudget {
     fn allow(&mut self, _completed: usize) -> bool {
         true
+    }
+
+    fn can_cut(&self) -> bool {
+        false
     }
 }
 
@@ -271,7 +282,9 @@ impl AnytimeForecast {
 ///
 /// The passes run in blocks of up to [`BLOCK`], computed when the fold
 /// first asks for one of their passes: the floor's passes first, then the
-/// rest. The budget is still consulted before every pass beyond the floor,
+/// rest, or all of them from the first block on when the budget cannot cut
+/// ([`SampleBudget::can_cut`]), so each block streams the NAPL weights once.
+/// The budget is still consulted before every pass beyond the floor,
 /// so under a logical clock the result does not depend on the blocking;
 /// under the real clock a cut discards the rest of its block (at most
 /// `BLOCK − 1` passes of extra work). Each block still fans out across the
@@ -295,13 +308,13 @@ pub fn mc_forecast_anytime(
     let streams = fork_streams(rng, n_samples);
     let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
     let session = model.session();
-    let floor_n = floor.clamp(1, n_samples);
+    let first = if budget.can_cut() { floor.clamp(1, n_samples) } else { n_samples };
     let mut block = Vec::new().into_iter();
     let mut next = 0;
     let any = reduce_anytime(shape, n_samples, floor, budget, observer, |j| {
         debug_assert_eq!(j, next, "the fold asks for passes in order");
         if block.len() == 0 {
-            let end = if j < floor_n { floor_n } else { n_samples }.min(j + BLOCK);
+            let end = if j < first { first } else { n_samples }.min(j + BLOCK);
             block = run_block(&*session, x, cov, &streams[j..end], n_samples == 1).into_iter();
         }
         next += 1;
@@ -661,27 +674,38 @@ mod tests {
         }
     }
 
+    /// Admits every pass but, unlike [`UnlimitedBudget`], could cut, so the
+    /// anytime loop runs the floor's block first.
+    struct AllowAll;
+    impl SampleBudget for AllowAll {
+        fn allow(&mut self, _c: usize) -> bool {
+            true
+        }
+    }
+
+    /// An uncut run equals the batch path in bits and caller-RNG position,
+    /// whether it runs as one block (a budget that cannot cut) or as the
+    /// floor's block and then the rest (one that could).
     #[test]
     fn anytime_uncut_matches_mc_forecast_bitwise() {
         let mut rng = StuqRng::new(21);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let full = mc_forecast(&model, &x, 8, &mut StuqRng::new(7));
-        let any = mc_forecast_anytime(
-            &model,
-            &x,
-            None,
-            8,
-            1,
-            &mut UnlimitedBudget,
-            &mut StuqRng::new(7),
-            None,
-        );
-        assert!(!any.degraded());
-        assert_eq!(any.forecast.n_samples, 8);
-        assert_eq!(any.forecast.mu.data(), full.mu.data());
-        assert_eq!(any.forecast.var_aleatoric.data(), full.var_aleatoric.data());
-        assert_eq!(any.forecast.var_epistemic.data(), full.var_epistemic.data());
+        let mut r_full = StuqRng::new(7);
+        let full = mc_forecast(&model, &x, 8, &mut r_full);
+        let budgets: [(&str, &mut dyn SampleBudget); 2] =
+            [("unlimited", &mut UnlimitedBudget), ("can cut", &mut AllowAll)];
+        for (what, budget) in budgets {
+            for floor in [1, 2] {
+                let mut r_any = StuqRng::new(7);
+                let any = mc_forecast_anytime(&model, &x, None, 8, floor, budget, &mut r_any, None);
+                let what = format!("{what}, floor {floor}");
+                assert!(!any.degraded(), "{what}");
+                assert_eq!(any.forecast.n_samples, 8, "{what}");
+                assert_bitwise(&any.forecast, &full, &what);
+                assert_same_rng(&mut r_any, &mut r_full.clone(), &what);
+            }
+        }
     }
 
     #[test]

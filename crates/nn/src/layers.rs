@@ -12,13 +12,17 @@
 //! The linear map, the AGCRN cell and the decoder heads are written once
 //! over an [`Exec`]utor: on a [`Tape`] they record nodes for the backward
 //! pass; on [`Eager`] they run a block of MC samples in lockstep straight
-//! from borrowed parameters and keep nothing they do not return.
+//! from borrowed parameters and keep nothing they do not return: each
+//! intermediate's buffer goes back to a per-thread free list for the next
+//! op, pass and request.
 
 use std::borrow::{Borrow, Cow};
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use crate::init;
 use crate::params::ParamSet;
-use stuq_tensor::{kernels, NodeId, StuqRng, Tape, Tensor};
+use stuq_tensor::{kernels, Activation, NodeId, StuqRng, Tape, Tensor};
 
 /// The tensor operations a forward pass is written against, so one
 /// definition of each layer serves both training and inference.
@@ -86,6 +90,35 @@ pub trait Exec {
     fn tanh(&mut self, a: Self::Val) -> Self::Val;
     /// Inverted dropout at rate `p > 0`.
     fn dropout(&mut self, a: Self::Val, p: f32, rng: &mut Self::Rng) -> Self::Val;
+
+    /// A gate's epilogue `act(dropout(x + bias))`, with dropout at rate `p`
+    /// from `rng` when `p` is given.
+    fn gate_epilogue(
+        &mut self,
+        x: Self::Val,
+        bias: &Self::Val,
+        p: Option<f32>,
+        rng: &mut Self::Rng,
+        act: Activation,
+    ) -> Self::Val {
+        let x = self.add(x, bias);
+        let x = match p {
+            Some(p) => self.dropout(x, p, rng),
+            None => x,
+        };
+        match act {
+            Activation::Sigmoid => self.sigmoid(x),
+            Activation::Tanh => self.tanh(x),
+        }
+    }
+
+    /// The GRU blend `z ⊙ h + (1 − z) ⊙ c` (paper Eq. 6d).
+    fn gru_blend(&mut self, z: Self::Val, h: &Self::Val, c: &Self::Val) -> Self::Val {
+        let zh = self.mul(&z, h);
+        let omz = self.one_minus(z);
+        let oc = self.mul(&omz, c);
+        self.add(zh, &oc)
+    }
 }
 
 impl Exec for Tape {
@@ -147,18 +180,103 @@ impl Exec for Tape {
 /// Parameters (borrowed), the window input, `h = 0` and everything
 /// computed from them alone are shared; a value splits at the first
 /// dropout, which draws each sample's block from that sample's stream.
-#[derive(Clone, Debug)]
+///
+/// An op's result lives in a buffer from its thread's free list, and goes
+/// back there when the block drops, so repeated passes and requests reuse
+/// the same memory instead of faulting fresh pages in (DESIGN.md §17).
+#[derive(Debug)]
 pub struct Block<'p> {
     /// The shared value, or `samples` values of one shape stacked
     /// sample-major into `[samples·rows, cols]`.
     data: Cow<'p, Tensor>,
     /// `None` while every sample shares `data`.
     samples: Option<usize>,
+    /// Whether `data`'s buffer returns to the free list on drop.
+    recycled: bool,
+}
+
+thread_local! {
+    /// Buffers of dropped blocks, kept for the next op on this thread.
+    static FREE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// Takes that had to allocate.
+    #[cfg(test)]
+    static MISSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `len` floats from this thread's free list: the smallest free buffer
+/// that holds them, else the largest one grown, else a new one. The
+/// contents are stale unless `zeroed`.
+///
+/// A new buffer is only allocated while every recycled buffer is in use,
+/// so the list never holds more buffers than one block had live at once.
+/// It outlives the request: handing the memory back to the allocator at
+/// the end of each would let glibc return it to the kernel, and the next
+/// request would fault it in again (DESIGN.md §17).
+fn take_buffer(len: usize, zeroed: bool) -> Vec<f32> {
+    let mut buf = FREE.with_borrow_mut(|free| {
+        let fit = (0..free.len())
+            .filter(|&i| free[i].capacity() >= len)
+            .min_by_key(|&i| free[i].capacity());
+        let pick = fit.or_else(|| (0..free.len()).max_by_key(|&i| free[i].capacity()));
+        pick.map(|i| free.swap_remove(i)).unwrap_or_default()
+    });
+    if zeroed || buf.capacity() < len {
+        #[cfg(test)]
+        if buf.capacity() < len {
+            MISSES.set(MISSES.get() + 1);
+        }
+        buf.clear();
+        buf.reserve_exact(len);
+    }
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// What a block's data is swapped for when it is moved out of the block.
+fn placeholder() -> &'static Tensor {
+    static EMPTY: OnceLock<Tensor> = OnceLock::new();
+    EMPTY.get_or_init(|| Tensor::zeros(&[0, 0]))
+}
+
+impl Drop for Block<'_> {
+    fn drop(&mut self) {
+        if !self.recycled {
+            return;
+        }
+        if let Cow::Owned(t) = std::mem::replace(&mut self.data, Cow::Borrowed(placeholder())) {
+            let buf = t.into_data();
+            // After the thread's list is gone, the buffer is simply freed.
+            let _ = FREE.try_with(|free| {
+                if let Ok(mut free) = free.try_borrow_mut() {
+                    free.push(buf);
+                }
+            });
+        }
+    }
+}
+
+impl Clone for Block<'_> {
+    /// An op's result is copied into a recycled buffer; anything else (a
+    /// borrow, a constant, a value made owned) is cloned as it is, so a
+    /// clone of a kept bind never hands its buffers to the free list.
+    fn clone(&self) -> Self {
+        if !self.recycled {
+            return Self { data: self.data.clone(), samples: self.samples, recycled: false };
+        }
+        let mut buf = take_buffer(self.data.len(), false);
+        buf.copy_from_slice(self.data.data());
+        Self::recycled(Tensor::from_vec(buf, self.data.shape()), self.samples)
+    }
 }
 
 impl<'p> Block<'p> {
     fn shared(data: Cow<'p, Tensor>) -> Self {
-        Self { data, samples: None }
+        Self { data, samples: None, recycled: false }
+    }
+
+    /// An op's result, in a buffer from [`take_buffer`].
+    fn recycled(data: Tensor, samples: Option<usize>) -> Self {
+        Self { data: Cow::Owned(data), samples, recycled: true }
     }
 
     /// One sample's `[rows, cols]`.
@@ -180,8 +298,11 @@ impl<'p> Block<'p> {
         match self.samples {
             None => {
                 let t = &self.data;
-                let data = Tensor::from_vec(t.data().repeat(s), &[s * t.rows(), t.cols()]);
-                Self { data: Cow::Owned(data), samples: Some(s) }
+                let mut buf = take_buffer(s * t.len(), false);
+                for chunk in buf.chunks_exact_mut(t.len().max(1)) {
+                    chunk.copy_from_slice(t.data());
+                }
+                Self::recycled(Tensor::from_vec(buf, &[s * t.rows(), t.cols()]), Some(s))
             }
             Some(samples) => {
                 assert_eq!(samples, s, "a block of {samples} samples used as {s}");
@@ -191,9 +312,12 @@ impl<'p> Block<'p> {
     }
 
     /// The value with its data owned, so it can outlive the parameters it
-    /// was computed from. An op's result is owned already and only moves.
-    pub fn into_owned(self) -> Block<'static> {
-        Block { data: Cow::Owned(self.data.into_owned()), samples: self.samples }
+    /// was computed from. An op's result is owned already and only moves;
+    /// its buffer then stays with the value instead of being recycled.
+    pub fn into_owned(mut self) -> Block<'static> {
+        self.recycled = false;
+        let data = std::mem::replace(&mut self.data, Cow::Borrowed(placeholder()));
+        Block { data: Cow::Owned(data.into_owned()), samples: self.samples, recycled: false }
     }
 
     /// One tensor per sample for a block of `s` samples.
@@ -218,30 +342,31 @@ impl<'p> Block<'p> {
     }
 
     /// `product` of each sample's operands (a shared operand stands for
-    /// every sample) into that sample's zeroed `shape` block, computed once
-    /// while both are shared. Each call sees one sample's operands alone,
-    /// so a sample's bits do not depend on the block.
+    /// every sample) into that sample's `shape` block, computed once while
+    /// both are shared. The block's contents are stale: `product` writes
+    /// every element, or zeroes its block first. Each call sees one
+    /// sample's operands alone, so a sample's bits do not depend on the
+    /// block.
     fn per_sample(
         a: &Self,
         b: &Self,
         shape: [usize; 2],
         product: impl Fn(&[f32], &[f32], &mut [f32]),
     ) -> Self {
-        let samples = Self::common_samples(a, b);
+        let samples = Self::common_samples(&[a, b]);
         let s = samples.unwrap_or(1);
         let len = shape[0] * shape[1];
-        let mut data = vec![0.0f32; s * len];
+        let mut data = take_buffer(s * len, false);
         for (i, out) in data.chunks_exact_mut(len.max(1)).enumerate() {
             product(a.sample(i), b.sample(i), out);
         }
-        let data = Tensor::from_vec(data, &[s * shape[0], shape[1]]);
-        Self { data: Cow::Owned(data), samples }
+        Self::recycled(Tensor::from_vec(data, &[s * shape[0], shape[1]]), samples)
     }
 
     /// `f(a, b)` element-wise into `a`'s buffer; a shared `b` repeats for
     /// every sample.
     fn zip_into(self, b: &Self, f: impl Fn(f32, f32) -> f32 + Sync + Copy) -> Self {
-        let a = match Self::common_samples(&self, b) {
+        let a = match Self::common_samples(&[&self, b]) {
             Some(s) => self.split(s),
             None => self,
         };
@@ -254,13 +379,15 @@ impl<'p> Block<'p> {
         })
     }
 
-    /// The sample count of an op on `a` and `b`: `None` while both are
+    /// The sample count of an op on `operands`: `None` while all are
     /// shared.
-    fn common_samples(a: &Self, b: &Self) -> Option<usize> {
-        if let (Some(x), Some(y)) = (a.samples, b.samples) {
-            assert_eq!(x, y, "operands of {x} and {y} samples");
+    fn common_samples(operands: &[&Self]) -> Option<usize> {
+        let mut counts = operands.iter().filter_map(|v| v.samples);
+        let first = counts.next();
+        for other in counts {
+            assert_eq!(first, Some(other), "operands of {first:?} and {other} samples");
         }
-        a.samples.or(b.samples)
+        first
     }
 }
 
@@ -271,9 +398,12 @@ impl<'p> Block<'p> {
 /// concatenation, soft-max) run once over the stacked rows; matmuls run
 /// once per sample, so their tiling — hence their bits — is a lone pass's;
 /// the NAPL product runs the whole block through
-/// [`kernels::rowwise_matmul`], which loads each node's weights once per
-/// block. Element-wise ops write into the buffer of the operand they take
-/// by value, and dropout is drawn straight into the value without a mask.
+/// [`kernels::rowwise_matmul_into`], which loads each node's weights once
+/// per block. Element-wise ops write into the buffer of the operand they
+/// take by value, and every new result takes a recycled buffer (see
+/// [`Block`]). A gate's bias, dropout and activation run as one pass per
+/// sample once its dropout multipliers are drawn, and the GRU blend as one
+/// pass ([`Exec::gate_epilogue`], [`Exec::gru_blend`]).
 pub struct Eager<'p> {
     params: &'p ParamSet,
 }
@@ -302,7 +432,10 @@ impl<'p> Exec for Eager<'p> {
     fn matmul(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
         let ([m, k], [k2, n]) = (a.sample_shape(), b.sample_shape());
         assert_eq!(k, k2, "matmul inner dims: {m}x{k} @ {k2}x{n}");
-        Block::per_sample(a, b, [m, n], |x, y, out| kernels::matmul_into(x, y, out, m, k, n))
+        Block::per_sample(a, b, [m, n], |x, y, out| {
+            out.fill(0.0); // matmul_into accumulates
+            kernels::matmul_into(x, y, out, m, k, n);
+        })
     }
     fn matmul_tb(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
         let ([m, k], [n, k2]) = (a.sample_shape(), b.sample_shape());
@@ -319,8 +452,12 @@ impl<'p> Exec for Eager<'p> {
         c_out: usize,
     ) -> Block<'p> {
         let w = w.expect_shared("NAPL weights");
-        let data = Cow::Owned(z.data.rowwise_matmul(w, c_in, c_out));
-        Block { data, samples: z.samples }
+        let rows = z.data.rows();
+        assert_eq!(z.data.cols(), c_in, "rowwise_matmul: z cols != c_in");
+        assert_eq!(w.cols(), c_in * c_out, "rowwise_matmul: w cols != c_in*c_out");
+        let mut out = take_buffer(rows * c_out, true);
+        kernels::rowwise_matmul_into(z.data.data(), w.data(), &mut out, w.rows(), c_in, c_out);
+        Block::recycled(Tensor::from_vec(out, &[rows, c_out]), z.samples)
     }
     fn concat_cols(&mut self, a: &Block<'p>, b: &Block<'p>) -> Block<'p> {
         let ([rows, ca], [rb, cb]) = (a.sample_shape(), b.sample_shape());
@@ -368,6 +505,47 @@ impl<'p> Exec for Eager<'p> {
     fn dropout(&mut self, a: Block<'p>, p: f32, rngs: &mut [StuqRng]) -> Block<'p> {
         a.split(rngs.len()).update(|t| t.dropout_blocks_inplace(p, rngs))
     }
+    /// One pass per sample after its multipliers are drawn; the bias must
+    /// be shared.
+    fn gate_epilogue(
+        &mut self,
+        x: Block<'p>,
+        bias: &Block<'p>,
+        p: Option<f32>,
+        rngs: &mut [StuqRng],
+        act: Activation,
+    ) -> Block<'p> {
+        let bias = bias.expect_shared("a gate bias").data();
+        let Some(p) = p else {
+            return x.update(|t| {
+                for v in t.data_mut().chunks_exact_mut(bias.len().max(1)) {
+                    act.zip2_assign(v, bias, bias, |v, b, _| v + b);
+                }
+            });
+        };
+        x.split(rngs.len()).update(|t| {
+            t.dropout_blocks_with(p, rngs, |v, m| {
+                act.zip2_assign(v, bias, m, |v, b, m| (v + b) * m)
+            });
+        })
+    }
+    /// One pass into `z`'s buffer.
+    fn gru_blend(&mut self, z: Block<'p>, h: &Block<'p>, c: &Block<'p>) -> Block<'p> {
+        let z = match Block::common_samples(&[&z, h, c]) {
+            Some(s) => z.split(s),
+            None => z,
+        };
+        let blocks = z.samples.unwrap_or(1);
+        z.update(|t| {
+            let per = (t.len() / blocks).max(1);
+            for (i, zs) in t.data_mut().chunks_mut(per).enumerate() {
+                let (hs, cs) = (h.sample(i), c.sample(i));
+                for ((z, &h), &c) in zs.iter_mut().zip(hs).zip(cs) {
+                    *z = *z * h + (-*z + 1.0) * c;
+                }
+            }
+        })
+    }
 }
 
 /// Forward-pass context: controls dropout behaviour.
@@ -409,12 +587,16 @@ impl<'a, R: ?Sized> FwdCtx<'a, R> {
         self.train || self.mc_dropout
     }
 
+    /// The rate dropout at `p` runs at: `None` when it is the identity.
+    pub(crate) fn drop_rate(&self, p: f32) -> Option<f32> {
+        (self.dropout_active() && p > 0.0).then_some(p)
+    }
+
     /// Applies dropout to `x` when active; identity otherwise.
     pub fn dropout<E: Exec<Rng = R>>(&mut self, ex: &mut E, x: E::Val, p: f32) -> E::Val {
-        if self.dropout_active() && p > 0.0 {
-            ex.dropout(x, p, self.rng)
-        } else {
-            x
+        match self.drop_rate(p) {
+            Some(p) => ex.dropout(x, p, self.rng),
+            None => x,
         }
     }
 }
@@ -687,11 +869,12 @@ impl<V> BoundAgcrnCell<V> {
         V: Borrow<E::Val>,
     {
         let g = &self.gates[idx];
-        // Per-node NAPL weights (Eq. 5), then bias.
+        // Per-node NAPL weights (Eq. 5), then bias, M ⊙ (·) (dropout inside
+        // the graph convolution, Eq. 13) and the gate's activation.
         let pre = ex.rowwise_matmul(mixed, g.wn.borrow(), self.c_in + self.hidden, self.hidden);
-        let pre = ex.add(pre, g.bn.borrow());
-        // M ⊙ (·): dropout inside the graph convolution (Eq. 13).
-        ctx.dropout(ex, pre, self.dropout_p)
+        let p = ctx.drop_rate(self.dropout_p);
+        let act = if idx == 2 { Activation::Tanh } else { Activation::Sigmoid };
+        ex.gate_epilogue(pre, g.bn.borrow(), p, ctx.rng, act)
     }
 
     /// One recurrence step (paper Eq. 6): `(x_t [N,c_in], h [N,h]) → h'`.
@@ -710,20 +893,14 @@ impl<V> BoundAgcrnCell<V> {
         let xh = ex.concat_cols(x, h);
         let mixed = ex.matmul(support, &xh);
         let z = self.gate(ex, ctx, 0, &mixed);
-        let z = ex.sigmoid(z);
         // z and r read the same mixed input; see `Exec::SHARES_GATE_MIXING`.
         let mixed = if E::SHARES_GATE_MIXING { mixed } else { ex.matmul(support, &xh) };
         let r = self.gate(ex, ctx, 1, &mixed);
-        let r = ex.sigmoid(r);
         let rh = ex.mul(&r, h);
         let xrh = ex.concat_cols(x, &rh);
         let mixed = ex.matmul(support, &xrh);
         let c = self.gate(ex, ctx, 2, &mixed);
-        let c = ex.tanh(c);
-        let zh = ex.mul(&z, h);
-        let omz = ex.one_minus(z);
-        let oc = ex.mul(&omz, &c);
-        ex.add(zh, &oc)
+        ex.gru_blend(z, h, &c)
     }
 }
 
@@ -866,63 +1043,123 @@ mod tests {
         }
     }
 
-    /// Four MC-dropout steps of one cell give the same bits and leave the
-    /// RNG at the same position on `Eager` (one shared z/r mixing, in-place
-    /// ops, a block of three samples in lockstep) as on `Tape`, one tape
-    /// per sample stream. Widths: `c_in = 1` puts the mixed input in the
-    /// matmul's narrow-tail path; `c_in = hidden = 32` is layer 2's
-    /// full-tile width in the paper configuration.
+    /// Four steps of one cell give the same bits and leave the RNG at the
+    /// same position on `Eager` (one shared z/r mixing, in-place and fused
+    /// ops, recycled buffers, a block of samples in lockstep) as on `Tape`,
+    /// one tape per sample stream. Widths: `c_in = 1` puts the mixed input
+    /// in the matmul's narrow-tail path; `c_in = hidden = 32` is layer 2's
+    /// full-tile width in the paper configuration; `hidden = 12` puts the
+    /// NAPL product in the wide tail that accumulates into its buffer, with
+    /// nonzero gate biases. Blocks of 1, 2, 8, 9 and 16 streams cover the
+    /// scalar draw, one lockstep group, the 8 → 9 group boundary and a full
+    /// `BLOCK`; in eval mode the block's values stay shared.
     #[test]
     fn agcrn_eager_steps_match_tape_bitwise() {
-        for (c_in, hidden) in [(1, 4), (32, 32)] {
-            let (ps, cell, e, s, mut rng) = agcrn_fixture_with(c_in, hidden, 0.2);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (c_in, hidden, biased) in [(1, 4, false), (32, 32, false), (2, 12, true)] {
+            let (mut ps, cell, e, s, mut rng) = agcrn_fixture_with(c_in, hidden, 0.2);
+            if biased {
+                let pools: Vec<usize> =
+                    (0..ps.len()).filter(|&i| ps.name(i).ends_with("b_pool")).collect();
+                for slot in pools {
+                    *ps.get_mut(slot) = Tensor::randn(&[3, hidden], 0.3, &mut rng);
+                }
+            }
             let xs: Vec<Tensor> =
                 (0..4).map(|_| Tensor::randn(&[6, c_in], 1.0, &mut rng)).collect();
             let h0 = Tensor::randn(&[6, hidden], 0.5, &mut rng);
-            let streams: Vec<StuqRng> = (7..10).map(|k| rng.fork(k)).collect();
+            for (mc, block) in [1, 2, 8, 9, 16].into_iter().flat_map(|b| [(true, b), (false, b)]) {
+                let mut forks = rng.clone();
+                let streams: Vec<StuqRng> = (0..block).map(|k| forks.fork(7 + k)).collect();
 
+                let mut ex = Eager::new(&ps);
+                let (en, sn) = (ex.constant(e.clone()), ex.constant(s.clone()));
+                let bound = cell.bind(&mut ex, &ps, en, sn);
+                let mut r_eager = streams.clone();
+                let mut ctx = FwdCtx { train: false, mc_dropout: mc, rng: &mut r_eager[..] };
+                let h = ex.constant(h0.clone());
+                let h = xs.iter().fold(h, |h, x| {
+                    let x = ex.constant(x.clone());
+                    bound.step(&mut ex, &mut ctx, x, &h)
+                });
+                let got = h.into_samples(streams.len());
+
+                for (i, stream) in streams.iter().enumerate() {
+                    let mut r_tape = stream.clone();
+                    let mut tape = Tape::new();
+                    let (en, sn) = (tape.constant(e.clone()), tape.constant(s.clone()));
+                    let bound = cell.bind(&mut tape, &ps, en, sn);
+                    let mut h = tape.constant(h0.clone());
+                    let mut ctx = FwdCtx { train: false, mc_dropout: mc, rng: &mut r_tape };
+                    for x in &xs {
+                        let x = tape.constant(x.clone());
+                        h = bound.step(&mut tape, &mut ctx, x, h);
+                    }
+                    let want = tape.value(h);
+                    let what = format!("c_in {c_in}, mc {mc}, block {block}, sample {i}");
+                    assert_eq!(bits(&got[i]), bits(want), "{what}: hidden state");
+                    assert_eq!(
+                        r_eager[i].export_state(),
+                        r_tape.export_state(),
+                        "{what}: RNG position"
+                    );
+                }
+                if c_in == 1 && mc {
+                    // Both executors share one draw rule, so a change to it
+                    // passes the comparison above; this checksum catches it.
+                    let fnv = bits(&got[0]).iter().fold(0xcbf2_9ce4_8422_2325u64, |a, &b| {
+                        (a ^ b as u64).wrapping_mul(0x100_0000_01b3)
+                    });
+                    assert_eq!(fnv, 0xb2dc_24ea_d5ca_c85f, "pinned 4-step MC hidden state");
+                }
+            }
+        }
+    }
+
+    /// Once one forward of a shape has run on a thread, the next one of
+    /// that shape takes every block buffer from the thread's free list, so
+    /// it allocates (and page-faults) nothing for its activations.
+    #[test]
+    fn a_repeated_forward_allocates_no_block_buffer() {
+        let (mut ps, cell, e, s, mut rng) = agcrn_fixture_with(32, 32, 0.2);
+        let head = Linear::new(&mut ps, "head", 32, 12, &mut rng);
+        let xs: Vec<Tensor> = (0..4).map(|_| Tensor::randn(&[6, 32], 1.0, &mut rng)).collect();
+        let forward = |block: u64| {
+            let mut streams: Vec<StuqRng> = (0..block).map(StuqRng::new).collect();
+            let mut ctx = FwdCtx::mc_sample(&mut streams[..]);
             let mut ex = Eager::new(&ps);
             let (en, sn) = (ex.constant(e.clone()), ex.constant(s.clone()));
             let bound = cell.bind(&mut ex, &ps, en, sn);
-            let mut r_eager = streams.clone();
-            let mut ctx = FwdCtx::mc_sample(&mut r_eager[..]);
-            let h = ex.constant(h0.clone());
+            let h = ex.constant(Tensor::zeros(&[6, 32]));
             let h = xs.iter().fold(h, |h, x| {
                 let x = ex.constant(x.clone());
                 bound.step(&mut ex, &mut ctx, x, &h)
             });
-            let got = h.into_samples(streams.len());
-
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            for (i, stream) in streams.iter().enumerate() {
-                let mut r_tape = stream.clone();
-                let mut tape = Tape::new();
-                let (en, sn) = (tape.constant(e.clone()), tape.constant(s.clone()));
-                let bound = cell.bind(&mut tape, &ps, en, sn);
-                let mut h = tape.constant(h0.clone());
-                let mut ctx = FwdCtx::mc_sample(&mut r_tape);
-                for x in &xs {
-                    let x = tape.constant(x.clone());
-                    h = bound.step(&mut tape, &mut ctx, x, h);
-                }
-                let want = tape.value(h);
-                let what = format!("c_in {c_in}, hidden {hidden}, sample {i}");
-                assert_eq!(bits(&got[i]), bits(want), "{what}: hidden state");
-                assert_eq!(
-                    r_eager[i].export_state(),
-                    r_tape.export_state(),
-                    "{what}: RNG position"
-                );
-            }
-            if c_in == 1 {
-                // Both executors share one draw rule, so a change to it
-                // passes the comparison above; this checksum catches it.
-                let fnv = bits(&got[0]).iter().fold(0xcbf2_9ce4_8422_2325u64, |a, &b| {
-                    (a ^ b as u64).wrapping_mul(0x100_0000_01b3)
-                });
-                assert_eq!(fnv, 0xb2dc_24ea_d5ca_c85f, "pinned 4-step MC hidden state");
-            }
+            let hd = ctx.dropout(&mut ex, h, 0.2);
+            head.bind(&mut ex, &ps).forward(&mut ex, &hd).into_samples(block as usize)
+        };
+        for block in [2, 8, 16] {
+            let first = forward(block);
+            MISSES.set(0);
+            assert_eq!(forward(block), first, "block {block}: same streams, same forward");
+            assert_eq!(MISSES.get(), 0, "block {block}: buffers allocated on the second forward");
         }
+        // A bind kept past its executor (as a model keeps it) owns its
+        // buffers: a clone of it that drops, on a thread with an empty
+        // list, leaves the list empty.
+        let mut ex = Eager::new(&ps);
+        let (en, sn) = (ex.constant(e.clone()), ex.constant(s.clone()));
+        let kept = cell.bind(&mut ex, &ps, en, sn).map(Block::into_owned);
+        let kept = &kept;
+        let listed = std::thread::scope(|sc| {
+            sc.spawn(|| {
+                drop(kept.clone());
+                FREE.with_borrow(Vec::len)
+            })
+            .join()
+            .expect("the clone thread panicked")
+        });
+        assert_eq!(listed, 0, "a dropped clone of a kept bind filled the free list");
     }
 
     #[test]

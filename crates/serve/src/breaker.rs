@@ -15,7 +15,7 @@
 //! All time comes from the injectable [`crate::clock::Clock`] via `now_ms`
 //! arguments, so breaker trajectories are deterministic under the fake
 //! clock. The breaker itself never touches telemetry; the server and the
-//! router emit each returned [`Transition`] as its [`Transition::event`].
+//! router emit each returned [`Transition`] as its `Transition::event`.
 
 use stuq_obs::Event;
 

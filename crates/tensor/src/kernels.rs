@@ -518,16 +518,37 @@ fn block_samples(len: usize, per_sample: usize) -> usize {
 /// block, and `s = 1` is the one-row kernel itself. Fans out over node
 /// ranges above [`PAR_FLOPS_MIN`].
 pub fn rowwise_matmul(z: &[f32], w: &[f32], rows: usize, ci: usize, co: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; block_samples(z.len(), rows * ci) * rows * co];
+    rowwise_matmul_into(z, w, &mut out, rows, ci, co);
+    out
+}
+
+/// [`rowwise_matmul`] into `out` (`s·rows·co` floats, zeroed on entry), so
+/// a caller can reuse one buffer across calls.
+pub fn rowwise_matmul_into(
+    z: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    ci: usize,
+    co: usize,
+) {
     if stuq_obs::summary_enabled() {
         stuq_obs::metrics().kernel_rowwise.inc();
     }
-    if reference_mode() {
-        return rowwise_matmul_reference(z, w, rows, ci, co);
-    }
     let s = block_samples(z.len(), rows * ci);
-    let mut out = vec![0.0f32; s * rows * co];
+    assert_eq!(
+        out.len(),
+        s * rows * co,
+        "rowwise_matmul_into: {} floats for {s} samples",
+        out.len()
+    );
+    if reference_mode() {
+        out.copy_from_slice(&rowwise_matmul_reference(z, w, rows, ci, co));
+        return;
+    }
     if out.is_empty() {
-        return out;
+        return;
     }
     if s.saturating_mul(rows).saturating_mul(ci).saturating_mul(co) >= PAR_FLOPS_MIN
         && rows > ROW_CHUNK
@@ -552,7 +573,6 @@ pub fn rowwise_matmul(z: &[f32], w: &[f32], rows: usize, ci: usize, co: usize) -
         let mut outs: Vec<&mut [f32]> = out.chunks_exact_mut(rows * co).collect();
         rowwise_nodes(z, w, &mut outs, 0..rows, rows, ci, co);
     }
-    out
 }
 
 /// The nodes `nodes` of a [`rowwise_matmul`] block: `outs[i]` holds sample

@@ -45,7 +45,7 @@ pub mod tensor;
 
 pub use rng::{RngState, StuqRng};
 pub use tape::{CustomOp, GradStore, NodeId, Tape};
-pub use tensor::Tensor;
+pub use tensor::{Activation, Tensor};
 
 /// Always `(0, 0)`. The backward pass has one engine, the descending-id
 /// walk of [`Tape::backward`], so there are no compiled plans to hit or

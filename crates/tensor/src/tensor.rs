@@ -135,6 +135,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// The raw data, giving up the shape.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Element access for a matrix.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -364,15 +369,9 @@ impl Tensor {
         out
     }
 
-    /// Logistic sigmoid in place: the vectorizable rational of
-    /// [`crate::fastmath`], or libm inside
-    /// [`kernels::with_reference_kernels`].
+    /// Logistic sigmoid in place ([`Activation::Sigmoid`]).
     pub fn sigmoid_inplace(&mut self) {
-        if kernels::reference_mode() {
-            self.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
-        } else {
-            self.map_inplace(crate::fastmath::sigmoid_f32);
-        }
+        Activation::Sigmoid.map_inplace(&mut self.data);
     }
 
     /// Hyperbolic tangent, element-wise.
@@ -382,14 +381,9 @@ impl Tensor {
         out
     }
 
-    /// Hyperbolic tangent in place; same kernel choice as
-    /// [`Tensor::sigmoid_inplace`].
+    /// Hyperbolic tangent in place ([`Activation::Tanh`]).
     pub fn tanh_inplace(&mut self) {
-        if kernels::reference_mode() {
-            self.map_inplace(f32::tanh);
-        } else {
-            self.map_inplace(crate::fastmath::tanh_f32);
-        }
+        Activation::Tanh.map_inplace(&mut self.data);
     }
 
     /// `self + bias` with the `1×n` row `bias` added to every row.
@@ -442,7 +436,22 @@ impl Tensor {
     /// Inverted dropout in place for a sample block: the data splits into
     /// `rngs.len()` equal blocks (samples stacked sample-major), and block
     /// `i` is drawn from `rngs[i]` exactly as [`Tensor::dropout_inplace`]
-    /// draws a lone sample.
+    /// draws a lone sample: [`Tensor::dropout_blocks_with`] multiplying
+    /// each element by its multiplier.
+    pub fn dropout_blocks_inplace(&mut self, p: f32, rngs: &mut [StuqRng]) {
+        self.dropout_blocks_with(p, rngs, |block, mults| {
+            for (v, &m) in block.iter_mut().zip(mults) {
+                *v *= m;
+            }
+        });
+    }
+
+    /// Draws inverted-dropout multipliers at rate `p ∈ (0, 1)` for each
+    /// sample block (as in [`Tensor::dropout_blocks_inplace`]) and hands
+    /// each block with its multipliers to `apply`, in sample order. Each
+    /// multiplier is `1/keep` (`keep = 1 − p`) or `0`, from one
+    /// `bernoulli(keep)` draw per element in row-major order; dropout is
+    /// `v · m`, and `apply` may fold other element-wise work around it.
     ///
     /// This is the only place a dropout draw is written: the tape's stored
     /// mask is this applied to ones ([`Tensor::dropout_mask`]), so any two
@@ -457,7 +466,12 @@ impl Tensor {
     /// streams in lockstep groups of eight ([`StuqRng`]'s lane kernel) to
     /// the same bits and final states; a lone stream, and every other
     /// build, takes the scalar loop.
-    pub fn dropout_blocks_inplace(&mut self, p: f32, rngs: &mut [StuqRng]) {
+    pub fn dropout_blocks_with(
+        &mut self,
+        p: f32,
+        rngs: &mut [StuqRng],
+        mut apply: impl FnMut(&mut [f32], &[f32]),
+    ) {
         assert!(p > 0.0 && p < 1.0, "dropout rate must be in (0, 1)");
         assert!(
             !rngs.is_empty() && self.data.len().is_multiple_of(rngs.len()),
@@ -469,6 +483,7 @@ impl Tensor {
         let scale = 1.0 / keep;
         let below = (keep as f64 * (1u64 << 53) as f64).ceil() as u64;
         let per_block = (self.data.len() / rngs.len()).max(1);
+        let mut mults = vec![0.0f32; per_block];
         #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
         if rngs.len() >= 2 {
             use crate::rng::LOCKSTEP_LANES;
@@ -477,17 +492,19 @@ impl Tensor {
             for (group, rngs) in groups.zip(rngs.chunks_mut(LOCKSTEP_LANES)) {
                 StuqRng::keep_masks(rngs, below, &mut masks);
                 for (lane, block) in group.chunks_mut(per_block).enumerate() {
-                    for (v, &m) in block.iter_mut().zip(&masks) {
-                        *v *= if m >> lane & 1 == 1 { scale } else { 0.0 };
+                    for (m, &bits) in mults.iter_mut().zip(&masks) {
+                        *m = if bits >> lane & 1 == 1 { scale } else { 0.0 };
                     }
+                    apply(block, &mults);
                 }
             }
             return;
         }
         for (block, rng) in self.data.chunks_mut(per_block).zip(rngs) {
-            for v in block {
-                *v *= if rng.next_u64() >> 11 < below { scale } else { 0.0 };
+            for m in mults.iter_mut() {
+                *m = if rng.next_u64() >> 11 < below { scale } else { 0.0 };
             }
+            apply(block, &mults);
         }
     }
 
@@ -513,6 +530,54 @@ impl Tensor {
     /// True when every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// A gate activation in the kernel the current mode picks: the
+/// vectorizable rationals of [`crate::fastmath`], or libm inside
+/// [`kernels::with_reference_kernels`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Activation {
+    /// Logistic sigmoid.
+    Sigmoid,
+    /// Hyperbolic tangent.
+    Tanh,
+}
+
+/// The libm sigmoid of reference mode.
+fn sigmoid_libm(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+impl Activation {
+    /// `v = act(v)` for every element of `dst`.
+    pub fn map_inplace(self, dst: &mut [f32]) {
+        match (self, kernels::reference_mode()) {
+            (Self::Sigmoid, false) => kernels::map_inplace_elems(dst, crate::fastmath::sigmoid_f32),
+            (Self::Sigmoid, true) => kernels::map_inplace_elems(dst, sigmoid_libm),
+            (Self::Tanh, false) => kernels::map_inplace_elems(dst, crate::fastmath::tanh_f32),
+            (Self::Tanh, true) => kernels::map_inplace_elems(dst, f32::tanh),
+        }
+    }
+
+    /// `dst[i] = act(f(dst[i], x[i], y[i]))` in one pass: an element-wise
+    /// prologue folded into the activation, each element rounded as the
+    /// separate passes would round it.
+    pub fn zip2_assign(
+        self,
+        dst: &mut [f32],
+        x: &[f32],
+        y: &[f32],
+        f: impl Fn(f32, f32, f32) -> f32 + Sync,
+    ) {
+        use crate::fastmath::{sigmoid_f32, tanh_f32};
+        use kernels::zip2_assign_elems as zip2;
+        match (self, kernels::reference_mode()) {
+            (Self::Sigmoid, false) => zip2(dst, x, y, |d, a, b| sigmoid_f32(f(d, a, b))),
+            (Self::Sigmoid, true) => zip2(dst, x, y, |d, a, b| sigmoid_libm(f(d, a, b))),
+            (Self::Tanh, false) => zip2(dst, x, y, |d, a, b| tanh_f32(f(d, a, b))),
+            (Self::Tanh, true) => zip2(dst, x, y, |d, a, b| f(d, a, b).tanh()),
+        }
     }
 }
 
