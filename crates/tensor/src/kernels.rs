@@ -3,11 +3,12 @@
 //!
 //! Every kernel here obeys the workspace determinism contract (DESIGN.md
 //! "Threading & determinism"): the floating-point evaluation order of each
-//! output element is fixed by the *kernel structure* — k-panels of four,
-//! eight-lane dot accumulators, fixed-size reduction blocks — and never by
-//! the thread count. Parallel dispatch only distributes disjoint output row
-//! ranges (or fixed reduction blocks) across the pool, so a result is
-//! bit-identical whether it was computed by one thread or many.
+//! output element is fixed by the *kernel structure* — one FMA chain over
+//! k per matmul element, eight-lane dot accumulators, fixed-size reduction
+//! blocks — and never by the thread count. Parallel dispatch only
+//! distributes disjoint output row ranges (or fixed reduction blocks)
+//! across the pool, so a result is bit-identical whether it was computed
+//! by one thread or many.
 //!
 //! Sizing: small operands stay serial (`PAR_FLOPS_MIN`, `PAR_ELEMS_MIN`)
 //! because fan-out costs more than the work saved below those points.
@@ -65,262 +66,114 @@ pub const SUM_BLOCK: usize = 1 << 12;
 /// Square tile edge for the cache-blocked transpose.
 pub const TRANSPOSE_TILE: usize = 32;
 
-/// Columns per register tile: the accumulators for a 4-row group are
+/// Columns per register tile: a 4-row group's accumulators are
 /// `4 × J_TILE` floats, sized to stay in vector registers on AVX-512/NEON.
 const J_TILE: usize = 32;
 
-/// The wide tail, columns `j0..n` with `n - j0 >= TAIL_TILE`, of one row:
-/// row-major k-panels of four vectorize across the columns, and the many
-/// outputs in flight hide the per-element chain latency. Each element is
-/// one FMA chain over k in order from zero, accumulated into `orow`, the
-/// zeroed tail slice `out[row][j0..n]`; `b` is the full `k × n` right-hand
-/// side, entered at column offset `j0`.
-fn mm_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], k: usize, n: usize, j0: usize) {
-    debug_assert!(n - j0 >= TAIL_TILE);
-    let mut kk = 0;
-    while kk + 4 <= k {
-        let (a0, a1, a2, a3) = (arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]);
-        let b0 = &b[kk * n + j0..kk * n + n];
-        let b1 = &b[(kk + 1) * n + j0..(kk + 1) * n + n];
-        let b2 = &b[(kk + 2) * n + j0..(kk + 2) * n + n];
-        let b3 = &b[(kk + 3) * n + j0..(kk + 3) * n + n];
-        for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *o = a3.mul_add(x3, a2.mul_add(x2, a1.mul_add(x1, a0.mul_add(x0, *o))));
-        }
-        kk += 4;
-    }
-    while kk < k {
-        let aik = arow[kk];
-        let brow = &b[kk * n + j0..kk * n + n];
-        for (o, &x) in orow.iter_mut().zip(brow) {
-            *o = aik.mul_add(x, *o);
-        }
-        kk += 1;
-    }
-}
+/// Columns per tail tile: the columns past the last full [`J_TILE`] tile
+/// run in tiles this wide, the last one ending at `n`.
+const TAIL_TILE: usize = 8;
 
-/// k values per gathered column chunk of [`mm_narrow_tail`]: a multiple of
-/// four, so every chunk starts on chain 0.
-const NARROW_CHUNK: usize = 64;
-
-/// Rows whose chains [`mm_narrow_tail`] carries across its k chunks at once.
-const NARROW_ROWS: usize = 64;
-
-/// The narrow tail, columns `j0..n` with `n - j0 < TAIL_TILE`, of rows
-/// `0..rows`: row `r` is `arow(r)`, and `put(r, j, v)` stores element
-/// `(r, j)`.
-///
-/// A row-major panel would leave too few outputs in flight and serialize
-/// into k-long dependent FMA chains, so each element runs four chains
-/// instead: chain `c` takes the k with `k ≡ c (mod 4)` in order, a leftover
-/// `k % 4` goes on chain 0, and the result is `(s0 + s1) + (s2 + s3)`.
-/// Column `j` of `b` is gathered into a stack chunk of [`NARROW_CHUNK`] k
-/// once for up to [`NARROW_ROWS`] rows, so each row's four chains run as
-/// one 4-lane vector over contiguous data instead of strided scalar loads;
-/// the chains carry across chunks.
-fn mm_narrow_tail<'a>(
-    rows: usize,
-    arow: impl Fn(usize) -> &'a [f32],
+/// Columns `jb..jb + W` of `R` rows of `A @ B`, each row an `(A row,
+/// output row)` pair: `R × W` accumulators stay in registers over the
+/// whole k-loop, so each loaded `B` vector feeds `R` independent FMA
+/// chains. Each element is one FMA chain over k in order from `+0.0`;
+/// the tile overwrites its columns.
+#[inline(always)]
+fn mm_tile<const R: usize, const W: usize>(
+    rows: &mut [(&[f32], &mut [f32]); R],
     b: &[f32],
     k: usize,
     n: usize,
-    j0: usize,
-    mut put: impl FnMut(usize, usize, f32),
+    jb: usize,
 ) {
-    let mut col = [0.0f32; NARROW_CHUNK];
-    let mut chains = [[0.0f32; 4]; NARROW_ROWS];
-    for r0 in (0..rows).step_by(NARROW_ROWS) {
-        let chains = &mut chains[..NARROW_ROWS.min(rows - r0)];
-        for j in j0..n {
-            chains.fill([0.0; 4]);
-            for k0 in (0..k).step_by(NARROW_CHUNK) {
-                let len = NARROW_CHUNK.min(k - k0);
-                for (c, &x) in col[..len].iter_mut().zip(b[k0 * n + j..].iter().step_by(n)) {
-                    *c = x;
-                }
-                let (col, quads) = (&col[..len], len - len % 4);
-                for (r, s) in (r0..).zip(chains.iter_mut()) {
-                    let row = &arow(r)[k0..k0 + len];
-                    let mut v = *s;
-                    for (aq, cq) in row[..quads].chunks_exact(4).zip(col[..quads].chunks_exact(4)) {
-                        v = std::array::from_fn(|c| aq[c].mul_add(cq[c], v[c]));
-                    }
-                    for (&x, &y) in row[quads..].iter().zip(&col[quads..]) {
-                        v[0] = x.mul_add(y, v[0]);
-                    }
-                    *s = v;
-                }
-            }
-            for (r, s) in (r0..).zip(chains.iter()) {
-                put(r, j, (s[0] + s[1]) + (s[2] + s[3]));
+    let a: [&[f32]; R] = std::array::from_fn(|r| &rows[r].0[..k]);
+    let mut c = [[0.0f32; W]; R];
+    for kk in 0..k {
+        let bv: &[f32; W] = b[kk * n + jb..kk * n + jb + W].try_into().unwrap();
+        let x: [f32; R] = std::array::from_fn(|r| a[r][kk]);
+        for l in 0..W {
+            for r in 0..R {
+                c[r][l] = x[r].mul_add(bv[l], c[r][l]);
             }
         }
     }
+    for ((_, orow), cr) in rows.iter_mut().zip(&c) {
+        orow[jb..jb + W].copy_from_slice(cr);
+    }
 }
 
-/// Columns per register tile of a 4-row group's wide tail.
-const TAIL_TILE: usize = 8;
-
-/// The wide tail, columns `j0..n` with `n - j0 >= TAIL_TILE`, of four rows
-/// at once: `4 × TAIL_TILE` accumulators stay in registers over the whole
-/// k-loop, so four independent FMA chains are in flight per loaded `B`
-/// vector instead of one. The last tile ends at `n` and may overlap the one
-/// before; an overlapped column is computed twice to the same bits.
+/// `R` whole rows of `A @ B`: full [`J_TILE`] column tiles, then
+/// [`TAIL_TILE`] tiles whose last one ends at `n` and may overlap the one
+/// before (an overlapped column is computed twice to the same bits), and
+/// a plain scalar chain per element when `n < TAIL_TILE`.
 ///
-/// Each element is one FMA chain over k in order from zero, exactly
-/// [`mm_row_tail`]'s order, so a row's tail has the same bits whether
-/// it runs here or alone. Overwrites its columns of `o`.
-fn mm_tail_tile(a: [&[f32]; 4], b: &[f32], mut o: [&mut [f32]; 4], k: usize, n: usize, j0: usize) {
-    debug_assert!(n - j0 >= TAIL_TILE);
-    let mut j = j0;
-    while j < n {
-        let jb = j.min(n - TAIL_TILE);
-        let mut c = [[0.0f32; TAIL_TILE]; 4];
-        for kk in 0..k {
-            let bv: &[f32; TAIL_TILE] = b[kk * n + jb..kk * n + jb + TAIL_TILE].try_into().unwrap();
-            for (cr, ar) in c.iter_mut().zip(&a) {
-                let x = ar[kk];
-                for l in 0..TAIL_TILE {
-                    cr[l] = x.mul_add(bv[l], cr[l]);
-                }
+/// Every element is one FMA chain over k in order from `+0.0`, whatever
+/// its tile, so `R` only sets how many rows share each loaded `B` vector:
+/// a row's bits are its one-row product's for any `R` and any position.
+fn mm_rows<const R: usize>(mut rows: [(&[f32], &mut [f32]); R], b: &[f32], k: usize, n: usize) {
+    if n < TAIL_TILE {
+        for (arow, orow) in &mut rows {
+            for (j, o) in orow[..n].iter_mut().enumerate() {
+                *o = (0..k).fold(0.0, |acc, kk| arow[kk].mul_add(b[kk * n + j], acc));
             }
         }
-        for (orow, cr) in o.iter_mut().zip(&c) {
-            orow[jb..jb + TAIL_TILE].copy_from_slice(cr);
-        }
+        return;
+    }
+    let jt = n - n % J_TILE;
+    for jb in (0..jt).step_by(J_TILE) {
+        mm_tile::<R, J_TILE>(&mut rows, b, k, n, jb);
+    }
+    let mut j = jt;
+    while j < n {
+        let jb = j.min(n - TAIL_TILE);
+        mm_tile::<R, TAIL_TILE>(&mut rows, b, k, n, jb);
         j = jb + TAIL_TILE;
     }
 }
 
-/// Whole rows against one right-hand side in the one-row order: full
-/// `J_TILE` column tiles, k unrolled by two into independent accumulator
-/// sets combined in a fixed order at the end, then the tail, wide
-/// ([`mm_row_tail`]) or narrow ([`mm_narrow_tail`]).
-///
-/// Each tiled element of row `r` is an even-k chain and an odd-k chain,
-/// both from zero, with an odd leftover k on the even chain, then
-/// `acc_e + acc_o`. `R` only sets how many rows share each loaded `B`
-/// vector, so a row's bits are the same for any `R`: the sample-block
-/// [`rowwise_matmul`] runs its samples through this in pairs. The tile's
-/// sums are formed in a register array and stored whole, so the epilogue
-/// runs at vector width too.
-fn mm_rows<const R: usize>(a: [&[f32]; R], b: &[f32], o: [&mut [f32]; R], k: usize, n: usize) {
-    let jt = n - n % J_TILE;
-    for jb in (0..jt).step_by(J_TILE) {
-        let mut acc_e = [[0.0f32; J_TILE]; R];
-        let mut acc_o = [[0.0f32; J_TILE]; R];
-        let pairs = b[..k * n].chunks_exact(2 * n);
-        let odd = pairs.remainder();
-        for (kk, bk) in (0..k).step_by(2).zip(pairs) {
-            let be: &[f32; J_TILE] = bk[jb..jb + J_TILE].try_into().unwrap();
-            let bo: &[f32; J_TILE] = bk[n + jb..n + jb + J_TILE].try_into().unwrap();
-            for r in 0..R {
-                let (xe, xo) = (a[r][kk], a[r][kk + 1]);
-                for l in 0..J_TILE {
-                    acc_e[r][l] = xe.mul_add(be[l], acc_e[r][l]);
-                    acc_o[r][l] = xo.mul_add(bo[l], acc_o[r][l]);
-                }
-            }
-        }
-        if !odd.is_empty() {
-            let bv: &[f32; J_TILE] = odd[jb..jb + J_TILE].try_into().unwrap();
-            for r in 0..R {
-                let x = a[r][k - 1];
-                for l in 0..J_TILE {
-                    acc_e[r][l] = x.mul_add(bv[l], acc_e[r][l]);
-                }
-            }
-        }
-        for r in 0..R {
-            let mut sum = [0.0f32; J_TILE];
-            for l in 0..J_TILE {
-                sum[l] = acc_e[r][l] + acc_o[r][l];
-            }
-            o[r][jb..jb + J_TILE].copy_from_slice(&sum);
-        }
+/// `rows` of `A @ B` through [`mm_rows`] in groups of four, then the
+/// leftover rows as one group.
+fn mm_groups<'a>(
+    mut rows: impl ExactSizeIterator<Item = (&'a [f32], &'a mut [f32])>,
+    b: &[f32],
+    k: usize,
+    n: usize,
+) {
+    fn take<const R: usize, T>(rows: &mut impl Iterator<Item = T>) -> [T; R] {
+        std::array::from_fn(|_| rows.next().expect("counted by rows.len()"))
     }
-    if n - jt >= TAIL_TILE {
-        for r in 0..R {
-            mm_row_tail(a[r], b, &mut o[r][jt..], k, n, jt);
-        }
-    } else if jt < n {
-        mm_narrow_tail(R, |r| a[r], b, k, n, jt, |r, j, v| o[r][j] = v);
+    while rows.len() >= 4 {
+        mm_rows::<4>(take(&mut rows), b, k, n);
+    }
+    match rows.len() {
+        3 => mm_rows::<3>(take(&mut rows), b, k, n),
+        2 => mm_rows::<2>(take(&mut rows), b, k, n),
+        1 => mm_rows::<1>(take(&mut rows), b, k, n),
+        _ => {}
     }
 }
 
 /// `C[rows] = A[rows] @ B` for a contiguous block of rows.
 ///
-/// `a` holds `rows·k` elements, `out` holds `rows·n`; `b` is the full
-/// `k × n` right-hand side, and `out` must be zeroed on entry (the register
-/// tiles overwrite their columns outright — sparing a read pass of `out` —
-/// but a leftover row's wide tail, [`mm_row_tail`], accumulates into the
-/// zeros, and the `k == 0` early return leaves them).
-/// Rows are processed in groups of four with a
-/// `4 × J_TILE` register tile: the output accumulators live in vector
-/// registers for the whole k-loop, so each loaded `B` vector feeds four FMAs
-/// and the output is touched once per tile — the seed kernel's
-/// load-FMA-store round-trip per `(k, j)` step is what limited it. A group's
-/// tail of 8 to 31 columns runs the same way in `4 × 8` tiles
-/// ([`mm_tail_tile`]); a narrower tail runs for all the groups' rows in
-/// one [`mm_narrow_tail`], so each narrow column of `b` is gathered once
-/// per [`NARROW_ROWS`] rows. Leftover rows run through [`mm_rows`]. There is
-/// deliberately no zero-skip branch (the seed's `if aik == 0.0 { continue }`
-/// defeated vectorization on dense data — see EXPERIMENTS.md for the
-/// measured cost).
+/// `a` holds `rows·k` elements, `out` holds `rows·n` and is overwritten;
+/// `b` is the full `k × n` right-hand side. Rows run in groups of four
+/// ([`mm_groups`]): each group's accumulators live in vector registers
+/// for the whole k-loop, so each loaded `B` vector feeds four FMAs and the
+/// output is touched once per tile — the seed kernel's load-FMA-store
+/// round-trip per `(k, j)` step is what limited it. There is deliberately
+/// no zero-skip branch (the seed's `if aik == 0.0 { continue }` defeated
+/// vectorization on dense data — see EXPERIMENTS.md for the measured
+/// cost).
 ///
-/// Tiling is fixed by position in the block (parallel callers hand over row
-/// ranges aligned to [`ROW_CHUNK`], a multiple of four), so the per-element
-/// evaluation order never depends on the thread count.
+/// Every element is one FMA chain over k in order, so neither the row
+/// grouping nor the parallel callers' row ranges change a bit.
 fn mm_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if k == 0 || n == 0 {
+    if n == 0 {
         return;
     }
-    let rows = a.len() / k;
-    let jt = n - n % J_TILE;
-    let mut r = 0;
-    while r + 4 <= rows {
-        let (arows, orows) = (&a[r * k..(r + 4) * k], &mut out[r * n..(r + 4) * n]);
-        let (a0, arest) = arows.split_at(k);
-        let (a1, arest) = arest.split_at(k);
-        let (a2, a3) = arest.split_at(k);
-        let (o0, orest) = orows.split_at_mut(n);
-        let (o1, orest) = orest.split_at_mut(n);
-        let (o2, o3) = orest.split_at_mut(n);
-        for t in 0..jt / J_TILE {
-            let jb = t * J_TILE;
-            let mut c0 = [0.0f32; J_TILE];
-            let mut c1 = [0.0f32; J_TILE];
-            let mut c2 = [0.0f32; J_TILE];
-            let mut c3 = [0.0f32; J_TILE];
-            for kk in 0..k {
-                let bv: &[f32; J_TILE] = b[kk * n + jb..kk * n + jb + J_TILE].try_into().unwrap();
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                for l in 0..J_TILE {
-                    c0[l] = x0.mul_add(bv[l], c0[l]);
-                    c1[l] = x1.mul_add(bv[l], c1[l]);
-                    c2[l] = x2.mul_add(bv[l], c2[l]);
-                    c3[l] = x3.mul_add(bv[l], c3[l]);
-                }
-            }
-            o0[jb..jb + J_TILE].copy_from_slice(&c0);
-            o1[jb..jb + J_TILE].copy_from_slice(&c1);
-            o2[jb..jb + J_TILE].copy_from_slice(&c2);
-            o3[jb..jb + J_TILE].copy_from_slice(&c3);
-        }
-        if n - jt >= TAIL_TILE {
-            mm_tail_tile([a0, a1, a2, a3], b, [o0, o1, o2, o3], k, n, jt);
-        }
-        r += 4;
-    }
-    if jt < n && n - jt < TAIL_TILE {
-        mm_narrow_tail(r, |i| &a[i * k..(i + 1) * k], b, k, n, jt, |i, j, v| out[i * n + j] = v);
-    }
-    while r < rows {
-        let arow = &a[r * k..(r + 1) * k];
-        let orow = &mut out[r * n..(r + 1) * n];
-        mm_rows([arow], b, [orow], k, n);
-        r += 1;
-    }
+    let rows = (0..out.len() / n).map(|r| &a[r * k..(r + 1) * k]);
+    mm_groups(rows.zip(out.chunks_exact_mut(n)), b, k, n);
 }
 
 /// `A (m×k) @ B (k×n)`, row-parallel above [`PAR_FLOPS_MIN`].
@@ -330,7 +183,7 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     out
 }
 
-/// [`matmul`] into `out` (`m·n` floats, zeroed on entry), so a sample
+/// [`matmul`] into `out` (`m·n` floats, overwritten), so a sample
 /// block's per-sample products land side by side in one buffer.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if stuq_obs::summary_enabled() {
@@ -513,18 +366,18 @@ fn block_samples(len: usize, per_sample: usize) -> usize {
 /// sample-major, and output row `i·rows + n` is `z[i·rows + n, :] @ W_n`.
 /// The loop runs node-outer, sample-inner, so each `W_n` is loaded once per
 /// block instead of once per sample, and samples share the register tile
-/// in pairs (`mm_rows`). Every output element keeps the one-row order, so
-/// a sample's rows are bit-identical however many samples share its
-/// block, and `s = 1` is the one-row kernel itself. Fans out over node
-/// ranges above [`PAR_FLOPS_MIN`].
+/// in groups of up to four (`mm_groups`). Every output element is the
+/// one-row product's FMA chain, so a sample's rows are bit-identical
+/// however many samples share its block. Fans out over node ranges above
+/// [`PAR_FLOPS_MIN`].
 pub fn rowwise_matmul(z: &[f32], w: &[f32], rows: usize, ci: usize, co: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; block_samples(z.len(), rows * ci) * rows * co];
     rowwise_matmul_into(z, w, &mut out, rows, ci, co);
     out
 }
 
-/// [`rowwise_matmul`] into `out` (`s·rows·co` floats, zeroed on entry), so
-/// a caller can reuse one buffer across calls.
+/// [`rowwise_matmul`] into `out` (`s·rows·co` floats, overwritten), so a
+/// caller can reuse one buffer across calls.
 pub fn rowwise_matmul_into(
     z: &[f32],
     w: &[f32],
@@ -586,24 +439,13 @@ fn rowwise_nodes(
     ci: usize,
     co: usize,
 ) {
-    let zrow = |i: usize, node: usize| &z[(i * rows + node) * ci..(i * rows + node + 1) * ci];
     for (local, node) in nodes.enumerate() {
         let wn = &w[node * ci * co..(node + 1) * ci * co];
-        let at = local * co..(local + 1) * co;
-        for (p, pair) in outs.chunks_mut(2).enumerate() {
-            let (z0, at) = (zrow(2 * p, node), at.clone());
-            match pair {
-                [o0, o1] => mm_rows(
-                    [z0, zrow(2 * p + 1, node)],
-                    wn,
-                    [&mut o0[at.clone()], &mut o1[at]],
-                    ci,
-                    co,
-                ),
-                [o0] => mm_rows([z0], wn, [&mut o0[at]], ci, co),
-                _ => unreachable!("chunks of one or two"),
-            }
-        }
+        let samples = outs.iter_mut().enumerate().map(|(i, o)| {
+            let zrow = &z[(i * rows + node) * ci..(i * rows + node + 1) * ci];
+            (zrow, &mut o[local * co..(local + 1) * co])
+        });
+        mm_groups(samples, wn, ci, co);
     }
 }
 
@@ -1070,11 +912,13 @@ mod tests {
     }
 
     /// The sample-block NAPL kernel against one-row products: sample `i`'s
-    /// row `n` is bit for bit `matmul(z_i[n], W_n)` for every sample count,
-    /// column tiling (full tiles, wide and narrow tails), odd and even
-    /// `ci`, node counts above `ROW_CHUNK` and blocks above
-    /// `PAR_FLOPS_MIN`, serial or pooled; in reference mode it is the seed
-    /// loop once per sample.
+    /// row `n` is bit for bit `matmul(z_i[n], W_n)`, and sample `i` is its
+    /// lone block, for 1 to 11 samples (groups of four and leftover groups
+    /// of one to three), every column tiling (full tiles, tail tiles that
+    /// overlap or not, scalar chains below 8 columns), odd and even `ci`,
+    /// node counts above `ROW_CHUNK` and blocks above `PAR_FLOPS_MIN`,
+    /// serial or pooled; in reference mode it is the seed loop once per
+    /// sample.
     #[test]
     fn rowwise_block_matches_one_row_products_bitwise() {
         let mut rng = StuqRng::new(0x5A3);
@@ -1082,7 +926,7 @@ mod tests {
         let mut cases = Vec::new();
         for s in 1..=11 {
             for ci in [5, 8] {
-                for co in [3, 8, 32, 40, 64] {
+                for co in [1, 3, 7, 8, 12, 32, 33, 40, 64] {
                     cases.push((s, 5, ci, co));
                 }
             }
@@ -1109,6 +953,11 @@ mod tests {
                 })
                 .collect();
             assert_eq!(bits(&got), bits(&want), "{what}: block vs one-row products");
+            let lone: Vec<f32> = z
+                .chunks_exact(rows * ci)
+                .flat_map(|zs| rowwise_matmul(zs, &w, rows, ci, co))
+                .collect();
+            assert_eq!(bits(&got), bits(&lone), "{what}: block vs lone samples");
             let serial = stuq_parallel::with_serial(|| rowwise_matmul(&z, &w, rows, ci, co));
             assert_eq!(bits(&got), bits(&serial), "{what}: pooled vs serial");
             let reference = with_reference_kernels(|| rowwise_matmul(&z, &w, rows, ci, co));
@@ -1121,44 +970,15 @@ mod tests {
         assert!(crossed, "some block must cross PAR_FLOPS_MIN");
     }
 
-    /// With no inner dimension, one row's product is all zeros at every
-    /// width: the register tiles, the wide tail and the narrow tail alike.
+    /// With no inner dimension, one row's product overwrites its row with
+    /// `+0.0` at every width: the register tiles, the tail tiles and the
+    /// scalar chains alike.
     #[test]
     fn mm_rows_with_k_zero_is_zero() {
         for n in 1..=40 {
-            let mut out = vec![0.0f32; n];
-            mm_rows([&[]], &[], [&mut out[..]], 0, n);
-            assert!(out.iter().all(|&v| v == 0.0), "n {n}: {out:?}");
-        }
-    }
-
-    /// A 4-row group's tail columns, register-tiled when 8 or more wide,
-    /// hold the bits of the same row run alone through `mm_rows::<1>`, for
-    /// tails of 1 to 31 columns after zero, one or two full tiles, short
-    /// and long k, and row counts with leftover rows.
-    #[test]
-    fn mm_block_rows_match_the_one_row_order_bitwise() {
-        let mut rng = StuqRng::new(0x7A11);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for n in [1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 40, 45, 63, 64 + 13, 64 + 31] {
-            for k in [1, 2, 3, 5, 8, 33, 301] {
-                for rows in [4, 7, 8, 13] {
-                    let a = randv(&mut rng, rows * k);
-                    let b = randv(&mut rng, k * n);
-                    let mut tile = vec![0.0f32; rows * n];
-                    mm_block(&a, &b, &mut tile, k, n);
-                    let jt = n - n % J_TILE;
-                    for r in 0..rows {
-                        let mut alone = vec![0.0f32; n];
-                        mm_rows([&a[r * k..(r + 1) * k]], &b, [&mut alone[..]], k, n);
-                        assert_eq!(
-                            bits(&tile[r * n + jt..(r + 1) * n]),
-                            bits(&alone[jt..]),
-                            "n {n}, k {k}, rows {rows}: row {r}'s tail"
-                        );
-                    }
-                }
-            }
+            let mut out = vec![f32::NAN; n];
+            mm_rows([(&[][..], &mut out[..])], &[], 0, n);
+            assert!(out.iter().all(|&v| v.to_bits() == 0), "n {n}: {out:?}");
         }
     }
 

@@ -213,8 +213,8 @@ impl Tensor {
 
     /// Matrix product `self @ other`.
     ///
-    /// Uses the blocked kernel in [`crate::kernels`]: k-panels of four with a
-    /// vectorized j-loop, fanned out over disjoint output row chunks on the
+    /// Uses the register-tiled kernel in [`crate::kernels`]: one FMA chain
+    /// over k per element, vectorized across columns, fanned out over disjoint output row chunks on the
     /// global pool when the problem crosses `kernels::PAR_FLOPS_MIN`.
     pub fn matmul(&self, other: &Self) -> Self {
         let (m, k) = (self.rows(), self.cols());
@@ -697,7 +697,8 @@ mod tests {
     }
 
     /// A NAPL product with no input columns is zeros for every output
-    /// width, the narrow 2–7-column tails included, for one sample or two.
+    /// width, the scalar chains under 8 columns included, for one sample or
+    /// two.
     #[test]
     fn rowwise_matmul_with_no_input_columns_is_zero() {
         for rows in [3, 6] {

@@ -430,13 +430,13 @@ fn backward_gradients_are_pinned() {
         0x771fde94d4048220,
         0x1c35ad39bf9a2609,
         0x9b62dcfb5f9f0de9,
-        0xc26c2521f7c0d4f5,
+        0xb1e8d651b1c3cdba,
         0x78016578925b6fdb,
-        0xd128c95541c4781b,
+        0x28b2bbbef7a07d7c,
         0x00145f44b1a718d6,
         0x517c36d4d0e3eaa6,
-        0x25a3f8a341f7b03e,
-        0x191e9bcca9a42822,
+        0x271e5a507e8811ea,
+        0xd22bfef812fceae5,
     ];
     let mut got = Vec::new();
     for case in 0..PINNED.len() as u64 {

@@ -1,18 +1,18 @@
 //! The matmul-family kernels' output bits, pinned to digests.
 //!
-//! Each product keeps a fixed per-element evaluation order (DESIGN.md §7,
-//! "Register tiling is positional"): which FMA chains an element runs, the
-//! k order inside each chain and the final combine. A change to the tiles'
-//! loads, stores or loop shape must leave every bit where it was; a change
-//! that regroups a chain moves some digest here. The shape table reaches
-//! every tile path: 4-row groups and 1–3 leftover rows, full 32-column
-//! tiles, 8–31-column tails and narrow tails, odd and even k with and
-//! without a k mod 4 remainder, sample pairs and a lone sample in the NAPL
+//! Every element of a product is one FMA chain over k in order from `+0.0`
+//! (DESIGN.md §7, "Register tiling is positional"). A change to the
+//! tiles' loads, stores or loop shape must leave every bit where it was; a
+//! change that regroups a chain moves some digest here. The shape table
+//! reaches every tile path: 4-row groups and 1–3 leftover rows, full
+//! 32-column tiles, 8-column tail tiles that overlap or not, scalar chains
+//! below 8 columns, sample groups of four and their leftovers in the NAPL
 //! block, and one shape of each product past the pool's fan-out threshold.
 
 use stuq_artifact::FNV1A64_OFFSET;
 use stuq_tensor::kernels::{
-    matmul, matmul_tb, rowwise_matmul, rowwise_matmul_grad_w, rowwise_matmul_grad_z, PAR_FLOPS_MIN,
+    matmul, matmul_into, matmul_tb, rowwise_matmul, rowwise_matmul_grad_w, rowwise_matmul_grad_z,
+    rowwise_matmul_into, PAR_FLOPS_MIN,
 };
 use stuq_tensor::StuqRng;
 
@@ -24,6 +24,10 @@ const C_OUT: [usize; 6] = [1, 7, 8, 16, 32, 33];
 
 fn randv(rng: &mut StuqRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.normal_f32()).collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Folds a product's shape words and its outputs' little-endian bits into
@@ -133,45 +137,45 @@ fn pooled_digests() -> Vec<u64> {
 fn kernel_outputs_are_pinned() {
     const PINNED: [u64; 37] = [
         // matmul, n = 1, 2, 3, 7, 8, 12, 31, 32, 33, 40, 64, 65
-        0x2ebbdf2e3ceb3ecb,
-        0x310f9c8a644f57ea,
-        0x456827cc33a4e260,
-        0xac2c4491aa5ee13f,
+        0x168a223174b64928,
+        0x50eddee9d100bc73,
+        0xa425423113bb5938,
+        0x3a6b53b191a0b96f,
         0x13c9954beeb30f5e,
         0xe2f0377709ad83b7,
         0xb6b1f7f14b0e16f4,
-        0x3c1d496a2348cae4,
-        0xe4290db60e785868,
-        0x655aa3ee152d8a08,
-        0x621fb8f09cbe8ec6,
-        0x60230e74fab71c14,
+        0xb4c26d6e16b49050,
+        0x50e14eb086f97e68,
+        0x3b465ee3ad8c23f8,
+        0xea6707c910472301,
+        0x58e5b5b1b31e123c,
         // matmul_tb, same column counts
         0x1b047d9587ed7936,
         0x3bdabb3777ec2ace,
         0xf7dd3d634de92ccd,
-        0xa830416ada644e47,
+        0x9c39b294500f299a,
         0x672c2b98ea0755cc,
         0xba55add8e7e72c45,
         0x1931dbd034900dd0,
-        0x7f3e585c087359cf,
-        0x4d5e9acc87289140,
-        0x2cbe393ce86f84d7,
-        0xf3c4d767fef6c411,
-        0x69f0ae169ae291c0,
+        0xee72d3e2178367c2,
+        0x54497f295bca1e1c,
+        0xc684c8ce79dc0e18,
+        0x6513fb41ea5444a4,
+        0xc046238bc3da70d2,
         // rowwise_matmul, c_out = 1, 7, 8, 16, 32, 33
-        0xf6bd2b46795ca3b2,
-        0xf85b2018cb072a30,
+        0x1f4606f94ff23f66,
+        0xee6734da7560c7ab,
         0x6922ef30f09e8531,
         0x2764c0bad6268c98,
-        0x5cc23315186c9b9c,
-        0x356c497fc300f868,
+        0x58be89cb9aa1669e,
+        0x054f9de2b33da226,
         // rowwise_matmul_grad_z, rowwise_matmul_grad_w
         0x15b2c43feefd16e6,
         0x9e350425c3b08313,
         // pooled: matmul, matmul_tb, rowwise_matmul, grad_z, grad_w
-        0x752b24ba77dddb80,
-        0x94a3184721fde22b,
-        0xbb044d4820f9ea35,
+        0x61dd860aa2d9c129,
+        0xbe0247c44ef0726c,
+        0xd0df68b7f792cc30,
         0x6a2f2949d9c39c2a,
         0xfc085ddffb0cac28,
     ];
@@ -190,4 +194,74 @@ fn kernel_outputs_are_pinned() {
     got.extend(pooled_digests());
     let hex: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
     assert_eq!(got, PINNED, "kernel output digests moved: [{}]", hex.join(", "));
+}
+
+/// Every row of a product holds the bits of that row's one-row product,
+/// whatever group of rows it shares a register tile with and wherever the
+/// pool splits the rows: each element is one FMA chain over k in order
+/// (DESIGN.md §7). `matmul` and `matmul_into` run the shape table and one
+/// shape past the fan-out threshold.
+#[test]
+fn matmul_rows_match_their_one_row_products_bitwise() {
+    let mut rng = StuqRng::new(0x0E0);
+    let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+    for m in ROWS {
+        for k in KS {
+            for n in NS {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    shapes.push((70, 64, 65));
+    for (m, k, n) in shapes {
+        let a = randv(&mut rng, m * k);
+        let b = randv(&mut rng, k * n);
+        let got = matmul(&a, &b, m, k, n);
+        let mut into = vec![0.0f32; m * n];
+        matmul_into(&a, &b, &mut into, m, k, n);
+        for r in 0..m {
+            let alone = matmul(&a[r * k..(r + 1) * k], &b, 1, k, n);
+            let row = r * n..(r + 1) * n;
+            assert_eq!(bits(&got[row.clone()]), bits(&alone), "matmul {m}x{k}x{n}: row {r}");
+            assert_eq!(bits(&into[row]), bits(&alone), "matmul_into {m}x{k}x{n}: row {r}");
+        }
+    }
+}
+
+/// The `_into` kernels overwrite every element: an `out` full of NaN comes
+/// back with a fresh product's bits, and with no inner dimension all
+/// `+0.0`.
+#[test]
+fn kernels_overwrite_their_out() {
+    let mut rng = StuqRng::new(0x0A1);
+    for m in ROWS {
+        for k in KS {
+            for n in NS {
+                let a = randv(&mut rng, m * k);
+                let b = randv(&mut rng, k * n);
+                let mut out = vec![f32::NAN; m * n];
+                matmul_into(&a, &b, &mut out, m, k, n);
+                assert_eq!(bits(&out), bits(&matmul(&a, &b, m, k, n)), "matmul_into {m}x{k}x{n}");
+                if k == 0 {
+                    assert!(out.iter().all(|x| x.to_bits() == 0), "matmul_into {m}x0x{n}");
+                }
+            }
+        }
+    }
+    for s in SAMPLES {
+        for ci in KS.into_iter().filter(|&ci| ci > 0 || s == 1) {
+            for co in C_OUT {
+                let rows = 5;
+                let z = randv(&mut rng, s * rows * ci);
+                let w = randv(&mut rng, rows * ci * co);
+                let mut out = vec![f32::NAN; s * rows * co];
+                rowwise_matmul_into(&z, &w, &mut out, rows, ci, co);
+                let what = format!("rowwise_matmul_into s {s}, ci {ci}, co {co}");
+                assert_eq!(bits(&out), bits(&rowwise_matmul(&z, &w, rows, ci, co)), "{what}");
+                if ci == 0 {
+                    assert!(out.iter().all(|x| x.to_bits() == 0), "{what}");
+                }
+            }
+        }
+    }
 }

@@ -389,7 +389,7 @@ fn solo_stream_is_pinned() {
                 "t0 forecast reason=- used=1/1 grid=14x12 batch=2 hit=true",
                 "t1 forecast reason=- used=4/4 grid=1x1 batch=2 hit=true",
             ],
-            responses: 0x04dd_82c9_245c_3f2a,
+            responses: 0x1123_6b92_81df_afa5,
             events: (268, 0xbf02_d6ce_046c_9cb2),
             counters: &[
                 "stuq_serve_requests_total=26",
@@ -440,7 +440,7 @@ fn cluster_stream_is_pinned() {
                 "t0 forecast reason=- used=1/1 grid=14x12 batch=2 hit=true",
                 "t1 forecast reason=- used=2/4 grid=1x1 batch=2 hit=false",
             ],
-            responses: 0xa67b_39a2_54ac_02ac,
+            responses: 0x082c_edb4_e38c_bc39,
             events: (404, 0xcf3b_d45e_ae1d_ee3d),
             counters: &[
                 "stuq_serve_requests_total=26",
