@@ -961,6 +961,18 @@ mod tests {
         // the serial / reference-kernel execution modes. A baseline model
         // covers the default (tape-backed) session.
         let mut rng = StuqRng::new(41);
+        // Every all-zero initial parameter (the gate bias pools among them)
+        // gets nonzero values, so a misplaced bias term cannot hide behind
+        // a zero.
+        let unzero = |model: &mut dyn Forecaster, rng: &mut StuqRng| {
+            let ps = model.params_mut();
+            for slot in 0..ps.len() {
+                if ps.get(slot).data().iter().all(|&v| v == 0.0) {
+                    let shape = ps.get(slot).shape().to_vec();
+                    *ps.get_mut(slot) = Tensor::randn(&shape, 0.3, rng);
+                }
+            }
+        };
         let two_layer = |cfg: AgcrnConfig| cfg.with_capacity(8, 3, 2);
         let mut models: Vec<(&str, Box<dyn Forecaster>, bool)> = vec![
             ("gaussian", AgcrnConfig::new(5, 3).with_dropout(0.3, 0.2), false),
@@ -988,7 +1000,10 @@ mod tests {
         // The paper's hidden width: the NAPL products fill a whole 32-column
         // register tile, and requests span one, two and three blocks.
         let paper_width = AgcrnConfig::new(5, 3).with_dropout(0.1, 0.2).with_capacity(32, 3, 2);
-        let paper_width: Box<dyn Forecaster> = Box::new(Agcrn::new(paper_width, &mut rng));
+        let mut paper_width: Box<dyn Forecaster> = Box::new(Agcrn::new(paper_width, &mut rng));
+        for model in models.iter_mut().map(|(_, m, _)| m).chain([&mut paper_width]) {
+            unzero(&mut **model, &mut rng);
+        }
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
         let cov = Tensor::randn(&[4, 1], 1.0, &mut rng);
         let run_all = || {

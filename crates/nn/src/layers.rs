@@ -46,14 +46,6 @@ pub trait Exec {
     /// Where dropout draws from: one stream, or one stream per sample.
     type Rng: ?Sized;
 
-    /// Whether [`BoundAgcrnCell::step`] may compute the spatial mixing
-    /// `(I + Â)·[x, h]` once for both the z and r gates. The forward bits
-    /// are the same either way, but on a tape one shared node would sum
-    /// both gates' gradients in another order and move training bytes, so
-    /// the tape keeps two mixings until that fusion lands behind the
-    /// UQ-quality oracle (ROADMAP item 4(c), DESIGN.md §17).
-    const SHARES_GATE_MIXING: bool;
-
     /// Binds parameter `slot` holding `value`.
     fn param<'p>(&mut self, slot: usize, value: &'p Tensor) -> Self::Param<'p>;
     /// A value that receives no gradient.
@@ -125,7 +117,6 @@ impl Exec for Tape {
     type Val = NodeId;
     type Param<'p> = NodeId;
     type Rng = StuqRng;
-    const SHARES_GATE_MIXING: bool = false;
 
     fn param(&mut self, slot: usize, value: &Tensor) -> NodeId {
         Tape::param(self, slot, value.clone())
@@ -342,9 +333,8 @@ impl<'p> Block<'p> {
     /// `product` of each sample's operands (a shared operand stands for
     /// every sample) into that sample's `shape` block, computed once while
     /// both are shared. The block's contents are stale: `product` writes
-    /// every element. Each call sees one
-    /// sample's operands alone, so a sample's bits do not depend on the
-    /// block.
+    /// every element. Each call sees one sample's operands alone, so a
+    /// sample's bits do not depend on the block.
     fn per_sample(
         a: &Self,
         b: &Self,
@@ -417,7 +407,6 @@ impl<'p> Exec for Eager<'p> {
     type Val = Block<'p>;
     type Param<'q> = Block<'p>;
     type Rng = [StuqRng];
-    const SHARES_GATE_MIXING: bool = true;
 
     fn param<'q>(&mut self, slot: usize, value: &'q Tensor) -> Block<'p> {
         let bound = self.params.get(slot);
@@ -886,10 +875,9 @@ impl<V> BoundAgcrnCell<V> {
         let (x, h) = (x.borrow(), h.borrow());
         let support: &E::Val = self.support.borrow();
         let xh = ex.concat_cols(x, h);
+        // z and r read the same mixed input (Eq. 6a–b).
         let mixed = ex.matmul(support, &xh);
         let z = self.gate(ex, ctx, 0, &mixed);
-        // z and r read the same mixed input; see `Exec::SHARES_GATE_MIXING`.
-        let mixed = if E::SHARES_GATE_MIXING { mixed } else { ex.matmul(support, &xh) };
         let r = self.gate(ex, ctx, 1, &mixed);
         let rh = ex.mul(&r, h);
         let xrh = ex.concat_cols(x, &rh);

@@ -389,7 +389,7 @@ fn solo_stream_is_pinned() {
                 "t0 forecast reason=- used=1/1 grid=14x12 batch=2 hit=true",
                 "t1 forecast reason=- used=4/4 grid=1x1 batch=2 hit=true",
             ],
-            responses: 0x1123_6b92_81df_afa5,
+            responses: 0xa8f8_03ef_efd7_06ab,
             events: (268, 0xbf02_d6ce_046c_9cb2),
             counters: &[
                 "stuq_serve_requests_total=26",
@@ -440,7 +440,7 @@ fn cluster_stream_is_pinned() {
                 "t0 forecast reason=- used=1/1 grid=14x12 batch=2 hit=true",
                 "t1 forecast reason=- used=2/4 grid=1x1 batch=2 hit=false",
             ],
-            responses: 0x082c_edb4_e38c_bc39,
+            responses: 0x305d_992e_6057_713f,
             events: (404, 0xcf3b_d45e_ae1d_ee3d),
             counters: &[
                 "stuq_serve_requests_total=26",
